@@ -14,15 +14,11 @@ part B, by default at the face barycenter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-# membership tolerance for the two defining equations
-EPS_MEM = 1e-8
-# coordinates below this magnitude count as zero when reading sign patterns
-EPS_SIGN = 1e-9
+from .core import EPS_MEM, EPS_SIGN
 
 
 class GammaMembershipError(ValueError):
@@ -74,73 +70,3 @@ def face_of(x: np.ndarray, eps: float = EPS_SIGN) -> FaceLabel:
     if not pos or not neg:
         raise GammaMembershipError("a point of the polytope has both signs")
     return FaceLabel(pos, neg)
-
-
-def support_projection(support: Iterable[int], x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto span{ e_i - e_j : i, j in support }.
-
-    Zeroes every coordinate outside the support, then removes the mean over
-    the support.  Elements are 1-based.
-    """
-    x = np.asarray(x, dtype=float)
-    idx = sorted(int(i) - 1 for i in support)
-    if len(idx) < 2:
-        raise ValueError("support must contain at least two elements")
-    if idx[0] < 0 or idx[-1] >= x.shape[0]:
-        raise ValueError("support element out of range")
-    out = np.zeros_like(x)
-    vals = x[idx]
-    out[idx] = vals - vals.mean()
-    return out
-
-
-@dataclass(frozen=True)
-class AmbientSpace:
-    """The zero-sum cross-polytope slice in R^n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("ambient dimension n must be at least 3")
-
-    def vertex(self, i: int, j: int) -> np.ndarray:
-        """The vertex e_i - e_j (1-based labels, i != j)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
-            raise ValueError(f"invalid vertex labels ({i}, {j}) for n={self.n}")
-        v = np.zeros(self.n)
-        v[i - 1] = 1.0
-        v[j - 1] = -1.0
-        return v
-
-    def barycenter(self, circuit, orientation: int = 1) -> np.ndarray:
-        """Face barycenter of a circuit: sum_a e_a/|A| - sum_b e_b/|B|.
-
-        The circuit is any object with pos/neg element sets.  Orientation -1
-        gives the antipodal point.
-        """
-        if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-        pos, neg = set(circuit.pos), set(circuit.neg)
-        if not pos or not neg:
-            raise ValueError("barycenter needs both circuit parts nonempty")
-        if not all(1 <= e <= self.n for e in pos | neg):
-            raise ValueError("circuit element out of range")
-        x = np.zeros(self.n)
-        for e in pos:
-            x[e - 1] = 1.0 / len(pos)
-        for e in neg:
-            x[e - 1] = -1.0 / len(neg)
-        return orientation * x
-
-    def face_of(self, x: np.ndarray) -> FaceLabel:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}")
-        return face_of(x)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}")
-        return project_to_gamma(x)

@@ -26,6 +26,7 @@ from .complexes import (
     combinatorial_circuit_graph,
     geometric_radon_complex,
     graphs_equal,
+    matroid_of_complex,
     validate_sphere,
 )
 from .core import (
@@ -91,8 +92,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = _load_points(_load_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    matroid = circuits_of_points(config)
     rc = geometric_radon_complex(config)
+    matroid = matroid_of_complex(rc)
     report = validate_sphere(rc, config.n, config.d)
     combinatorial = combinatorial_circuit_graph(matroid)
     matches = graphs_equal(rc.graph, combinatorial)
@@ -132,12 +133,13 @@ def cmd_flow(args: argparse.Namespace) -> int:
     seed = int(args.seed if args.seed is not None else data.get("seed", 0))
     delta = float(args.delta if args.delta is not None else data.get("delta", 0.05))
     reps = int(data.get("repetitions", 1))
+    default = FlowParams()
     params = FlowParams(
-        h=float(args.step if args.step is not None else data.get("step", 0.01)),
-        t_max=float(args.tmax if args.tmax is not None else data.get("t_max", 200.0)),
-        tol_curv=float(data.get("tol_curv", 1e-8)),
-        tol_fixed=float(data.get("tol_fixed", 1e-10)),
-        scheme=str(args.scheme if args.scheme is not None else data.get("scheme", "rk4")),
+        h=float(args.step if args.step is not None else data.get("step", default.h)),
+        t_max=float(args.tmax if args.tmax is not None else data.get("t_max", default.t_max)),
+        tol_curv=float(data.get("tol_curv", default.tol_curv)),
+        tol_fixed=float(data.get("tol_fixed", default.tol_fixed)),
+        scheme=str(args.scheme if args.scheme is not None else data.get("scheme", default.scheme)),
     )
     out = Path(args.out if args.out is not None else data.get("out", "flow-out"))
     out.mkdir(parents=True, exist_ok=True)

@@ -29,10 +29,9 @@ from .core import (
     GroundSet,
     OrientedMatroid,
     PointConfiguration,
-    RankDeficientError,
     SignedCircuitVertex,
     check_circuit_axioms,
-    mask_of,
+    circuit_dependences,
     set_of,
 )
 
@@ -207,14 +206,14 @@ def _conforms_to(zp: int, zn: int, sp: int, sn: int) -> bool:
 def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     """Build the Radon complex of a spanning point configuration.
 
-    Vertices are the elementary (minimal-support) sign vectors of the
-    dependence space, placed on the polytope by radial normalization; a sign
+    Vertices are the circuits of circuit_dependences, where the rank test
+    (KERNEL_RTOL) alone decides which supports are circuits; each is placed
+    on the polytope by radially normalizing its dependence vector.  A sign
     vector is realized iff the circuits conforming to it cover its support,
     and the cell it labels has dimension dim(V restricted to the support)
-    minus one.
+    minus one, by the same rank test.
     """
-    if not config.affinely_spans():
-        raise RankDeficientError("points do not affinely span R^d")
+    dependences = circuit_dependences(config)
     n, d = config.n, config.d
     lifted = config.lifted_matrix()
 
@@ -230,44 +229,11 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
             dim_cache[support_mask] = len(idx) - int((s > tol).sum())
         return dim_cache[support_mask]
 
-    # minimal-support kernel sign vectors, scanned by increasing support size
-    circuits: list[Circuit] = []
-    positions_by_circuit: dict[Circuit, np.ndarray] = {}
-    supports: list[frozenset[int]] = []
-    for size in range(2, d + 3):
-        for sub in itertools.combinations(range(1, n + 1), size):
-            s = frozenset(sub)
-            if any(supp <= s for supp in supports):
-                continue
-            smask = mask_of(sub)
-            if dim_of(smask) < 1:
-                continue
-            idx = [e - 1 for e in sub]
-            u, sv, vt = np.linalg.svd(lifted[:, idx])
-            vec = vt[-1]
-            vec = vec / np.abs(vec).max()
-            if np.abs(vec).min() <= 1e-9:
-                # a smaller support is dependent; it will be (or was) found
-                continue
-            x = np.zeros(n)
-            x[idx] = vec
-            emin = min(sub)
-            if x[emin - 1] < 0:
-                x = -x
-            pos = frozenset(e for e in sub if x[e - 1] > 0)
-            neg = frozenset(e for e in sub if x[e - 1] < 0)
-            c = Circuit(pos, neg)
-            circuits.append(c)
-            supports.append(s)
-            positions_by_circuit[c] = project_to_gamma(x)
-
-    circuits.sort(key=Circuit.sort_key)
+    circuits = sorted(dependences, key=Circuit.sort_key)
     vertices = _ordered_vertices(circuits)
     masks = _vertex_masks(vertices)
-    positions = np.array(
-        [positions_by_circuit[c] for c in circuits]
-        + [-positions_by_circuit[c] for c in circuits]
-    )
+    placed = [project_to_gamma(dependences[c]) for c in circuits]
+    positions = np.array(placed + [-x for x in placed])
 
     # realized sign vectors: closure of the signed circuits under conformal
     # composition (sign-pattern union)

