@@ -17,13 +17,14 @@ cycle per two-dimensional coordinate subspace of V.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ambient import project_to_gamma
 from .core import (
+    _HALF,
+    _LOW,
     KERNEL_RTOL,
     Circuit,
     GroundSet,
@@ -33,6 +34,10 @@ from .core import (
     check_circuit_axioms,
     circuit_dependences,
     set_of,
+    _conforming,
+    _negated,
+    _sign_rows,
+    _unique_rows,
 )
 
 
@@ -143,14 +148,13 @@ def _vertex_masks(vertices) -> list[tuple[int, int]]:
 
 
 def _partition_edges_into_cycles(
-    n_vertices: int,
-    edges: list[tuple[int, int]],
-    masks: list[tuple[int, int]],
+    edges: list[tuple[int, int]], masks: list[tuple[int, int]]
 ) -> tuple[Cycle, ...]:
     """Group edges by the support of the composed sign vector and walk cycles.
 
     Within one support tag every incident vertex must have exactly two
-    incident edges; each connected component is then a closed cycle.
+    incident edges; each connected component is then a closed cycle, walked
+    from its smallest vertex towards its smaller (neighbor, edge) first.
     """
     groups: dict[int, list[int]] = {}
     for eid, (i, j) in enumerate(edges):
@@ -169,38 +173,46 @@ def _partition_edges_into_cycles(
                 f"edges tagged {sorted(set_of(tag))} do not form closed cycles "
                 f"(vertex {bad[0]} has degree {len(adj[bad[0]])} there)"
             )
-        used: set[int] = set()
+        walked: set[int] = set()
         for start in sorted(adj):
-            if any(eid in used for _, eid in adj[start]):
+            if start in walked:
                 continue
-            seq = [start]
-            eids = []
-            prev_edge = -1
-            current = start
+            seq, eids = [start], []
+            w, eid = min(adj[start])
             while True:
-                nxt = [(w, eid) for w, eid in adj[current] if eid != prev_edge and eid not in used]
-                if not nxt:
-                    raise ValueError("cycle walk failed; edge group is not a disjoint cycle union")
-                w, eid = min(nxt, key=lambda t: (t[0], t[1]))
-                used.add(eid)
                 eids.append(eid)
                 if w == start:
                     break
                 seq.append(w)
-                prev_edge = eid
-                current = w
+                w, eid = next(t for t in adj[w] if t[1] != eid)
+            walked.update(seq)
             cycles.append(
                 Cycle(support=set_of(tag), vertex_seq=tuple(seq), edge_ids=tuple(eids))
             )
     return tuple(cycles)
 
 
-def _conformal(ap: int, an: int, bp: int, bn: int) -> bool:
-    return (ap & bn) == 0 and (an & bp) == 0
+def _composition_closure(rows: np.ndarray) -> np.ndarray:
+    """The distinct sign-vector rows closed under conformal composition.
 
-
-def _conforms_to(zp: int, zn: int, sp: int, sn: int) -> bool:
-    return (zp & ~sp) == 0 and (zn & ~sn) == 0
+    Frontier by frontier: every conformal (frontier row, row) pair is
+    composed, each kernel block's compositions are deduplicated as they come
+    (so memory stays bounded), one np.unique over packed keys merges them
+    with everything seen, and the rows new in that frontier form the next.
+    """
+    seen, _ = _unique_rows(rows)
+    frontier = seen
+    while len(frontier):
+        composed = [
+            _unique_rows(frontier[start + f] | rows[c])[0]
+            for start, block in _conforming(rows, ~_negated(frontier))
+            for f, c in [np.nonzero(block)]
+        ]
+        grown, which = _unique_rows(np.concatenate([seen] + composed))
+        fresh = np.ones(len(grown), bool)
+        fresh[which[: len(seen)]] = False
+        seen, frontier = grown, grown[fresh]
+    return seen
 
 
 def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
@@ -211,23 +223,26 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     on the polytope by radially normalizing its dependence vector.  A sign
     vector is realized iff the circuits conforming to it cover its support,
     and the cell it labels has dimension dim(V restricted to the support)
-    minus one, by the same rank test.
+    minus one, by the same rank test (once per distinct support).
+
+    The realized sign vectors are the closure of the signed circuits under
+    conformal composition, built frontier by frontier: each frontier is
+    composed with every circuit conformal to it, and one np.unique over
+    packed sign-row keys drops what was seen before.  One conformance-kernel
+    pass then lists the circuits conforming to each realized vector: two
+    for an edge, the closure of a facet otherwise.
     """
     dependences = circuit_dependences(config)
     n, d = config.n, config.d
     lifted = config.lifted_matrix()
 
-    dim_cache: dict[int, int] = {}
-
     def dim_of(support_mask: int) -> int:
         """Dimension of the dependence vectors supported inside the mask."""
-        if support_mask not in dim_cache:
-            idx = [i for i in range(n) if support_mask >> i & 1]
-            sub = lifted[:, idx]
-            s = np.linalg.svd(sub, compute_uv=False)
-            tol = KERNEL_RTOL * max(1.0, float(s[0]) if s.size else 0.0)
-            dim_cache[support_mask] = len(idx) - int((s > tol).sum())
-        return dim_cache[support_mask]
+        idx = [i for i in range(n) if support_mask >> i & 1]
+        sub = lifted[:, idx]
+        s = np.linalg.svd(sub, compute_uv=False)
+        tol = KERNEL_RTOL * max(1.0, float(s[0]) if s.size else 0.0)
+        return len(idx) - int((s > tol).sum())
 
     circuits = sorted(dependences, key=Circuit.sort_key)
     vertices = _ordered_vertices(circuits)
@@ -235,45 +250,37 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     placed = [project_to_gamma(dependences[c]) for c in circuits]
     positions = np.array(placed + [-x for x in placed])
 
-    # realized sign vectors: closure of the signed circuits under conformal
-    # composition (sign-pattern union)
-    realized: dict[tuple[int, int], None] = dict.fromkeys(masks)
-    queue = list(masks)
-    while queue:
-        sp, sn = queue.pop()
-        for cp, cn in masks:
-            if not _conformal(sp, sn, cp, cn):
-                continue
-            t = (sp | cp, sn | cn)
-            if t not in realized:
-                realized[t] = None
-                queue.append(t)
+    rows = _sign_rows(masks, n)
+    realized = _composition_closure(rows)
+    # one rank test per distinct support
+    supports, which = _unique_rows((realized >> _HALF | realized) & _LOW)
+    support_dims = [
+        dim_of(sum(x << 32 * w for w, x in enumerate(r))) for r in supports.tolist()
+    ]
+    cell_dims = np.array(support_dims, dtype=int)[which] - 1
+    cells, cell_dims = realized[cell_dims > 0], cell_dims[cell_dims > 0].tolist()
 
-    edge_set: dict[tuple[int, int], None] = {}
-    facet_cells: list[Cell] = []
-    for sp, sn in realized:
-        cell_dim = dim_of(sp | sn) - 1
-        if cell_dim == 0:
-            continue
-        conforming = [
-            i for i, (cp, cn) in enumerate(masks) if _conforms_to(cp, cn, sp, sn)
-        ]
-        if cell_dim == 1:
-            if len(conforming) != 2:
+    edge_set: set[tuple[int, ...]] = set()
+    facet_keys: list[tuple[int, tuple[int, ...]]] = []
+    for start, block in _conforming(rows, cells):
+        cell_of, vertex = np.nonzero(block)
+        bounds = np.searchsorted(cell_of, np.arange(len(block) + 1)).tolist()
+        vertex = vertex.tolist()
+        for k, cell_dim in enumerate(cell_dims[start : start + len(block)]):
+            conforming = tuple(vertex[bounds[k] : bounds[k + 1]])
+            if cell_dim > 1:
+                facet_keys.append((cell_dim, conforming))
+            elif len(conforming) != 2:
                 raise ValueError(
                     "a one-dimensional cell must close over exactly two circuits"
                 )
-            i, j = sorted(conforming)
-            edge_set[(i, j)] = None
-        else:
-            facet_cells.append(Cell(dim=cell_dim, vertices=frozenset(conforming)))
+            else:
+                edge_set.add(conforming)
 
     edges = sorted(edge_set)
-    cycles = _partition_edges_into_cycles(len(vertices), edges, masks)
+    cycles = _partition_edges_into_cycles(edges, masks)
     graph = CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
-    facets = tuple(
-        sorted(facet_cells, key=lambda c: (c.dim, tuple(sorted(c.vertices))))
-    )
+    facets = tuple(Cell(dim=k, vertices=frozenset(vs)) for k, vs in sorted(facet_keys))
     return RadonComplex(graph=graph, facets=facets, n=n, d=d, positions=positions)
 
 
@@ -289,8 +296,10 @@ def combinatorial_circuit_graph(
 ) -> CircuitGraph:
     """Build the circuit graph from the circuit list alone.
 
-    Adjacency rule: X and Y are joined iff they conform, X != +-Y, and no
-    third signed circuit conforms to the composition X o Y.  Edges are then
+    Adjacency rule: X and Y are joined iff they conform, X != +-Y, and
+    exactly two signed circuits (X and Y themselves) conform to the
+    composition X o Y.  All pairs are tested at once with the conformance
+    kernel; edges keep the (i, j) order of the vertex pairs.  Edges are then
     partitioned into cycles by the support of the composition.
     """
     if check_axioms:
@@ -300,23 +309,18 @@ def combinatorial_circuit_graph(
     circuits = m.sorted_circuits()
     vertices = _ordered_vertices(circuits)
     masks = _vertex_masks(vertices)
-    edges = []
-    for i, j in itertools.combinations(range(len(vertices)), 2):
-        xp, xn = masks[i]
-        yp, yn = masks[j]
-        if xp == yn and xn == yp:
-            continue  # antipodal pair
-        if not _conformal(xp, xn, yp, yn):
-            continue
-        sp, sn = xp | yp, xn | yn
-        third = False
-        for k, (zp, zn) in enumerate(masks):
-            if k != i and k != j and _conforms_to(zp, zn, sp, sn):
-                third = True
-                break
-        if not third:
-            edges.append((i, j))
-    cycles = _partition_edges_into_cycles(len(vertices), edges, masks)
+    rows = _sign_rows(masks, m.n)
+    first, second = np.concatenate(
+        [
+            np.argwhere(np.triu(block, start + 1)) + (start, 0)
+            for start, block in _conforming(rows, ~_negated(rows))
+        ]
+    ).T
+    composed, which = _unique_rows(rows[first] | rows[second])
+    count = np.concatenate([b.sum(axis=1) for _, b in _conforming(rows, composed)])
+    lone = count[which] == 2
+    edges = list(zip(first[lone].tolist(), second[lone].tolist()))
+    cycles = _partition_edges_into_cycles(edges, masks)
     return CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
 
 

@@ -356,13 +356,77 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
     return all(is_radon_partition(m, c.pos, c.neg) for c in m2.circuits)
 
 
+# Sign vectors as numpy rows, for the combinatorial layer.  Element e
+# (1-based) lives in word (e-1) // 32 of a row of ceil(n/32) uint64 words,
+# its positive bit at 32 + (e-1) % 32 and its negative bit at (e-1) % 32, so
+# a row holds a sign vector of any length.  Z conforms to S (Z+ <= S+ and
+# Z- <= S-) iff Z & ~S is zero in every word, X o Y is X | Y for conformal
+# X, Y, and -X swaps the halves of each word.
+_HALF = np.uint64(32)
+_LOW = np.uint64(0xFFFFFFFF)
+_BLOCK_WORDS = 1 << 16  # uint64 words of intermediate per kernel block
+
+
+def _sign_rows(masks, n: int) -> np.ndarray:
+    """One row of ceil(n/32) uint64 words per (pos_mask, neg_mask) pair."""
+    words = -(-n // 32)
+    rows = [
+        [(p >> 32 * w & 0xFFFFFFFF) << 32 | q >> 32 * w & 0xFFFFFFFF for w in range(words)]
+        for p, q in masks
+    ]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), words)
+
+
+def _negated(rows: np.ndarray) -> np.ndarray:
+    return rows << _HALF | rows >> _HALF
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, and for each input row the index of its copy.
+
+    One 1-D np.unique over packed keys: the word itself when a row has one,
+    else the row's bytes.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))) if rows.shape[1] > 1 else rows
+    _, first, which = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+    return rows[first], which
+
+
+def _conforming(z: np.ndarray, s: np.ndarray):
+    """Yield (start, block): block[i, j] says z[j] conforms to s[start + i].
+
+    The one conformance kernel of the combinatorial layer: the axiom check,
+    the circuit graph and the cell closure all reduce to it.  X and Y are
+    conformal iff X conforms to ~(-Y).  A block holds at most _BLOCK_WORDS
+    words of intermediate and callers reduce it before taking the next, so
+    memory stays bounded.  An empty s still yields one (empty) block.
+    """
+    step = max(1, _BLOCK_WORDS // max(1, z.size))
+    for start in range(0, max(1, len(s)), step):
+        outside = ~s[start : start + step]
+        acc = outside[:, None, 0] & z[None, :, 0]
+        for w in range(1, z.shape[1]):
+            acc |= outside[:, None, w] & z[None, :, w]
+        yield start, acc == 0
+
+
+# check_circuit_axioms stops after this many weak-elimination violations
+ELIMINATION_CAP = 200
+
+
 @dataclass
 class AxiomReport:
-    """Outcome of the circuit-axiom checks, one violation list per axiom."""
+    """Outcome of the circuit-axiom checks, one violation list per axiom.
+
+    weak_elimination stops at ELIMINATION_CAP entries; elimination_truncated
+    says that more violations exist beyond them.
+    """
 
     support_minimality: list[str]
     canonicalization: list[str]
     weak_elimination: list[str]
+    elimination_truncated: bool = False
 
     @property
     def ok(self) -> bool:
@@ -380,7 +444,9 @@ class AxiomReport:
             ("weak-elimination", self.weak_elimination),
         ]:
             if lst:
-                parts.append(f"{name}: {len(lst)} violation(s), e.g. {lst[0]}")
+                cut = lst is self.weak_elimination and self.elimination_truncated
+                more = " (list truncated, more exist)" if cut else ""
+                parts.append(f"{name}: {len(lst)} violation(s){more}, e.g. {lst[0]}")
         return "; ".join(parts)
 
 
@@ -390,20 +456,29 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     Checks pairwise support-minimality, the canonical-orientation storage
     convention (with duplicate reversed pairs flagged), and weak elimination:
     for signed circuits X != -Y and any e in X+ n Y- there must be a signed
-    circuit Z with Z+ <= (X+ u Y+) \\ e and Z- <= (X- u Y-) \\ e.
+    circuit Z with Z+ <= (X+ u Y+) \\ e and Z- <= (X- u Y-) \\ e.  Every
+    (X, Y, e) target is built at once, deduplicated and tested with the
+    conformance kernel; violations are listed in (X, Y, e) order, X and Y
+    running over the sorted circuits, each positive then negative.
     """
     circuits = m.sorted_circuits()
+    n = m.n
     minimality: list[str] = []
     canonical: list[str] = []
     elimination: list[str] = []
 
-    for c1, c2 in itertools.combinations(circuits, 2):
-        if c1.support < c2.support:
-            minimality.append(f"support of {c1!r} is strictly inside {c2!r}")
-        elif c2.support < c1.support:
-            minimality.append(f"support of {c2!r} is strictly inside {c1!r}")
-        elif c1.support == c2.support:
+    supports = _sign_rows([(mask_of(c.support), 0) for c in circuits], n)
+    # inside[i, j]: support j <= support i
+    inside = np.concatenate([b for _, b in _conforming(supports, supports)])
+    sizes = [len(c.support) for c in circuits]
+    for i, j in zip(*np.nonzero(np.triu(inside | inside.T, 1))):
+        c1, c2 = circuits[i], circuits[j]
+        if sizes[i] == sizes[j]:
             minimality.append(f"{c1!r} and {c2!r} share their support")
+        elif sizes[i] < sizes[j]:
+            minimality.append(f"support of {c1!r} is strictly inside {c2!r}")
+        else:
+            minimality.append(f"support of {c2!r} is strictly inside {c1!r}")
 
     seen = {(c.pos, c.neg) for c in circuits}
     for c in circuits:
@@ -412,34 +487,39 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
         if (c.neg, c.pos) in seen:
             canonical.append(f"{c!r} is stored together with its reversal")
 
-    signed = []
-    for c in circuits:
-        pm, nm = c.masks()
-        signed.append((pm, nm, c, 1))
-        signed.append((nm, pm, c, -1))
-    for xp, xn, cx, ox in signed:
-        for yp, yn, cy, oy in signed:
-            if xp == yn and xn == yp:
-                continue  # X == -Y
-            conflict = xp & yn
-            e_mask = conflict
-            while e_mask:
-                bit = e_mask & (-e_mask)
-                e_mask ^= bit
-                zp_max = (xp | yp) & ~bit
-                zn_max = (xn | yn) & ~bit
-                if not any(
-                    zp & ~zp_max == 0 and zn & ~zn_max == 0 for zp, zn, _, _ in signed
-                ):
-                    e = bit.bit_length()
-                    elimination.append(
-                        f"no circuit eliminates element {e} between "
-                        f"{'+' if ox == 1 else '-'}{cx!r} and {'+' if oy == 1 else '-'}{cy!r}"
-                    )
-                if len(elimination) > 200:
-                    break
-            if len(elimination) > 200:
+    # weak elimination over sign rows: +c_k at row 2k, -c_k at row 2k + 1;
+    # X rows go in blocks, so the (X, Y) pair arrays stay bounded
+    rows = _sign_rows([c.masks() for c in circuits], n)
+    signed = np.empty((2 * len(circuits), rows.shape[1]), np.uint64)
+    signed[0::2], signed[1::2] = rows, _negated(rows)
+    total, words = signed.shape
+    clear = ~_sign_rows([(1 << e, 1 << e) for e in range(n)], n)
+    step = max(1, _BLOCK_WORDS // max(1, signed.size * n))  # targets per X row: <= total * n
+    truncated = False
+    for start in range(0, total, step):
+        x = signed[start : start + step, None]
+        conflict = (x >> _HALF) & signed  # X+ n Y-, in the low halves
+        conflict[(x == _negated(signed)).all(axis=2)] = 0
+        conflict = conflict.reshape(-1, words)
+        hits = [
+            np.nonzero(conflict[:, e // 32] >> np.uint64(e % 32) & np.uint64(1))[0]
+            for e in range(n)
+        ]
+        pairs = np.concatenate(hits)
+        elements = np.repeat(np.arange(n), [len(h) for h in hits])
+        targets, which = _unique_rows((x | signed).reshape(-1, words)[pairs] & clear[elements])
+        witnessed = np.concatenate([b.any(axis=1) for _, b in _conforming(signed, targets)])
+        bad = ~witnessed[which]
+        for p, e in sorted(zip(pairs[bad].tolist(), elements[bad].tolist())):
+            if len(elimination) == ELIMINATION_CAP:
+                truncated = True
                 break
-        if len(elimination) > 200:
+            i, j = start + p // total, p % total
+            elimination.append(
+                f"no circuit eliminates element {e + 1} between "
+                f"{'-' if i % 2 else '+'}{circuits[i // 2]!r} and "
+                f"{'-' if j % 2 else '+'}{circuits[j // 2]!r}"
+            )
+        if truncated:
             break
-    return AxiomReport(minimality, canonical, elimination)
+    return AxiomReport(minimality, canonical, elimination, truncated)

@@ -72,3 +72,27 @@ def sample_spanning_points(n, d, rng):
         config = rf.PointConfiguration(pts.astype(float), d)
         if config.affinely_spans():
             return pts
+
+
+def sample_degenerate_points(n, d, rng, kind):
+    """Integer points with a coincident pair or a collinear triple, spanning R^d."""
+    while True:
+        pts = rng.integers(-20, 21, size=(n, d))
+        i, j, k = rng.choice(n, size=3, replace=False)
+        if kind == "pair":
+            pts[j] = pts[i]
+        else:  # k on the line through i and j, outside the segment
+            pts[k] = pts[i] + rng.choice([-2, -1, 2, 3]) * (pts[j] - pts[i])
+        if rf.PointConfiguration(pts.astype(float), d).affinely_spans():
+            return pts
+
+
+def widened(m, n, shift):
+    """m with every element e relabeled e + shift, on a ground set of n elements."""
+    return rf.OrientedMatroid(
+        rf.GroundSet(n, m.d),
+        frozenset(
+            rf.Circuit.make({e + shift for e in c.pos}, {e + shift for e in c.neg})
+            for c in m.circuits
+        ),
+    )

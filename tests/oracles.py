@@ -7,6 +7,11 @@ space is exactly one-dimensional with full support.  It shares no code with
 the package; on integer inputs the answers are exact, so comparisons
 against circuits_of_points carry no tolerance coupling.
 
+The combinatorial references are the per-pair loop versions of the
+circuit-axiom check, the circuit-graph adjacency rule and the Radon
+complex's cell closure, which the package runs through one vectorised
+conformance kernel; the parity tests require identical outputs.
+
 The rest are plain per-vertex versions of the flow's curvature and
 velocity, the support projection that the velocity applies, and a small
 model of the ambient polytope (vertices, face barycenters) used to test
@@ -21,6 +26,12 @@ from typing import Iterable
 import numpy as np
 
 import radonflow as rf
+from radonflow.complexes import (
+    _ordered_vertices,
+    _partition_edges_into_cycles,
+    _vertex_masks,
+)
+from radonflow.core import ELIMINATION_CAP, KERNEL_RTOL, circuit_dependences
 
 
 def kernel_basis(rows, ncols):
@@ -189,3 +200,138 @@ def velocity(s, v) -> np.ndarray:
         eta = float(np.linalg.norm(wh2 - float(wh @ wh2) * wh))
         out += eta * support_projection(v.support, pa + pb - 2.0 * p)
     return out
+
+
+def _conformal(ap, an, bp, bn):
+    return (ap & bn) == 0 and (an & bp) == 0
+
+
+def _conforms_to(zp, zn, sp, sn):
+    return (zp & ~sp) == 0 and (zn & ~sn) == 0
+
+
+def check_circuit_axioms(m):
+    """Loop version of rf.check_circuit_axioms, with the same violation cap."""
+    circuits = m.sorted_circuits()
+    minimality, canonical, elimination = [], [], []
+
+    for c1, c2 in combinations(circuits, 2):
+        if c1.support < c2.support:
+            minimality.append(f"support of {c1!r} is strictly inside {c2!r}")
+        elif c2.support < c1.support:
+            minimality.append(f"support of {c2!r} is strictly inside {c1!r}")
+        elif c1.support == c2.support:
+            minimality.append(f"{c1!r} and {c2!r} share their support")
+
+    seen = {(c.pos, c.neg) for c in circuits}
+    for c in circuits:
+        if not c.is_canonical:
+            canonical.append(f"{c!r} is stored with its smallest element negative")
+        if (c.neg, c.pos) in seen:
+            canonical.append(f"{c!r} is stored together with its reversal")
+
+    signed = []
+    for c in circuits:
+        pm, nm = c.masks()
+        signed.append((pm, nm, c, 1))
+        signed.append((nm, pm, c, -1))
+    truncated = False
+    for xp, xn, cx, ox in signed:
+        for yp, yn, cy, oy in signed:
+            if xp == yn and xn == yp:
+                continue  # X == -Y
+            e_mask = xp & yn
+            while e_mask:
+                bit = e_mask & (-e_mask)
+                e_mask ^= bit
+                zp_max = (xp | yp) & ~bit
+                zn_max = (xn | yn) & ~bit
+                if any(_conforms_to(zp, zn, zp_max, zn_max) for zp, zn, _, _ in signed):
+                    continue
+                if len(elimination) == ELIMINATION_CAP:
+                    truncated = True
+                    break
+                elimination.append(
+                    f"no circuit eliminates element {bit.bit_length()} between "
+                    f"{'+' if ox == 1 else '-'}{cx!r} and {'+' if oy == 1 else '-'}{cy!r}"
+                )
+            if truncated:
+                break
+        if truncated:
+            break
+    return rf.AxiomReport(minimality, canonical, elimination, truncated)
+
+
+def circuit_graph(m):
+    """Loop version of rf.combinatorial_circuit_graph (axioms unchecked)."""
+    vertices = _ordered_vertices(m.sorted_circuits())
+    masks = _vertex_masks(vertices)
+    edges = []
+    for i, j in combinations(range(len(vertices)), 2):
+        xp, xn = masks[i]
+        yp, yn = masks[j]
+        if xp == yn and xn == yp:
+            continue  # antipodal pair
+        if not _conformal(xp, xn, yp, yn):
+            continue
+        sp, sn = xp | yp, xn | yn
+        if not any(
+            k != i and k != j and _conforms_to(zp, zn, sp, sn)
+            for k, (zp, zn) in enumerate(masks)
+        ):
+            edges.append((i, j))
+    cycles = _partition_edges_into_cycles(edges, masks)
+    return rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
+
+
+def radon_complex(config):
+    """Loop version of rf.geometric_radon_complex: depth-first closure of the
+    signed circuits under conformal composition, then one conforming list
+    per realized sign vector."""
+    dependences = circuit_dependences(config)
+    n, d = config.n, config.d
+    lifted = config.lifted_matrix()
+
+    def dim_of(support_mask):
+        idx = [i for i in range(n) if support_mask >> i & 1]
+        s = np.linalg.svd(lifted[:, idx], compute_uv=False)
+        tol = KERNEL_RTOL * max(1.0, float(s[0]) if s.size else 0.0)
+        return len(idx) - int((s > tol).sum())
+
+    circuits = sorted(dependences, key=rf.Circuit.sort_key)
+    vertices = _ordered_vertices(circuits)
+    masks = _vertex_masks(vertices)
+    placed = [rf.project_to_gamma(dependences[c]) for c in circuits]
+    positions = np.array(placed + [-x for x in placed])
+
+    realized = dict.fromkeys(masks)
+    queue = list(masks)
+    while queue:
+        sp, sn = queue.pop()
+        for cp, cn in masks:
+            if not _conformal(sp, sn, cp, cn):
+                continue
+            t = (sp | cp, sn | cn)
+            if t not in realized:
+                realized[t] = None
+                queue.append(t)
+
+    edge_set = {}
+    facet_cells = []
+    for sp, sn in realized:
+        cell_dim = dim_of(sp | sn) - 1
+        if cell_dim == 0:
+            continue
+        conforming = [i for i, (cp, cn) in enumerate(masks) if _conforms_to(cp, cn, sp, sn)]
+        if cell_dim == 1:
+            if len(conforming) != 2:
+                raise ValueError("a one-dimensional cell must close over exactly two circuits")
+            edge_set[tuple(sorted(conforming))] = None
+        else:
+            facet_cells.append(rf.Cell(dim=cell_dim, vertices=frozenset(conforming)))
+
+    edges = sorted(edge_set)
+    cycles = _partition_edges_into_cycles(edges, masks)
+    graph = rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
+    facets = tuple(sorted(facet_cells, key=lambda c: (c.dim, tuple(sorted(c.vertices)))))
+    return rf.RadonComplex(graph=graph, facets=facets, n=n, d=d, positions=positions)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 import radonflow as rf
-from conftest import sample_spanning_points
+from conftest import sample_degenerate_points, sample_spanning_points, widened
 from radonflow.cli import main
 
 
@@ -148,3 +149,72 @@ def test_near_collinear_triple_gets_one_answer(tmp_path, eps, count):
     assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "sphere_report.json").read_text())
     assert report["ok"] and report["combinatorial_graph_matches"] is True
+
+
+def _damaged(m):
+    """m with its first circuit dropped, one reversed copy and one shrunk copy:
+    every axiom then has violations."""
+    cs = m.sorted_circuits()
+    big, e = cs[-1], max(cs[-1].support)
+    shrunk = rf.Circuit.make(big.pos - {e}, big.neg - {e})
+    return rf.OrientedMatroid(m.ground, frozenset(cs[1:] + [cs[1].reversed(), shrunk]))
+
+
+def _graph_or_error(build):
+    try:
+        return build().to_dict()
+    except ValueError as exc:  # the edges of a malformed matroid need not close
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "n, d", [(5, 2), (6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3), (9, 2), (9, 3)]
+)
+def test_conformance_kernel_matches_loop_references(n, d):
+    rng = np.random.default_rng([41, n, d])
+    draws = [sample_spanning_points(n, d, rng)] + [
+        sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
+    ]
+    for pts in draws:
+        cfg = rf.PointConfiguration(pts.astype(float), d)
+        rc, ref = rf.geometric_radon_complex(cfg), oracles.radon_complex(cfg)
+        assert rc.graph.to_dict() == ref.graph.to_dict()
+        assert rc.facets == ref.facets
+        assert np.array_equal(rc.positions, ref.positions)
+        m = rf.matroid_of_complex(rc)
+        assert rf.combinatorial_circuit_graph(m).to_dict() == oracles.circuit_graph(m).to_dict()
+        assert rf.check_circuit_axioms(m) == oracles.check_circuit_axioms(m)
+        bad = _damaged(m)
+        report = rf.check_circuit_axioms(bad)
+        assert report.support_minimality and report.canonicalization
+        assert report.weak_elimination
+        assert report == oracles.check_circuit_axioms(bad)
+        assert _graph_or_error(
+            lambda: rf.combinatorial_circuit_graph(bad, check_axioms=False)
+        ) == _graph_or_error(lambda: oracles.circuit_graph(bad))
+
+
+def test_adjacency_rule_counts_every_conformer():
+    # Z conforms to X o Y, so X and Y are not joined.  In a realizable
+    # matroid X o Y never has exactly three conformers, so this is hand-built.
+    x, y = rf.Circuit.make({1}, {2}), rf.Circuit.make({3}, {4})
+    z = rf.Circuit.make({1, 3}, {2, 4})
+    m = rf.OrientedMatroid(rf.GroundSet(4, 2), frozenset({x, y, z}))
+    got = _graph_or_error(lambda: rf.combinatorial_circuit_graph(m, check_axioms=False))
+    assert got == _graph_or_error(lambda: oracles.circuit_graph(m))
+
+
+def test_circuit_graph_on_ground_sets_wider_than_64(pentagon_config):
+    m = rf.circuits_of_points(pentagon_config)
+    shift = 65  # elements 66..70 of 70, past two 32-element words
+    wide = widened(m, 70, shift)
+    g, g_wide = rf.combinatorial_circuit_graph(m), rf.combinatorial_circuit_graph(wide)
+    assert [(v.pos, v.neg) for v in g_wide.vertices] == [
+        ({e + shift for e in v.pos}, {e + shift for e in v.neg}) for v in g.vertices
+    ]
+    assert g_wide.edges == g.edges and len(g.edges) == 10
+    assert [c.support for c in g_wide.cycles] == [
+        frozenset(e + shift for e in c.support) for c in g.cycles
+    ]
+    assert [c.edge_ids for c in g_wide.cycles] == [c.edge_ids for c in g.cycles]
+    assert g_wide.to_dict()["edges"] == oracles.circuit_graph(wide).to_dict()["edges"]

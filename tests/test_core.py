@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
+import oracles
 import radonflow as rf
-from conftest import HEXAGON, LINE4, SQUARE, TRI_INTERIOR, sample_spanning_points
+from conftest import (
+    HEXAGON,
+    LINE4,
+    SQUARE,
+    TRI_INTERIOR,
+    sample_degenerate_points,
+    sample_spanning_points,
+    widened,
+)
 from oracles import exact_circuits
+from radonflow.core import ELIMINATION_CAP
 
 
 def circuit_set(m):
@@ -52,19 +62,6 @@ def test_circuits_match_exact_oracle_on_fixed_configs():
             continue
         m = rf.circuits_of_points(rf.PointConfiguration(np.asarray(pts), d))
         assert circuit_set(m) == exact_circuits(ints, d)
-
-
-def sample_degenerate_points(n, d, rng, kind):
-    """Integer points with a coincident pair or a collinear triple, spanning R^d."""
-    while True:
-        pts = rng.integers(-20, 21, size=(n, d))
-        i, j, k = rng.choice(n, size=3, replace=False)
-        if kind == "pair":
-            pts[j] = pts[i]
-        else:  # k on the line through i and j, outside the segment
-            pts[k] = pts[i] + rng.choice([-2, -1, 2, 3]) * (pts[j] - pts[i])
-        if rf.PointConfiguration(pts.astype(float), d).affinely_spans():
-            return pts
 
 
 def test_circuits_match_exact_oracle_random():
@@ -174,6 +171,34 @@ def test_axioms_catch_missing_elimination():
     )
     report = rf.check_circuit_axioms(m)
     assert report.weak_elimination
+
+
+@pytest.mark.parametrize("n", [40, 70])
+def test_weak_elimination_stops_at_the_cap(n):
+    # the chain {i, i+2}|{i+1} has 6n - 20 elimination failures; at n = 70
+    # its sign vectors span three 32-element words
+    chain = frozenset(rf.Circuit.make({i, i + 2}, {i + 1}) for i in range(1, n - 1))
+    m = rf.OrientedMatroid(rf.GroundSet(n, 1), chain)
+    report = rf.check_circuit_axioms(m)
+    assert len(report.weak_elimination) == ELIMINATION_CAP
+    assert report.elimination_truncated
+    assert "truncated" in report.summary()
+    assert report == oracles.check_circuit_axioms(m)
+    first = sorted(chain, key=rf.Circuit.sort_key)[:30]  # 172 failures
+    below = rf.OrientedMatroid(rf.GroundSet(n, 1), frozenset(first))
+    short = rf.check_circuit_axioms(below)
+    assert not short.elimination_truncated and "truncated" not in short.summary()
+    assert short == oracles.check_circuit_axioms(below)
+
+
+def test_axioms_on_ground_sets_wider_than_64(pentagon_config):
+    m = rf.circuits_of_points(pentagon_config)
+    wide = widened(m, 70, 65)  # elements 66..70 of 70
+    assert rf.check_circuit_axioms(wide).ok
+    broken = rf.OrientedMatroid(wide.ground, frozenset(wide.sorted_circuits()[1:]))
+    report = rf.check_circuit_axioms(broken)
+    assert report.weak_elimination and not report.ok
+    assert report == oracles.check_circuit_axioms(broken)
 
 
 def test_matroid_serialization_roundtrip(square_matroid):
