@@ -238,7 +238,7 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
         },
     )
     if (n, d) == (4, 2):
-        report = cell_structure_m42(seed=args.seed)
+        report = cell_structure_m42(seed=args.seed, elements=elements)
         _write_json(out / "m42_cells.json", report.to_dict())
         print(
             f"macphersonian(4,2): {len(elements)} elements, {uniform} uniform, "

@@ -295,31 +295,51 @@ def circuit_dependences(config: PointConfiguration) -> dict[Circuit, np.ndarray]
     max-abs normalized, zero off the support and positive on the smallest
     element (Bjorner, Las Vergnas, Sturmfels, White & Ziegler, Oriented
     Matroids, ch. 3).  The dict lists the circuits in scan order.
+
+    A size level runs in blocks of candidate supports in lexicographic
+    order, each small enough that its stacked matrices (lifted columns,
+    both sets of singular vectors, length-n dependences) stay within
+    _BLOCK_WORDS floats.  A block drops the supersets of earlier circuits
+    with one conformance-kernel pass over support rows (no limit on n),
+    then takes the SVD of every survivor in one stacked np.linalg.svd call.
+    Supports of one size never contain each other, so only circuits of
+    smaller levels can rule a candidate out.
     """
     if not config.affinely_spans():
         raise RankDeficientError("points do not affinely span R^d")
     n = config.n
     lifted = config.lifted_matrix()
     found: dict[Circuit, np.ndarray] = {}
-    supports: list[int] = []
+    supports = np.zeros((0, -(-n // 32)), np.uint64)  # support rows of the circuits
     for size in range(2, config.d + 3):
-        for sub in itertools.combinations(range(1, n + 1), size):
-            smask = mask_of(sub)
-            if any(supp & ~smask == 0 for supp in supports):
-                continue
-            idx = [e - 1 for e in sub]
-            _, s, vt = np.linalg.svd(lifted[:, idx])
-            if int((s > KERNEL_RTOL * max(1.0, float(s[0]))).sum()) == size:
-                continue
-            x = np.zeros(n)
-            x[idx] = vt[-1] / np.abs(vt[-1]).max()
-            if x[idx[0]] < 0:
-                x = -x
-            c = Circuit.make(
-                (e for e in sub if x[e - 1] > 0), (e for e in sub if x[e - 1] < 0)
-            )
-            found[c] = x
-            supports.append(smask)
+        level = itertools.combinations(range(n), size)
+        step = max(1, _BLOCK_WORDS // ((config.d + 1 + size) ** 2 + n))
+        new_supports = []
+        while block := list(itertools.islice(level, step)):
+            subs = np.array(block, dtype=np.intp)
+            rows = _support_rows(subs, n)
+            if len(supports):
+                free = ~np.concatenate([b.any(axis=1) for _, b in _conforming(supports, rows)])
+                subs, rows = subs[free], rows[free]
+                if not len(subs):
+                    continue
+            _, s, vt = np.linalg.svd(lifted[:, subs].transpose(1, 0, 2))
+            dependent = (s > KERNEL_RTOL * np.maximum(1.0, s[:, :1])).sum(axis=1) < size
+            subs, rows, v = subs[dependent], rows[dependent], vt[dependent, -1]
+            v = v / np.abs(v).max(axis=1, keepdims=True)
+            at = np.arange(len(subs))[:, None]
+            x = np.zeros((len(subs), n))
+            x[at, subs] = v
+            flip = v[:, 0] < 0
+            x[flip] = -x[flip]  # the whole row, so zeros off the support turn -0.0
+            for sub, vals, vec in zip(subs.tolist(), x[at, subs].tolist(), x):
+                c = Circuit.make(
+                    (e + 1 for e, val in zip(sub, vals) if val > 0),
+                    (e + 1 for e, val in zip(sub, vals) if val < 0),
+                )
+                found[c] = vec
+            new_supports.append(rows)
+        supports = np.concatenate([supports] + new_supports)
     return found
 
 
@@ -364,7 +384,7 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
 # X, Y, and -X swaps the halves of each word.
 _HALF = np.uint64(32)
 _LOW = np.uint64(0xFFFFFFFF)
-_BLOCK_WORDS = 1 << 16  # uint64 words of intermediate per kernel block
+_BLOCK_WORDS = 1 << 16  # 8-byte words of intermediate per kernel or SVD block
 
 
 def _sign_rows(masks, n: int) -> np.ndarray:
@@ -375,6 +395,15 @@ def _sign_rows(masks, n: int) -> np.ndarray:
         for p, q in masks
     ]
     return np.array(rows, dtype=np.uint64).reshape(len(rows), words)
+
+
+def _support_rows(subs: np.ndarray, n: int) -> np.ndarray:
+    """Sign rows with the positive part set to each row of 0-based indices."""
+    word, bit = np.divmod(subs, 32)
+    rows = np.zeros((len(subs), -(-n // 32)), np.uint64)
+    bits = np.uint64(1) << (bit + 32).astype(np.uint64)
+    np.bitwise_or.at(rows, (np.arange(len(subs))[:, None], word), bits)
+    return rows
 
 
 def _negated(rows: np.ndarray) -> np.ndarray:

@@ -12,6 +12,12 @@ circuit-axiom check, the circuit-graph adjacency rule and the Radon
 complex's cell closure, which the package runs through one vectorised
 conformance kernel; the parity tests require identical outputs.
 
+circuit_scan is the per-support loop version of core.circuit_dependences
+(one SVD per candidate support); the package batches each size level.
+weak_map_matrix calls weak_map_leq once per pair of poset elements, and
+gf2_rank_dense / gf2_betti_dense eliminate dense uint8 boundary matrices
+by row XORs, where the package reduces sparse bitset columns.
+
 The rest are plain per-vertex versions of the flow's curvature and
 velocity, the support projection that the velocity applies, and a small
 model of the ambient polytope (vertices, face barycenters) used to test
@@ -31,7 +37,7 @@ from radonflow.complexes import (
     _partition_edges_into_cycles,
     _vertex_masks,
 )
-from radonflow.core import ELIMINATION_CAP, KERNEL_RTOL, circuit_dependences
+from radonflow.core import ELIMINATION_CAP, KERNEL_RTOL, circuit_dependences, mask_of
 
 
 def kernel_basis(rows, ncols):
@@ -335,3 +341,101 @@ def radon_complex(config):
     graph = rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
     facets = tuple(sorted(facet_cells, key=lambda c: (c.dim, tuple(sorted(c.vertices)))))
     return rf.RadonComplex(graph=graph, facets=facets, n=n, d=d, positions=positions)
+
+
+def circuit_scan(config):
+    """Loop version of core.circuit_dependences: supports in lexicographic
+    order within each size, one SVD each.  Only circuits of smaller sizes are
+    tested for containment, since supports of one size never nest."""
+    if not config.affinely_spans():
+        raise rf.RankDeficientError("points do not affinely span R^d")
+    n = config.n
+    lifted = config.lifted_matrix()
+    found = {}
+    supports = []
+    for size in range(2, config.d + 3):
+        smaller = list(supports)
+        for sub in combinations(range(1, n + 1), size):
+            smask = mask_of(sub)
+            if any(supp & ~smask == 0 for supp in smaller):
+                continue
+            idx = [e - 1 for e in sub]
+            _, s, vt = np.linalg.svd(lifted[:, idx])
+            if int((s > KERNEL_RTOL * max(1.0, float(s[0]))).sum()) == size:
+                continue
+            x = np.zeros(n)
+            x[idx] = vt[-1] / np.abs(vt[-1]).max()
+            if x[idx[0]] < 0:
+                x = -x
+            c = rf.Circuit.make(
+                (e for e in sub if x[e - 1] > 0), (e for e in sub if x[e - 1] < 0)
+            )
+            found[c] = x
+            supports.append(smask)
+    return found
+
+
+def weak_map_matrix(elements):
+    """leq[i, j] = weak_map_leq(elements[i], elements[j]), one call per pair."""
+    return np.array(
+        [[rf.weak_map_leq(a, b) for b in elements] for a in elements], dtype=bool
+    ).reshape(len(elements), len(elements))
+
+
+def hasse_pairs(leq):
+    """Cover relations i < j of a reflexive order matrix, row-major."""
+    k = len(leq)
+    strict = leq & ~np.eye(k, dtype=bool)
+    return [
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if strict[i, j] and not (strict[i] & strict[:, j]).any()
+    ]
+
+
+def maximal_indices(leq):
+    k = len(leq)
+    return [i for i in range(k) if not any(leq[i, j] and i != j for j in range(k))]
+
+
+def gf2_rank_dense(mat):
+    """Rank of a 0/1 matrix over GF(2) by XOR row elimination."""
+    m = np.array(mat, dtype=np.uint8) & 1
+    rows, cols = m.shape
+    rank = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, rows):
+            if m[r, col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        hits = np.flatnonzero(m[:, col])
+        hits = hits[hits != rank]
+        if hits.size:
+            m[hits] ^= m[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def gf2_betti_dense(c):
+    """Betti numbers over GF(2) from dense boundary matrices."""
+    if not c.simplices:
+        return []
+    index = [{s: i for i, s in enumerate(lst)} for lst in c.simplices]
+    ranks = [0] * (len(c.simplices) + 1)
+    for k in range(1, len(c.simplices)):
+        lower, upper = c.simplices[k - 1], c.simplices[k]
+        mat = np.zeros((len(lower), len(upper)), dtype=np.uint8)
+        for j, s in enumerate(upper):
+            for drop in range(len(s)):
+                mat[index[k - 1][s[:drop] + s[drop + 1 :]], j] = 1
+        ranks[k] = gf2_rank_dense(mat)
+    return [
+        len(c.simplices[k]) - ranks[k] - ranks[k + 1] for k in range(len(c.simplices))
+    ]

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import radonflow.cli as cli
+import radonflow.macphersonian as macphersonian
 from conftest import SQUARE, pentagon_points
 from radonflow.cli import main
 
@@ -172,6 +174,20 @@ def test_macphersonian_4_2(tmp_path):
     cells = load(out / "m42_cells.json")
     assert cells["face_vector"] == [6, 12, 7]
     assert cells["ok"] is True
+
+
+def test_macphersonian_4_2_enumerates_once(tmp_path, monkeypatch):
+    calls = []
+    for module in (cli, macphersonian):
+        real = module.enumerate_acyclic_oms
+        monkeypatch.setattr(
+            module,
+            "enumerate_acyclic_oms",
+            lambda *a, real=real, **k: calls.append(a) or real(*a, **k),
+        )
+    assert main(["macphersonian", "4", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert calls == [(4, 2)]
+    assert load(tmp_path / "m42_cells.json")["ok"] is True
 
 
 def test_macphersonian_out_of_range(tmp_path):

@@ -14,6 +14,7 @@ from conftest import (
 )
 from oracles import exact_circuits
 from radonflow.core import ELIMINATION_CAP
+from radonflow.macphersonian import _sample_configuration
 
 
 def circuit_set(m):
@@ -210,3 +211,82 @@ def test_relabeling_permutes_circuits(square_matroid):
     perm = {1: 2, 2: 3, 3: 4, 4: 1}
     moved = square_matroid.relabeled(perm)
     assert circuit_set(moved) == {(frozenset({1, 2}), frozenset({3, 4}))}
+
+
+def assert_same_scan(cfg):
+    """The batched scan returns the loop scan's dict: same order, same bits."""
+    got, want = rf.core.circuit_dependences(cfg), oracles.circuit_scan(cfg)
+    assert list(got) == list(want)
+    for c, x in want.items():
+        assert np.array_equal(got[c], x)
+        assert got[c].tobytes() == x.tobytes()  # signed zeros too
+    return got
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (4, 2), (5, 1), (5, 3), (6, 4)])
+def test_batched_scan_matches_loop_on_census_draws(n, d):
+    rng = np.random.default_rng([77, n, d])
+    draws = [_sample_configuration(n, d, rng) for _ in range(60)]
+    draws = [cfg for cfg in draws if cfg is not None]
+    assert len(draws) > 30
+    for cfg in draws:
+        assert_same_scan(cfg)
+
+
+@pytest.mark.parametrize(
+    "n, d", [(7, 2), (8, 2), (8, 3), (9, 3), (9, 4), (10, 5), (10, 4)]
+)
+def test_batched_scan_matches_loop_on_degenerate_draws(n, d):
+    rng = np.random.default_rng([78, n, d])
+    for kind in ("pair", "triple"):
+        for _ in range(3):
+            pts = sample_degenerate_points(n, d, rng, kind)
+            assert_same_scan(rf.PointConfiguration(pts.astype(float), d))
+
+
+@pytest.mark.parametrize("eps", [5e-10, 8e-10, 1e-9, 2e-9, 3e-9, 5e-9])
+def test_batched_scan_matches_loop_near_collinear(eps):
+    pts = [[0.0, 0.0], [1.0, 0.0], [2.0, eps], [0.0, 1.0], [1.0, 2.0]]
+    assert_same_scan(rf.PointConfiguration(np.asarray(pts), 2))
+
+
+@pytest.mark.parametrize("block_words", [1, 40, 200])
+def test_batched_scan_split_across_blocks(monkeypatch, block_words):
+    rng = np.random.default_rng([79, block_words])
+    configs = [
+        rf.PointConfiguration(sample_degenerate_points(8, 2, rng, kind).astype(float), 2)
+        for kind in ("pair", "triple")
+    ]
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(rf.core, "_BLOCK_WORDS", block_words)
+    for cfg in configs:
+        want = oracles.circuit_scan(cfg)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        got = rf.core.circuit_dependences(cfg)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert list(got) == list(want)
+        assert all(got[c].tobytes() == x.tobytes() for c, x in want.items())
+    # the 56 triples of a level no longer fit in one stacked SVD
+    stacked = [shape for shape in svd_calls if len(shape) == 3]
+    assert len(stacked) > 2 * 3
+
+
+def test_batched_scan_on_ground_sets_wider_than_64():
+    # 66 points on a line with coincident pairs inside and across the
+    # 32-element words of a sign row: pairs are circuits, and no triple
+    # holding one may be
+    pts = np.arange(66, dtype=float)[:, None]
+    for i, j in ((3, 40), (0, 65), (31, 32), (10, 11), (50, 63)):
+        pts[j] = pts[i]
+    got = assert_same_scan(rf.PointConfiguration(pts, 1))
+    pairs = {c.support for c in got if len(c.support) == 2}
+    assert pairs == {
+        frozenset({4, 41}), frozenset({1, 66}), frozenset({32, 33}),
+        frozenset({11, 12}), frozenset({51, 64}),
+    }

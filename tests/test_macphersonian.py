@@ -1,7 +1,12 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
+import oracles
 import radonflow as rf
+from radonflow.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +157,111 @@ def test_simplicial_complex_basics():
     empty = rf.SimplicialComplex.from_maximal_faces([])
     assert empty.counts() == []
     assert rf.gf2_betti(empty) == []
+
+
+def _assert_poset_matches_pairwise_loop(elements):
+    p = rf.MatroidPoset.from_elements(elements)
+    leq = oracles.weak_map_matrix(elements)
+    assert np.array_equal(p.leq, leq)
+    assert p.hasse_pairs() == oracles.hasse_pairs(leq)
+    assert p.maximal_indices() == oracles.maximal_indices(leq)
+    return p
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (4, 2), (5, 3)])
+def test_weak_map_matrix_matches_pairwise_loop(n, d):
+    _assert_poset_matches_pairwise_loop(rf.enumerate_acyclic_oms(n, d))
+
+
+def _random_circuit(rng, n):
+    support = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, 5)), replace=False)
+    split = int(rng.integers(0, len(support) + 1))
+    # the raw constructor keeps non-canonical orientations
+    return rf.Circuit(frozenset(support[:split].tolist()), frozenset(support[split:].tolist()))
+
+
+def test_weak_map_matrix_matches_pairwise_loop_on_non_realizable_sets():
+    # circuit sets that no point configuration has: mixed support sizes,
+    # one-sided and non-canonical circuits, circuits stored with their
+    # reversal; an element joins only while the loop order stays antisymmetric
+    g = rf.GroundSet(5, 2)
+    rng = np.random.default_rng(515)
+    elements = [
+        rf.OrientedMatroid(g, frozenset({rf.Circuit({1, 2}, {3}), rf.Circuit({3}, {1, 2})})),
+        rf.OrientedMatroid(g, frozenset({rf.Circuit({1}, {2, 3, 4}), rf.Circuit({5}, set())})),
+        rf.OrientedMatroid(g, frozenset()),
+    ]
+    while len(elements) < 40:
+        m = rf.OrientedMatroid(
+            g, frozenset(_random_circuit(rng, 5) for _ in range(int(rng.integers(1, 6))))
+        )
+        leq = oracles.weak_map_matrix(elements + [m])
+        if not np.triu(leq & leq.T, 1).any():
+            elements.append(m)
+    assert sum(not rf.check_circuit_axioms(m).ok for m in elements) > 20
+    p = _assert_poset_matches_pairwise_loop(elements)
+    assert 0 < len(p.hasse_pairs()) < 40 * 39 // 2
+    with pytest.raises(ValueError, match="antisymmetric"):
+        rf.MatroidPoset.from_elements(elements + [elements[5]])
+
+
+def test_poset_rejects_mixed_ground_sets():
+    a = rf.OrientedMatroid(rf.GroundSet(4, 2), frozenset({rf.Circuit.make({1, 4}, {2, 3})}))
+    b = rf.OrientedMatroid(rf.GroundSet(5, 2), frozenset({rf.Circuit.make({1, 4}, {2, 3})}))
+    with pytest.raises(ValueError, match="same ground set"):
+        rf.MatroidPoset.from_elements([a, b])
+
+
+def _flag_complex(rng, k, p):
+    """The clique complex of a random graph on k vertices."""
+    edges = {(i, j) for i, j in itertools.combinations(range(k), 2) if rng.random() < p}
+    faces = [(v,) for v in range(k)]
+    for size in range(2, 6):
+        faces += [
+            s for s in itertools.combinations(range(k), size)
+            if all(e in edges for e in itertools.combinations(s, 2))
+        ]
+    return rf.SimplicialComplex.from_maximal_faces(faces)
+
+
+def test_gf2_betti_matches_dense_elimination_on_flag_complexes():
+    rng = np.random.default_rng(2718)
+    for k, p in [(8, 0.3), (10, 0.5), (12, 0.5), (12, 0.7), (14, 0.6), (9, 1.0)]:
+        c = _flag_complex(rng, k, p)
+        assert rf.gf2_betti(c) == oracles.gf2_betti_dense(c)
+        assert sum((-1) ** i * b for i, b in enumerate(rf.gf2_betti(c))) == c.euler_characteristic()
+
+
+def test_gf2_betti_of_the_torus():
+    # the 7-vertex (Moebius-Csaszar) torus
+    torus = rf.SimplicialComplex.from_maximal_faces(
+        [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+        + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+    )
+    assert torus.counts() == [7, 21, 14]
+    assert rf.gf2_betti(torus) == oracles.gf2_betti_dense(torus) == [1, 2, 1]
+
+
+def test_gf2_rank_matches_dense_elimination():
+    rng = np.random.default_rng(31)
+    for rows, cols, p in [(1, 1, 0.5), (5, 9, 0.5), (40, 30, 0.2), (70, 90, 0.5), (0, 3, 0.5)]:
+        for _ in range(5):
+            mat = (rng.random((rows, cols)) < p).astype(int)
+            assert rf.gf2_rank(mat) == oracles.gf2_rank_dense(mat)
+            assert rf.gf2_rank(mat.T) == rf.gf2_rank(mat)
+
+
+def test_cell_structure_m42_reuses_given_elements(oms42):
+    assert rf.cell_structure_m42(elements=oms42).to_dict() == rf.cell_structure_m42().to_dict()
+    # the report reads the uniform matroids it is given
+    assert not rf.cell_structure_m42(elements=oms42[:-1]).matroid_facet_bijection
+
+
+def test_census_5_2_completes(tmp_path):
+    assert main(["macphersonian", "5", "2", "--out", str(tmp_path)]) == 0
+    oc = json.loads((tmp_path / "order_complex.json").read_text())
+    counts, betti = oc["simplex_counts"], oc["betti_gf2"]
+    assert json.loads((tmp_path / "poset.json").read_text())["count"] == counts[0] > 0
+    assert min(betti) >= 0 and betti[0] == 1
+    chi = sum((-1) ** k * c for k, c in enumerate(counts))
+    assert chi == sum((-1) ** k * b for k, b in enumerate(betti)) == oc["euler_characteristic"]
