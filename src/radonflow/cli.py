@@ -268,7 +268,9 @@ def cmd_homology(args: argparse.Namespace) -> int:
         k = len(data["elements"])
         leq = np.eye(k, dtype=bool)
         for i, j in data["hasse"]:
-            leq[int(i), int(j)] = True
+            if not all(isinstance(x, int) and 0 <= x < k for x in (i, j)):
+                raise ValueError(f"hasse pair [{i}, {j}] names no element of 0..{k - 1}")
+            leq[i, j] = True
         for _ in range(k):
             closed = leq | (leq @ leq)
             if (closed == leq).all():

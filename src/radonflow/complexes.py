@@ -23,9 +23,6 @@ import numpy as np
 
 from .ambient import project_to_gamma
 from .core import (
-    _HALF,
-    _LOW,
-    KERNEL_RTOL,
     Circuit,
     GroundSet,
     OrientedMatroid,
@@ -33,10 +30,12 @@ from .core import (
     SignedCircuitVertex,
     check_circuit_axioms,
     circuit_dependences,
-    set_of,
     _conforming,
     _negated,
-    _sign_rows,
+    _pack,
+    _rank,
+    _signs,
+    _supports,
     _unique_rows,
 )
 
@@ -71,7 +70,7 @@ class CircuitGraph:
     cycles: tuple[Cycle, ...]
     _index: dict[SignedCircuitVertex, int] = field(init=False, repr=False)
     _adjacency: list[list[int]] = field(init=False, repr=False)
-    _pairs: list[list[tuple[int, int]]] = field(init=False, repr=False)
+    cycle_pairs: list[list[tuple[int, int]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._index = {v: i for i, v in enumerate(self.vertices)}
@@ -79,12 +78,13 @@ class CircuitGraph:
         for i, j in self.edges:
             self._adjacency[i].append(j)
             self._adjacency[j].append(i)
-        self._pairs = [[] for _ in self.vertices]
+        # per vertex, its two neighbors on each cycle through it, in cycle order
+        self.cycle_pairs = [[] for _ in self.vertices]
         for cyc in self.cycles:
             seq = cyc.vertex_seq
             size = len(seq)
             for k, v in enumerate(seq):
-                self._pairs[v].append((seq[k - 1], seq[(k + 1) % size]))
+                self.cycle_pairs[v].append((seq[k - 1], seq[(k + 1) % size]))
 
     def index_of(self, v: SignedCircuitVertex) -> int:
         try:
@@ -143,25 +143,22 @@ def _ordered_vertices(circuits: list[Circuit]) -> tuple[SignedCircuitVertex, ...
     return tuple(reps + [v.antipode() for v in reps])
 
 
-def _vertex_masks(vertices) -> list[tuple[int, int]]:
-    return [v.masks() for v in vertices]
-
-
 def _partition_edges_into_cycles(
-    edges: list[tuple[int, int]], masks: list[tuple[int, int]]
+    edges: list[tuple[int, int]], vertices: tuple[SignedCircuitVertex, ...]
 ) -> tuple[Cycle, ...]:
     """Group edges by the support of the composed sign vector and walk cycles.
 
+    Tags are taken in order of their elements sorted from the largest down.
     Within one support tag every incident vertex must have exactly two
     incident edges; each connected component is then a closed cycle, walked
     from its smallest vertex towards its smaller (neighbor, edge) first.
     """
-    groups: dict[int, list[int]] = {}
+    supports = [v.support for v in vertices]
+    groups: dict[frozenset[int], list[int]] = {}
     for eid, (i, j) in enumerate(edges):
-        tag = masks[i][0] | masks[i][1] | masks[j][0] | masks[j][1]
-        groups.setdefault(tag, []).append(eid)
+        groups.setdefault(supports[i] | supports[j], []).append(eid)
     cycles = []
-    for tag in sorted(groups):
+    for tag in sorted(groups, key=lambda t: sorted(t, reverse=True)):
         adj: dict[int, list[tuple[int, int]]] = {}
         for eid in groups[tag]:
             i, j = edges[eid]
@@ -170,7 +167,7 @@ def _partition_edges_into_cycles(
         bad = [v for v, nb in adj.items() if len(nb) != 2]
         if bad:
             raise ValueError(
-                f"edges tagged {sorted(set_of(tag))} do not form closed cycles "
+                f"edges tagged {sorted(tag)} do not form closed cycles "
                 f"(vertex {bad[0]} has degree {len(adj[bad[0]])} there)"
             )
         walked: set[int] = set()
@@ -187,7 +184,7 @@ def _partition_edges_into_cycles(
                 w, eid = next(t for t in adj[w] if t[1] != eid)
             walked.update(seq)
             cycles.append(
-                Cycle(support=set_of(tag), vertex_seq=tuple(seq), edge_ids=tuple(eids))
+                Cycle(support=tag, vertex_seq=tuple(seq), edge_ids=tuple(eids))
             )
     return tuple(cycles)
 
@@ -215,15 +212,27 @@ def _composition_closure(rows: np.ndarray) -> np.ndarray:
     return seen
 
 
+def _support_dims(lifted: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Dimension of the dependences supported on each row of a bool matrix."""
+    sizes = supports.sum(axis=1)
+    dims = np.zeros(len(supports), int)
+    for size in sorted(set(sizes.tolist())):
+        at = np.flatnonzero(sizes == size)
+        idx = np.nonzero(supports[at])[1].reshape(len(at), size)
+        s = np.linalg.svd(lifted[:, idx].transpose(1, 0, 2), compute_uv=False)
+        dims[at] = size - _rank(s)
+    return dims
+
+
 def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     """Build the Radon complex of a spanning point configuration.
 
-    Vertices are the circuits of circuit_dependences, where the rank test
-    (KERNEL_RTOL) alone decides which supports are circuits; each is placed
+    Vertices are the circuits of circuit_dependences, where the rank rule
+    (core._rank) alone decides which supports are circuits; each is placed
     on the polytope by radially normalizing its dependence vector.  A sign
     vector is realized iff the circuits conforming to it cover its support,
     and the cell it labels has dimension dim(V restricted to the support)
-    minus one, by the same rank test (once per distinct support).
+    minus one, by the same rule (one stacked SVD per support size).
 
     The realized sign vectors are the closure of the signed circuits under
     conformal composition, built frontier by frontier: each frontier is
@@ -234,30 +243,15 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     """
     dependences = circuit_dependences(config)
     n, d = config.n, config.d
-    lifted = config.lifted_matrix()
-
-    def dim_of(support_mask: int) -> int:
-        """Dimension of the dependence vectors supported inside the mask."""
-        idx = [i for i in range(n) if support_mask >> i & 1]
-        sub = lifted[:, idx]
-        s = np.linalg.svd(sub, compute_uv=False)
-        tol = KERNEL_RTOL * max(1.0, float(s[0]) if s.size else 0.0)
-        return len(idx) - int((s > tol).sum())
-
     circuits = sorted(dependences, key=Circuit.sort_key)
     vertices = _ordered_vertices(circuits)
-    masks = _vertex_masks(vertices)
     placed = [project_to_gamma(dependences[c]) for c in circuits]
     positions = np.array(placed + [-x for x in placed])
 
-    rows = _sign_rows(masks, n)
+    rows = _pack(_signs(vertices, n))
     realized = _composition_closure(rows)
-    # one rank test per distinct support
-    supports, which = _unique_rows((realized >> _HALF | realized) & _LOW)
-    support_dims = [
-        dim_of(sum(x << 32 * w for w, x in enumerate(r))) for r in supports.tolist()
-    ]
-    cell_dims = np.array(support_dims, dtype=int)[which] - 1
+    supports, which = _supports(realized, n)
+    cell_dims = _support_dims(config.lifted_matrix(), supports)[which] - 1
     cells, cell_dims = realized[cell_dims > 0], cell_dims[cell_dims > 0].tolist()
 
     edge_set: set[tuple[int, ...]] = set()
@@ -278,7 +272,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
                 edge_set.add(conforming)
 
     edges = sorted(edge_set)
-    cycles = _partition_edges_into_cycles(edges, masks)
+    cycles = _partition_edges_into_cycles(edges, vertices)
     graph = CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
     facets = tuple(Cell(dim=k, vertices=frozenset(vs)) for k, vs in sorted(facet_keys))
     return RadonComplex(graph=graph, facets=facets, n=n, d=d, positions=positions)
@@ -308,8 +302,7 @@ def combinatorial_circuit_graph(
             raise ValueError(f"circuit axioms fail: {report.summary()}")
     circuits = m.sorted_circuits()
     vertices = _ordered_vertices(circuits)
-    masks = _vertex_masks(vertices)
-    rows = _sign_rows(masks, m.n)
+    rows = _pack(_signs(vertices, m.n))
     first, second = np.concatenate(
         [
             np.argwhere(np.triu(block, start + 1)) + (start, 0)
@@ -320,7 +313,7 @@ def combinatorial_circuit_graph(
     count = np.concatenate([b.sum(axis=1) for _, b in _conforming(rows, composed)])
     lone = count[which] == 2
     edges = list(zip(first[lone].tolist(), second[lone].tolist()))
-    cycles = _partition_edges_into_cycles(edges, masks)
+    cycles = _partition_edges_into_cycles(edges, vertices)
     return CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
 
 
@@ -329,7 +322,7 @@ def opposite_neighbors(
 ) -> list[tuple[SignedCircuitVertex, SignedCircuitVertex]]:
     """The neighbor pairs of v, one pair per cycle through v."""
     i = g.index_of(v)
-    return [(g.vertices[a], g.vertices[b]) for a, b in g._pairs[i]]
+    return [(g.vertices[a], g.vertices[b]) for a, b in g.cycle_pairs[i]]
 
 
 def graphs_equal(g1: CircuitGraph, g2: CircuitGraph) -> bool:

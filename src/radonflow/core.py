@@ -19,10 +19,10 @@ import numpy as np
 
 # The package's numerical tolerances, in one place.
 #
-# KERNEL_RTOL     relative singular-value threshold: a matrix's rank counts the
-#                 singular values above KERNEL_RTOL * max(1, largest).  This
-#                 alone decides which supports are circuits and the dimension
-#                 of every cell of a Radon complex.
+# KERNEL_RTOL     relative singular-value threshold of the rank rule (_rank): a
+#                 matrix's rank counts its singular values above this times
+#                 max(1, largest).  This alone decides which supports are
+#                 circuits and the dimension of every cell of a Radon complex.
 # EPS_SIGN        a position coordinate of magnitude <= EPS_SIGN reads as zero
 #                 (face_of, sphere validation), and a neighbor direction this
 #                 short makes the curvature undefined.
@@ -39,22 +39,9 @@ class RankDeficientError(ValueError):
     """Point configuration does not affinely span R^d."""
 
 
-def mask_of(elements) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << (int(e) - 1)
-    return m
-
-
-def set_of(mask: int) -> frozenset[int]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+def _rank(s: np.ndarray) -> np.ndarray:
+    """The rank rule, on descending singular values along s's last axis."""
+    return (s > KERNEL_RTOL * np.maximum(1.0, s[..., :1])).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -118,9 +105,6 @@ class Circuit:
     def reversed(self) -> "Circuit":
         return Circuit(self.neg, self.pos)
 
-    def masks(self) -> tuple[int, int]:
-        return mask_of(self.pos), mask_of(self.neg)
-
     def sort_key(self):
         return (len(self.support), tuple(sorted(self.support)), tuple(sorted(self.pos)))
 
@@ -155,10 +139,6 @@ class SignedCircuitVertex:
 
     def antipode(self) -> "SignedCircuitVertex":
         return SignedCircuitVertex(self.circuit, -self.orientation)
-
-    def masks(self) -> tuple[int, int]:
-        pm, nm = self.circuit.masks()
-        return (pm, nm) if self.orientation == 1 else (nm, pm)
 
     def __repr__(self) -> str:
         sgn = "+" if self.orientation == 1 else "-"
@@ -274,7 +254,7 @@ class PointConfiguration:
 
     def affinely_spans(self) -> bool:
         s = np.linalg.svd(self.lifted_matrix(), compute_uv=False)
-        return bool(s[-1] > KERNEL_RTOL * max(1.0, s[0])) and len(s) == self.d + 1
+        return bool(_rank(s) == self.d + 1)
 
     def to_dict(self) -> dict:
         return {"d": self.d, "points": [list(map(float, row)) for row in self.points]}
@@ -324,7 +304,7 @@ def circuit_dependences(config: PointConfiguration) -> dict[Circuit, np.ndarray]
                 if not len(subs):
                     continue
             _, s, vt = np.linalg.svd(lifted[:, subs].transpose(1, 0, 2))
-            dependent = (s > KERNEL_RTOL * np.maximum(1.0, s[:, :1])).sum(axis=1) < size
+            dependent = _rank(s) < size
             subs, rows, v = subs[dependent], rows[dependent], vt[dependent, -1]
             v = v / np.abs(v).max(axis=1, keepdims=True)
             at = np.arange(len(subs))[:, None]
@@ -376,25 +356,46 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
     return all(is_radon_partition(m, c.pos, c.neg) for c in m2.circuits)
 
 
-# Sign vectors as numpy rows, for the combinatorial layer.  Element e
-# (1-based) lives in word (e-1) // 32 of a row of ceil(n/32) uint64 words,
-# its positive bit at 32 + (e-1) % 32 and its negative bit at (e-1) % 32, so
-# a row holds a sign vector of any length.  Z conforms to S (Z+ <= S+ and
-# Z- <= S-) iff Z & ~S is zero in every word, X o Y is X | Y for conformal
-# X, Y, and -X swaps the halves of each word.
+# Sign vectors.  This module alone knows their encodings: _signs turns
+# anything with .pos/.neg element sets into a +1/-1/0 int8 matrix (one row
+# per vector, column e-1 for element e), _pack turns that matrix into the
+# kernel's rows and _supports reads their distinct supports back.  In a
+# kernel row, element e lives in word (e-1) // 32 of ceil(n/32) uint64
+# words, its positive bit at 32 + (e-1) % 32 and its negative bit at
+# (e-1) % 32, so a row holds a sign vector of any length.  Z conforms to S
+# (Z+ <= S+ and Z- <= S-) iff Z & ~S is zero in every word, X o Y is X | Y
+# for conformal X, Y, and -X swaps the halves of each word.
 _HALF = np.uint64(32)
 _LOW = np.uint64(0xFFFFFFFF)
+_BITS = np.uint64(1) << np.arange(32, dtype=np.uint64)
 _BLOCK_WORDS = 1 << 16  # 8-byte words of intermediate per kernel or SVD block
 
 
-def _sign_rows(masks, n: int) -> np.ndarray:
-    """One row of ceil(n/32) uint64 words per (pos_mask, neg_mask) pair."""
+def _signs(vectors, n: int) -> np.ndarray:
+    """+1 on each vector's pos, -1 on its neg, 0 elsewhere; one int8 row each."""
+    out = np.zeros((len(vectors), n), np.int8)
+    for k, v in enumerate(vectors):
+        out[k, [e - 1 for e in v.pos]] = 1
+        out[k, [e - 1 for e in v.neg]] = -1
+    return out
+
+
+def _pack(signs: np.ndarray) -> np.ndarray:
+    """Kernel rows of a +1/-1/0 matrix."""
+    k, n = signs.shape
     words = -(-n // 32)
-    rows = [
-        [(p >> 32 * w & 0xFFFFFFFF) << 32 | q >> 32 * w & 0xFFFFFFFF for w in range(words)]
-        for p, q in masks
-    ]
-    return np.array(rows, dtype=np.uint64).reshape(len(rows), words)
+    grid = np.zeros((k, words, 32), np.int8)
+    grid.reshape(k, 32 * words)[:, :n] = signs
+    pos = ((grid > 0) * _BITS).sum(axis=2, dtype=np.uint64)
+    return pos << _HALF | ((grid < 0) * _BITS).sum(axis=2, dtype=np.uint64)
+
+
+def _supports(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct supports of kernel rows as an (m, n) bool matrix, and for
+    each row the index of its support."""
+    either, which = _unique_rows((rows >> _HALF | rows) & _LOW)
+    bits = either[:, :, None] & _BITS != 0
+    return bits.reshape(len(either), 32 * either.shape[1])[:, :n], which
 
 
 def _support_rows(subs: np.ndarray, n: int) -> np.ndarray:
@@ -496,7 +497,8 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     canonical: list[str] = []
     elimination: list[str] = []
 
-    supports = _sign_rows([(mask_of(c.support), 0) for c in circuits], n)
+    signs = _signs(circuits, n)
+    supports = _pack(np.abs(signs))
     # inside[i, j]: support j <= support i
     inside = np.concatenate([b for _, b in _conforming(supports, supports)])
     sizes = [len(c.support) for c in circuits]
@@ -518,11 +520,12 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
 
     # weak elimination over sign rows: +c_k at row 2k, -c_k at row 2k + 1;
     # X rows go in blocks, so the (X, Y) pair arrays stay bounded
-    rows = _sign_rows([c.masks() for c in circuits], n)
+    rows = _pack(signs)
     signed = np.empty((2 * len(circuits), rows.shape[1]), np.uint64)
     signed[0::2], signed[1::2] = rows, _negated(rows)
     total, words = signed.shape
-    clear = ~_sign_rows([(1 << e, 1 << e) for e in range(n)], n)
+    unit = _pack(np.eye(n, dtype=np.int8))
+    clear = ~(unit | _negated(unit))
     step = max(1, _BLOCK_WORDS // max(1, signed.size * n))  # targets per X row: <= total * n
     truncated = False
     for start in range(0, total, step):

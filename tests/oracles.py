@@ -18,6 +18,11 @@ weak_map_matrix calls weak_map_leq once per pair of poset elements, and
 gf2_rank_dense / gf2_betti_dense eliminate dense uint8 boundary matrices
 by row XORs, where the package reduces sparse bitset columns.
 
+The loop references work on Python-int bitmask pairs of their own
+(mask_of, set_of, masks), which the package does not use, and group edges
+into cycles with partition_edges_into_cycles, a copy of the package's
+earlier int-mask version: tags in increasing mask order.
+
 The rest are plain per-vertex versions of the flow's curvature and
 velocity, the support projection that the velocity applies, and a small
 model of the ambient polytope (vertices, face barycenters) used to test
@@ -32,12 +37,63 @@ from typing import Iterable
 import numpy as np
 
 import radonflow as rf
-from radonflow.complexes import (
-    _ordered_vertices,
-    _partition_edges_into_cycles,
-    _vertex_masks,
-)
-from radonflow.core import ELIMINATION_CAP, KERNEL_RTOL, circuit_dependences, mask_of
+from radonflow.complexes import _ordered_vertices
+from radonflow.core import ELIMINATION_CAP, KERNEL_RTOL, circuit_dependences
+
+
+def mask_of(elements) -> int:
+    m = 0
+    for e in elements:
+        m |= 1 << (int(e) - 1)
+    return m
+
+
+def set_of(mask: int) -> frozenset:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def masks(v) -> tuple:
+    """(pos, neg) bitmasks of a circuit or a signed circuit vertex."""
+    return mask_of(v.pos), mask_of(v.neg)
+
+
+def partition_edges_into_cycles(edges, vertex_masks):
+    """Group edges by the support mask of the composition, in increasing
+    mask order, and walk each group's closed cycles."""
+    groups = {}
+    for eid, (i, j) in enumerate(edges):
+        tag = vertex_masks[i][0] | vertex_masks[i][1] | vertex_masks[j][0] | vertex_masks[j][1]
+        groups.setdefault(tag, []).append(eid)
+    cycles = []
+    for tag in sorted(groups):
+        adj = {}
+        for eid in groups[tag]:
+            i, j = edges[eid]
+            adj.setdefault(i, []).append((j, eid))
+            adj.setdefault(j, []).append((i, eid))
+        bad = [v for v, nb in adj.items() if len(nb) != 2]
+        if bad:
+            raise ValueError(
+                f"edges tagged {sorted(set_of(tag))} do not form closed cycles "
+                f"(vertex {bad[0]} has degree {len(adj[bad[0]])} there)"
+            )
+        walked = set()
+        for start in sorted(adj):
+            if start in walked:
+                continue
+            seq, eids = [start], []
+            w, eid = min(adj[start])
+            while True:
+                eids.append(eid)
+                if w == start:
+                    break
+                seq.append(w)
+                w, eid = next(t for t in adj[w] if t[1] != eid)
+            walked.update(seq)
+            cycles.append(
+                rf.Cycle(support=set_of(tag), vertex_seq=tuple(seq), edge_ids=tuple(eids))
+            )
+    return tuple(cycles)
 
 
 def kernel_basis(rows, ncols):
@@ -238,7 +294,7 @@ def check_circuit_axioms(m):
 
     signed = []
     for c in circuits:
-        pm, nm = c.masks()
+        pm, nm = masks(c)
         signed.append((pm, nm, c, 1))
         signed.append((nm, pm, c, -1))
     truncated = False
@@ -271,11 +327,11 @@ def check_circuit_axioms(m):
 def circuit_graph(m):
     """Loop version of rf.combinatorial_circuit_graph (axioms unchecked)."""
     vertices = _ordered_vertices(m.sorted_circuits())
-    masks = _vertex_masks(vertices)
+    vmasks = [masks(v) for v in vertices]
     edges = []
     for i, j in combinations(range(len(vertices)), 2):
-        xp, xn = masks[i]
-        yp, yn = masks[j]
+        xp, xn = vmasks[i]
+        yp, yn = vmasks[j]
         if xp == yn and xn == yp:
             continue  # antipodal pair
         if not _conformal(xp, xn, yp, yn):
@@ -283,10 +339,10 @@ def circuit_graph(m):
         sp, sn = xp | yp, xn | yn
         if not any(
             k != i and k != j and _conforms_to(zp, zn, sp, sn)
-            for k, (zp, zn) in enumerate(masks)
+            for k, (zp, zn) in enumerate(vmasks)
         ):
             edges.append((i, j))
-    cycles = _partition_edges_into_cycles(edges, masks)
+    cycles = partition_edges_into_cycles(edges, vmasks)
     return rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
 
 
@@ -306,15 +362,15 @@ def radon_complex(config):
 
     circuits = sorted(dependences, key=rf.Circuit.sort_key)
     vertices = _ordered_vertices(circuits)
-    masks = _vertex_masks(vertices)
+    vmasks = [masks(v) for v in vertices]
     placed = [rf.project_to_gamma(dependences[c]) for c in circuits]
     positions = np.array(placed + [-x for x in placed])
 
-    realized = dict.fromkeys(masks)
-    queue = list(masks)
+    realized = dict.fromkeys(vmasks)
+    queue = list(vmasks)
     while queue:
         sp, sn = queue.pop()
-        for cp, cn in masks:
+        for cp, cn in vmasks:
             if not _conformal(sp, sn, cp, cn):
                 continue
             t = (sp | cp, sn | cn)
@@ -328,7 +384,7 @@ def radon_complex(config):
         cell_dim = dim_of(sp | sn) - 1
         if cell_dim == 0:
             continue
-        conforming = [i for i, (cp, cn) in enumerate(masks) if _conforms_to(cp, cn, sp, sn)]
+        conforming = [i for i, (cp, cn) in enumerate(vmasks) if _conforms_to(cp, cn, sp, sn)]
         if cell_dim == 1:
             if len(conforming) != 2:
                 raise ValueError("a one-dimensional cell must close over exactly two circuits")
@@ -337,7 +393,7 @@ def radon_complex(config):
             facet_cells.append(rf.Cell(dim=cell_dim, vertices=frozenset(conforming)))
 
     edges = sorted(edge_set)
-    cycles = _partition_edges_into_cycles(edges, masks)
+    cycles = partition_edges_into_cycles(edges, vmasks)
     graph = rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
     facets = tuple(sorted(facet_cells, key=lambda c: (c.dim, tuple(sorted(c.vertices)))))
     return rf.RadonComplex(graph=graph, facets=facets, n=n, d=d, positions=positions)

@@ -194,6 +194,25 @@ def test_macphersonian_out_of_range(tmp_path):
     assert main(["macphersonian", "9", "2", "--out", str(tmp_path / "out")]) == 3
 
 
+def test_macphersonian_rejects_too_large_census_before_sampling(tmp_path, monkeypatch):
+    monkeypatch.setattr(macphersonian, "_sample_configuration", None)  # any sample fails
+    for d in ("2", "3"):
+        assert main(["macphersonian", "6", d, "--out", str(tmp_path / d)]) == 3
+
+
+@pytest.mark.parametrize(
+    "hasse",
+    [[[0, 1], [5, 0]], [[-1, 0]], [[0.7, 1.9]], [[0, 1], [1, 2], [2, 0]]],
+    ids=["index-past-end", "negative-index", "fractional-index", "cyclic-order"],
+)
+def test_homology_rejects_malformed_hasse(tmp_path, hasse):
+    mac_out = tmp_path / "mac"
+    assert main(["macphersonian", "4", "1", "--out", str(mac_out)]) == 0
+    cfg = tmp_path / "bad.json"
+    write_json(cfg, {"elements": load(mac_out / "poset.json")["elements"][:3], "hasse": hasse})
+    assert main(["homology", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
 def test_homology_facets(tmp_path):
     cfg = tmp_path / "circle.json"
     write_json(cfg, {"facets": [[1, 2], [2, 3], [1, 3]]})

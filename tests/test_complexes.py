@@ -217,4 +217,14 @@ def test_circuit_graph_on_ground_sets_wider_than_64(pentagon_config):
         frozenset(e + shift for e in c.support) for c in g.cycles
     ]
     assert [c.edge_ids for c in g_wide.cycles] == [c.edge_ids for c in g.cycles]
-    assert g_wide.to_dict()["edges"] == oracles.circuit_graph(wide).to_dict()["edges"]
+    assert g_wide.to_dict() == oracles.circuit_graph(wide).to_dict()
+
+
+@pytest.mark.parametrize("shift", [0, 29, 61, 65])
+def test_cycle_order_matches_int_mask_reference_across_words(hexagon_config, shift):
+    # the hexagon's 2-sphere has one cycle per 5-subset; shifts 29 and 61
+    # spread their supports over two 32-element words of a sign row
+    wide = widened(rf.circuits_of_points(hexagon_config), 72, shift)
+    g = rf.combinatorial_circuit_graph(wide)
+    assert len(g.cycles) == 6
+    assert g.to_dict() == oracles.circuit_graph(wide).to_dict()

@@ -108,6 +108,20 @@ def test_barycentric_start_flows_to_a_realization(pentagon_config, hexagon_confi
         assert rf.circuits_of_points(rf.recover_configuration(final)) == m
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_field_alone_does_not_flatten_the_pentagon(pentagon_sphere, monkeypatch, seed):
+    # the flatness restoration converges the flow; without it the single-cycle
+    # pentagon keeps curvature far above tolerance up to t = 30
+    start = pentagon_sphere.perturbed(0.05, np.random.default_rng(seed))
+    params = rf.FlowParams(t_max=30.0)
+    _, trace = rf.integrate(start, params)
+    assert trace.outcome == rf.OUTCOME_CONVERGED and len(trace.samples) - 1 < 200
+    monkeypatch.setattr(rf.flow, "FLAT_RELAX", 0.0)
+    _, trace = rf.integrate(start, params)
+    assert trace.outcome == rf.OUTCOME_TMAX
+    assert trace.samples[-1].curv_max > 0.01
+
+
 def test_face_exit_on_large_perturbation(pentagon_sphere):
     s = pentagon_sphere.perturbed(1.0, np.random.default_rng(3))
     final, trace = rf.integrate(s)

@@ -49,6 +49,24 @@ def test_enumeration_range_errors():
         rf.enumerate_acyclic_oms(3, 2)  # n < d + 2
     with pytest.raises(rf.UnsupportedRangeError):
         rf.enumerate_acyclic_oms(4, 0)
+    # n = 6 censuses that outgrow memory in the dense weak-map order
+    with pytest.raises(rf.UnsupportedRangeError):
+        rf.enumerate_acyclic_oms(6, 2)
+    with pytest.raises(rf.UnsupportedRangeError):
+        rf.enumerate_acyclic_oms(6, 3)
+
+
+def test_each_census_sample_takes_one_spanning_test(monkeypatch):
+    samples, spans = [], []
+    sample, affinely_spans = rf.macphersonian._sample_configuration, rf.PointConfiguration.affinely_spans
+    monkeypatch.setattr(
+        rf.macphersonian, "_sample_configuration", lambda *a: samples.append(1) or sample(*a)
+    )
+    monkeypatch.setattr(
+        rf.PointConfiguration, "affinely_spans", lambda c: spans.append(1) or affinely_spans(c)
+    )
+    rf.enumerate_acyclic_oms(4, 2, stable_rounds=50)
+    assert len(samples) == len(spans) > 50
 
 
 def test_poset_4_2_structure(poset42):
@@ -91,6 +109,10 @@ def test_poset_rejects_non_antisymmetric_input():
     m = rf.OrientedMatroid(g, frozenset({rf.Circuit.make({1, 4}, {2, 3})}))
     with pytest.raises(ValueError, match="antisymmetric"):
         rf.MatroidPoset.from_elements([m, m])
+    # the constructor itself checks, so an order read from a file does too
+    cyclic = np.eye(3, dtype=bool) | np.roll(np.eye(3, dtype=bool), 1, axis=1)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        rf.MatroidPoset(elements=[m] * 3, leq=cyclic | cyclic @ cyclic)
 
 
 def test_gf2_rank():
