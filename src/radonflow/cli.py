@@ -139,7 +139,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         t_max=float(args.tmax if args.tmax is not None else data.get("t_max", default.t_max)),
         tol_curv=float(data.get("tol_curv", default.tol_curv)),
         tol_fixed=float(data.get("tol_fixed", default.tol_fixed)),
-        scheme=str(args.scheme if args.scheme is not None else data.get("scheme", default.scheme)),
     )
     out = Path(args.out if args.out is not None else data.get("out", "flow-out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -201,7 +200,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         "seed": seed,
         "delta": delta,
         "repetitions": reps,
-        "scheme": params.scheme,
         "step": params.h,
         "t_max": params.t_max,
         "outcomes": outcomes,
@@ -309,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--config", required=True, help="experiment JSON")
     p_flow.add_argument("--seed", type=int, default=None)
     p_flow.add_argument("--delta", type=float, default=None)
-    p_flow.add_argument("--step", type=float, default=None)
+    p_flow.add_argument("--step", type=float, default=None, help="initial step size")
     p_flow.add_argument("--tmax", type=float, default=None)
-    p_flow.add_argument("--scheme", choices=["euler", "rk4"], default=None)
     p_flow.add_argument("--out", default=None, help="output directory")
     p_flow.set_defaults(func=cmd_flow)
 

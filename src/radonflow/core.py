@@ -29,10 +29,13 @@ import numpy as np
 # EPS_MEM         tolerance of the polytope's two defining equations, and the
 #                 smallest 1-norm that can be rescaled onto the polytope.
 # COLLISION_DIST  two flow positions this close count as a collision.
+# MIN_STEP        a flow step that must shrink below this to decrease the
+#                 energy ends the run as stalled.
 KERNEL_RTOL = 1e-10
 EPS_SIGN = 1e-9
 EPS_MEM = 1e-8
 COLLISION_DIST = 1e-10
+MIN_STEP = 1e-10
 
 
 class RankDeficientError(ValueError):

@@ -2,23 +2,22 @@
 
 Every vertex v of a circuit graph sits on the face of the ambient polytope
 labeled by its sign pattern.  For each cycle through v the two cycle
-neighbors v_i, v_i' define a local curvature
+neighbors a, b define a local curvature
 
-    eta_i = sqrt(det Gram(w_hat, w_hat')),
+    eta = sqrt(det Gram(w_hat, w_hat')),
 
-where w, w' are the components of the neighbor positions orthogonal to the
-position of v; eta_i vanishes exactly when the three positions are linearly
-dependent, i.e. coplanar with the origin.  The flow moves v with velocity
+where w, w' are the components of a and b orthogonal to the position of v;
+eta vanishes exactly when the three positions are linearly dependent, i.e.
+coplanar with the origin.  eta is the curvature the flow reports.
 
-    dv/dt = sum_i eta_i * P_supp(v_i + v_i' - 2 v),
-
-P_supp being the projection onto the span of the vertex's face directions.
-The integrator pairs each field step with a partial flatness restoration
-(see integrate), and after each step positions are radially renormalized
-onto the polytope.  Fixed points with zero curvature are flat embeddings:
-the positions span a subspace of dimension n - d - 1 whose orthogonal
-complement in the zero-sum hyperplane is (the row space of) a recovered
-point configuration.
+The flow is projected steepest descent on the energy E = sum vol^2 over all
+(vertex, cycle) incidences, vol = |v| |w| |w'| eta being the 3-volume
+spanned by v, a and b.  The gradient is projected onto the span of each
+vertex's face directions, steps are chosen by backtracking (see integrate),
+and after each step positions are radially renormalized onto the polytope.
+Zero-energy states are flat embeddings: the positions span a subspace of
+dimension n - d - 1 whose orthogonal complement in the zero-sum hyperplane
+is (the row space of) a recovered point configuration.
 """
 
 from __future__ import annotations
@@ -38,14 +37,16 @@ from .core import (
     COLLISION_DIST,
     EPS_MEM,
     EPS_SIGN,
+    MIN_STEP,
     OrientedMatroid,
     PointConfiguration,
     SignedCircuitVertex,
     _signs,
 )
 
-# per-step blend weight toward the flat target state (see integrate)
-FLAT_RELAX = 0.2
+# backtracking line search: sufficient-decrease fraction and largest step
+ARMIJO = 1e-4
+MAX_STEP = 1.0
 
 OUTCOME_CONVERGED = "converged-flat"
 OUTCOME_STALLED = "stalled"
@@ -67,13 +68,10 @@ class FlowParams:
     t_max: float = 200.0
     tol_curv: float = 1e-8
     tol_fixed: float = 1e-10
-    scheme: str = "rk4"
 
     def __post_init__(self) -> None:
         if self.h <= 0 or self.t_max <= 0:
             raise ValueError("step size and time horizon must be positive")
-        if self.scheme not in ("euler", "rk4"):
-            raise ValueError("scheme must be 'euler' or 'rk4'")
 
 
 @dataclass
@@ -214,8 +212,12 @@ class EmbeddedSphere:
         return out
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (x * y).sum(axis=1, keepdims=True)
+
+
 class _Field:
-    """Vectorized evaluation of curvature and velocity over all vertices."""
+    """Vectorized curvature, energy and energy gradient over all vertices."""
 
     def __init__(self, sphere: EmbeddedSphere) -> None:
         # one (vertex, neighbor, neighbor) row per cycle through a
@@ -226,57 +228,79 @@ class _Field:
         self.mask = (sphere.signs != 0).astype(float)
         self.mask_size = self.mask.sum(axis=1, keepdims=True)
 
-    def _eta(self, P: np.ndarray, full: np.ndarray) -> np.ndarray:
-        a = full[self.a_idx]
-        b = full[self.b_idx]
-        v = P[self.v_idx]
-        vn = v / np.linalg.norm(v, axis=1, keepdims=True)
-        w = a - (a * vn).sum(axis=1, keepdims=True) * vn
-        w2 = b - (b * vn).sum(axis=1, keepdims=True) * vn
-        nw = np.linalg.norm(w, axis=1)
-        nw2 = np.linalg.norm(w2, axis=1)
+    def evaluate(
+        self, P: np.ndarray, grad: bool = False
+    ) -> tuple[np.ndarray, float, np.ndarray | None]:
+        """eta per (vertex, cycle) incidence, the energy E = sum vol^2 and,
+        if grad, the gradient of E projected onto every vertex's face."""
+        full = np.vstack([P, -P])
+        a, b, v = full[self.a_idx], full[self.b_idx], P[self.v_idx]
+        nv = np.linalg.norm(v, axis=1, keepdims=True)
+        vn = v / nv
+        w = a - _dot(a, vn) * vn
+        w2 = b - _dot(b, vn) * vn
+        nw = np.linalg.norm(w, axis=1, keepdims=True)
+        nw2 = np.linalg.norm(w2, axis=1, keepdims=True)
         if nw.size and (nw.min() < EPS_SIGN or nw2.min() < EPS_SIGN):
             raise IntegrationError("degenerate neighbor pair: radial neighbor position")
-        wh = w / nw[:, None]
-        wh2 = w2 / nw2[:, None]
+        wh = w / nw
+        wh2 = w2 / nw2
         # sqrt(det Gram) in Schur form: the residual norm is exact near zero,
         # where 1 - cos^2 would lose half the available precision
-        res = wh2 - (wh * wh2).sum(axis=1, keepdims=True) * wh
-        return np.linalg.norm(res, axis=1)
+        c = _dot(wh, wh2)
+        res = wh2 - c * wh
+        eta = np.linalg.norm(res, axis=1)
+        energy = float((((nv * nw * nw2)[:, 0] * eta) ** 2).sum())
+        if not grad:
+            return eta, energy, None
+        # d vol^2 / dx = 2 area(other two)^2 (x orthogonal to the other two),
+        # each orthogonal part in the same Schur form: nw2 * res is b off
+        # span(v, a), nw * (wh - c wh2) is a off span(v, b).  Antipodal
+        # neighbors (b = -a, in a direct sum) leave u = 0 and area(a, b) = 0,
+        # so the floor on nu only keeps 0/0 out of a zero term.
+        na = np.linalg.norm(a, axis=1, keepdims=True)
+        ah = a / na
+        u = b - _dot(b, ah) * ah
+        nu = np.linalg.norm(u, axis=1, keepdims=True)
+        uh = u / np.maximum(nu, EPS_SIGN)
+        gv = (na * nu) ** 2 * (v - _dot(v, ah) * ah - _dot(v, uh) * uh)
+        ga = (nv * nw2) ** 2 * nw * (wh - c * wh2)
+        gb = (nv * nw) ** 2 * nw2 * res
+        dE = np.zeros_like(full)
+        np.add.at(dE, self.v_idx, gv)
+        np.add.at(dE, self.a_idx, ga)
+        np.add.at(dE, self.b_idx, gb)
+        # an antipode sits at the negated position of its representative
+        g = 2.0 * (dE[: self.reps] - dE[self.reps :]) * self.mask
+        g -= self.mask * (g.sum(axis=1, keepdims=True) / self.mask_size)
+        return eta, energy, g
 
-    def _kernel(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Curvature per (vertex, cycle) incidence and the velocity of every vertex."""
-        full = np.vstack([P, -P])
-        eta = self._eta(P, full)
-        mid = full[self.a_idx] + full[self.b_idx] - 2.0 * P[self.v_idx]
-        y = mid * self.mask[self.v_idx]
-        y -= self.mask[self.v_idx] * (
-            y.sum(axis=1, keepdims=True) / self.mask_size[self.v_idx]
-        )
-        dP = np.zeros_like(P)
-        np.add.at(dP, self.v_idx, eta[:, None] * y)
-        return eta, dP
-
-    def velocity(self, P: np.ndarray) -> np.ndarray:
-        return self._kernel(P)[1]
-
-    def stats(self, P: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-        """Velocity plus max/mean vertex curvature and max vertex speed."""
-        eta, dP = self._kernel(P)
-        curv = np.zeros(self.reps)
-        np.add.at(curv, self.v_idx, eta)
-        vel_max = float(np.linalg.norm(dP, axis=1).max()) if self.reps else 0.0
+    def stats(self, P: np.ndarray) -> tuple[float, np.ndarray, float, float, float]:
+        """Energy, projected gradient, max/mean vertex curvature and the
+        largest gradient row norm."""
+        eta, energy, g = self.evaluate(P, grad=True)
+        curv = np.bincount(self.v_idx, eta, minlength=self.reps)
+        vel_max = float(np.linalg.norm(g, axis=1).max()) if self.reps else 0.0
         curv_max = float(curv.max()) if self.reps else 0.0
         curv_mean = float(curv.mean()) if self.reps else 0.0
-        return dP, curv_max, curv_mean, vel_max
+        return energy, g, curv_max, curv_mean, vel_max
 
 
-def _min_pair_distance(P: np.ndarray) -> float:
+def _collided(P: np.ndarray) -> bool:
+    """Whether two of the positions P and -P lie within COLLISION_DIST.  Such
+    a pair is as close along any unit direction, so only runs of positions
+    whose sorted projections lie that close are compared."""
     full = np.vstack([P, -P])
-    diff = full[:, None, :] - full[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    u = np.sqrt(np.arange(2.0, P.shape[1] + 2.0))
+    proj = full @ (u / np.linalg.norm(u))
+    order = np.argsort(proj)
+    close = np.flatnonzero(np.diff(proj[order]) < COLLISION_DIST)
+    if not close.size:
+        return False
+    cand = full[np.unique(order[np.concatenate([close, close + 1])])]
+    dist = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=2)
     np.fill_diagonal(dist, np.inf)
-    return float(dist.min())
+    return bool(dist.min() < COLLISION_DIST)
 
 
 def _renormalized(P: np.ndarray) -> np.ndarray:
@@ -287,86 +311,63 @@ def _renormalized(P: np.ndarray) -> np.ndarray:
     return 2.0 * P / norms[:, None]
 
 
-def _flat_target(
-    P: np.ndarray, m: int, mask: np.ndarray, mask_size: np.ndarray
-) -> np.ndarray:
-    """Support-respecting rank-m approximation of the position matrix.
-
-    Truncating to the top m singular values breaks the face constraints
-    (off-support coordinates pick up leakage, supports lose their zero sum),
-    so the truncation is followed by the support projection of every row.
-    Flat legal states are exactly the fixed points of this map.
-    """
-    u, sv, vt = np.linalg.svd(P, full_matrices=False)
-    flat = (u[:, :m] * sv[:m]) @ vt[:m]
-    flat = flat * mask
-    flat -= mask * (flat.sum(axis=1, keepdims=True) / mask_size)
-    return flat
-
-
 def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[EmbeddedSphere, FlowTrace]:
     """Run the flow until it converges, stalls, exits a face, or times out.
 
-    One antipodal representative per vertex pair is integrated; all vertices
-    are updated simultaneously from the previous state, and every position
-    is radially renormalized after each step.
+    Projected steepest descent on E = sum vol^2 (module docstring) moves one
+    representative per antipodal pair, then renormalizes every position
+    radially.  Armijo backtracking accepts a trial step h when E falls by at
+    least ARMIJO * h * |g|^2, g the projected gradient, and halves h
+    otherwise.  The first trial is params.h and, after an accepted step, the
+    next doubles while it stays within MAX_STEP; no step passes t_max.  The
+    trace's t sums the accepted steps and vel_max is the largest row norm of g.
 
-    Each scheme step is followed by a partial flatness restoration: the
-    positions are blended, with weight FLAT_RELAX, toward their
-    support-respecting rank-(n-d-1) approximation (top singular subspace
-    truncation followed by the face's support projection, see _flat_target)
-    and renormalized.  Flat legal states are fixed points of the
-    restoration, so the restoration does not move equilibria, and the
-    velocity field itself is stepped unmodified.  The restoration is what
-    converges the flow; the field alone does not flatten even the
-    single-cycle pentagon.  Measured there (delta = 0.05 perturbations,
-    seeds 0-2, t_max = 30, rk4): with FLAT_RELAX = 0 every run ends
-    t_max-reached with curv_max between 0.017 and 0.022, and with the
-    default every run converges in 165-178 steps.  The blend removes a
-    fixed fraction of the transverse part per step while the field
-    re-injects an amount proportional to the remaining curvature, so the
-    max curvature decays geometrically until both tolerances are met.
+    The run converges when the max vertex curvature falls below tol_curv.  It
+    stalls when vel_max falls below tol_fixed or h below MIN_STEP, and ends
+    t_max-reached at t_max or after t_max / params.h steps.  A vertex on or
+    past its face boundary ends it as a face exit; a collision raises
+    IntegrationError.
     """
     if params is None:
         params = FlowParams()
     field = _Field(s)
     P = s.rep_positions()
-    m_flat = s.matroid.n - s.matroid.d - 1
     samples: list[TraceSample] = []
     t = 0.0
     h = params.h
-    outcome = OUTCOME_TMAX
-    max_steps = int(math.ceil(params.t_max / h)) + 1
-    for _ in range(max_steps + 1):
-        dP, curv_max, curv_mean, vel_max = field.stats(P)
+    max_steps = int(math.ceil(params.t_max / params.h)) + 1
+    energy, g, curv_max, curv_mean, vel_max = field.stats(P)
+    while True:
         samples.append(TraceSample(t, curv_max, curv_mean, vel_max))
         if s.face_violations(P, 0.0).any():
             outcome = OUTCOME_FACE_EXIT
             break
-        if curv_max < params.tol_curv and vel_max < params.tol_fixed:
+        if curv_max < params.tol_curv:
             outcome = OUTCOME_CONVERGED
             break
         if vel_max < params.tol_fixed:
             outcome = OUTCOME_STALLED
             break
-        if t >= params.t_max:
+        if t >= params.t_max or len(samples) > max_steps:
             outcome = OUTCOME_TMAX
             break
-        if params.scheme == "euler":
-            P_new = P + h * dP
+        h = min(h, params.t_max - t)
+        decrease = ARMIJO * float((g * g).sum())
+        while h >= MIN_STEP:
+            P_new = _renormalized(P - h * g)
+            if field.evaluate(P_new)[1] <= energy - h * decrease:
+                break
+            h *= 0.5
         else:
-            k1 = dP
-            k2 = field.velocity(P + 0.5 * h * k1)
-            k3 = field.velocity(P + 0.5 * h * k2)
-            k4 = field.velocity(P + h * k3)
-            P_new = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        P_new = _renormalized(P_new)
-        target = _flat_target(P_new, m_flat, field.mask, field.mask_size)
-        P_new = _renormalized((1.0 - FLAT_RELAX) * P_new + FLAT_RELAX * target)
-        if P_new.shape[0] > 1 and _min_pair_distance(P_new) < COLLISION_DIST:
+            outcome = OUTCOME_STALLED
+            break
+        if _collided(P_new):
             raise IntegrationError(f"two vertices collided within {COLLISION_DIST}")
         P = P_new
-        t += h
+        # a step clipped to the horizon lands on it exactly, not an ulp short
+        t = params.t_max if h == params.t_max - t else t + h
+        h = 2.0 * h if 2.0 * h <= MAX_STEP else min(h, MAX_STEP)
+        energy, g, curv_max, curv_mean, vel_max = field.stats(P)
     final = EmbeddedSphere(s.matroid, s.graph, P, validate=False)
     return final, FlowTrace(samples=samples, outcome=outcome)
 

@@ -23,10 +23,12 @@ The loop references work on Python-int bitmask pairs of their own
 into cycles with partition_edges_into_cycles, a copy of the package's
 earlier int-mask version: tags in increasing mask order.
 
-The rest are plain per-vertex versions of the flow's curvature and
-velocity, the support projection that the velocity applies, and a small
-model of the ambient polytope (vertices, face barycenters) used to test
-the package's polytope helpers.
+The rest are a plain per-vertex version of the flow's curvature, the
+earlier eta * Delta velocity field with its fixed-step flow (field_flow),
+which the package replaced by descent on sum vol^2, the support projection
+that the velocity applies, the all-pairs distance that the flow's
+collision check must agree with, and a small model of the ambient polytope
+(vertices, face barycenters) used to test the package's polytope helpers.
 """
 
 from dataclasses import dataclass
@@ -255,13 +257,33 @@ def local_curvature(s, v) -> tuple[float, list[float]]:
 
 
 def velocity(s, v) -> np.ndarray:
-    """Flow velocity at one vertex."""
+    """The eta * Delta field at one vertex: sum_i eta_i P_supp(v_i + v_i' - 2 v)."""
     p = s.position(v)
     out = np.zeros_like(p)
     for pa, pb, wh, wh2 in _neighbor_directions(s, v):
         eta = float(np.linalg.norm(wh2 - float(wh @ wh2) * wh))
         out += eta * support_projection(v.support, pa + pb - 2.0 * p)
     return out
+
+
+def field_flow(s, h, t_max):
+    """Fixed Euler steps of velocity up to t_max, every position radially
+    renormalized onto the polytope after each step; returns the final sphere."""
+    reps = s.graph.vertices[: s.n_reps]
+    for _ in range(int(round(t_max / h))):
+        P = s.rep_positions() + h * np.stack([velocity(s, v) for v in reps])
+        P = 2.0 * P / np.abs(P).sum(axis=1, keepdims=True)
+        s = rf.EmbeddedSphere(s.matroid, s.graph, P, validate=False)
+    return s
+
+
+def min_pair_distance(P) -> float:
+    """Smallest distance between two of the positions P and -P."""
+    full = np.vstack([P, -P])
+    diff = full[:, None, :] - full[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min())
 
 
 def _conformal(ap, an, bp, bn):

@@ -140,17 +140,22 @@ def test_flow_tmax_flag(tmp_path):
                  "--tmax", "0.05", "--out", str(out)]) == 0
     row = load(out / "summary.json")["rows"][0]
     assert row["outcome"] == "t_max-reached"
-    assert row["steps"] == 5
+    assert abs(row["t_final"] - 0.05) < 1e-12
     assert row["roundtrip_ok"] is None
 
 
-def test_flow_scheme_flag(tmp_path):
+def test_flow_has_no_scheme(tmp_path):
     cfg = pentagon_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--config", str(cfg), "--scheme", "rk4"])
+    assert exc.value.code == 2
+    data = load(cfg)
+    data["scheme"] = "rk4"  # an unknown config key, ignored like any other
+    write_json(cfg, data)
     out = tmp_path / "out"
-    assert main(["flow", "--config", str(cfg), "--seed", "11", "--delta", "0.05",
-                 "--scheme", "euler", "--out", str(out)]) == 0
+    assert main(["flow", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
     summary = load(out / "summary.json")
-    assert summary["scheme"] == "euler"
+    assert "scheme" not in summary
     assert summary["outcomes"] == {"converged-flat": 1}
 
 
