@@ -136,9 +136,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
     default = FlowParams()
     params = FlowParams(
         h=float(args.step if args.step is not None else data.get("step", default.h)),
-        t_max=float(args.tmax if args.tmax is not None else data.get("t_max", default.t_max)),
-        tol_curv=float(data.get("tol_curv", default.tol_curv)),
-        tol_fixed=float(data.get("tol_fixed", default.tol_fixed)),
+        max_steps=int(
+            args.max_steps if args.max_steps is not None else data.get("max_steps", default.max_steps)
+        ),
     )
     out = Path(args.out if args.out is not None else data.get("out", "flow-out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -201,7 +201,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         "delta": delta,
         "repetitions": reps,
         "step": params.h,
-        "t_max": params.t_max,
+        "max_steps": params.max_steps,
         "outcomes": outcomes,
         "rows": rows,
     }
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--seed", type=int, default=None)
     p_flow.add_argument("--delta", type=float, default=None)
     p_flow.add_argument("--step", type=float, default=None, help="initial step size")
-    p_flow.add_argument("--tmax", type=float, default=None)
+    p_flow.add_argument("--max-steps", type=int, default=None, help="step budget")
     p_flow.add_argument("--out", default=None, help="output directory")
     p_flow.set_defaults(func=cmd_flow)
 

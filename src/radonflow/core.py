@@ -31,11 +31,14 @@ import numpy as np
 # COLLISION_DIST  two flow positions this close count as a collision.
 # MIN_STEP        a flow step that must shrink below this to decrease the
 #                 energy ends the run as stalled.
+# TOL_CURV        a flow run converges once its largest vertex curvature is
+#                 below this.
 KERNEL_RTOL = 1e-10
 EPS_SIGN = 1e-9
 EPS_MEM = 1e-8
 COLLISION_DIST = 1e-10
 MIN_STEP = 1e-10
+TOL_CURV = 1e-8
 
 
 class RankDeficientError(ValueError):

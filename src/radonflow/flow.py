@@ -38,6 +38,7 @@ from .core import (
     EPS_MEM,
     EPS_SIGN,
     MIN_STEP,
+    TOL_CURV,
     OrientedMatroid,
     PointConfiguration,
     SignedCircuitVertex,
@@ -51,7 +52,7 @@ MAX_STEP = 1.0
 OUTCOME_CONVERGED = "converged-flat"
 OUTCOME_STALLED = "stalled"
 OUTCOME_FACE_EXIT = "face-exit"
-OUTCOME_TMAX = "t_max-reached"
+OUTCOME_STEP_LIMIT = "step-limit"
 
 
 class IntegrationError(RuntimeError):
@@ -64,14 +65,14 @@ class NotFlatError(ValueError):
 
 @dataclass
 class FlowParams:
+    """The line search's first trial step h and the step budget max_steps."""
+
     h: float = 0.01
-    t_max: float = 200.0
-    tol_curv: float = 1e-8
-    tol_fixed: float = 1e-10
+    max_steps: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.h <= 0 or self.t_max <= 0:
-            raise ValueError("step size and time horizon must be positive")
+        if self.h <= 0 or self.max_steps <= 0:
+            raise ValueError("step size and step budget must be positive")
 
 
 @dataclass
@@ -312,21 +313,21 @@ def _renormalized(P: np.ndarray) -> np.ndarray:
 
 
 def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[EmbeddedSphere, FlowTrace]:
-    """Run the flow until it converges, stalls, exits a face, or times out.
+    """Run the flow until it exits a face, converges, stalls or runs out of steps.
 
     Projected steepest descent on E = sum vol^2 (module docstring) moves one
     representative per antipodal pair, then renormalizes every position
-    radially.  Armijo backtracking accepts a trial step h when E falls by at
-    least ARMIJO * h * |g|^2, g the projected gradient, and halves h
-    otherwise.  The first trial is params.h and, after an accepted step, the
-    next doubles while it stays within MAX_STEP; no step passes t_max.  The
-    trace's t sums the accepted steps and vel_max is the largest row norm of g.
+    radially.  Armijo backtracking accepts a trial step h when E falls
+    strictly below E - ARMIJO * h * |g|^2, g the projected gradient, and
+    halves h otherwise.  The first trial is params.h and, after an accepted
+    step, the next doubles while it stays within MAX_STEP.  The trace's t
+    sums the accepted steps and vel_max is the largest row norm of g.
 
-    The run converges when the max vertex curvature falls below tol_curv.  It
-    stalls when vel_max falls below tol_fixed or h below MIN_STEP, and ends
-    t_max-reached at t_max or after t_max / params.h steps.  A vertex on or
-    past its face boundary ends it as a face exit; a collision raises
-    IntegrationError.
+    One test per outcome, before each step: a vertex on or past its face
+    boundary is a face exit, a max vertex curvature below TOL_CURV converges,
+    and params.max_steps accepted steps are a step limit.  No trial h >=
+    MIN_STEP passing the Armijo test (a zero gradient passes none) is a
+    stall.  A collision raises IntegrationError.
     """
     if params is None:
         params = FlowParams()
@@ -335,27 +336,22 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     samples: list[TraceSample] = []
     t = 0.0
     h = params.h
-    max_steps = int(math.ceil(params.t_max / params.h)) + 1
     energy, g, curv_max, curv_mean, vel_max = field.stats(P)
     while True:
         samples.append(TraceSample(t, curv_max, curv_mean, vel_max))
         if s.face_violations(P, 0.0).any():
             outcome = OUTCOME_FACE_EXIT
             break
-        if curv_max < params.tol_curv:
+        if curv_max < TOL_CURV:
             outcome = OUTCOME_CONVERGED
             break
-        if vel_max < params.tol_fixed:
-            outcome = OUTCOME_STALLED
+        if len(samples) > params.max_steps:
+            outcome = OUTCOME_STEP_LIMIT
             break
-        if t >= params.t_max or len(samples) > max_steps:
-            outcome = OUTCOME_TMAX
-            break
-        h = min(h, params.t_max - t)
         decrease = ARMIJO * float((g * g).sum())
         while h >= MIN_STEP:
             P_new = _renormalized(P - h * g)
-            if field.evaluate(P_new)[1] <= energy - h * decrease:
+            if field.evaluate(P_new)[1] < energy - h * decrease:
                 break
             h *= 0.5
         else:
@@ -364,8 +360,7 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         if _collided(P_new):
             raise IntegrationError(f"two vertices collided within {COLLISION_DIST}")
         P = P_new
-        # a step clipped to the horizon lands on it exactly, not an ulp short
-        t = params.t_max if h == params.t_max - t else t + h
+        t += h
         h = 2.0 * h if 2.0 * h <= MAX_STEP else min(h, MAX_STEP)
         energy, g, curv_max, curv_mean, vel_max = field.stats(P)
     final = EmbeddedSphere(s.matroid, s.graph, P, validate=False)

@@ -133,29 +133,38 @@ def test_flow_sampled_configurations(tmp_path):
     assert all(row["roundtrip_ok"] is True for row in summary["rows"])
 
 
-def test_flow_tmax_flag(tmp_path):
+def test_flow_max_steps_flag(tmp_path):
     cfg = pentagon_cfg(tmp_path)
     out = tmp_path / "out"
     assert main(["flow", "--config", str(cfg), "--seed", "7", "--delta", "0.05",
-                 "--tmax", "0.05", "--out", str(out)]) == 0
-    row = load(out / "summary.json")["rows"][0]
-    assert row["outcome"] == "t_max-reached"
-    assert abs(row["t_final"] - 0.05) < 1e-12
+                 "--max-steps", "3", "--out", str(out)]) == 0
+    summary = load(out / "summary.json")
+    assert summary["max_steps"] == 3 and "t_max" not in summary
+    row = summary["rows"][0]
+    assert row["outcome"] == "step-limit"
+    assert row["steps"] == 3
     assert row["roundtrip_ok"] is None
+
+
+@pytest.mark.parametrize("flag,value", [("--scheme", "rk4"), ("--tmax", "0.05")])
+def test_flow_rejects_removed_flags(tmp_path, flag, value):
+    cfg = pentagon_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--config", str(cfg), flag, value])
+    assert exc.value.code == 2
 
 
 def test_flow_has_no_scheme(tmp_path):
     cfg = pentagon_cfg(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["flow", "--config", str(cfg), "--scheme", "rk4"])
-    assert exc.value.code == 2
     data = load(cfg)
-    data["scheme"] = "rk4"  # an unknown config key, ignored like any other
+    # removed config keys are ignored like any other unknown key; each of
+    # these values would have ended the run unconverged
+    data.update(scheme="rk4", t_max=0.05, tol_curv=0.0, tol_fixed=1e3)
     write_json(cfg, data)
     out = tmp_path / "out"
     assert main(["flow", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
     summary = load(out / "summary.json")
-    assert "scheme" not in summary
+    assert not {"scheme", "t_max", "tol_curv", "tol_fixed"} & set(summary)
     assert summary["outcomes"] == {"converged-flat": 1}
 
 
