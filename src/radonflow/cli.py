@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambient import DegeneratePointError, GammaMembershipError
 from .complexes import (
+    DegeneratePointError,
+    GammaMembershipError,
     combinatorial_circuit_graph,
     geometric_radon_complex,
     graphs_equal,
@@ -236,7 +237,7 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
         },
     )
     if (n, d) == (4, 2):
-        report = cell_structure_m42(seed=args.seed, elements=elements)
+        report = cell_structure_m42(elements)
         _write_json(out / "m42_cells.json", report.to_dict())
         print(
             f"macphersonian(4,2): {len(elements)} elements, {uniform} uniform, "

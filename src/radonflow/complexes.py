@@ -2,8 +2,9 @@
 
 For a configuration of n points spanning R^d, the affine dependences form
 the kernel of the lifted (d+1) x n matrix, a subspace V of dimension
-n - d - 1 inside the zero-sum hyperplane.  Intersecting V with the boundary
-of the cross-polytope yields a polyhedral (n-d-2)-sphere, the Radon
+n - d - 1 inside the zero-sum hyperplane.  Intersecting V with the ambient
+polytope { x in R^n : sum_i |x_i| = 2, sum_i x_i = 0 }, whose faces are
+labeled by sign patterns, yields a polyhedral (n-d-2)-sphere, the Radon
 complex: its cells correspond to the sign vectors realized by vectors of V,
 its vertices to the minimal-support (elementary) ones, which are exactly
 the signed circuits of the configuration.
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import project_to_gamma
 from .core import (
+    EPS_MEM,
     Circuit,
     GroundSet,
     OrientedMatroid,
@@ -38,6 +39,29 @@ from .core import (
     _supports,
     _unique_rows,
 )
+
+
+class GammaMembershipError(ValueError):
+    """Point violates a defining equation of the ambient polytope."""
+
+
+class DegeneratePointError(ValueError):
+    """Vector is too close to zero to be normalized onto the polytope."""
+
+
+def project_to_gamma(x: np.ndarray) -> np.ndarray:
+    """Radially rescale a zero-sum vector onto the polytope: x -> 2x / sum|x_i|.
+
+    Raises DegeneratePointError when the 1-norm is below EPS_MEM and
+    GammaMembershipError when the coordinate sum is not zero.
+    """
+    x = np.asarray(x, dtype=float)
+    total = float(np.abs(x).sum())
+    if total < EPS_MEM:
+        raise DegeneratePointError("cannot normalize a near-zero vector")
+    if abs(float(x.sum())) > EPS_MEM * max(1.0, total):
+        raise GammaMembershipError("coordinate sum must vanish before rescaling")
+    return 2.0 * x / total
 
 
 @dataclass(frozen=True)
@@ -68,12 +92,10 @@ class CircuitGraph:
     vertices: tuple[SignedCircuitVertex, ...]
     edges: tuple[tuple[int, int], ...]
     cycles: tuple[Cycle, ...]
-    _index: dict[SignedCircuitVertex, int] = field(init=False, repr=False)
     _adjacency: list[list[int]] = field(init=False, repr=False)
     cycle_pairs: list[list[tuple[int, int]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._index = {v: i for i, v in enumerate(self.vertices)}
         self._adjacency = [[] for _ in self.vertices]
         for i, j in self.edges:
             self._adjacency[i].append(j)
@@ -86,17 +108,8 @@ class CircuitGraph:
             for k, v in enumerate(seq):
                 self.cycle_pairs[v].append((seq[k - 1], seq[(k + 1) % size]))
 
-    def index_of(self, v: SignedCircuitVertex) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise ValueError(f"vertex {v!r} is not in the graph") from None
-
     def degree(self, i: int) -> int:
         return len(self._adjacency[i])
-
-    def neighbors(self, i: int) -> list[int]:
-        return sorted(self._adjacency[i])
 
     def to_dict(self) -> dict:
         return {
@@ -120,15 +133,14 @@ class CircuitGraph:
 class RadonComplex:
     """A circuit graph plus its filled higher cells and natural coordinates.
 
-    positions holds one row per graph vertex (antipodal rows negated) when
-    the complex was built geometrically, else None.
+    positions holds one row per graph vertex, antipodal rows negated.
     """
 
     graph: CircuitGraph
     facets: tuple[Cell, ...]
     n: int
     d: int
-    positions: np.ndarray | None = None
+    positions: np.ndarray
 
     def euler_characteristic(self) -> int:
         chi = len(self.graph.vertices) - len(self.graph.edges)
@@ -285,10 +297,17 @@ def matroid_of_complex(rc: RadonComplex) -> OrientedMatroid:
     )
 
 
-def combinatorial_circuit_graph(
-    m: OrientedMatroid, check_axioms: bool = True
-) -> CircuitGraph:
-    """Build the circuit graph from the circuit list alone.
+def combinatorial_circuit_graph(m: OrientedMatroid) -> CircuitGraph:
+    """Build the circuit graph from the circuit list alone, once
+    check_circuit_axioms finds no violation (else ValueError)."""
+    report = check_circuit_axioms(m)
+    if not report.ok:
+        raise ValueError(f"circuit axioms fail: {report.summary()}")
+    return _circuit_graph(m)
+
+
+def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
+    """The circuit graph of any circuit set, axioms unchecked.
 
     Adjacency rule: X and Y are joined iff they conform, X != +-Y, and
     exactly two signed circuits (X and Y themselves) conform to the
@@ -296,10 +315,6 @@ def combinatorial_circuit_graph(
     kernel; edges keep the (i, j) order of the vertex pairs.  Edges are then
     partitioned into cycles by the support of the composition.
     """
-    if check_axioms:
-        report = check_circuit_axioms(m)
-        if not report.ok:
-            raise ValueError(f"circuit axioms fail: {report.summary()}")
     circuits = m.sorted_circuits()
     vertices = _ordered_vertices(circuits)
     rows = _pack(_signs(vertices, m.n))
@@ -315,14 +330,6 @@ def combinatorial_circuit_graph(
     edges = list(zip(first[lone].tolist(), second[lone].tolist()))
     cycles = _partition_edges_into_cycles(edges, vertices)
     return CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
-
-
-def opposite_neighbors(
-    g: CircuitGraph, v: SignedCircuitVertex
-) -> list[tuple[SignedCircuitVertex, SignedCircuitVertex]]:
-    """The neighbor pairs of v, one pair per cycle through v."""
-    i = g.index_of(v)
-    return [(g.vertices[a], g.vertices[b]) for a, b in g.cycle_pairs[i]]
 
 
 def graphs_equal(g1: CircuitGraph, g2: CircuitGraph) -> bool:

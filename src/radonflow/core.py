@@ -24,10 +24,13 @@ import numpy as np
 #                 max(1, largest).  This alone decides which supports are
 #                 circuits and the dimension of every cell of a Radon complex.
 # EPS_SIGN        a position coordinate of magnitude <= EPS_SIGN reads as zero
-#                 (face_of, sphere validation), and a neighbor direction this
+#                 (EmbeddedSphere's face check), and a neighbor direction this
 #                 short makes the curvature undefined.
 # EPS_MEM         tolerance of the polytope's two defining equations, and the
 #                 smallest 1-norm that can be rescaled onto the polytope.
+# EPS_FLAT        relative singular-value threshold of recover_configuration:
+#                 flat positions have exactly n - d - 1 singular values above
+#                 this times the largest.
 # COLLISION_DIST  two flow positions this close count as a collision.
 # MIN_STEP        a flow step that must shrink below this to decrease the
 #                 energy ends the run as stalled.
@@ -36,6 +39,7 @@ import numpy as np
 KERNEL_RTOL = 1e-10
 EPS_SIGN = 1e-9
 EPS_MEM = 1e-8
+EPS_FLAT = 1e-6
 COLLISION_DIST = 1e-10
 MIN_STEP = 1e-10
 TOL_CURV = 1e-8
@@ -62,10 +66,6 @@ class GroundSet:
             raise ValueError("dimension d must be at least 1")
         if self.n < self.d + 2:
             raise ValueError("need n >= d + 2 for any circuit to exist")
-
-    @property
-    def elements(self) -> range:
-        return range(1, self.n + 1)
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,6 @@ class Circuit:
     @property
     def is_canonical(self) -> bool:
         return min(self.support) in self.pos
-
-    def reversed(self) -> "Circuit":
-        return Circuit(self.neg, self.pos)
 
     def sort_key(self):
         return (len(self.support), tuple(sorted(self.support)), tuple(sorted(self.pos)))

@@ -35,13 +35,13 @@ from .complexes import (
 )
 from .core import (
     COLLISION_DIST,
+    EPS_FLAT,
     EPS_MEM,
     EPS_SIGN,
     MIN_STEP,
     TOL_CURV,
     OrientedMatroid,
     PointConfiguration,
-    SignedCircuitVertex,
     _signs,
 )
 
@@ -100,7 +100,9 @@ class EmbeddedSphere:
 
     Positions are stored for the positive-orientation representatives only;
     the antipode of a vertex is always placed at the negated position.
-    signs holds each representative's face as a row of +1/-1/0.
+    signs holds each representative's face as a row of +1/-1/0.  Unless
+    validate is False, construction checks that every position lies on the
+    polytope and inside its own face: the package's one face check.
     """
 
     def __init__(
@@ -144,13 +146,6 @@ class EmbeddedSphere:
     def n_reps(self) -> int:
         return self._pos.shape[0]
 
-    def position(self, v: SignedCircuitVertex) -> np.ndarray:
-        i = self.graph.index_of(v)
-        reps = self.n_reps
-        if i < reps:
-            return self._pos[i].copy()
-        return -self._pos[i - reps]
-
     def positions_all(self) -> np.ndarray:
         return np.vstack([self._pos, -self._pos])
 
@@ -159,8 +154,6 @@ class EmbeddedSphere:
 
     @classmethod
     def from_geometric(cls, rc: RadonComplex) -> "EmbeddedSphere":
-        if rc.positions is None:
-            raise ValueError("complex carries no coordinates")
         m = matroid_of_complex(rc)
         reps = len(rc.graph.vertices) // 2
         return cls(m, rc.graph, rc.positions[:reps])
@@ -367,32 +360,28 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     return final, FlowTrace(samples=samples, outcome=outcome)
 
 
-def recover_configuration(
-    s: EmbeddedSphere, eps_flat: float = 1e-6
-) -> PointConfiguration:
+def recover_configuration(s: EmbeddedSphere) -> PointConfiguration:
     """Read a point configuration off a flat embedding.
 
     The positions must span a subspace V of dimension n - d - 1 (relative
-    singular-value threshold eps_flat); the recovered configuration has as
+    singular-value threshold EPS_FLAT); the recovered configuration has as
     rows a basis of the orthogonal complement of V inside the zero-sum
     hyperplane, one coordinate column per ground-set element.
     """
     n, d = s.matroid.n, s.matroid.d
     m = n - d - 1
-    X = s.positions_all()
-    sv = np.linalg.svd(X, compute_uv=False)
+    _, sv, vt = np.linalg.svd(s.positions_all())
     if sv.size < m or sv[0] <= 0.0:
         raise NotFlatError("positions span too small a subspace")
     rel = sv / sv[0]
-    if rel[m - 1] <= eps_flat:
+    if rel[m - 1] <= EPS_FLAT:
         raise NotFlatError(
             f"positions span less than {m} dimensions (sv ratio {rel[m - 1]:.2e})"
         )
-    if sv.size > m and rel[m] >= eps_flat:
+    if sv.size > m and rel[m] >= EPS_FLAT:
         raise NotFlatError(
             f"positions are not flat: dimension exceeds {m} (sv ratio {rel[m]:.2e})"
         )
-    _, _, vt = np.linalg.svd(X)
     V = vt[:m]
     stack = np.vstack([V, np.ones((1, n)) / math.sqrt(n)])
     _, _, vt2 = np.linalg.svd(stack)

@@ -336,16 +336,12 @@ class M42Report:
         }
 
 
-def cell_structure_m42(
-    seed: int = 0, elements: list[OrientedMatroid] | None = None
-) -> M42Report:
-    """Identify the uniform matroids on 4 points with the facets of the
-    antipodally reduced cross-polytope slice in R^4.
+def cell_structure_m42(elements: list[OrientedMatroid]) -> M42Report:
+    """Identify the uniform matroids of the (4, 2) census, elements, with
+    the facets of the antipodally reduced cross-polytope slice in R^4.
 
     Faces of the slice are the sign patterns on {1,2,3,4} with both signs
     present; antipodal identification keeps one of each {sigma, -sigma}.
-    elements is the (4, 2) census when the caller already has it; by
-    default it is enumerated with the given seed.
     """
     cells_by_size: dict[int, set[tuple[frozenset[int], frozenset[int]]]] = {2: set(), 3: set(), 4: set()}
     elems = [1, 2, 3, 4]
@@ -368,8 +364,6 @@ def cell_structure_m42(
     squares = sum(1 for p, q in cells_by_size[4] if len(p) == 2)
     triangles = sum(1 for p, q in cells_by_size[4] if len(p) in (1, 3))
 
-    if elements is None:
-        elements = enumerate_acyclic_oms(4, 2, seed=seed)
     uniform = [m for m in elements if m.is_uniform]
     facet_of_matroid = set()
     for m in uniform:

@@ -28,7 +28,10 @@ earlier eta * Delta velocity field with its fixed-step flow (field_flow),
 which the package replaced by descent on sum vol^2, the support projection
 that the velocity applies, the all-pairs distance that the flow's
 collision check must agree with, and a small model of the ambient polytope
-(vertices, face barycenters) used to test the package's polytope helpers.
+(vertices, face barycenters, a sign reader for its faces) used to test the
+package's polytope helpers.  The curvature and velocity references address
+a vertex by its index i in the circuit graph: its position is
+positions_all()[i] and its cycle neighbors are graph.cycle_pairs[i].
 """
 
 from dataclasses import dataclass
@@ -215,11 +218,16 @@ class AmbientSpace:
             x[e - 1] = -1.0 / len(neg)
         return orientation * x
 
-    def face_of(self, x: np.ndarray) -> rf.FaceLabel:
+    def face_of(self, x: np.ndarray) -> tuple[frozenset, frozenset]:
+        """(pos, neg) element sets of the face holding a point of the
+        polytope; coordinates within EPS_SIGN of zero read as zero."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}")
-        return rf.face_of(x)
+        if abs(x.sum()) > rf.EPS_MEM or abs(np.abs(x).sum() - 2.0) > rf.EPS_MEM:
+            raise ValueError(f"not on the polytope: sum={x.sum():.3g}, 1-norm={np.abs(x).sum():.3g}")
+        pos, neg = np.flatnonzero(x > rf.EPS_SIGN) + 1, np.flatnonzero(x < -rf.EPS_SIGN) + 1
+        return frozenset(pos.tolist()), frozenset(neg.tolist())
 
     def project(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -228,13 +236,14 @@ class AmbientSpace:
         return rf.project_to_gamma(x)
 
 
-def _neighbor_directions(s, v):
-    """Per cycle through v: the two neighbor positions and the unit
-    components of those positions orthogonal to the position of v."""
-    p = s.position(v)
+def _neighbor_directions(s, i):
+    """Per cycle through vertex i: the two neighbor positions and the unit
+    components of those positions orthogonal to the position of vertex i."""
+    full = s.positions_all()
+    p = full[i]
     pn = p / np.linalg.norm(p)
-    for a, b in rf.opposite_neighbors(s.graph, v):
-        pa, pb = s.position(a), s.position(b)
+    for a, b in s.graph.cycle_pairs[i]:
+        pa, pb = full[a], full[b]
         w = pa - (pa @ pn) * pn
         w2 = pb - (pb @ pn) * pn
         nw, nw2 = np.linalg.norm(w), np.linalg.norm(w2)
@@ -243,35 +252,35 @@ def _neighbor_directions(s, v):
         yield pa, pb, w / nw, w2 / nw2
 
 
-def local_curvature(s, v) -> tuple[float, list[float]]:
-    """Total curvature at v and the per-cycle contributions.
+def local_curvature(s, i) -> tuple[float, list[float]]:
+    """Total curvature at vertex i and the per-cycle contributions.
 
     sqrt(det Gram(wh, wh2)) is evaluated as the Schur complement, which
     stays exact when the two directions are nearly (anti)parallel.
     """
     etas = [
         float(np.linalg.norm(wh2 - float(wh @ wh2) * wh))
-        for _, _, wh, wh2 in _neighbor_directions(s, v)
+        for _, _, wh, wh2 in _neighbor_directions(s, i)
     ]
     return sum(etas), etas
 
 
-def velocity(s, v) -> np.ndarray:
-    """The eta * Delta field at one vertex: sum_i eta_i P_supp(v_i + v_i' - 2 v)."""
-    p = s.position(v)
+def velocity(s, i) -> np.ndarray:
+    """The eta * Delta field at vertex i: sum_k eta_k P_supp(v_k + v_k' - 2 v)."""
+    p = s.positions_all()[i]
+    support = s.graph.vertices[i].support
     out = np.zeros_like(p)
-    for pa, pb, wh, wh2 in _neighbor_directions(s, v):
+    for pa, pb, wh, wh2 in _neighbor_directions(s, i):
         eta = float(np.linalg.norm(wh2 - float(wh @ wh2) * wh))
-        out += eta * support_projection(v.support, pa + pb - 2.0 * p)
+        out += eta * support_projection(support, pa + pb - 2.0 * p)
     return out
 
 
 def field_flow(s, h, t_max):
     """Fixed Euler steps of velocity up to t_max, every position radially
     renormalized onto the polytope after each step; returns the final sphere."""
-    reps = s.graph.vertices[: s.n_reps]
     for _ in range(int(round(t_max / h))):
-        P = s.rep_positions() + h * np.stack([velocity(s, v) for v in reps])
+        P = s.rep_positions() + h * np.stack([velocity(s, i) for i in range(s.n_reps)])
         P = 2.0 * P / np.abs(P).sum(axis=1, keepdims=True)
         s = rf.EmbeddedSphere(s.matroid, s.graph, P, validate=False)
     return s
@@ -347,7 +356,8 @@ def check_circuit_axioms(m):
 
 
 def circuit_graph(m):
-    """Loop version of rf.combinatorial_circuit_graph (axioms unchecked)."""
+    """Loop version of the circuit graph (axioms unchecked), as
+    rf.complexes._circuit_graph builds it."""
     vertices = _ordered_vertices(m.sorted_circuits())
     vmasks = [masks(v) for v in vertices]
     edges = []

@@ -138,7 +138,7 @@ def test_criterion_4_m42_census(capsys):
         elements = rf.enumerate_acyclic_oms(4, 2)
         uniform = [m for m in elements if m.is_uniform]
         assert len(uniform) == 7
-        report = rf.cell_structure_m42()
+        report = rf.cell_structure_m42(elements)
         assert report.face_vector == (6, 12, 7)
         assert report.euler_characteristic == 1
         assert report.matroid_facet_bijection

@@ -1,3 +1,6 @@
+"""The ambient polytope { x : sum|x_i| = 2, sum x_i = 0 }: radial projection
+onto it, and the test-side model of it in oracles."""
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,7 @@ def test_project_lands_on_polytope():
     rng = np.random.default_rng(101)
     for x in zero_sum_vectors(rng, 6, 200):
         y = rf.project_to_gamma(x)
-        assert rf.on_gamma(y)
-        assert abs(y.sum()) < 1e-12
+        assert abs(y.sum()) < 1e-12 and abs(np.abs(y).sum() - 2.0) < 1e-12
         # radial: direction unchanged
         assert np.allclose(y / np.linalg.norm(y), x / np.linalg.norm(x))
 
@@ -45,25 +47,6 @@ def test_project_rejects_near_zero():
 def test_project_rejects_nonzero_sum():
     with pytest.raises(rf.GammaMembershipError):
         rf.project_to_gamma(np.array([1.0, 1.0, -1.0, 0.0]))
-
-
-def test_face_of_reads_sign_pattern():
-    lab = rf.face_of(np.array([1.0, -1.0, 0.0, 0.0]))
-    assert lab.pos == frozenset({1})
-    assert lab.neg == frozenset({2})
-
-
-def test_face_of_ignores_coordinates_below_eps():
-    a = 5e-10  # below the sign threshold, within membership tolerance
-    lab = rf.face_of(np.array([1.0, -1.0, a, -a]))
-    assert lab == rf.FaceLabel(frozenset({1}), frozenset({2}))
-
-
-def test_face_of_requires_membership():
-    with pytest.raises(rf.GammaMembershipError):
-        rf.face_of(np.array([1.0, 1.0, -1.0, 0.0]))
-    with pytest.raises(rf.GammaMembershipError):
-        rf.face_of(np.array([2.0, -2.0, 0.0, 0.0]))
 
 
 def test_support_projection_zeroes_off_support():
@@ -100,12 +83,13 @@ def test_support_projection_validates_input():
 def test_ambient_vertices_and_barycenters():
     amb = AmbientSpace(4)
     v = amb.vertex(2, 4)
-    assert rf.on_gamma(v)
+    assert amb.face_of(v) == ({2}, {4})
     assert v[1] == 1.0 and v[3] == -1.0
     c = rf.Circuit(frozenset({1, 4}), frozenset({2, 3}))
     b = amb.barycenter(c)
-    assert rf.on_gamma(b)
-    assert amb.face_of(b) == rf.FaceLabel(c.pos, c.neg)
+    assert amb.face_of(b) == (c.pos, c.neg)
+    a = 5e-10  # below the sign threshold, within membership tolerance
+    assert amb.face_of(np.array([1.0, -1.0, a, -a])) == ({1}, {2})
     assert np.allclose(amb.barycenter(c, -1), -b)
 
 
@@ -119,3 +103,5 @@ def test_ambient_validates_labels():
         AmbientSpace(2)
     with pytest.raises(ValueError):
         amb.project(np.zeros(5))
+    with pytest.raises(ValueError, match="not on the polytope"):
+        amb.face_of(np.array([2.0, -2.0, 0.0, 0.0]))

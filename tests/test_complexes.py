@@ -50,10 +50,11 @@ def test_line_complex_is_a_circle(line_config):
 
 def test_positions_sit_on_their_faces(hexagon_complex):
     g = hexagon_complex.graph
+    amb = oracles.AmbientSpace(hexagon_complex.n)
     for k, v in enumerate(g.vertices):
-        x = hexagon_complex.positions[k]
-        assert rf.on_gamma(x)
-        assert rf.face_of(x) == rf.FaceLabel(v.pos, v.neg)
+        assert amb.face_of(hexagon_complex.positions[k]) == (v.pos, v.neg)
+    # the package's one face check accepts the same positions
+    rf.EmbeddedSphere.from_geometric(hexagon_complex)
 
 
 def test_cycles_partition_edges_and_live_in_two_planes(hexagon_complex):
@@ -94,14 +95,13 @@ def test_matroid_of_complex_roundtrip(pentagon_config):
 
 def test_opposite_neighbors_are_cycle_mates(hexagon_complex):
     g = hexagon_complex.graph
-    for v in g.vertices:
-        i = g.index_of(v)
-        pairs = rf.opposite_neighbors(g, v)
+    for i in range(len(g.vertices)):
+        pairs = g.cycle_pairs[i]
         assert pairs  # every vertex lies on at least one cycle
-        nbrs = set(g.neighbors(i))
+        nbrs = {b for e in g.edges if i in e for b in e if b != i}
         for a, b in pairs:
-            assert g.index_of(a) in nbrs and g.index_of(b) in nbrs
-            assert a is not b
+            assert a in nbrs and b in nbrs
+            assert a != b
 
 
 def test_graphs_equal_detects_differences(pentagon_complex):
@@ -114,6 +114,66 @@ def test_validate_sphere_reports_failures(square_config):
     rc = rf.geometric_radon_complex(square_config)
     report = rf.validate_sphere(rc, 5, 2)  # wrong expected dimension
     assert not report.ok and report.failures
+
+
+# The pentagon's ten vertices joined in index order: vertex k + 5 is the
+# antipode of vertex k, so this ring is a valid hand-built 1-sphere, and each
+# test below breaks exactly one of validate_sphere's checks.
+RING = [(k, (k + 1) % 10) for k in range(10)]
+
+
+def _hand_built(rc, edges=RING, cycles=None, vertices=None):
+    """rc's complex with its graph replaced: one cycle over every edge by default."""
+    vertices = rc.graph.vertices if vertices is None else vertices
+    if cycles is None:
+        cycles = [rf.Cycle(frozenset(range(1, 6)), tuple(range(10)), tuple(range(len(edges))))]
+    graph = rf.CircuitGraph(vertices=tuple(vertices), edges=tuple(edges), cycles=tuple(cycles))
+    return rf.RadonComplex(graph=graph, facets=(), n=rc.n, d=rc.d, positions=rc.positions)
+
+
+def test_hand_built_ring_is_a_sphere(pentagon_complex):
+    assert rf.validate_sphere(_hand_built(pentagon_complex), 5, 2).ok
+
+
+def test_validate_sphere_flags_odd_degree(pentagon_complex):
+    # (0, 1) -> (0, 2) and its antipode (5, 6) -> (5, 7): still ten
+    # antipodal edges on a connected graph, but vertices 1 and 6 have degree 1
+    edges = [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 7), (6, 7), (7, 8), (8, 9), (9, 0)]
+    report = rf.validate_sphere(_hand_built(pentagon_complex, edges), 5, 2)
+    assert report.failures == [f"vertex {pentagon_complex.graph.vertices[1]!r} has odd degree 1"]
+
+
+def test_validate_sphere_flags_non_antipodal_vertices(pentagon_complex):
+    vertices = list(pentagon_complex.graph.vertices)
+    vertices[9] = rf.SignedCircuitVertex(rf.Circuit.make({1}, {2}), 1)
+    report = rf.validate_sphere(_hand_built(pentagon_complex, vertices=vertices), 5, 2)
+    assert report.failures == ["vertex set is not closed under the antipodal map"]
+
+
+def test_validate_sphere_flags_non_antipodal_edges(pentagon_complex):
+    # the ring with vertices 1 and 2 swapped: (0, 2) is an edge, (5, 7) is not
+    order = [0, 2, 1, 3, 4, 5, 6, 7, 8, 9]
+    edges = [(order[k], order[(k + 1) % 10]) for k in range(10)]
+    report = rf.validate_sphere(_hand_built(pentagon_complex, edges), 5, 2)
+    assert report.failures == ["edge set is not closed under the antipodal map"]
+
+
+def test_validate_sphere_flags_disconnected_skeleton(pentagon_complex):
+    # the representatives and their antipodes as two separate 5-cycles
+    edges = [(k, (k + 1) % 5) for k in range(5)] + [(5 + k, 5 + (k + 1) % 5) for k in range(5)]
+    cycles = [
+        rf.Cycle(frozenset(range(1, 6)), tuple(range(5)), tuple(range(5))),
+        rf.Cycle(frozenset(range(1, 6)), tuple(range(5, 10)), tuple(range(5, 10))),
+    ]
+    report = rf.validate_sphere(_hand_built(pentagon_complex, edges, cycles), 5, 2)
+    assert report.failures == ["1-skeleton is not connected"]
+
+
+def test_validate_sphere_flags_cycles_that_do_not_partition_edges(pentagon_complex):
+    ring = rf.Cycle(frozenset(range(1, 6)), tuple(range(10)), tuple(range(10)))
+    for cycles in ([], [ring, ring]):
+        report = rf.validate_sphere(_hand_built(pentagon_complex, cycles=cycles), 5, 2)
+        assert report.failures == ["cycles do not partition the edge set"]
 
 
 def test_antipodal_symmetry(hexagon_complex):
@@ -157,7 +217,8 @@ def _damaged(m):
     cs = m.sorted_circuits()
     big, e = cs[-1], max(cs[-1].support)
     shrunk = rf.Circuit.make(big.pos - {e}, big.neg - {e})
-    return rf.OrientedMatroid(m.ground, frozenset(cs[1:] + [cs[1].reversed(), shrunk]))
+    reversal = rf.Circuit(cs[1].neg, cs[1].pos)
+    return rf.OrientedMatroid(m.ground, frozenset(cs[1:] + [reversal, shrunk]))
 
 
 def _graph_or_error(build):
@@ -190,8 +251,10 @@ def test_conformance_kernel_matches_loop_references(n, d):
         assert report.weak_elimination
         assert report == oracles.check_circuit_axioms(bad)
         assert _graph_or_error(
-            lambda: rf.combinatorial_circuit_graph(bad, check_axioms=False)
+            lambda: rf.complexes._circuit_graph(bad)
         ) == _graph_or_error(lambda: oracles.circuit_graph(bad))
+        with pytest.raises(ValueError, match="circuit axioms fail"):
+            rf.combinatorial_circuit_graph(bad)
 
 
 def test_adjacency_rule_counts_every_conformer():
@@ -200,7 +263,7 @@ def test_adjacency_rule_counts_every_conformer():
     x, y = rf.Circuit.make({1}, {2}), rf.Circuit.make({3}, {4})
     z = rf.Circuit.make({1, 3}, {2, 4})
     m = rf.OrientedMatroid(rf.GroundSet(4, 2), frozenset({x, y, z}))
-    got = _graph_or_error(lambda: rf.combinatorial_circuit_graph(m, check_axioms=False))
+    got = _graph_or_error(lambda: rf.complexes._circuit_graph(m))
     assert got == _graph_or_error(lambda: oracles.circuit_graph(m))
 
 

@@ -43,16 +43,16 @@ def face_tangent(field, rng):
 
 def test_geometric_embeddings_are_fixed_points(pentagon_sphere, hexagon_sphere):
     for s in (pentagon_sphere, hexagon_sphere):
-        for v in s.graph.vertices:
-            total, _ = local_curvature(s, v)
+        for i in range(len(s.graph.vertices)):
+            total, _ = local_curvature(s, i)
             assert total < 1e-10
-            assert np.linalg.norm(velocity(s, v)) < 1e-10
+            assert np.linalg.norm(velocity(s, i)) < 1e-10
 
 
 def test_vectorized_field_matches_reference(hexagon_sphere):
     s = hexagon_sphere.perturbed(0.05, np.random.default_rng(2))
     _, _, curv_max, curv_mean, _ = _Field(s).stats(s.rep_positions())
-    totals = [local_curvature(s, v)[0] for v in s.graph.vertices[: s.n_reps]]
+    totals = [local_curvature(s, i)[0] for i in range(s.n_reps)]
     assert abs(curv_max - max(totals)) < 1e-12
     assert abs(curv_mean - np.mean(totals)) < 1e-12
 
@@ -91,12 +91,13 @@ def test_gradient_vanishes_on_flat_embeddings(spheres):
 
 def test_curvature_equals_gram_determinant(hexagon_sphere):
     s = hexagon_sphere.perturbed(0.05, np.random.default_rng(2))
-    for v in s.graph.vertices[:10]:
-        p = s.position(v)
+    full = s.positions_all()
+    for i in range(10):
+        p = full[i]
         pn = p / np.linalg.norm(p)
-        _, etas = local_curvature(s, v)
-        for (a, b), eta in zip(rf.opposite_neighbors(s.graph, v), etas):
-            pa, pb = s.position(a), s.position(b)
+        _, etas = local_curvature(s, i)
+        for (a, b), eta in zip(s.graph.cycle_pairs[i], etas):
+            pa, pb = full[a], full[b]
             w = pa - (pa @ pn) * pn
             w2 = pb - (pb @ pn) * pn
             wh = w / np.linalg.norm(w)
@@ -108,8 +109,8 @@ def test_curvature_equals_gram_determinant(hexagon_sphere):
 def test_velocity_stays_in_face_tangents(pentagon_sphere, hexagon_sphere):
     for s in (pentagon_sphere, hexagon_sphere):
         sp = s.perturbed(0.05, np.random.default_rng(9))
-        for v in sp.graph.vertices:
-            dv = velocity(sp, v)
+        for i, v in enumerate(sp.graph.vertices):
+            dv = velocity(sp, i)
             off = [e for e in range(1, sp.matroid.n + 1) if e not in v.support]
             assert all(abs(dv[e - 1]) < 1e-12 for e in off)
             assert abs(dv.sum()) < 1e-12
@@ -117,9 +118,9 @@ def test_velocity_stays_in_face_tangents(pentagon_sphere, hexagon_sphere):
 
 def test_velocity_is_antipodally_equivariant(hexagon_sphere):
     s = hexagon_sphere.perturbed(0.05, np.random.default_rng(2))
-    for v in s.graph.vertices[: s.n_reps]:
-        dv = velocity(s, v)
-        assert np.abs(velocity(s, v.antipode()) + dv).max() < 1e-12
+    for i, v in enumerate(s.graph.vertices[: s.n_reps]):
+        dv = velocity(s, i)
+        assert np.abs(velocity(s, s.graph.vertices.index(v.antipode())) + dv).max() < 1e-12
 
 
 def test_flat_input_converges_immediately(pentagon_sphere):
@@ -190,7 +191,7 @@ def test_field_alone_does_not_flatten_the_pentagon(pentagon_sphere, seed):
     assert trace.outcome == rf.OUTCOME_CONVERGED and len(trace.samples) - 1 < 200
     assert trace.samples[-1].t < 30.0
     end = field_flow(start, 0.01, 30.0)
-    assert max(local_curvature(end, v)[0] for v in end.graph.vertices[: end.n_reps]) > 0.01
+    assert max(local_curvature(end, i)[0] for i in range(end.n_reps)) > 0.01
 
 
 @pytest.mark.parametrize("n,d,rep", SAMPLED_SHAPES)
@@ -323,11 +324,7 @@ def test_flow_params_validation():
 
 def test_perturbed_respects_faces(pentagon_sphere):
     s = pentagon_sphere.perturbed(0.05, np.random.default_rng(4))
-    for k in range(s.n_reps):
-        v = s.graph.vertices[k]
-        x = s.rep_positions()[k]
-        assert rf.on_gamma(x)
-        assert rf.face_of(x) == rf.FaceLabel(v.pos, v.neg)
+    rf.EmbeddedSphere(s.matroid, s.graph, s.rep_positions())  # validates every face
     same = pentagon_sphere.perturbed(0.0, np.random.default_rng(4))
     drift = np.abs(same.rep_positions() - pentagon_sphere.rep_positions()).max()
     assert drift < 1e-12
@@ -365,8 +362,8 @@ def test_position_lookup_and_antipodes(pentagon_sphere):
     allpos = s.positions_all()
     assert allpos.shape == (2 * s.n_reps, s.matroid.n)
     for k, v in enumerate(s.graph.vertices[: s.n_reps]):
-        assert np.array_equal(s.position(v), allpos[k])
-        assert np.array_equal(s.position(v.antipode()), -allpos[k])
+        assert np.array_equal(allpos[k], s.rep_positions()[k])
+        assert np.array_equal(allpos[s.graph.vertices.index(v.antipode())], -allpos[k])
 
 
 def test_integrate_leaves_input_untouched(pentagon_sphere):
