@@ -195,14 +195,6 @@ class OrientedMatroid:
             (tuple(sorted(c.pos)), tuple(sorted(c.neg))) for c in self.circuits
         )
 
-    def relabeled(self, perm: dict[int, int]) -> "OrientedMatroid":
-        """Apply an element relabeling, re-canonicalizing each circuit."""
-        cs = frozenset(
-            Circuit.make({perm[e] for e in c.pos}, {perm[e] for e in c.neg})
-            for c in self.circuits
-        )
-        return OrientedMatroid(self.ground, cs)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,

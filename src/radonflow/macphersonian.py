@@ -1,18 +1,17 @@
 """Desk-scale MacPhersonian posets and their GF(2) homology.
 
-The poset collects the acyclic oriented matroids realizable by n labeled
-points in R^d, ordered by weak maps (circuit nesting).  Elements are found
-by sampling point configurations through randomized degeneration recipes
-(coincident pairs, collinear triples, coplanar quadruples) and closing the
-result under relabelings; completeness is heuristic, validated by count
-stabilization.  The weak-map matrix comes from the conformance kernel of
-core: one element-by-circuit incidence matrix and two exact 0/1 matrix
-products, with no per-pair calls.  The order complex of the poset is the
-simplicial complex of chains.  Its Betti numbers over GF(2) come from the
-ranks of the boundary maps, found by sparse column reduction: each column
-is a Python-int bitset, a dict maps each pivot (the column's last nonzero
-row) to its reduced column, and columns whose simplex is a pivot one
-dimension up are cleared without reduction (Chen & Kerber, "Persistent homology computation
+The poset collects the acyclic oriented matroids of n labeled points
+spanning R^d, ordered by weak maps (circuit nesting).  They are enumerated
+exactly, as the chirotopes of rank d + 1 on n elements, and each element's
+circuits are read off its chirotope; no point is sampled.  The weak-map
+matrix comes from the conformance kernel of core: one element-by-circuit
+incidence matrix and two exact 0/1 matrix products, with no per-pair calls.
+The order complex of the poset is the simplicial complex of chains.  Its
+Betti numbers over GF(2) come from the ranks of the boundary maps, found by
+sparse column reduction: each column is a frozenset of face indices, a dict
+maps each pivot (the column's largest index) to its reduced column, and
+columns whose simplex is a pivot one dimension up are cleared without
+reduction (Chen & Kerber, "Persistent homology computation
 with a twist", 2011; Bauer, Kerber, Reininghaus & Wagner, "PHAT", 2017).
 No dense matrix is built.
 
@@ -31,20 +30,19 @@ import numpy as np
 
 from .core import (
     Circuit,
+    GroundSet,
     OrientedMatroid,
-    PointConfiguration,
-    RankDeficientError,
     _conforming,
     _negated,
     _pack,
     _signs,
-    circuits_of_points,
+    circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     weak_map_leq,  # the order from_elements computes; perfbench/tracing.py counts its calls here
 )
 
 # The census runs for n <= MAX_ENUMERATION_N except the TOO_LARGE shapes:
-# the dense weak-map order of the 55 922 elements of (6,2) alone takes
-# 3.1 GB, and the chains of the 15 587 of (6,3) outgrow 3 GB in order_complex.
+# the dense weak-map order of the 60 962 elements of (6,2) alone takes
+# 3.7 GB, and the chains of the 17 162 of (6,3) outgrow 3 GB in order_complex.
 MAX_ENUMERATION_N = 6
 TOO_LARGE = frozenset({(6, 2), (6, 3)})
 
@@ -53,43 +51,107 @@ class UnsupportedRangeError(ValueError):
     """Requested parameters outside the supported enumeration range."""
 
 
-def _sample_configuration(n: int, d: int, rng: np.random.Generator) -> PointConfiguration:
-    """One random configuration, with randomized degeneration operations.
+def _is_matroid(bases: list[frozenset[int]]) -> bool:
+    """Basis exchange: for bases B1, B2 and x in B1 - B2, some y in B2 - B1
+    makes B1 - x + y a basis."""
+    have = set(bases)
+    return all(
+        any(b1 - {x} | {y} in have for y in b2 - b1)
+        for b1 in bases
+        for b2 in bases
+        for x in b1 - b2
+    )
 
-    The points need not span R^d; the circuit scan tests that.
+
+def _chirotopes(n: int, r: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Every rank-r chirotope on range(n), one of each +/- pair.
+
+    Returns the r-subsets in colex order and an int8 matrix with one row per
+    chirotope, column i holding its sign on subset i.  The frontier of
+    partial sign maps grows by {+, 0, -} one subset at a time.  Each 3-term
+    Grassmann-Pluecker relation filters it as soon as its six subsets are
+    assigned, which colex order makes early: every subset of the first k
+    elements comes before any subset holding another element.  For an
+    (r-2)-set s and a < b < c < d outside it, the terms
+    chi(sab)chi(scd), -chi(sac)chi(sbd) and chi(sad)chi(sbc) are all zero or
+    take both signs (the sorting signs are common to the three terms).  The
+    rows left whose support obeys basis exchange and whose first nonzero
+    entry is + are the chirotopes (Bjorner, Las Vergnas, Sturmfels, White &
+    Ziegler, Oriented Matroids, Thm 3.6.2).
     """
-    pts = rng.uniform(-1.0, 1.0, size=(n, d))
-    n_ops = int(rng.integers(0, 3 if n <= 5 else 4))
-    for _ in range(n_ops):
-        kind = rng.integers(0, 3 if d >= 3 else 2)
-        if kind == 0:  # coincident pair
-            i, j = rng.choice(n, size=2, replace=False)
-            pts[j] = pts[i]
-        elif kind == 1 and d >= 2:  # collinear triple, inside or outside
-            i, j, k = rng.choice(n, size=3, replace=False)
-            t = float(rng.uniform(-0.8, 1.8))
-            pts[k] = pts[i] + t * (pts[j] - pts[i])
-        elif kind == 2:  # coplanar quadruple (d >= 3)
-            i, j, k, l = rng.choice(n, size=4, replace=False)
-            u, v = rng.uniform(-0.8, 1.2, size=2)
-            pts[l] = pts[i] + u * (pts[j] - pts[i]) + v * (pts[k] - pts[i])
-    return PointConfiguration(pts, d)
+    subsets = sorted(itertools.combinations(range(n), r), key=lambda s: s[::-1])
+    index = {s: i for i, s in enumerate(subsets)}
+    due: list[list[list[int]]] = [[] for _ in subsets]
+    for union in itertools.combinations(range(n), r + 2):
+        for s in itertools.combinations(union, r - 2):
+            a, b, c, d = sorted(set(union) - set(s))
+            terms = [
+                index[tuple(sorted(s + pair))]
+                for pair in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c))
+            ]
+            due[max(terms)].append(terms)
+    frontier = np.zeros((1, 0), np.int8)
+    for relations in due:
+        signs = np.tile(np.array([1, 0, -1], np.int8), len(frontier))
+        frontier = np.column_stack([np.repeat(frontier, 3, axis=0), signs])
+        if relations:
+            rel = np.array(relations)
+            t = frontier[:, rel[:, 0::2]] * frontier[:, rel[:, 1::2]]
+            t[:, :, 1] *= -1
+            frontier = frontier[((t > 0).any(axis=2) == (t < 0).any(axis=2)).all(axis=1)]
+    lead = frontier[np.arange(len(frontier)), np.argmax(frontier != 0, axis=1)]
+    frontier = frontier[lead > 0]  # this drops the zero map too
+    _, rep, which = np.unique(
+        np.packbits(frontier != 0, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    exchange = np.array(
+        [_is_matroid([frozenset(subsets[i]) for i in np.flatnonzero(frontier[j])]) for j in rep],
+        dtype=bool,
+    )
+    return subsets, frontier[exchange[which.ravel()]]
 
 
-def enumerate_acyclic_oms(
-    n: int,
-    d: int,
-    seed: int = 0,
-    stable_rounds: int = 400,
-    max_rounds: int = 60000,
+def _acyclic_matroids(
+    subsets: list[tuple[int, ...]], chi: np.ndarray, ground: GroundSet
 ) -> list[OrientedMatroid]:
-    """Sample the realizable acyclic oriented matroids on n points in R^d.
+    """The oriented matroids of the chirotope rows chi (columns over subsets)
+    that have no positive circuit.
+
+    Each (r+1)-subset S = (x_0 < ... < x_r) with some nonzero chi(S - x_i)
+    holds exactly one circuit, with signs C(x_i) = (-1)^i chi(S - x_i), and
+    every circuit lies in such an S.  A loop would be a one-element circuit,
+    so an acyclic row has none.
+    """
+    r = len(subsets[0])
+    index = {s: i for i, s in enumerate(subsets)}
+    spans = list(itertools.combinations(range(ground.n), r + 1))
+    signs = chi[:, [[index[s[:i] + s[i + 1 :]] for i in range(r + 1)] for s in spans]]
+    signs[:, :, 1::2] *= -1
+    positive = (signs > 0).any(axis=2) != (signs < 0).any(axis=2)  # nonzero, of one sign
+    signs = signs[~positive.any(axis=1)]
+    vectors = np.zeros((len(signs), len(spans), ground.n), np.int8)
+    vectors[:, np.arange(len(spans))[:, None], spans] = signs
+    rows, which = np.unique(vectors.reshape(-1, ground.n), axis=0, return_inverse=True)
+    circuits = [
+        Circuit.make(np.flatnonzero(v > 0) + 1, np.flatnonzero(v < 0) + 1) if v.any() else None
+        for v in rows
+    ]
+    return [
+        OrientedMatroid(ground, frozenset(circuits[i] for i in held) - {None})
+        for held in which.reshape(len(signs), len(spans))
+    ]
+
+
+def enumerate_acyclic_oms(n: int, d: int) -> list[OrientedMatroid]:
+    """Every acyclic oriented matroid of rank d + 1 on n labeled elements.
 
     Supported: d >= 1 and d + 2 <= n <= 5, plus (6,1) and (6,4); (6,2) and
-    (6,3) raise UnsupportedRangeError before any sampling (see TOO_LARGE).
-    Stops once stable_rounds consecutive samples add nothing new (or at
-    max_rounds).  The returned list is closed under relabeling and sorted
-    deterministically.
+    (6,3) raise UnsupportedRangeError before any enumeration (see
+    TOO_LARGE).  Each is read off one chirotope of _chirotopes.  At every
+    supported shape the rank is 2 or the corank n - d - 1 is at most 2, so
+    each is realizable (BLSWZ ch. 8; dualise for corank <= 2) and, being
+    acyclic, is the oriented matroid of n points spanning R^d.  The list is
+    sorted deterministically.
     """
     if d < 1 or n < d + 2:
         raise UnsupportedRangeError(f"need d >= 1 and n >= d + 2, got n={n}, d={d}")
@@ -98,33 +160,7 @@ def enumerate_acyclic_oms(
             f"enumeration supports n <= {MAX_ENUMERATION_N} except (n, d) in "
             f"{sorted(TOO_LARGE)}, got n={n}, d={d}"
         )
-    rng = np.random.default_rng([seed, n, d])
-    perms = [
-        dict(zip(range(1, n + 1), p)) for p in itertools.permutations(range(1, n + 1))
-    ]
-    found: dict[frozenset, OrientedMatroid] = {}
-
-    def add_with_relabelings(m: OrientedMatroid) -> bool:
-        if m.circuit_key() in found:
-            return False
-        for perm in perms:
-            pm = m.relabeled(perm)
-            found.setdefault(pm.circuit_key(), pm)
-        return True
-
-    quiet = 0
-    rounds = 0
-    while quiet < stable_rounds and rounds < max_rounds:
-        rounds += 1
-        try:
-            m = circuits_of_points(_sample_configuration(n, d, rng))
-        except RankDeficientError:
-            continue
-        if add_with_relabelings(m):
-            quiet = 0
-        else:
-            quiet += 1
-    out = list(found.values())
+    out = _acyclic_matroids(*_chirotopes(n, d + 1), GroundSet(n, d))
     out.sort(key=lambda m: (len(m.circuits), sorted(c.sort_key() for c in m.circuits)))
     return out
 
@@ -252,36 +288,37 @@ def order_complex(p: MatroidPoset) -> SimplicialComplex:
     return SimplicialComplex(simplices=chains_by_dim)
 
 
-def _gf2_pivots(columns) -> dict[int, int]:
-    """Reduce GF(2) columns, given as Python-int bitsets, left to right.
+def _gf2_pivots(columns) -> set[int]:
+    """Reduce GF(2) columns, each a frozenset of row indices, left to right.
 
-    A column's pivot is its highest set bit; while another reduced column
-    owns that pivot, the two are XORed.  Returns pivot -> reduced column for
-    the columns that stay nonzero, so the rank is the number of pivots.
+    A column's pivot is its largest row; while another reduced column owns
+    that pivot, the two are added (symmetric difference).  Returns the
+    pivots of the columns that stay nonzero, so the rank is their number;
+    the reduced columns are dropped.
     """
-    reduced: dict[int, int] = {}
+    reduced: dict[int, frozenset[int]] = {}
     for col in columns:
         while col:
-            low = col.bit_length() - 1
+            low = max(col)
             other = reduced.get(low)
             if other is None:
                 reduced[low] = col
                 break
             col ^= other
-    return reduced
+    return set(reduced)
 
 
 def gf2_rank(mat: np.ndarray) -> int:
     """Rank of a 0/1 matrix over GF(2) by column reduction."""
-    bits = np.packbits(np.array(mat, dtype=np.uint8) & 1, axis=0, bitorder="little")
-    return len(_gf2_pivots(int.from_bytes(col.tobytes(), "little") for col in bits.T))
+    bits = np.array(mat, dtype=np.uint8) & 1
+    return len(_gf2_pivots(frozenset(np.nonzero(col)[0].tolist()) for col in bits.T))
 
 
 def gf2_betti(c: SimplicialComplex) -> list[int]:
     """Betti numbers over GF(2) from boundary ranks, by column reduction.
 
-    Column j of the k-th boundary map is the bitset of the faces of the
-    j-th k-simplex (bit i for the i-th (k-1)-simplex).  Dimensions are
+    Column j of the k-th boundary map is the set of the indices of the faces
+    of the j-th k-simplex among the (k-1)-simplices.  Dimensions are
     reduced from the top down, and a k-simplex that is a pivot of the
     (k+1)-st map is cleared: its column is a combination of earlier ones
     and would reduce to zero anyway.
@@ -289,11 +326,11 @@ def gf2_betti(c: SimplicialComplex) -> list[int]:
     if not c.simplices:
         return []
     ranks = [0] * (len(c.simplices) + 1)
-    pivots: dict[int, int] = {}  # of the map one dimension up
+    pivots: set[int] = set()  # of the map one dimension up
     for k in range(len(c.simplices) - 1, 0, -1):
         index = {s: i for i, s in enumerate(c.simplices[k - 1])}
         columns = (
-            sum(1 << index[s[:drop] + s[drop + 1 :]] for drop in range(len(s)))
+            frozenset([index[s[:drop] + s[drop + 1 :]] for drop in range(len(s))])
             for j, s in enumerate(c.simplices[k])
             if j not in pivots
         )

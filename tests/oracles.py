@@ -14,9 +14,14 @@ conformance kernel; the parity tests require identical outputs.
 
 circuit_scan is the per-support loop version of core.circuit_dependences
 (one SVD per candidate support); the package batches each size level.
+sampled_census is the census as the package once sampled it: random
+degenerate configurations (sample_configuration), each new matroid closed
+under all n! relabelings (relabeled), until a run of samples adds nothing.
+It is a subset of the exact census, and chirotope gives the signs that the
+package reads circuits from, straight from the points.
 weak_map_matrix calls weak_map_leq once per pair of poset elements, and
 gf2_rank_dense / gf2_betti_dense eliminate dense uint8 boundary matrices
-by row XORs, where the package reduces sparse bitset columns.
+by row XORs, where the package reduces sparse frozenset columns.
 
 The loop references work on Python-int bitmask pairs of their own
 (mask_of, set_of, masks), which the package does not use, and group edges
@@ -36,7 +41,7 @@ positions_all()[i] and its cycle neighbors are graph.cycle_pairs[i].
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable
 
 import numpy as np
@@ -461,6 +466,78 @@ def circuit_scan(config):
             found[c] = x
             supports.append(smask)
     return found
+
+
+def sample_configuration(n, d, rng):
+    """One random configuration, with randomized degeneration operations.
+
+    The points need not span R^d; the circuit scan tests that.
+    """
+    pts = rng.uniform(-1.0, 1.0, size=(n, d))
+    n_ops = int(rng.integers(0, 3 if n <= 5 else 4))
+    for _ in range(n_ops):
+        kind = rng.integers(0, 3 if d >= 3 else 2)
+        if kind == 0:  # coincident pair
+            i, j = rng.choice(n, size=2, replace=False)
+            pts[j] = pts[i]
+        elif kind == 1 and d >= 2:  # collinear triple, inside or outside
+            i, j, k = rng.choice(n, size=3, replace=False)
+            t = float(rng.uniform(-0.8, 1.8))
+            pts[k] = pts[i] + t * (pts[j] - pts[i])
+        elif kind == 2:  # coplanar quadruple (d >= 3)
+            i, j, k, l = rng.choice(n, size=4, replace=False)
+            u, v = rng.uniform(-0.8, 1.2, size=2)
+            pts[l] = pts[i] + u * (pts[j] - pts[i]) + v * (pts[k] - pts[i])
+    return rf.PointConfiguration(pts, d)
+
+
+def relabeled(m, perm):
+    """m with element e renamed perm[e], each circuit re-canonicalized."""
+    return rf.OrientedMatroid(
+        m.ground,
+        frozenset(
+            rf.Circuit.make({perm[e] for e in c.pos}, {perm[e] for e in c.neg})
+            for c in m.circuits
+        ),
+    )
+
+
+def sampled_census(n, d, seed, stable_rounds):
+    """Sampled acyclic oriented matroids of n points in R^d, closed under
+    relabeling, keyed by circuit_key, and the spanning configurations drawn.
+
+    Stops once stable_rounds samples in a row add nothing new.
+    """
+    rng = np.random.default_rng([seed, n, d])
+    perms = [dict(zip(range(1, n + 1), p)) for p in permutations(range(1, n + 1))]
+    found, configs, quiet = {}, [], 0
+    while quiet < stable_rounds:
+        config = sample_configuration(n, d, rng)
+        try:
+            m = rf.circuits_of_points(config)
+        except rf.RankDeficientError:
+            continue
+        configs.append(config)
+        quiet += 1
+        if m.circuit_key() not in found:
+            quiet = 0
+            for perm in perms:
+                pm = relabeled(m, perm)
+                found.setdefault(pm.circuit_key(), pm)
+    return found, configs
+
+
+def chirotope(config, subsets):
+    """Sign of the determinant of the lifted columns of each subset (0-based),
+    zero where the rank rule finds them dependent."""
+    lifted = config.lifted_matrix()
+    out = []
+    for sub in subsets:
+        cols = lifted[:, list(sub)]
+        s = np.linalg.svd(cols, compute_uv=False)
+        full = (s > KERNEL_RTOL * max(1.0, float(s[0]))).all()
+        out.append(int(np.sign(np.linalg.det(cols))) if full else 0)
+    return np.array(out, np.int8)
 
 
 def weak_map_matrix(elements):

@@ -208,8 +208,15 @@ def test_macphersonian_out_of_range(tmp_path):
     assert main(["macphersonian", "9", "2", "--out", str(tmp_path / "out")]) == 3
 
 
-def test_macphersonian_rejects_too_large_census_before_sampling(tmp_path, monkeypatch):
-    monkeypatch.setattr(macphersonian, "_sample_configuration", None)  # any sample fails
+def test_macphersonian_ignores_seed(tmp_path):
+    for seed in ("0", "5"):
+        assert main(["macphersonian", "4", "2", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+    for name in ("poset.json", "order_complex.json", "m42_cells.json"):
+        assert stripped(tmp_path / "0" / name) == stripped(tmp_path / "5" / name)
+
+
+def test_macphersonian_rejects_too_large_census_before_enumerating(tmp_path, monkeypatch):
+    monkeypatch.setattr(macphersonian, "_chirotopes", None)  # any enumeration fails
     for d in ("2", "3"):
         assert main(["macphersonian", "6", d, "--out", str(tmp_path / d)]) == 3
 

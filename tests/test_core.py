@@ -14,9 +14,8 @@ from conftest import (
     sample_spanning_points,
     widened,
 )
-from oracles import exact_circuits
+from oracles import exact_circuits, sample_configuration
 from radonflow.core import ELIMINATION_CAP
-from radonflow.macphersonian import _sample_configuration
 
 
 def circuit_set(m):
@@ -235,7 +234,7 @@ def test_matroid_serialization_roundtrip(square_matroid):
 
 def test_relabeling_permutes_circuits(square_matroid):
     perm = {1: 2, 2: 3, 3: 4, 4: 1}
-    moved = square_matroid.relabeled(perm)
+    moved = oracles.relabeled(square_matroid, perm)
     assert circuit_set(moved) == {(frozenset({1, 2}), frozenset({3, 4}))}
 
 
@@ -252,7 +251,7 @@ def assert_same_scan(cfg):
 @pytest.mark.parametrize("n, d", [(4, 1), (4, 2), (5, 1), (5, 3), (6, 4)])
 def test_batched_scan_matches_loop_on_census_draws(n, d):
     rng = np.random.default_rng([77, n, d])
-    draws = [_sample_configuration(n, d, rng) for _ in range(60)]
+    draws = [sample_configuration(n, d, rng) for _ in range(60)]
     draws = [cfg for cfg in draws if cfg.affinely_spans()]
     assert len(draws) > 30
     for cfg in draws:
