@@ -19,9 +19,14 @@ degenerate configurations (sample_configuration), each new matroid closed
 under all n! relabelings (relabeled), until a run of samples adds nothing.
 It is a subset of the exact census, and chirotope gives the signs that the
 package reads circuits from, straight from the points.
-weak_map_matrix calls weak_map_leq once per pair of poset elements, and
+weak_map_matrix calls weak_map_leq once per pair of poset elements.
+order_complex is the recursive chain enumeration, one tuple per chain,
+that the package replaced by growing int arrays one grade at a time.
 gf2_rank_dense / gf2_betti_dense eliminate dense uint8 boundary matrices
-by row XORs, where the package reduces sparse frozenset columns.
+by row XORs, and gf2_betti_sparse is the package's earlier reduction:
+faces looked up in {tuple: index} dicts, frozenset columns pivoting on
+their largest row (gf2_pivots), with clearing.  The package reduces int
+lists that pivot on their smallest row.
 
 The loop references work on Python-int bitmask pairs of their own
 (mask_of, set_of, masks), which the package does not use, and group edges
@@ -588,19 +593,86 @@ def gf2_rank_dense(mat):
     return rank
 
 
+def _tuples(c):
+    """The simplices of c by dimension as sorted lists of vertex tuples."""
+    return [[tuple(row) for row in rows.tolist()] for rows in c.simplices]
+
+
 def gf2_betti_dense(c):
     """Betti numbers over GF(2) from dense boundary matrices."""
-    if not c.simplices:
+    simplices = _tuples(c)
+    if not simplices:
         return []
-    index = [{s: i for i, s in enumerate(lst)} for lst in c.simplices]
-    ranks = [0] * (len(c.simplices) + 1)
-    for k in range(1, len(c.simplices)):
-        lower, upper = c.simplices[k - 1], c.simplices[k]
+    index = [{s: i for i, s in enumerate(lst)} for lst in simplices]
+    ranks = [0] * (len(simplices) + 1)
+    for k in range(1, len(simplices)):
+        lower, upper = simplices[k - 1], simplices[k]
         mat = np.zeros((len(lower), len(upper)), dtype=np.uint8)
         for j, s in enumerate(upper):
             for drop in range(len(s)):
                 mat[index[k - 1][s[:drop] + s[drop + 1 :]], j] = 1
         ranks[k] = gf2_rank_dense(mat)
     return [
-        len(c.simplices[k]) - ranks[k] - ranks[k + 1] for k in range(len(c.simplices))
+        len(simplices[k]) - ranks[k] - ranks[k + 1] for k in range(len(simplices))
     ]
+
+
+def order_complex(poset):
+    """Chains of the poset by dimension, each a tuple, by recursion."""
+    strict_above = [np.flatnonzero(row).tolist() for row in poset.strict()]
+    chains_by_dim = []
+
+    def extend(chain):
+        dim = len(chain) - 1
+        while len(chains_by_dim) <= dim:
+            chains_by_dim.append([])
+        chains_by_dim[dim].append(tuple(chain))
+        for j in strict_above[chain[-1]]:
+            chain.append(j)
+            extend(chain)
+            chain.pop()
+
+    for i in range(len(strict_above)):
+        extend([i])
+    for lst in chains_by_dim:
+        lst.sort()
+    return chains_by_dim
+
+
+def gf2_pivots(columns):
+    """Reduce GF(2) columns, each a frozenset of row indices, left to right.
+
+    A column's pivot is its largest row; while another reduced column owns
+    that pivot, the two are added (symmetric difference).  Returns the
+    pivots of the columns that stay nonzero.
+    """
+    reduced = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = col
+                break
+            col ^= other
+    return set(reduced)
+
+
+def gf2_betti_sparse(c):
+    """Betti numbers over GF(2) by frozenset column reduction with clearing,
+    from the top dimension down."""
+    simplices = _tuples(c)
+    if not simplices:
+        return []
+    ranks = [0] * (len(simplices) + 1)
+    pivots = set()  # of the map one dimension up
+    for k in range(len(simplices) - 1, 0, -1):
+        index = {s: i for i, s in enumerate(simplices[k - 1])}
+        columns = (
+            frozenset([index[s[:drop] + s[drop + 1 :]] for drop in range(len(s))])
+            for j, s in enumerate(simplices[k])
+            if j not in pivots
+        )
+        pivots = gf2_pivots(columns)
+        ranks[k] = len(pivots)
+    return [len(simplices[k]) - ranks[k] - ranks[k + 1] for k in range(len(simplices))]

@@ -200,7 +200,12 @@ def test_simplicial_complex_basics():
     c = rf.SimplicialComplex.from_maximal_faces([(3, 1, 2), (2, 3)])
     assert c.dim == 2
     assert c.counts() == [3, 3, 1]
-    assert c.simplices[0] == [(1,), (2,), (3,)]
+    assert [rows.tolist() for rows in c.simplices] == [
+        [[1], [2], [3]],
+        [[1, 2], [1, 3], [2, 3]],
+        [[1, 2, 3]],
+    ]
+    assert all(rows.dtype.kind == "i" for rows in c.simplices)
     empty = rf.SimplicialComplex.from_maximal_faces([])
     assert empty.counts() == []
     assert rf.gf2_betti(empty) == []
@@ -279,13 +284,36 @@ def test_gf2_betti_matches_dense_elimination_on_flag_complexes():
         assert sum((-1) ** i * b for i, b in enumerate(rf.gf2_betti(c))) == c.euler_characteristic()
 
 
+# the 7-vertex (Moebius-Csaszar) torus
+TORUS = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [
+    (i, (i + 2) % 7, (i + 3) % 7) for i in range(7)
+]
+
+
+def test_gf2_betti_with_rows_in_any_vertex_order():
+    # a chain lists its elements in the poset's order, which need not be
+    # the order of their indices: the same flag complexes with each row's
+    # vertices in a scrambled but consistent order
+    rng = np.random.default_rng(3)
+    for k, p in [(10, 0.45), (9, 0.6), (11, 0.5), (8, 0.8)]:
+        c = _flag_complex(rng, k, p)
+        place = rng.permutation(k)
+        scrambled = rf.SimplicialComplex(
+            simplices=[
+                np.array(sorted(sorted(row, key=place.__getitem__) for row in rows.tolist()))
+                for rows in c.simplices
+            ]
+        )
+        assert rf.gf2_betti(scrambled) == oracles.gf2_betti_dense(c)
+
+
 def test_gf2_betti_of_the_torus():
-    # the 7-vertex (Moebius-Csaszar) torus
-    torus = rf.SimplicialComplex.from_maximal_faces(
-        [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
-        + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
-    )
+    torus = rf.SimplicialComplex.from_maximal_faces(TORUS)
     assert torus.counts() == [7, 21, 14]
+    assert rf.gf2_betti(torus) == oracles.gf2_betti_dense(torus) == [1, 2, 1]
+    # relabeled into large labels in scrambled order
+    labels = np.random.default_rng(7).choice(10**9, size=7, replace=False).tolist()
+    torus = rf.SimplicialComplex.from_maximal_faces([[labels[v] for v in f] for f in TORUS])
     assert rf.gf2_betti(torus) == oracles.gf2_betti_dense(torus) == [1, 2, 1]
 
 
@@ -335,8 +363,7 @@ def test_census_5_1_counts_weak_orders_up_to_reversal():
 
 
 def test_census_6_1_counts_weak_orders_up_to_reversal():
-    # the count alone: the homology of its 273 241 chains takes seconds
-    assert len(rf.enumerate_acyclic_oms(6, 1)) == (_fubini(6) - 1) // 2 == 2341
+    assert _census(6, 1) == ((_fubini(6) - 1) // 2, [1, 1, 1, 1, 1]) == (2341, [1, 1, 1, 1, 1])
 
 
 @pytest.mark.parametrize(
@@ -374,3 +401,114 @@ def test_census_5_2_completes(tmp_path):
     assert betti == [1, 1, 2, 1, 1]
     chi = sum((-1) ** k * c for k, c in enumerate(counts))
     assert chi == sum((-1) ** k * b for k, b in enumerate(betti)) == oc["euler_characteristic"]
+
+
+def _bare_poset(leq):
+    """A poset with the order leq; order_complex reads nothing else."""
+    m = rf.OrientedMatroid(rf.GroundSet(4, 2), frozenset())
+    return rf.MatroidPoset(elements=[m] * len(leq), leq=leq)
+
+
+def _random_poset(rng, k, p):
+    """The transitive closure of a random DAG on k elements, relabeled so
+    that the order does not follow the element indices."""
+    perm = rng.permutation(k)
+    leq = np.eye(k, dtype=bool) | np.triu(rng.random((k, k)) < p, 1)[np.ix_(perm, perm)]
+    while True:
+        closed = leq | ((leq.astype(np.int64) @ leq.astype(np.int64)) > 0)
+        if (closed == leq).all():
+            return _bare_poset(leq)
+        leq = closed
+
+
+def _face_poset(facets):
+    """The nonempty faces of a simplicial complex ordered by inclusion; its
+    order complex is the barycentric subdivision."""
+    faces = {
+        frozenset(s)
+        for f in facets
+        for size in range(1, len(f) + 1)
+        for s in itertools.combinations(f, size)
+    }
+    faces = sorted(faces, key=lambda s: (len(s), sorted(s)))
+    return _bare_poset(np.array([[a <= b for b in faces] for a in faces], dtype=bool))
+
+
+def _oracle_posets():
+    rng = np.random.default_rng(1013)
+    g = rf.GroundSet(4, 2)
+    three_chain = rf.MatroidPoset.from_elements(
+        [
+            rf.OrientedMatroid(g, frozenset({rf.Circuit.make({2}, {4})})),
+            rf.OrientedMatroid(g, frozenset({rf.Circuit.make({2, 3}, {4})})),
+            rf.OrientedMatroid(g, frozenset({rf.Circuit.make({1, 4}, {2, 3})})),
+        ]
+    )
+    return {
+        "three-chain": three_chain,
+        "torus-faces": _face_poset(TORUS),
+        **{
+            f"dag-{k}-{p}": _random_poset(rng, k, p)
+            for k, p in [(1, 0.5), (7, 0.4), (12, 0.2), (18, 0.15), (24, 0.06), (30, 0.05)]
+        },
+    }
+
+
+ORACLE_POSETS = _oracle_posets()
+CENSUS_SHAPES = [(4, 1), (4, 2), (5, 1), (5, 3), (6, 4)]
+
+
+@pytest.fixture(scope="module", params=CENSUS_SHAPES, ids=lambda s: "%d-%d" % s)
+def census_poset(request):
+    return rf.MatroidPoset.from_elements(rf.enumerate_acyclic_oms(*request.param))
+
+
+def _assert_order_complex_matches_recursion(poset):
+    oc = rf.order_complex(poset)
+    reference = oracles.order_complex(poset)
+    assert [rows.tolist() for rows in oc.simplices] == [
+        [list(chain) for chain in lst] for lst in reference
+    ]
+    assert oc.counts() == [len(lst) for lst in reference]
+    return oc
+
+
+def test_census_order_complex_and_betti_match_the_references(census_poset):
+    oc = _assert_order_complex_matches_recursion(census_poset)
+    assert rf.gf2_betti(oc) == oracles.gf2_betti_sparse(oc)
+    if max(oc.counts()) < 10_000:  # dense matrices at (6,4) would take 174 MB
+        assert rf.gf2_betti(oc) == oracles.gf2_betti_dense(oc)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POSETS))
+def test_order_complex_and_betti_match_the_references_on_small_posets(name):
+    oc = _assert_order_complex_matches_recursion(ORACLE_POSETS[name])
+    assert rf.gf2_betti(oc) == oracles.gf2_betti_dense(oc) == oracles.gf2_betti_sparse(oc)
+    if name == "torus-faces":  # the barycentric subdivision keeps the torus's homology
+        assert oc.counts() == [42, 126, 84]
+        assert rf.gf2_betti(oc) == [1, 2, 1]
+
+
+# labels near 10**9: packing a 10-vertex row into one int64 by label would
+# need 10**90; the boundary of an 11-vertex simplex (a 9-sphere) plus a
+# hollow triangle
+BIG = [10**9 - 7919 * i for i in range(14)]
+BIG_FACETS = [
+    [v for v in BIG[:11] if v != skip] for skip in BIG[:11]
+] + [[BIG[11], BIG[12]], [BIG[12], BIG[13]], [BIG[11], BIG[13]]]
+
+
+def test_gf2_betti_with_large_labels_and_a_ten_vertex_facet():
+    c = rf.SimplicialComplex.from_maximal_faces(BIG_FACETS)
+    assert c.counts() == [14, 58, 165, 330, 462, 462, 330, 165, 55, 11]
+    assert c.simplices[0][:, 0].tolist() == sorted(BIG)
+    assert rf.gf2_betti(c) == oracles.gf2_betti_dense(c) == [2, 1, 0, 0, 0, 0, 0, 0, 0, 1]
+
+
+def test_homology_command_with_large_labels(tmp_path):
+    config = tmp_path / "facets.json"
+    config.write_text(json.dumps({"facets": BIG_FACETS}))
+    assert main(["homology", "--config", str(config), "--out", str(tmp_path)]) == 0
+    betti = json.loads((tmp_path / "betti.json").read_text())
+    assert betti["betti_gf2"] == [2, 1, 0, 0, 0, 0, 0, 0, 0, 1]
+    assert betti["simplex_counts"] == [14, 58, 165, 330, 462, 462, 330, 165, 55, 11]
