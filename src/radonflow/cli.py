@@ -8,7 +8,10 @@ Subcommands:
 
 Exit codes: 0 success (face exits included), 2 input error, 3 unsupported
 range, 4 numerical failure.  All runs with the same inputs and seed write
-byte-identical outputs apart from the generated_at stamps.
+byte-identical outputs apart from the generated_at stamps.  Every JSON
+output is laid out as json.dumps(payload, indent=2, sort_keys=True) lays it
+out, byte for byte: 2-space indent, sorted keys, ASCII only (non-ASCII
+characters as \\u escapes), NaN and Infinity as json spells them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import argparse
 import datetime
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -57,17 +62,80 @@ from .macphersonian import (
 )
 
 SCHEMA_VERSION = 1
+_NUMBERS = {int, float}
+# json's own indented encoder, for the values _texts does not lay out itself
+_indented_json = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
 def _stamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _json_text(value) -> str:
+    """The text json.dumps(value, indent=2, sort_keys=True) writes for value."""
+    return _texts([value], "")[0]
+
+
+def _texts(values: list, pad: str) -> list[str]:
+    """The indented JSON text of each of values, nested at indentation pad.
+
+    The pure-Python encoder that json runs once indent is set makes a
+    generator call per value.  Here a column of values is laid out at once:
+    a string template per shape, filled by one % over the whole column.
+    Plain ints and finite floats fill %r slots (json writes their repr),
+    lists fill a row template per length with the texts of all their items,
+    and dicts that share one set of str keys fill one record template with
+    the texts of their value columns.  A value of any other kind (bools,
+    None, strings, empty or non-str-keyed dicts, tuples) goes to json
+    itself, re-indented by replacing each newline: json never writes a raw
+    newline inside a string.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _NUMBERS:
+        return _fill(["%r"] * len(values), values, kinds)
+    inner = pad + "  "
+    if kinds == {list}:
+        items = list(chain.from_iterable(values))
+        kinds = set(map(type, items))
+        if kinds <= _NUMBERS:
+            slot, fields = "%r", items
+        else:
+            slot, fields, kinds = "%s", _texts(items, inner), ()
+        lengths = list(map(len, values))
+        rows = {
+            k: "[\n" + inner + (",\n" + inner).join([slot] * k) + "\n" + pad + "]" if k else "[]"
+            for k in set(lengths)
+        }
+        return _fill(list(map(rows.__getitem__, lengths)), fields, kinds)
+    if kinds == {dict}:
+        keys = values[0].keys()
+        if keys and all(type(k) is str for k in keys) and all(v.keys() == keys for v in values):
+            keys = sorted(keys)
+            record = (
+                "{\n" + inner
+                + (",\n" + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+                + "\n" + pad + "}"
+            )
+            columns = [_texts([v[k] for v in values], inner) for k in keys]
+            return _fill([record] * len(values), list(chain.from_iterable(zip(*columns))), ())
+    if len(values) == 1:
+        return [_indented_json(values[0]).replace("\n", "\n" + pad)]
+    return [_texts([v], pad)[0] for v in values]
+
+
+def _fill(templates: list[str], fields: list, kinds) -> list[str]:
+    """Each template filled from fields in turn, by one % over all of them."""
+    text = "\x00".join(templates) % tuple(fields)  # no JSON text holds a raw NUL
+    if float in kinds:  # json spells repr's nan, inf and -inf its own way
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text.split("\x00")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
     payload["generated_at"] = _stamp()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(payload) + "\n")
 
 
 def _write_trace_csv(path: Path, trace) -> None:
@@ -105,9 +173,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     complex_payload["facets"] = [
         {"dim": cell.dim, "vertices": sorted(cell.vertices)} for cell in rc.facets
     ]
-    complex_payload["positions"] = [
-        [float(x) for x in row] for row in rc.positions
-    ]
+    complex_payload["positions"] = rc.positions.tolist()
     _write_json(out / "radon_complex.json", complex_payload)
     sphere_payload = report.to_dict()
     sphere_payload["combinatorial_graph_matches"] = matches
@@ -133,7 +199,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
     seed = int(args.seed if args.seed is not None else data.get("seed", 0))
     delta = float(args.delta if args.delta is not None else data.get("delta", 0.05))
-    reps = int(data.get("repetitions", 1))
+    reps = data.get("repetitions", 1)
+    if type(reps) is not int or reps < 1:
+        raise ValueError(f"'repetitions' must be an integer >= 1, not {json.dumps(reps)}")
     default = FlowParams()
     params = FlowParams(
         h=float(args.step if args.step is not None else data.get("step", default.h)),
@@ -258,6 +326,10 @@ def cmd_homology(args: argparse.Namespace) -> int:
         faces = data["facets"]
         if not isinstance(faces, list) or not faces:
             raise ValueError("'facets' must be a nonempty list of vertex lists")
+        for f in faces:
+            # bools are ints to Python, and True == 1 would merge two labels
+            if not isinstance(f, list) or not all(type(v) is int for v in f):
+                raise ValueError(f"facet {json.dumps(f)} is not a list of integer labels")
         labels = sorted({v for f in faces for v in f})
         index = {v: i for i, v in enumerate(labels)}
         complex_ = SimplicialComplex.from_maximal_faces(
@@ -267,8 +339,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
         k = len(data["elements"])
         leq = np.eye(k, dtype=bool)
         for i, j in data["hasse"]:
-            if not all(isinstance(x, int) and 0 <= x < k for x in (i, j)):
-                raise ValueError(f"hasse pair [{i}, {j}] names no element of 0..{k - 1}")
+            if not all(type(x) is int and 0 <= x < k for x in (i, j)):
+                raise ValueError(f"hasse pair {json.dumps([i, j])} names no element of 0..{k - 1}")
             leq[i, j] = True
         for _ in range(k):
             closed = leq | (leq @ leq)

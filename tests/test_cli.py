@@ -174,6 +174,15 @@ def test_flow_config_needs_points_or_shape(tmp_path):
     assert main(["flow", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("reps", [0, -1, 1.5, True, "2"])
+def test_flow_rejects_repetitions_below_one_or_not_integers(tmp_path, capsys, reps):
+    cfg = pentagon_cfg(tmp_path, reps=reps)
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+    assert f"'repetitions' must be an integer >= 1, not {json.dumps(reps)}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_macphersonian_4_2(tmp_path):
     out = tmp_path / "out"
     assert main(["macphersonian", "4", "2", "--out", str(out)]) == 0
@@ -223,15 +232,32 @@ def test_macphersonian_rejects_too_large_census_before_enumerating(tmp_path, mon
 
 @pytest.mark.parametrize(
     "hasse",
-    [[[0, 1], [5, 0]], [[-1, 0]], [[0.7, 1.9]], [[0, 1], [1, 2], [2, 0]]],
-    ids=["index-past-end", "negative-index", "fractional-index", "cyclic-order"],
+    [[[0, 1], [5, 0]], [[-1, 0]], [[0.7, 1.9]], [[0, 1], [1, 2], [2, 0]], [[0, 1], [True, 2]]],
+    ids=["index-past-end", "negative-index", "fractional-index", "cyclic-order", "bool-index"],
 )
-def test_homology_rejects_malformed_hasse(tmp_path, hasse):
+def test_homology_rejects_malformed_hasse(tmp_path, capsys, hasse):
     mac_out = tmp_path / "mac"
     assert main(["macphersonian", "4", "1", "--out", str(mac_out)]) == 0
     cfg = tmp_path / "bad.json"
     write_json(cfg, {"elements": load(mac_out / "poset.json")["elements"][:3], "hasse": hasse})
     assert main(["homology", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    if hasse[-1][0] is True:  # True == 1, so [true, 2] once read as the pair [1, 2]
+        assert "hasse pair [true, 2] names no element" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [[[True, 2], [2, 3], [1, 3]], [[1, 2], [2, "3"], [1, 3]], [[1, 2], [2, 3.0]], [[1, 2], 3]],
+    ids=["bool-label", "string-label", "float-label", "facet-not-a-list"],
+)
+def test_homology_rejects_malformed_facets(tmp_path, capsys, facets):
+    cfg = tmp_path / "bad.json"
+    write_json(cfg, {"facets": facets})
+    out = tmp_path / "out"
+    assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
+    bad = next(f for f in facets if not isinstance(f, list) or any(type(v) is not int for v in f))
+    assert f"facet {json.dumps(bad)} is not a list of integer labels" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_homology_facets(tmp_path):
