@@ -82,7 +82,8 @@ def _texts(values: list, pad: str) -> list[str]:
     The pure-Python encoder that json runs once indent is set makes a
     generator call per value.  Here a column of values is laid out at once:
     a string template per shape, filled by one % over the whole column.
-    Plain ints and finite floats fill %r slots (json writes their repr),
+    Plain ints and floats fill %r slots (json writes their repr, but for
+    the non-finite floats),
     lists fill a row template per length with the texts of all their items,
     and dicts that share one set of str keys fill one record template with
     the texts of their value columns.  A value of any other kind (bools,
@@ -92,21 +93,21 @@ def _texts(values: list, pad: str) -> list[str]:
     """
     kinds = set(map(type, values))
     if kinds <= _NUMBERS:
-        return _fill(["%r"] * len(values), values, kinds)
+        return _fill(["%r"] * len(values), values, float in kinds)
     inner = pad + "  "
     if kinds == {list}:
         items = list(chain.from_iterable(values))
         kinds = set(map(type, items))
         if kinds <= _NUMBERS:
-            slot, fields = "%r", items
+            slot, fields, floats = "%r", items, float in kinds
         else:
-            slot, fields, kinds = "%s", _texts(items, inner), ()
+            slot, fields, floats = "%s", _texts(items, inner), False
         lengths = list(map(len, values))
         rows = {
             k: "[\n" + inner + (",\n" + inner).join([slot] * k) + "\n" + pad + "]" if k else "[]"
             for k in set(lengths)
         }
-        return _fill(list(map(rows.__getitem__, lengths)), fields, kinds)
+        return _fill(list(map(rows.__getitem__, lengths)), fields, floats)
     if kinds == {dict}:
         keys = values[0].keys()
         if keys and all(type(k) is str for k in keys) and all(v.keys() == keys for v in values):
@@ -117,16 +118,21 @@ def _texts(values: list, pad: str) -> list[str]:
                 + "\n" + pad + "}"
             )
             columns = [_texts([v[k] for v in values], inner) for k in keys]
-            return _fill([record] * len(values), list(chain.from_iterable(zip(*columns))), ())
+            return _fill([record] * len(values), list(chain.from_iterable(zip(*columns))), False)
     if len(values) == 1:
         return [_indented_json(values[0]).replace("\n", "\n" + pad)]
     return [_texts([v], pad)[0] for v in values]
 
 
-def _fill(templates: list[str], fields: list, kinds) -> list[str]:
-    """Each template filled from fields in turn, by one % over all of them."""
+def _fill(templates: list[str], fields: list, floats: bool) -> list[str]:
+    """Each template filled from fields in turn, by one % over all of them.
+
+    floats says that fields holds floats for %r slots: a finite float's
+    repr never holds an "n", and json spells repr's nan, inf and -inf as
+    NaN, Infinity and -Infinity.
+    """
     text = "\x00".join(templates) % tuple(fields)  # no JSON text holds a raw NUL
-    if float in kinds:  # json spells repr's nan, inf and -inf its own way
+    if floats:
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text.split("\x00")
 
