@@ -82,14 +82,13 @@ def _texts(values: list, pad: str) -> list[str]:
     The pure-Python encoder that json runs once indent is set makes a
     generator call per value.  Here a column of values is laid out at once:
     a string template per shape, filled by one % over the whole column.
-    Plain ints and floats fill %r slots (json writes their repr, but for
-    the non-finite floats),
-    lists fill a row template per length with the texts of all their items,
-    and dicts that share one set of str keys fill one record template with
-    the texts of their value columns.  A value of any other kind (bools,
-    None, strings, empty or non-str-keyed dicts, tuples) goes to json
-    itself, re-indented by replacing each newline: json never writes a raw
-    newline inside a string.
+    Plain ints and floats fill %r slots (json writes their repr, apart from
+    the non-finite floats), lists fill a row template per length with the
+    texts of all their items, and dicts that share one set of str keys fill
+    one record template with the texts of their value columns.  A value of
+    any other kind (bools, None, strings, empty or non-str-keyed dicts,
+    tuples) goes to json itself, re-indented by replacing each newline:
+    json never writes a raw newline inside a string.
     """
     kinds = set(map(type, values))
     if kinds <= _NUMBERS:
