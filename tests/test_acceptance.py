@@ -236,6 +236,11 @@ def _run_twice(tmp_path, tag, argv_of):
             if '"generated_at"' not in line and not line.startswith("# generated_at")
         ]
         assert ta == tb, f"{tag}/{name} differs between identical runs"
+        if name.endswith(".json"):
+            text = (first / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", (
+                f"{tag}/{name} is not laid out as json.dumps(indent=2, sort_keys=True)"
+            )
     return names
 
 

@@ -2,7 +2,9 @@
 
 Every output goes through cli._json_text; a spy records each payload with
 the text written for it, and each written file is also checked on its own
-against the oracle's layout of what it holds.
+against the oracle's layout of what it holds. The outputs of the
+criterion-8 commands get the per-file check in test_acceptance.py, where
+those commands already run.
 """
 
 import json
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import radonflow.cli as cli
-from conftest import SQUARE, pentagon_points, sample_degenerate_points, sample_spanning_points
+from conftest import sample_degenerate_points, sample_spanning_points
 from radonflow.cli import main
 
 
@@ -48,21 +50,6 @@ def check_outputs(written, *outs):
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def test_criterion_8_outputs(tmp_path, written):
-    square = write_config(tmp_path / "square.json", {"points": SQUARE, "d": 2})
-    pentagon = write_config(tmp_path / "pentagon.json", {
-        "points": pentagon_points().tolist(), "d": 2, "repetitions": 1,
-    })
-    circle = write_config(tmp_path / "circle.json", {"facets": [[1, 2], [2, 3], [1, 3]]})
-    outs = [tmp_path / name for name in ("analyze", "flow", "mac", "homology")]
-    assert main(["analyze", "--config", square, "--out", str(outs[0])]) == 0
-    assert main(["flow", "--config", pentagon, "--seed", "7", "--delta", "0.05",
-                 "--out", str(outs[1])]) == 0
-    assert main(["macphersonian", "4", "2", "--out", str(outs[2])]) == 0
-    assert main(["homology", "--config", circle, "--out", str(outs[3])]) == 0
-    check_outputs(written, *outs)
 
 
 LADDER = [(7, 2), (8, 2), (8, 3), (9, 3), (9, 4), (10, 5), (10, 4)]
