@@ -62,7 +62,6 @@ from .macphersonian import (
     cell_structure_m42,
     enumerate_acyclic_oms,
     gf2_betti,
-    gf2_rank,
     order_complex,
 )
 
@@ -108,7 +107,6 @@ __all__ = [
     "enumerate_acyclic_oms",
     "geometric_radon_complex",
     "gf2_betti",
-    "gf2_rank",
     "graphs_equal",
     "integrate",
     "is_radon_partition",

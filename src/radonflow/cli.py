@@ -310,7 +310,7 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
         },
     )
     if (n, d) == (4, 2):
-        report = cell_structure_m42(elements)
+        report = cell_structure_m42(poset)
         _write_json(out / "m42_cells.json", report.to_dict())
         print(
             f"macphersonian(4,2): {len(elements)} elements, {uniform} uniform, "
@@ -335,6 +335,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
             # bools are ints to Python, and True == 1 would merge two labels
             if not isinstance(f, list) or not all(type(v) is int for v in f):
                 raise ValueError(f"facet {json.dumps(f)} is not a list of integer labels")
+            if not f:
+                raise ValueError("a facet needs at least one vertex")
         labels = sorted({v for f in faces for v in f})
         index = {v: i for i, v in enumerate(labels)}
         complex_ = SimplicialComplex.from_maximal_faces(
@@ -342,18 +344,17 @@ def cmd_homology(args: argparse.Namespace) -> int:
         )
     elif "elements" in data and "hasse" in data:
         k = len(data["elements"])
-        leq = np.eye(k, dtype=bool)
+        if not k:
+            raise ValueError("'elements' must be a nonempty list of oriented matroids")
+        pairs = set()
         for i, j in data["hasse"]:
             if not all(type(x) is int and 0 <= x < k for x in (i, j)):
                 raise ValueError(f"hasse pair {json.dumps([i, j])} names no element of 0..{k - 1}")
-            leq[i, j] = True
-        for _ in range(k):
-            closed = leq | (leq @ leq)
-            if (closed == leq).all():
-                break
-            leq = closed
-        elements = [OrientedMatroid.from_dict(m) for m in data["elements"]]
-        complex_ = order_complex(MatroidPoset(elements=elements, leq=leq))
+            pairs.add((i, j))
+        poset = MatroidPoset.from_elements([OrientedMatroid.from_dict(m) for m in data["elements"]])
+        if pairs != set(poset.hasse_pairs()):
+            raise ValueError("'hasse' is not the cover relation of the weak-map order of 'elements'")
+        complex_ = order_complex(poset)
     else:
         raise ValueError("homology input needs 'facets' or 'elements' + 'hasse'")
     betti = gf2_betti(complex_)

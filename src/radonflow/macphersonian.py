@@ -19,6 +19,9 @@ For n = 4, d = 2 the poset has 25 elements (7 uniform, 12 with a collinear
 triple, 6 with a coincident pair) matching the cells of the antipodal
 quotient of the zero-sum cross-polytope slice: face vector (6, 12, 7),
 Euler characteristic 1, Betti (1, 1, 1), a projective plane.
+cell_structure_m42 reads that cell structure off the census poset itself
+(its grades, its covers and its uniform elements' circuits), so the
+m42_cells.json report checks the census's order.
 """
 
 from __future__ import annotations
@@ -356,12 +359,6 @@ def _gf2_pivots(columns) -> list[int]:
     return list(reduced)
 
 
-def gf2_rank(mat: np.ndarray) -> int:
-    """Rank of a 0/1 matrix over GF(2) by column reduction."""
-    columns = [np.flatnonzero(col).tolist() for col in np.array(mat, dtype=np.uint8).T & 1]
-    return len(_gf2_pivots(col for col in columns if col))
-
-
 def gf2_betti(c: SimplicialComplex) -> list[int]:
     """Betti numbers over GF(2) from boundary ranks, by column reduction.
 
@@ -419,44 +416,36 @@ class M42Report:
         }
 
 
-def cell_structure_m42(elements: list[OrientedMatroid]) -> M42Report:
-    """Identify the uniform matroids of the (4, 2) census, elements, with
-    the facets of the antipodally reduced cross-polytope slice in R^4.
+def cell_structure_m42(poset: MatroidPoset) -> M42Report:
+    """Read the cells of the antipodal quotient of the zero-sum cross-polytope
+    slice in R^4 off the (4, 2) census poset.
 
-    Faces of the slice are the sign patterns on {1,2,3,4} with both signs
-    present; antipodal identification keeps one of each {sigma, -sigma}.
+    An element's grade is the length of the longest chain below it: the
+    last vertex of a chain of order_complex.  The cells of dimension g are
+    the elements of grade g, and a top cell covering 4 elements is a square,
+    one covering 3 a triangle.  The slice's facets are the sign patterns on
+    {1, 2, 3, 4} with both signs present, one of each +/- pair; the top
+    elements should hold one circuit each, and those circuits should be
+    these 7 patterns.
     """
-    cells_by_size: dict[int, set[tuple[frozenset[int], frozenset[int]]]] = {2: set(), 3: set(), 4: set()}
-    elems = [1, 2, 3, 4]
-    for sub_size in (2, 3, 4):
-        for sub in itertools.combinations(elems, sub_size):
-            for pos_size in range(1, sub_size):
-                for pos in itertools.combinations(sub, pos_size):
-                    pos_set = frozenset(pos)
-                    neg_set = frozenset(sub) - pos_set
-                    # antipodal representative: smallest support element positive
-                    if min(sub) in neg_set:
-                        pos_set, neg_set = neg_set, pos_set
-                    cells_by_size[sub_size].add((pos_set, neg_set))
-    face_vector = (
-        len(cells_by_size[2]),
-        len(cells_by_size[3]),
-        len(cells_by_size[4]),
-    )
-    chi = face_vector[0] - face_vector[1] + face_vector[2]
-    squares = sum(1 for p, q in cells_by_size[4] if len(p) == 2)
-    triangles = sum(1 for p, q in cells_by_size[4] if len(p) in (1, 3))
-
-    uniform = [m for m in elements if m.is_uniform]
-    facet_of_matroid = set()
-    for m in uniform:
-        (c,) = m.circuits
-        facet_of_matroid.add((c.pos, c.neg))
-    bijection = facet_of_matroid == cells_by_size[4] and len(uniform) == 7
+    grade = np.zeros(len(poset), np.int64)
+    for g, chains in enumerate(order_complex(poset).simplices):
+        grade[chains[:, -1]] = g
+    face_vector = tuple(np.bincount(grade).tolist())
+    top = np.flatnonzero(grade == grade.max())
+    covers = np.bincount([j for _, j in poset.hasse_pairs()], minlength=len(poset))[top]
+    held = [poset.elements[j].circuits for j in top]
+    patterns = {
+        Circuit.make(pos, {1, 2, 3, 4} - set(pos))
+        for k in (1, 2, 3)
+        for pos in itertools.combinations((1, 2, 3, 4), k)
+    }
     return M42Report(
         face_vector=face_vector,
-        euler_characteristic=chi,
-        square_facets=squares,
-        triangle_facets=triangles,
-        matroid_facet_bijection=bijection,
+        euler_characteristic=sum((-1) ** g * f for g, f in enumerate(face_vector)),
+        square_facets=int((covers == 4).sum()),
+        triangle_facets=int((covers == 3).sum()),
+        matroid_facet_bijection=len(held) == len(patterns)
+        and all(len(c) == 1 for c in held)
+        and set().union(*held) == patterns,
     )

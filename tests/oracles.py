@@ -22,6 +22,8 @@ package reads circuits from, straight from the points.
 weak_map_matrix calls weak_map_leq once per pair of poset elements.
 order_complex is the recursive chain enumeration, one tuple per chain,
 that the package replaced by growing int arrays one grade at a time.
+gf2_rank is the rank of a 0/1 matrix by the package's column reduction
+(_gf2_pivots), which the package itself only runs on boundary faces.
 gf2_rank_dense / gf2_betti_dense eliminate dense uint8 boundary matrices
 by row XORs, and gf2_betti_sparse is the package's earlier reduction:
 faces looked up in {tuple: index} dicts, frozenset columns pivoting on
@@ -54,6 +56,7 @@ import numpy as np
 import radonflow as rf
 from radonflow.complexes import _ordered_vertices
 from radonflow.core import ELIMINATION_CAP, KERNEL_RTOL, circuit_dependences
+from radonflow.macphersonian import _gf2_pivots
 
 
 def mask_of(elements) -> int:
@@ -567,6 +570,12 @@ def hasse_pairs(leq):
 def maximal_indices(leq):
     k = len(leq)
     return [i for i in range(k) if not any(leq[i, j] and i != j for j in range(k))]
+
+
+def gf2_rank(mat):
+    """Rank of a 0/1 matrix over GF(2) by column reduction."""
+    columns = [np.flatnonzero(col).tolist() for col in np.array(mat, dtype=np.uint8).T & 1]
+    return len(_gf2_pivots(col for col in columns if col))
 
 
 def gf2_rank_dense(mat):

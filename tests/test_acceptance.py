@@ -138,11 +138,11 @@ def test_criterion_4_m42_census(capsys):
         elements = rf.enumerate_acyclic_oms(4, 2)
         uniform = [m for m in elements if m.is_uniform]
         assert len(uniform) == 7
-        report = rf.cell_structure_m42(elements)
+        poset = rf.MatroidPoset.from_elements(elements)
+        report = rf.cell_structure_m42(poset)
         assert report.face_vector == (6, 12, 7)
         assert report.euler_characteristic == 1
         assert report.matroid_facet_bijection
-        poset = rf.MatroidPoset.from_elements(elements)
         betti = rf.gf2_betti(rf.order_complex(poset))
         assert betti == [1, 1, 1]
         elapsed = time.monotonic() - t0

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -258,6 +259,74 @@ def test_homology_rejects_malformed_facets(tmp_path, capsys, facets):
     bad = next(f for f in facets if not isinstance(f, list) or any(type(v) is not int for v in f))
     assert f"facet {json.dumps(bad)} is not a list of integer labels" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"facets": [[]]}, "a facet needs at least one vertex"),
+        ({"facets": [[1, 2], []]}, "a facet needs at least one vertex"),
+        ({"elements": [], "hasse": []}, "'elements' must be a nonempty list"),
+    ],
+    ids=["empty-facet", "empty-facet-among-others", "no-elements"],
+)
+def test_homology_rejects_empty_input(tmp_path, capsys, config, message):
+    cfg = tmp_path / "empty.json"
+    write_json(cfg, config)
+    out = tmp_path / "out"
+    assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+CENSUS_SHAPES = [(4, 1), (4, 2), (5, 1), (5, 3), (6, 4)]
+
+
+@pytest.fixture(scope="module", params=CENSUS_SHAPES, ids=lambda s: "%d-%d" % s)
+def census_out(request, tmp_path_factory):
+    out = tmp_path_factory.mktemp("census")
+    assert main(["macphersonian", *map(str, request.param), "--out", str(out)]) == 0
+    return out
+
+
+def test_homology_reproduces_the_census_order_complex(census_out, tmp_path):
+    assert main(["homology", "--config", str(census_out / "poset.json"),
+                 "--out", str(tmp_path)]) == 0
+    betti = load(tmp_path / "betti.json")
+    oc = load(census_out / "order_complex.json")
+    for key in ("simplex_counts", "euler_characteristic", "betti_gf2"):
+        assert betti[key] == oc[key]
+
+
+def _tampered(poset, how):
+    """poset.json with its hasse pairs dropped from, added to or shuffled."""
+    hasse = [tuple(p) for p in poset["hasse"]]
+    if how == "drop-first":
+        hasse = hasse[1:]
+    elif how == "add-non-cover":
+        # a < b < c makes (a, c) a strict pair that is no cover
+        above = {}
+        for a, b in hasse:
+            above.setdefault(a, []).append(b)
+        a, b = next(p for p in hasse if p[1] in above)
+        hasse.append((a, above[b][0]))
+    else:
+        random.Random(5).shuffle(hasse)
+    return {**poset, "hasse": [list(p) for p in hasse]}
+
+
+@pytest.mark.parametrize("how, code", [("drop-first", 2), ("add-non-cover", 2), ("shuffle", 0)])
+def test_homology_needs_exactly_the_census_covers(census_out, tmp_path, capsys, how, code):
+    cfg = tmp_path / "poset.json"
+    write_json(cfg, _tampered(load(census_out / "poset.json"), how))
+    out = tmp_path / "out"
+    assert main(["homology", "--config", str(cfg), "--out", str(out)]) == code
+    if code:
+        assert "'hasse' is not the cover relation" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        betti = load(out / "betti.json")
+        assert betti["betti_gf2"] == load(census_out / "order_complex.json")["betti_gf2"]
 
 
 def test_homology_facets(tmp_path):

@@ -141,12 +141,12 @@ def test_poset_rejects_non_antisymmetric_input():
 
 
 def test_gf2_rank():
-    assert rf.gf2_rank(np.eye(3, dtype=int)) == 3
-    assert rf.gf2_rank(np.array([[1, 1], [1, 1]])) == 1
-    assert rf.gf2_rank(np.array([[1, 1], [1, 0]])) == 2
-    assert rf.gf2_rank(np.zeros((2, 3), dtype=int)) == 0
+    assert oracles.gf2_rank(np.eye(3, dtype=int)) == 3
+    assert oracles.gf2_rank(np.array([[1, 1], [1, 1]])) == 1
+    assert oracles.gf2_rank(np.array([[1, 1], [1, 0]])) == 2
+    assert oracles.gf2_rank(np.zeros((2, 3), dtype=int)) == 0
     # over GF(2) the all-ones 3x3 has rank 1, not 2 as over the rationals
-    assert rf.gf2_rank(np.ones((3, 3), dtype=int)) == 1
+    assert oracles.gf2_rank(np.ones((3, 3), dtype=int)) == 1
 
 
 def test_gf2_betti_on_known_spaces():
@@ -181,11 +181,11 @@ def test_order_complex_betti_matches_cell_betti(poset42):
     # homology as the 7-facet cell structure it subdivides
     oc = rf.order_complex(poset42)
     assert rf.gf2_betti(oc) == [1, 1, 1]
-    assert oc.euler_characteristic() == rf.cell_structure_m42(poset42.elements).euler_characteristic
+    assert oc.euler_characteristic() == rf.cell_structure_m42(poset42).euler_characteristic
 
 
-def test_cell_structure_m42(oms42):
-    report = rf.cell_structure_m42(oms42)
+def test_cell_structure_m42(poset42):
+    report = rf.cell_structure_m42(poset42)
     assert report.face_vector == (6, 12, 7)
     assert report.euler_characteristic == 1
     assert report.square_facets == 3
@@ -322,14 +322,30 @@ def test_gf2_rank_matches_dense_elimination():
     for rows, cols, p in [(1, 1, 0.5), (5, 9, 0.5), (40, 30, 0.2), (70, 90, 0.5), (0, 3, 0.5)]:
         for _ in range(5):
             mat = (rng.random((rows, cols)) < p).astype(int)
-            assert rf.gf2_rank(mat) == oracles.gf2_rank_dense(mat)
-            assert rf.gf2_rank(mat.T) == rf.gf2_rank(mat)
+            assert oracles.gf2_rank(mat) == oracles.gf2_rank_dense(mat)
+            assert oracles.gf2_rank(mat.T) == oracles.gf2_rank(mat)
 
 
-def test_cell_structure_m42_reuses_given_elements(oms42):
-    assert rf.cell_structure_m42(oms42).ok
-    # the report reads the uniform matroids it is given
-    assert not rf.cell_structure_m42(oms42[:-1]).matroid_facet_bijection
+def test_cell_structure_m42_reuses_given_elements(oms42, poset42):
+    assert rf.cell_structure_m42(poset42).ok
+    # the report reads the uniform matroids of the poset it is given
+    assert oms42[-1].is_uniform
+    fewer = rf.MatroidPoset.from_elements(oms42[:-1])
+    assert not rf.cell_structure_m42(fewer).matroid_facet_bijection
+
+
+def test_cell_structure_m42_reads_the_order(poset42):
+    # drop one cover below a top cell from the order; it stays transitive,
+    # since nothing lies strictly between a cover's ends
+    top = set(poset42.maximal_indices())
+    i, j = next((i, j) for i, j in poset42.hasse_pairs() if j in top)
+    leq = poset42.leq.copy()
+    leq[i, j] = False
+    as_int = leq.astype(np.int64)
+    assert ((as_int @ as_int > 0) == leq).all()
+    report = rf.cell_structure_m42(rf.MatroidPoset(elements=poset42.elements, leq=leq))
+    assert (report.square_facets, report.triangle_facets) != (3, 4)
+    assert report.to_dict()["ok"] is False
 
 
 def _fubini(n):
@@ -471,6 +487,29 @@ def _assert_order_complex_matches_recursion(poset):
     ]
     assert oc.counts() == [len(lst) for lst in reference]
     return oc
+
+
+def _grades(poset):
+    """Each element's grade: the length of the longest chain below it."""
+    grade = np.zeros(len(poset), np.int64)
+    for g, chains in enumerate(rf.order_complex(poset).simplices):
+        grade[chains[:, -1]] = g
+    return grade
+
+
+# f by grade and the number of distinct sets of circuit supports
+GRADED = {(4, 2): ([6, 12, 7], 11), (6, 4): ([15, 60, 105, 90, 31], 57)}
+
+
+def test_census_covers_span_one_grade_and_grades_follow_the_supports(census_poset):
+    grade = _grades(census_poset)
+    assert all(grade[j] - grade[i] == 1 for i, j in census_poset.hasse_pairs())
+    by_supports = {}
+    for m, g in zip(census_poset.elements, grade.tolist()):
+        assert by_supports.setdefault(frozenset(c.support for c in m.circuits), g) == g
+    ground = census_poset.elements[0].ground
+    if (ground.n, ground.d) in GRADED:
+        assert (np.bincount(grade).tolist(), len(by_supports)) == GRADED[ground.n, ground.d]
 
 
 def test_census_order_complex_and_betti_match_the_references(census_poset):
