@@ -34,6 +34,7 @@ from .core import (
     _conforming,
     _negated,
     _pack,
+    _pairs,
     _rank,
     _signs,
     _supports,
@@ -215,7 +216,7 @@ def _composition_closure(rows: np.ndarray) -> np.ndarray:
         composed = [
             _unique_rows(frontier[start + f] | rows[c])[0]
             for start, block in _conforming(rows, ~_negated(frontier))
-            for f, c in [np.nonzero(block)]
+            for f, c in [_pairs(block)]
         ]
         grown, which = _unique_rows(np.concatenate([seen] + composed))
         fresh = np.ones(len(grown), bool)
@@ -269,7 +270,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     edge_set: set[tuple[int, ...]] = set()
     facet_keys: list[tuple[int, tuple[int, ...]]] = []
     for start, block in _conforming(rows, cells):
-        cell_of, vertex = np.nonzero(block)
+        cell_of, vertex = _pairs(block)
         bounds = np.searchsorted(cell_of, np.arange(len(block) + 1)).tolist()
         vertex = vertex.tolist()
         for k, cell_dim in enumerate(cell_dims[start : start + len(block)]):
@@ -320,12 +321,17 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     rows = _pack(_signs(vertices, m.n))
     first, second = np.concatenate(
         [
-            np.argwhere(np.triu(block, start + 1)) + (start, 0)
+            np.stack(_pairs(block)) + [[start], [0]]
             for start, block in _conforming(rows, ~_negated(rows))
-        ]
-    ).T
+        ],
+        axis=1,
+    )
+    upper = first < second
+    first, second = first[upper], second[upper]
     composed, which = _unique_rows(rows[first] | rows[second])
-    count = np.concatenate([b.sum(axis=1) for _, b in _conforming(rows, composed)])
+    count = np.concatenate(
+        [np.bincount(_pairs(b)[0], minlength=len(b)) for _, b in _conforming(rows, composed)]
+    )
     lone = count[which] == 2
     edges = list(zip(first[lone].tolist(), second[lone].tolist()))
     cycles = _partition_edges_into_cycles(edges, vertices)

@@ -256,8 +256,18 @@ class PointConfiguration:
 
     @staticmethod
     def from_dict(data: dict) -> "PointConfiguration":
-        pts = np.asarray(data["points"], dtype=float)
-        return PointConfiguration(pts, int(data["d"]))
+        """The configuration of a JSON object; d must be an int and every
+        coordinate an int or a float (bools are ints to Python, and numpy
+        would read "1" as a number)."""
+        d, points = data["d"], data["points"]
+        if type(d) is not int:
+            raise ValueError(f"'d' must be an integer, not {d!r}")
+        if not isinstance(points, list) or not all(
+            isinstance(row, list) and all(type(x) in (int, float) for x in row)
+            for row in points
+        ):
+            raise ValueError("'points' must be a list of lists of numbers")
+        return PointConfiguration(np.asarray(points, dtype=float), d)
 
 
 def circuit_dependences(config: PointConfiguration) -> dict[Circuit, np.ndarray]:
@@ -360,10 +370,26 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
 # (e-1) % 32, so a row holds a sign vector of any length.  Z conforms to S
 # (Z+ <= S+ and Z- <= S-) iff Z & ~S is zero in every word, X o Y is X | Y
 # for conformal X, Y, and -X swaps the halves of each word.
+#
+# _conforming answers "does z[j] conform to s[i]" for every pair by byte
+# tables (the "Four Russians" trick of Arlazarov, Dinic, Kronrod &
+# Faradzev, 1970).  Rows are read as bytes; for each byte position where
+# some z row has a set bit (and the first), a 256-entry table maps a byte
+# value v of s to the bitset of z rows with a bit of that byte outside v,
+# built as the OR of two 16-entry nibble tables.  A row of s then costs one
+# lookup per such byte (four at n <= 16), OR-ed and negated.  A bitset is
+# ceil(len(z)/64) uint64 words, z row j at bit j % 64 of word j // 64;
+# _pairs lists the set bits of a block of them as index pairs, and
+# _conformity unpacks them into a bool matrix.  The tables hold either byte
+# order, as z and s are read alike; bitsets cross a byte view only as
+# little-endian ('<u8') words.
 _HALF = np.uint64(32)
 _LOW = np.uint64(0xFFFFFFFF)
 _BITS = np.uint64(1) << np.arange(32, dtype=np.uint64)
-_BLOCK_WORDS = 1 << 16  # 8-byte words of intermediate per kernel or SVD block
+_HALVES = np.array([0, 4], np.uint8)[:, None, None]  # the two nibbles of a byte
+_OUTSIDE = np.arange(15, -1, -1, dtype=np.uint8)[:, None]  # 15 - u: the bits outside u
+_LE = np.dtype("<u8")
+_BLOCK_WORDS = 1 << 16  # 8-byte words of intermediate per kernel, SVD or target block
 
 
 def _signs(vectors, n: int) -> np.ndarray:
@@ -419,21 +445,58 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _conforming(z: np.ndarray, s: np.ndarray):
-    """Yield (start, block): block[i, j] says z[j] conforms to s[start + i].
+    """Yield (start, bits): bit j of bits[i] says z[j] conforms to s[start + i].
 
-    The one conformance kernel of the combinatorial layer: the axiom check,
-    the circuit graph and the cell closure all reduce to it.  X and Y are
-    conformal iff X conforms to ~(-Y).  A block holds at most _BLOCK_WORDS
-    words of intermediate and callers reduce it before taking the next, so
-    memory stays bounded.  An empty s still yields one (empty) block.
+    The one conformance kernel of the combinatorial layer: the circuit scan,
+    the axiom check, the circuit graph, the cell closure and the weak-map
+    order all reduce to it.  X and Y are conformal iff X conforms to ~(-Y).
+    bits is a block of bitsets over the rows of z (see above), zero past
+    len(z).  A block holds at most _BLOCK_WORDS bitset words and at most
+    8 * _BLOCK_WORDS (z row, s row) pairs, so that callers which list the
+    pairs of a block before taking the next stay bounded.  An empty s still
+    yields one (empty) block.
     """
-    step = max(1, _BLOCK_WORDS // max(1, z.size))
+    k = len(z)
+    words = -(-k // 64)
+    zb = np.ascontiguousarray(z).view(np.uint8)
+    used = zb.any(axis=0)
+    used[:1] = True  # at least one table, to hold the rows past len(z)
+    used = np.flatnonzero(used)
+    # the bitset of z rows with a bit of each nibble of byte used[b]
+    # outside u, for every u; rows past len(z) are set in every entry of
+    # the first table, so that they never read as conforming
+    flags = np.zeros((len(used), 2, 16, 64 * words), bool)
+    flags[..., :k] = zb[:, used].T[:, None, None] >> _HALVES & _OUTSIDE
+    flags[0, 0, :, k:] = True
+    nibble = np.packbits(flags, axis=3, bitorder="little").view(_LE)
+    nibble = nibble.astype(np.uint64, copy=False)
+    tables = nibble[:, 1, :, None] | nibble[:, 0, None, :]  # [b, v >> 4, v & 15]
+    tables = tables.reshape(len(used), 256, words)
+    sb = np.ascontiguousarray(s).view(np.uint8)[:, used]
+    step = max(1, min(_BLOCK_WORDS // max(1, words), 8 * _BLOCK_WORDS // max(1, k)))
     for start in range(0, max(1, len(s)), step):
-        outside = ~s[start : start + step]
-        acc = outside[:, None, 0] & z[None, :, 0]
-        for w in range(1, z.shape[1]):
-            acc |= outside[:, None, w] & z[None, :, w]
-        yield start, acc == 0
+        block = sb[start : start + step]
+        outside = np.zeros((len(block), words), np.uint64)
+        looked = np.empty_like(outside)
+        for b, table in enumerate(tables):
+            outside |= table.take(block[:, b], axis=0, out=looked, mode="clip")
+        yield start, np.invert(outside, out=outside)
+
+
+def _pairs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every set bit j of bits[i], in np.nonzero's row-major order."""
+    row, word = np.nonzero(bits)
+    octets = bits[row, word].astype(_LE, copy=False).view(np.uint8).reshape(-1, 8)
+    flags = np.unpackbits(octets, axis=1, bitorder="little")
+    at, bit = np.nonzero(flags)
+    return row[at], word[at] * 64 + bit
+
+
+def _conformity(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The bool matrix of _conforming: out[i, j] says z[j] conforms to s[i]."""
+    octets = [bits.astype(_LE, copy=False).view(np.uint8) for _, bits in _conforming(z, s)]
+    flags = np.unpackbits(np.concatenate(octets), axis=1, count=len(z), bitorder="little")
+    return flags.view(bool)
 
 
 # check_circuit_axioms stops after this many weak-elimination violations
@@ -494,8 +557,7 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
 
     signs = _signs(circuits, n)
     supports = _pack(np.abs(signs))
-    # inside[i, j]: support j <= support i
-    inside = np.concatenate([b for _, b in _conforming(supports, supports)])
+    inside = _conformity(supports, supports)  # [i, j]: support j <= support i
     sizes = [len(c.support) for c in circuits]
     for i, j in zip(*np.nonzero(np.triu(inside | inside.T, 1))):
         c1, c2 = circuits[i], circuits[j]
@@ -514,17 +576,22 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
             canonical.append(f"{c!r} is stored together with its reversal")
 
     # weak elimination over sign rows: +c_k at row 2k, -c_k at row 2k + 1;
-    # X rows go in blocks, so the (X, Y) pair arrays stay bounded
+    # X rows go in blocks of about _BLOCK_WORDS words of (X, Y) conflict
+    # rows and targets, and X has one target per Y and e in X+ n Y-
     rows = _pack(signs)
     signed = np.empty((2 * len(circuits), rows.shape[1]), np.uint64)
     signed[0::2], signed[1::2] = rows, _negated(rows)
     total, words = signed.shape
     unit = _pack(np.eye(n, dtype=np.int8))
     clear = ~(unit | _negated(unit))
-    step = max(1, _BLOCK_WORDS // max(1, signed.size * n))  # targets per X row: <= total * n
+    holding = np.count_nonzero(signs, axis=0)  # the Y with e in Y-, per e
+    load = np.empty(total, np.int64)
+    load[0::2], load[1::2] = (signs > 0) @ holding, (signs < 0) @ holding
+    load = words * (total + load)
+    starts = np.flatnonzero(np.diff((np.cumsum(load) - load) // _BLOCK_WORDS, prepend=-1))
     truncated = False
-    for start in range(0, total, step):
-        x = signed[start : start + step, None]
+    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [total]):
+        x = signed[start:stop, None]
         conflict = (x >> _HALF) & signed  # X+ n Y-, in the low halves
         conflict[(x == _negated(signed)).all(axis=2)] = 0
         conflict = conflict.reshape(-1, words)

@@ -35,7 +35,7 @@ from .core import (
     Circuit,
     GroundSet,
     OrientedMatroid,
-    _conforming,
+    _conformity,
     _negated,
     _pack,
     _signs,
@@ -198,10 +198,8 @@ class MatroidPoset:
         for i, cols in enumerate(held):
             incidence[i, cols] = 1
         rows = _pack(_signs(list(column), elements[0].n if elements else 1))
-        # block[v, u]: signed row u of [rows; -rows] conforms to circuit v
-        either = np.concatenate(
-            [b for _, b in _conforming(np.concatenate([rows, _negated(rows)]), rows)]
-        )
+        # either[v, u]: signed row u of [rows; -rows] conforms to circuit v
+        either = _conformity(np.concatenate([rows, _negated(rows)]), rows)
         conf = (either[:, : len(column)] | either[:, len(column) :]).T.astype(np.float32)
         uncovered = ((incidence @ conf) == 0).astype(np.float32)
         return cls(elements=elements, leq=(uncovered @ incidence.T) == 0)

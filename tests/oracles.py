@@ -11,6 +11,7 @@ The combinatorial references are the per-pair loop versions of the
 circuit-axiom check, the circuit-graph adjacency rule and the Radon
 complex's cell closure, which the package runs through one vectorised
 conformance kernel; the parity tests require identical outputs.
+conformity asks that kernel's question of one pair of sign rows at a time.
 
 circuit_scan is the per-support loop version of core.circuit_dependences
 (one SVD per candidate support); the package batches each size level.
@@ -314,6 +315,20 @@ def _conformal(ap, an, bp, bn):
 
 def _conforms_to(zp, zn, sp, sn):
     return (zp & ~sp) == 0 and (zn & ~sn) == 0
+
+
+def conformity(z, s):
+    """out[i, j] says the +1/-1/0 row z[j] conforms to the row s[i], one
+    pair at a time: the bool matrix of core._conforming's answer."""
+    def pair(row):
+        return mask_of(np.flatnonzero(row > 0) + 1), mask_of(np.flatnonzero(row < 0) + 1)
+
+    zs = [pair(row) for row in z]
+    out = np.zeros((len(s), len(z)), bool)
+    for i, (sp, sn) in enumerate(map(pair, s)):
+        for j, (zp, zn) in enumerate(zs):
+            out[i, j] = _conforms_to(zp, zn, sp, sn)
+    return out
 
 
 def check_circuit_axioms(m):

@@ -78,6 +78,27 @@ def test_analyze_input_errors(tmp_path):
     assert main(["analyze", "--config", str(keyless), "--out", out]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "flow"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"d": 1.9},
+        {"d": "1"},
+        {"d": True},
+        {"points": [["0"], ["1"], ["2"]]},
+        {"points": [[False], [True], [2]]},
+    ],
+    ids=["float-d", "string-d", "bool-d", "string-points", "bool-points"],
+)
+def test_point_files_need_an_integer_d_and_numeric_points(tmp_path, command, bad):
+    good = tmp_path / "good.json"
+    write_json(good, {"d": 1, "points": [[0], [1.5], [2]]})
+    assert main([command, "--config", str(good), "--out", str(tmp_path / "good")]) == 0
+    path = tmp_path / "bad.json"
+    write_json(path, {"d": 1, "points": [[0], [1.5], [2]], **bad})
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+
+
 def test_flow_pentagon_repetitions(tmp_path):
     cfg = pentagon_cfg(tmp_path, reps=3)
     out = tmp_path / "out"

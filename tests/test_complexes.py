@@ -291,3 +291,38 @@ def test_cycle_order_matches_int_mask_reference_across_words(hexagon_config, shi
     g = rf.combinatorial_circuit_graph(wide)
     assert len(g.cycles) == 6
     assert g.to_dict() == oracles.circuit_graph(wide).to_dict()
+
+
+@pytest.mark.parametrize("block_words", [1, 40, 200])
+def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_words):
+    # every caller of the conformance kernel gives the default's answer when
+    # its inputs are cut into many small blocks
+    rng = np.random.default_rng([84, 8, 2])
+    configs = [
+        rf.PointConfiguration(sample_degenerate_points(8, 2, rng, kind).astype(float), 2)
+        for kind in ("pair", "triple")
+    ] + [rf.PointConfiguration(sample_spanning_points(8, 2, rng).astype(float), 2)]
+    matroids = [rf.circuits_of_points(cfg) for cfg in configs]
+    wide = widened(rf.circuits_of_points(pentagon_config), 70, 65)  # three-word sign rows
+    chain = frozenset(rf.Circuit.make({i, i + 2}, {i + 1}) for i in range(1, 69))
+    broken = [_damaged(m) for m in matroids + [wide]]
+    broken.append(rf.OrientedMatroid(rf.GroundSet(70, 1), chain))  # past the cap
+    census = rf.enumerate_acyclic_oms(5, 1)
+
+    def answers():
+        rcs = [rf.geometric_radon_complex(cfg) for cfg in configs]
+        return (
+            [rf.check_circuit_axioms(m) for m in broken],
+            [
+                _graph_or_error(lambda: rf.complexes._circuit_graph(m))
+                for m in matroids + [wide] + broken
+            ],
+            [(rc.graph.to_dict(), rc.facets, rc.positions.tolist()) for rc in rcs],
+            rf.MatroidPoset.from_elements(census).leq.tolist(),
+        )
+
+    want = answers()
+    assert want[0][-1].elimination_truncated and want[0][0].weak_elimination
+    assert max(len(g["vertices"]) for g, _, _ in want[2]) > 128  # bitsets of three words
+    monkeypatch.setattr(rf.core, "_BLOCK_WORDS", block_words)
+    assert answers() == want

@@ -1,3 +1,4 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,6 +226,60 @@ def test_sign_rows_match_int_masks(n):
         for r in signs
     ]
     assert np.array_equal(rf.core._signs(vectors, n), signs)
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_case(n, z_rows, s_rows):
+    """Sparse z rows (one of them zero) and s rows, half of which extend a z
+    row, with the oracle's answer."""
+    rng = np.random.default_rng([83, n, z_rows, s_rows])
+
+    def draw(rows, density):
+        signs = rng.choice(np.array([-1, 1], np.int8), size=(rows, n))
+        return np.where(rng.random((rows, n)) < density, signs, 0).astype(np.int8)
+
+    z, s = draw(z_rows, min(1.0, 3 / n)), draw(s_rows, 0.7)
+    z[z_rows // 2 : z_rows // 2 + (z_rows > 1)] = 0
+    if z_rows:
+        base = z[rng.integers(z_rows, size=len(s[::2]))]
+        s[::2] = np.where(base != 0, base, s[::2])
+    return z, s, oracles.conformity(z, s)
+
+
+@pytest.mark.parametrize("block_words", [1, 40, None])
+@pytest.mark.parametrize("s_rows", [0, 1, 500])
+@pytest.mark.parametrize("z_rows", [0, 1, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 70])
+def test_conformance_kernel_matches_pairwise_oracle(
+    monkeypatch, n, z_rows, s_rows, block_words
+):
+    z, s, want = kernel_case(n, z_rows, s_rows)
+    if block_words is not None:
+        monkeypatch.setattr(rf.core, "_BLOCK_WORDS", block_words)
+    limit = rf.core._BLOCK_WORDS
+    zp, sp = rf.core._pack(z), rf.core._pack(s)
+    blocks = list(rf.core._conforming(zp, sp))
+    words = -(-z_rows // 64)
+    sizes = [len(bits) for _, bits in blocks]
+    assert [start for start, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+    if not s_rows:
+        assert len(blocks) == 1  # an empty s still yields one, empty, block
+    assert sum(sizes) == s_rows
+    for _, bits in blocks:
+        assert bits.dtype == np.uint64 and bits.shape[1] == words
+        # the documented bounds, which a one-row block may pass
+        assert len(bits) == 1 or len(bits) * words <= limit
+        assert len(bits) == 1 or len(bits) * z_rows <= 8 * limit
+    bits = np.concatenate([b for _, b in blocks])
+    flags = np.unpackbits(bits.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    assert not flags[:, z_rows:].any()  # nothing past len(z)
+    assert np.array_equal(flags[:, :z_rows].view(bool), want)
+    pairs = [rf.core._pairs(b) for _, b in blocks]
+    rows = np.concatenate([start + i for (start, _), (i, _) in zip(blocks, pairs)])
+    cols = np.concatenate([j for _, j in pairs])
+    want_rows, want_cols = np.nonzero(want)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert np.array_equal(rf.core._conformity(zp, sp), want)
 
 
 def test_matroid_serialization_roundtrip(square_matroid):
