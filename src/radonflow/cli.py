@@ -63,6 +63,7 @@ from .macphersonian import (
 
 SCHEMA_VERSION = 1
 _NUMBERS = {int, float}
+_INTEGERS = {int}
 # json's own indented encoder, for the values _texts does not lay out itself
 _indented_json = json.JSONEncoder(indent=2, sort_keys=True).encode
 
@@ -175,8 +176,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     complex_payload = rc.graph.to_dict()
     complex_payload["n"] = rc.n
     complex_payload["d"] = rc.d
+    vertices, offsets = rc.facet_vertices.tolist(), rc.facet_offsets.tolist()
     complex_payload["facets"] = [
-        {"dim": cell.dim, "vertices": sorted(cell.vertices)} for cell in rc.facets
+        {"dim": dim, "vertices": vertices[a:b]}
+        for dim, a, b in zip(rc.facet_dims.tolist(), offsets, offsets[1:])
     ]
     complex_payload["positions"] = rc.positions.tolist()
     _write_json(out / "radon_complex.json", complex_payload)
@@ -200,22 +203,31 @@ def _sample_spanning_points(n: int, d: int, rng: np.random.Generator) -> PointCo
             return config
 
 
+def _setting(data: dict, key: str, given, default, kinds: set):
+    """A flow setting: the command line's value, else the file's, which must
+    be of one of kinds (bools are ints to Python, and int() and float()
+    would read 1.9 or "5" as numbers)."""
+    if given is not None:
+        return given
+    value = data.get(key, default)
+    if type(value) not in kinds:
+        what = "an integer" if kinds == _INTEGERS else "a number"
+        raise ValueError(f"'{key}' must be {what}, not {json.dumps(value)}")
+    return value
+
+
 def cmd_flow(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
-    seed = int(args.seed if args.seed is not None else data.get("seed", 0))
-    delta = float(args.delta if args.delta is not None else data.get("delta", 0.05))
+    seed = _setting(data, "seed", args.seed, 0, _INTEGERS)
+    delta = float(_setting(data, "delta", args.delta, 0.05, _NUMBERS))
     reps = data.get("repetitions", 1)
     if type(reps) is not int or reps < 1:
         raise ValueError(f"'repetitions' must be an integer >= 1, not {json.dumps(reps)}")
     default = FlowParams()
     params = FlowParams(
-        h=float(args.step if args.step is not None else data.get("step", default.h)),
-        max_steps=int(
-            args.max_steps if args.max_steps is not None else data.get("max_steps", default.max_steps)
-        ),
+        h=float(_setting(data, "step", args.step, default.h, _NUMBERS)),
+        max_steps=_setting(data, "max_steps", args.max_steps, default.max_steps, _INTEGERS),
     )
-    out = Path(args.out if args.out is not None else data.get("out", "flow-out"))
-    out.mkdir(parents=True, exist_ok=True)
 
     fixed_points = None
     if "points" in data:
@@ -224,7 +236,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
     else:
         if "n" not in data or "d" not in data:
             raise ValueError("flow config needs either 'points' or 'n' and 'd'")
-        n, d = int(data["n"]), int(data["d"])
+        n, d = (_setting(data, key, None, None, _INTEGERS) for key in ("n", "d"))
+    out = Path(args.out if args.out is not None else data.get("out", "flow-out"))
+    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for rep in range(reps):

@@ -19,6 +19,8 @@ cycle per two-dimensional coordinate subspace of V.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +33,8 @@ from .core import (
     SignedCircuitVertex,
     check_circuit_axioms,
     circuit_dependences,
+    _HALF,
+    _LOW,
     _conforming,
     _negated,
     _pack,
@@ -88,29 +92,36 @@ class Cell:
 
 @dataclass
 class CircuitGraph:
-    """Vertices (signed circuits), edges, and the cycle partition of the edges."""
+    """Vertices (signed circuits), edges, and the cycle partition of the edges.
+
+    rows holds the vertices' kernel sign rows (core's encoding), built from
+    the vertices when not given.  A vertex is its sign vector: the checks
+    and comparisons below read rows, never vertex objects.  ends is the
+    (2, edges) int array of the edges' endpoints.
+    """
 
     vertices: tuple[SignedCircuitVertex, ...]
     edges: tuple[tuple[int, int], ...]
     cycles: tuple[Cycle, ...]
-    _adjacency: list[list[int]] = field(init=False, repr=False)
-    cycle_pairs: list[list[tuple[int, int]]] = field(init=False, repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._adjacency = [[] for _ in self.vertices]
-        for i, j in self.edges:
-            self._adjacency[i].append(j)
-            self._adjacency[j].append(i)
-        # per vertex, its two neighbors on each cycle through it, in cycle order
-        self.cycle_pairs = [[] for _ in self.vertices]
+        if self.rows is None:
+            n = max((max(v.support) for v in self.vertices), default=1)
+            self.rows = _pack(_signs(self.vertices, n))
+        flat = chain.from_iterable(self.edges)
+        self.ends = np.fromiter(flat, np.intp, 2 * len(self.edges)).reshape(-1, 2).T
+
+    @cached_property
+    def cycle_pairs(self) -> list[list[tuple[int, int]]]:
+        """Per vertex, its two neighbors on each cycle through it, in cycle order."""
+        pairs: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         for cyc in self.cycles:
             seq = cyc.vertex_seq
-            size = len(seq)
-            for k, v in enumerate(seq):
-                self.cycle_pairs[v].append((seq[k - 1], seq[(k + 1) % size]))
-
-    def degree(self, i: int) -> int:
-        return len(self._adjacency[i])
+            for v, before, after in zip(seq, seq[-1:] + seq[:-1], seq[1:] + seq[:1]):
+                pairs[v].append((before, after))
+        return pairs
 
     def to_dict(self) -> dict:
         return {
@@ -134,20 +145,33 @@ class CircuitGraph:
 class RadonComplex:
     """A circuit graph plus its filled higher cells and natural coordinates.
 
-    positions holds one row per graph vertex, antipodal rows negated.
+    positions holds one row per graph vertex, antipodal rows negated.  The
+    cells of dimension >= 2 (the facets) are one CSR listing, ordered by
+    dimension, then by their ascending vertex tuples: facet k has dimension
+    facet_dims[k] and the vertices facet_vertices[facet_offsets[k] :
+    facet_offsets[k + 1]], ascending.
     """
 
     graph: CircuitGraph
-    facets: tuple[Cell, ...]
     n: int
     d: int
     positions: np.ndarray
+    facet_dims: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
+    facet_offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, np.intp))
+    facet_vertices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
+
+    @cached_property
+    def facets(self) -> tuple[Cell, ...]:
+        """The facets as Cell objects, built on first use."""
+        vertices, offsets = self.facet_vertices.tolist(), self.facet_offsets.tolist()
+        return tuple(
+            Cell(dim=k, vertices=frozenset(vertices[a:b]))
+            for k, a, b in zip(self.facet_dims.tolist(), offsets, offsets[1:])
+        )
 
     def euler_characteristic(self) -> int:
-        chi = len(self.graph.vertices) - len(self.graph.edges)
-        for cell in self.facets:
-            chi += (-1) ** cell.dim
-        return chi
+        odd = int(np.count_nonzero(self.facet_dims & 1))
+        return len(self.graph.vertices) - len(self.graph.edges) + len(self.facet_dims) - 2 * odd
 
 
 def _ordered_vertices(circuits: list[Circuit]) -> tuple[SignedCircuitVertex, ...]:
@@ -156,50 +180,109 @@ def _ordered_vertices(circuits: list[Circuit]) -> tuple[SignedCircuitVertex, ...
     return tuple(reps + [v.antipode() for v in reps])
 
 
+def _vertex_rows(circuits: list[Circuit], n: int) -> np.ndarray:
+    """The kernel rows of _ordered_vertices(circuits)."""
+    rows = _pack(_signs(circuits, n))
+    return np.concatenate([rows, _negated(rows)])
+
+
+def _graph(vertices, rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> CircuitGraph:
+    """The circuit graph with edges (first[k], second[k]), cycles partitioned."""
+    cycles = _partition_edges_into_cycles(vertices, rows, first, second)
+    edges = tuple(zip(first.tolist(), second.tolist()))
+    return CircuitGraph(vertices=vertices, edges=edges, cycles=cycles, rows=rows)
+
+
 def _partition_edges_into_cycles(
-    edges: list[tuple[int, int]], vertices: tuple[SignedCircuitVertex, ...]
+    vertices, rows: np.ndarray, first: np.ndarray, second: np.ndarray
 ) -> tuple[Cycle, ...]:
     """Group edges by the support of the composed sign vector and walk cycles.
 
-    Tags are taken in order of their elements sorted from the largest down.
-    Within one support tag every incident vertex must have exactly two
+    Edge k joins first[k] and second[k]; its tag is the support of
+    rows[first[k]] | rows[second[k]].  Tags are taken in order of their
+    elements sorted from the largest down, which is the order of their
+    support bitmasks read as integers: one stable lexsort of the support
+    words, most significant word first, groups the edges by tag in edge
+    order.  Within one tag every incident vertex must have exactly two
     incident edges; each connected component is then a closed cycle, walked
     from its smallest vertex towards its smaller (neighbor, edge) first.
+
+    Each edge end is a slot (tag, vertex, neighbor, edge), sorted so that
+    the two slots of a (tag, vertex) are adjacent, the smaller neighbor
+    first (a neighbor names the edge).  Arriving at a vertex by one edge, a
+    walk leaves by the other slot of that vertex, so a walk costs one list
+    lookup per edge.
     """
-    supports = [v.support for v in vertices]
-    groups: dict[frozenset[int], list[int]] = {}
-    for eid, (i, j) in enumerate(edges):
-        groups.setdefault(supports[i] | supports[j], []).append(eid)
+    tags = rows[first] | rows[second]
+    tags = (tags >> _HALF | tags) & _LOW
+    order = np.lexsort(tags.T)
+    tags = tags[order]
+    fresh = np.ones(len(order), bool)
+    fresh[1:] = (tags[1:] != tags[:-1]).any(axis=1)
+    tag_of = np.cumsum(fresh) - 1
+    head = order[fresh]  # each tag's first edge
+    supports = [
+        vertices[i].support | vertices[j].support
+        for i, j in zip(first[head].tolist(), second[head].tolist())
+    ]
+
+    # slot i < E is the first end of the i-th edge in tag order, slot i + E
+    # its second end; sorted by (tag, vertex), then each pair of slots
+    # turned so that the smaller neighbor comes first
+    ends = len(order)
+    vertex = np.concatenate([first[order], second[order]])
+    other = np.concatenate([second[order], first[order]])
+    key = np.concatenate([tag_of, tag_of]) * len(rows) + vertex
+    slots = np.argsort(key, kind="stable")
+    key = key[slots]
+    if not ((key[0::2] == key[1::2]).all() and (key[2::2] != key[1:-1:2]).all()):
+        raise _open_cycle(supports, order, tag_of, first, second)
+    pairs = slots.reshape(-1, 2)
+    turn = other[pairs[:, 0]] > other[pairs[:, 1]]
+    pairs[turn] = pairs[turn, ::-1]
+
+    # leaving by slot k, a walk arrives at the far end of k's edge and
+    # leaves again by the other slot there: after[k]
+    place = np.empty_like(slots)
+    place[slots] = np.arange(len(slots))
+    after = (place[(slots + ends) % len(slots)] ^ 1).tolist()
+    vertex, edge = vertex[slots].tolist(), order[slots % ends].tolist()
+    group = tag_of[slots[0::2] % ends].tolist()
+    walked = bytearray(len(group))
     cycles = []
-    for tag in sorted(groups, key=lambda t: sorted(t, reverse=True)):
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for eid in groups[tag]:
-            i, j = edges[eid]
-            adj.setdefault(i, []).append((j, eid))
-            adj.setdefault(j, []).append((i, eid))
-        bad = [v for v, nb in adj.items() if len(nb) != 2]
-        if bad:
-            raise ValueError(
-                f"edges tagged {sorted(tag)} do not form closed cycles "
-                f"(vertex {bad[0]} has degree {len(adj[bad[0]])} there)"
-            )
-        walked: set[int] = set()
-        for start in sorted(adj):
-            if start in walked:
-                continue
-            seq, eids = [start], []
-            w, eid = min(adj[start])
-            while True:
-                eids.append(eid)
-                if w == start:
-                    break
-                seq.append(w)
-                w, eid = next(t for t in adj[w] if t[1] != eid)
-            walked.update(seq)
-            cycles.append(
-                Cycle(support=tag, vertex_seq=tuple(seq), edge_ids=tuple(eids))
-            )
+    for start in range(len(group)):
+        if walked[start]:
+            continue
+        seq, eids = [], []
+        slot = 2 * start
+        while True:
+            walked[slot >> 1] = 1
+            seq.append(vertex[slot])
+            eids.append(edge[slot])
+            slot = after[slot]
+            if slot >> 1 == start:
+                break
+        cycles.append(
+            Cycle(support=supports[group[start]], vertex_seq=tuple(seq), edge_ids=tuple(eids))
+        )
     return tuple(cycles)
+
+
+def _open_cycle(supports, order, tag_of, first, second) -> ValueError:
+    """The error for the first tag whose edges leave a vertex of degree
+    other than 2 (there is one): the first such vertex as the tag's edges,
+    in edge order, name it."""
+    for g, support in enumerate(supports):
+        degree: dict[int, int] = {}
+        for eid in order[tag_of == g].tolist():
+            for v in (int(first[eid]), int(second[eid])):
+                degree[v] = degree.get(v, 0) + 1
+        bad = [v for v, k in degree.items() if k != 2]
+        if bad:
+            return ValueError(
+                f"edges tagged {sorted(support)} do not form closed cycles "
+                f"(vertex {bad[0]} has degree {degree[bad[0]]} there)"
+            )
 
 
 def _composition_closure(rows: np.ndarray) -> np.ndarray:
@@ -251,8 +334,14 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     conformal composition, built frontier by frontier: each frontier is
     composed with every circuit conformal to it, and one np.unique over
     packed sign-row keys drops what was seen before.  One conformance-kernel
-    pass then lists the circuits conforming to each realized vector: two
-    for an edge, the closure of a facet otherwise.
+    pass then lists the (cell, circuit) pairs of every realized vector of
+    dimension >= 1, a CSR listing of each cell's closure, ascending.  The
+    1-cells are the edges: each must list exactly two circuits.  The rest
+    are the facets, put in (dimension, vertex tuple) order by one argsort
+    of key rows: big-endian words dim, v1 + 1, v2 + 1, ..., padded with 0
+    (the vertex -1, so that a prefix sorts first, as tuples do), whose
+    bytes compare as those tuples do.  No Cell object is built (see
+    RadonComplex.facets).
     """
     dependences = circuit_dependences(config)
     n, d = config.n, config.d
@@ -261,34 +350,44 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     placed = [project_to_gamma(dependences[c]) for c in circuits]
     positions = np.array(placed + [-x for x in placed])
 
-    rows = _pack(_signs(vertices, n))
+    rows = _vertex_rows(circuits, n)
     realized = _composition_closure(rows)
     supports, which = _supports(realized, n)
     cell_dims = _support_dims(config.lifted_matrix(), supports)[which] - 1
-    cells, cell_dims = realized[cell_dims > 0], cell_dims[cell_dims > 0].tolist()
+    cells, cell_dims = realized[cell_dims > 0], cell_dims[cell_dims > 0]
 
-    edge_set: set[tuple[int, ...]] = set()
-    facet_keys: list[tuple[int, tuple[int, ...]]] = []
-    for start, block in _conforming(rows, cells):
-        cell_of, vertex = _pairs(block)
-        bounds = np.searchsorted(cell_of, np.arange(len(block) + 1)).tolist()
-        vertex = vertex.tolist()
-        for k, cell_dim in enumerate(cell_dims[start : start + len(block)]):
-            conforming = tuple(vertex[bounds[k] : bounds[k + 1]])
-            if cell_dim > 1:
-                facet_keys.append((cell_dim, conforming))
-            elif len(conforming) != 2:
-                raise ValueError(
-                    "a one-dimensional cell must close over exactly two circuits"
-                )
-            else:
-                edge_set.add(conforming)
+    listing = [
+        (cell + start, v)
+        for start, block in _conforming(rows, cells)
+        for cell, v in [_pairs(block)]
+    ]
+    cell_of, vertex = (np.concatenate(part) for part in zip(*listing))
+    sizes = np.bincount(cell_of, minlength=len(cells))
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
 
-    edges = sorted(edge_set)
-    cycles = _partition_edges_into_cycles(edges, vertices)
-    graph = CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
-    facets = tuple(Cell(dim=k, vertices=frozenset(vs)) for k, vs in sorted(facet_keys))
-    return RadonComplex(graph=graph, facets=facets, n=n, d=d, positions=positions)
+    edge = cell_dims == 1
+    if (sizes[edge] != 2).any():
+        raise ValueError("a one-dimensional cell must close over exactly two circuits")
+    # distinct 1-cells close over distinct pairs, as each is its pair's composition
+    at = offsets[:-1][edge]
+    pairs = np.sort(vertex[at] * len(rows) + vertex[at + 1], kind="stable")
+    graph = _graph(vertices, rows, *np.divmod(pairs, len(rows)))
+
+    keys = np.zeros((len(cells), 1 + sizes.max(initial=0)), ">u4")
+    keys[:, 0] = cell_dims
+    keys[cell_of, 1 + np.arange(len(vertex)) - offsets[cell_of]] = vertex + 1
+    keys = keys[~edge]
+    order = np.argsort(keys.view(np.dtype((np.void, keys.strides[0])))[:, 0], kind="stable")
+    listed = keys[order, 1:]
+    return RadonComplex(
+        graph=graph,
+        n=n,
+        d=d,
+        positions=positions,
+        facet_dims=cell_dims[~edge][order],
+        facet_offsets=np.concatenate([[0], np.cumsum(sizes[~edge][order])]),
+        facet_vertices=listed[listed > 0].astype(np.intp) - 1,
+    )
 
 
 def matroid_of_complex(rc: RadonComplex) -> OrientedMatroid:
@@ -317,8 +416,7 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     partitioned into cycles by the support of the composition.
     """
     circuits = m.sorted_circuits()
-    vertices = _ordered_vertices(circuits)
-    rows = _pack(_signs(vertices, m.n))
+    rows = _vertex_rows(circuits, m.n)
     first, second = np.concatenate(
         [
             np.stack(_pairs(block)) + [[start], [0]]
@@ -333,18 +431,42 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
         [np.bincount(_pairs(b)[0], minlength=len(b)) for _, b in _conforming(rows, composed)]
     )
     lone = count[which] == 2
-    edges = list(zip(first[lone].tolist(), second[lone].tolist()))
-    cycles = _partition_edges_into_cycles(edges, vertices)
-    return CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
+    return _graph(_ordered_vertices(circuits), rows, first[lone], second[lone])
+
+
+def _labels(*graphs: CircuitGraph) -> list[np.ndarray]:
+    """Each graph's vertex labels: for every vertex, the index of its sign
+    vector among the distinct sign vectors of all the graphs' vertices and
+    their antipodes.  Of a graph with V vertices, labels[:V] label its
+    vertices and labels[V:] their antipodes."""
+    words = max(g.rows.shape[1] for g in graphs)
+    rows = [np.pad(g.rows, ((0, 0), (0, words - g.rows.shape[1]))) for g in graphs]
+    _, which = _unique_rows(np.concatenate([x for r in rows for x in (r, _negated(r))]))
+    return np.split(which, np.cumsum([2 * len(r) for r in rows])[:-1])
+
+
+def _edge_keys(ends: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
+    """Each edge {u, v} as one int, min * count + max of its ends' labels."""
+    u, v = labels[ends]
+    return np.minimum(u, v) * count + np.maximum(u, v)
+
+
+def _same_set(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(np.isin(a, b).all() and np.isin(b, a).all())
 
 
 def graphs_equal(g1: CircuitGraph, g2: CircuitGraph) -> bool:
-    """Labeled comparison: same signed-circuit vertices and same edges."""
-    if set(g1.vertices) != set(g2.vertices):
-        return False
-    def edge_labels(g):
-        return {frozenset((g.vertices[i], g.vertices[j])) for i, j in g.edges}
-    return edge_labels(g1) == edge_labels(g2)
+    """Labeled comparison: same signed-circuit vertices and same edges.
+
+    Both graphs' sign rows are labeled at once (one np.unique over them),
+    so vertex order does not matter; then the sets of vertex labels and of
+    edge keys must agree.
+    """
+    (l1, l2), count = _labels(g1, g2), 2 * (len(g1.rows) + len(g2.rows))
+    l1, l2 = l1[: len(g1.rows)], l2[: len(g2.rows)]
+    return _same_set(l1, l2) and _same_set(
+        _edge_keys(g1.ends, l1, count), _edge_keys(g2.ends, l2, count)
+    )
 
 
 @dataclass
@@ -381,50 +503,57 @@ def validate_sphere(c: RadonComplex, n: int, d: int) -> SphereReport:
     its Euler characteristic must be 1 + (-1)^(n-d-2), every vertex degree
     must be even, the vertex and edge sets must be antipodally symmetric,
     and the 1-skeleton must be connected once the sphere dimension is >= 1.
+
+    Every check reads the graph's arrays: degrees are a bincount of the
+    edge ends, vertices are labeled by their sign rows (_labels), so the
+    antipodal checks compare label arrays, connectivity grows a frontier
+    mask along the edges, and the partition check is a bincount of the
+    cycles' edge ids.
     """
     failures: list[str] = []
     g = c.graph
+    count = len(g.vertices)
     sphere_dim = n - d - 2
     expected = 1 + (-1) ** sphere_dim
     chi = c.euler_characteristic()
     if chi != expected:
         failures.append(f"euler characteristic {chi} != expected {expected}")
 
-    for i in range(len(g.vertices)):
-        if g.degree(i) % 2 != 0:
-            failures.append(f"vertex {g.vertices[i]!r} has odd degree {g.degree(i)}")
-            break
+    degree = np.bincount(g.ends.ravel(), minlength=count)
+    odd = np.flatnonzero(degree % 2)
+    if len(odd):
+        i = int(odd[0])
+        failures.append(f"vertex {g.vertices[i]!r} has odd degree {degree[i]}")
 
-    vset = set(g.vertices)
-    if any(v.antipode() not in vset for v in g.vertices):
+    (labels,) = _labels(g)
+    own, mirrored = labels[:count], labels[count:]
+    if not np.isin(mirrored, own).all():
         failures.append("vertex set is not closed under the antipodal map")
-    else:
-        edge_labels = {frozenset((g.vertices[i], g.vertices[j])) for i, j in g.edges}
-        for i, j in g.edges:
-            mirrored = frozenset(
-                (g.vertices[i].antipode(), g.vertices[j].antipode())
-            )
-            if mirrored not in edge_labels:
-                failures.append("edge set is not closed under the antipodal map")
-                break
+    elif not np.isin(
+        _edge_keys(g.ends, mirrored, 2 * count), _edge_keys(g.ends, own, 2 * count)
+    ).all():
+        failures.append("edge set is not closed under the antipodal map")
 
-    if sphere_dim >= 1 and g.vertices:
-        seen = {0}
-        stack = [0]
-        while stack:
-            cur = stack.pop()
-            for nb in g._adjacency[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(g.vertices):
+    if sphere_dim >= 1 and count:
+        ends = np.concatenate([g.ends, g.ends[::-1]], axis=1)
+        seen = np.zeros(count, bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            reached = np.zeros(count, bool)
+            reached[ends[1, frontier[ends[0]]]] = True
+            frontier = reached & ~seen
+            seen |= frontier
+        if not seen.all():
             failures.append("1-skeleton is not connected")
 
-    covered: dict[int, int] = {}
-    for cyc in g.cycles:
-        for eid in cyc.edge_ids:
-            covered[eid] = covered.get(eid, 0) + 1
-    if covered != {eid: 1 for eid in range(len(g.edges))}:
+    eids = np.fromiter(chain.from_iterable(cyc.edge_ids for cyc in g.cycles), np.intp)
+    edges = len(g.edges)
+    if (
+        len(eids) != edges
+        or (edges and (eids.min() < 0 or eids.max() >= edges))
+        or (np.bincount(eids, minlength=edges) != 1).any()
+    ):
         failures.append("cycles do not partition the edge set")
 
     return SphereReport(

@@ -389,15 +389,34 @@ _BITS = np.uint64(1) << np.arange(32, dtype=np.uint64)
 _HALVES = np.array([0, 4], np.uint8)[:, None, None]  # the two nibbles of a byte
 _OUTSIDE = np.arange(15, -1, -1, dtype=np.uint8)[:, None]  # 15 - u: the bits outside u
 _LE = np.dtype("<u8")
+_SIGN_OF_PART = np.array([1, -1], np.int8)
 _BLOCK_WORDS = 1 << 16  # 8-byte words of intermediate per kernel, SVD or target block
 
 
 def _signs(vectors, n: int) -> np.ndarray:
-    """+1 on each vector's pos, -1 on its neg, 0 elsewhere; one int8 row each."""
+    """+1 on each vector's pos, -1 on its neg, 0 elsewhere; one int8 row each.
+
+    One scatter: the parts are listed pos, neg, pos, neg, ... and part p
+    fills row p // 2 with +1 or -1 as p is even or odd.
+    """
+    parts = [part for v in vectors for part in (v.pos, v.neg)]
+    sizes = list(map(len, parts))
+    part = np.repeat(np.arange(len(parts)), sizes)
+    elements = np.fromiter(itertools.chain.from_iterable(parts), np.intp, len(part))
     out = np.zeros((len(vectors), n), np.int8)
-    for k, v in enumerate(vectors):
-        out[k, [e - 1 for e in v.pos]] = 1
-        out[k, [e - 1 for e in v.neg]] = -1
+    out[part >> 1, elements - 1] = _SIGN_OF_PART[part & 1]
+    return out
+
+
+def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
+    """The +1/-1/0 matrix of kernel rows (the inverse of _pack), n columns;
+    elements past the rows' words read 0."""
+    k, words = rows.shape
+    pos = (rows >> _HALF)[:, :, None] & _BITS != 0
+    neg = rows[:, :, None] & _BITS != 0
+    signs = (pos.view(np.int8) - neg.view(np.int8)).reshape(k, 32 * words)
+    out = np.zeros((k, n), np.int8)
+    out[:, : min(n, 32 * words)] = signs[:, :n]
     return out
 
 

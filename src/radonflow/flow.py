@@ -42,7 +42,7 @@ from .core import (
     TOL_CURV,
     OrientedMatroid,
     PointConfiguration,
-    _signs,
+    _unpack,
 )
 
 # backtracking line search: sufficient-decrease fraction and largest step
@@ -119,7 +119,7 @@ class EmbeddedSphere:
         if pos.shape != (reps, matroid.n):
             raise ValueError(f"expected positions of shape ({reps}, {matroid.n})")
         self._pos = pos.copy()
-        self.signs = _signs(graph.vertices[:reps], matroid.n)
+        self.signs = _unpack(graph.rows[:reps], matroid.n)
         if validate:
             self._validate()
 
@@ -164,7 +164,7 @@ class EmbeddedSphere:
     ) -> "EmbeddedSphere":
         if graph is None:
             graph = combinatorial_circuit_graph(matroid)
-        signs = _signs(graph.vertices[: len(graph.vertices) // 2], matroid.n)
+        signs = _unpack(graph.rows[: len(graph.vertices) // 2], matroid.n)
         a, b = signs > 0, signs < 0
         pos = a / np.maximum(a.sum(axis=1, keepdims=True), 1) - b / np.maximum(
             b.sum(axis=1, keepdims=True), 1

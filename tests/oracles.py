@@ -456,7 +456,22 @@ def radon_complex(config):
     cycles = partition_edges_into_cycles(edges, vmasks)
     graph = rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
     facets = tuple(sorted(facet_cells, key=lambda c: (c.dim, tuple(sorted(c.vertices)))))
-    return rf.RadonComplex(graph=graph, facets=facets, n=n, d=d, positions=positions)
+    return RadonComplexRef(graph=graph, facets=facets, n=n, d=d, positions=positions)
+
+
+@dataclass
+class RadonComplexRef:
+    """radon_complex's answer: the facets as a sorted tuple of rf.Cell."""
+
+    graph: object
+    facets: tuple
+    n: int
+    d: int
+    positions: np.ndarray
+
+    def euler_characteristic(self):
+        chi = len(self.graph.vertices) - len(self.graph.edges)
+        return chi + sum((-1) ** cell.dim for cell in self.facets)
 
 
 def circuit_scan(config):

@@ -205,6 +205,38 @@ def test_flow_rejects_repetitions_below_one_or_not_integers(tmp_path, capsys, re
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"n": 5, "d": 1.9}, "'d' must be an integer, not 1.9"),
+        ({"n": 5, "d": True}, "'d' must be an integer, not true"),
+        ({"n": "5", "d": "1"}, "'n' must be an integer, not \"5\""),
+        ({"n": 5, "d": 1, "max_steps": 2.7}, "'max_steps' must be an integer, not 2.7"),
+        ({"n": 5, "d": 1, "delta": "0.05"}, "'delta' must be a number, not \"0.05\""),
+        ({"n": 5, "d": 1, "seed": True}, "'seed' must be an integer, not true"),
+        ({"n": 5, "d": 1, "step": False}, "'step' must be a number, not false"),
+    ],
+    ids=["float-d", "bool-d", "string-n-d", "float-max-steps", "string-delta", "bool-seed", "bool-step"],
+)
+def test_flow_settings_must_have_their_type(tmp_path, capsys, config, message):
+    cfg = tmp_path / "flow.json"
+    write_json(cfg, config)
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flow_settings_of_the_right_type_run(tmp_path):
+    cfg = tmp_path / "flow.json"
+    write_json(cfg, {"n": 5, "d": 1, "seed": 3, "delta": 0, "step": 1, "max_steps": 4})
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = load(out / "summary.json")
+    assert (summary["seed"], summary["delta"], summary["step"], summary["max_steps"]) == (3, 0.0, 1.0, 4)
+    assert summary["outcomes"] == {"converged-flat": 1}
+
+
 def test_macphersonian_4_2(tmp_path):
     out = tmp_path / "out"
     assert main(["macphersonian", "4", "2", "--out", str(out)]) == 0

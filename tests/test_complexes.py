@@ -128,7 +128,7 @@ def _hand_built(rc, edges=RING, cycles=None, vertices=None):
     if cycles is None:
         cycles = [rf.Cycle(frozenset(range(1, 6)), tuple(range(10)), tuple(range(len(edges))))]
     graph = rf.CircuitGraph(vertices=tuple(vertices), edges=tuple(edges), cycles=tuple(cycles))
-    return rf.RadonComplex(graph=graph, facets=(), n=rc.n, d=rc.d, positions=rc.positions)
+    return rf.RadonComplex(graph=graph, n=rc.n, d=rc.d, positions=rc.positions)
 
 
 def test_hand_built_ring_is_a_sphere(pentagon_complex):
@@ -326,3 +326,81 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
     assert max(len(g["vertices"]) for g, _, _ in want[2]) > 128  # bitsets of three words
     monkeypatch.setattr(rf.core, "_BLOCK_WORDS", block_words)
     assert answers() == want
+
+
+@pytest.mark.parametrize("n, d", [(9, 4), (10, 4), (10, 5)])
+def test_geometric_complex_matches_the_oracle_at_the_top_rungs(n, d):
+    # the analyze ladder's top rungs, drawn uniform, with a coincident pair
+    # and with a collinear triple
+    rng = np.random.default_rng([41, n, d])
+    draws = [sample_spanning_points(n, d, rng)] + [
+        sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
+    ]
+    for pts in draws:
+        cfg = rf.PointConfiguration(pts.astype(float), d)
+        rc, ref = rf.geometric_radon_complex(cfg), oracles.radon_complex(cfg)
+        assert rc.graph.to_dict() == ref.graph.to_dict()
+        assert rc.facets == ref.facets
+        assert np.array_equal(rc.positions, ref.positions)
+        assert rc.euler_characteristic() == ref.euler_characteristic() == 1 + (-1) ** (n - d - 2)
+
+
+def _eight_two():
+    rng = np.random.default_rng([42, 8, 2])
+    return rf.PointConfiguration(sample_spanning_points(8, 2, rng).astype(float), 2)
+
+
+def test_facet_listing_matches_the_oracle(hexagon_config):
+    for cfg in (hexagon_config, _eight_two()):
+        rc, ref = rf.geometric_radon_complex(cfg), oracles.radon_complex(cfg)
+        assert rc.facets == ref.facets
+        assert rc.euler_characteristic() == ref.euler_characteristic() == 2
+        # the CSR listing behind rc.facets: dims, then ascending vertex lists
+        offsets = rc.facet_offsets.tolist()
+        assert rc.facet_dims.tolist() == [cell.dim for cell in ref.facets]
+        assert [rc.facet_vertices[a:b].tolist() for a, b in zip(offsets, offsets[1:])] == [
+            sorted(cell.vertices) for cell in ref.facets
+        ]
+
+
+def _relabeled(g, rng):
+    """g with its vertex list permuted, its edges listed in another order and
+    each edge's ends swapped at random; no cycles."""
+    perm = rng.permutation(len(g.vertices))
+    where = np.argsort(perm)  # old index -> new index
+    edges = [
+        (int(where[j]), int(where[i])) if rng.random() < 0.5 else (int(where[i]), int(where[j]))
+        for i, j in g.edges
+    ]
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    vertices = tuple(g.vertices[k] for k in perm)
+    return rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=())
+
+
+def test_graphs_equal_ignores_vertex_order_and_edge_labels(hexagon_complex):
+    rng = np.random.default_rng(43)
+    rc8 = rf.geometric_radon_complex(_eight_two())
+    for g in (hexagon_complex.graph, rc8.graph):
+        other = _relabeled(g, rng)
+        assert rf.graphs_equal(g, other) and rf.graphs_equal(other, g)
+        assert rf.graphs_equal(other, _relabeled(g, rng))
+
+
+def test_graphs_equal_sees_one_flipped_vertex_or_one_moved_edge(hexagon_complex):
+    g = hexagon_complex.graph
+    reps = len(g.vertices) // 2
+    flipped = list(g.vertices)
+    flipped[3] = flipped[3].antipode()  # vertex 3's orientation appears twice
+    assert not rf.graphs_equal(g, rf.CircuitGraph(tuple(flipped), g.edges, ()))
+    # vertex 3 and its antipode trade places: the same vertex set, but the
+    # edges at vertex 3 now meet its antipode
+    swapped = list(g.vertices)
+    swapped[3], swapped[3 + reps] = swapped[3 + reps], swapped[3]
+    assert not rf.graphs_equal(g, rf.CircuitGraph(tuple(swapped), g.edges, ()))
+    # one edge moved to a pair of vertices that is not an edge
+    i, j = g.edges[0]
+    k = next(k for k in range(len(g.vertices)) if k not in (i, j)
+             and (min(i, k), max(i, k)) not in set(g.edges))
+    moved = ((min(i, k), max(i, k)),) + g.edges[1:]
+    assert not rf.graphs_equal(g, rf.CircuitGraph(g.vertices, moved, ()))
+    assert rf.graphs_equal(g, rf.CircuitGraph(g.vertices, g.edges, ()))

@@ -228,6 +228,35 @@ def test_sign_rows_match_int_masks(n):
     assert np.array_equal(rf.core._signs(vectors, n), signs)
 
 
+def _signs_loop(vectors, n):
+    out = np.zeros((len(vectors), n), np.int8)
+    for k, v in enumerate(vectors):
+        for e in v.pos:
+            out[k, e - 1] = 1
+        for e in v.neg:
+            out[k, e - 1] = -1
+    return out
+
+
+def test_signs_match_a_per_vector_loop():
+    # signed circuits and their vertices spread over three 32-element words
+    rng = np.random.default_rng(44)
+    circuits = []
+    for size in (2, 3, 5, 8):
+        for _ in range(6):
+            support = rng.choice(np.arange(1, 71), size=size, replace=False).tolist()
+            cut = int(rng.integers(1, size))
+            circuits.append(rf.Circuit.make(support[:cut], support[cut:]))
+    circuits.append(rf.Circuit.make({1, 33, 70}, {32, 64, 65}))
+    vertices = [rf.SignedCircuitVertex(c, s) for c in circuits for s in (1, -1)]
+    for vectors in (circuits, vertices, []):
+        signs = rf.core._signs(vectors, 70)
+        assert signs.dtype == np.int8 and signs.shape == (len(vectors), 70)
+        assert np.array_equal(signs, _signs_loop(vectors, 70))
+        assert np.array_equal(rf.core._unpack(rf.core._pack(signs), 70), signs)
+    assert {w for row in rf.core._signs(circuits, 70) for w in np.flatnonzero(row) // 32} == {0, 1, 2}
+
+
 @functools.lru_cache(maxsize=None)
 def kernel_case(n, z_rows, s_rows):
     """Sparse z rows (one of them zero) and s rows, half of which extend a z
