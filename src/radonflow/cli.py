@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from itertools import chain
@@ -384,7 +385,10 @@ def cmd_homology(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of a process (not at
+    import) and shared after it: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="radonflow",
         description="Radon complexes of point configurations and the curvature flow that stretches them flat",

@@ -36,6 +36,7 @@ from .core import (
     _HALF,
     _LOW,
     _conforming,
+    _counts,
     _negated,
     _pack,
     _pairs,
@@ -145,17 +146,19 @@ class CircuitGraph:
 class RadonComplex:
     """A circuit graph plus its filled higher cells and natural coordinates.
 
-    positions holds one row per graph vertex, antipodal rows negated.  The
-    cells of dimension >= 2 (the facets) are one CSR listing, ordered by
-    dimension, then by their ascending vertex tuples: facet k has dimension
-    facet_dims[k] and the vertices facet_vertices[facet_offsets[k] :
-    facet_offsets[k + 1]], ascending.
+    matroid holds the circuits, the graph's vertices.  positions holds one
+    row per graph vertex, antipodal rows negated.  The cells of dimension
+    >= 2 (the facets) are one CSR listing, ordered by dimension, then by
+    their ascending vertex tuples: facet k has dimension facet_dims[k] and
+    the vertices facet_vertices[facet_offsets[k] : facet_offsets[k + 1]],
+    ascending.
     """
 
     graph: CircuitGraph
     n: int
     d: int
     positions: np.ndarray
+    matroid: OrientedMatroid
     facet_dims: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
     facet_offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, np.intp))
     facet_vertices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
@@ -174,13 +177,13 @@ class RadonComplex:
         return len(self.graph.vertices) - len(self.graph.edges) + len(self.facet_dims) - 2 * odd
 
 
-def _ordered_vertices(circuits: list[Circuit]) -> tuple[SignedCircuitVertex, ...]:
+def _ordered_vertices(circuits: tuple[Circuit, ...]) -> tuple[SignedCircuitVertex, ...]:
     """Positive orientations first, antipodes mirrored after; index i <-> i + R."""
     reps = [SignedCircuitVertex(c, 1) for c in circuits]
     return tuple(reps + [v.antipode() for v in reps])
 
 
-def _vertex_rows(circuits: list[Circuit], n: int) -> np.ndarray:
+def _vertex_rows(circuits: tuple[Circuit, ...], n: int) -> np.ndarray:
     """The kernel rows of _ordered_vertices(circuits)."""
     rows = _pack(_signs(circuits, n))
     return np.concatenate([rows, _negated(rows)])
@@ -285,26 +288,87 @@ def _open_cycle(supports, order, tag_of, first, second) -> ValueError:
             )
 
 
+def _compositions(rows: np.ndarray):
+    """Every conformal pair of distinct rows, composed, and the edges among them.
+
+    Returns first and second, the pairs i < j of rows in the kernel's
+    np.nonzero order; composed and head, the distinct compositions and the
+    first pair composing to each; and edge: pair k is an edge of the circuit
+    graph iff exactly two rows, rows[first[k]] and rows[second[k]], conform
+    to its composition.  The closure and _circuit_graph share this code, not
+    its results, so graphs_equal still compares two independent graphs.
+    """
+    first, second = np.concatenate(
+        [
+            np.stack(_pairs(block)) + [[start], [0]]
+            for start, block in _conforming(rows, ~_negated(rows))
+        ],
+        axis=1,
+    )
+    upper = first < second
+    first, second = first[upper], second[upper]
+    composed, head, which = _unique_rows(rows[first] | rows[second])
+    count = np.concatenate([_counts(b) for _, b in _conforming(rows, composed)])
+    return first, second, composed, head, count[which] == 2
+
+
 def _composition_closure(rows: np.ndarray) -> np.ndarray:
     """The distinct sign-vector rows closed under conformal composition.
 
-    Frontier by frontier: every conformal (frontier row, row) pair is
-    composed, each kernel block's compositions are deduplicated as they come
-    (so memory stays bounded), one np.unique over packed keys merges them
-    with everything seen, and the rows new in that frontier form the next.
+    The rows are the signed circuits of a configuration, and the closure is
+    the face poset of the polytope P = V n {sum |x_i| <= 2}, V the space of
+    dependences: a conformal composition is the sign vector of a sum, so it
+    is realized, and a realized sign vector labels the face of P whose
+    vertices are the circuits conforming to it; it is their composition.
+
+    Step 1 composes every conformal pair of circuits (_compositions).  The
+    pairs whose composition has exactly two conforming circuits are the
+    edges of P, as a face with two vertices is a segment.  Every new row
+    then tracks one of its vertices: a row of step 1 the endpoint of lower
+    degree of the first pair composing to it, any later row the vertex its
+    first parent tracks (X conforms to X o Y, so a vertex of a row is one of
+    its children's).  A row is composed only with the neighbours v of
+    its tracked vertex that are conformal to it and hold an element outside
+    its support; the pairs left out would compose to the row itself.
+
+    This reaches every face.  Take a face G, any vertex u of G and a face F
+    that covers G.  The vertex figure F/u is a polytope whose vertices are
+    the edges of F at u, and G/u is one of its facets, so F/u has a vertex
+    off G/u: an edge uv of F with v not in G.  Then G o v labels a face that
+    lies between G and F and is not G, so it is F; and v, a vertex of F, is
+    conformal to G and holds an element outside G's support, because it is
+    not a vertex of G (Ziegler, Lectures on Polytopes, GTM 152, 1995,
+    section 2.1).  By induction on dimension from the faces of step 1, every
+    face of dimension >= 2 is G o v for a face G the closure reached and a
+    neighbour v of the vertex G tracks.
+
+    Each frontier's compositions are merged with everything seen by one
+    np.unique over packed keys, whose first occurrences name the parents;
+    the rows new in that frontier form the next.
     """
-    seen, _ = _unique_rows(rows)
-    frontier = seen
+    first, second, composed, head, edge = _compositions(rows)
+    ends = np.concatenate([first[edge], second[edge]])
+    neighbours = np.concatenate([second[edge], first[edge]])[np.argsort(ends, kind="stable")]
+    degree = np.bincount(ends, minlength=len(rows))
+    starts = np.cumsum(degree) - degree
+
+    def merged(seen, composed, tracks):
+        # seen and composed as distinct rows, the new ones among them and
+        # the vertex each new row tracks: that of its first composed copy
+        grown, head, _ = _unique_rows(np.concatenate([seen, composed]))
+        fresh = head >= len(seen)
+        return grown, grown[fresh], tracks[head[fresh] - len(seen)]
+
+    lower = np.where(degree[second] < degree[first], second, first)
+    seen, frontier, track = merged(_unique_rows(rows)[0], composed, lower[head])
     while len(frontier):
-        composed = [
-            _unique_rows(frontier[start + f] | rows[c])[0]
-            for start, block in _conforming(rows, ~_negated(frontier))
-            for f, c in [_pairs(block)]
-        ]
-        grown, which = _unique_rows(np.concatenate([seen] + composed))
-        fresh = np.ones(len(grown), bool)
-        fresh[which[: len(seen)]] = False
-        seen, frontier = grown, grown[fresh]
+        # every (frontier row, neighbour of its tracked vertex) pair
+        count = degree[track]
+        row = np.repeat(np.arange(len(frontier)), count)
+        listed = np.arange(len(row)) + np.repeat(starts[track] - (np.cumsum(count) - count), count)
+        x, y = frontier[row], rows[neighbours[listed]]
+        useful = ~(x & _negated(y)).any(axis=1) & (y & ~x).any(axis=1)
+        seen, frontier, track = merged(seen, x[useful] | y[useful], track[row[useful]])
     return seen
 
 
@@ -330,22 +394,29 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     and the cell it labels has dimension dim(V restricted to the support)
     minus one, by the same rule (one stacked SVD per support size).
 
-    The realized sign vectors are the closure of the signed circuits under
-    conformal composition, built frontier by frontier: each frontier is
-    composed with every circuit conformal to it, and one np.unique over
-    packed sign-row keys drops what was seen before.  One conformance-kernel
-    pass then lists the (cell, circuit) pairs of every realized vector of
-    dimension >= 1, a CSR listing of each cell's closure, ascending.  The
-    1-cells are the edges: each must list exactly two circuits.  The rest
-    are the facets, put in (dimension, vertex tuple) order by one argsort
-    of key rows: big-endian words dim, v1 + 1, v2 + 1, ..., padded with 0
-    (the vertex -1, so that a prefix sorts first, as tuples do), whose
-    bytes compare as those tuples do.  No Cell object is built (see
-    RadonComplex.facets).
+    The realized sign vectors label the faces of the polytope V n {sum |x_i|
+    <= 2}, and are the closure of the signed circuits under conformal
+    composition (_composition_closure).  It composes every conformal pair
+    of circuits once, reads the polytope's edges off those pairs by the
+    circuit graph's rule, and then grows each new face G along the edges at
+    one vertex u of G only: G o v for the neighbours v of u that are
+    conformal to G and hold an element outside its support.  No face is
+    missed: a face F covering G has an edge uv with v not in G, because the
+    vertex figure F/u has a vertex off its facet G/u, and then F = G o v.
+    One np.unique over packed sign-row keys per frontier drops what was
+    seen before.  One conformance-kernel pass then lists the (cell,
+    circuit) pairs of every realized vector of dimension >= 1, a CSR
+    listing of each cell's closure, ascending.  The 1-cells are the edges:
+    each must list exactly two circuits.  The rest are the facets, put in
+    (dimension, vertex tuple) order by one argsort of key rows: big-endian
+    words dim, v1 + 1, v2 + 1, ..., padded with 0 (the vertex -1, so that a
+    prefix sorts first, as tuples do), whose bytes compare as those tuples
+    do.  No Cell object is built (see RadonComplex.facets).
     """
     dependences = circuit_dependences(config)
     n, d = config.n, config.d
-    circuits = sorted(dependences, key=Circuit.sort_key)
+    matroid = OrientedMatroid(GroundSet(n, d), frozenset(dependences))
+    circuits = matroid.sorted_circuits
     vertices = _ordered_vertices(circuits)
     placed = [project_to_gamma(dependences[c]) for c in circuits]
     positions = np.array(placed + [-x for x in placed])
@@ -384,6 +455,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
         n=n,
         d=d,
         positions=positions,
+        matroid=matroid,
         facet_dims=cell_dims[~edge][order],
         facet_offsets=np.concatenate([[0], np.cumsum(sizes[~edge][order])]),
         facet_vertices=listed[listed > 0].astype(np.intp) - 1,
@@ -391,10 +463,8 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
 
 
 def matroid_of_complex(rc: RadonComplex) -> OrientedMatroid:
-    reps = rc.graph.vertices[: len(rc.graph.vertices) // 2]
-    return OrientedMatroid(
-        GroundSet(rc.n, rc.d), frozenset(v.circuit for v in reps)
-    )
+    """The oriented matroid whose circuits are rc's vertices."""
+    return rc.matroid
 
 
 def combinatorial_circuit_graph(m: OrientedMatroid) -> CircuitGraph:
@@ -415,23 +485,10 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     kernel; edges keep the (i, j) order of the vertex pairs.  Edges are then
     partitioned into cycles by the support of the composition.
     """
-    circuits = m.sorted_circuits()
+    circuits = m.sorted_circuits
     rows = _vertex_rows(circuits, m.n)
-    first, second = np.concatenate(
-        [
-            np.stack(_pairs(block)) + [[start], [0]]
-            for start, block in _conforming(rows, ~_negated(rows))
-        ],
-        axis=1,
-    )
-    upper = first < second
-    first, second = first[upper], second[upper]
-    composed, which = _unique_rows(rows[first] | rows[second])
-    count = np.concatenate(
-        [np.bincount(_pairs(b)[0], minlength=len(b)) for _, b in _conforming(rows, composed)]
-    )
-    lone = count[which] == 2
-    return _graph(_ordered_vertices(circuits), rows, first[lone], second[lone])
+    first, second, _, _, edge = _compositions(rows)
+    return _graph(_ordered_vertices(circuits), rows, first[edge], second[edge])
 
 
 def _labels(*graphs: CircuitGraph) -> list[np.ndarray]:
@@ -441,7 +498,7 @@ def _labels(*graphs: CircuitGraph) -> list[np.ndarray]:
     vertices and labels[V:] their antipodes."""
     words = max(g.rows.shape[1] for g in graphs)
     rows = [np.pad(g.rows, ((0, 0), (0, words - g.rows.shape[1]))) for g in graphs]
-    _, which = _unique_rows(np.concatenate([x for r in rows for x in (r, _negated(r))]))
+    _, _, which = _unique_rows(np.concatenate([x for r in rows for x in (r, _negated(r))]))
     return np.split(which, np.cumsum([2 * len(r) for r in rows])[:-1])
 
 

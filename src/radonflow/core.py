@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -187,8 +188,10 @@ class OrientedMatroid:
     def is_uniform(self) -> bool:
         return all(len(c.support) == self.d + 2 for c in self.circuits)
 
-    def sorted_circuits(self) -> list[Circuit]:
-        return sorted(self.circuits, key=Circuit.sort_key)
+    @cached_property
+    def sorted_circuits(self) -> tuple[Circuit, ...]:
+        """The circuits in Circuit.sort_key order, sorted once per matroid."""
+        return tuple(sorted(self.circuits, key=Circuit.sort_key))
 
     def circuit_key(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
         return frozenset(
@@ -201,7 +204,7 @@ class OrientedMatroid:
             "d": self.d,
             "circuits": [
                 {"pos": sorted(c.pos), "neg": sorted(c.neg)}
-                for c in self.sorted_circuits()
+                for c in self.sorted_circuits
             ],
         }
 
@@ -379,10 +382,10 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
 # built as the OR of two 16-entry nibble tables.  A row of s then costs one
 # lookup per such byte (four at n <= 16), OR-ed and negated.  A bitset is
 # ceil(len(z)/64) uint64 words, z row j at bit j % 64 of word j // 64;
-# _pairs lists the set bits of a block of them as index pairs, and
-# _conformity unpacks them into a bool matrix.  The tables hold either byte
-# order, as z and s are read alike; bitsets cross a byte view only as
-# little-endian ('<u8') words.
+# _pairs lists the set bits of a block of them as index pairs, _counts
+# counts them per row by a byte table, and _conformity unpacks them into a
+# bool matrix.  The tables hold either byte order, as z and s are read
+# alike; bitsets cross a byte view only as little-endian ('<u8') words.
 _HALF = np.uint64(32)
 _LOW = np.uint64(0xFFFFFFFF)
 _BITS = np.uint64(1) << np.arange(32, dtype=np.uint64)
@@ -390,6 +393,7 @@ _HALVES = np.array([0, 4], np.uint8)[:, None, None]  # the two nibbles of a byte
 _OUTSIDE = np.arange(15, -1, -1, dtype=np.uint8)[:, None]  # 15 - u: the bits outside u
 _LE = np.dtype("<u8")
 _SIGN_OF_PART = np.array([1, -1], np.int8)
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, np.uint8)
 _BLOCK_WORDS = 1 << 16  # 8-byte words of intermediate per kernel, SVD or target block
 
 
@@ -433,7 +437,7 @@ def _pack(signs: np.ndarray) -> np.ndarray:
 def _supports(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct supports of kernel rows as an (m, n) bool matrix, and for
     each row the index of its support."""
-    either, which = _unique_rows((rows >> _HALF | rows) & _LOW)
+    either, _, which = _unique_rows((rows >> _HALF | rows) & _LOW)
     bits = either[:, :, None] & _BITS != 0
     return bits.reshape(len(either), 32 * either.shape[1])[:, :n], which
 
@@ -451,8 +455,9 @@ def _negated(rows: np.ndarray) -> np.ndarray:
     return rows << _HALF | rows >> _HALF
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows, and for each input row the index of its copy.
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows, the index of each one's first occurrence, and for
+    each input row the index of its copy.
 
     One 1-D np.unique over packed keys: the word itself when a row has one,
     else the row's bytes.
@@ -460,7 +465,7 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.ascontiguousarray(rows)
     keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))) if rows.shape[1] > 1 else rows
     _, first, which = np.unique(keys[:, 0], return_index=True, return_inverse=True)
-    return rows[first], which
+    return rows[first], first, which
 
 
 def _conforming(z: np.ndarray, s: np.ndarray):
@@ -509,6 +514,11 @@ def _pairs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     flags = np.unpackbits(octets, axis=1, bitorder="little")
     at, bit = np.nonzero(flags)
     return row[at], word[at] * 64 + bit
+
+
+def _counts(bits: np.ndarray) -> np.ndarray:
+    """The number of set bits in each row of a block of bitsets."""
+    return _POPCOUNT.take(bits.view(np.uint8)).sum(axis=1, dtype=np.intp)
 
 
 def _conformity(z: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -568,7 +578,7 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     conformance kernel; violations are listed in (X, Y, e) order, X and Y
     running over the sorted circuits, each positive then negative.
     """
-    circuits = m.sorted_circuits()
+    circuits = m.sorted_circuits
     n = m.n
     minimality: list[str] = []
     canonical: list[str] = []
@@ -620,7 +630,7 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
         ]
         pairs = np.concatenate(hits)
         elements = np.repeat(np.arange(n), [len(h) for h in hits])
-        targets, which = _unique_rows((x | signed).reshape(-1, words)[pairs] & clear[elements])
+        targets, _, which = _unique_rows((x | signed).reshape(-1, words)[pairs] & clear[elements])
         witnessed = np.concatenate([b.any(axis=1) for _, b in _conforming(signed, targets)])
         bad = ~witnessed[which]
         for p, e in sorted(zip(pairs[bad].tolist(), elements[bad].tolist())):

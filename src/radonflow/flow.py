@@ -210,6 +210,12 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x * y).sum(axis=1, keepdims=True)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row norms as a column, the values np.linalg.norm(x, axis=1,
+    keepdims=True) gives, without its per-call overhead."""
+    return np.sqrt((x * x).sum(axis=1, keepdims=True))
+
+
 class _Field:
     """Vectorized curvature, energy and energy gradient over all vertices."""
 
@@ -221,20 +227,24 @@ class _Field:
         self.v_idx, self.a_idx, self.b_idx = np.array(pairs, int).reshape(-1, 3).T.copy()
         self.mask = (sphere.signs != 0).astype(float)
         self.mask_size = self.mask.sum(axis=1, keepdims=True)
+        # the flat entries of the (2 reps, n) gradient that the rows of the
+        # v, a and b terms add to, in that order: one bincount sums each
+        # entry's terms in the order of three row-wise np.add.at calls
+        n = self.mask.shape[1]
+        ends = np.concatenate([self.v_idx, self.a_idx, self.b_idx])
+        self.entries = (ends[:, None] * n + np.arange(n)).ravel()
 
-    def evaluate(
-        self, P: np.ndarray, grad: bool = False
-    ) -> tuple[np.ndarray, float, np.ndarray | None]:
-        """eta per (vertex, cycle) incidence, the energy E = sum vol^2 and,
-        if grad, the gradient of E projected onto every vertex's face."""
+    def evaluate(self, P: np.ndarray) -> tuple[np.ndarray, float, tuple]:
+        """eta per (vertex, cycle) incidence, the energy E = sum vol^2, and
+        the terms that stats reads the gradient from."""
         full = np.vstack([P, -P])
         a, b, v = full[self.a_idx], full[self.b_idx], P[self.v_idx]
-        nv = np.linalg.norm(v, axis=1, keepdims=True)
+        nv = _norms(v)
         vn = v / nv
         w = a - _dot(a, vn) * vn
         w2 = b - _dot(b, vn) * vn
-        nw = np.linalg.norm(w, axis=1, keepdims=True)
-        nw2 = np.linalg.norm(w2, axis=1, keepdims=True)
+        nw = _norms(w)
+        nw2 = _norms(w2)
         if nw.size and (nw.min() < EPS_SIGN or nw2.min() < EPS_SIGN):
             raise IntegrationError("degenerate neighbor pair: radial neighbor position")
         wh = w / nw
@@ -243,50 +253,55 @@ class _Field:
         # where 1 - cos^2 would lose half the available precision
         c = _dot(wh, wh2)
         res = wh2 - c * wh
-        eta = np.linalg.norm(res, axis=1)
+        eta = _norms(res)[:, 0]
         energy = float((((nv * nw * nw2)[:, 0] * eta) ** 2).sum())
-        if not grad:
-            return eta, energy, None
+        return eta, energy, (a, b, v, nv, nw, nw2, wh, wh2, c, res)
+
+    def stats(
+        self, evaluated: tuple[np.ndarray, float, tuple]
+    ) -> tuple[float, np.ndarray, float, float, float]:
+        """Of evaluate's result: the energy, its gradient projected onto
+        every vertex's face, max/mean vertex curvature and the largest
+        gradient row norm."""
+        eta, energy, (a, b, v, nv, nw, nw2, wh, wh2, c, res) = evaluated
         # d vol^2 / dx = 2 area(other two)^2 (x orthogonal to the other two),
         # each orthogonal part in the same Schur form: nw2 * res is b off
         # span(v, a), nw * (wh - c wh2) is a off span(v, b).  Antipodal
         # neighbors (b = -a, in a direct sum) leave u = 0 and area(a, b) = 0,
         # so the floor on nu only keeps 0/0 out of a zero term.
-        na = np.linalg.norm(a, axis=1, keepdims=True)
+        na = _norms(a)
         ah = a / na
         u = b - _dot(b, ah) * ah
-        nu = np.linalg.norm(u, axis=1, keepdims=True)
+        nu = _norms(u)
         uh = u / np.maximum(nu, EPS_SIGN)
         gv = (na * nu) ** 2 * (v - _dot(v, ah) * ah - _dot(v, uh) * uh)
         ga = (nv * nw2) ** 2 * nw * (wh - c * wh2)
         gb = (nv * nw) ** 2 * nw2 * res
-        dE = np.zeros_like(full)
-        np.add.at(dE, self.v_idx, gv)
-        np.add.at(dE, self.a_idx, ga)
-        np.add.at(dE, self.b_idx, gb)
+        terms = np.concatenate([gv, ga, gb]).ravel()
+        dE = np.bincount(self.entries, terms, minlength=2 * self.mask.size)
+        dE = dE.reshape(2 * self.reps, -1)
         # an antipode sits at the negated position of its representative
         g = 2.0 * (dE[: self.reps] - dE[self.reps :]) * self.mask
         g -= self.mask * (g.sum(axis=1, keepdims=True) / self.mask_size)
-        return eta, energy, g
-
-    def stats(self, P: np.ndarray) -> tuple[float, np.ndarray, float, float, float]:
-        """Energy, projected gradient, max/mean vertex curvature and the
-        largest gradient row norm."""
-        eta, energy, g = self.evaluate(P, grad=True)
         curv = np.bincount(self.v_idx, eta, minlength=self.reps)
-        vel_max = float(np.linalg.norm(g, axis=1).max()) if self.reps else 0.0
+        vel_max = float(_norms(g).max()) if self.reps else 0.0
         curv_max = float(curv.max()) if self.reps else 0.0
         curv_mean = float(curv.mean()) if self.reps else 0.0
         return energy, g, curv_max, curv_mean, vel_max
 
 
-def _collided(P: np.ndarray) -> bool:
+def _screen_direction(n: int) -> np.ndarray:
+    """The unit direction _collided projects along, one weight per coordinate."""
+    u = np.sqrt(np.arange(2.0, n + 2.0))
+    return u / np.linalg.norm(u)
+
+
+def _collided(P: np.ndarray, u: np.ndarray) -> bool:
     """Whether two of the positions P and -P lie within COLLISION_DIST.  Such
-    a pair is as close along any unit direction, so only runs of positions
+    a pair is as close along the unit direction u, so only runs of positions
     whose sorted projections lie that close are compared."""
     full = np.vstack([P, -P])
-    u = np.sqrt(np.arange(2.0, P.shape[1] + 2.0))
-    proj = full @ (u / np.linalg.norm(u))
+    proj = full @ u
     order = np.argsort(proj)
     close = np.flatnonzero(np.diff(proj[order]) < COLLISION_DIST)
     if not close.size:
@@ -313,8 +328,9 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     radially.  Armijo backtracking accepts a trial step h when E falls
     strictly below E - ARMIJO * h * |g|^2, g the projected gradient, and
     halves h otherwise.  The first trial is params.h and, after an accepted
-    step, the next doubles while it stays within MAX_STEP.  The trace's t
-    sums the accepted steps and vel_max is the largest row norm of g.
+    step, the next doubles while it stays within MAX_STEP; the accepted
+    trial's evaluation gives the next gradient.  The trace's t sums the
+    accepted steps and vel_max is the largest row norm of g.
 
     One test per outcome, before each step: a vertex on or past its face
     boundary is a face exit, a max vertex curvature below TOL_CURV converges,
@@ -326,10 +342,11 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         params = FlowParams()
     field = _Field(s)
     P = s.rep_positions()
+    direction = _screen_direction(P.shape[1])
     samples: list[TraceSample] = []
     t = 0.0
     h = params.h
-    energy, g, curv_max, curv_mean, vel_max = field.stats(P)
+    energy, g, curv_max, curv_mean, vel_max = field.stats(field.evaluate(P))
     while True:
         samples.append(TraceSample(t, curv_max, curv_mean, vel_max))
         if s.face_violations(P, 0.0).any():
@@ -344,18 +361,19 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         decrease = ARMIJO * float((g * g).sum())
         while h >= MIN_STEP:
             P_new = _renormalized(P - h * g)
-            if field.evaluate(P_new)[1] < energy - h * decrease:
+            trial = field.evaluate(P_new)
+            if trial[1] < energy - h * decrease:
                 break
             h *= 0.5
         else:
             outcome = OUTCOME_STALLED
             break
-        if _collided(P_new):
+        if _collided(P_new, direction):
             raise IntegrationError(f"two vertices collided within {COLLISION_DIST}")
         P = P_new
         t += h
         h = 2.0 * h if 2.0 * h <= MAX_STEP else min(h, MAX_STEP)
-        energy, g, curv_max, curv_mean, vel_max = field.stats(P)
+        energy, g, curv_max, curv_mean, vel_max = field.stats(trial)
     final = EmbeddedSphere(s.matroid, s.graph, P, validate=False)
     return final, FlowTrace(samples=samples, outcome=outcome)
 

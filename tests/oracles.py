@@ -12,6 +12,9 @@ circuit-axiom check, the circuit-graph adjacency rule and the Radon
 complex's cell closure, which the package runs through one vectorised
 conformance kernel; the parity tests require identical outputs.
 conformity asks that kernel's question of one pair of sign rows at a time.
+composition_closure is the package's earlier closure on kernel rows, which
+composed every frontier row with every conformal circuit; the package now
+composes it only with the graph neighbours of one of its vertices.
 
 circuit_scan is the per-support loop version of core.circuit_dependences
 (one SVD per candidate support); the package batches each size level.
@@ -36,7 +39,9 @@ The loop references work on Python-int bitmask pairs of their own
 into cycles with partition_edges_into_cycles, a copy of the package's
 earlier int-mask version: tags in increasing mask order.
 
-The rest are a plain per-vertex version of the flow's curvature, the
+The rest are a plain per-vertex version of the flow's curvature, the flow
+field as the package once evaluated it (field_evaluate: np.linalg.norm for
+row norms, three np.add.at scatters for the gradient), the
 earlier eta * Delta velocity field with its fixed-step flow (field_flow),
 which the package replaced by descent on sum vol^2, the support projection
 that the velocity applies, the all-pairs distance that the flow's
@@ -56,7 +61,15 @@ import numpy as np
 
 import radonflow as rf
 from radonflow.complexes import _ordered_vertices
-from radonflow.core import ELIMINATION_CAP, KERNEL_RTOL, circuit_dependences
+from radonflow.core import (
+    ELIMINATION_CAP,
+    KERNEL_RTOL,
+    _conforming,
+    _negated,
+    _pairs,
+    _unique_rows,
+    circuit_dependences,
+)
 from radonflow.macphersonian import _gf2_pivots
 
 
@@ -266,6 +279,44 @@ def _neighbor_directions(s, i):
         yield pa, pb, w / nw, w2 / nw2
 
 
+def field_evaluate(field, P):
+    """eta per (vertex, cycle) incidence of a flow._Field, the energy and
+    its gradient projected onto every vertex's face."""
+
+    def dot(x, y):
+        return (x * y).sum(axis=1, keepdims=True)
+
+    full = np.vstack([P, -P])
+    a, b, v = full[field.a_idx], full[field.b_idx], P[field.v_idx]
+    nv = np.linalg.norm(v, axis=1, keepdims=True)
+    vn = v / nv
+    w = a - dot(a, vn) * vn
+    w2 = b - dot(b, vn) * vn
+    nw = np.linalg.norm(w, axis=1, keepdims=True)
+    nw2 = np.linalg.norm(w2, axis=1, keepdims=True)
+    wh = w / nw
+    wh2 = w2 / nw2
+    c = dot(wh, wh2)
+    res = wh2 - c * wh
+    eta = np.linalg.norm(res, axis=1)
+    energy = float((((nv * nw * nw2)[:, 0] * eta) ** 2).sum())
+    na = np.linalg.norm(a, axis=1, keepdims=True)
+    ah = a / na
+    u = b - dot(b, ah) * ah
+    nu = np.linalg.norm(u, axis=1, keepdims=True)
+    uh = u / np.maximum(nu, rf.EPS_SIGN)
+    gv = (na * nu) ** 2 * (v - dot(v, ah) * ah - dot(v, uh) * uh)
+    ga = (nv * nw2) ** 2 * nw * (wh - c * wh2)
+    gb = (nv * nw) ** 2 * nw2 * res
+    dE = np.zeros_like(full)
+    np.add.at(dE, field.v_idx, gv)
+    np.add.at(dE, field.a_idx, ga)
+    np.add.at(dE, field.b_idx, gb)
+    g = 2.0 * (dE[: field.reps] - dE[field.reps :]) * field.mask
+    g -= field.mask * (g.sum(axis=1, keepdims=True) / field.mask_size)
+    return eta, energy, g
+
+
 def local_curvature(s, i) -> tuple[float, list[float]]:
     """Total curvature at vertex i and the per-cycle contributions.
 
@@ -333,7 +384,7 @@ def conformity(z, s):
 
 def check_circuit_axioms(m):
     """Loop version of rf.check_circuit_axioms, with the same violation cap."""
-    circuits = m.sorted_circuits()
+    circuits = m.sorted_circuits
     minimality, canonical, elimination = [], [], []
 
     for c1, c2 in combinations(circuits, 2):
@@ -386,7 +437,7 @@ def check_circuit_axioms(m):
 def circuit_graph(m):
     """Loop version of the circuit graph (axioms unchecked), as
     rf.complexes._circuit_graph builds it."""
-    vertices = _ordered_vertices(m.sorted_circuits())
+    vertices = _ordered_vertices(m.sorted_circuits)
     vmasks = [masks(v) for v in vertices]
     edges = []
     for i, j in combinations(range(len(vertices)), 2):
@@ -457,6 +508,26 @@ def radon_complex(config):
     graph = rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
     facets = tuple(sorted(facet_cells, key=lambda c: (c.dim, tuple(sorted(c.vertices)))))
     return RadonComplexRef(graph=graph, facets=facets, n=n, d=d, positions=positions)
+
+
+def composition_closure(rows):
+    """The all-pairs closure the package ran before it grew cells along the
+    1-skeleton: frontier by frontier, every conformal (frontier row, row)
+    pair is composed, and the rows new in that frontier form the next.
+    Same kernel rows in, same sorted distinct rows out."""
+    seen = _unique_rows(rows)[0]
+    frontier = seen
+    while len(frontier):
+        composed = [
+            _unique_rows(frontier[start + f] | rows[c])[0]
+            for start, block in _conforming(rows, ~_negated(frontier))
+            for f, c in [_pairs(block)]
+        ]
+        grown, _, which = _unique_rows(np.concatenate([seen] + composed))
+        fresh = np.ones(len(grown), bool)
+        fresh[which[: len(seen)]] = False
+        seen, frontier = grown, grown[fresh]
+    return seen
 
 
 @dataclass

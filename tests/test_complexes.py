@@ -128,7 +128,9 @@ def _hand_built(rc, edges=RING, cycles=None, vertices=None):
     if cycles is None:
         cycles = [rf.Cycle(frozenset(range(1, 6)), tuple(range(10)), tuple(range(len(edges))))]
     graph = rf.CircuitGraph(vertices=tuple(vertices), edges=tuple(edges), cycles=tuple(cycles))
-    return rf.RadonComplex(graph=graph, n=rc.n, d=rc.d, positions=rc.positions)
+    return rf.RadonComplex(
+        graph=graph, n=rc.n, d=rc.d, positions=rc.positions, matroid=rc.matroid
+    )
 
 
 def test_hand_built_ring_is_a_sphere(pentagon_complex):
@@ -214,7 +216,7 @@ def test_near_collinear_triple_gets_one_answer(tmp_path, eps, count):
 def _damaged(m):
     """m with its first circuit dropped, one reversed copy and one shrunk copy:
     every axiom then has violations."""
-    cs = m.sorted_circuits()
+    cs = list(m.sorted_circuits)
     big, e = cs[-1], max(cs[-1].support)
     shrunk = rf.Circuit.make(big.pos - {e}, big.neg - {e})
     reversal = rf.Circuit(cs[1].neg, cs[1].pos)
@@ -404,3 +406,53 @@ def test_graphs_equal_sees_one_flipped_vertex_or_one_moved_edge(hexagon_complex)
     moved = ((min(i, k), max(i, k)),) + g.edges[1:]
     assert not rf.graphs_equal(g, rf.CircuitGraph(g.vertices, moved, ()))
     assert rf.graphs_equal(g, rf.CircuitGraph(g.vertices, g.edges, ()))
+
+
+def _closure_equals_oracle(circuits, n):
+    """The closure of the circuits' vertex rows equals the all-pairs one;
+    the closure's rows, for further checks."""
+    rows = rf.complexes._vertex_rows(circuits, n)
+    closure = rf.complexes._composition_closure(rows)
+    assert np.array_equal(closure, oracles.composition_closure(rows))
+    return closure
+
+
+@pytest.mark.parametrize(
+    "n, d", [(7, 2), (8, 2), (8, 3), (9, 3), (9, 4), (10, 5), (10, 4)]
+)
+def test_closure_matches_the_all_pairs_oracle_on_the_ladder(n, d):
+    # the analyze ladder's rungs, drawn uniform, with a coincident pair and
+    # with a collinear triple: a cell the neighbour rule missed is missing here
+    rng = np.random.default_rng([43, n, d])
+    draws = [sample_spanning_points(n, d, rng)] + [
+        sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
+    ]
+    for pts in draws:
+        m = rf.circuits_of_points(rf.PointConfiguration(pts.astype(float), d))
+        assert len(_closure_equals_oracle(m.sorted_circuits, n)) > 2 * len(m.circuits)
+
+
+@pytest.mark.parametrize(
+    "points, d, circuits, realized",
+    [
+        # n = d + 2: one circuit, two antipodal vertices, no edge to grow along
+        ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 3, 1, 2),
+        # element 5 is a coloop: four collinear points make one cycle of 8 edges
+        ([[0, 0], [1, 0], [2, 0], [3, 0], [0, 5]], 2, 4, 16),
+        # three coincident points: three 2-element circuits, a hexagon
+        ([[0, 0], [0, 0], [0, 0], [4, 1], [1, 6]], 2, 3, 12),
+    ],
+)
+def test_closure_matches_the_oracle_on_small_degenerate_shapes(points, d, circuits, realized):
+    m = rf.circuits_of_points(rf.PointConfiguration(np.asarray(points, float), d))
+    assert len(m.circuits) == circuits
+    assert len(_closure_equals_oracle(m.sorted_circuits, m.n)) == realized
+
+
+@pytest.mark.parametrize("n, d, step", [(4, 2, 1), (5, 3, 1), (6, 4, 1), (5, 2, 7)])
+def test_closure_matches_the_oracle_on_census_elements(n, d, step):
+    # every element at (4,2), (5,3) and (6,4), and every 7th of the 842 at (5,2)
+    elements = rf.enumerate_acyclic_oms(n, d)[::step]
+    for m in elements:
+        _closure_equals_oracle(m.sorted_circuits, n)
+    assert len(elements) == {(4, 2): 25, (5, 3): 90, (6, 4): 301, (5, 2): 121}[n, d]

@@ -5,8 +5,8 @@ import pytest
 
 import radonflow as rf
 from conftest import sample_spanning_points
-from oracles import field_flow, local_curvature, min_pair_distance, velocity
-from radonflow.flow import _collided, _Field
+from oracles import field_evaluate, field_flow, local_curvature, min_pair_distance, velocity
+from radonflow.flow import _collided, _Field, _screen_direction
 
 # the sampled-shape gate: (n, d, rep) with a configuration drawn from
 # default_rng([1, n, d, rep]) and a delta = 0.01 perturbation from default_rng([rep])
@@ -51,10 +51,26 @@ def test_geometric_embeddings_are_fixed_points(pentagon_sphere, hexagon_sphere):
 
 def test_vectorized_field_matches_reference(hexagon_sphere):
     s = hexagon_sphere.perturbed(0.05, np.random.default_rng(2))
-    _, _, curv_max, curv_mean, _ = _Field(s).stats(s.rep_positions())
+    field = _Field(s)
+    _, _, curv_max, curv_mean, _ = field.stats(field.evaluate(s.rep_positions()))
     totals = [local_curvature(s, i)[0] for i in range(s.n_reps)]
     assert abs(curv_max - max(totals)) < 1e-12
     assert abs(curv_mean - np.mean(totals)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", ["pentagon", "hexagon", "(8,4)"])
+def test_field_equals_the_add_at_oracle_bit_for_bit(pentagon_sphere, hexagon_sphere, shape):
+    # row norms by sqrt of row sums and one bincount for the three scatters
+    # give the same floats as np.linalg.norm and np.add.at did
+    sphere = {"pentagon": pentagon_sphere, "hexagon": hexagon_sphere}.get(shape)
+    sphere = sphere or sampled_sphere(8, 4, 1)
+    for seed in range(3):
+        s = sphere.perturbed(0.05, np.random.default_rng([7, seed]))
+        field, P = _Field(s), s.rep_positions()
+        evaluated = field.evaluate(P)
+        eta, energy, g = field_evaluate(field, P)
+        assert np.array_equal(evaluated[0], eta) and evaluated[1] == energy
+        assert np.array_equal(field.stats(evaluated)[1], g)
 
 
 @pytest.mark.parametrize("name", ["pentagon", "hexagon", "(8,2)", "direct sum"])
@@ -62,7 +78,7 @@ def test_energy_gradient_matches_central_differences(spheres, name):
     s = spheres[name].perturbed(0.05, np.random.default_rng(3))
     field = _Field(s)
     P = s.rep_positions()
-    energy, g, _, _, _ = field.stats(P)
+    energy, g, _, _, _ = field.stats(field.evaluate(P))
     assert energy > 0.0 and field.evaluate(P)[1] == energy
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -75,7 +91,8 @@ def test_energy_gradient_matches_central_differences(spheres, name):
 @pytest.mark.parametrize("name", ["pentagon", "hexagon", "(8,2)", "direct sum"])
 def test_descent_direction_is_face_tangent(spheres, name):
     s = spheres[name].perturbed(0.05, np.random.default_rng(9))
-    g = _Field(s).stats(s.rep_positions())[1]
+    field = _Field(s)
+    g = field.stats(field.evaluate(s.rep_positions()))[1]
     assert np.abs(g).max() > 1e-3
     assert np.all(g[s.signs == 0] == 0.0)
     assert np.abs(g.sum(axis=1)).max() < 1e-12
@@ -84,7 +101,8 @@ def test_descent_direction_is_face_tangent(spheres, name):
 def test_gradient_vanishes_on_flat_embeddings(spheres):
     flat = list(spheres.values()) + [sampled_sphere(n, d, rep) for n, d, rep in SAMPLED_SHAPES]
     for s in flat:
-        energy, g, curv_max, _, vel_max = _Field(s).stats(s.rep_positions())
+        field = _Field(s)
+        energy, g, curv_max, _, vel_max = field.stats(field.evaluate(s.rep_positions()))
         assert energy < 1e-20 and curv_max < 1e-8
         assert vel_max < 1e-10 and np.abs(g).max() < 1e-10
 
@@ -387,6 +405,6 @@ def test_collision_check_matches_all_pairs(hexagon_sphere):
             step = rng.standard_normal(6)
             P[j] = sign * P[i] + gap * step / np.linalg.norm(step)
             states.append(P)
-    decisions = [_collided(P) for P in states]
+    decisions = [_collided(P, _screen_direction(6)) for P in states]
     assert decisions == [min_pair_distance(P) < rf.COLLISION_DIST for P in states]
     assert decisions.count(True) == 6
