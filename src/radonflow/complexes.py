@@ -40,7 +40,6 @@ from .core import (
     _negated,
     _pack,
     _pairs,
-    _rank,
     _signs,
     _supports,
     _unique_rows,
@@ -372,46 +371,41 @@ def _composition_closure(rows: np.ndarray) -> np.ndarray:
     return seen
 
 
-def _support_dims(lifted: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Dimension of the dependences supported on each row of a bool matrix."""
-    sizes = supports.sum(axis=1)
-    dims = np.zeros(len(supports), int)
-    for size in sorted(set(sizes.tolist())):
-        at = np.flatnonzero(sizes == size)
-        idx = np.nonzero(supports[at])[1].reshape(len(at), size)
-        s = np.linalg.svd(lifted[:, idx].transpose(1, 0, 2), compute_uv=False)
-        dims[at] = size - _rank(s)
-    return dims
+def _dependence_dims(config: PointConfiguration, supports: np.ndarray) -> np.ndarray:
+    """Dimension of the dependences supported on each row S of a bool
+    matrix: |S| - rank(S), where rank(S) = max |S n B| over the bases B
+    that pass the rank rule.  One 0/1 matrix product gives every |S n B|,
+    through BLAS in float32, which is exact: an entry counts at most n
+    terms."""
+    bases, minors = config._minors
+    bases = bases[minors != 0]
+    incidence = np.zeros((len(bases), config.n), np.float32)
+    incidence[np.arange(len(bases))[:, None], bases] = 1
+    meets = supports.astype(np.float32) @ incidence.T
+    return supports.sum(axis=1) - meets.max(axis=1).astype(np.intp)
 
 
 def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     """Build the Radon complex of a spanning point configuration.
 
-    Vertices are the circuits of circuit_dependences, where the rank rule
-    (core._rank) alone decides which supports are circuits; each is placed
-    on the polytope by radially normalizing its dependence vector.  A sign
+    Vertices are the circuits of circuit_dependences, read off the lifted
+    maximal minors that pass the rank rule (core._rank); each is placed on
+    the polytope by radially normalizing its dependence vector.  A sign
     vector is realized iff the circuits conforming to it cover its support,
     and the cell it labels has dimension dim(V restricted to the support)
-    minus one, by the same rule (one stacked SVD per support size).
+    minus one, read off the same bases (_dependence_dims).
 
     The realized sign vectors label the faces of the polytope V n {sum |x_i|
-    <= 2}, and are the closure of the signed circuits under conformal
-    composition (_composition_closure).  It composes every conformal pair
-    of circuits once, reads the polytope's edges off those pairs by the
-    circuit graph's rule, and then grows each new face G along the edges at
-    one vertex u of G only: G o v for the neighbours v of u that are
-    conformal to G and hold an element outside its support.  No face is
-    missed: a face F covering G has an edge uv with v not in G, because the
-    vertex figure F/u has a vertex off its facet G/u, and then F = G o v.
-    One np.unique over packed sign-row keys per frontier drops what was
-    seen before.  One conformance-kernel pass then lists the (cell,
-    circuit) pairs of every realized vector of dimension >= 1, a CSR
-    listing of each cell's closure, ascending.  The 1-cells are the edges:
-    each must list exactly two circuits.  The rest are the facets, put in
-    (dimension, vertex tuple) order by one argsort of key rows: big-endian
-    words dim, v1 + 1, v2 + 1, ..., padded with 0 (the vertex -1, so that a
-    prefix sorts first, as tuples do), whose bytes compare as those tuples
-    do.  No Cell object is built (see RadonComplex.facets).
+    <= 2}: the closure of the signed circuits under conformal composition,
+    grown along the polytope's edges (_composition_closure).  One
+    conformance-kernel pass then lists the (cell, circuit) pairs of every
+    realized vector of dimension >= 1, a CSR listing of each cell's
+    closure, ascending.  The 1-cells are the edges: each must list exactly
+    two circuits.  The rest are the facets, put in (dimension, vertex
+    tuple) order by one argsort of key rows: big-endian words dim, v1 + 1,
+    v2 + 1, ..., padded with 0 (the vertex -1, so that a prefix sorts
+    first, as tuples do), whose bytes compare as those tuples do.  No Cell
+    object is built (see RadonComplex.facets).
     """
     dependences = circuit_dependences(config)
     n, d = config.n, config.d
@@ -424,7 +418,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     rows = _vertex_rows(circuits, n)
     realized = _composition_closure(rows)
     supports, which = _supports(realized, n)
-    cell_dims = _support_dims(config.lifted_matrix(), supports)[which] - 1
+    cell_dims = _dependence_dims(config, supports)[which] - 1
     cells, cell_dims = realized[cell_dims > 0], cell_dims[cell_dims > 0]
 
     listing = [

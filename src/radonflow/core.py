@@ -22,8 +22,9 @@ import numpy as np
 #
 # KERNEL_RTOL     relative singular-value threshold of the rank rule (_rank): a
 #                 matrix's rank counts its singular values above this times
-#                 max(1, largest).  This alone decides which supports are
-#                 circuits and the dimension of every cell of a Radon complex.
+#                 max(1, largest).  It runs on the C(n, d+1) lifted bases
+#                 only, and the bases it keeps alone decide the circuits, the
+#                 dimension of every cell of a Radon complex and spanning.
 # EPS_SIGN        a position coordinate of magnitude <= EPS_SIGN reads as zero
 #                 (EmbeddedSphere's face check), and a neighbor direction this
 #                 short makes the curvature undefined.
@@ -250,9 +251,20 @@ class PointConfiguration:
         """
         return np.vstack([self.points.T, np.ones(self.n)])
 
+    @cached_property
+    def _minors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The bases, the (d+1)-subsets of the points in colex order, and
+        the determinant of each one's lifted columns, zero where the rank
+        rule finds them singular: one stacked det and one stacked SVD."""
+        bases = _colex(self.n, self.d + 1)
+        columns = self.lifted_matrix()[:, bases].transpose(1, 0, 2)
+        minors = np.linalg.det(columns)
+        minors[_rank(np.linalg.svd(columns, compute_uv=False)) < self.d + 1] = 0.0
+        return bases, minors
+
     def affinely_spans(self) -> bool:
-        s = np.linalg.svd(self.lifted_matrix(), compute_uv=False)
-        return bool(_rank(s) == self.d + 1)
+        """Some basis passes the rank rule."""
+        return bool(self._minors[1].any())
 
     def to_dict(self) -> dict:
         return {"d": self.d, "points": [list(map(float, row)) for row in self.points]}
@@ -276,67 +288,34 @@ class PointConfiguration:
 def circuit_dependences(config: PointConfiguration) -> dict[Circuit, np.ndarray]:
     """Every signed circuit of a spanning configuration, with its dependence.
 
-    Supports are scanned by increasing size, skipping supersets of circuits
-    already found.  The rank test alone decides: a support is a circuit when
-    its lifted columns have rank below its size (KERNEL_RTOL).  Its signs
-    are read off the kernel vector, which is returned as a length-n vector,
+    The circuits are read off the lifted maximal minors (_read_circuits):
+    by Cramer's rule the alternating minors of a (d+2)-subset are the
+    coefficients of its dependence, so the rank rule decides circuits on
+    the bases alone.  Each dependence is returned as a length-n vector,
     max-abs normalized, zero off the support and positive on the smallest
     element (Bjorner, Las Vergnas, Sturmfels, White & Ziegler, Oriented
-    Matroids, ch. 3).  The dict lists the circuits in scan order.
-
-    A size level runs in blocks of candidate supports in lexicographic
-    order, each small enough that its stacked matrices (lifted columns,
-    both sets of singular vectors, length-n dependences) stay within
-    _BLOCK_WORDS floats.  A block drops the supersets of earlier circuits
-    with one conformance-kernel pass over support rows (no limit on n),
-    then takes the SVD of every survivor in one stacked np.linalg.svd call.
-    Supports of one size never contain each other, so only circuits of
-    smaller levels can rule a candidate out.
+    Matroids, ch. 3).
     """
     if not config.affinely_spans():
         raise RankDeficientError("points do not affinely span R^d")
-    n = config.n
-    lifted = config.lifted_matrix()
-    found: dict[Circuit, np.ndarray] = {}
-    supports = np.zeros((0, -(-n // 32)), np.uint64)  # support rows of the circuits
-    for size in range(2, config.d + 3):
-        level = itertools.combinations(range(n), size)
-        step = max(1, _BLOCK_WORDS // ((config.d + 1 + size) ** 2 + n))
-        new_supports = []
-        while block := list(itertools.islice(level, step)):
-            subs = np.array(block, dtype=np.intp)
-            rows = _support_rows(subs, n)
-            if len(supports):
-                free = ~np.concatenate([b.any(axis=1) for _, b in _conforming(supports, rows)])
-                subs, rows = subs[free], rows[free]
-                if not len(subs):
-                    continue
-            _, s, vt = np.linalg.svd(lifted[:, subs].transpose(1, 0, 2))
-            dependent = _rank(s) < size
-            subs, rows, v = subs[dependent], rows[dependent], vt[dependent, -1]
-            v = v / np.abs(v).max(axis=1, keepdims=True)
-            at = np.arange(len(subs))[:, None]
-            x = np.zeros((len(subs), n))
-            x[at, subs] = v
-            flip = v[:, 0] < 0
-            x[flip] = -x[flip]  # the whole row, so zeros off the support turn -0.0
-            for sub, vals, vec in zip(subs.tolist(), x[at, subs].tolist(), x):
-                c = Circuit.make(
-                    (e + 1 for e, val in zip(sub, vals) if val > 0),
-                    (e + 1 for e, val in zip(sub, vals) if val < 0),
-                )
-                found[c] = vec
-            new_supports.append(rows)
-        supports = np.concatenate([supports] + new_supports)
-    return found
+    spans, values, _ = _read_circuits(config._minors[1][None], config.n, config.d + 1)
+    values = values / np.abs(values).max(axis=1, keepdims=True)
+    x = np.zeros((len(spans), config.n))
+    x[np.arange(len(spans))[:, None], spans] = np.where(values != 0, values, 0.0)
+    return {
+        Circuit.make(
+            (e + 1 for e, val in zip(span, vals) if val > 0),
+            (e + 1 for e, val in zip(span, vals) if val < 0),
+        ): vec
+        for span, vals, vec in zip(spans.tolist(), values.tolist(), x)
+    }
 
 
 def circuits_of_points(config: PointConfiguration) -> OrientedMatroid:
     """All signed circuits of a spanning point configuration.
 
-    These are the circuits of circuit_dependences: a support is a circuit
-    exactly when the rank test (KERNEL_RTOL) finds its lifted columns
-    dependent and no smaller circuit lies inside it; no coefficient is
+    These are the circuits of circuit_dependences: the rank rule
+    (KERNEL_RTOL) decides which bases are singular, and no coefficient is
     rounded to zero.
     """
     return OrientedMatroid(
@@ -367,7 +346,8 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
 # Sign vectors.  This module alone knows their encodings: _signs turns
 # anything with .pos/.neg element sets into a +1/-1/0 int8 matrix (one row
 # per vector, column e-1 for element e), _pack turns that matrix into the
-# kernel's rows and _supports reads their distinct supports back.  In a
+# kernel's rows, _read_circuits builds the rows of the circuits it reads
+# off basis values and _supports reads their distinct supports back.  In a
 # kernel row, element e lives in word (e-1) // 32 of ceil(n/32) uint64
 # words, its positive bit at 32 + (e-1) % 32 and its negative bit at
 # (e-1) % 32, so a row holds a sign vector of any length.  Z conforms to S
@@ -394,7 +374,7 @@ _OUTSIDE = np.arange(15, -1, -1, dtype=np.uint8)[:, None]  # 15 - u: the bits ou
 _LE = np.dtype("<u8")
 _SIGN_OF_PART = np.array([1, -1], np.int8)
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, np.uint8)
-_BLOCK_WORDS = 1 << 16  # 8-byte words of intermediate per kernel, SVD or target block
+_BLOCK_WORDS = 1 << 16  # 8-byte words of intermediate per kernel or target block
 
 
 def _signs(vectors, n: int) -> np.ndarray:
@@ -442,13 +422,48 @@ def _supports(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return bits.reshape(len(either), 32 * either.shape[1])[:, :n], which
 
 
-def _support_rows(subs: np.ndarray, n: int) -> np.ndarray:
-    """Sign rows with the positive part set to each row of 0-based indices."""
-    word, bit = np.divmod(subs, 32)
-    rows = np.zeros((len(subs), -(-n // 32)), np.uint64)
-    bits = np.uint64(1) << (bit + 32).astype(np.uint64)
-    np.bitwise_or.at(rows, (np.arange(len(subs))[:, None], word), bits)
-    return rows
+def _colex(n: int, r: int) -> np.ndarray:
+    """The r-subsets of range(n) as rows of ascending elements, in colex
+    order: by largest element, then by the next largest, and so on."""
+    subsets = np.array(list(itertools.combinations(range(n), r)), np.intp).reshape(-1, r)
+    return subsets[np.lexsort(subsets.T)]
+
+
+def _read_circuits(values: np.ndarray, n: int, r: int):
+    """The circuits of each row of basis values, read off the (r+1)-subsets.
+
+    values has one row per oriented matroid of rank r on range(n) and one
+    column per r-subset in colex order (_colex): a chirotope's signs, or a
+    configuration's lifted maximal minors.  The span S = (x_0 < ... < x_r)
+    holds one circuit, with values (-1)^i values(S - x_i), unless all of
+    them are zero, and every circuit lies in some span (Bjorner et al.,
+    ch. 3).  The column of S - x_i is its colex rank, sum_j C(s_j, j + 1).
+
+    Circuits are told apart by their kernel sign rows, built word by word
+    from the spans.  Returns spans and vals, two (circuits, r+1) arrays:
+    each distinct circuit's first span (rows in order, spans in colex order)
+    and its values there, signed positive on its smallest element; and held,
+    the (rows, spans) array of the circuit each span holds, -1 for none.
+    """
+    spans = _colex(n, r + 1)
+    binom = np.zeros((n, r + 1), np.int64)  # binom[e, k] = C(e, k)
+    binom[:, 0] = 1
+    for k in range(1, r + 1):
+        binom[1:, k] = np.cumsum(binom[:-1, k - 1])
+    facets = spans[:, np.nonzero(~np.eye(r + 1, dtype=bool))[1].reshape(r + 1, r)]
+    vals = values[:, binom[facets, np.arange(1, r + 1)].sum(axis=2)]
+    vals[:, :, 1::2] *= -1
+    lead = np.take_along_axis(vals, (vals != 0).argmax(axis=2)[:, :, None], axis=2)
+    vals = np.where(lead < 0, -vals, vals)
+    word, bit = np.divmod(spans, 32)
+    bits = (vals != 0) * (np.uint64(1) << (bit + 32 * (vals > 0)).astype(np.uint64))
+    in_word = word[:, :, None] == np.arange(-(-n // 32))
+    rows = (bits[..., None] * in_word).sum(axis=2, dtype=np.uint64)
+    nonzero = (vals != 0).any(axis=2)
+    _, first, which = _unique_rows(rows[nonzero])
+    held = np.full(nonzero.shape, -1, np.intp)
+    held[nonzero] = which
+    return spans[np.nonzero(nonzero)[1][first]], vals[nonzero][first], held
 
 
 def _negated(rows: np.ndarray) -> np.ndarray:
@@ -471,9 +486,8 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _conforming(z: np.ndarray, s: np.ndarray):
     """Yield (start, bits): bit j of bits[i] says z[j] conforms to s[start + i].
 
-    The one conformance kernel of the combinatorial layer: the circuit scan,
-    the axiom check, the circuit graph, the cell closure and the weak-map
-    order all reduce to it.  X and Y are conformal iff X conforms to ~(-Y).
+    The one conformance kernel of the combinatorial layer: the axiom check,
+    the circuit graph, the cell closure and the weak-map order reduce to it.  X and Y are conformal iff X conforms to ~(-Y).
     bits is a block of bitsets over the rows of z (see above), zero past
     len(z).  A block holds at most _BLOCK_WORDS bitset words and at most
     8 * _BLOCK_WORDS (z row, s row) pairs, so that callers which list the

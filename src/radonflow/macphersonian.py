@@ -35,9 +35,11 @@ from .core import (
     Circuit,
     GroundSet,
     OrientedMatroid,
+    _colex,
     _conformity,
     _negated,
     _pack,
+    _read_circuits,
     _signs,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     weak_map_leq,  # the order from_elements computes; perfbench/tracing.py counts its calls here
@@ -45,8 +47,8 @@ from .core import (
 
 # The census runs for n <= MAX_ENUMERATION_N except the TOO_LARGE shapes:
 # the dense weak-map order of the 60 962 elements of (6,2) alone takes
-# 3.7 GB, and the chains of the 17 162 of (6,3) outgrew 3 GB as tuples (as
-# int arrays they have not been measured).
+# 3.7 GB, and the 17 162 elements of (6,3) have 160 945 202 chains, about
+# 6.5 GB as int64 rows.
 MAX_ENUMERATION_N = 6
 TOO_LARGE = frozenset({(6, 2), (6, 3)})
 
@@ -70,20 +72,20 @@ def _is_matroid(bases: list[frozenset[int]]) -> bool:
 def _chirotopes(n: int, r: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Every rank-r chirotope on range(n), one of each +/- pair.
 
-    Returns the r-subsets in colex order and an int8 matrix with one row per
-    chirotope, column i holding its sign on subset i.  The frontier of
-    partial sign maps grows by {+, 0, -} one subset at a time.  Each 3-term
-    Grassmann-Pluecker relation filters it as soon as its six subsets are
-    assigned, which colex order makes early: every subset of the first k
-    elements comes before any subset holding another element.  For an
-    (r-2)-set s and a < b < c < d outside it, the terms
+    Returns the r-subsets in colex order (core._colex) and an int8 matrix
+    with one row per chirotope, column i holding its sign on subset i.  The
+    frontier of partial sign maps grows by {+, 0, -} one subset at a time.
+    Each 3-term Grassmann-Pluecker relation filters it as soon as its six
+    subsets are assigned, which colex order makes early: every subset of the
+    first k elements comes before any subset holding another element.  For
+    an (r-2)-set s and a < b < c < d outside it, the terms
     chi(sab)chi(scd), -chi(sac)chi(sbd) and chi(sad)chi(sbc) are all zero or
     take both signs (the sorting signs are common to the three terms).  The
     rows left whose support obeys basis exchange and whose first nonzero
     entry is + are the chirotopes (Bjorner, Las Vergnas, Sturmfels, White &
     Ziegler, Oriented Matroids, Thm 3.6.2).
     """
-    subsets = sorted(itertools.combinations(range(n), r), key=lambda s: s[::-1])
+    subsets = list(map(tuple, _colex(n, r).tolist()))
     index = {s: i for i, s in enumerate(subsets)}
     due: list[list[list[int]]] = [[] for _ in subsets]
     for union in itertools.combinations(range(n), r + 2):
@@ -118,31 +120,20 @@ def _chirotopes(n: int, r: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
 def _acyclic_matroids(
     subsets: list[tuple[int, ...]], chi: np.ndarray, ground: GroundSet
 ) -> list[OrientedMatroid]:
-    """The oriented matroids of the chirotope rows chi (columns over subsets)
-    that have no positive circuit.
+    """The oriented matroids of the chirotope rows chi (columns over the
+    colex-ordered subsets) that have no positive circuit.
 
-    Each (r+1)-subset S = (x_0 < ... < x_r) with some nonzero chi(S - x_i)
-    holds exactly one circuit, with signs C(x_i) = (-1)^i chi(S - x_i), and
-    every circuit lies in such an S.  A loop would be a one-element circuit,
-    so an acyclic row has none.
+    core._read_circuits reads each row's circuits off its (r+1)-subsets.  A
+    loop would be a one-element circuit, so an acyclic row has none.
     """
-    r = len(subsets[0])
-    index = {s: i for i, s in enumerate(subsets)}
-    spans = list(itertools.combinations(range(ground.n), r + 1))
-    signs = chi[:, [[index[s[:i] + s[i + 1 :]] for i in range(r + 1)] for s in spans]]
-    signs[:, :, 1::2] *= -1
-    positive = (signs > 0).any(axis=2) != (signs < 0).any(axis=2)  # nonzero, of one sign
-    signs = signs[~positive.any(axis=1)]
-    vectors = np.zeros((len(signs), len(spans), ground.n), np.int8)
-    vectors[:, np.arange(len(spans))[:, None], spans] = signs
-    rows, which = np.unique(vectors.reshape(-1, ground.n), axis=0, return_inverse=True)
+    spans, signs, held = _read_circuits(chi, ground.n, len(subsets[0]))
     circuits = [
-        Circuit.make(np.flatnonzero(v > 0) + 1, np.flatnonzero(v < 0) + 1) if v.any() else None
-        for v in rows
+        Circuit.make(span[s > 0] + 1, span[s < 0] + 1) for span, s in zip(spans, signs)
     ]
+    positive = np.append((signs >= 0).all(axis=1), False)  # held -1 reads False
     return [
-        OrientedMatroid(ground, frozenset(circuits[i] for i in held) - {None})
-        for held in which.reshape(len(signs), len(spans))
+        OrientedMatroid(ground, frozenset(circuits[i] for i in row if i >= 0))
+        for row in held[~positive[held].any(axis=1)].tolist()
     ]
 
 
@@ -279,9 +270,7 @@ def order_complex(p: MatroidPoset) -> SimplicialComplex:
     CSR form (the elements above i, ascending, are above[start[i]:][:deg[i]]).
     Each chain is repeated once per element above its last one, and one
     gather appends those elements.  The parents come in lexicographic order
-    and each one's extensions ascend, so every grade comes out sorted.  The
-    273 241 chains of the (6,1) census take 20-30 ms (2-core Intel Xeon,
-    numpy 2.4).
+    and each one's extensions ascend, so every grade comes out sorted.
     """
     below, above = np.nonzero(p.strict())
     deg = np.bincount(below, minlength=len(p))
@@ -367,9 +356,7 @@ def gf2_betti(c: SimplicialComplex) -> list[int]:
     (Chen & Kerber's twist).  Each column's pivot is its smallest face,
     which for rows of ascending vertices is the prefix: a column then
     collides only with the columns of simplices that share its prefix, and
-    a collision costs a few small sets.  On a 2-core Intel Xeon with numpy
-    2.4, the (6,4) census takes 50-65 ms, (5,2) 0.2-0.3 s and (6,1)
-    0.5-0.7 s.
+    a collision costs a few small sets.
     """
     if not c.simplices:
         return []

@@ -8,6 +8,16 @@ SQUARE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 TRI_INTERIOR = [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.5, 0.5]]
 HEXAGON = [[0.0, 0.0], [4.0, 1.0], [6.0, 4.0], [5.0, 7.0], [1.0, 6.0], [-1.0, 3.0]]
 LINE4 = [[0.0], [1.0], [2.0], [4.0]]
+# two coincident pairs make a direct sum: some vertices have a neighbor and
+# its antipode on one cycle
+DIRECT_SUM = [[0, 0], [0, 0], [4, 1], [6, 4], [6, 4], [1, 6]]
+# a triple collinear up to eps, on both sides of the rank rule's threshold
+NEAR_COLLINEAR_EPS = [5e-10, 8e-10, 1e-9, 2e-9, 3e-9, 5e-9]
+
+
+def near_collinear(eps):
+    pts = [[0.0, 0.0], [1.0, 0.0], [2.0, eps], [0.0, 1.0], [1.0, 2.0]]
+    return rf.PointConfiguration(np.asarray(pts), 2)
 
 
 def pentagon_points():

@@ -16,8 +16,11 @@ composition_closure is the package's earlier closure on kernel rows, which
 composed every frontier row with every conformal circuit; the package now
 composes it only with the graph neighbours of one of its vertices.
 
-circuit_scan is the per-support loop version of core.circuit_dependences
-(one SVD per candidate support); the package batches each size level.
+circuit_scan is the per-support loop version of core.circuit_dependences:
+one SVD per candidate support, by size, skipping supersets of circuits
+found; the package reads the circuits off the lifted maximal minors
+(core._read_circuits).  support_dims is the package's earlier cell
+dimension rule, one SVD per support; the package reads ranks off its bases.
 sampled_census is the census as the package once sampled it: random
 degenerate configurations (sample_configuration), each new matroid closed
 under all n! relabelings (relabeled), until a run of samples adds nothing.
@@ -67,6 +70,7 @@ from radonflow.core import (
     _conforming,
     _negated,
     _pairs,
+    _rank,
     _unique_rows,
     circuit_dependences,
 )
@@ -577,10 +581,24 @@ def circuit_scan(config):
     return found
 
 
+def support_dims(lifted, supports):
+    """Dimension of the dependences supported on each row of a bool matrix:
+    the size minus the rank rule's rank of the lifted columns, one stacked
+    SVD per support size."""
+    sizes = supports.sum(axis=1)
+    dims = np.zeros(len(supports), int)
+    for size in sorted(set(sizes.tolist())):
+        at = np.flatnonzero(sizes == size)
+        idx = np.nonzero(supports[at])[1].reshape(len(at), size)
+        s = np.linalg.svd(lifted[:, idx].transpose(1, 0, 2), compute_uv=False)
+        dims[at] = size - _rank(s)
+    return dims
+
+
 def sample_configuration(n, d, rng):
     """One random configuration, with randomized degeneration operations.
 
-    The points need not span R^d; the circuit scan tests that.
+    The points need not span R^d; circuits_of_points tests that.
     """
     pts = rng.uniform(-1.0, 1.0, size=(n, d))
     n_ops = int(rng.integers(0, 3 if n <= 5 else 4))

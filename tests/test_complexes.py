@@ -5,7 +5,14 @@ import pytest
 
 import oracles
 import radonflow as rf
-from conftest import sample_degenerate_points, sample_spanning_points, widened
+from conftest import (
+    DIRECT_SUM,
+    NEAR_COLLINEAR_EPS,
+    near_collinear,
+    sample_degenerate_points,
+    sample_spanning_points,
+    widened,
+)
 from radonflow.cli import main
 
 
@@ -345,6 +352,31 @@ def test_geometric_complex_matches_the_oracle_at_the_top_rungs(n, d):
         assert rc.facets == ref.facets
         assert np.array_equal(rc.positions, ref.positions)
         assert rc.euler_characteristic() == ref.euler_characteristic() == 1 + (-1) ** (n - d - 2)
+
+
+def assert_dims_by_bases(cfg):
+    """The cell dimensions read off the bases equal the per-support SVD
+    rule on every support the closure realizes."""
+    rows = rf.complexes._vertex_rows(rf.circuits_of_points(cfg).sorted_circuits, cfg.n)
+    supports, _ = rf.core._supports(rf.complexes._composition_closure(rows), cfg.n)
+    want = oracles.support_dims(cfg.lifted_matrix(), supports)
+    assert np.array_equal(rf.complexes._dependence_dims(cfg, supports), want)
+
+
+@pytest.mark.parametrize("n, d", [(7, 2), (8, 2), (8, 3), (9, 3), (9, 4), (10, 5), (10, 4)])
+def test_cell_dimensions_by_bases_on_the_ladder(n, d):
+    rng = np.random.default_rng([44, n, d])
+    draws = [sample_spanning_points(n, d, rng)] + [
+        sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
+    ]
+    for pts in draws:
+        assert_dims_by_bases(rf.PointConfiguration(pts.astype(float), d))
+
+
+def test_cell_dimensions_by_bases_near_collinear_and_direct_sum():
+    for eps in NEAR_COLLINEAR_EPS:
+        assert_dims_by_bases(near_collinear(eps))
+    assert_dims_by_bases(rf.PointConfiguration(np.asarray(DIRECT_SUM, float), 2))
 
 
 def _eight_two():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import radonflow as rf
-from conftest import sample_spanning_points
+from conftest import DIRECT_SUM, sample_spanning_points
 from oracles import field_evaluate, field_flow, local_curvature, min_pair_distance, velocity
 from radonflow.flow import _collided, _Field, _screen_direction
 
@@ -17,9 +17,6 @@ SAMPLED_SHAPES = [
 ]
 # the gate's runs whose perturbation itself pushes a vertex out of its face
 STEP_0_FACE_EXITS = {(7, 3, 1), (9, 2, 0), (9, 3, 1), (8, 4, 0), (8, 4, 2), (9, 4, 0)}
-# two coincident pairs make a direct sum: some vertices have a neighbor and
-# its antipode on one cycle
-DIRECT_SUM = [[0, 0], [0, 0], [4, 1], [6, 4], [6, 4], [1, 6]]
 
 
 def sampled_sphere(n, d, rep):
