@@ -267,11 +267,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
                 row["decay_note"] = str(exc)
             if trace.outcome == OUTCOME_CONVERGED:
                 recovered = recover_configuration(final)
-                roundtrip = (
-                    circuits_of_points(recovered).circuit_key()
-                    == sphere.matroid.circuit_key()
-                )
-                row["roundtrip_ok"] = bool(roundtrip)
+                row["roundtrip_ok"] = circuits_of_points(recovered).circuits == sphere.matroid.circuits
                 _write_json(
                     out / f"rep_{rep:03d}_recovered_points.json", recovered.to_dict()
                 )

@@ -194,11 +194,6 @@ class OrientedMatroid:
         """The circuits in Circuit.sort_key order, sorted once per matroid."""
         return tuple(sorted(self.circuits, key=Circuit.sort_key))
 
-    def circuit_key(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return frozenset(
-            (tuple(sorted(c.pos)), tuple(sorted(c.neg))) for c in self.circuits
-        )
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -487,7 +482,10 @@ def _conforming(z: np.ndarray, s: np.ndarray):
     """Yield (start, bits): bit j of bits[i] says z[j] conforms to s[start + i].
 
     The one conformance kernel of the combinatorial layer: the axiom check,
-    the circuit graph, the cell closure and the weak-map order reduce to it.  X and Y are conformal iff X conforms to ~(-Y).
+    the circuit graph, the cell closure, the weak-map order and its covers
+    reduce to it.  X and Y are conformal iff X conforms to ~(-Y).  z and s
+    may be rows of any equal width in bytes, packed bool rows included, on
+    which "conforms" reads "is a subset of"; rows of no bytes all conform.
     bits is a block of bitsets over the rows of z (see above), zero past
     len(z).  A block holds at most _BLOCK_WORDS bitset words and at most
     8 * _BLOCK_WORDS (z row, s row) pairs, so that callers which list the
@@ -497,6 +495,9 @@ def _conforming(z: np.ndarray, s: np.ndarray):
     k = len(z)
     words = -(-k // 64)
     zb = np.ascontiguousarray(z).view(np.uint8)
+    sb = np.ascontiguousarray(s).view(np.uint8)
+    if not zb.shape[1]:  # rows of no bytes read as one zero byte each
+        zb, sb = np.zeros((k, 1), np.uint8), np.zeros((len(s), 1), np.uint8)
     used = zb.any(axis=0)
     used[:1] = True  # at least one table, to hold the rows past len(z)
     used = np.flatnonzero(used)
@@ -510,7 +511,7 @@ def _conforming(z: np.ndarray, s: np.ndarray):
     nibble = nibble.astype(np.uint64, copy=False)
     tables = nibble[:, 1, :, None] | nibble[:, 0, None, :]  # [b, v >> 4, v & 15]
     tables = tables.reshape(len(used), 256, words)
-    sb = np.ascontiguousarray(s).view(np.uint8)[:, used]
+    sb = sb[:, used]
     step = max(1, min(_BLOCK_WORDS // max(1, words), 8 * _BLOCK_WORDS // max(1, k)))
     for start in range(0, max(1, len(s)), step):
         block = sb[start : start + step]
@@ -587,16 +588,15 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     Checks pairwise support-minimality, the canonical-orientation storage
     convention (with duplicate reversed pairs flagged), and weak elimination:
     for signed circuits X != -Y and any e in X+ n Y- there must be a signed
-    circuit Z with Z+ <= (X+ u Y+) \\ e and Z- <= (X- u Y-) \\ e.  Every
-    (X, Y, e) target is built at once, deduplicated and tested with the
-    conformance kernel; violations are listed in (X, Y, e) order, X and Y
-    running over the sorted circuits, each positive then negative.
+    circuit Z with Z+ <= (X+ u Y+) \\ e and Z- <= (X- u Y-) \\ e.  The
+    targets are built one element e at a time, deduplicated and tested with
+    the conformance kernel; violations are listed in (X, Y, e) order, X and
+    Y running over the sorted circuits, each positive then negative.
     """
     circuits = m.sorted_circuits
     n = m.n
     minimality: list[str] = []
     canonical: list[str] = []
-    elimination: list[str] = []
 
     signs = _signs(circuits, n)
     supports = _pack(np.abs(signs))
@@ -618,45 +618,37 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
         if (c.neg, c.pos) in seen:
             canonical.append(f"{c!r} is stored together with its reversal")
 
-    # weak elimination over sign rows: +c_k at row 2k, -c_k at row 2k + 1;
-    # X rows go in blocks of about _BLOCK_WORDS words of (X, Y) conflict
-    # rows and targets, and X has one target per Y and e in X+ n Y-
-    rows = _pack(signs)
-    signed = np.empty((2 * len(circuits), rows.shape[1]), np.uint64)
-    signed[0::2], signed[1::2] = rows, _negated(rows)
-    total, words = signed.shape
+    # weak elimination, one element e at a time: +c_k is sign row 2k and
+    # -c_k row 2k + 1; X runs over the rows with e in X+ and the Y with e in
+    # Y- are their negations -X', so each (X, Y, e) with X != X' has the
+    # target (X | -X') \ e.  X goes in chunks of at most _BLOCK_WORDS words
+    # of targets; an element's first ELIMINATION_CAP + 1 failures hold its
+    # share of the first ELIMINATION_CAP overall
+    both = np.hstack([signs, -signs]).reshape(-1, n)
+    signed = _pack(both)
     unit = _pack(np.eye(n, dtype=np.int8))
     clear = ~(unit | _negated(unit))
-    holding = np.count_nonzero(signs, axis=0)  # the Y with e in Y-, per e
-    load = np.empty(total, np.int64)
-    load[0::2], load[1::2] = (signs > 0) @ holding, (signs < 0) @ holding
-    load = words * (total + load)
-    starts = np.flatnonzero(np.diff((np.cumsum(load) - load) // _BLOCK_WORDS, prepend=-1))
-    truncated = False
-    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [total]):
-        x = signed[start:stop, None]
-        conflict = (x >> _HALF) & signed  # X+ n Y-, in the low halves
-        conflict[(x == _negated(signed)).all(axis=2)] = 0
-        conflict = conflict.reshape(-1, words)
-        hits = [
-            np.nonzero(conflict[:, e // 32] >> np.uint64(e % 32) & np.uint64(1))[0]
-            for e in range(n)
-        ]
-        pairs = np.concatenate(hits)
-        elements = np.repeat(np.arange(n), [len(h) for h in hits])
-        targets, _, which = _unique_rows((x | signed).reshape(-1, words)[pairs] & clear[elements])
-        witnessed = np.concatenate([b.any(axis=1) for _, b in _conforming(signed, targets)])
-        bad = ~witnessed[which]
-        for p, e in sorted(zip(pairs[bad].tolist(), elements[bad].tolist())):
-            if len(elimination) == ELIMINATION_CAP:
-                truncated = True
+    failures: list[tuple[int, int, int]] = []
+    for e in range(n):
+        through = np.flatnonzero(both[:, e] > 0)
+        x = signed[through]
+        step = max(1, _BLOCK_WORDS // max(1, x.size))
+        found: list[tuple[int, int, int]] = []
+        for start in range(0, len(x), step):
+            i, j = np.nonzero((x[start : start + step, None] != x).any(axis=2))
+            targets, _, which = _unique_rows((x[start + i] | _negated(x[j])) & clear[e])
+            witnessed = np.concatenate([b.any(axis=1) for _, b in _conforming(signed, targets)])
+            bad = ~witnessed[which]
+            x_rows, y_rows = through[start + i[bad]], through[j[bad]] ^ 1
+            found += zip(x_rows.tolist(), y_rows.tolist(), itertools.repeat(e))
+            if len(found) > ELIMINATION_CAP:
                 break
-            i, j = start + p // total, p % total
-            elimination.append(
-                f"no circuit eliminates element {e + 1} between "
-                f"{'-' if i % 2 else '+'}{circuits[i // 2]!r} and "
-                f"{'-' if j % 2 else '+'}{circuits[j // 2]!r}"
-            )
-        if truncated:
-            break
-    return AxiomReport(minimality, canonical, elimination, truncated)
+        failures += found[: ELIMINATION_CAP + 1]
+    failures.sort()
+    elimination = [
+        f"no circuit eliminates element {e + 1} between "
+        f"{'-' if i % 2 else '+'}{circuits[i // 2]!r} and "
+        f"{'-' if j % 2 else '+'}{circuits[j // 2]!r}"
+        for i, j, e in failures[:ELIMINATION_CAP]
+    ]
+    return AxiomReport(minimality, canonical, elimination, len(failures) > ELIMINATION_CAP)

@@ -384,7 +384,9 @@ def recover_configuration(s: EmbeddedSphere) -> PointConfiguration:
     The positions must span a subspace V of dimension n - d - 1 (relative
     singular-value threshold EPS_FLAT); the recovered configuration has as
     rows a basis of the orthogonal complement of V inside the zero-sum
-    hyperplane, one coordinate column per ground-set element.
+    hyperplane, one coordinate column per ground-set element, mapped so
+    that the first colex basis b_0 < ... < b_d whose minor passes the rank
+    rule sits on the standard simplex: p_{b_0} = 0 and p_{b_k} = e_k.
     """
     n, d = s.matroid.n, s.matroid.d
     m = n - d - 1
@@ -406,7 +408,11 @@ def recover_configuration(s: EmbeddedSphere) -> PointConfiguration:
     W = vt2[m + 1 :]
     if W.shape[0] != d:
         raise NotFlatError("complement of the span has unexpected dimension")
-    return PointConfiguration(W.T.copy(), d)
+    points = W.T
+    bases, minors = PointConfiguration(points, d)._minors
+    first, *rest = bases[np.flatnonzero(minors)[0]]
+    frame = points[rest] - points[first]
+    return PointConfiguration(np.linalg.solve(frame.T, (points - points[first]).T).T, d)
 
 
 def curvature_decay_stats(trace: FlowTrace) -> tuple[float, float]:

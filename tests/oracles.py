@@ -631,7 +631,7 @@ def relabeled(m, perm):
 
 def sampled_census(n, d, seed, stable_rounds):
     """Sampled acyclic oriented matroids of n points in R^d, closed under
-    relabeling, keyed by circuit_key, and the spanning configurations drawn.
+    relabeling, keyed by their circuit sets, and the spanning configurations drawn.
 
     Stops once stable_rounds samples in a row add nothing new.
     """
@@ -646,11 +646,11 @@ def sampled_census(n, d, seed, stable_rounds):
             continue
         configs.append(config)
         quiet += 1
-        if m.circuit_key() not in found:
+        if m.circuits not in found:
             quiet = 0
             for perm in perms:
                 pm = relabeled(m, perm)
-                found.setdefault(pm.circuit_key(), pm)
+                found.setdefault(pm.circuits, pm)
     return found, configs
 
 

@@ -320,6 +320,7 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
 
     def answers():
         rcs = [rf.geometric_radon_complex(cfg) for cfg in configs]
+        poset = rf.MatroidPoset.from_elements(census)
         return (
             [rf.check_circuit_axioms(m) for m in broken],
             [
@@ -327,7 +328,8 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
                 for m in matroids + [wide] + broken
             ],
             [(rc.graph.to_dict(), rc.facets, rc.positions.tolist()) for rc in rcs],
-            rf.MatroidPoset.from_elements(census).leq.tolist(),
+            poset.leq.tolist(),
+            poset.hasse_pairs(),
         )
 
     want = answers()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import radonflow as rf
 from conftest import DIRECT_SUM, sample_spanning_points
-from oracles import field_evaluate, field_flow, local_curvature, min_pair_distance, velocity
+from oracles import chirotope, field_evaluate, field_flow, local_curvature, min_pair_distance, velocity
 from radonflow.flow import _collided, _Field, _screen_direction
 
 # the sampled-shape gate: (n, d, rep) with a configuration drawn from
@@ -292,6 +293,13 @@ def test_recover_configuration_from_exact_embeddings(
         assert rec.n == cfg.n and rec.d == cfg.d
         assert rec.affinely_spans()
         assert rf.circuits_of_points(rec) == rf.circuits_of_points(cfg)
+        # the input in the recovered frame: its first colex basis with a
+        # nonzero minor goes to the standard simplex
+        bases = sorted(itertools.combinations(range(cfg.n), cfg.d + 1), key=lambda b: b[::-1])
+        first, *rest = bases[np.flatnonzero(chirotope(cfg, bases))[0]]
+        frame = cfg.points[rest] - cfg.points[first]
+        framed = np.linalg.solve(frame.T, (cfg.points - cfg.points[first]).T).T
+        assert np.abs(rec.points - framed).max() < 1e-12
 
 
 def test_recover_rejects_nonflat_states(pentagon_sphere):

@@ -28,17 +28,17 @@ def test_enumeration_4_2_matches_known_census(oms42):
 
 
 def test_enumeration_is_closed_under_relabeling(oms42):
-    keys = {m.circuit_key() for m in oms42}
+    keys = {m.circuits for m in oms42}
     swap = {1: 2, 2: 1, 3: 4, 4: 3}
     cycle = {1: 2, 2: 3, 3: 4, 4: 1}
     for m in oms42[::5]:
-        assert oracles.relabeled(m, swap).circuit_key() in keys
-        assert oracles.relabeled(m, cycle).circuit_key() in keys
+        assert oracles.relabeled(m, swap).circuits in keys
+        assert oracles.relabeled(m, cycle).circuits in keys
 
 
 def test_enumeration_is_deterministic(oms42):
     again = rf.enumerate_acyclic_oms(4, 2)
-    assert [m.circuit_key() for m in again] == [m.circuit_key() for m in oms42]
+    assert [m.circuits for m in again] == [m.circuits for m in oms42]
 
 
 def test_enumeration_range_errors():
@@ -78,7 +78,7 @@ SAMPLED_SHAPES = [(4, 1), (4, 2), (5, 1), (5, 3), (6, 4), (5, 2)]
 @pytest.mark.parametrize("n, d", SAMPLED_SHAPES)
 def test_sampled_census_lies_in_the_exact_census(n, d, seed):
     found, _ = oracles.sampled_census(n, d, seed, stable_rounds=100)
-    exact = {m.circuit_key() for m in rf.enumerate_acyclic_oms(n, d)}
+    exact = {m.circuits for m in rf.enumerate_acyclic_oms(n, d)}
     assert set(found) <= exact
 
 
@@ -223,6 +223,28 @@ def _assert_poset_matches_pairwise_loop(elements):
 @pytest.mark.parametrize("n, d", [(4, 1), (4, 2), (5, 3)])
 def test_weak_map_matrix_matches_pairwise_loop(n, d):
     _assert_poset_matches_pairwise_loop(rf.enumerate_acyclic_oms(n, d))
+
+
+def test_weak_map_matrix_with_a_circuit_free_element_and_a_single_element():
+    # an element with no circuit lies above every other, and a one-element
+    # list gets its 1 x 1 order whether or not its element has circuits
+    oms = rf.enumerate_acyclic_oms(4, 2)
+    free = rf.OrientedMatroid(oms[0].ground, frozenset())
+    p = _assert_poset_matches_pairwise_loop(oms[:6] + [free] + oms[6:12])
+    assert p.maximal_indices() == [6]
+    for elements in ([free], [oms[3]]):
+        assert _assert_poset_matches_pairwise_loop(elements).leq.tolist() == [[True]]
+
+
+def test_axiom_check_matches_the_loop_on_the_52_census_less_one_circuit():
+    # every (5,2) element with its first circuit dropped: weak elimination
+    # then fails wherever that circuit was the only witness
+    reports = []
+    for m in rf.enumerate_acyclic_oms(5, 2):
+        less = rf.OrientedMatroid(m.ground, frozenset(m.sorted_circuits[1:]))
+        reports.append(rf.check_circuit_axioms(less))
+        assert reports[-1] == oracles.check_circuit_axioms(less)
+    assert sum(not r.ok for r in reports) == 797  # of the 842
 
 
 def _random_circuit(rng, n):
