@@ -57,6 +57,8 @@ from .macphersonian import (
     SimplicialComplex,
     UnsupportedRangeError,
     cell_structure_m42,
+    cellular_homology,
+    chain_counts,
     enumerate_acyclic_oms,  # perfbench/tracing.py rebinds this name here too
     gf2_betti,
     order_complex,
@@ -301,10 +303,12 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     elements = enumerate_acyclic_oms(n, d)
     poset = MatroidPoset.from_elements(elements)
-    complex_ = order_complex(poset)
-    betti = gf2_betti(complex_)
+    hasse = poset.hasse_pairs()
+    grade, betti = cellular_homology(poset, hasse)
+    counts = chain_counts(poset)
+    chi = sum((-1) ** k * c for k, c in enumerate(counts))
     uniform = sum(1 for m in elements if m.is_uniform)
-    poset_payload = poset.to_dict()
+    poset_payload = poset.to_dict(hasse)
     poset_payload["n"] = n
     poset_payload["d"] = d
     poset_payload["count"] = len(elements)
@@ -315,13 +319,13 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
         {
             "n": n,
             "d": d,
-            "simplex_counts": complex_.counts(),
-            "euler_characteristic": complex_.euler_characteristic(),
+            "simplex_counts": counts,
+            "euler_characteristic": chi,
             "betti_gf2": betti,
         },
     )
     if (n, d) == (4, 2):
-        report = cell_structure_m42(poset)
+        report = cell_structure_m42(poset, grade, hasse)
         _write_json(out / "m42_cells.json", report.to_dict())
         print(
             f"macphersonian(4,2): {len(elements)} elements, {uniform} uniform, "
@@ -331,7 +335,7 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
     else:
         print(
             f"macphersonian({n},{d}): {len(elements)} elements, {uniform} uniform, "
-            f"chi={complex_.euler_characteristic()}, betti {betti}"
+            f"chi={chi}, betti {betti}"
         )
     return 0
 

@@ -465,16 +465,17 @@ def _negated(rows: np.ndarray) -> np.ndarray:
     return rows << _HALF | rows >> _HALF
 
 
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row for a 1-D np.unique: the word itself when a row has
+    one, else the row's bytes."""
+    rows = np.ascontiguousarray(rows)
+    return (rows.view(np.dtype((np.void, 8 * rows.shape[1]))) if rows.shape[1] > 1 else rows)[:, 0]
+
+
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows, the index of each one's first occurrence, and for
-    each input row the index of its copy.
-
-    One 1-D np.unique over packed keys: the word itself when a row has one,
-    else the row's bytes.
-    """
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))) if rows.shape[1] > 1 else rows
-    _, first, which = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+    each input row the index of its copy."""
+    _, first, which = np.unique(_keys(rows), return_index=True, return_inverse=True)
     return rows[first], first, which
 
 
@@ -622,8 +623,12 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     # -c_k row 2k + 1; X runs over the rows with e in X+ and the Y with e in
     # Y- are their negations -X', so each (X, Y, e) with X != X' has the
     # target (X | -X') \ e.  X goes in chunks of at most _BLOCK_WORDS words
-    # of targets; an element's first ELIMINATION_CAP + 1 failures hold its
-    # share of the first ELIMINATION_CAP overall
+    # of pairs: a pair holds two intp indices, its target, and in np.unique
+    # a sorted copy of the target and two more indices; its bool comparison
+    # takes a byte per word.  The targets are deduplicated without the index
+    # of each one's first occurrence, which would need a stable sort.  An
+    # element's first ELIMINATION_CAP + 1 failures hold its share of the
+    # first ELIMINATION_CAP overall
     both = np.hstack([signs, -signs]).reshape(-1, n)
     signed = _pack(both)
     unit = _pack(np.eye(n, dtype=np.int8))
@@ -632,11 +637,12 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     for e in range(n):
         through = np.flatnonzero(both[:, e] > 0)
         x = signed[through]
-        step = max(1, _BLOCK_WORDS // max(1, x.size))
+        step = max(1, _BLOCK_WORDS // max(1, len(x) * (4 + 2 * x.shape[1])))
         found: list[tuple[int, int, int]] = []
         for start in range(0, len(x), step):
             i, j = np.nonzero((x[start : start + step, None] != x).any(axis=2))
-            targets, _, which = _unique_rows((x[start + i] | _negated(x[j])) & clear[e])
+            keys, which = np.unique(_keys((x[start + i] | _negated(x[j])) & clear[e]), return_inverse=True)
+            targets = keys.view(np.uint64).reshape(len(keys), x.shape[1])
             witnessed = np.concatenate([b.any(axis=1) for _, b in _conforming(signed, targets)])
             bad = ~witnessed[which]
             x_rows, y_rows = through[start + i[bad]], through[j[bad]] ^ 1

@@ -6,14 +6,30 @@ exactly, as the chirotopes of rank d + 1 on n elements, and each element's
 circuits are read off its chirotope; no point is sampled.  The weak-map
 order and its covers come from the conformance kernel of core, on circuit
 sign rows and then on packed bool rows, with no per-pair calls and no
-matrix product.  The order complex of the poset is the simplicial complex
-of chains, held as one int array per dimension.  Its Betti numbers over
-GF(2) come from the ranks of the boundary maps, found by sparse column
-reduction: each column is a list of face indices, a dict maps each pivot
+matrix product.
+
+The homology asked for is that of the order complex, the simplicial
+complex of chains, over GF(2).  The census reads it off the covers
+instead (cellular_homology): each element is a cell of dimension its
+grade, the length of the longest chain below it, and its boundary is the
+sum of its lower covers.  Three checks make that exact, and every census
+run makes them and refuses a poset that fails one: the poset is graded,
+every interval of length 2 has two middles, and the cells below each
+element of grade g have the GF(2) homology of a (g-1)-sphere.  It is then a
+CW poset up to GF(2) homology, whose cellular homology is that of its order
+complex (Bjorner, "Posets, regular CW complexes and Bruhat order", Europ.
+J. Combin. 5 (1984); Wachs, "Poset topology: tools and applications",
+IAS/Park City 2007).  The chains of each length are counted by a dynamic
+program over the strict order, so no chain is built.  Both the cellular
+boundaries and those of the order complex are reduced by one sparse column
+reduction: each column is a list of row indices, a dict maps each pivot
 (the column's smallest index) to its reduced column, and columns whose
-simplex is a pivot one dimension up are cleared without reduction (Chen &
+cell is a pivot one dimension up are cleared without reduction (Chen &
 Kerber, "Persistent homology computation with a twist", 2011; Bauer,
 Kerber, Reininghaus & Wagner, "PHAT", 2017).  No dense matrix is built.
+The order complex itself, one int array per dimension, serves the
+homology command, which accepts any poset or complex, and is the route
+the tests compare the census with.
 
 For n = 4, d = 2 the poset has 25 elements (7 uniform, 12 with a collinear
 triple, 6 with a coincident pair) matching the cells of the antipodal
@@ -45,10 +61,10 @@ from .core import (
     weak_map_leq,  # the order from_elements computes; perfbench/tracing.py counts its calls here
 )
 
-# The census runs for n <= MAX_ENUMERATION_N except the TOO_LARGE shapes:
-# the dense weak-map order of the 60 962 elements of (6,2) alone takes
-# 3.7 GB, and the 17 162 elements of (6,3) have 160 945 202 chains, about
-# 6.5 GB as int64 rows.
+# The census runs for n <= MAX_ENUMERATION_N except the TOO_LARGE shapes,
+# where the weak-map order, a dense k x k bool matrix, is too large: 3.7 GB
+# for the 60 962 elements of (6,2), and 295 MB for the 17 162 of (6,3),
+# beside which hasse_pairs holds several more k x k matrices.
 MAX_ENUMERATION_N = 6
 TOO_LARGE = frozenset({(6, 2), (6, 3)})
 
@@ -216,10 +232,11 @@ class MatroidPoset:
         apart = _conformity(np.packbits(strict, axis=1), ~np.packbits(strict.T, axis=1))
         return [tuple(p) for p in np.argwhere(strict & apart.T).tolist()]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, hasse: list[tuple[int, int]]) -> dict:
+        """The elements, their covers hasse (self.hasse_pairs()) and the maximal elements."""
         return {
             "elements": [m.to_dict() for m in self.elements],
-            "hasse": [list(p) for p in self.hasse_pairs()],
+            "hasse": [list(p) for p in hasse],
             "maximal": self.maximal_indices(),
         }
 
@@ -371,6 +388,181 @@ def gf2_betti(c: SimplicialComplex) -> list[int]:
     return [len(c.simplices[k]) - ranks[k] - ranks[k + 1] for k in range(len(c.simplices))]
 
 
+def chain_counts(p: MatroidPoset) -> list[int]:
+    """The number of chains of each length: order_complex(p).counts(),
+    without building a chain.
+
+    ending[x] counts the chains of the current length whose last element is
+    x; a chain one longer is one of them followed by an element above its
+    last, so each step is one bincount over the strict pairs weighted by
+    ending.  The float64 weights are exact while every count stays below
+    2**53 (the 17 162 elements of (6,3) have 160 945 202 chains in all).
+    """
+    below, above = np.nonzero(p.strict())
+    ending = np.ones(len(p))
+    counts: list[int] = []
+    while ending.any():
+        counts.append(int(ending.sum()))
+        ending = np.bincount(above, weights=ending[below], minlength=len(p))
+    return counts
+
+
+class NotACWPosetError(ValueError):
+    """A poset fails a check that makes its cellular homology exact."""
+
+
+def _csr(lower: np.ndarray, upper: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (lower, upper) over k cells in CSR form: the lower ends of
+    the pairs of cell x, ascending, are lower[start[x]:start[x + 1]]."""
+    start = np.zeros(k + 1, np.intp)
+    np.cumsum(np.bincount(upper, minlength=k), out=start[1:])
+    return start, lower[np.lexsort((lower, upper))]
+
+
+def cellular_betti(grade: np.ndarray, start: np.ndarray, lower: np.ndarray) -> list[int]:
+    """GF(2) cellular Betti numbers of a graded cell poset.
+
+    Cell x has dimension grade[x] and lower covers lower[start[x]:start[x +
+    1]] (_csr), each of grade one less; its boundary is their sum, every
+    incidence being 1 mod 2.  Cells are numbered within their grade in the
+    order of their indices, so each column's rows ascend.  Grades are
+    reduced from the top down by _gf2_pivots, and a cell that is a pivot one
+    grade up is cleared, as in gf2_betti.  The answer is the homology of
+    the order complex when cellular_homology's checks hold.
+    """
+    f = np.bincount(grade)
+    by_grade = np.argsort(grade, kind="stable")
+    offset = np.cumsum(f) - f
+    local = np.empty(len(grade), np.intp)
+    local[by_grade] = np.arange(len(grade)) - np.repeat(offset, f)
+    rows = local[lower].tolist()
+    ranks = [0] * (len(f) + 1)
+    pivots: list[int] = []  # of the grade above
+    for g in range(len(f) - 1, 0, -1):
+        keep = np.ones(f[g], bool)
+        keep[pivots] = False
+        cells = by_grade[offset[g] : offset[g] + f[g]][keep]
+        ends = zip(start[cells].tolist(), start[cells + 1].tolist())
+        pivots = _gf2_pivots([rows[a:b] for a, b in ends])
+        ranks[g] = len(pivots)
+    return [int(f[g]) - ranks[g] - ranks[g + 1] for g in range(len(f))]
+
+
+def grades(p: MatroidPoset, hasse) -> np.ndarray:
+    """Each element's grade, the length of the longest chain below it, after
+    checking that every cover (i, j) of hasse joins adjacent grades.
+
+    One pass over the covers in a linear extension (by the number of
+    elements below, which grows along the order) raises each upper end to
+    one above its lower end.
+    """
+    pairs = np.asarray(hasse, np.intp).reshape(-1, 2)
+    place = np.empty(len(p), np.intp)
+    place[np.argsort(np.count_nonzero(p.leq, axis=0), kind="stable")] = np.arange(len(p))
+    grade = [0] * len(p)
+    for i, j in pairs[np.argsort(place[pairs[:, 1]], kind="stable")].tolist():
+        grade[j] = max(grade[j], grade[i] + 1)
+    grade = np.array(grade, np.intp)
+    skips = np.flatnonzero(grade[pairs[:, 1]] != grade[pairs[:, 0]] + 1)
+    if len(skips):
+        i, j = pairs[skips[0]].tolist()
+        raise NotACWPosetError(
+            f"graded check: element {j} of grade {grade[j]} covers element {i} of grade {grade[i]}"
+        )
+    return grade
+
+
+def _check_diamonds(pairs: np.ndarray, k: int) -> None:
+    """Every interval of length 2 has exactly two middles: the covers
+    joined with themselves, as CSR arrays, count the middles of each."""
+    start, upper = _csr(pairs[:, 1], pairs[:, 0], k)
+    fan = np.diff(start)[pairs[:, 1]]
+    above = upper[np.repeat(start[pairs[:, 1]] - (np.cumsum(fan) - fan), fan) + np.arange(fan.sum())]
+    ends, middles = np.unique(np.repeat(pairs[:, 0], fan) * k + above, return_counts=True)
+    if (middles != 2).any():
+        (a, c), m = divmod(ends[middles != 2][0], k), middles[middles != 2][0]
+        raise NotACWPosetError(
+            f"diamond check: the interval from element {a} to element {c} has {m} middle(s), not 2"
+        )
+
+
+def _lower_sets(p: MatroidPoset, pairs: np.ndarray, grade: np.ndarray, xs: np.ndarray):
+    """The cells strictly below each element of xs, one disjoint copy per
+    element: their grades and their lower covers in CSR form (_csr).
+
+    Cell (y, t) is y below xs[t], numbered in row-major order.  A cover
+    (a, b) yields the covers of (a, t) by (b, t) for every t above b.
+    """
+    y, t = np.nonzero(p.strict()[:, xs])
+    deg = np.bincount(y, minlength=len(p))
+    lo, up = pairs.T
+    fan = deg[up]
+    upper = np.repeat(np.cumsum(deg)[up] - deg[up] - (np.cumsum(fan) - fan), fan) + np.arange(fan.sum())
+    lower = np.searchsorted(y * len(xs) + t, np.repeat(lo, fan) * len(xs) + t[upper])
+    return (grade[y], *_csr(lower, upper, len(y)))
+
+
+def _check_spheres(p: MatroidPoset, pairs: np.ndarray, grade: np.ndarray) -> None:
+    """The cells below each element x of grade g >= 1 have the reduced
+    Betti numbers of a (g-1)-sphere under cellular_betti.
+
+    At g = 1 that is two lower covers.  The elements of grade >= 2 are
+    checked at once, on the disjoint union of their lower sets (_lower_sets):
+    once the diamonds hold, the cover sum of x is a nonzero cycle in degree
+    g - 1 of the cells below x, so each lower set has Betti numbers at
+    least 1 in degrees 0 and g - 1, and the union's sum can be one in each
+    of those and zero elsewhere only if every lower set's is.  Otherwise the
+    lower sets are run one by one, up the grades, to name the first that fails.
+    """
+    ones = np.flatnonzero((grade == 1) & (np.bincount(pairs[:, 1], minlength=len(p)) != 2))
+    if len(ones):
+        raise NotACWPosetError(f"sphere check: element {ones[0]} of grade 1 covers other than 2 elements")
+    xs = np.flatnonzero(grade >= 2)
+    if not len(xs):
+        return
+    expected = np.bincount(grade[xs] - 1)
+    expected[0] = len(xs)
+    if cellular_betti(*_lower_sets(p, pairs, grade, xs)) == expected.tolist():
+        return
+    for x in xs[np.argsort(grade[xs], kind="stable")].tolist():
+        betti = cellular_betti(*_lower_sets(p, pairs, grade, np.array([x])))
+        if betti != [1] + [0] * (grade[x] - 2) + [1]:
+            raise NotACWPosetError(
+                f"sphere check: the cells below element {x} of grade {grade[x]} "
+                f"have Betti numbers {betti}, not those of a {grade[x] - 1}-sphere"
+            )
+
+
+def cellular_homology(p: MatroidPoset, hasse) -> tuple[np.ndarray, list[int]]:
+    """The grades and the GF(2) Betti numbers of the order complex of p,
+    read off the covers hasse (p.hasse_pairs()) by cellular_betti.
+
+    Three checks run first, and a failure raises NotACWPosetError naming
+    the failing element: the poset is graded (grades), every interval of
+    length 2 has two middles (_check_diamonds), and the cells below each
+    element x of grade g have the GF(2) homology of a (g-1)-sphere
+    (_check_spheres).  Then the answer is exact (Bjorner, "Posets, regular
+    CW complexes and Bruhat order", Europ. J. Combin. 5 (1984); Wachs,
+    "Poset topology: tools and applications", IAS/Park City 2007).  Filter
+    the order complex by grade: the part over the elements of grade <= g,
+    relative to the part over those of grade < g, is a wedge of cones over
+    the order complexes of the lower sets of grade g, so its homology is one
+    GF(2) in degree g for each element of grade g once those lower sets are
+    homology (g-1)-spheres, and the homology of the order complex is that
+    of the cellular chain complex of the filtration.  Its boundary is the
+    cover sum by induction on grade.  Below x, the cover sums are the true
+    boundaries, so cellular_betti gives the homology of the lower set,
+    whose (g-1)-cycles are then one line; by the diamonds, the sum of x's
+    lower covers is a nonzero (g-1)-cycle, so it spans that line, and x is
+    attached with incidence 1 on every lower cover.
+    """
+    pairs = np.asarray(hasse, np.intp).reshape(-1, 2)
+    grade = grades(p, pairs)
+    _check_diamonds(pairs, len(p))
+    _check_spheres(p, pairs, grade)
+    return grade, cellular_betti(grade, *_csr(pairs[:, 0], pairs[:, 1], len(p)))
+
+
 @dataclass
 class M42Report:
     """Cell structure of the 25-element poset for n=4, d=2."""
@@ -402,24 +594,20 @@ class M42Report:
         }
 
 
-def cell_structure_m42(poset: MatroidPoset) -> M42Report:
+def cell_structure_m42(poset: MatroidPoset, grade: np.ndarray, hasse) -> M42Report:
     """Read the cells of the antipodal quotient of the zero-sum cross-polytope
-    slice in R^4 off the (4, 2) census poset.
+    slice in R^4 off the (4, 2) census poset, its grades (grades) and its
+    covers hasse (poset.hasse_pairs()).
 
-    An element's grade is the length of the longest chain below it: the
-    last vertex of a chain of order_complex.  The cells of dimension g are
-    the elements of grade g, and a top cell covering 4 elements is a square,
-    one covering 3 a triangle.  The slice's facets are the sign patterns on
-    {1, 2, 3, 4} with both signs present, one of each +/- pair; the top
-    elements should hold one circuit each, and those circuits should be
-    these 7 patterns.
+    The cells of dimension g are the elements of grade g, and a top cell
+    covering 4 elements is a square, one covering 3 a triangle.  The slice's
+    facets are the sign patterns on {1, 2, 3, 4} with both signs present,
+    one of each +/- pair; the top elements should hold one circuit each, and
+    those circuits should be these 7 patterns.
     """
-    grade = np.zeros(len(poset), np.int64)
-    for g, chains in enumerate(order_complex(poset).simplices):
-        grade[chains[:, -1]] = g
     face_vector = tuple(np.bincount(grade).tolist())
     top = np.flatnonzero(grade == grade.max())
-    covers = np.bincount([j for _, j in poset.hasse_pairs()], minlength=len(poset))[top]
+    covers = np.bincount([j for _, j in hasse], minlength=len(poset))[top]
     held = [poset.elements[j].circuits for j in top]
     patterns = {
         Circuit.make(pos, {1, 2, 3, 4} - set(pos))

@@ -139,7 +139,8 @@ def test_criterion_4_m42_census(capsys):
         uniform = [m for m in elements if m.is_uniform]
         assert len(uniform) == 7
         poset = rf.MatroidPoset.from_elements(elements)
-        report = rf.cell_structure_m42(poset)
+        hasse = poset.hasse_pairs()
+        report = rf.cell_structure_m42(poset, rf.grades(poset, hasse), hasse)
         assert report.face_vector == (6, 12, 7)
         assert report.euler_characteristic == 1
         assert report.matroid_facet_bijection

@@ -429,3 +429,23 @@ def test_module_entrypoint(tmp_path):
     )
     assert proc.returncode == 0
     assert "chi=2 (ok)" in proc.stdout
+
+
+def test_census_homology_is_cellular_and_checked(tmp_path, monkeypatch):
+    # the census never builds an order complex, and every call runs the
+    # three checks of cellular_homology before using its answer
+    def refuse(*_args):
+        raise AssertionError("the census must not build or reduce an order complex")
+
+    monkeypatch.setattr(cli, "order_complex", refuse)
+    monkeypatch.setattr(cli, "gf2_betti", refuse)
+    checks = []
+    for name in ("grades", "_check_diamonds", "_check_spheres"):
+        real = getattr(macphersonian, name)
+        monkeypatch.setattr(
+            macphersonian, name, lambda *a, real=real, name=name: checks.append(name) or real(*a)
+        )
+    assert main(["macphersonian", "5", "1", "--out", str(tmp_path)]) == 0
+    assert checks == ["grades", "_check_diamonds", "_check_spheres"]
+    oc = load(tmp_path / "order_complex.json")
+    assert oc["betti_gf2"] == [1, 1, 1, 1] and oc["simplex_counts"][0] == 270

@@ -181,11 +181,16 @@ def test_order_complex_betti_matches_cell_betti(poset42):
     # homology as the 7-facet cell structure it subdivides
     oc = rf.order_complex(poset42)
     assert rf.gf2_betti(oc) == [1, 1, 1]
-    assert oc.euler_characteristic() == rf.cell_structure_m42(poset42).euler_characteristic
+    assert oc.euler_characteristic() == _m42(poset42).euler_characteristic
+
+
+def _m42(poset):
+    hasse = poset.hasse_pairs()
+    return rf.cell_structure_m42(poset, rf.grades(poset, hasse), hasse)
 
 
 def test_cell_structure_m42(poset42):
-    report = rf.cell_structure_m42(poset42)
+    report = _m42(poset42)
     assert report.face_vector == (6, 12, 7)
     assert report.euler_characteristic == 1
     assert report.square_facets == 3
@@ -349,11 +354,11 @@ def test_gf2_rank_matches_dense_elimination():
 
 
 def test_cell_structure_m42_reuses_given_elements(oms42, poset42):
-    assert rf.cell_structure_m42(poset42).ok
+    assert _m42(poset42).ok
     # the report reads the uniform matroids of the poset it is given
     assert oms42[-1].is_uniform
     fewer = rf.MatroidPoset.from_elements(oms42[:-1])
-    assert not rf.cell_structure_m42(fewer).matroid_facet_bijection
+    assert not _m42(fewer).matroid_facet_bijection
 
 
 def test_cell_structure_m42_reads_the_order(poset42):
@@ -365,7 +370,7 @@ def test_cell_structure_m42_reads_the_order(poset42):
     leq[i, j] = False
     as_int = leq.astype(np.int64)
     assert ((as_int @ as_int > 0) == leq).all()
-    report = rf.cell_structure_m42(rf.MatroidPoset(elements=poset42.elements, leq=leq))
+    report = _m42(rf.MatroidPoset(elements=poset42.elements, leq=leq))
     assert (report.square_facets, report.triangle_facets) != (3, 4)
     assert report.to_dict()["ok"] is False
 
@@ -452,10 +457,15 @@ def _random_poset(rng, k, p):
     that the order does not follow the element indices."""
     perm = rng.permutation(k)
     leq = np.eye(k, dtype=bool) | np.triu(rng.random((k, k)) < p, 1)[np.ix_(perm, perm)]
+    return _bare_poset(_closed(leq))
+
+
+def _closed(leq):
+    """The transitive closure of a reflexive relation."""
     while True:
-        closed = leq | ((leq.astype(np.int64) @ leq.astype(np.int64)) > 0)
+        closed = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
         if (closed == leq).all():
-            return _bare_poset(leq)
+            return leq
         leq = closed
 
 
@@ -573,3 +583,91 @@ def test_homology_command_with_large_labels(tmp_path):
     betti = json.loads((tmp_path / "betti.json").read_text())
     assert betti["betti_gf2"] == [2, 1, 0, 0, 0, 0, 0, 0, 0, 1]
     assert betti["simplex_counts"] == [14, 58, 165, 330, 462, 462, 330, 165, 55, 11]
+
+
+# every shape the census supports, (5,2) and (6,1) included
+ALL_CENSUS_SHAPES = [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 1), (6, 4)]
+
+
+@pytest.mark.parametrize("n, d", ALL_CENSUS_SHAPES)
+def test_cellular_homology_matches_the_order_complex_at_every_census_shape(n, d):
+    p = rf.MatroidPoset.from_elements(rf.enumerate_acyclic_oms(n, d))
+    grade, betti = rf.cellular_homology(p, p.hasse_pairs())  # raises if a check fails
+    oc = rf.order_complex(p)
+    assert betti == rf.gf2_betti(oc)
+    assert rf.chain_counts(p) == oc.counts()
+    assert grade.tolist() == _grades(p).tolist()
+
+
+def _poset_of_covers(k, covers):
+    """The poset on range(k) whose order is generated by covers."""
+    leq = np.eye(k, dtype=bool)
+    leq[tuple(np.array(covers).T)] = True
+    return _bare_poset(_closed(leq))
+
+
+# vertices a, b = 0, 1; edges 2, 3 on both; faces 4, 5 on both edges: a
+# 2-sphere of two digons
+DIGON_SPHERE = [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4), (2, 5), (3, 5)]
+# the sphere and a 3-cell 6 on it, plus edges 8, 9 from vertex 0 to a new
+# vertex 7 that 6 covers too: each of 8, 9 spans grades 1 to 3, though every
+# two-step path of covers still closes a diamond
+NOT_GRADED = (10, DIGON_SPHERE + [(4, 6), (5, 6), (0, 8), (7, 8), (0, 9), (7, 9), (8, 6), (9, 6)])
+# the sphere with a third face 7 on edge 2 and a new edge 6, and a 3-cell 8
+# on the three faces: edge 2 lies in three faces below 8, edge 6 in one, yet
+# the order complex below 8 is a 2-sphere with a disk hanging off an arc
+NOT_THIN = (9, DIGON_SPHERE + [(0, 6), (1, 6), (2, 7), (6, 7), (4, 8), (5, 8), (7, 8)])
+# two circles of two vertices and two edges each, and one 2-cell 8 on all
+# four edges: its boundary is two circles
+NOT_SPHERICAL = (
+    9,
+    [(0, 2), (1, 2), (0, 3), (1, 3), (4, 6), (5, 6), (4, 7), (5, 7)]
+    + [(e, 8) for e in (2, 3, 6, 7)],
+)
+
+
+def _below(p, x):
+    """The poset of the elements strictly below x."""
+    keep = np.flatnonzero(p.strict()[:, x])
+    return _bare_poset(p.leq[np.ix_(keep, keep)])
+
+
+@pytest.mark.parametrize(
+    "cells, check",
+    [(NOT_GRADED, "graded"), (NOT_THIN, "diamond"), (NOT_SPHERICAL, "sphere")],
+    ids=["graded", "diamond", "sphere"],
+)
+def test_each_check_refuses_the_poset_that_breaks_only_it(cells, check):
+    p = _poset_of_covers(*cells)
+    hasse = p.hasse_pairs()
+    assert sorted(hasse) == sorted(cells[1])
+    pairs = np.array(hasse)
+    with pytest.raises(rf.NotACWPosetError, match=f"^{check} check: "):
+        rf.cellular_homology(p, hasse)
+    # the other checks pass when run on their own
+    if check != "diamond":
+        rf.macphersonian._check_diamonds(pairs, len(p))
+    if check != "graded":
+        grade = rf.grades(p, hasse)
+    if check == "diamond":
+        rf.macphersonian._check_spheres(p, pairs, grade)
+        # and the order complex below each element is a sphere of one
+        # dimension less than its grade
+        for x in np.flatnonzero(grade).tolist():
+            expected = [2] if grade[x] == 1 else [1] + [0] * (grade[x] - 2) + [1]
+            assert rf.gf2_betti(rf.order_complex(_below(p, x))) == expected
+
+
+def test_cellular_homology_on_the_oracle_posets():
+    # the Betti numbers, or the name of the check that refused the poset
+    answer = {}
+    for name, p in ORACLE_POSETS.items():
+        try:
+            answer[name] = rf.cellular_homology(p, p.hasse_pairs())[1]
+        except rf.NotACWPosetError as exc:
+            answer[name] = str(exc).split(" check: ")[0]
+    assert answer["torus-faces"] == [1, 2, 1]
+    assert answer["three-chain"] == "diamond"
+    assert answer["dag-7-0.4"] == "diamond"
+    assert answer["dag-30-0.05"] == "graded"
+    assert answer["dag-1-0.5"] == [1]  # one point
