@@ -102,7 +102,7 @@ class Circuit:
             pos, neg = neg, pos
         return Circuit(pos, neg)
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
         return self.pos | self.neg
 

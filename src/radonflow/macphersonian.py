@@ -3,10 +3,10 @@
 The poset collects the acyclic oriented matroids of n labeled points
 spanning R^d, ordered by weak maps (circuit nesting).  They are enumerated
 exactly, as the chirotopes of rank d + 1 on n elements, and each element's
-circuits are read off its chirotope; no point is sampled.  The weak-map
-order and its covers come from the conformance kernel of core, on circuit
-sign rows and then on packed bool rows, with no per-pair calls and no
-matrix product.
+circuits are read off its chirotope; no point is sampled.  Basis exchange,
+the weak-map order and its covers come from the conformance kernel of core,
+with no per-pair calls and no matrix product, and the grades and maximal
+elements from the covers alone.
 
 The homology asked for is that of the order complex, the simplicial
 complex of chains, over GF(2).  The census reads it off the covers
@@ -57,6 +57,7 @@ from .core import (
     _pack,
     _read_circuits,
     _signs,
+    _supports,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     weak_map_leq,  # the order from_elements computes; perfbench/tracing.py counts its calls here
 )
@@ -73,19 +74,25 @@ class UnsupportedRangeError(ValueError):
     """Requested parameters outside the supported enumeration range."""
 
 
-def _is_matroid(bases: list[frozenset[int]]) -> bool:
-    """Basis exchange: for bases B1, B2 and x in B1 - B2, some y in B2 - B1
-    makes B1 - x + y a basis."""
-    have = set(bases)
-    return all(
-        any(b1 - {x} | {y} in have for y in b2 - b1)
-        for b1 in bases
-        for b2 in bases
-        for x in b1 - b2
-    )
+def _matroid_supports(subsets: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Which rows of supports, bool rows over the rows of subsets, obey
+    basis exchange: for bases B1, B2 and x in B1 - B2, some y in B2 - B1
+    makes B1 - x + y a basis.  Swap (B1, B2, x) is the sign row + on B1 and
+    B2 and - on each B1 - x + y, and support S breaks it iff it conforms to
+    + on S and - off it: one _conformity call tests every swap on every
+    support.  At B1 - B2 = {x} the one offer is B2, so that swap never breaks."""
+    member = (subsets[:, :, None] == np.arange(subsets.max() + 1)).any(axis=1)
+    only = member[:, None] & ~member  # only[a, b]: the elements of B_a - B_b
+    i, j, x = np.nonzero(only & (only.sum(axis=2, keepdims=True) > 1))
+    # B_k = B_i - x + y for a y in B_j - B_i iff B_i - B_k = {x} and B_k - B_i lies in B_j
+    lose_x = (only[i].sum(axis=2) == 1) & only[i, :, x]
+    gain_in_j = ~(only[:, i] & ~member[j]).any(axis=2).T
+    rows = -(lose_x & gain_in_j).astype(np.int8)
+    rows[np.arange(len(i)), i] = rows[np.arange(len(i)), j] = 1
+    return ~_conformity(_pack(rows), _pack(supports * np.int8(2) - np.int8(1))).any(axis=1)
 
 
-def _chirotopes(n: int, r: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _chirotopes(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Every rank-r chirotope on range(n), one of each +/- pair.
 
     Returns the r-subsets in colex order (core._colex) and an int8 matrix
@@ -97,12 +104,12 @@ def _chirotopes(n: int, r: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     an (r-2)-set s and a < b < c < d outside it, the terms
     chi(sab)chi(scd), -chi(sac)chi(sbd) and chi(sad)chi(sbc) are all zero or
     take both signs (the sorting signs are common to the three terms).  The
-    rows left whose support obeys basis exchange and whose first nonzero
-    entry is + are the chirotopes (Bjorner, Las Vergnas, Sturmfels, White &
-    Ziegler, Oriented Matroids, Thm 3.6.2).
+    rows left whose first nonzero entry is + and whose support obeys basis
+    exchange (_matroid_supports) are the chirotopes (Bjorner, Las Vergnas,
+    Sturmfels, White & Ziegler, Oriented Matroids, Thm 3.6.2).
     """
-    subsets = list(map(tuple, _colex(n, r).tolist()))
-    index = {s: i for i, s in enumerate(subsets)}
+    subsets = _colex(n, r)
+    index = {s: i for i, s in enumerate(map(tuple, subsets.tolist()))}
     due: list[list[list[int]]] = [[] for _ in subsets]
     for union in itertools.combinations(range(n), r + 2):
         for s in itertools.combinations(union, r - 2):
@@ -123,18 +130,12 @@ def _chirotopes(n: int, r: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
             frontier = frontier[((t > 0).any(axis=2) == (t < 0).any(axis=2)).all(axis=1)]
     lead = frontier[np.arange(len(frontier)), np.argmax(frontier != 0, axis=1)]
     frontier = frontier[lead > 0]  # this drops the zero map too
-    _, rep, which = np.unique(
-        np.packbits(frontier != 0, axis=1), axis=0, return_index=True, return_inverse=True
-    )
-    exchange = np.array(
-        [_is_matroid([frozenset(subsets[i]) for i in np.flatnonzero(frontier[j])]) for j in rep],
-        dtype=bool,
-    )
-    return subsets, frontier[exchange[which.ravel()]]
+    support, which = _supports(_pack(frontier), len(subsets))
+    return subsets, frontier[_matroid_supports(subsets, support)[which]]
 
 
 def _acyclic_matroids(
-    subsets: list[tuple[int, ...]], chi: np.ndarray, ground: GroundSet
+    subsets: np.ndarray, chi: np.ndarray, ground: GroundSet
 ) -> list[OrientedMatroid]:
     """The oriented matroids of the chirotope rows chi (columns over the
     colex-ordered subsets) that have no positive circuit.
@@ -142,7 +143,7 @@ def _acyclic_matroids(
     core._read_circuits reads each row's circuits off its (r+1)-subsets.  A
     loop would be a one-element circuit, so an acyclic row has none.
     """
-    spans, signs, held = _read_circuits(chi, ground.n, len(subsets[0]))
+    spans, signs, held = _read_circuits(chi, ground.n, subsets.shape[1])
     circuits = [
         Circuit.make(span[s > 0] + 1, span[s < 0] + 1) for span, s in zip(spans, signs)
     ]
@@ -172,7 +173,7 @@ def enumerate_acyclic_oms(n: int, d: int) -> list[OrientedMatroid]:
             f"{sorted(TOO_LARGE)}, got n={n}, d={d}"
         )
     out = _acyclic_matroids(*_chirotopes(n, d + 1), GroundSet(n, d))
-    out.sort(key=lambda m: (len(m.circuits), sorted(c.sort_key() for c in m.circuits)))
+    out.sort(key=lambda m: (len(m.circuits), [c.sort_key() for c in m.sorted_circuits]))
     return out
 
 
@@ -221,9 +222,6 @@ class MatroidPoset:
         """leq without its diagonal: strict[i, j] iff i < j."""
         return self.leq & ~np.eye(len(self.elements), dtype=bool)
 
-    def maximal_indices(self) -> list[int]:
-        return np.flatnonzero(~self.strict().any(axis=1)).tolist()
-
     def hasse_pairs(self) -> list[tuple[int, int]]:
         """Cover relations i < j with nothing strictly between, row-major:
         the packed row of the elements above i conforms to the complement of
@@ -233,11 +231,12 @@ class MatroidPoset:
         return [tuple(p) for p in np.argwhere(strict & apart.T).tolist()]
 
     def to_dict(self, hasse: list[tuple[int, int]]) -> dict:
-        """The elements, their covers hasse (self.hasse_pairs()) and the maximal elements."""
+        """The elements, their covers hasse (self.hasse_pairs()) and the
+        maximal elements, those that are the lower end of no cover."""
         return {
             "elements": [m.to_dict() for m in self.elements],
             "hasse": [list(p) for p in hasse],
-            "maximal": self.maximal_indices(),
+            "maximal": np.setdiff1d(np.arange(len(self)), [i for i, _ in hasse]).tolist(),
         }
 
 
@@ -452,17 +451,17 @@ def grades(p: MatroidPoset, hasse) -> np.ndarray:
     """Each element's grade, the length of the longest chain below it, after
     checking that every cover (i, j) of hasse joins adjacent grades.
 
-    One pass over the covers in a linear extension (by the number of
-    elements below, which grows along the order) raises each upper end to
-    one above its lower end.
+    Every pass raises the upper end of every cover to one above its lower
+    end, all covers at once, until nothing rises: height + 1 passes, never
+    more than len(p), so covers that close a cycle fail the check.
     """
     pairs = np.asarray(hasse, np.intp).reshape(-1, 2)
-    place = np.empty(len(p), np.intp)
-    place[np.argsort(np.count_nonzero(p.leq, axis=0), kind="stable")] = np.arange(len(p))
-    grade = [0] * len(p)
-    for i, j in pairs[np.argsort(place[pairs[:, 1]], kind="stable")].tolist():
-        grade[j] = max(grade[j], grade[i] + 1)
-    grade = np.array(grade, np.intp)
+    grade = np.zeros(len(p), np.intp)
+    for _ in range(len(p)):
+        last = grade.copy()
+        np.maximum.at(grade, pairs[:, 1], last[pairs[:, 0]] + 1)
+        if np.array_equal(grade, last):
+            break
     skips = np.flatnonzero(grade[pairs[:, 1]] != grade[pairs[:, 0]] + 1)
     if len(skips):
         i, j = pairs[skips[0]].tolist()

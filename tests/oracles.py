@@ -25,7 +25,9 @@ sampled_census is the census as the package once sampled it: random
 degenerate configurations (sample_configuration), each new matroid closed
 under all n! relabelings (relabeled), until a run of samples adds nothing.
 It is a subset of the exact census, and chirotope gives the signs that the
-package reads circuits from, straight from the points.
+package reads circuits from, straight from the points.  is_matroid is basis
+exchange as a loop over frozensets, one support at a time; the package
+tests every swap on every distinct support in one conformance-kernel call.
 weak_map_matrix calls weak_map_leq once per pair of poset elements.
 order_complex is the recursive chain enumeration, one tuple per chain,
 that the package replaced by growing int arrays one grade at a time.
@@ -665,6 +667,18 @@ def chirotope(config, subsets):
         full = (s > KERNEL_RTOL * max(1.0, float(s[0]))).all()
         out.append(int(np.sign(np.linalg.det(cols))) if full else 0)
     return np.array(out, np.int8)
+
+
+def is_matroid(bases):
+    """Basis exchange: for bases B1, B2 and x in B1 - B2, some y in B2 - B1
+    makes B1 - x + y a basis."""
+    have = set(bases)
+    return all(
+        any(b1 - {x} | {y} in have for y in b2 - b1)
+        for b1 in bases
+        for b2 in bases
+        for x in b1 - b2
+    )
 
 
 def weak_map_matrix(elements):

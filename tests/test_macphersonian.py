@@ -99,9 +99,10 @@ def test_poset_4_2_structure(poset42):
     k = len(poset42)
     assert all(poset42.leq[i, i] for i in range(k))
     uniform = [i for i, m in enumerate(poset42.elements) if m.is_uniform]
-    assert poset42.maximal_indices() == uniform
+    hasse = poset42.hasse_pairs()
+    assert poset42.to_dict(hasse)["maximal"] == uniform
     strict = poset42.leq & ~np.eye(k, dtype=bool)
-    for i, j in poset42.hasse_pairs():
+    for i, j in hasse:
         assert strict[i, j]
         assert not (strict[i] & strict[:, j]).any()
 
@@ -122,7 +123,7 @@ def test_three_chain_poset():
     assert p.leq[0, 1] and p.leq[1, 2] and p.leq[0, 2]
     assert not p.leq[1, 0] and not p.leq[2, 1]
     assert p.hasse_pairs() == [(0, 1), (1, 2)]
-    assert p.maximal_indices() == [2]
+    assert p.to_dict(p.hasse_pairs())["maximal"] == [2]
     oc = rf.order_complex(p)
     assert oc.counts() == [3, 3, 1]
     assert oc.euler_characteristic() == 1
@@ -220,8 +221,9 @@ def _assert_poset_matches_pairwise_loop(elements):
     p = rf.MatroidPoset.from_elements(elements)
     leq = oracles.weak_map_matrix(elements)
     assert np.array_equal(p.leq, leq)
-    assert p.hasse_pairs() == oracles.hasse_pairs(leq)
-    assert p.maximal_indices() == oracles.maximal_indices(leq)
+    hasse = p.hasse_pairs()
+    assert hasse == oracles.hasse_pairs(leq)
+    assert p.to_dict(hasse)["maximal"] == oracles.maximal_indices(leq)
     return p
 
 
@@ -236,7 +238,7 @@ def test_weak_map_matrix_with_a_circuit_free_element_and_a_single_element():
     oms = rf.enumerate_acyclic_oms(4, 2)
     free = rf.OrientedMatroid(oms[0].ground, frozenset())
     p = _assert_poset_matches_pairwise_loop(oms[:6] + [free] + oms[6:12])
-    assert p.maximal_indices() == [6]
+    assert p.to_dict(p.hasse_pairs())["maximal"] == [6]
     for elements in ([free], [oms[3]]):
         assert _assert_poset_matches_pairwise_loop(elements).leq.tolist() == [[True]]
 
@@ -364,8 +366,9 @@ def test_cell_structure_m42_reuses_given_elements(oms42, poset42):
 def test_cell_structure_m42_reads_the_order(poset42):
     # drop one cover below a top cell from the order; it stays transitive,
     # since nothing lies strictly between a cover's ends
-    top = set(poset42.maximal_indices())
-    i, j = next((i, j) for i, j in poset42.hasse_pairs() if j in top)
+    hasse = poset42.hasse_pairs()
+    top = set(poset42.to_dict(hasse)["maximal"])
+    i, j = next((i, j) for i, j in hasse if j in top)
     leq = poset42.leq.copy()
     leq[i, j] = False
     as_int = leq.astype(np.int64)
@@ -416,15 +419,39 @@ def test_corank_one_census_counts_sign_vectors_up_to_negation(n, d, betti):
     assert _census(n, d) == ((3**n - 2 ** (n + 1) + 1) // 2, betti)
 
 
-def test_basis_exchange():
-    def bases(*sets):
-        return [frozenset(b) for b in sets]
+def _exchange(subsets, supports):
+    """The kernel's and the loop's basis exchange on each row of supports."""
+    kernel = rf.macphersonian._matroid_supports(subsets, supports).tolist()
+    loop = [oracles.is_matroid([frozenset(b) for b in subsets[s].tolist()]) for s in supports]
+    return kernel, loop
 
-    assert rf.macphersonian._is_matroid(bases(*itertools.combinations(range(5), 3)))
-    assert rf.macphersonian._is_matroid(bases((0, 1), (0, 2), (1, 3), (2, 3)))
+
+def test_basis_exchange():
+    def exchange(n, r, *bases):
+        subsets = rf.core._colex(n, r)
+        support = [tuple(b) in bases for b in subsets.tolist()]
+        (kernel,), (loop,) = _exchange(subsets, np.array([support]))
+        assert kernel == loop
+        return kernel
+
+    assert exchange(5, 3, *itertools.combinations(range(5), 3))
+    assert exchange(4, 2, (0, 1), (0, 2), (1, 3), (2, 3))
     # {0,1,2} loses 0 and no element of {3,4,5} takes its place
-    assert not rf.macphersonian._is_matroid(bases((0, 1, 2), (3, 4, 5)))
-    assert not rf.macphersonian._is_matroid(bases((0, 1), (2, 3), (0, 2)))
+    assert not exchange(6, 3, (0, 1, 2), (3, 4, 5))
+    assert not exchange(4, 2, (0, 1), (2, 3), (0, 2))
+
+
+def test_kernel_exchange_matches_the_loop_on_random_supports():
+    # sets of r-subsets of every density, matroids and not; the supports the
+    # census drops are all pairs of complements, {B, E - B}, which cannot
+    # tell the offers B1 - x + y with y in B2 from those with any y outside B1
+    rng = np.random.default_rng(5)
+    for n, r in [(4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (6, 4)]:
+        subsets = rf.core._colex(n, r)
+        supports = rng.random((300, len(subsets))) < rng.uniform(0.1, 0.9, (300, 1))
+        kernel, loop = _exchange(subsets, supports)
+        assert kernel == loop
+        assert 0 < sum(loop) < len(loop)
 
 
 def test_chirotopes_keep_only_matroid_supports():
@@ -432,8 +459,36 @@ def test_chirotopes_keep_only_matroid_supports():
     # every 3-term Grassmann-Pluecker relation can break basis exchange
     subsets, chi = rf.macphersonian._chirotopes(6, 3)
     for support in np.unique(chi != 0, axis=0):
-        bases = [frozenset(subsets[i]) for i in np.flatnonzero(support)]
-        assert rf.macphersonian._is_matroid(bases)
+        assert oracles.is_matroid([frozenset(b) for b in subsets[support].tolist()])
+
+
+# (n, r) -> the rows that pass every 3-term relation but break basis exchange
+EXCHANGE_DROPS = {
+    (3, 2): 0, (4, 2): 0, (4, 3): 0, (5, 2): 0, (5, 3): 0,
+    (5, 4): 0, (6, 2): 0, (6, 3): 20, (6, 4): 0, (6, 5): 0,
+}
+
+
+@pytest.mark.parametrize("n, r", sorted(EXCHANGE_DROPS))
+def test_kernel_exchange_matches_the_loop_on_every_relation_passing_support(n, r, monkeypatch):
+    subsets, chi = rf.macphersonian._chirotopes(n, r)
+    # with every support let through, _chirotopes keeps what the relations pass
+    monkeypatch.setattr(rf.macphersonian, "_matroid_supports", lambda _, s: np.ones(len(s), bool))
+    _, passing = rf.macphersonian._chirotopes(n, r)
+    monkeypatch.undo()
+    supports = np.unique(passing != 0, axis=0)
+    kernel, loop = _exchange(subsets, supports)
+    assert kernel == loop
+    ok = dict(zip(map(tuple, supports.tolist()), loop))
+    assert chi.tolist() == [row for row in passing.tolist() if ok[tuple(v != 0 for v in row)]]
+    assert len(passing) - len(chi) == EXCHANGE_DROPS[n, r]
+    if (n, r) == (6, 3):
+        # the broken supports are the 10 pairs {B, E - B}, two rows each: + on
+        # the first basis and either sign on the second
+        bases = list(map(frozenset, subsets.tolist()))
+        broken = {frozenset(b for b, on in zip(bases, s) if on) for s, k in zip(supports, kernel) if not k}
+        assert broken == {frozenset({b, frozenset(range(6)) - b}) for b in bases}
+        assert len(broken) == 10
 
 
 def test_census_5_2_completes(tmp_path):
@@ -592,11 +647,13 @@ ALL_CENSUS_SHAPES = [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 1), (6,
 @pytest.mark.parametrize("n, d", ALL_CENSUS_SHAPES)
 def test_cellular_homology_matches_the_order_complex_at_every_census_shape(n, d):
     p = rf.MatroidPoset.from_elements(rf.enumerate_acyclic_oms(n, d))
-    grade, betti = rf.cellular_homology(p, p.hasse_pairs())  # raises if a check fails
+    hasse = p.hasse_pairs()
+    grade, betti = rf.cellular_homology(p, hasse)  # raises if a check fails
     oc = rf.order_complex(p)
     assert betti == rf.gf2_betti(oc)
     assert rf.chain_counts(p) == oc.counts()
     assert grade.tolist() == _grades(p).tolist()
+    assert p.to_dict(hasse)["maximal"] == oracles.maximal_indices(p.leq)
 
 
 def _poset_of_covers(k, covers):
@@ -656,6 +713,12 @@ def test_each_check_refuses_the_poset_that_breaks_only_it(cells, check):
         for x in np.flatnonzero(grade).tolist():
             expected = [2] if grade[x] == 1 else [1] + [0] * (grade[x] - 2) + [1]
             assert rf.gf2_betti(rf.order_complex(_below(p, x))) == expected
+
+
+def test_grades_refuse_covers_that_close_a_cycle():
+    p = _bare_poset(np.eye(3, dtype=bool))
+    with pytest.raises(rf.NotACWPosetError, match="^graded check: "):
+        rf.grades(p, [(0, 1), (1, 2), (2, 0)])
 
 
 def test_cellular_homology_on_the_oracle_posets():
