@@ -112,6 +112,10 @@ def _texts(values: list, pad: str) -> list[str]:
         }
         return _fill(list(map(rows.__getitem__, lengths)), fields, floats)
     if kinds == {dict}:
+        distinct = list({id(v): v for v in values}.values())
+        if len(distinct) < len(values):  # a dict that recurs is laid out once
+            texts = dict(zip(map(id, distinct), _texts(distinct, pad)))
+            return [texts[id(v)] for v in values]
         keys = values[0].keys()
         if keys and all(type(k) is str for k in keys) and all(v.keys() == keys for v in values):
             keys = sorted(keys)
@@ -307,7 +311,7 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
     grade, betti = cellular_homology(poset, hasse)
     counts = chain_counts(poset)
     chi = sum((-1) ** k * c for k, c in enumerate(counts))
-    uniform = sum(1 for m in elements if m.is_uniform)
+    uniform = int(elements.uniform.sum())
     poset_payload = poset.to_dict(hasse)
     poset_payload["n"] = n
     poset_payload["d"] = d

@@ -283,17 +283,18 @@ class PointConfiguration:
 def circuit_dependences(config: PointConfiguration) -> dict[Circuit, np.ndarray]:
     """Every signed circuit of a spanning configuration, with its dependence.
 
-    The circuits are read off the lifted maximal minors (_read_circuits):
-    by Cramer's rule the alternating minors of a (d+2)-subset are the
-    coefficients of its dependence, so the rank rule decides circuits on
-    the bases alone.  Each dependence is returned as a length-n vector,
-    max-abs normalized, zero off the support and positive on the smallest
-    element (Bjorner, Las Vergnas, Sturmfels, White & Ziegler, Oriented
-    Matroids, ch. 3).
+    The circuits are read off the lifted maximal minors (_gather_circuits,
+    _distinct_circuits): by Cramer's rule the alternating minors of a
+    (d+2)-subset are the coefficients of its dependence, so the rank rule
+    decides circuits on the bases alone.  Each dependence is returned as a
+    length-n vector, max-abs normalized, zero off the support and positive
+    on the smallest element (Bjorner, Las Vergnas, Sturmfels, White &
+    Ziegler, Oriented Matroids, ch. 3).
     """
     if not config.affinely_spans():
         raise RankDeficientError("points do not affinely span R^d")
-    spans, values, _ = _read_circuits(config._minors[1][None], config.n, config.d + 1)
+    gathered = _gather_circuits(config._minors[1][None], config.n, config.d + 1)
+    spans, values, _ = _distinct_circuits(*gathered, config.n)
     values = values / np.abs(values).max(axis=1, keepdims=True)
     x = np.zeros((len(spans), config.n))
     x[np.arange(len(spans))[:, None], spans] = np.where(values != 0, values, 0.0)
@@ -341,13 +342,14 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
 # Sign vectors.  This module alone knows their encodings: _signs turns
 # anything with .pos/.neg element sets into a +1/-1/0 int8 matrix (one row
 # per vector, column e-1 for element e), _pack turns that matrix into the
-# kernel's rows, _read_circuits builds the rows of the circuits it reads
-# off basis values and _supports reads their distinct supports back.  In a
-# kernel row, element e lives in word (e-1) // 32 of ceil(n/32) uint64
-# words, its positive bit at 32 + (e-1) % 32 and its negative bit at
-# (e-1) % 32, so a row holds a sign vector of any length.  Z conforms to S
-# (Z+ <= S+ and Z- <= S-) iff Z & ~S is zero in every word, X o Y is X | Y
-# for conformal X, Y, and -X swaps the halves of each word.
+# kernel's rows, _distinct_circuits builds the rows of the circuits that
+# _gather_circuits reads off basis values and _supports reads their
+# distinct supports back.  In a kernel row, element e lives in word
+# (e-1) // 32 of ceil(n/32) uint64 words, its positive bit at
+# 32 + (e-1) % 32 and its negative bit at (e-1) % 32, so a row holds a sign
+# vector of any length.  Z conforms to S (Z+ <= S+ and Z- <= S-) iff
+# Z & ~S is zero in every word, X o Y is X | Y for conformal X, Y, and -X
+# swaps the halves of each word.
 #
 # _conforming answers "does z[j] conform to s[i]" for every pair by byte
 # tables (the "Four Russians" trick of Arlazarov, Dinic, Kronrod &
@@ -424,8 +426,8 @@ def _colex(n: int, r: int) -> np.ndarray:
     return subsets[np.lexsort(subsets.T)]
 
 
-def _read_circuits(values: np.ndarray, n: int, r: int):
-    """The circuits of each row of basis values, read off the (r+1)-subsets.
+def _gather_circuits(values: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit each span of each row of basis values holds.
 
     values has one row per oriented matroid of rank r on range(n) and one
     column per r-subset in colex order (_colex): a chirotope's signs, or a
@@ -434,11 +436,9 @@ def _read_circuits(values: np.ndarray, n: int, r: int):
     them are zero, and every circuit lies in some span (Bjorner et al.,
     ch. 3).  The column of S - x_i is its colex rank, sum_j C(s_j, j + 1).
 
-    Circuits are told apart by their kernel sign rows, built word by word
-    from the spans.  Returns spans and vals, two (circuits, r+1) arrays:
-    each distinct circuit's first span (rows in order, spans in colex order)
-    and its values there, signed positive on its smallest element; and held,
-    the (rows, spans) array of the circuit each span holds, -1 for none.
+    Returns spans, the (r+1)-subsets in colex order, and vals, the (rows,
+    spans, r+1) array of those values, each span's signed positive on its
+    first nonzero; a span of all zeros holds no circuit.
     """
     spans = _colex(n, r + 1)
     binom = np.zeros((n, r + 1), np.int64)  # binom[e, k] = C(e, k)
@@ -449,7 +449,18 @@ def _read_circuits(values: np.ndarray, n: int, r: int):
     vals = values[:, binom[facets, np.arange(1, r + 1)].sum(axis=2)]
     vals[:, :, 1::2] *= -1
     lead = np.take_along_axis(vals, (vals != 0).argmax(axis=2)[:, :, None], axis=2)
-    vals = np.where(lead < 0, -vals, vals)
+    return spans, np.where(lead < 0, -vals, vals)
+
+
+def _distinct_circuits(spans: np.ndarray, vals: np.ndarray, n: int):
+    """The distinct circuits of _gather_circuits' spans and vals.
+
+    Circuits are told apart by their kernel sign rows, built word by word
+    from the spans.  Returns two (circuits, r+1) arrays, each distinct
+    circuit's first span (rows in order, spans in colex order) and its
+    values there; and held, the (rows, spans) array of the circuit each
+    span holds, -1 for none.
+    """
     word, bit = np.divmod(spans, 32)
     bits = (vals != 0) * (np.uint64(1) << (bit + 32 * (vals > 0)).astype(np.uint64))
     in_word = word[:, :, None] == np.arange(-(-n // 32))

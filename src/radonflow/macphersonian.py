@@ -3,10 +3,13 @@
 The poset collects the acyclic oriented matroids of n labeled points
 spanning R^d, ordered by weak maps (circuit nesting).  They are enumerated
 exactly, as the chirotopes of rank d + 1 on n elements, and each element's
-circuits are read off its chirotope; no point is sampled.  Basis exchange,
-the weak-map order and its covers come from the conformance kernel of core,
-with no per-pair calls and no matrix product, and the grades and maximal
-elements from the covers alone.
+circuits are read off its chirotope; no point is sampled.  From the
+chirotopes to poset.json the census stays one table of arrays
+(MatroidTable): its distinct circuits as sign rows and each element as a
+row of circuit ids, an OrientedMatroid being built only when one is
+indexed.  Basis exchange, the weak-map order and its covers come from the
+conformance kernel of core, with no per-pair calls and no matrix product,
+and the grades and maximal elements from the covers alone.
 
 The homology asked for is that of the order complex, the simplicial
 complex of chains, over GF(2).  The census reads it off the covers
@@ -43,7 +46,9 @@ m42_cells.json report checks the census's order.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,9 +58,10 @@ from .core import (
     OrientedMatroid,
     _colex,
     _conformity,
+    _distinct_circuits,
+    _gather_circuits,
     _negated,
     _pack,
-    _read_circuits,
     _signs,
     _supports,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
@@ -134,27 +140,141 @@ def _chirotopes(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return subsets, frontier[_matroid_supports(subsets, support)[which]]
 
 
-def _acyclic_matroids(
-    subsets: np.ndarray, chi: np.ndarray, ground: GroundSet
-) -> list[OrientedMatroid]:
-    """The oriented matroids of the chirotope rows chi (columns over the
-    colex-ordered subsets) that have no positive circuit.
+@dataclass(eq=False)
+class MatroidTable(Sequence):
+    """Oriented matroids on one ground set, held as arrays.
 
-    core._read_circuits reads each row's circuits off its (r+1)-subsets.  A
-    loop would be a one-element circuit, so an acyclic row has none.
+    signs holds the distinct circuits as +1/-1/0 int8 rows (column e-1 for
+    element e) in Circuit.sort_key order, and element i is the CSR row
+    ids[start[i]:start[i + 1]] of circuit ids, ascending, which is its
+    sorted_circuits order.  Indexing builds an OrientedMatroid on request,
+    the elements sharing one Circuit per id; a slice is a list of them.
+    ground is None only in a table of no elements.
     """
-    spans, signs, held = _read_circuits(chi, ground.n, subsets.shape[1])
-    circuits = [
-        Circuit.make(span[s > 0] + 1, span[s < 0] + 1) for span, s in zip(spans, signs)
-    ]
-    positive = np.append((signs >= 0).all(axis=1), False)  # held -1 reads False
-    return [
-        OrientedMatroid(ground, frozenset(circuits[i] for i in row if i >= 0))
-        for row in held[~positive[held].any(axis=1)].tolist()
-    ]
+
+    ground: GroundSet | None
+    signs: np.ndarray
+    start: np.ndarray
+    ids: np.ndarray
+
+    @classmethod
+    def of(cls, elements) -> "MatroidTable":
+        """elements itself if it is a table, else the table of a sequence of
+        OrientedMatroids sharing one ground set."""
+        if isinstance(elements, MatroidTable):
+            return elements
+        ground = elements[0].ground if len(elements) else None
+        if any(m.ground != ground for m in elements):
+            raise ValueError("matroids must share the same ground set")
+        circuits = sorted({c for m in elements for c in m.circuits}, key=Circuit.sort_key)
+        column = {c: i for i, c in enumerate(circuits)}
+        held = [sorted(map(column.__getitem__, m.circuits)) for m in elements]
+        start = np.zeros(len(held) + 1, np.intp)
+        np.cumsum(list(map(len, held)), out=start[1:])
+        ids = np.fromiter(itertools.chain.from_iterable(held), np.intp, start[-1])
+        return cls(ground, _signs(circuits, ground.n if ground else 1), start, ids)
+
+    def _parts(self) -> list[tuple[list[int], list[int]]]:
+        """Each circuit's positive and negative elements, ascending."""
+        parts = []
+        for signed in (self.signs > 0, self.signs < 0):
+            row, col = np.nonzero(signed)
+            ends = np.cumsum(np.bincount(row, minlength=len(signed))).tolist()
+            elements = (col + 1).tolist()
+            parts.append([elements[a:b] for a, b in zip([0] + ends, ends)])
+        return list(zip(*parts))
+
+    @cached_property
+    def circuits(self) -> list[Circuit]:
+        """One Circuit per row of signs."""
+        return [Circuit(frozenset(pos), frozenset(neg)) for pos, neg in self._parts()]
+
+    def __len__(self) -> int:
+        return len(self.start) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        held = self.ids[self.start[i] : self.start[i + 1]].tolist()
+        return OrientedMatroid(self.ground, frozenset(map(self.circuits.__getitem__, held)))
+
+    @property
+    def uniform(self) -> np.ndarray:
+        """Which elements are uniform: every circuit has d + 2 elements."""
+        short = (self.signs != 0).sum(axis=1) != self.ground.d + 2
+        owner = np.repeat(np.arange(len(self)), np.diff(self.start))
+        return np.bincount(owner[short[self.ids]], minlength=len(self)) == 0
+
+    def to_dicts(self) -> list[dict]:
+        """[m.to_dict() for m in self], with one circuit dict shared by every
+        element that holds it."""
+        circuits = [{"pos": pos, "neg": neg} for pos, neg in self._parts()]
+        ids, start, ground = self.ids.tolist(), self.start.tolist(), self.ground
+        return [
+            {"n": ground.n, "d": ground.d, "circuits": list(map(circuits.__getitem__, ids[a:b]))}
+            for a, b in zip(start, start[1:])
+        ]
 
 
-def enumerate_acyclic_oms(n: int, d: int) -> list[OrientedMatroid]:
+def _census_table(ground: GroundSet, spans: np.ndarray, vals: np.ndarray, held: np.ndarray) -> MatroidTable:
+    """The table of _distinct_circuits' output, in the census order: by
+    circuit count, then by the circuits' sort keys, as lists.
+
+    A circuit's Circuit.sort_key is its size, its support ascending and its
+    positive part ascending, a prefix first: each span's elements off the
+    support or the positive part are padded past n or below 0, and one
+    np.lexsort ranks the circuits.  Each element's ids are its row of held
+    ranked and sorted, with a circuit held by several spans kept once (at
+    d = 1 a short circuit lies in several spans); ids of equal count
+    compare like their lists of keys, so a second np.lexsort orders the
+    elements.
+    """
+    n = ground.n
+    support = np.sort(np.where(vals != 0, spans, n), axis=1)
+    pos = np.sort(np.where(vals > 0, spans, n), axis=1)
+    pos[pos == n] = -1
+    by_key = np.lexsort(np.vstack([pos.T[::-1], support.T[::-1], (vals != 0).sum(axis=1)]))
+    k = len(by_key)
+    rank = np.full(k + 1, k, np.intp)  # held's -1 reads k, past every id
+    rank[by_key] = np.arange(k)
+    ids = np.sort(rank[held], axis=1)
+    ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = k  # a circuit held by several spans counts once
+    ids.sort(axis=1)
+    count = (ids < k).sum(axis=1)
+    order = np.lexsort(np.vstack([ids.T[::-1], count]))
+    start = np.zeros(len(order) + 1, np.intp)
+    np.cumsum(count[order], out=start[1:])
+    ids = ids[order]
+    signs = np.zeros((k, n), np.int8)
+    signs[np.arange(k)[:, None], spans[by_key]] = np.sign(vals[by_key])
+    return MatroidTable(ground, signs, start, ids[ids < k])
+
+
+def _acyclic_matroids(subsets: np.ndarray, chi: np.ndarray, ground: GroundSet) -> MatroidTable:
+    """The oriented matroids of the chirotope rows chi (columns over the
+    colex-ordered subsets) that have no positive circuit, as a table in the
+    census order (_census_table).
+
+    core._gather_circuits reads each row's circuits off its (r+1)-subsets,
+    and the rows with a positive circuit are dropped before
+    core._distinct_circuits tells the circuits of the others apart.  A loop
+    would be a one-element circuit, so an acyclic row has none.
+    """
+    spans, vals = _gather_circuits(chi, ground.n, subsets.shape[1])
+    # a positive circuit has a positive value and no negative one; the r+1
+    # values are read one at a time, numpy's reductions being slow on so
+    # short an axis
+    positive = np.zeros(vals.shape[:2], bool)
+    negative = np.zeros_like(positive)
+    for column in np.moveaxis(vals, 2, 0):
+        positive |= column > 0
+        negative |= column < 0
+    cyclic = (positive & ~negative).any(axis=1)
+    return _census_table(ground, *_distinct_circuits(spans, vals[~cyclic], ground.n))
+
+
+def enumerate_acyclic_oms(n: int, d: int) -> MatroidTable:
     """Every acyclic oriented matroid of rank d + 1 on n labeled elements.
 
     Supported: d >= 1 and d + 2 <= n <= 5, plus (6,1) and (6,4); (6,2) and
@@ -162,8 +282,10 @@ def enumerate_acyclic_oms(n: int, d: int) -> list[OrientedMatroid]:
     TOO_LARGE).  Each is read off one chirotope of _chirotopes.  At every
     supported shape the rank is 2 or the corank n - d - 1 is at most 2, so
     each is realizable (BLSWZ ch. 8; dualise for corank <= 2) and, being
-    acyclic, is the oriented matroid of n points spanning R^d.  The list is
-    sorted deterministically.
+    acyclic, is the oriented matroid of n points spanning R^d.  They come
+    as one MatroidTable, sorted by circuit count and then by the sort keys
+    of their sorted circuits, as lists; an OrientedMatroid is built only
+    when one is indexed.
     """
     if d < 1 or n < d + 2:
         raise UnsupportedRangeError(f"need d >= 1 and n >= d + 2, got n={n}, d={d}")
@@ -172,43 +294,38 @@ def enumerate_acyclic_oms(n: int, d: int) -> list[OrientedMatroid]:
             f"enumeration supports n <= {MAX_ENUMERATION_N} except (n, d) in "
             f"{sorted(TOO_LARGE)}, got n={n}, d={d}"
         )
-    out = _acyclic_matroids(*_chirotopes(n, d + 1), GroundSet(n, d))
-    out.sort(key=lambda m: (len(m.circuits), [c.sort_key() for c in m.sorted_circuits]))
-    return out
+    return _acyclic_matroids(*_chirotopes(n, d + 1), GroundSet(n, d))
 
 
 @dataclass
 class MatroidPoset:
     """Matroids with the (reflexive) weak-map order as a boolean matrix."""
 
-    elements: list[OrientedMatroid]
+    elements: Sequence[OrientedMatroid]
     leq: np.ndarray
 
     @classmethod
-    def from_elements(cls, elements: list[OrientedMatroid]) -> "MatroidPoset":
+    def from_elements(cls, elements: Sequence[OrientedMatroid]) -> "MatroidPoset":
         """leq[i, j] = weak_map_leq(elements[i], elements[j]), for all pairs at once.
 
-        Over the distinct circuits u, v of all elements, radon[u, v] says
-        that u or -u conforms to v (core._conforming), that is, v is a Radon
-        partition of any matroid holding u.  covered[i], the OR of the radon
-        rows of i's circuits, holds the Radon partitions of element i, and i
-        lies below j iff it holds every circuit of j: the kernel again, on
-        packed bool rows, where conforming is being a subset.
+        Over the distinct circuits u, v of all elements (the rows of
+        MatroidTable.of(elements)), radon[u, v] says that u or -u conforms
+        to v (core._conforming), that is, v is a Radon partition of any
+        matroid holding u.  covered[i], the OR of the radon rows of i's
+        circuits, holds the Radon partitions of element i, and i lies below
+        j iff it holds every circuit of j: the kernel again, on packed bool
+        rows, where conforming is being a subset.
         """
-        if any(m.ground != elements[0].ground for m in elements):
-            raise ValueError("matroids must share the same ground set")
-        column: dict[Circuit, int] = {}
-        held = [column.setdefault(c, len(column)) for m in elements for c in m.circuits]
-        sizes = np.array([len(m.circuits) for m in elements], np.intp)
-        rows = _pack(_signs(list(column), elements[0].n if elements else 1))
+        table = MatroidTable.of(elements)
+        rows, k = _pack(table.signs), len(table.signs)
         # either[v, u]: signed row u of [rows; -rows] conforms to circuit v
         either = _conformity(np.concatenate([rows, _negated(rows)]), rows)
-        radon = np.packbits((either[:, : len(column)] | either[:, len(column) :]).T, axis=1)
-        incidence = np.zeros((len(elements), len(column)), bool)
-        incidence[np.repeat(np.arange(len(elements)), sizes), held] = True
-        covered = np.zeros((len(elements), radon.shape[1]), np.uint8)
-        starts = (np.cumsum(sizes) - sizes)[sizes > 0]
-        covered[sizes > 0] = np.bitwise_or.reduceat(radon[held], starts, axis=0)
+        radon = np.packbits((either[:, :k] | either[:, k:]).T, axis=1)
+        sizes = np.diff(table.start)
+        incidence = np.zeros((len(table), k), bool)
+        incidence[np.repeat(np.arange(len(table)), sizes), table.ids] = True
+        covered = np.zeros((len(table), radon.shape[1]), np.uint8)
+        covered[sizes > 0] = np.bitwise_or.reduceat(radon[table.ids], table.start[:-1][sizes > 0], axis=0)
         return cls(elements=elements, leq=_conformity(np.packbits(incidence, axis=1), covered))
 
     def __post_init__(self) -> None:
@@ -234,7 +351,7 @@ class MatroidPoset:
         """The elements, their covers hasse (self.hasse_pairs()) and the
         maximal elements, those that are the lower end of no cover."""
         return {
-            "elements": [m.to_dict() for m in self.elements],
+            "elements": MatroidTable.of(self.elements).to_dicts(),
             "hasse": [list(p) for p in hasse],
             "maximal": np.setdiff1d(np.arange(len(self)), [i for i, _ in hasse]).tolist(),
         }

@@ -28,6 +28,8 @@ It is a subset of the exact census, and chirotope gives the signs that the
 package reads circuits from, straight from the points.  is_matroid is basis
 exchange as a loop over frozensets, one support at a time; the package
 tests every swap on every distinct support in one conformance-kernel call.
+census_key is the sort key enumerate_acyclic_oms once sorted its objects
+by; the package now orders its table of circuit ids by two np.lexsorts.
 weak_map_matrix calls weak_map_leq once per pair of poset elements.
 order_complex is the recursive chain enumeration, one tuple per chain,
 that the package replaced by growing int arrays one grade at a time.
@@ -679,6 +681,11 @@ def is_matroid(bases):
         for b2 in bases
         for x in b1 - b2
     )
+
+
+def census_key(m):
+    """Circuit count, then the sort keys of the sorted circuits, as a list."""
+    return (len(m.circuits), [c.sort_key() for c in m.sorted_circuits])
 
 
 def weak_map_matrix(elements):

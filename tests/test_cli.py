@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -265,6 +266,44 @@ def test_macphersonian_4_2_enumerates_once(tmp_path, monkeypatch):
     assert main(["macphersonian", "4", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
     assert calls == [(4, 2)]
     assert load(tmp_path / "m42_cells.json")["ok"] is True
+
+
+# SHA-256 of each file the census writes, its generated_at line dropped
+# (stripped), as written before the census kept its elements as arrays
+# (commit d4a18d8): any change of order or layout fails
+CENSUS_DIGESTS = {
+    (4, 1): {
+        "poset.json": "d72b71e977105414c3f1ca2f46708fdeeab495dec3894a5f618b48c876ae717a",
+        "order_complex.json": "d8a2f0f262f15f737466a64616280b37bcb8404d84d9165520c91baeaf4777da",
+    },
+    (4, 2): {
+        "poset.json": "d504a4273d1ce179e97b4cc5e4b230086c1f325429608d0b0fe4bd9bfe26322c",
+        "order_complex.json": "5efcd3eaaf2a28be7c1b136d0cabc31d50098d5abe9504565ff017c55e2bb944",
+        "m42_cells.json": "361452058104b0a58a82a049cfa14b1f4f2ca39129f1473ce51509b8982a9fdf",
+    },
+    (5, 1): {
+        "poset.json": "e7d51ee86062f3a971c8e6a45186c02ee93d3a61086b9361fc4aa687f1df3454",
+        "order_complex.json": "c515ac6fe28c44d31f770ebc35066875aab9bdba2e14b2acbbca7eade5392286",
+    },
+    (5, 3): {
+        "poset.json": "160f278fb8162e35d5ab7cb0b6c8391b2ce8f60658aab6a327f797a58c1a71db",
+        "order_complex.json": "5a4484aecbc8a7172040dbc8f9447bd54ba43fd326bd6510763f7f8707501138",
+    },
+    (6, 4): {
+        "poset.json": "d264a0b144bf71b54f29a6f3d23db993e23ca2266a448544667df7840a15eafa",
+        "order_complex.json": "fb61a9c5a82029e7ad646af5f7b0981cd8394420d0c9fd0b1edbe665b92af1da",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CENSUS_DIGESTS), ids=lambda s: "%d-%d" % s)
+def test_census_outputs_match_their_pinned_digests(tmp_path, shape):
+    n, d = shape
+    assert main(["macphersonian", str(n), str(d), "--out", str(tmp_path)]) == 0
+    digests = {
+        path.name: hashlib.sha256(stripped(path).encode()).hexdigest() for path in tmp_path.iterdir()
+    }
+    assert digests == CENSUS_DIGESTS[shape]
 
 
 def test_macphersonian_out_of_range(tmp_path):

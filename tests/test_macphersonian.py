@@ -224,6 +224,7 @@ def _assert_poset_matches_pairwise_loop(elements):
     hasse = p.hasse_pairs()
     assert hasse == oracles.hasse_pairs(leq)
     assert p.to_dict(hasse)["maximal"] == oracles.maximal_indices(leq)
+    assert p.to_dict(hasse)["elements"] == [m.to_dict() for m in elements]
     return p
 
 
@@ -654,6 +655,53 @@ def test_cellular_homology_matches_the_order_complex_at_every_census_shape(n, d)
     assert rf.chain_counts(p) == oc.counts()
     assert grade.tolist() == _grades(p).tolist()
     assert p.to_dict(hasse)["maximal"] == oracles.maximal_indices(p.leq)
+
+
+@pytest.mark.parametrize("n, d", ALL_CENSUS_SHAPES)
+def test_census_comes_in_the_sort_key_order(n, d):
+    # the table's two np.lexsorts against the Python sort of its objects:
+    # elements by circuit count, then by their circuits' sort keys as
+    # lists, and each element's ids in its sorted_circuits order
+    census = rf.enumerate_acyclic_oms(n, d)
+    elements = list(census)
+    assert len({m.circuits for m in elements}) == len(elements)
+    expected = sorted(elements, key=oracles.census_key)
+    assert [m.circuits for m in elements] == [m.circuits for m in expected]
+    for i, m in enumerate(elements):
+        held = census.ids[census.start[i] : census.start[i + 1]].tolist()
+        assert [census.circuits[j] for j in held] == list(m.sorted_circuits)
+
+
+@pytest.mark.parametrize("n, d", ALL_CENSUS_SHAPES)
+def test_poset_of_the_table_equals_the_poset_of_its_objects(n, d):
+    # from_elements and to_dict read the table as it is, and a list of the
+    # same matroids through the adapter (MatroidTable.of)
+    census = rf.enumerate_acyclic_oms(n, d)
+    elements = list(census)
+    p, q = rf.MatroidPoset.from_elements(census), rf.MatroidPoset.from_elements(elements)
+    assert p.elements is census and q.elements is elements
+    assert np.array_equal(p.leq, q.leq)
+    hasse = p.hasse_pairs()
+    assert p.to_dict(hasse) == q.to_dict(hasse)
+    assert p.to_dict(hasse)["elements"] == [m.to_dict() for m in elements]
+    assert census.uniform.tolist() == [m.is_uniform for m in elements]
+
+
+def test_cell_structure_m42_from_the_table_and_from_a_list(oms42):
+    for elements in (oms42, list(oms42)):
+        assert _m42(rf.MatroidPoset.from_elements(elements)).ok
+
+
+def test_table_indexing_builds_matroids_on_request(oms42):
+    assert isinstance(oms42, rf.MatroidTable)
+    assert oms42[-1].circuits == oms42[24].circuits
+    assert [m.circuits for m in oms42[3:9:2]] == [oms42[i].circuits for i in (3, 5, 7)]
+    assert isinstance(oms42[:2], list)
+    with pytest.raises(IndexError):
+        oms42[25]
+    # the elements share one Circuit per id
+    shared = {id(c) for m in oms42 for c in m.circuits}
+    assert len(shared) == len(oms42.circuits) == len(oms42.signs)
 
 
 def _poset_of_covers(k, covers):
