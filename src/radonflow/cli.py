@@ -65,6 +65,9 @@ from .macphersonian import (
 )
 
 SCHEMA_VERSION = 1
+# homology refuses a poset whose chains hold more vertex entries than this:
+# about 45 bytes an entry at the peak, so 1.4 GB (the (6,3) census has 8.1e8)
+MAX_ORDER_COMPLEX_ENTRIES = 3 * 10**7
 _NUMBERS = {int, float}
 _INTEGERS = {int}
 # json's own indented encoder, for the values _texts does not lay out itself
@@ -373,6 +376,12 @@ def cmd_homology(args: argparse.Namespace) -> int:
         poset = MatroidPoset.from_elements([OrientedMatroid.from_dict(m) for m in data["elements"]])
         if pairs != set(poset.hasse_pairs()):
             raise ValueError("'hasse' is not the cover relation of the weak-map order of 'elements'")
+        entries = sum((k + 1) * c for k, c in enumerate(chain_counts(poset)))
+        if entries > MAX_ORDER_COMPLEX_ENTRIES:
+            raise UnsupportedRangeError(
+                f"the order complex holds {entries} vertex entries, more than the "
+                f"{MAX_ORDER_COMPLEX_ENTRIES} homology builds"
+            )
         complex_ = order_complex(poset)
     else:
         raise ValueError("homology input needs 'facets' or 'elements' + 'hasse'")

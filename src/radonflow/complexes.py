@@ -37,6 +37,7 @@ from .core import (
     _LOW,
     _conforming,
     _counts,
+    _fan,
     _negated,
     _pack,
     _pairs,
@@ -349,7 +350,7 @@ def _composition_closure(rows: np.ndarray) -> np.ndarray:
     ends = np.concatenate([first[edge], second[edge]])
     neighbours = np.concatenate([second[edge], first[edge]])[np.argsort(ends, kind="stable")]
     degree = np.bincount(ends, minlength=len(rows))
-    starts = np.cumsum(degree) - degree
+    start = np.concatenate([[0], np.cumsum(degree)])
 
     def merged(seen, composed, tracks):
         # seen and composed as distinct rows, the new ones among them and
@@ -362,9 +363,7 @@ def _composition_closure(rows: np.ndarray) -> np.ndarray:
     seen, frontier, track = merged(_unique_rows(rows)[0], composed, lower[head])
     while len(frontier):
         # every (frontier row, neighbour of its tracked vertex) pair
-        count = degree[track]
-        row = np.repeat(np.arange(len(frontier)), count)
-        listed = np.arange(len(row)) + np.repeat(starts[track] - (np.cumsum(count) - count), count)
+        row, listed = _fan(start, track)
         x, y = frontier[row], rows[neighbours[listed]]
         useful = ~(x & _negated(y)).any(axis=1) & (y & ~x).any(axis=1)
         seen, frontier, track = merged(seen, x[useful] | y[useful], track[row[useful]])

@@ -537,10 +537,17 @@ def _conforming(z: np.ndarray, s: np.ndarray):
 def _pairs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) for every set bit j of bits[i], in np.nonzero's row-major order."""
     row, word = np.nonzero(bits)
-    octets = bits[row, word].astype(_LE, copy=False).view(np.uint8).reshape(-1, 8)
-    flags = np.unpackbits(octets, axis=1, bitorder="little")
-    at, bit = np.nonzero(flags)
+    octets = bits[row, word].astype(_LE, copy=False).view(np.uint8)
+    at, bit = np.divmod(np.flatnonzero(np.unpackbits(octets, bitorder="little")), 64)
     return row[at], word[at] * 64 + bit
+
+
+def _fan(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, position): position runs over start[x]:start[x + 1] for each
+    x in rows in turn, and owner holds the index in rows of its x."""
+    first, fan = start[rows], start[rows + 1] - start[rows]
+    owner = np.repeat(np.arange(len(rows)), fan)
+    return owner, np.arange(len(owner)) + (first - (np.cumsum(fan) - fan))[owner]
 
 
 def _counts(bits: np.ndarray) -> np.ndarray:

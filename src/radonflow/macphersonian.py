@@ -7,32 +7,21 @@ circuits are read off its chirotope; no point is sampled.  From the
 chirotopes to poset.json the census stays one table of arrays
 (MatroidTable): its distinct circuits as sign rows and each element as a
 row of circuit ids, an OrientedMatroid being built only when one is
-indexed.  Basis exchange, the weak-map order and its covers come from the
-conformance kernel of core, with no per-pair calls and no matrix product,
-and the grades and maximal elements from the covers alone.
+indexed.  Basis exchange and the weak-map order come from the conformance
+kernel of core, with no per-pair calls.  The order is held as its strict
+pairs, sorted, never as a k x k matrix; its covers come from one join of
+the pairs with themselves, and the grades and maximal elements from the
+covers alone.
 
 The homology asked for is that of the order complex, the simplicial
-complex of chains, over GF(2).  The census reads it off the covers
-instead (cellular_homology): each element is a cell of dimension its
-grade, the length of the longest chain below it, and its boundary is the
-sum of its lower covers.  Three checks make that exact, and every census
-run makes them and refuses a poset that fails one: the poset is graded,
-every interval of length 2 has two middles, and the cells below each
-element of grade g have the GF(2) homology of a (g-1)-sphere.  It is then a
-CW poset up to GF(2) homology, whose cellular homology is that of its order
-complex (Bjorner, "Posets, regular CW complexes and Bruhat order", Europ.
-J. Combin. 5 (1984); Wachs, "Poset topology: tools and applications",
-IAS/Park City 2007).  The chains of each length are counted by a dynamic
-program over the strict order, so no chain is built.  Both the cellular
-boundaries and those of the order complex are reduced by one sparse column
-reduction: each column is a list of row indices, a dict maps each pivot
-(the column's smallest index) to its reduced column, and columns whose
-cell is a pivot one dimension up are cleared without reduction (Chen &
-Kerber, "Persistent homology computation with a twist", 2011; Bauer,
-Kerber, Reininghaus & Wagner, "PHAT", 2017).  No dense matrix is built.
-The order complex itself, one int array per dimension, serves the
-homology command, which accepts any poset or complex, and is the route
-the tests compare the census with.
+complex of chains, over GF(2).  The census reads it off the covers as
+cellular homology instead (cellular_homology, which gives the three checks
+that make this exact and refuses a poset that fails one), and counts the
+chains of each length without building one (chain_counts).  The order
+complex itself (order_complex) serves the homology command, which accepts
+any poset or complex, and is the route the tests compare the census with.
+Its simplices are cells too, so one sparse column driver (cellular_betti)
+reduces both; no dense matrix is built.
 
 For n = 4, d = 2 the poset has 25 elements (7 uniform, 12 with a collinear
 triple, 6 with a coincident pair) matching the cells of the antipodal
@@ -57,23 +46,23 @@ from .core import (
     GroundSet,
     OrientedMatroid,
     _colex,
+    _conforming,
     _conformity,
     _distinct_circuits,
+    _fan,
     _gather_circuits,
     _negated,
     _pack,
+    _pairs,
     _signs,
     _supports,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     weak_map_leq,  # the order from_elements computes; perfbench/tracing.py counts its calls here
 )
 
-# The census runs for n <= MAX_ENUMERATION_N except the TOO_LARGE shapes,
-# where the weak-map order, a dense k x k bool matrix, is too large: 3.7 GB
-# for the 60 962 elements of (6,2), and 295 MB for the 17 162 of (6,3),
-# beside which hasse_pairs holds several more k x k matrices.
 MAX_ENUMERATION_N = 6
-TOO_LARGE = frozenset({(6, 2), (6, 3)})
+# chains i < c < j per block of the join that finds the covers (hasse_pairs)
+_JOIN_BLOCK = 1 << 20
 
 
 class UnsupportedRangeError(ValueError):
@@ -277,11 +266,12 @@ def _acyclic_matroids(subsets: np.ndarray, chi: np.ndarray, ground: GroundSet) -
 def enumerate_acyclic_oms(n: int, d: int) -> MatroidTable:
     """Every acyclic oriented matroid of rank d + 1 on n labeled elements.
 
-    Supported: d >= 1 and d + 2 <= n <= 5, plus (6,1) and (6,4); (6,2) and
-    (6,3) raise UnsupportedRangeError before any enumeration (see
-    TOO_LARGE).  Each is read off one chirotope of _chirotopes.  At every
-    supported shape the rank is 2 or the corank n - d - 1 is at most 2, so
-    each is realizable (BLSWZ ch. 8; dualise for corank <= 2) and, being
+    Supported: d >= 1 and d + 2 <= n <= 6; a larger n raises
+    UnsupportedRangeError before any enumeration.  Each is read off one
+    chirotope of _chirotopes.  At every supported shape the rank is at most
+    3 or the corank n - d - 1 is at most 2, so each is realizable (rank 3
+    on at most 8 elements: Goodman & Pollack, J. Combin. Theory Ser. A 29
+    (1980); rank 2, and corank <= 2 by duality: BLSWZ ch. 8) and, being
     acyclic, is the oriented matroid of n points spanning R^d.  They come
     as one MatroidTable, sorted by circuit count and then by the sort keys
     of their sorted circuits, as lists; an OrientedMatroid is built only
@@ -289,24 +279,23 @@ def enumerate_acyclic_oms(n: int, d: int) -> MatroidTable:
     """
     if d < 1 or n < d + 2:
         raise UnsupportedRangeError(f"need d >= 1 and n >= d + 2, got n={n}, d={d}")
-    if n > MAX_ENUMERATION_N or (n, d) in TOO_LARGE:
-        raise UnsupportedRangeError(
-            f"enumeration supports n <= {MAX_ENUMERATION_N} except (n, d) in "
-            f"{sorted(TOO_LARGE)}, got n={n}, d={d}"
-        )
+    if n > MAX_ENUMERATION_N:
+        raise UnsupportedRangeError(f"enumeration supports n <= {MAX_ENUMERATION_N}, got n={n}, d={d}")
     return _acyclic_matroids(*_chirotopes(n, d + 1), GroundSet(n, d))
 
 
 @dataclass
 class MatroidPoset:
-    """Matroids with the (reflexive) weak-map order as a boolean matrix."""
+    """Matroids with the weak-map order as its strict pairs: pairs is an
+    (m, 2) intp array of the pairs (i, j) with element i strictly below
+    element j, in ascending row-major order."""
 
     elements: Sequence[OrientedMatroid]
-    leq: np.ndarray
+    pairs: np.ndarray
 
     @classmethod
     def from_elements(cls, elements: Sequence[OrientedMatroid]) -> "MatroidPoset":
-        """leq[i, j] = weak_map_leq(elements[i], elements[j]), for all pairs at once.
+        """The pairs i < j with weak_map_leq(elements[i], elements[j]).
 
         Over the distinct circuits u, v of all elements (the rows of
         MatroidTable.of(elements)), radon[u, v] says that u or -u conforms
@@ -314,7 +303,8 @@ class MatroidPoset:
         matroid holding u.  covered[i], the OR of the radon rows of i's
         circuits, holds the Radon partitions of element i, and i lies below
         j iff it holds every circuit of j: the kernel again, on packed bool
-        rows, where conforming is being a subset.
+        rows, where conforming is being a subset.  Its blocks list the pairs
+        (i, j) row by row (core._pairs), and the diagonal is dropped.
         """
         table = MatroidTable.of(elements)
         rows, k = _pack(table.signs), len(table.signs)
@@ -326,26 +316,47 @@ class MatroidPoset:
         incidence[np.repeat(np.arange(len(table)), sizes), table.ids] = True
         covered = np.zeros((len(table), radon.shape[1]), np.uint8)
         covered[sizes > 0] = np.bitwise_or.reduceat(radon[table.ids], table.start[:-1][sizes > 0], axis=0)
-        return cls(elements=elements, leq=_conformity(np.packbits(incidence, axis=1), covered))
+        blocks = _conforming(np.packbits(incidence, axis=1), covered)
+        pairs = np.concatenate([np.stack(_pairs(bits)) + [[a], [0]] for a, bits in blocks], axis=1).T
+        return cls(elements=elements, pairs=pairs[pairs[:, 0] != pairs[:, 1]])
 
     def __post_init__(self) -> None:
-        if np.triu(self.leq & self.leq.T, 1).any():
+        k, (i, j) = len(self), self.pairs.T
+        keys = i * k + j
+        if ((i < 0) | (i >= k) | (j < 0) | (j >= k)).any() or (np.diff(keys) <= 0).any():
+            raise ValueError("the pairs must name elements, each pair once, in ascending row-major order")
+        if (i == j).any():
+            raise ValueError("the pairs must be strict: a pair joins an element to itself")
+        if _find(keys, j * k + i)[1].any():
             raise ValueError("the order is not antisymmetric: two elements lie below each other")
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def strict(self) -> np.ndarray:
-        """leq without its diagonal: strict[i, j] iff i < j."""
-        return self.leq & ~np.eye(len(self.elements), dtype=bool)
-
     def hasse_pairs(self) -> list[tuple[int, int]]:
-        """Cover relations i < j with nothing strictly between, row-major:
-        the packed row of the elements above i conforms to the complement of
-        the elements below j."""
-        strict = self.strict()
-        apart = _conformity(np.packbits(strict, axis=1), ~np.packbits(strict.T, axis=1))
-        return [tuple(p) for p in np.argwhere(strict & apart.T).tolist()]
+        """Cover relations i < j with nothing strictly between, row-major.
+
+        (i, j) is a cover iff no chain i < c < j ends on it.  Each pair
+        (i, c) meets the pairs above c (_csr), about _JOIN_BLOCK chains at a
+        time, and each chain's end key i * k + j is found among the pairs'
+        ascending keys, or else the relation is not transitive (ValueError).
+        """
+        k, pairs = len(self), self.pairs
+        keys = pairs[:, 0] * k + pairs[:, 1]
+        start, above = _csr(pairs[:, 1], pairs[:, 0], k)
+        total = np.concatenate([[0], np.cumsum(np.diff(start)[pairs[:, 1]])])
+        cuts = np.searchsorted(total, np.arange(0, total[-1], _JOIN_BLOCK), "right") - 1
+        cuts = np.unique(np.append(cuts, len(pairs)))
+        cover = np.ones(len(pairs), bool)
+        for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
+            owner, position = _fan(start, pairs[a:b, 1])
+            at, found = _find(keys, pairs[a + owner, 0] * k + above[position])
+            if not found.all():
+                t = np.flatnonzero(~found)[0]
+                (x, y), z = pairs[a + owner[t]].tolist(), above[position[t]]
+                raise ValueError(f"the order is not transitive: {x} < {y} < {z}, but not {x} < {z}")
+            cover[at] = False
+        return [tuple(p) for p in pairs[cover].tolist()]
 
     def to_dict(self, hasse: list[tuple[int, int]]) -> dict:
         """The elements, their covers hasse (self.hasse_pairs()) and the
@@ -400,24 +411,19 @@ class SimplicialComplex:
 def order_complex(p: MatroidPoset) -> SimplicialComplex:
     """Chains of the poset as simplices (vertex i = element index i).
 
-    The chains grow one grade at a time from the poset's strict order in
-    CSR form (the elements above i, ascending, are above[start[i]:][:deg[i]]).
-    Each chain is repeated once per element above its last one, and one
-    gather appends those elements.  The parents come in lexicographic order
-    and each one's extensions ascend, so every grade comes out sorted.
+    The chains grow one grade at a time from the poset's strict pairs in
+    CSR form by lower end (_csr): each chain is repeated once per element
+    above its last one, and one gather appends those elements (core._fan).
+    The parents come in lexicographic order and each one's extensions
+    ascend, so every grade comes out sorted.
     """
-    below, above = np.nonzero(p.strict())
-    deg = np.bincount(below, minlength=len(p))
-    start = np.cumsum(deg) - deg
+    start, above = _csr(p.pairs[:, 1], p.pairs[:, 0], len(p))
     chains = np.arange(len(p), dtype=np.int64)[:, None]
     grades: list[np.ndarray] = []
     while len(chains):
         grades.append(chains)
-        fan = deg[chains[:, -1]]
-        offset = np.repeat(start[chains[:, -1]] - (np.cumsum(fan) - fan), fan)
-        chains = np.column_stack(
-            [np.repeat(chains, fan, axis=0), above[offset + np.arange(len(offset))]]
-        )
+        owner, position = _fan(start, chains[:, -1])
+        chains = np.column_stack([chains[owner], above[position]])
     return SimplicialComplex(simplices=grades)
 
 
@@ -481,27 +487,21 @@ def _gf2_pivots(columns) -> list[int]:
 
 
 def gf2_betti(c: SimplicialComplex) -> list[int]:
-    """Betti numbers over GF(2) from boundary ranks, by column reduction.
-
-    Column j of the k-th boundary map holds the indices of the faces of the
-    j-th k-simplex among the (k-1)-simplices (_boundary_faces).  Dimensions
-    are reduced from the top down, and a k-simplex that is a pivot of the
-    (k+1)-st map is cleared: its column is a combination of the others
-    (Chen & Kerber's twist).  Each column's pivot is its smallest face,
-    which for rows of ascending vertices is the prefix: a column then
-    collides only with the columns of simplices that share its prefix, and
-    a collision costs a few small sets.
-    """
+    """Betti numbers over GF(2) by cellular_betti: a k-simplex is a cell of
+    dimension k whose lower covers are its boundary faces (_boundary_faces),
+    sorted, so its pivot is its prefix; the simplices are numbered one
+    dimension after another."""
     if not c.simplices:
         return []
-    ranks = [0] * (len(c.simplices) + 1)
-    pivots: list[int] = []  # of the map one dimension up
-    for k, faces in reversed(list(enumerate(_boundary_faces(c), start=1))):
-        keep = np.ones(len(faces), bool)
-        keep[pivots] = False
-        pivots = _gf2_pivots(np.sort(faces[keep], axis=1).tolist())
-        ranks[k] = len(pivots)
-    return [len(c.simplices[k]) - ranks[k] - ranks[k + 1] for k in range(len(c.simplices))]
+    counts = c.counts()
+    offset = np.cumsum([0] + counts)
+    grade = np.repeat(np.arange(len(counts)), counts)
+    start = np.concatenate([[0], np.cumsum(np.where(grade > 0, grade + 1, 0))])
+    lower = np.zeros(start[-1], np.int64)
+    for k, faces in enumerate(_boundary_faces(c), start=1):
+        faces.sort(axis=1)
+        lower[start[offset[k]] : start[offset[k + 1]]] = faces.ravel() + offset[k - 1]
+    return cellular_betti(grade, start, lower)
 
 
 def chain_counts(p: MatroidPoset) -> list[int]:
@@ -512,9 +512,9 @@ def chain_counts(p: MatroidPoset) -> list[int]:
     x; a chain one longer is one of them followed by an element above its
     last, so each step is one bincount over the strict pairs weighted by
     ending.  The float64 weights are exact while every count stays below
-    2**53 (the 17 162 elements of (6,3) have 160 945 202 chains in all).
+    2**53 (the 60 962 elements of (6,2) have 492 655 682 chains in all).
     """
-    below, above = np.nonzero(p.strict())
+    below, above = p.pairs.T
     ending = np.ones(len(p))
     counts: list[int] = []
     while ending.any():
@@ -525,6 +525,12 @@ def chain_counts(p: MatroidPoset) -> list[int]:
 
 class NotACWPosetError(ValueError):
     """A poset fails a check that makes its cellular homology exact."""
+
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each query sits in the ascending keys, and whether it is there."""
+    at = np.searchsorted(keys, queries)
+    return at, keys[np.minimum(at, len(keys) - 1)] == queries
 
 
 def _csr(lower: np.ndarray, upper: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -542,24 +548,30 @@ def cellular_betti(grade: np.ndarray, start: np.ndarray, lower: np.ndarray) -> l
     1]] (_csr), each of grade one less; its boundary is their sum, every
     incidence being 1 mod 2.  Cells are numbered within their grade in the
     order of their indices, so each column's rows ascend.  Grades are
-    reduced from the top down by _gf2_pivots, and a cell that is a pivot one
-    grade up is cleared, as in gf2_betti.  The answer is the homology of
-    the order complex when cellular_homology's checks hold.
+    reduced from the top down by _gf2_pivots, a grade's columns taken by
+    their number of rows, and a cell that is a pivot one grade up is
+    cleared: its column is a combination of the others (Chen & Kerber,
+    "Persistent homology computation with a twist", 2011; Bauer, Kerber,
+    Reininghaus & Wagner, "PHAT", 2017).  The answer is the homology of the
+    order complex when cellular_homology's checks hold, and that of a
+    simplicial complex for its simplices and their faces (gf2_betti).
     """
     f = np.bincount(grade)
     by_grade = np.argsort(grade, kind="stable")
     offset = np.cumsum(f) - f
     local = np.empty(len(grade), np.intp)
     local[by_grade] = np.arange(len(grade)) - np.repeat(offset, f)
-    rows = local[lower].tolist()
     ranks = [0] * (len(f) + 1)
     pivots: list[int] = []  # of the grade above
     for g in range(len(f) - 1, 0, -1):
         keep = np.ones(f[g], bool)
         keep[pivots] = False
         cells = by_grade[offset[g] : offset[g] + f[g]][keep]
-        ends = zip(start[cells].tolist(), start[cells + 1].tolist())
-        pivots = _gf2_pivots([rows[a:b] for a, b in ends])
+        size = start[cells + 1] - start[cells]
+        columns: list[list[int]] = []
+        for s in np.unique(size).tolist():  # the columns of s rows, as one array
+            columns += local[lower[start[cells[size == s], None] + np.arange(s)]].tolist()
+        pivots = _gf2_pivots(columns)
         ranks[g] = len(pivots)
     return [int(f[g]) - ranks[g] - ranks[g + 1] for g in range(len(f))]
 
@@ -592,9 +604,8 @@ def _check_diamonds(pairs: np.ndarray, k: int) -> None:
     """Every interval of length 2 has exactly two middles: the covers
     joined with themselves, as CSR arrays, count the middles of each."""
     start, upper = _csr(pairs[:, 1], pairs[:, 0], k)
-    fan = np.diff(start)[pairs[:, 1]]
-    above = upper[np.repeat(start[pairs[:, 1]] - (np.cumsum(fan) - fan), fan) + np.arange(fan.sum())]
-    ends, middles = np.unique(np.repeat(pairs[:, 0], fan) * k + above, return_counts=True)
+    owner, position = _fan(start, pairs[:, 1])
+    ends, middles = np.unique(pairs[owner, 0] * k + upper[position], return_counts=True)
     if (middles != 2).any():
         (a, c), m = divmod(ends[middles != 2][0], k), middles[middles != 2][0]
         raise NotACWPosetError(
@@ -602,23 +613,26 @@ def _check_diamonds(pairs: np.ndarray, k: int) -> None:
         )
 
 
-def _lower_sets(p: MatroidPoset, pairs: np.ndarray, grade: np.ndarray, xs: np.ndarray):
-    """The cells strictly below each element of xs, one disjoint copy per
-    element: their grades and their lower covers in CSR form (_csr).
+def _lower_sets(p: MatroidPoset, covers: np.ndarray, grade: np.ndarray, xs: np.ndarray):
+    """The cells strictly below each element of xs (ascending), one
+    disjoint copy per element: their grades and their lower covers in CSR
+    form (_csr).
 
-    Cell (y, t) is y below xs[t], numbered in row-major order.  A cover
-    (a, b) yields the covers of (a, t) by (b, t) for every t above b.
+    Cell (y, t) is the pair (y, xs[t]) of p.pairs, so the cells come in
+    row-major order.  A cover (a, b) yields the covers of (a, t) by (b, t)
+    for every t above b.
     """
-    y, t = np.nonzero(p.strict()[:, xs])
-    deg = np.bincount(y, minlength=len(p))
-    lo, up = pairs.T
-    fan = deg[up]
-    upper = np.repeat(np.cumsum(deg)[up] - deg[up] - (np.cumsum(fan) - fan), fan) + np.arange(fan.sum())
-    lower = np.searchsorted(y * len(xs) + t, np.repeat(lo, fan) * len(xs) + t[upper])
+    at = np.full(len(p), -1)
+    at[xs] = np.arange(len(xs))
+    y, x = p.pairs[at[p.pairs[:, 1]] >= 0].T
+    t = at[x]
+    start = np.concatenate([[0], np.cumsum(np.bincount(y, minlength=len(p)))])
+    owner, upper = _fan(start, covers[:, 1])
+    lower = np.searchsorted(y * len(xs) + t, covers[owner, 0] * len(xs) + t[upper])
     return (grade[y], *_csr(lower, upper, len(y)))
 
 
-def _check_spheres(p: MatroidPoset, pairs: np.ndarray, grade: np.ndarray) -> None:
+def _check_spheres(p: MatroidPoset, covers: np.ndarray, grade: np.ndarray) -> None:
     """The cells below each element x of grade g >= 1 have the reduced
     Betti numbers of a (g-1)-sphere under cellular_betti.
 
@@ -630,7 +644,7 @@ def _check_spheres(p: MatroidPoset, pairs: np.ndarray, grade: np.ndarray) -> Non
     of those and zero elsewhere only if every lower set's is.  Otherwise the
     lower sets are run one by one, up the grades, to name the first that fails.
     """
-    ones = np.flatnonzero((grade == 1) & (np.bincount(pairs[:, 1], minlength=len(p)) != 2))
+    ones = np.flatnonzero((grade == 1) & (np.bincount(covers[:, 1], minlength=len(p)) != 2))
     if len(ones):
         raise NotACWPosetError(f"sphere check: element {ones[0]} of grade 1 covers other than 2 elements")
     xs = np.flatnonzero(grade >= 2)
@@ -638,10 +652,10 @@ def _check_spheres(p: MatroidPoset, pairs: np.ndarray, grade: np.ndarray) -> Non
         return
     expected = np.bincount(grade[xs] - 1)
     expected[0] = len(xs)
-    if cellular_betti(*_lower_sets(p, pairs, grade, xs)) == expected.tolist():
+    if cellular_betti(*_lower_sets(p, covers, grade, xs)) == expected.tolist():
         return
     for x in xs[np.argsort(grade[xs], kind="stable")].tolist():
-        betti = cellular_betti(*_lower_sets(p, pairs, grade, np.array([x])))
+        betti = cellular_betti(*_lower_sets(p, covers, grade, np.array([x])))
         if betti != [1] + [0] * (grade[x] - 2) + [1]:
             raise NotACWPosetError(
                 f"sphere check: the cells below element {x} of grade {grade[x]} "

@@ -31,6 +31,9 @@ tests every swap on every distinct support in one conformance-kernel call.
 census_key is the sort key enumerate_acyclic_oms once sorted its objects
 by; the package now orders its table of circuit ids by two np.lexsorts.
 weak_map_matrix calls weak_map_leq once per pair of poset elements.
+leq_of is a poset's order as the dense reflexive bool matrix the package
+once held, read back from its strict pairs; hasse_pairs and
+maximal_indices read covers and maximal elements off such a matrix.
 order_complex is the recursive chain enumeration, one tuple per chain,
 that the package replaced by growing int arrays one grade at a time.
 gf2_rank is the rank of a 0/1 matrix by the package's column reduction
@@ -695,6 +698,13 @@ def weak_map_matrix(elements):
     ).reshape(len(elements), len(elements))
 
 
+def leq_of(poset):
+    """The reflexive order of a MatroidPoset as a dense k x k bool matrix."""
+    leq = np.eye(len(poset), dtype=bool)
+    leq[tuple(poset.pairs.T)] = True
+    return leq
+
+
 def hasse_pairs(leq):
     """Cover relations i < j of a reflexive order matrix, row-major."""
     k = len(leq)
@@ -768,7 +778,8 @@ def gf2_betti_dense(c):
 
 def order_complex(poset):
     """Chains of the poset by dimension, each a tuple, by recursion."""
-    strict_above = [np.flatnonzero(row).tolist() for row in poset.strict()]
+    strict = leq_of(poset) & ~np.eye(len(poset), dtype=bool)
+    strict_above = [np.flatnonzero(row).tolist() for row in strict]
     chains_by_dim = []
 
     def extend(chain):

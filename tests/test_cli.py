@@ -317,10 +317,21 @@ def test_macphersonian_ignores_seed(tmp_path):
         assert stripped(tmp_path / "0" / name) == stripped(tmp_path / "5" / name)
 
 
-def test_macphersonian_rejects_too_large_census_before_enumerating(tmp_path, monkeypatch):
-    monkeypatch.setattr(macphersonian, "_chirotopes", None)  # any enumeration fails
-    for d in ("2", "3"):
-        assert main(["macphersonian", "6", d, "--out", str(tmp_path / d)]) == 3
+def test_census_6_3_completes_and_homology_refuses_its_order_complex(tmp_path, capsys):
+    # the census runs its three checks (cellular_homology) or fails; the
+    # order complex of its 17 162 elements holds 812 682 602 vertex entries
+    assert main(["macphersonian", "6", "3", "--out", str(tmp_path / "mac")]) == 0
+    poset = load(tmp_path / "mac" / "poset.json")
+    assert (poset["count"], poset["uniform_count"]) == (17162, 1560)
+    oc = load(tmp_path / "mac" / "order_complex.json")
+    assert oc["simplex_counts"] == [17162, 1082520, 10344720, 36086400, 57738240, 43303680, 12372480]
+    assert oc["betti_gf2"] == [1, 1, 2, 2, 2, 1, 1]
+    assert oc["euler_characteristic"] == 2
+    capsys.readouterr()
+    out = tmp_path / "hom"
+    assert main(["homology", "--config", str(tmp_path / "mac" / "poset.json"), "--out", str(out)]) == 3
+    assert "holds 812682602 vertex entries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -304,8 +304,9 @@ def test_cycle_order_matches_int_mask_reference_across_words(hexagon_config, shi
 
 @pytest.mark.parametrize("block_words", [1, 40, 200])
 def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_words):
-    # every caller of the conformance kernel gives the default's answer when
-    # its inputs are cut into many small blocks
+    # every caller of the conformance kernel, and the join that finds the
+    # poset's covers, gives the default's answer when its inputs are cut
+    # into many small blocks
     rng = np.random.default_rng([84, 8, 2])
     configs = [
         rf.PointConfiguration(sample_degenerate_points(8, 2, rng, kind).astype(float), 2)
@@ -328,7 +329,7 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
                 for m in matroids + [wide] + broken
             ],
             [(rc.graph.to_dict(), rc.facets, rc.positions.tolist()) for rc in rcs],
-            poset.leq.tolist(),
+            poset.pairs.tolist(),
             poset.hasse_pairs(),
         )
 
@@ -336,6 +337,7 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
     assert want[0][-1].elimination_truncated and want[0][0].weak_elimination
     assert max(len(g["vertices"]) for g, _, _ in want[2]) > 128  # bitsets of three words
     monkeypatch.setattr(rf.core, "_BLOCK_WORDS", block_words)
+    monkeypatch.setattr(rf.macphersonian, "_JOIN_BLOCK", block_words)
     assert answers() == want
 
 
