@@ -21,6 +21,7 @@ import datetime
 import functools
 import json
 import sys
+from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -79,8 +80,23 @@ def _stamp() -> str:
 
 
 def _json_text(value) -> str:
-    """The text json.dumps(value, indent=2, sort_keys=True) writes for value."""
+    """The text json.dumps(value, indent=2, sort_keys=True) writes for value,
+    a RecordTable read as the list of dicts it holds."""
     return _texts([value], "")[0]
+
+
+@dataclass(frozen=True)
+class RecordTable:
+    """A list of records {key: int, ragged_key: [int, ...]} held as int
+    arrays: record r is {key: column[r], ragged_key: values[offsets[r] :
+    offsets[r + 1]]}.  _json_text lays it out as that list, with no dict
+    or list built per record."""
+
+    key: str
+    column: np.ndarray
+    ragged_key: str
+    offsets: np.ndarray
+    values: np.ndarray
 
 
 def _texts(values: list, pad: str) -> list[str]:
@@ -92,14 +108,17 @@ def _texts(values: list, pad: str) -> list[str]:
     Plain ints and floats fill %r slots (json writes their repr, apart from
     the non-finite floats), lists fill a row template per length with the
     texts of all their items, and dicts that share one set of str keys fill
-    one record template with the texts of their value columns.  A value of
-    any other kind (bools, None, strings, empty or non-str-keyed dicts,
-    tuples) goes to json itself, re-indented by replacing each newline:
-    json never writes a raw newline inside a string.
+    one record template with the texts of their value columns.  A
+    RecordTable fills one record template per ragged length from its arrays
+    (_table_text).  A value of any other kind (bools, None, strings, empty
+    or non-str-keyed dicts, tuples) goes to json itself, re-indented by
+    replacing each newline: json never writes a raw newline inside a string.
     """
     kinds = set(map(type, values))
     if kinds <= _NUMBERS:
         return _fill(["%r"] * len(values), values, float in kinds)
+    if kinds == {RecordTable}:
+        return [_table_text(t, pad) for t in values]
     inner = pad + "  "
     if kinds == {list}:
         items = list(chain.from_iterable(values))
@@ -109,10 +128,7 @@ def _texts(values: list, pad: str) -> list[str]:
         else:
             slot, fields, floats = "%s", _texts(items, inner), False
         lengths = list(map(len, values))
-        rows = {
-            k: "[\n" + inner + (",\n" + inner).join([slot] * k) + "\n" + pad + "]" if k else "[]"
-            for k in set(lengths)
-        }
+        rows = {k: _row([slot] * k, pad) for k in set(lengths)}
         return _fill(list(map(rows.__getitem__, lengths)), fields, floats)
     if kinds == {dict}:
         distinct = list({id(v): v for v in values}.values())
@@ -122,16 +138,42 @@ def _texts(values: list, pad: str) -> list[str]:
         keys = values[0].keys()
         if keys and all(type(k) is str for k in keys) and all(v.keys() == keys for v in values):
             keys = sorted(keys)
-            record = (
-                "{\n" + inner
-                + (",\n" + inner).join(encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-                + "\n" + pad + "}"
-            )
+            record = _record(keys, ["%s"] * len(keys), pad)
             columns = [_texts([v[k] for v in values], inner) for k in keys]
             return _fill([record] * len(values), list(chain.from_iterable(zip(*columns))), False)
     if len(values) == 1:
         return [_indented_json(values[0]).replace("\n", "\n" + pad)]
     return [_texts([v], pad)[0] for v in values]
+
+
+def _row(slots: list[str], pad: str) -> str:
+    """The template of a list of slots nested at indentation pad."""
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(slots) + "\n" + pad + "]" if slots else "[]"
+
+
+def _record(keys: list[str], slots: list[str], pad: str) -> str:
+    """The template of a dict of sorted str keys, each with its slot, nested
+    at indentation pad."""
+    inner = pad + "  "
+    entries = (encode_basestring_ascii(k).replace("%", "%%") + ": " + s for k, s in zip(keys, slots))
+    return "{\n" + inner + (",\n" + inner).join(entries) + "\n" + pad + "}"
+
+
+def _table_text(t: RecordTable, pad: str) -> str:
+    """The text of a RecordTable nested at indentation pad: one record
+    template per ragged length, filled by one % over the fields of all
+    records in turn, each record's column value before or after its ragged
+    values as the keys sort (one np.insert of the column into the values)."""
+    inner = pad + "  "
+    keys = sorted([t.key, t.ragged_key])
+    lengths = np.diff(t.offsets).tolist()
+    records = {}
+    for k in set(lengths):
+        slots = {t.key: "%r", t.ragged_key: _row(["%r"] * k, inner + "  ")}
+        records[k] = _record(keys, [slots[key] for key in keys], inner)
+    fields = np.insert(t.values, t.offsets[:-1] if keys[0] == t.key else t.offsets[1:], t.column)
+    return _fill([_row(list(map(records.__getitem__, lengths)), pad)], fields.tolist(), False)[0]
 
 
 def _fill(templates: list[str], fields: list, floats: bool) -> list[str]:
@@ -186,11 +228,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     complex_payload = rc.graph.to_dict()
     complex_payload["n"] = rc.n
     complex_payload["d"] = rc.d
-    vertices, offsets = rc.facet_vertices.tolist(), rc.facet_offsets.tolist()
-    complex_payload["facets"] = [
-        {"dim": dim, "vertices": vertices[a:b]}
-        for dim, a, b in zip(rc.facet_dims.tolist(), offsets, offsets[1:])
-    ]
+    complex_payload["facets"] = RecordTable(
+        "dim", rc.facet_dims, "vertices", rc.facet_offsets, rc.facet_vertices
+    )
     complex_payload["positions"] = rc.positions.tolist()
     _write_json(out / "radon_complex.json", complex_payload)
     sphere_payload = report.to_dict()

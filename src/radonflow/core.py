@@ -607,10 +607,14 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     Checks pairwise support-minimality, the canonical-orientation storage
     convention (with duplicate reversed pairs flagged), and weak elimination:
     for signed circuits X != -Y and any e in X+ n Y- there must be a signed
-    circuit Z with Z+ <= (X+ u Y+) \\ e and Z- <= (X- u Y-) \\ e.  The
-    targets are built one element e at a time, deduplicated and tested with
-    the conformance kernel; violations are listed in (X, Y, e) order, X and
-    Y running over the sorted circuits, each positive then negative.
+    circuit Z with Z+ <= (X+ u Y+) \\ e and Z- <= (X- u Y-) \\ e (Bjorner,
+    Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, ch. 3).  The
+    targets are built one element e at a time and tested with the
+    conformance kernel.  The target of (-Y, -X, e) is the negation of
+    that of (X, Y, e) and the circuits come in both signs, so the two are
+    tested once, as one pair of circuits through e, and fail together.
+    Violations are listed in (X, Y, e) order, X and Y running over the
+    sorted circuits, each positive then negative.
     """
     circuits = m.sorted_circuits
     n = m.n
@@ -640,13 +644,18 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     # weak elimination, one element e at a time: +c_k is sign row 2k and
     # -c_k row 2k + 1; X runs over the rows with e in X+ and the Y with e in
     # Y- are their negations -X', so each (X, Y, e) with X != X' has the
-    # target (X | -X') \ e.  X goes in chunks of at most _BLOCK_WORDS words
-    # of pairs: a pair holds two intp indices, its target, and in np.unique
-    # a sorted copy of the target and two more indices; its bool comparison
-    # takes a byte per word.  The targets are deduplicated without the index
-    # of each one's first occurrence, which would need a stable sort.  An
-    # element's first ELIMINATION_CAP + 1 failures hold its share of the
-    # first ELIMINATION_CAP overall
+    # target (X | -X') \ e.  That of (X', -X, e) is its negation, and the
+    # rows are closed under negation, so one is witnessed iff the other is:
+    # each pair i < j of rows through e is tested once and a failure
+    # reports both.  X goes in chunks of at most _BLOCK_WORDS words of
+    # pairs: a pair holds two intp indices and their offset copies, and its
+    # target, built one temporary row at a time; its bool comparison takes
+    # a byte per word.  The targets are not deduplicated: a sort costs more
+    # than the kernel saves on the fifth of them that repeat on the analyze
+    # ladder.  Once the chunks done hold all failures whose X lies in them,
+    # and more than ELIMINATION_CAP of those, the element's first
+    # ELIMINATION_CAP + 1 failures are among them, and they hold its share
+    # of the first ELIMINATION_CAP overall
     both = np.hstack([signs, -signs]).reshape(-1, n)
     signed = _pack(both)
     unit = _pack(np.eye(n, dtype=np.int8))
@@ -658,15 +667,17 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
         step = max(1, _BLOCK_WORDS // max(1, len(x) * (4 + 2 * x.shape[1])))
         found: list[tuple[int, int, int]] = []
         for start in range(0, len(x), step):
-            i, j = np.nonzero((x[start : start + step, None] != x).any(axis=2))
-            keys, which = np.unique(_keys((x[start + i] | _negated(x[j])) & clear[e]), return_inverse=True)
-            targets = keys.view(np.uint64).reshape(len(keys), x.shape[1])
-            witnessed = np.concatenate([b.any(axis=1) for _, b in _conforming(signed, targets)])
-            bad = ~witnessed[which]
-            x_rows, y_rows = through[start + i[bad]], through[j[bad]] ^ 1
-            found += zip(x_rows.tolist(), y_rows.tolist(), itertools.repeat(e))
-            if len(found) > ELIMINATION_CAP:
+            i, j = np.nonzero(np.triu((x[start : start + step, None] != x[start + 1 :]).any(axis=2)))
+            i, j = i + start, j + start + 1
+            targets = (x[i] | _negated(x[j])) & clear[e]
+            bad = ~np.concatenate([bits.any(axis=1) for _, bits in _conforming(signed, targets)])
+            a, b = through[i[bad]], through[j[bad]]
+            found += zip(a.tolist(), (b ^ 1).tolist(), itertools.repeat(e))
+            found += zip(b.tolist(), (a ^ 1).tolist(), itertools.repeat(e))
+            done = int(through[start + step]) if start + step < len(x) else len(both)
+            if sum(row < done for row, _, _ in found) > ELIMINATION_CAP:
                 break
+        found.sort()
         failures += found[: ELIMINATION_CAP + 1]
     failures.sort()
     elimination = [

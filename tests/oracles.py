@@ -36,6 +36,9 @@ once held, read back from its strict pairs; hasse_pairs and
 maximal_indices read covers and maximal elements off such a matrix.
 order_complex is the recursive chain enumeration, one tuple per chain,
 that the package replaced by growing int arrays one grade at a time.
+csr is the CSR form of (lower, upper) pairs by one np.lexsort, as the
+package built it for every caller; it now sorts only pairs that are not
+already row-major.
 gf2_rank is the rank of a 0/1 matrix by the package's column reduction
 (_gf2_pivots), which the package itself only runs on boundary faces.
 gf2_rank_dense / gf2_betti_dense eliminate dense uint8 boundary matrices
@@ -48,6 +51,9 @@ The loop references work on Python-int bitmask pairs of their own
 (mask_of, set_of, masks), which the package does not use, and group edges
 into cycles with partition_edges_into_cycles, a copy of the package's
 earlier int-mask version: tags in increasing mask order.
+
+table_records is json.dumps's default= for cli.RecordTable: the list of
+dicts the table stands for, which the package's writer never builds.
 
 The rest are a plain per-vertex version of the flow's curvature, the flow
 field as the package once evaluated it (field_evaluate: np.linalg.norm for
@@ -70,6 +76,7 @@ from typing import Iterable
 import numpy as np
 
 import radonflow as rf
+from radonflow.cli import RecordTable
 from radonflow.complexes import _ordered_vertices
 from radonflow.core import (
     ELIMINATION_CAP,
@@ -836,3 +843,20 @@ def gf2_betti_sparse(c):
         pivots = gf2_pivots(columns)
         ranks[k] = len(pivots)
     return [len(simplices[k]) - ranks[k] - ranks[k + 1] for k in range(len(simplices))]
+
+
+def csr(lower, upper, k):
+    """(start, lower sorted by (upper, lower)), start from the counts of upper."""
+    start = np.concatenate([[0], np.cumsum(np.bincount(upper, minlength=k))])
+    return start, lower[np.lexsort((lower, upper))]
+
+
+def table_records(value):
+    """The list of dicts a cli.RecordTable holds, for json.dumps(default=...)."""
+    if not isinstance(value, RecordTable):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    offsets = value.offsets.tolist()
+    return [
+        {value.key: c, value.ragged_key: value.values[a:b].tolist()}
+        for c, a, b in zip(value.column.tolist(), offsets, offsets[1:])
+    ]

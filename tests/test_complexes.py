@@ -230,6 +230,37 @@ def _damaged(m):
     return rf.OrientedMatroid(m.ground, frozenset(cs[1:] + [reversal, shrunk]))
 
 
+LADDER = [(7, 2), (8, 2), (8, 3), (9, 3), (9, 4), (10, 5), (10, 4)]
+
+
+@pytest.mark.parametrize("n, d", LADDER)
+def test_elimination_target_is_witnessed_iff_its_negation_is(n, d):
+    # check_circuit_axioms tests each pair of rows X, X' through e once: the
+    # target (X' | -X) \ e is the negation of (X | -X') \ e, and a circuit
+    # conforms to one iff its negation conforms to the other
+    rng = np.random.default_rng([43, n, d])
+    draws = [sample_spanning_points(n, d, rng), sample_degenerate_points(n, d, rng, "triple")]
+    for pts in draws:
+        m = rf.circuits_of_points(rf.PointConfiguration(pts.astype(float), d))
+        for matroid in (m, _damaged(m)):
+            signs = rf.core._signs(matroid.sorted_circuits, n)
+            both = np.vstack([signs, -signs])
+            rows = rf.core._pack(both)
+            missed = 0
+            for e in range(n):
+                x = rows[both[:, e] > 0]
+                i, j = np.nonzero((x[:, None] != x).any(axis=2))
+                clear = rf.core._pack(np.eye(n, dtype=np.int8)[e : e + 1])
+                clear = ~(clear | rf.core._negated(clear))[0]
+                targets = (x[i] | rf.core._negated(x[j])) & clear
+                mirrored = (x[j] | rf.core._negated(x[i])) & clear
+                assert np.array_equal(mirrored, rf.core._negated(targets))
+                witnessed = rf.core._conformity(rows, targets).any(axis=1)
+                assert np.array_equal(witnessed, rf.core._conformity(rows, mirrored).any(axis=1))
+                missed += np.count_nonzero(~witnessed)
+            assert (missed > 0) == (matroid is not m)
+
+
 def _graph_or_error(build):
     try:
         return build().to_dict()
@@ -317,6 +348,11 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
     chain = frozenset(rf.Circuit.make({i, i + 2}, {i + 1}) for i in range(1, 69))
     broken = [_damaged(m) for m in matroids + [wide]]
     broken.append(rf.OrientedMatroid(rf.GroundSet(70, 1), chain))  # past the cap
+    # the star {1}|{k}: every pair of its 20 circuits fails to eliminate 1,
+    # 380 failures, all at one element; in blocks of one X row, the
+    # mirrored failure (X', -X) turns up in X's block, before its own
+    star = frozenset(rf.Circuit.make({1}, {k}) for k in range(2, 22))
+    broken.append(rf.OrientedMatroid(rf.GroundSet(21, 1), star))
     census = rf.enumerate_acyclic_oms(5, 1)
 
     def answers():
@@ -334,7 +370,9 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
         )
 
     want = answers()
-    assert want[0][-1].elimination_truncated and want[0][0].weak_elimination
+    assert want[0][-1].elimination_truncated and want[0][-2].elimination_truncated
+    assert want[0][0].weak_elimination
+    assert want[0] == [oracles.check_circuit_axioms(m) for m in broken]
     assert max(len(g["vertices"]) for g, _, _ in want[2]) > 128  # bitsets of three words
     monkeypatch.setattr(rf.core, "_BLOCK_WORDS", block_words)
     monkeypatch.setattr(rf.macphersonian, "_JOIN_BLOCK", block_words)

@@ -2,9 +2,12 @@
 
 Every output goes through cli._json_text; a spy records each payload with
 the text written for it, and each written file is also checked on its own
-against the oracle's layout of what it holds. The outputs of the
-criterion-8 commands get the per-file check in test_acceptance.py, where
-those commands already run.
+against the oracle's layout of what it holds. A cli.RecordTable in a
+payload is expanded for the oracle into the list of dicts it holds
+(oracles.table_records), and the facets analyze writes from one are read
+back and compared with the complex's own. The outputs of the criterion-8
+commands get the per-file check in test_acceptance.py, where those
+commands already run.
 """
 
 import json
@@ -12,13 +15,15 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+import radonflow as rf
 import radonflow.cli as cli
 from conftest import sample_degenerate_points, sample_spanning_points
-from radonflow.cli import main
+from radonflow.cli import RecordTable, main
 
 
 def oracle(value):
-    return json.dumps(value, indent=2, sort_keys=True)
+    return json.dumps(value, indent=2, sort_keys=True, default=oracles.table_records)
 
 
 @pytest.fixture
@@ -52,6 +57,15 @@ def write_config(path, payload):
     return str(path)
 
 
+def written_facets(out, points, d):
+    """The facets of out/radon_complex.json, after checking them against
+    the complex of the points, in order."""
+    facets = json.loads((out / "radon_complex.json").read_text())["facets"]
+    rc = rf.geometric_radon_complex(rf.PointConfiguration(np.asarray(points, float), d))
+    assert [(f["dim"], f["vertices"]) for f in facets] == [(c.dim, sorted(c.vertices)) for c in rc.facets]
+    return facets
+
+
 LADDER = [(7, 2), (8, 2), (8, 3), (9, 3), (9, 4), (10, 5), (10, 4)]
 
 
@@ -66,6 +80,34 @@ def test_analyze_ladder_outputs(tmp_path, written, n, d, kind):
     cfg = write_config(tmp_path / "points.json", {"points": points.tolist(), "d": d})
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     check_outputs(written, tmp_path / "out")
+    assert written_facets(tmp_path / "out", points, d)
+
+
+# d, points, the vertex counts of the facets and the digits of the largest
+# vertex id: n = d + 2 (a 0-sphere, no facets), 12 triangles on 8 vertices,
+# the README hexagon and 9 points in R^3 (CI runs both)
+FACET_CASES = {
+    "n=d+2": (3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], set(), 0),
+    "one-length": (1, [[0], [1], [0], [1], [0]], {3}, 1),
+    "hexagon": (2, [[0, 0], [4, 1], [6, 4], [5, 7], [1, 6], [-1, 3]], {3, 4, 6}, 2),
+    "nine3": (
+        3,
+        [[0, 0, 0], [4, 0, 0], [0, 5, 0], [0, 0, 6], [3, 3, 3], [-2, 1, 4], [1, -3, 2], [5, 2, -1], [-3, -2, 1]],
+        set(range(3, 23)),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACET_CASES))
+def test_analyze_facets_read_back(tmp_path, written, name):
+    d, points, lengths, digits = FACET_CASES[name]
+    cfg = write_config(tmp_path / "points.json", {"points": points, "d": d})
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    check_outputs(written, tmp_path / "out")
+    facets = written_facets(tmp_path / "out", points, d)
+    assert {len(f["vertices"]) for f in facets} == lengths
+    assert len(str(max((v for f in facets for v in f["vertices"]), default=""))) == digits
 
 
 CENSUS = [(4, 1), (4, 2), (5, 1), (5, 3), (6, 4)]
@@ -103,6 +145,10 @@ EDGE_CASES = {
     "none_key": {None: [{"a": 1}]},
     "%s key %r": {"%(x)s": [1], "": 0},
     "é key": "☃",
+    "table": RecordTable("dim", np.array([2, 3, 2, 4]), "vertices", np.array([0, 3, 3, 7, 9]), np.arange(0, 900, 100)),
+    "table_key_last": RecordTable("z", np.array([-1, 0]), "a%s", np.array([0, 2, 2]), np.array([5, 12])),
+    "table_empty": RecordTable("dim", np.zeros(0, np.intp), "vertices", np.zeros(1, np.intp), np.zeros(0, np.intp)),
+    "tables": [RecordTable("é", np.array([7]), "%r", np.array([0, 1]), np.array([1])), {"a": 1}],
 }
 
 

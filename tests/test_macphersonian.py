@@ -644,6 +644,21 @@ def test_order_complex_and_betti_match_the_references_on_small_posets(name):
         assert rf.gf2_betti(oc) == [1, 2, 1]
 
 
+def test_csr_equals_the_lexsorted_csr_on_sorted_and_unsorted_pairs():
+    # row-major pairs (i, j), read with upper = i and lower = j, already come
+    # in the sort's order, so ordered=True skips it; other pairs are sorted
+    rng = np.random.default_rng(22)
+    pairs = np.column_stack(np.divmod(np.unique(rng.integers(0, 900, 400)), 30))
+    covers = np.array(rf.MatroidPoset.from_elements(rf.enumerate_acyclic_oms(5, 2)).hasse_pairs())
+    shuffled = pairs[rng.permutation(len(pairs))]
+    cases = [(p[:, 1], p[:, 0], True) for p in (pairs, covers, pairs[:0])] + [
+        (p[:, 0], p[:, 1], False) for p in (pairs, covers)
+    ] + [(shuffled[:, 1], shuffled[:, 0], False)]
+    for lower, upper, ordered in cases:
+        got = rf.macphersonian._csr(lower, upper, 842, ordered=ordered)
+        assert all(np.array_equal(a, b) for a, b in zip(got, oracles.csr(lower, upper, 842)))
+
+
 # labels near 10**9: packing a 10-vertex row into one int64 by label would
 # need 10**90; the boundary of an 11-vertex simplex (a 9-sphere) plus a
 # hollow triangle
