@@ -34,7 +34,6 @@ from .complexes import (
     combinatorial_circuit_graph,
     geometric_radon_complex,
     graphs_equal,
-    matroid_of_complex,
     validate_sphere,
 )
 from .core import (
@@ -220,7 +219,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rc = geometric_radon_complex(config)
-    matroid = matroid_of_complex(rc)
+    matroid = rc.matroid
     report = validate_sphere(rc, config.n, config.d)
     combinatorial = combinatorial_circuit_graph(matroid)
     matches = graphs_equal(rc.graph, combinatorial)

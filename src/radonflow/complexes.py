@@ -13,7 +13,8 @@ The same 1-skeleton can be built from the circuit list alone: two signed
 circuits X, Y are adjacent iff they conform (no element receives opposite
 signs), X != +-Y, and no third circuit conforms to the composition X o Y.
 Edges group into closed cycles by the support of that composition, one
-cycle per two-dimensional coordinate subspace of V.
+cycle per two-dimensional coordinate subspace of V.  The cycles derive from
+the vertices and edges, so a CircuitGraph walks them on first read.
 """
 
 from __future__ import annotations
@@ -93,17 +94,19 @@ class Cell:
 
 @dataclass
 class CircuitGraph:
-    """Vertices (signed circuits), edges, and the cycle partition of the edges.
+    """Vertices (signed circuits) and edges; the cycles are derived.
 
     rows holds the vertices' kernel sign rows (core's encoding), built from
     the vertices when not given.  A vertex is its sign vector: the checks
     and comparisons below read rows, never vertex objects.  ends is the
-    (2, edges) int array of the edges' endpoints.
+    (2, edges) int array of the edges' endpoints.  cycles partitions the
+    edges into closed cycles (_partition_edges_into_cycles), walked on
+    first read: the ValueError for edges that do not close is raised then,
+    not by the constructor, so a graph built by hand passes no cycles.
     """
 
     vertices: tuple[SignedCircuitVertex, ...]
     edges: tuple[tuple[int, int], ...]
-    cycles: tuple[Cycle, ...]
     rows: np.ndarray | None = field(default=None, repr=False, compare=False)
     ends: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -113,6 +116,11 @@ class CircuitGraph:
             self.rows = _pack(_signs(self.vertices, n))
         flat = chain.from_iterable(self.edges)
         self.ends = np.fromiter(flat, np.intp, 2 * len(self.edges)).reshape(-1, 2).T
+
+    @cached_property
+    def cycles(self) -> tuple[Cycle, ...]:
+        """The cycle partition of the edges, walked on first read."""
+        return _partition_edges_into_cycles(self.vertices, self.rows, *self.ends)
 
     @cached_property
     def cycle_pairs(self) -> list[list[tuple[int, int]]]:
@@ -189,13 +197,6 @@ def _vertex_rows(circuits: tuple[Circuit, ...], n: int) -> np.ndarray:
     return np.concatenate([rows, _negated(rows)])
 
 
-def _graph(vertices, rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> CircuitGraph:
-    """The circuit graph with edges (first[k], second[k]), cycles partitioned."""
-    cycles = _partition_edges_into_cycles(vertices, rows, first, second)
-    edges = tuple(zip(first.tolist(), second.tolist()))
-    return CircuitGraph(vertices=vertices, edges=edges, cycles=cycles, rows=rows)
-
-
 def _partition_edges_into_cycles(
     vertices, rows: np.ndarray, first: np.ndarray, second: np.ndarray
 ) -> tuple[Cycle, ...]:
@@ -215,6 +216,9 @@ def _partition_edges_into_cycles(
     first (a neighbor names the edge).  Arriving at a vertex by one edge, a
     walk leaves by the other slot of that vertex, so a walk costs one list
     lookup per edge.
+
+    Raises ValueError when some vertex has other than two edges of one tag;
+    CircuitGraph.cycles calls this on first read.
     """
     tags = rows[first] | rows[second]
     tags = (tags >> _HALF | tags) & _LOW
@@ -435,7 +439,8 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     # distinct 1-cells close over distinct pairs, as each is its pair's composition
     at = offsets[:-1][edge]
     pairs = np.sort(vertex[at] * len(rows) + vertex[at + 1], kind="stable")
-    graph = _graph(vertices, rows, *np.divmod(pairs, len(rows)))
+    first, second = np.divmod(pairs, len(rows))
+    graph = CircuitGraph(vertices, tuple(zip(first.tolist(), second.tolist())), rows)
 
     keys = np.zeros((len(cells), 1 + sizes.max(initial=0)), ">u4")
     keys[:, 0] = cell_dims
@@ -455,14 +460,10 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     )
 
 
-def matroid_of_complex(rc: RadonComplex) -> OrientedMatroid:
-    """The oriented matroid whose circuits are rc's vertices."""
-    return rc.matroid
-
-
 def combinatorial_circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     """Build the circuit graph from the circuit list alone, once
-    check_circuit_axioms finds no violation (else ValueError)."""
+    check_circuit_axioms finds no violation (else ValueError).  Its cycles
+    are walked on first read, which raises ValueError if they do not close."""
     report = check_circuit_axioms(m)
     if not report.ok:
         raise ValueError(f"circuit axioms fail: {report.summary()}")
@@ -475,13 +476,16 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     Adjacency rule: X and Y are joined iff they conform, X != +-Y, and
     exactly two signed circuits (X and Y themselves) conform to the
     composition X o Y.  All pairs are tested at once with the conformance
-    kernel; edges keep the (i, j) order of the vertex pairs.  Edges are then
-    partitioned into cycles by the support of the composition.
+    kernel; edges keep the (i, j) order of the vertex pairs.  The graph's
+    cycles, the edges grouped by the support of the composition, are walked
+    on first read; for a malformed circuit set they need not close, and the
+    read raises ValueError.
     """
     circuits = m.sorted_circuits
     rows = _vertex_rows(circuits, m.n)
     first, second, _, _, edge = _compositions(rows)
-    return _graph(_ordered_vertices(circuits), rows, first[edge], second[edge])
+    edges = tuple(zip(first[edge].tolist(), second[edge].tolist()))
+    return CircuitGraph(_ordered_vertices(circuits), edges, rows)
 
 
 def _labels(*graphs: CircuitGraph) -> list[np.ndarray]:
@@ -556,9 +560,8 @@ def validate_sphere(c: RadonComplex, n: int, d: int) -> SphereReport:
 
     Every check reads the graph's arrays: degrees are a bincount of the
     edge ends, vertices are labeled by their sign rows (_labels), so the
-    antipodal checks compare label arrays, connectivity grows a frontier
-    mask along the edges, and the partition check is a bincount of the
-    cycles' edge ids.
+    antipodal checks compare label arrays, and connectivity grows a
+    frontier mask along the edges.  No check reads the cycles.
     """
     failures: list[str] = []
     g = c.graph
@@ -596,15 +599,6 @@ def validate_sphere(c: RadonComplex, n: int, d: int) -> SphereReport:
             seen |= frontier
         if not seen.all():
             failures.append("1-skeleton is not connected")
-
-    eids = np.fromiter(chain.from_iterable(cyc.edge_ids for cyc in g.cycles), np.intp)
-    edges = len(g.edges)
-    if (
-        len(eids) != edges
-        or (edges and (eids.min() < 0 or eids.max() >= edges))
-        or (np.bincount(eids, minlength=edges) != 1).any()
-    ):
-        failures.append("cycles do not partition the edge set")
 
     return SphereReport(
         n=n,

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import (
-    CircuitGraph,
-    RadonComplex,
-    combinatorial_circuit_graph,
-    matroid_of_complex,
-)
+from .complexes import CircuitGraph, RadonComplex, combinatorial_circuit_graph
 from .core import (
     COLLISION_DIST,
     EPS_FLAT,
@@ -154,16 +149,12 @@ class EmbeddedSphere:
 
     @classmethod
     def from_geometric(cls, rc: RadonComplex) -> "EmbeddedSphere":
-        m = matroid_of_complex(rc)
         reps = len(rc.graph.vertices) // 2
-        return cls(m, rc.graph, rc.positions[:reps])
+        return cls(rc.matroid, rc.graph, rc.positions[:reps])
 
     @classmethod
-    def at_barycenters(
-        cls, matroid: OrientedMatroid, graph: CircuitGraph | None = None
-    ) -> "EmbeddedSphere":
-        if graph is None:
-            graph = combinatorial_circuit_graph(matroid)
+    def at_barycenters(cls, matroid: OrientedMatroid) -> "EmbeddedSphere":
+        graph = combinatorial_circuit_graph(matroid)
         signs = _unpack(graph.rows[: len(graph.vertices) // 2], matroid.n)
         a, b = signs > 0, signs < 0
         pos = a / np.maximum(a.sum(axis=1, keepdims=True), 1) - b / np.maximum(

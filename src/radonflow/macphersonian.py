@@ -343,7 +343,7 @@ class MatroidPoset:
         """
         k, pairs = len(self), self.pairs
         keys = pairs[:, 0] * k + pairs[:, 1]
-        start, above = _csr(pairs[:, 1], pairs[:, 0], k, ordered=True)
+        start, above = _csr(pairs[:, 1], pairs[:, 0], k)
         total = np.concatenate([[0], np.cumsum(np.diff(start)[pairs[:, 1]])])
         cuts = np.searchsorted(total, np.arange(0, total[-1], _JOIN_BLOCK), "right") - 1
         cuts = np.unique(np.append(cuts, len(pairs)))
@@ -417,7 +417,7 @@ def order_complex(p: MatroidPoset) -> SimplicialComplex:
     The parents come in lexicographic order and each one's extensions
     ascend, so every grade comes out sorted.
     """
-    start, above = _csr(p.pairs[:, 1], p.pairs[:, 0], len(p), ordered=True)
+    start, above = _csr(p.pairs[:, 1], p.pairs[:, 0], len(p))
     chains = np.arange(len(p), dtype=np.int64)[:, None]
     grades: list[np.ndarray] = []
     while len(chains):
@@ -533,16 +533,17 @@ def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return at, keys[np.minimum(at, len(keys) - 1)] == queries
 
 
-def _csr(lower: np.ndarray, upper: np.ndarray, k: int, ordered: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _csr(lower: np.ndarray, upper: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (lower, upper) over k cells in CSR form: the lower ends of
     the pairs of cell x, ascending, are lower[start[x]:start[x + 1]].
 
-    ordered says that the pairs already come sorted by upper, then lower,
-    as the ends (j, i) of row-major pairs (i, j) do; then lower is returned
-    as it is, and only the other pairs are sorted."""
+    Every lower end is below k, so the keys upper * k + lower order the
+    pairs by upper, then lower, and one stable sort of them gives the CSR.
+    Timsort takes keys that already ascend, as the ends (j, i) of row-major
+    pairs (i, j) do, in one run."""
     start = np.zeros(k + 1, np.intp)
     np.cumsum(np.bincount(upper, minlength=k), out=start[1:])
-    return start, lower if ordered else lower[np.lexsort((lower, upper))]
+    return start, lower[np.argsort(upper * k + lower, kind="stable")]
 
 
 def cellular_betti(grade: np.ndarray, start: np.ndarray, lower: np.ndarray) -> list[int]:
@@ -608,7 +609,7 @@ def _check_diamonds(pairs: np.ndarray, k: int) -> None:
     """Every interval of length 2 has exactly two middles: the covers
     (row-major, as hasse_pairs lists them) joined with themselves, as CSR
     arrays, count the middles of each."""
-    start, upper = _csr(pairs[:, 1], pairs[:, 0], k, ordered=True)
+    start, upper = _csr(pairs[:, 1], pairs[:, 0], k)
     owner, position = _fan(start, pairs[:, 1])
     ends, middles = np.unique(pairs[owner, 0] * k + upper[position], return_counts=True)
     if (middles != 2).any():

@@ -37,8 +37,7 @@ maximal_indices read covers and maximal elements off such a matrix.
 order_complex is the recursive chain enumeration, one tuple per chain,
 that the package replaced by growing int arrays one grade at a time.
 csr is the CSR form of (lower, upper) pairs by one np.lexsort, as the
-package built it for every caller; it now sorts only pairs that are not
-already row-major.
+package once built it; the package now argsorts one int key per pair.
 gf2_rank is the rank of a 0/1 matrix by the package's column reduction
 (_gf2_pivots), which the package itself only runs on boundary faces.
 gf2_rank_dense / gf2_betti_dense eliminate dense uint8 boundary matrices
@@ -50,7 +49,9 @@ lists that pivot on their smallest row.
 The loop references work on Python-int bitmask pairs of their own
 (mask_of, set_of, masks), which the package does not use, and group edges
 into cycles with partition_edges_into_cycles, a copy of the package's
-earlier int-mask version: tags in increasing mask order.
+earlier int-mask version: tags in increasing mask order.  Their graphs are
+ReferenceGraphs, whose cycles come from that walk, read on first use as
+the package reads its own.
 
 table_records is json.dumps's default= for cli.RecordTable: the list of
 dicts the table stands for, which the package's writer never builds.
@@ -70,6 +71,7 @@ positions_all()[i] and its cycle neighbors are graph.cycle_pairs[i].
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable
 
@@ -144,6 +146,15 @@ def partition_edges_into_cycles(edges, vertex_masks):
                 rf.Cycle(support=set_of(tag), vertex_seq=tuple(seq), edge_ids=tuple(eids))
             )
     return tuple(cycles)
+
+
+class ReferenceGraph(rf.CircuitGraph):
+    """An rf.CircuitGraph whose cycles (and so its cycle_pairs and to_dict)
+    come from partition_edges_into_cycles, not the package's walk."""
+
+    @cached_property
+    def cycles(self):
+        return partition_edges_into_cycles(self.edges, [masks(v) for v in self.vertices])
 
 
 def kernel_basis(rows, ncols):
@@ -471,8 +482,7 @@ def circuit_graph(m):
             for k, (zp, zn) in enumerate(vmasks)
         ):
             edges.append((i, j))
-    cycles = partition_edges_into_cycles(edges, vmasks)
-    return rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
+    return ReferenceGraph(vertices=vertices, edges=tuple(edges))
 
 
 def radon_complex(config):
@@ -522,8 +532,7 @@ def radon_complex(config):
             facet_cells.append(rf.Cell(dim=cell_dim, vertices=frozenset(conforming)))
 
     edges = sorted(edge_set)
-    cycles = partition_edges_into_cycles(edges, vmasks)
-    graph = rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=cycles)
+    graph = ReferenceGraph(vertices=vertices, edges=tuple(edges))
     facets = tuple(sorted(facet_cells, key=lambda c: (c.dim, tuple(sorted(c.vertices)))))
     return RadonComplexRef(graph=graph, facets=facets, n=n, d=d, positions=positions)
 

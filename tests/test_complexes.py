@@ -97,7 +97,7 @@ def test_combinatorial_graph_matches_on_random_configs():
 
 def test_matroid_of_complex_roundtrip(pentagon_config):
     rc = rf.geometric_radon_complex(pentagon_config)
-    assert rf.matroid_of_complex(rc) == rf.circuits_of_points(pentagon_config)
+    assert rc.matroid == rf.circuits_of_points(pentagon_config)
 
 
 def test_opposite_neighbors_are_cycle_mates(hexagon_complex):
@@ -113,7 +113,7 @@ def test_opposite_neighbors_are_cycle_mates(hexagon_complex):
 
 def test_graphs_equal_detects_differences(pentagon_complex):
     g = pentagon_complex.graph
-    fewer = rf.CircuitGraph(vertices=g.vertices, edges=g.edges[:-1], cycles=())
+    fewer = rf.CircuitGraph(vertices=g.vertices, edges=g.edges[:-1])
     assert not rf.graphs_equal(g, fewer)
 
 
@@ -129,12 +129,10 @@ def test_validate_sphere_reports_failures(square_config):
 RING = [(k, (k + 1) % 10) for k in range(10)]
 
 
-def _hand_built(rc, edges=RING, cycles=None, vertices=None):
-    """rc's complex with its graph replaced: one cycle over every edge by default."""
+def _hand_built(rc, edges=RING, vertices=None):
+    """rc's complex with its graph replaced, by default by the ring."""
     vertices = rc.graph.vertices if vertices is None else vertices
-    if cycles is None:
-        cycles = [rf.Cycle(frozenset(range(1, 6)), tuple(range(10)), tuple(range(len(edges))))]
-    graph = rf.CircuitGraph(vertices=tuple(vertices), edges=tuple(edges), cycles=tuple(cycles))
+    graph = rf.CircuitGraph(vertices=tuple(vertices), edges=tuple(edges))
     return rf.RadonComplex(
         graph=graph, n=rc.n, d=rc.d, positions=rc.positions, matroid=rc.matroid
     )
@@ -144,12 +142,25 @@ def test_hand_built_ring_is_a_sphere(pentagon_complex):
     assert rf.validate_sphere(_hand_built(pentagon_complex), 5, 2).ok
 
 
+# (0, 1) -> (0, 2) and its antipode (5, 6) -> (5, 7): still ten antipodal
+# edges on a connected graph, but vertices 1 and 6 have degree 1
+ODD = [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 7), (6, 7), (7, 8), (8, 9), (9, 0)]
+
+
 def test_validate_sphere_flags_odd_degree(pentagon_complex):
-    # (0, 1) -> (0, 2) and its antipode (5, 6) -> (5, 7): still ten
-    # antipodal edges on a connected graph, but vertices 1 and 6 have degree 1
-    edges = [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 7), (6, 7), (7, 8), (8, 9), (9, 0)]
-    report = rf.validate_sphere(_hand_built(pentagon_complex, edges), 5, 2)
+    report = rf.validate_sphere(_hand_built(pentagon_complex, ODD), 5, 2)
     assert report.failures == [f"vertex {pentagon_complex.graph.vertices[1]!r} has odd degree 1"]
+
+
+def test_open_cycles_raise_when_the_cycles_are_read(pentagon_complex):
+    # building the graph and checking it do not walk its cycles; the first
+    # read does, and raises the reference walk's error
+    rc = _hand_built(pentagon_complex, ODD)
+    assert len(rf.validate_sphere(rc, 5, 2).failures) == 1
+    g = rc.graph
+    with pytest.raises(ValueError, match="do not form closed cycles") as raised:
+        g.cycles
+    assert str(raised.value) == _graph_or_error(lambda: oracles.ReferenceGraph(g.vertices, g.edges))
 
 
 def test_validate_sphere_flags_non_antipodal_vertices(pentagon_complex):
@@ -170,19 +181,8 @@ def test_validate_sphere_flags_non_antipodal_edges(pentagon_complex):
 def test_validate_sphere_flags_disconnected_skeleton(pentagon_complex):
     # the representatives and their antipodes as two separate 5-cycles
     edges = [(k, (k + 1) % 5) for k in range(5)] + [(5 + k, 5 + (k + 1) % 5) for k in range(5)]
-    cycles = [
-        rf.Cycle(frozenset(range(1, 6)), tuple(range(5)), tuple(range(5))),
-        rf.Cycle(frozenset(range(1, 6)), tuple(range(5, 10)), tuple(range(5, 10))),
-    ]
-    report = rf.validate_sphere(_hand_built(pentagon_complex, edges, cycles), 5, 2)
+    report = rf.validate_sphere(_hand_built(pentagon_complex, edges), 5, 2)
     assert report.failures == ["1-skeleton is not connected"]
-
-
-def test_validate_sphere_flags_cycles_that_do_not_partition_edges(pentagon_complex):
-    ring = rf.Cycle(frozenset(range(1, 6)), tuple(range(10)), tuple(range(10)))
-    for cycles in ([], [ring, ring]):
-        report = rf.validate_sphere(_hand_built(pentagon_complex, cycles=cycles), 5, 2)
-        assert report.failures == ["cycles do not partition the edge set"]
 
 
 def test_antipodal_symmetry(hexagon_complex):
@@ -208,7 +208,7 @@ def test_near_collinear_triple_gets_one_answer(tmp_path, eps, count):
     m = rf.circuits_of_points(cfg)
     rc = rf.geometric_radon_complex(cfg)
     assert len(m.circuits) == count
-    assert rf.matroid_of_complex(rc) == m
+    assert rc.matroid == m
     assert rf.validate_sphere(rc, 5, 2).ok
     assert rf.graphs_equal(rc.graph, rf.combinatorial_circuit_graph(m))
 
@@ -261,6 +261,92 @@ def test_elimination_target_is_witnessed_iff_its_negation_is(n, d):
             assert (missed > 0) == (matroid is not m)
 
 
+def _assert_cycles_partition_edges(g):
+    """Each edge id lies on exactly one cycle, joins two cycle neighbours
+    there, and composes to the cycle's support."""
+    assert sorted(eid for cyc in g.cycles for eid in cyc.edge_ids) == list(range(len(g.edges)))
+    for cyc in g.cycles:
+        seq = cyc.vertex_seq
+        for k, eid in enumerate(cyc.edge_ids):
+            a, b = g.edges[eid]
+            assert {a, b} == {seq[k], seq[(k + 1) % len(seq)]}
+            assert g.vertices[a].support | g.vertices[b].support == cyc.support
+
+
+@pytest.mark.parametrize("n, d", LADDER)
+def test_cycle_walk_partitions_the_edges_on_the_ladder(n, d):
+    # the geometric and the combinatorial graph of each rung, drawn uniform,
+    # with a coincident pair and with a collinear triple
+    rng = np.random.default_rng([45, n, d])
+    draws = [sample_spanning_points(n, d, rng)] + [
+        sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
+    ]
+    for pts in draws:
+        rc = rf.geometric_radon_complex(rf.PointConfiguration(pts.astype(float), d))
+        for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
+            _assert_cycles_partition_edges(g)
+
+
+# element 5 is a coloop: four collinear points make one cycle of 8 edges
+COLOOP = [[0, 0], [1, 0], [2, 0], [3, 0], [0, 5]]
+
+
+def test_cycle_walk_partitions_the_coloop_edges():
+    rc = rf.geometric_radon_complex(rf.PointConfiguration(np.asarray(COLOOP, float), 2))
+    for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
+        _assert_cycles_partition_edges(g)
+        assert [len(cyc.edge_ids) for cyc in g.cycles] == [8]
+
+
+def _spied_walks(monkeypatch):
+    """The edge counts of the graphs whose cycles are walked from now on."""
+    walks, walk = [], rf.complexes._partition_edges_into_cycles
+
+    def spy(vertices, rows, first, second):
+        walks.append(len(first))
+        return walk(vertices, rows, first, second)
+
+    monkeypatch.setattr(rf.complexes, "_partition_edges_into_cycles", spy)
+    return walks
+
+
+def test_analyze_walks_the_cycles_once_and_flow_once_per_rep(monkeypatch, tmp_path):
+    # analyze writes the geometric graph's cycles and compares the
+    # combinatorial graph by vertices and edges only; each flow rep walks
+    # the cycles of its own complex
+    walks = _spied_walks(monkeypatch)
+    hexagon = [[0, 0], [4, 1], [6, 4], [5, 7], [1, 6], [-1, 3]]
+    rng = np.random.default_rng([46, 10, 4])
+    ten = sample_degenerate_points(10, 4, rng, "triple").tolist()
+    for points, d in ((hexagon, 2), (COLOOP, 2), (ten, 4)):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"d": d, "points": points}))
+        del walks[:]
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        edges = json.loads((tmp_path / "out" / "radon_complex.json").read_text())["edges"]
+        assert walks == [len(edges)]
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"d": 2, "points": hexagon, "repetitions": 3}))
+    del walks[:]
+    assert main(["flow", "--config", str(path), "--seed", "11", "--out", str(tmp_path / "flow")]) == 0
+    assert walks == [60, 60, 60]
+
+
+def test_combinatorial_graph_walks_its_cycles_on_first_read(monkeypatch, hexagon_config):
+    walks = _spied_walks(monkeypatch)
+    m = rf.circuits_of_points(hexagon_config)
+    rc = rf.geometric_radon_complex(hexagon_config)
+    for read in (lambda g: g.cycles, lambda g: g.cycle_pairs, lambda g: g.to_dict()):
+        g = rf.combinatorial_circuit_graph(m)
+        assert rf.graphs_equal(g, rc.graph) and rf.validate_sphere(rc, 6, 2).ok
+        assert walks == []
+        read(g)
+        assert walks == [60]
+        g.cycles, g.cycle_pairs, g.to_dict()  # the walk is kept: no second one
+        assert walks == [60]
+        del walks[:]
+
+
 def _graph_or_error(build):
     try:
         return build().to_dict()
@@ -282,7 +368,7 @@ def test_conformance_kernel_matches_loop_references(n, d):
         assert rc.graph.to_dict() == ref.graph.to_dict()
         assert rc.facets == ref.facets
         assert np.array_equal(rc.positions, ref.positions)
-        m = rf.matroid_of_complex(rc)
+        m = rc.matroid
         assert rf.combinatorial_circuit_graph(m).to_dict() == oracles.circuit_graph(m).to_dict()
         assert rf.check_circuit_axioms(m) == oracles.check_circuit_axioms(m)
         bad = _damaged(m)
@@ -441,7 +527,7 @@ def test_facet_listing_matches_the_oracle(hexagon_config):
 
 def _relabeled(g, rng):
     """g with its vertex list permuted, its edges listed in another order and
-    each edge's ends swapped at random; no cycles."""
+    each edge's ends swapped at random."""
     perm = rng.permutation(len(g.vertices))
     where = np.argsort(perm)  # old index -> new index
     edges = [
@@ -450,7 +536,7 @@ def _relabeled(g, rng):
     ]
     edges = [edges[k] for k in rng.permutation(len(edges))]
     vertices = tuple(g.vertices[k] for k in perm)
-    return rf.CircuitGraph(vertices=vertices, edges=tuple(edges), cycles=())
+    return rf.CircuitGraph(vertices=vertices, edges=tuple(edges))
 
 
 def test_graphs_equal_ignores_vertex_order_and_edge_labels(hexagon_complex):
@@ -467,19 +553,19 @@ def test_graphs_equal_sees_one_flipped_vertex_or_one_moved_edge(hexagon_complex)
     reps = len(g.vertices) // 2
     flipped = list(g.vertices)
     flipped[3] = flipped[3].antipode()  # vertex 3's orientation appears twice
-    assert not rf.graphs_equal(g, rf.CircuitGraph(tuple(flipped), g.edges, ()))
+    assert not rf.graphs_equal(g, rf.CircuitGraph(tuple(flipped), g.edges))
     # vertex 3 and its antipode trade places: the same vertex set, but the
     # edges at vertex 3 now meet its antipode
     swapped = list(g.vertices)
     swapped[3], swapped[3 + reps] = swapped[3 + reps], swapped[3]
-    assert not rf.graphs_equal(g, rf.CircuitGraph(tuple(swapped), g.edges, ()))
+    assert not rf.graphs_equal(g, rf.CircuitGraph(tuple(swapped), g.edges))
     # one edge moved to a pair of vertices that is not an edge
     i, j = g.edges[0]
     k = next(k for k in range(len(g.vertices)) if k not in (i, j)
              and (min(i, k), max(i, k)) not in set(g.edges))
     moved = ((min(i, k), max(i, k)),) + g.edges[1:]
-    assert not rf.graphs_equal(g, rf.CircuitGraph(g.vertices, moved, ()))
-    assert rf.graphs_equal(g, rf.CircuitGraph(g.vertices, g.edges, ()))
+    assert not rf.graphs_equal(g, rf.CircuitGraph(g.vertices, moved))
+    assert rf.graphs_equal(g, rf.CircuitGraph(g.vertices, g.edges))
 
 
 def _closure_equals_oracle(circuits, n):

@@ -83,7 +83,7 @@ def test_circuits_match_exact_oracle_random():
             cfg = rf.PointConfiguration(pts.astype(float), d)
             want = exact_circuits(pts.tolist(), d)
             assert circuit_set(rf.circuits_of_points(cfg)) == want
-            geometric = rf.matroid_of_complex(rf.geometric_radon_complex(cfg))
+            geometric = rf.geometric_radon_complex(cfg).matroid
             assert circuit_set(geometric) == want
 
 
