@@ -407,13 +407,14 @@ def cmd_homology(args: argparse.Namespace) -> int:
         k = len(data["elements"])
         if not k:
             raise ValueError("'elements' must be a nonempty list of oriented matroids")
-        pairs = set()
+        pairs = []
         for i, j in data["hasse"]:
             if not all(type(x) is int and 0 <= x < k for x in (i, j)):
                 raise ValueError(f"hasse pair {json.dumps([i, j])} names no element of 0..{k - 1}")
-            pairs.add((i, j))
+            pairs.append([i, j])
         poset = MatroidPoset.from_elements([OrientedMatroid.from_dict(m) for m in data["elements"]])
-        if pairs != set(poset.hasse_pairs()):
+        pairs = np.unique(np.array(pairs, np.intp).reshape(-1, 2), axis=0)
+        if not np.array_equal(pairs, poset.hasse_pairs()):
             raise ValueError("'hasse' is not the cover relation of the weak-map order of 'elements'")
         entries = sum((k + 1) * c for k, c in enumerate(chain_counts(poset)))
         if entries > MAX_ORDER_COMPLEX_ENTRIES:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -92,35 +91,35 @@ class Cell:
     vertices: frozenset[int]
 
 
-@dataclass
+@dataclass(eq=False)
 class CircuitGraph:
     """Vertices (signed circuits) and edges; the cycles are derived.
 
     rows holds the vertices' kernel sign rows (core's encoding), built from
     the vertices when not given.  A vertex is its sign vector: the checks
-    and comparisons below read rows, never vertex objects.  ends is the
-    (2, edges) int array of the edges' endpoints.  cycles partitions the
+    and comparisons below read rows, never vertex objects.  edges is the
+    (E, 2) intp array of the edges' endpoints, built from any list of
+    pairs; the program's graphs list each edge as i < j, rows ascending.
+    == is identity: graphs_equal compares graphs.  cycles partitions the
     edges into closed cycles (_partition_edges_into_cycles), walked on
     first read: the ValueError for edges that do not close is raised then,
     not by the constructor, so a graph built by hand passes no cycles.
     """
 
     vertices: tuple[SignedCircuitVertex, ...]
-    edges: tuple[tuple[int, int], ...]
-    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray
+    rows: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows is None:
             n = max((max(v.support) for v in self.vertices), default=1)
             self.rows = _pack(_signs(self.vertices, n))
-        flat = chain.from_iterable(self.edges)
-        self.ends = np.fromiter(flat, np.intp, 2 * len(self.edges)).reshape(-1, 2).T
+        self.edges = np.asarray(self.edges, np.intp).reshape(-1, 2)
 
     @cached_property
     def cycles(self) -> tuple[Cycle, ...]:
         """The cycle partition of the edges, walked on first read."""
-        return _partition_edges_into_cycles(self.vertices, self.rows, *self.ends)
+        return _partition_edges_into_cycles(self.vertices, self.rows, *self.edges.T)
 
     @cached_property
     def cycle_pairs(self) -> list[list[tuple[int, int]]]:
@@ -142,7 +141,7 @@ class CircuitGraph:
                 }
                 for v in self.vertices
             ],
-            "edges": [list(e) for e in self.edges],
+            "edges": self.edges.tolist(),
             "cycles": [
                 {"support": sorted(c.support), "edge_ids": list(c.edge_ids)}
                 for c in self.cycles
@@ -202,7 +201,8 @@ def _partition_edges_into_cycles(
 ) -> tuple[Cycle, ...]:
     """Group edges by the support of the composed sign vector and walk cycles.
 
-    Edge k joins first[k] and second[k]; its tag is the support of
+    Edge k joins first[k] and second[k], the columns of an (E, 2) edge
+    array (CircuitGraph.edges); its tag is the support of
     rows[first[k]] | rows[second[k]].  Tags are taken in order of their
     elements sorted from the largest down, which is the order of their
     support bitmasks read as integers: one stable lexsort of the support
@@ -439,8 +439,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     # distinct 1-cells close over distinct pairs, as each is its pair's composition
     at = offsets[:-1][edge]
     pairs = np.sort(vertex[at] * len(rows) + vertex[at + 1], kind="stable")
-    first, second = np.divmod(pairs, len(rows))
-    graph = CircuitGraph(vertices, tuple(zip(first.tolist(), second.tolist())), rows)
+    graph = CircuitGraph(vertices, np.stack(np.divmod(pairs, len(rows)), axis=1), rows)
 
     keys = np.zeros((len(cells), 1 + sizes.max(initial=0)), ">u4")
     keys[:, 0] = cell_dims
@@ -476,7 +475,7 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     Adjacency rule: X and Y are joined iff they conform, X != +-Y, and
     exactly two signed circuits (X and Y themselves) conform to the
     composition X o Y.  All pairs are tested at once with the conformance
-    kernel; edges keep the (i, j) order of the vertex pairs.  The graph's
+    kernel; the edges are the pairs i < j, rows ascending.  The graph's
     cycles, the edges grouped by the support of the composition, are walked
     on first read; for a malformed circuit set they need not close, and the
     read raises ValueError.
@@ -484,7 +483,7 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     circuits = m.sorted_circuits
     rows = _vertex_rows(circuits, m.n)
     first, second, _, _, edge = _compositions(rows)
-    edges = tuple(zip(first[edge].tolist(), second[edge].tolist()))
+    edges = np.stack([first[edge], second[edge]], axis=1)
     return CircuitGraph(_ordered_vertices(circuits), edges, rows)
 
 
@@ -499,9 +498,9 @@ def _labels(*graphs: CircuitGraph) -> list[np.ndarray]:
     return np.split(which, np.cumsum([2 * len(r) for r in rows])[:-1])
 
 
-def _edge_keys(ends: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
+def _edge_keys(edges: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
     """Each edge {u, v} as one int, min * count + max of its ends' labels."""
-    u, v = labels[ends]
+    u, v = labels[edges.T]
     return np.minimum(u, v) * count + np.maximum(u, v)
 
 
@@ -519,7 +518,7 @@ def graphs_equal(g1: CircuitGraph, g2: CircuitGraph) -> bool:
     (l1, l2), count = _labels(g1, g2), 2 * (len(g1.rows) + len(g2.rows))
     l1, l2 = l1[: len(g1.rows)], l2[: len(g2.rows)]
     return _same_set(l1, l2) and _same_set(
-        _edge_keys(g1.ends, l1, count), _edge_keys(g2.ends, l2, count)
+        _edge_keys(g1.edges, l1, count), _edge_keys(g2.edges, l2, count)
     )
 
 
@@ -572,7 +571,7 @@ def validate_sphere(c: RadonComplex, n: int, d: int) -> SphereReport:
     if chi != expected:
         failures.append(f"euler characteristic {chi} != expected {expected}")
 
-    degree = np.bincount(g.ends.ravel(), minlength=count)
+    degree = np.bincount(g.edges.ravel(), minlength=count)
     odd = np.flatnonzero(degree % 2)
     if len(odd):
         i = int(odd[0])
@@ -583,18 +582,18 @@ def validate_sphere(c: RadonComplex, n: int, d: int) -> SphereReport:
     if not np.isin(mirrored, own).all():
         failures.append("vertex set is not closed under the antipodal map")
     elif not np.isin(
-        _edge_keys(g.ends, mirrored, 2 * count), _edge_keys(g.ends, own, 2 * count)
+        _edge_keys(g.edges, mirrored, 2 * count), _edge_keys(g.edges, own, 2 * count)
     ).all():
         failures.append("edge set is not closed under the antipodal map")
 
     if sphere_dim >= 1 and count:
-        ends = np.concatenate([g.ends, g.ends[::-1]], axis=1)
+        tail, head = np.concatenate([g.edges, g.edges[:, ::-1]]).T
         seen = np.zeros(count, bool)
         seen[0] = True
         frontier = seen.copy()
         while frontier.any():
             reached = np.zeros(count, bool)
-            reached[ends[1, frontier[ends[0]]]] = True
+            reached[head[frontier[tail]]] = True
             frontier = reached & ~seen
             seen |= frontier
         if not seen.all():

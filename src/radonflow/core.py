@@ -262,7 +262,7 @@ class PointConfiguration:
         return bool(self._minors[1].any())
 
     def to_dict(self) -> dict:
-        return {"d": self.d, "points": [list(map(float, row)) for row in self.points]}
+        return {"d": self.d, "points": self.points.tolist()}
 
     @staticmethod
     def from_dict(data: dict) -> "PointConfiguration":

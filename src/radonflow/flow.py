@@ -191,9 +191,7 @@ class EmbeddedSphere:
         out = self.graph.to_dict()
         out["n"] = self.matroid.n
         out["d"] = self.matroid.d
-        out["positions"] = [
-            [float(x) for x in row] for row in self.positions_all()
-        ]
+        out["positions"] = self.positions_all().tolist()
         return out
 
 

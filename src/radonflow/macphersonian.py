@@ -333,8 +333,9 @@ class MatroidPoset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def hasse_pairs(self) -> list[tuple[int, int]]:
-        """Cover relations i < j with nothing strictly between, row-major.
+    def hasse_pairs(self) -> np.ndarray:
+        """The covers, pairs i < j with nothing strictly between: an (m, 2)
+        intp array, a subset of self.pairs in their ascending row-major order.
 
         (i, j) is a cover iff no chain i < c < j ends on it.  Each pair
         (i, c) meets the pairs above c (_csr), about _JOIN_BLOCK chains at a
@@ -356,15 +357,15 @@ class MatroidPoset:
                 (x, y), z = pairs[a + owner[t]].tolist(), above[position[t]]
                 raise ValueError(f"the order is not transitive: {x} < {y} < {z}, but not {x} < {z}")
             cover[at] = False
-        return [tuple(p) for p in pairs[cover].tolist()]
+        return pairs[cover]
 
-    def to_dict(self, hasse: list[tuple[int, int]]) -> dict:
+    def to_dict(self, hasse: np.ndarray) -> dict:
         """The elements, their covers hasse (self.hasse_pairs()) and the
         maximal elements, those that are the lower end of no cover."""
         return {
             "elements": MatroidTable.of(self.elements).to_dicts(),
-            "hasse": [list(p) for p in hasse],
-            "maximal": np.setdiff1d(np.arange(len(self)), [i for i, _ in hasse]).tolist(),
+            "hasse": hasse.tolist(),
+            "maximal": np.setdiff1d(np.arange(len(self)), hasse[:, 0]).tolist(),
         }
 
 
@@ -581,24 +582,23 @@ def cellular_betti(grade: np.ndarray, start: np.ndarray, lower: np.ndarray) -> l
     return [int(f[g]) - ranks[g] - ranks[g + 1] for g in range(len(f))]
 
 
-def grades(p: MatroidPoset, hasse) -> np.ndarray:
+def grades(p: MatroidPoset, hasse: np.ndarray) -> np.ndarray:
     """Each element's grade, the length of the longest chain below it, after
-    checking that every cover (i, j) of hasse joins adjacent grades.
+    checking that every cover (i, j), a row of hasse, joins adjacent grades.
 
     Every pass raises the upper end of every cover to one above its lower
     end, all covers at once, until nothing rises: height + 1 passes, never
     more than len(p), so covers that close a cycle fail the check.
     """
-    pairs = np.asarray(hasse, np.intp).reshape(-1, 2)
     grade = np.zeros(len(p), np.intp)
     for _ in range(len(p)):
         last = grade.copy()
-        np.maximum.at(grade, pairs[:, 1], last[pairs[:, 0]] + 1)
+        np.maximum.at(grade, hasse[:, 1], last[hasse[:, 0]] + 1)
         if np.array_equal(grade, last):
             break
-    skips = np.flatnonzero(grade[pairs[:, 1]] != grade[pairs[:, 0]] + 1)
+    skips = np.flatnonzero(grade[hasse[:, 1]] != grade[hasse[:, 0]] + 1)
     if len(skips):
-        i, j = pairs[skips[0]].tolist()
+        i, j = hasse[skips[0]].tolist()
         raise NotACWPosetError(
             f"graded check: element {j} of grade {grade[j]} covers element {i} of grade {grade[i]}"
         )
@@ -669,9 +669,9 @@ def _check_spheres(p: MatroidPoset, covers: np.ndarray, grade: np.ndarray) -> No
             )
 
 
-def cellular_homology(p: MatroidPoset, hasse) -> tuple[np.ndarray, list[int]]:
+def cellular_homology(p: MatroidPoset, hasse: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The grades and the GF(2) Betti numbers of the order complex of p,
-    read off the covers hasse (p.hasse_pairs(), row-major) by cellular_betti.
+    read off the (m, 2) cover array hasse (p.hasse_pairs()) by cellular_betti.
 
     Three checks run first, and a failure raises NotACWPosetError naming
     the failing element: the poset is graded (grades), every interval of
@@ -692,11 +692,10 @@ def cellular_homology(p: MatroidPoset, hasse) -> tuple[np.ndarray, list[int]]:
     lower covers is a nonzero (g-1)-cycle, so it spans that line, and x is
     attached with incidence 1 on every lower cover.
     """
-    pairs = np.asarray(hasse, np.intp).reshape(-1, 2)
-    grade = grades(p, pairs)
-    _check_diamonds(pairs, len(p))
-    _check_spheres(p, pairs, grade)
-    return grade, cellular_betti(grade, *_csr(pairs[:, 0], pairs[:, 1], len(p)))
+    grade = grades(p, hasse)
+    _check_diamonds(hasse, len(p))
+    _check_spheres(p, hasse, grade)
+    return grade, cellular_betti(grade, *_csr(hasse[:, 0], hasse[:, 1], len(p)))
 
 
 @dataclass
@@ -730,10 +729,10 @@ class M42Report:
         }
 
 
-def cell_structure_m42(poset: MatroidPoset, grade: np.ndarray, hasse) -> M42Report:
+def cell_structure_m42(poset: MatroidPoset, grade: np.ndarray, hasse: np.ndarray) -> M42Report:
     """Read the cells of the antipodal quotient of the zero-sum cross-polytope
     slice in R^4 off the (4, 2) census poset, its grades (grades) and its
-    covers hasse (poset.hasse_pairs()).
+    covers hasse (poset.hasse_pairs(), an (m, 2) array).
 
     The cells of dimension g are the elements of grade g, and a top cell
     covering 4 elements is a square, one covering 3 a triangle.  The slice's
@@ -743,7 +742,7 @@ def cell_structure_m42(poset: MatroidPoset, grade: np.ndarray, hasse) -> M42Repo
     """
     face_vector = tuple(np.bincount(grade).tolist())
     top = np.flatnonzero(grade == grade.max())
-    covers = np.bincount([j for _, j in hasse], minlength=len(poset))[top]
+    covers = np.bincount(hasse[:, 1], minlength=len(poset))[top]
     held = [poset.elements[j].circuits for j in top]
     patterns = {
         Circuit.make(pos, {1, 2, 3, 4} - set(pos))

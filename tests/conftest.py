@@ -106,3 +106,12 @@ def widened(m, n, shift):
             for c in m.circuits
         ),
     )
+
+
+def ascending_pairs(pairs, k):
+    """pairs is an (m, 2) intp array of pairs 0 <= i < j < k whose rows are
+    in strictly ascending row-major order, so no pair repeats."""
+    if pairs.dtype != np.intp or pairs.ndim != 2 or pairs.shape[1] != 2:
+        return False
+    i, j = pairs.T
+    return bool(((0 <= i) & (i < j) & (j < k)).all() and (np.diff(i * k + j) > 0).all())

@@ -154,7 +154,7 @@ class ReferenceGraph(rf.CircuitGraph):
 
     @cached_property
     def cycles(self):
-        return partition_edges_into_cycles(self.edges, [masks(v) for v in self.vertices])
+        return partition_edges_into_cycles(self.edges.tolist(), [masks(v) for v in self.vertices])
 
 
 def kernel_basis(rows, ncols):
@@ -722,11 +722,11 @@ def leq_of(poset):
 
 
 def hasse_pairs(leq):
-    """Cover relations i < j of a reflexive order matrix, row-major."""
+    """Cover relations [i, j], i < j, of a reflexive order matrix, row-major."""
     k = len(leq)
     strict = leq & ~np.eye(k, dtype=bool)
     return [
-        (i, j)
+        [i, j]
         for i in range(k)
         for j in range(k)
         if strict[i, j] and not (strict[i] & strict[:, j]).any()

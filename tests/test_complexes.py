@@ -8,6 +8,7 @@ import radonflow as rf
 from conftest import (
     DIRECT_SUM,
     NEAR_COLLINEAR_EPS,
+    ascending_pairs,
     near_collinear,
     sample_degenerate_points,
     sample_spanning_points,
@@ -285,6 +286,7 @@ def test_cycle_walk_partitions_the_edges_on_the_ladder(n, d):
         rc = rf.geometric_radon_complex(rf.PointConfiguration(pts.astype(float), d))
         for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
             _assert_cycles_partition_edges(g)
+            assert ascending_pairs(g.edges, len(g.vertices))
 
 
 # element 5 is a coloop: four collinear points make one cycle of 8 edges
@@ -296,6 +298,18 @@ def test_cycle_walk_partitions_the_coloop_edges():
     for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
         _assert_cycles_partition_edges(g)
         assert [len(cyc.edge_ids) for cyc in g.cycles] == [8]
+
+
+# five points in R^3: one circuit, its two orientations, no edge (a 0-sphere)
+FIVE3 = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+
+
+def test_one_circuit_graph_has_an_empty_edge_array():
+    rc = rf.geometric_radon_complex(rf.PointConfiguration(np.asarray(FIVE3, float), 3))
+    assert len(rc.matroid.circuits) == 1 and rf.validate_sphere(rc, 5, 3).ok
+    for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.intp
+        assert g.to_dict()["edges"] == [] and g.cycles == ()
 
 
 def _spied_walks(monkeypatch):
@@ -401,7 +415,7 @@ def test_circuit_graph_on_ground_sets_wider_than_64(pentagon_config):
     assert [(v.pos, v.neg) for v in g_wide.vertices] == [
         ({e + shift for e in v.pos}, {e + shift for e in v.neg}) for v in g.vertices
     ]
-    assert g_wide.edges == g.edges and len(g.edges) == 10
+    assert np.array_equal(g_wide.edges, g.edges) and len(g.edges) == 10
     assert [c.support for c in g_wide.cycles] == [
         frozenset(e + shift for e in c.support) for c in g.cycles
     ]
@@ -452,7 +466,7 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
             ],
             [(rc.graph.to_dict(), rc.facets, rc.positions.tolist()) for rc in rcs],
             poset.pairs.tolist(),
-            poset.hasse_pairs(),
+            poset.hasse_pairs().tolist(),
         )
 
     want = answers()
@@ -560,10 +574,11 @@ def test_graphs_equal_sees_one_flipped_vertex_or_one_moved_edge(hexagon_complex)
     swapped[3], swapped[3 + reps] = swapped[3 + reps], swapped[3]
     assert not rf.graphs_equal(g, rf.CircuitGraph(tuple(swapped), g.edges))
     # one edge moved to a pair of vertices that is not an edge
-    i, j = g.edges[0]
+    edges = g.edges.tolist()
+    i, j = edges[0]
     k = next(k for k in range(len(g.vertices)) if k not in (i, j)
-             and (min(i, k), max(i, k)) not in set(g.edges))
-    moved = ((min(i, k), max(i, k)),) + g.edges[1:]
+             and [min(i, k), max(i, k)] not in edges)
+    moved = [[min(i, k), max(i, k)]] + edges[1:]
     assert not rf.graphs_equal(g, rf.CircuitGraph(g.vertices, moved))
     assert rf.graphs_equal(g, rf.CircuitGraph(g.vertices, g.edges))
 

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import radonflow as rf
+from conftest import ascending_pairs
 from radonflow.cli import main
 
 
@@ -119,7 +120,7 @@ def test_three_chain_poset():
     top = rf.OrientedMatroid(g, frozenset({rf.Circuit.make({1, 4}, {2, 3})}))
     p = rf.MatroidPoset.from_elements([bottom, middle, top])
     assert p.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
-    assert p.hasse_pairs() == [(0, 1), (1, 2)]
+    assert p.hasse_pairs().tolist() == [[0, 1], [1, 2]]
     assert p.to_dict(p.hasse_pairs())["maximal"] == [2]
     oc = rf.order_complex(p)
     assert oc.counts() == [3, 3, 1]
@@ -245,7 +246,7 @@ def _assert_poset_matches_pairwise_loop(elements):
     leq = oracles.weak_map_matrix(elements)
     assert np.array_equal(oracles.leq_of(p), leq)
     hasse = p.hasse_pairs()
-    assert hasse == oracles.hasse_pairs(leq)
+    assert hasse.tolist() == oracles.hasse_pairs(leq)
     assert p.to_dict(hasse)["maximal"] == oracles.maximal_indices(leq)
     assert p.to_dict(hasse)["elements"] == [m.to_dict() for m in elements]
     return p
@@ -265,6 +266,19 @@ def test_weak_map_matrix_with_a_circuit_free_element_and_a_single_element():
     assert p.to_dict(p.hasse_pairs())["maximal"] == [6]
     for elements in ([free], [oms[3]]):
         assert _assert_poset_matches_pairwise_loop(elements).pairs.shape == (0, 2)
+
+
+def test_one_element_poset_and_antichain_have_no_covers(poset42):
+    # the uniform elements are the maximal ones, so they form an antichain
+    uniform = [m for m in poset42.elements if m.is_uniform]
+    assert len(uniform) > 1
+    for elements in (uniform[:1], uniform):
+        p = rf.MatroidPoset.from_elements(elements)
+        hasse = p.hasse_pairs()
+        assert hasse.shape == (0, 2) and hasse.dtype == np.intp
+        assert p.to_dict(hasse)["hasse"] == [] and p.to_dict(hasse)["maximal"] == list(range(len(p)))
+        assert rf.grades(p, hasse).tolist() == [0] * len(p)
+        assert rf.cellular_homology(p, hasse)[1] == [len(p)]
 
 
 def test_axiom_check_matches_the_loop_on_the_52_census_less_one_circuit():
@@ -616,7 +630,9 @@ GRADED = {(4, 2): ([6, 12, 7], 11), (6, 4): ([15, 60, 105, 90, 31], 57)}
 
 def test_census_covers_span_one_grade_and_grades_follow_the_supports(census_poset):
     grade = _grades(census_poset)
-    assert all(grade[j] - grade[i] == 1 for i, j in census_poset.hasse_pairs())
+    hasse, k = census_poset.hasse_pairs(), len(census_poset)
+    assert all(grade[j] - grade[i] == 1 for i, j in hasse)
+    assert ascending_pairs(hasse, k) and np.isin(hasse @ [k, 1], census_poset.pairs @ [k, 1]).all()
     by_supports = {}
     for m, g in zip(census_poset.elements, grade.tolist()):
         assert by_supports.setdefault(frozenset(c.support for c in m.circuits), g) == g
@@ -636,7 +652,7 @@ def test_census_order_complex_and_betti_match_the_references(census_poset):
 def test_order_complex_and_betti_match_the_references_on_small_posets(name):
     # the covers too: the random DAG posets are not graded
     p = ORACLE_POSETS[name]
-    assert p.hasse_pairs() == oracles.hasse_pairs(oracles.leq_of(p))
+    assert p.hasse_pairs().tolist() == oracles.hasse_pairs(oracles.leq_of(p))
     oc = _assert_order_complex_matches_recursion(p)
     assert rf.gf2_betti(oc) == oracles.gf2_betti_dense(oc) == oracles.gf2_betti_sparse(oc)
     if name == "torus-faces":  # the barycentric subdivision keeps the torus's homology
@@ -649,7 +665,7 @@ def test_csr_equals_the_lexsorted_csr_on_sorted_and_unsorted_pairs():
     # in the sort's order; the other pairs must be sorted
     rng = np.random.default_rng(22)
     pairs = np.column_stack(np.divmod(np.unique(rng.integers(0, 900, 400)), 30))
-    covers = np.array(rf.MatroidPoset.from_elements(rf.enumerate_acyclic_oms(5, 2)).hasse_pairs())
+    covers = rf.MatroidPoset.from_elements(rf.enumerate_acyclic_oms(5, 2)).hasse_pairs()
     shuffled = pairs[rng.permutation(len(pairs))]
     cases = [(p[:, 1], p[:, 0]) for p in (pairs, covers, pairs[:0], shuffled)] + [
         (p[:, 0], p[:, 1]) for p in (pairs, covers)
@@ -692,6 +708,7 @@ ALL_CENSUS_SHAPES = [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 1), (6,
 def test_cellular_homology_matches_the_order_complex_at_every_census_shape(n, d):
     p = rf.MatroidPoset.from_elements(rf.enumerate_acyclic_oms(n, d))
     hasse = p.hasse_pairs()
+    assert ascending_pairs(hasse, len(p)) and np.isin(hasse @ [len(p), 1], p.pairs @ [len(p), 1]).all()
     grade, betti = rf.cellular_homology(p, hasse)  # raises if a check fails
     oc = rf.order_complex(p)
     assert betti == rf.gf2_betti(oc)
@@ -789,17 +806,16 @@ def _below(p, x):
 def test_each_check_refuses_the_poset_that_breaks_only_it(cells, check):
     p = _poset_of_covers(*cells)
     hasse = p.hasse_pairs()
-    assert sorted(hasse) == sorted(cells[1])
-    pairs = np.array(hasse)
+    assert hasse.tolist() == sorted(map(list, cells[1]))
     with pytest.raises(rf.NotACWPosetError, match=f"^{check} check: "):
         rf.cellular_homology(p, hasse)
     # the other checks pass when run on their own
     if check != "diamond":
-        rf.macphersonian._check_diamonds(pairs, len(p))
+        rf.macphersonian._check_diamonds(hasse, len(p))
     if check != "graded":
         grade = rf.grades(p, hasse)
     if check == "diamond":
-        rf.macphersonian._check_spheres(p, pairs, grade)
+        rf.macphersonian._check_spheres(p, hasse, grade)
         # and the order complex below each element is a sphere of one
         # dimension less than its grade
         for x in np.flatnonzero(grade).tolist():
@@ -810,7 +826,7 @@ def test_each_check_refuses_the_poset_that_breaks_only_it(cells, check):
 def test_grades_refuse_covers_that_close_a_cycle():
     p = _bare_poset(np.eye(3, dtype=bool))
     with pytest.raises(rf.NotACWPosetError, match="^graded check: "):
-        rf.grades(p, [(0, 1), (1, 2), (2, 0)])
+        rf.grades(p, np.array([[0, 1], [1, 2], [2, 0]]))
 
 
 def test_cellular_homology_on_the_oracle_posets():
