@@ -407,6 +407,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
         k = len(data["elements"])
         if not k:
             raise ValueError("'elements' must be a nonempty list of oriented matroids")
+        if not isinstance(data["hasse"], list):
+            raise ValueError("'hasse' must be a list of [i, j] pairs")
         pairs = []
         for i, j in data["hasse"]:
             if not all(type(x) is int and 0 <= x < k for x in (i, j)):

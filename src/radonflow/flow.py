@@ -13,8 +13,9 @@ coplanar with the origin.  eta is the curvature the flow reports.
 The flow is projected steepest descent on the energy E = sum vol^2 over all
 (vertex, cycle) incidences, vol = |v| |w| |w'| eta being the 3-volume
 spanned by v, a and b.  The gradient is projected onto the span of each
-vertex's face directions, steps are chosen by backtracking (see integrate),
-and after each step positions are radially renormalized onto the polytope.
+vertex's face directions, steps are Barzilai-Borwein trials cut back by
+backtracking (see integrate), and after each step positions are radially
+renormalized onto the polytope.
 Zero-energy states are flat embeddings: the positions span a subspace of
 dimension n - d - 1 whose orthogonal complement in the zero-sum hyperplane
 is (the row space of) a recovered point configuration.
@@ -60,7 +61,10 @@ class NotFlatError(ValueError):
 
 @dataclass
 class FlowParams:
-    """The line search's first trial step h and the step budget max_steps."""
+    """The line search's first trial step h and the step budget max_steps.
+
+    h is the first trial of the first step only; integrate chooses every
+    later first trial by the Barzilai-Borwein rule."""
 
     h: float = 0.01
     max_steps: int = 10_000
@@ -314,18 +318,24 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
 
     Projected steepest descent on E = sum vol^2 (module docstring) moves one
     representative per antipodal pair, then renormalizes every position
-    radially.  Armijo backtracking accepts a trial step h when E falls
-    strictly below E - ARMIJO * h * |g|^2, g the projected gradient, and
-    halves h otherwise.  The first trial is params.h and, after an accepted
-    step, the next doubles while it stays within MAX_STEP; the accepted
-    trial's evaluation gives the next gradient.  The trace's t sums the
-    accepted steps and vel_max is the largest row norm of g.
+    radially.  Armijo backtracking accepts a trial step h when every vertex
+    stays strictly inside its face and E falls strictly below
+    E - ARMIJO * h * |g|^2, g the projected gradient, and halves h otherwise;
+    a trial that leaves a face is halved before it is evaluated.  The first
+    trial is params.h.  After an accepted step with s = P_new - P and
+    y = g_new - g over the representatives' rows, the next first trial is
+    the short Barzilai-Borwein step s.y / y.y clipped to [MIN_STEP,
+    MAX_STEP] if s.y > 0, and otherwise the last step doubled while it stays
+    within MAX_STEP.  The accepted trial's evaluation gives the next
+    gradient.  The trace's t sums the accepted steps and vel_max is the
+    largest row norm of g.
 
-    One test per outcome, before each step: a vertex on or past its face
-    boundary is a face exit, a max vertex curvature below TOL_CURV converges,
-    and params.max_steps accepted steps are a step limit.  No trial h >=
-    MIN_STEP passing the Armijo test (a zero gradient passes none) is a
-    stall.  A collision raises IntegrationError.
+    One test per outcome, before each step: a start with a vertex on or past
+    its face boundary is a face exit (no accepted step leaves a face), a max
+    vertex curvature below TOL_CURV converges, and params.max_steps accepted
+    steps are a step limit.  No trial h >= MIN_STEP passing both tests (a
+    zero gradient passes none) is a stall.  A collision raises
+    IntegrationError.
     """
     if params is None:
         params = FlowParams()
@@ -338,7 +348,7 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     energy, g, curv_max, curv_mean, vel_max = field.stats(field.evaluate(P))
     while True:
         samples.append(TraceSample(t, curv_max, curv_mean, vel_max))
-        if s.face_violations(P, 0.0).any():
+        if len(samples) == 1 and s.face_violations(P, 0.0).any():
             outcome = OUTCOME_FACE_EXIT
             break
         if curv_max < TOL_CURV:
@@ -350,19 +360,25 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         decrease = ARMIJO * float((g * g).sum())
         while h >= MIN_STEP:
             P_new = _renormalized(P - h * g)
-            trial = field.evaluate(P_new)
-            if trial[1] < energy - h * decrease:
-                break
+            if not s.face_violations(P_new, 0.0).any():
+                trial = field.evaluate(P_new)
+                if trial[1] < energy - h * decrease:
+                    break
             h *= 0.5
         else:
             outcome = OUTCOME_STALLED
             break
         if _collided(P_new, direction):
             raise IntegrationError(f"two vertices collided within {COLLISION_DIST}")
-        P = P_new
         t += h
-        h = 2.0 * h if 2.0 * h <= MAX_STEP else min(h, MAX_STEP)
-        energy, g, curv_max, curv_mean, vel_max = field.stats(trial)
+        energy, g_new, curv_max, curv_mean, vel_max = field.stats(trial)
+        y = g_new - g
+        sy = float(((P_new - P) * y).sum())
+        if sy > 0.0:
+            h = min(max(sy / float((y * y).sum()), MIN_STEP), MAX_STEP)
+        else:
+            h = 2.0 * h if 2.0 * h <= MAX_STEP else min(h, MAX_STEP)
+        P, g = P_new, g_new
     final = EmbeddedSphere(s.matroid, s.graph, P, validate=False)
     return final, FlowTrace(samples=samples, outcome=outcome)
 

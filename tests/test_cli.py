@@ -336,8 +336,9 @@ def test_census_6_3_completes_and_homology_refuses_its_order_complex(tmp_path, c
 
 @pytest.mark.parametrize(
     "hasse",
-    [[[0, 1], [5, 0]], [[-1, 0]], [[0.7, 1.9]], [[0, 1], [1, 2], [2, 0]], [[0, 1], [True, 2]]],
-    ids=["index-past-end", "negative-index", "fractional-index", "cyclic-order", "bool-index"],
+    [[[0, 1], [5, 0]], [[-1, 0]], [[0.7, 1.9]], [[0, 1], [1, 2], [2, 0]], [[0, 1], [True, 2]], "", {}],
+    ids=["index-past-end", "negative-index", "fractional-index", "cyclic-order", "bool-index",
+         "empty-string", "empty-object"],
 )
 def test_homology_rejects_malformed_hasse(tmp_path, capsys, hasse):
     mac_out = tmp_path / "mac"
@@ -345,8 +346,11 @@ def test_homology_rejects_malformed_hasse(tmp_path, capsys, hasse):
     cfg = tmp_path / "bad.json"
     write_json(cfg, {"elements": load(mac_out / "poset.json")["elements"][:3], "hasse": hasse})
     assert main(["homology", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    if hasse[-1][0] is True:  # True == 1, so [true, 2] once read as the pair [1, 2]
-        assert "hasse pair [true, 2] names no element" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if not isinstance(hasse, list):  # with no items, these once passed as no covers
+        assert "'hasse' must be a list of [i, j] pairs" in err
+    elif hasse[-1][0] is True:  # True == 1, so [true, 2] once read as the pair [1, 2]
+        assert "hasse pair [true, 2] names no element" in err
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 import radonflow as rf
 from conftest import DIRECT_SUM, sample_spanning_points
 from oracles import chirotope, field_evaluate, field_flow, local_curvature, min_pair_distance, velocity
-from radonflow.flow import _collided, _Field, _screen_direction
+from radonflow.flow import _collided, _Field, _renormalized, _screen_direction
 
 # the sampled-shape gate: (n, d, rep) with a configuration drawn from
 # default_rng([1, n, d, rep]) and a delta = 0.01 perturbation from default_rng([rep])
@@ -18,6 +18,13 @@ SAMPLED_SHAPES = [
 ]
 # the gate's runs whose perturbation itself pushes a vertex out of its face
 STEP_0_FACE_EXITS = {(7, 3, 1), (9, 2, 0), (9, 3, 1), (8, 4, 0), (8, 4, 2), (9, 4, 0)}
+# census shapes (n, d, sample): every element, or a default_rng(0) sample of
+# that many, flows from its barycentric embedding back to itself.  When
+# every step doubled the last at TOL_CURV = 1e-8, 52 of the 270 (5,1)
+# elements and 47 of the sampled (5,2) ones converged onto another matroid.
+REALIZED_SHAPES = [
+    (4, 1, None), (4, 2, None), (5, 1, None), (5, 3, None), (6, 4, None), (5, 2, 150), (6, 1, 200)
+]
 
 
 def sampled_sphere(n, d, rep):
@@ -153,14 +160,15 @@ def test_perturbed_pentagon_flows_back(pentagon_sphere, pentagon_config):
     final, trace = rf.integrate(s)
     assert trace.outcome == rf.OUTCOME_CONVERGED
     assert trace.samples[-1].t < 10.0
-    assert trace.samples[-1].curv_max < 1e-8
+    assert trace.samples[-1].curv_max < rf.TOL_CURV
     rec = rf.recover_configuration(final)
     assert rf.circuits_of_points(rec) == rf.circuits_of_points(pentagon_config)
 
 
 def test_pentagon_step_counts_are_steady(pentagon_sphere):
-    # trial steps stay 0.01 * 2^k: capping a doubling at MAX_STEP = 1 put
-    # seeds 33, 43 and 48 on the 1/2^k grid, where they took 115-134 steps
+    # these 60 runs take 16-24 steps; when every trial doubled the last
+    # step, capping a doubling at MAX_STEP = 1 once put seeds 33, 43 and 48
+    # on a 1/2^k grid, where they took 115-134 steps
     steps = []
     for seed in range(60):
         s = pentagon_sphere.perturbed(0.05, np.random.default_rng([seed, 0]))
@@ -197,6 +205,19 @@ def test_barycentric_start_flows_to_a_realization(pentagon_config, hexagon_confi
         assert rf.circuits_of_points(rf.recover_configuration(final)) == m
 
 
+@pytest.mark.parametrize("n,d,sample", REALIZED_SHAPES)
+def test_census_elements_flow_to_their_own_realizations(n, d, sample):
+    table = rf.enumerate_acyclic_oms(n, d)
+    ids = range(len(table)) if sample is None else np.random.default_rng(0).choice(len(table), sample, replace=False)
+    failed = []
+    for i in ids:
+        m = table[int(i)]
+        final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m), rf.FlowParams(max_steps=3000))
+        if trace.outcome != rf.OUTCOME_CONVERGED or rf.circuits_of_points(rf.recover_configuration(final)) != m:
+            failed.append((int(i), trace.outcome))
+    assert failed == []
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_field_alone_does_not_flatten_the_pentagon(pentagon_sphere, seed):
     # the eta * Delta field keeps the single-cycle pentagon's curvature far
@@ -220,7 +241,7 @@ def test_flow_flattens_sampled_shapes(n, d, rep):
         assert trace.samples[0].curv_max > 1.0
         return
     assert trace.outcome == rf.OUTCOME_CONVERGED, trace.outcome
-    # (9,4) reps 1 and 2 take 1724 and 2133 steps
+    # (9,4) reps 1 and 2 take 881 and 1273 steps
     assert len(trace.samples) - 1 < (2500 if (n, d) == (9, 4) else 2000)
     assert rf.circuits_of_points(rf.recover_configuration(final)) == s.matroid
 
@@ -237,8 +258,53 @@ def test_step_budget_cutoff(pentagon_sphere):
     _, trace = rf.integrate(s, rf.FlowParams(max_steps=3))
     assert trace.outcome == rf.OUTCOME_STEP_LIMIT
     assert len(trace.samples) - 1 == 3
-    # the first three trial steps 0.01, 0.02, 0.04 are accepted
-    assert abs(trace.samples[-1].t - 0.07) < 1e-12
+    # the first trial step, params.h, is accepted as it stands
+    assert trace.samples[1].t == rf.FlowParams().h
+
+
+def test_trials_that_leave_a_face_are_never_evaluated(monkeypatch):
+    # the first trial h = 0.1 of this gate run leaves a face, which once
+    # ended the run as a face exit after one step
+    s = sampled_sphere(9, 3, 0)
+    start = s.perturbed(0.01, np.random.default_rng([0]))
+    field, P = _Field(start), start.rep_positions()
+    g = field.stats(field.evaluate(P))[1]
+    assert start.face_violations(_renormalized(P - 0.1 * g), 0.0).any()
+    left = []
+    evaluate = _Field.evaluate
+
+    def watched(self, P):
+        left.append(bool(start.face_violations(P, 0.0).any()))
+        return evaluate(self, P)
+
+    monkeypatch.setattr(_Field, "evaluate", watched)
+    final, trace = rf.integrate(start, rf.FlowParams(h=0.1))
+    assert trace.outcome == rf.OUTCOME_CONVERGED and trace.samples[1].t < 0.1
+    assert len(left) > len(trace.samples) and not any(left)
+    assert rf.circuits_of_points(rf.recover_configuration(final)) == s.matroid
+
+
+@pytest.mark.parametrize("growth", [0.0, 0.5], ids=["constant-gradient", "growing-gradient"])
+def test_step_doubles_without_positive_curvature_along_it(pentagon_sphere, monkeypatch, growth):
+    # a gradient that stays g0 (s.y = 0) or grows along g0 at every
+    # evaluation (s.y < 0) gives no Barzilai-Borwein step, and an energy
+    # that falls by 1 per evaluation accepts every first trial
+    g0 = 1e-3 * face_tangent(_Field(pentagon_sphere), np.random.default_rng(0))
+
+    class LinearField:
+        def __init__(self, s):
+            self.calls = 0
+
+        def evaluate(self, P):
+            self.calls += 1
+            return None, -float(self.calls), self.calls
+
+        def stats(self, evaluated):
+            return evaluated[1], (1.0 + growth * evaluated[2]) * g0, 1.0, 1.0, 0.0
+
+    monkeypatch.setattr("radonflow.flow._Field", LinearField)
+    _, trace = rf.integrate(pentagon_sphere, rf.FlowParams(max_steps=4))
+    assert [smp.t for smp in trace.samples] == list(itertools.accumulate([0.0, 0.01, 0.02, 0.04, 0.08]))
 
 
 @pytest.mark.parametrize("name", ["pentagon", "hexagon"])
