@@ -40,7 +40,8 @@ from .core import (
     OrientedMatroid,
     PointConfiguration,
     RankDeficientError,
-    circuits_of_points,
+    circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
+    same_chirotope,
 )
 from .flow import (
     EmbeddedSphere,
@@ -315,7 +316,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
                 row["decay_note"] = str(exc)
             if trace.outcome == OUTCOME_CONVERGED:
                 recovered = recover_configuration(final)
-                row["roundtrip_ok"] = circuits_of_points(recovered).circuits == sphere.matroid.circuits
+                row["roundtrip_ok"] = same_chirotope(recovered, config)
                 _write_json(
                     out / f"rep_{rep:03d}_recovered_points.json", recovered.to_dict()
                 )

@@ -57,15 +57,16 @@ class DegeneratePointError(ValueError):
 
 def project_to_gamma(x: np.ndarray) -> np.ndarray:
     """Radially rescale a zero-sum vector onto the polytope: x -> 2x / sum|x_i|.
+    A stack of vectors is rescaled row by row, each row checked alone.
 
-    Raises DegeneratePointError when the 1-norm is below EPS_MEM and
-    GammaMembershipError when the coordinate sum is not zero.
+    Raises DegeneratePointError when a 1-norm is below EPS_MEM and
+    GammaMembershipError when a coordinate sum is not zero.
     """
     x = np.asarray(x, dtype=float)
-    total = float(np.abs(x).sum())
-    if total < EPS_MEM:
+    total = np.abs(x).sum(axis=-1, keepdims=True)
+    if (total < EPS_MEM).any():
         raise DegeneratePointError("cannot normalize a near-zero vector")
-    if abs(float(x.sum())) > EPS_MEM * max(1.0, total):
+    if (np.abs(x.sum(axis=-1, keepdims=True)) > EPS_MEM * np.maximum(1.0, total)).any():
         raise GammaMembershipError("coordinate sum must vanish before rescaling")
     return 2.0 * x / total
 
@@ -415,8 +416,8 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     matroid = OrientedMatroid(GroundSet(n, d), frozenset(dependences))
     circuits = matroid.sorted_circuits
     vertices = _ordered_vertices(circuits)
-    placed = [project_to_gamma(dependences[c]) for c in circuits]
-    positions = np.array(placed + [-x for x in placed])
+    placed = project_to_gamma(np.array([dependences[c] for c in circuits]))
+    positions = np.concatenate([placed, -placed])
 
     rows = _vertex_rows(circuits, n)
     realized = _composition_closure(rows)

@@ -325,6 +325,21 @@ def circuits_of_points(config: PointConfiguration) -> OrientedMatroid:
     )
 
 
+def same_chirotope(a: PointConfiguration, b: PointConfiguration) -> bool:
+    """Whether two spanning configurations have the same signed circuits.
+
+    Their circuits are equal iff their chirotopes, the signs of the lifted
+    maximal minors after the rank rule (PointConfiguration._minors), agree
+    up to one global sign (Bjorner, Las Vergnas, Sturmfels, White &
+    Ziegler, Oriented Matroids, Thm 3.5.5): one sign per basis, no circuit
+    built.
+    """
+    if (a.n, a.d) != (b.n, b.d):
+        return False
+    sa, sb = np.sign(a._minors[1]), np.sign(b._minors[1])
+    return bool(np.array_equal(sa, sb) or np.array_equal(sa, -sb))
+
+
 def is_radon_partition(m: OrientedMatroid, a, b) -> bool:
     """True when some circuit of m nests in (a, b): A <= a, B <= b or swapped."""
     a, b = frozenset(int(e) for e in a), frozenset(int(e) for e in b)

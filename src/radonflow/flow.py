@@ -101,7 +101,9 @@ class EmbeddedSphere:
     the antipode of a vertex is always placed at the negated position.
     signs holds each representative's face as a row of +1/-1/0.  Unless
     validate is False, construction checks that every position lies on the
-    polytope and inside its own face: the package's one face check.
+    polytope and inside its own face.  face_margins is the package's one
+    face check: validation, the flow's face tests and the perturbation's
+    radius all read it.
     """
 
     def __init__(
@@ -119,12 +121,15 @@ class EmbeddedSphere:
             raise ValueError(f"expected positions of shape ({reps}, {matroid.n})")
         self._pos = pos.copy()
         self.signs = _unpack(graph.rows[:reps], matroid.n)
+        self._on = self.signs != 0
         if validate:
             self._validate()
 
-    def face_violations(self, P: np.ndarray, eps: float) -> np.ndarray:
-        """Mask of the support coordinates of P within eps of leaving their face."""
-        return (self.signs != 0) & (self.signs * P <= eps)
+    def face_margins(self, P: np.ndarray) -> np.ndarray:
+        """signs * P on each representative's support, +inf off it: a row of
+        P is strictly inside its face iff its smallest margin is positive,
+        and each margin is how far that coordinate may move before it leaves."""
+        return np.where(self._on, self.signs * P, np.inf)
 
     def _validate(self) -> None:
         x = self._pos
@@ -133,8 +138,8 @@ class EmbeddedSphere:
             k = int(np.flatnonzero(off)[0])
             raise ValueError(f"position of {self.graph.vertices[k]!r} is off the polytope")
         for mask, what in (
-            (self.face_violations(x, EPS_SIGN), "has left its face"),
-            ((self.signs == 0) & (np.abs(x) > EPS_SIGN), "has support leakage on"),
+            (self.face_margins(x) <= EPS_SIGN, "has left its face"),
+            (~self._on & (np.abs(x) > EPS_SIGN), "has support leakage on"),
         ):
             rows, cols = np.nonzero(mask)
             if rows.size:
@@ -167,27 +172,37 @@ class EmbeddedSphere:
         return cls(matroid, graph, pos)
 
     def perturbed(self, delta: float, rng: np.random.Generator) -> "EmbeddedSphere":
-        """Displace every representative inside its face, uniformly in a
-        delta-ball of the face's tangent directions, then renormalize.
+        """Displace every representative inside its face, then renormalize.
 
-        Large delta may push vertices out of their faces; the result is not
-        re-validated so that the flow can report a face exit.
+        Representative k moves along a uniform random unit direction of its
+        face's tangent space (support coordinates, zero sum on each sign
+        part) by radius min(delta, margin_k / 2) * u^(1/dim), u uniform in
+        [0, 1) and margin_k the smallest of its face_margins: uniformly in a
+        ball of radius delta, clipped to half the distance to the face's
+        boundary.  No coordinate moves by margin_k / 2 or more, so every
+        vertex stays strictly inside its face, whatever delta.  The draws
+        are standard_normal(dim) then uniform(), representative by
+        representative; the tangent bases come from one SVD per support
+        size, of the stacked constraint matrices (the two sign-part
+        indicator rows of each face).
         """
         new = self._pos.copy()
-        for k in range(self.n_reps):
-            on = self.signs[k] != 0
-            face = self.signs[k, on]
-            dim = face.size - 2
-            if dim <= 0:
-                continue
-            cons = np.vstack([face > 0, face < 0]).astype(float)
-            _, _, vt = np.linalg.svd(cons)
-            basis = vt[2:]  # tangent directions of the face
+        margins = self.face_margins(new).min(axis=1)
+        sizes = self._on.sum(axis=1)
+        bases = {}  # representative -> its (dim, size) tangent basis
+        for size in np.unique(sizes[sizes > 2]).tolist():
+            ks = np.flatnonzero(sizes == size)
+            faces = self.signs[ks][self._on[ks]].reshape(len(ks), 1, size)
+            cons = np.concatenate([faces > 0, faces < 0], axis=1).astype(float)
+            bases.update(zip(ks.tolist(), np.linalg.svd(cons)[2][:, 2:]))
+        for k in sorted(bases):
+            basis = bases[k]
+            dim = basis.shape[0]
             g = rng.standard_normal(dim)
             g /= max(np.linalg.norm(g), 1e-30)
-            radius = delta * rng.uniform() ** (1.0 / dim)
+            radius = min(delta, margins[k] / 2.0) * rng.uniform() ** (1.0 / dim)
             row = new[k].copy()
-            row[on] += radius * (g @ basis)
+            row[self._on[k]] += radius * (g @ basis)
             new[k] = 2.0 * row / np.abs(row).sum()
         return EmbeddedSphere(self.matroid, self.graph, new, validate=False)
 
@@ -199,18 +214,26 @@ class EmbeddedSphere:
         return out
 
 
+_add = np.add.reduce
+
+
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return (x * y).sum(axis=1, keepdims=True)
+    return _add(x * y, axis=-1, keepdims=True)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    """Row norms as a column, the values np.linalg.norm(x, axis=1,
+    """Row norms as a column, the values np.linalg.norm(x, axis=-1,
     keepdims=True) gives, without its per-call overhead."""
-    return np.sqrt((x * x).sum(axis=1, keepdims=True))
+    return np.sqrt(_add(x * x, axis=-1, keepdims=True))
 
 
 class _Field:
-    """Vectorized curvature, energy and energy gradient over all vertices."""
+    """Vectorized curvature, energy and energy gradient over all vertices.
+
+    Reductions call np.add.reduce, np.minimum.reduce and np.maximum.reduce,
+    the ufuncs behind ndarray.sum, .min and .max, without the methods'
+    per-call overhead; every float is the one those methods give.
+    """
 
     def __init__(self, sphere: EmbeddedSphere) -> None:
         # one (vertex, neighbor, neighbor) row per cycle through a
@@ -218,8 +241,10 @@ class _Field:
         self.reps = reps = sphere.n_reps
         pairs = [(v, a, b) for v in range(reps) for a, b in sphere.graph.cycle_pairs[v]]
         self.v_idx, self.a_idx, self.b_idx = np.array(pairs, int).reshape(-1, 3).T.copy()
-        self.mask = (sphere.signs != 0).astype(float)
-        self.mask_size = self.mask.sum(axis=1, keepdims=True)
+        # the rows of [P; -P] that evaluate gathers: a, b, then v
+        self.abv_idx = np.stack([self.a_idx, self.b_idx, self.v_idx])
+        self.mask = sphere._on.astype(float)
+        self.mask_size = _add(self.mask, axis=1, keepdims=True)
         # the flat entries of the (2 reps, n) gradient that the rows of the
         # v, a and b terms add to, in that order: one bincount sums each
         # entry's terms in the order of three row-wise np.add.at calls
@@ -230,25 +255,24 @@ class _Field:
     def evaluate(self, P: np.ndarray) -> tuple[np.ndarray, float, tuple]:
         """eta per (vertex, cycle) incidence, the energy E = sum vol^2, and
         the terms that stats reads the gradient from."""
-        full = np.vstack([P, -P])
-        a, b, v = full[self.a_idx], full[self.b_idx], P[self.v_idx]
+        abv = np.concatenate([P, -P])[self.abv_idx]
+        ab, v = abv[:2], abv[2]
         nv = _norms(v)
         vn = v / nv
-        w = a - _dot(a, vn) * vn
-        w2 = b - _dot(b, vn) * vn
-        nw = _norms(w)
-        nw2 = _norms(w2)
-        if nw.size and (nw.min() < EPS_SIGN or nw2.min() < EPS_SIGN):
+        # w, w2 stacked: a and b off v
+        ww = ab - _dot(ab, vn) * vn
+        nww = _norms(ww)
+        if nww.size and np.minimum.reduce(nww, axis=None) < EPS_SIGN:
             raise IntegrationError("degenerate neighbor pair: radial neighbor position")
-        wh = w / nw
-        wh2 = w2 / nw2
+        wh, wh2 = ww / nww
+        nw, nw2 = nww
         # sqrt(det Gram) in Schur form: the residual norm is exact near zero,
         # where 1 - cos^2 would lose half the available precision
         c = _dot(wh, wh2)
         res = wh2 - c * wh
         eta = _norms(res)[:, 0]
-        energy = float((((nv * nw * nw2)[:, 0] * eta) ** 2).sum())
-        return eta, energy, (a, b, v, nv, nw, nw2, wh, wh2, c, res)
+        energy = float(_add((((nv * nw * nw2)[:, 0] * eta) ** 2)))
+        return eta, energy, (abv, nv, nw, nw2, wh, wh2, c, res)
 
     def stats(
         self, evaluated: tuple[np.ndarray, float, tuple]
@@ -256,7 +280,8 @@ class _Field:
         """Of evaluate's result: the energy, its gradient projected onto
         every vertex's face, max/mean vertex curvature and the largest
         gradient row norm."""
-        eta, energy, (a, b, v, nv, nw, nw2, wh, wh2, c, res) = evaluated
+        eta, energy, (abv, nv, nw, nw2, wh, wh2, c, res) = evaluated
+        a, b, v = abv
         # d vol^2 / dx = 2 area(other two)^2 (x orthogonal to the other two),
         # each orthogonal part in the same Schur form: nw2 * res is b off
         # span(v, a), nw * (wh - c wh2) is a off span(v, b).  Antipodal
@@ -267,19 +292,22 @@ class _Field:
         u = b - _dot(b, ah) * ah
         nu = _norms(u)
         uh = u / np.maximum(nu, EPS_SIGN)
-        gv = (na * nu) ** 2 * (v - _dot(v, ah) * ah - _dot(v, uh) * uh)
-        ga = (nv * nw2) ** 2 * nw * (wh - c * wh2)
-        gb = (nv * nw) ** 2 * nw2 * res
-        terms = np.concatenate([gv, ga, gb]).ravel()
-        dE = np.bincount(self.entries, terms, minlength=2 * self.mask.size)
+        # the v, a and b terms, in the order of self.entries
+        terms = np.empty_like(abv)
+        np.multiply((na * nu) ** 2, v - _dot(v, ah) * ah - _dot(v, uh) * uh, out=terms[0])
+        np.multiply((nv * nw2) ** 2 * nw, wh - c * wh2, out=terms[1])
+        np.multiply((nv * nw) ** 2 * nw2, res, out=terms[2])
+        dE = np.bincount(self.entries, terms.ravel(), minlength=2 * self.mask.size)
         dE = dE.reshape(2 * self.reps, -1)
         # an antipode sits at the negated position of its representative
         g = 2.0 * (dE[: self.reps] - dE[self.reps :]) * self.mask
-        g -= self.mask * (g.sum(axis=1, keepdims=True) / self.mask_size)
+        g -= self.mask * (_add(g, axis=1, keepdims=True) / self.mask_size)
+        if not self.reps:
+            return energy, g, 0.0, 0.0, 0.0
         curv = np.bincount(self.v_idx, eta, minlength=self.reps)
-        vel_max = float(_norms(g).max()) if self.reps else 0.0
-        curv_max = float(curv.max()) if self.reps else 0.0
-        curv_mean = float(curv.mean()) if self.reps else 0.0
+        vel_max = float(np.maximum.reduce(_norms(g), axis=None))
+        curv_max = float(np.maximum.reduce(curv))
+        curv_mean = float(_add(curv) / self.reps)
         return energy, g, curv_max, curv_mean, vel_max
 
 
@@ -305,10 +333,15 @@ def _collided(P: np.ndarray, u: np.ndarray) -> bool:
     return bool(dist.min() < COLLISION_DIST)
 
 
+def _min_margin(s: EmbeddedSphere, P: np.ndarray) -> float:
+    """The smallest of s.face_margins(P); +inf for no representatives."""
+    return float(np.minimum.reduce(s.face_margins(P), axis=None, initial=np.inf))
+
+
 def _renormalized(P: np.ndarray) -> np.ndarray:
     """Every row radially rescaled onto the polytope (1-norm 2)."""
-    norms = np.abs(P).sum(axis=1)
-    if norms.size and norms.min() < EPS_MEM:
+    norms = _add(np.abs(P), axis=1)
+    if norms.size and np.minimum.reduce(norms) < EPS_MEM:
         raise IntegrationError("a position collapsed to the origin")
     return 2.0 * P / norms[:, None]
 
@@ -335,12 +368,24 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     vertex curvature below TOL_CURV converges, and params.max_steps accepted
     steps are a step limit.  No trial h >= MIN_STEP passing both tests (a
     zero gradient passes none) is a stall.  A collision raises
-    IntegrationError.
+    IntegrationError.  Every face test reads s.face_margins.
+
+    The margins also rule collisions out, so _collided runs only where they
+    cannot.  If every off-support coordinate of the start is exactly 0, it
+    stays exactly 0: g is masked to the supports and renormalization only
+    scales.  Two distinct vertices x, y of P and -P then have distinct sign
+    vectors, so in some coordinate e one of them, say x, is nonzero and y_e
+    is zero or of opposite sign, and |x - y| >= |x_e - y_e| >= |x_e|, at
+    least the smallest margin.  A step whose smallest margin is at least
+    2 * COLLISION_DIST is therefore collision-free, with room for the
+    rounding of _collided's norms, and _collided runs only after a start
+    with off-support leakage or a step with a smaller margin.
     """
     if params is None:
         params = FlowParams()
     field = _Field(s)
     P = s.rep_positions()
+    leaked = bool((~s._on & (P != 0.0)).any())
     direction = _screen_direction(P.shape[1])
     samples: list[TraceSample] = []
     t = 0.0
@@ -348,7 +393,7 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     energy, g, curv_max, curv_mean, vel_max = field.stats(field.evaluate(P))
     while True:
         samples.append(TraceSample(t, curv_max, curv_mean, vel_max))
-        if len(samples) == 1 and s.face_violations(P, 0.0).any():
+        if len(samples) == 1 and _min_margin(s, P) <= 0.0:
             outcome = OUTCOME_FACE_EXIT
             break
         if curv_max < TOL_CURV:
@@ -357,10 +402,11 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         if len(samples) > params.max_steps:
             outcome = OUTCOME_STEP_LIMIT
             break
-        decrease = ARMIJO * float((g * g).sum())
+        decrease = ARMIJO * float(_add(g * g, axis=None))
         while h >= MIN_STEP:
             P_new = _renormalized(P - h * g)
-            if not s.face_violations(P_new, 0.0).any():
+            margin = _min_margin(s, P_new)
+            if margin > 0.0:
                 trial = field.evaluate(P_new)
                 if trial[1] < energy - h * decrease:
                     break
@@ -368,14 +414,14 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         else:
             outcome = OUTCOME_STALLED
             break
-        if _collided(P_new, direction):
+        if (leaked or margin < 2.0 * COLLISION_DIST) and _collided(P_new, direction):
             raise IntegrationError(f"two vertices collided within {COLLISION_DIST}")
         t += h
         energy, g_new, curv_max, curv_mean, vel_max = field.stats(trial)
         y = g_new - g
-        sy = float(((P_new - P) * y).sum())
+        sy = float(_add((P_new - P) * y, axis=None))
         if sy > 0.0:
-            h = min(max(sy / float((y * y).sum()), MIN_STEP), MAX_STEP)
+            h = min(max(sy / float(_add(y * y, axis=None)), MIN_STEP), MAX_STEP)
         else:
             h = 2.0 * h if 2.0 * h <= MAX_STEP else min(h, MAX_STEP)
         P, g = P_new, g_new

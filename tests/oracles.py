@@ -61,8 +61,10 @@ field as the package once evaluated it (field_evaluate: np.linalg.norm for
 row norms, three np.add.at scatters for the gradient), the
 earlier eta * Delta velocity field with its fixed-step flow (field_flow),
 which the package replaced by descent on sum vol^2, the support projection
-that the velocity applies, the all-pairs distance that the flow's
-collision check must agree with, and a small model of the ambient polytope
+that the velocity applies, the perturbation one face at a time
+(perturbed_positions: one SVD per face, where the package takes one per
+support size), the all-pairs distance that the flow's collision check and
+its margin screen must agree with, and a small model of the ambient polytope
 (vertices, face barycenters, a sign reader for its faces) used to test the
 package's polytope helpers.  The curvature and velocity references address
 a vertex by its index i in the circuit graph: its position is
@@ -378,6 +380,29 @@ def field_flow(s, h, t_max):
         P = 2.0 * P / np.abs(P).sum(axis=1, keepdims=True)
         s = rf.EmbeddedSphere(s.matroid, s.graph, P, validate=False)
     return s
+
+
+def perturbed_positions(s, delta, rng):
+    """EmbeddedSphere.perturbed one representative at a time: one SVD per
+    face for its tangent basis, the radius clipped to half the face margin."""
+    new = s.rep_positions()
+    for k in range(s.n_reps):
+        on = s.signs[k] != 0
+        face = s.signs[k, on]
+        dim = face.size - 2
+        if dim <= 0:
+            continue
+        cons = np.vstack([face > 0, face < 0]).astype(float)
+        _, _, vt = np.linalg.svd(cons)
+        basis = vt[2:]
+        g = rng.standard_normal(dim)
+        g /= max(np.linalg.norm(g), 1e-30)
+        margin = float((face * new[k, on]).min())
+        radius = min(delta, margin / 2.0) * rng.uniform() ** (1.0 / dim)
+        row = new[k].copy()
+        row[on] += radius * (g @ basis)
+        new[k] = 2.0 * row / np.abs(row).sum()
+    return new
 
 
 def min_pair_distance(P) -> float:

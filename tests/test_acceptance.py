@@ -183,7 +183,7 @@ def test_criterion_6_perturbed_flow_recovers(capsys):
         assert len(runs) == 2 * FLOW_REPS
         for name, rep, matroid, final, trace in runs:
             assert trace.outcome == rf.OUTCOME_CONVERGED, f"{name} rep {rep}: {trace.outcome}"
-            assert trace.samples[-1].curv_max < 1e-8
+            assert trace.samples[-1].curv_max < rf.TOL_CURV
             recovered = rf.circuits_of_points(rf.recover_configuration(final))
             assert recovered == matroid, f"{name} rep {rep}: wrong matroid recovered"
         elapsed = time.monotonic() - t0

@@ -105,3 +105,16 @@ def test_ambient_validates_labels():
         amb.project(np.zeros(5))
     with pytest.raises(ValueError, match="not on the polytope"):
         amb.face_of(np.array([2.0, -2.0, 0.0, 0.0]))
+
+
+def test_project_rescales_a_stack_row_by_row():
+    rng = np.random.default_rng(103)
+    xs = np.array(list(zero_sum_vectors(rng, 9, 40)))
+    stacked = rf.project_to_gamma(xs)
+    assert np.array_equal(stacked, np.array([rf.project_to_gamma(x) for x in xs]))
+    # one bad row is enough, wherever it sits
+    for bad, error in ((np.zeros(9), rf.DegeneratePointError), (np.eye(9)[2], rf.GammaMembershipError)):
+        rows = xs.copy()
+        rows[17] = bad
+        with pytest.raises(error):
+            rf.project_to_gamma(rows)

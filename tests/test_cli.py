@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import radonflow as rf
 import radonflow.cli as cli
 import radonflow.macphersonian as macphersonian
 from conftest import SQUARE, pentagon_points
@@ -112,7 +113,7 @@ def test_flow_pentagon_repetitions(tmp_path):
     for rep, row in enumerate(summary["rows"]):
         assert row["roundtrip_ok"] is True
         assert row["decay_rate"] < 0 and row["decay_r2"] > 0.9
-        assert row["curv_final"] < 1e-8
+        assert row["curv_final"] < rf.TOL_CURV
         trace = (out / f"rep_{rep:03d}_trace.csv").read_text().splitlines()
         assert trace[0].startswith("# generated_at:")
         assert trace[1] == "# schema_version: 1"
@@ -134,9 +135,21 @@ def test_flow_zero_delta_is_a_fixed_point(tmp_path):
     assert row["decay_rate"] is None and "decay_note" in row
 
 
-def test_flow_face_exit_is_reported_not_fatal(tmp_path):
+def test_flow_face_exit_is_reported_not_fatal(tmp_path, monkeypatch):
+    # no perturbation leaves a face, whatever delta (the radius is clipped
+    # to half each face's margin), so the start here has one vertex swapped
+    # onto its antipode's face, as only a hand-built start can be
+    def outside(sphere, delta, rng):
+        P = sphere.rep_positions()
+        P[0] *= -1.0
+        return rf.EmbeddedSphere(sphere.matroid, sphere.graph, P, validate=False)
+
     cfg = pentagon_cfg(tmp_path)
     out = tmp_path / "out"
+    assert main(["flow", "--config", str(cfg), "--seed", "3",
+                 "--delta", "1.0", "--out", str(tmp_path / "clipped")]) == 0
+    assert load(tmp_path / "clipped" / "summary.json")["outcomes"] == {"converged-flat": 1}
+    monkeypatch.setattr(rf.EmbeddedSphere, "perturbed", outside)
     assert main(["flow", "--config", str(cfg), "--seed", "3",
                  "--delta", "1.0", "--out", str(out)]) == 0
     summary = load(out / "summary.json")

@@ -6,7 +6,16 @@ import pytest
 
 import radonflow as rf
 from conftest import DIRECT_SUM, sample_spanning_points
-from oracles import chirotope, field_evaluate, field_flow, local_curvature, min_pair_distance, velocity
+from oracles import (
+    chirotope,
+    field_evaluate,
+    field_flow,
+    local_curvature,
+    min_pair_distance,
+    perturbed_positions,
+    velocity,
+)
+from radonflow import flow
 from radonflow.flow import _collided, _Field, _renormalized, _screen_direction
 
 # the sampled-shape gate: (n, d, rep) with a configuration drawn from
@@ -16,8 +25,6 @@ SAMPLED_SHAPES = [
     for n, d in ((7, 2), (8, 2), (7, 3), (8, 3), (9, 2), (9, 3), (8, 4), (9, 4))
     for rep in range(3)
 ]
-# the gate's runs whose perturbation itself pushes a vertex out of its face
-STEP_0_FACE_EXITS = {(7, 3, 1), (9, 2, 0), (9, 3, 1), (8, 4, 0), (8, 4, 2), (9, 4, 0)}
 # census shapes (n, d, sample): every element, or a default_rng(0) sample of
 # that many, flows from its barycentric embedding back to itself.  When
 # every step doubled the last at TOL_CURV = 1e-8, 52 of the 270 (5,1)
@@ -27,10 +34,13 @@ REALIZED_SHAPES = [
 ]
 
 
-def sampled_sphere(n, d, rep):
+def sampled_config(n, d, rep):
     pts = sample_spanning_points(n, d, np.random.default_rng([1, n, d, rep]))
-    rc = rf.geometric_radon_complex(rf.PointConfiguration(pts.astype(float), d))
-    return rf.EmbeddedSphere.from_geometric(rc)
+    return rf.PointConfiguration(pts.astype(float), d)
+
+
+def sampled_sphere(n, d, rep):
+    return rf.EmbeddedSphere.from_geometric(rf.geometric_radon_complex(sampled_config(n, d, rep)))
 
 
 @pytest.fixture(scope="module")
@@ -233,21 +243,25 @@ def test_field_alone_does_not_flatten_the_pentagon(pentagon_sphere, seed):
 
 @pytest.mark.parametrize("n,d,rep", SAMPLED_SHAPES)
 def test_flow_flattens_sampled_shapes(n, d, rep):
+    # the perturbation clipped to each face's margin, every run converges;
+    # before the clip, six of these runs left a face at step 0
+    config = sampled_config(n, d, rep)
     s = sampled_sphere(n, d, rep)
     final, trace = rf.integrate(s.perturbed(0.01, np.random.default_rng([rep])))
-    if (n, d, rep) in STEP_0_FACE_EXITS:
-        # delta is not scaled to each face's margin (ROADMAP item 2, direction 4)
-        assert trace.outcome == rf.OUTCOME_FACE_EXIT and len(trace.samples) == 1
-        assert trace.samples[0].curv_max > 1.0
-        return
     assert trace.outcome == rf.OUTCOME_CONVERGED, trace.outcome
-    # (9,4) reps 1 and 2 take 881 and 1273 steps
+    # (9,4) reps 1 and 2 take 879 and 1264 steps
     assert len(trace.samples) - 1 < (2500 if (n, d) == (9, 4) else 2000)
-    assert rf.circuits_of_points(rf.recover_configuration(final)) == s.matroid
+    recovered = rf.recover_configuration(final)
+    assert rf.circuits_of_points(recovered) == s.matroid
+    assert rf.same_chirotope(recovered, config)
 
 
 def test_face_exit_on_large_perturbation(pentagon_sphere):
-    s = pentagon_sphere.perturbed(1.0, np.random.default_rng(3))
+    P = pentagon_sphere.rep_positions()
+    # a perturbation this large once left a face; clipped to each face's
+    # margin none does, so the start is built outside one
+    P[0] *= -1.0  # keeps both defining equations, swaps the face
+    s = rf.EmbeddedSphere(pentagon_sphere.matroid, pentagon_sphere.graph, P, validate=False)
     final, trace = rf.integrate(s)
     assert trace.outcome == rf.OUTCOME_FACE_EXIT
     assert len(trace.samples) == 1  # detected before any step
@@ -269,12 +283,12 @@ def test_trials_that_leave_a_face_are_never_evaluated(monkeypatch):
     start = s.perturbed(0.01, np.random.default_rng([0]))
     field, P = _Field(start), start.rep_positions()
     g = field.stats(field.evaluate(P))[1]
-    assert start.face_violations(_renormalized(P - 0.1 * g), 0.0).any()
+    assert (start.face_margins(_renormalized(P - 0.1 * g)) <= 0.0).any()
     left = []
     evaluate = _Field.evaluate
 
     def watched(self, P):
-        left.append(bool(start.face_violations(P, 0.0).any()))
+        left.append(bool((start.face_margins(P) <= 0.0).any()))
         return evaluate(self, P)
 
     monkeypatch.setattr(_Field, "evaluate", watched)
@@ -417,6 +431,103 @@ def test_perturbed_respects_faces(pentagon_sphere):
     same = pentagon_sphere.perturbed(0.0, np.random.default_rng(4))
     drift = np.abs(same.rep_positions() - pentagon_sphere.rep_positions()).max()
     assert drift < 1e-12
+
+
+@pytest.mark.parametrize("name", ["pentagon", "hexagon", "(9,4)"])
+def test_perturbed_equals_the_per_face_oracle_bit_for_bit(pentagon_sphere, hexagon_sphere, name):
+    # one SVD per support size gives the tangent bases one SVD per face gave,
+    # and the draws come in the same order
+    sphere = {"pentagon": pentagon_sphere, "hexagon": hexagon_sphere}.get(name)
+    sphere = sphere or sampled_sphere(9, 4, 0)
+    for delta in (0.0, 0.01, 0.05, 1.0):
+        for seed in range(3):
+            got = sphere.perturbed(delta, np.random.default_rng([seed, 5])).rep_positions()
+            want = perturbed_positions(sphere, delta, np.random.default_rng([seed, 5]))
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["pentagon", "hexagon", "(9,4)"])
+def test_perturbation_is_clipped_to_half_each_face_margin(pentagon_sphere, hexagon_sphere, name):
+    sphere = {"pentagon": pentagon_sphere, "hexagon": hexagon_sphere}.get(name)
+    sphere = sphere or sampled_sphere(9, 4, 0)
+    P0 = sphere.rep_positions()
+    margins = sphere.face_margins(P0).min(axis=1)
+    for delta in (0.01, 1.0, 100.0):
+        s = sphere.perturbed(delta, np.random.default_rng(4))
+        rf.EmbeddedSphere(s.matroid, s.graph, s.rep_positions())  # validates every face
+        assert (s.face_margins(s.rep_positions()) > 0.0).all()
+        moved = np.linalg.norm(s.rep_positions() - P0, axis=1)
+        assert (moved <= np.minimum(delta, margins / 2.0) * (1.0 + 1e-9)).all()
+    # at delta = 1 the pentagon's unclipped start left a face before its first step
+    _, trace = rf.integrate(sphere.perturbed(1.0, np.random.default_rng(3)), rf.FlowParams(max_steps=1))
+    assert trace.outcome != rf.OUTCOME_FACE_EXIT
+
+
+def test_margins_rule_out_collisions():
+    # states with exact zeros off every support, where two vertices agree
+    # on every coordinate their faces share and differ only where their
+    # sign vectors do, by amounts down to 1e-12: a smallest face margin of
+    # at least 2 COLLISION_DIST leaves every pair at least COLLISION_DIST apart
+    s = sampled_sphere(8, 4, 1)
+    signs = s.signs.astype(float)
+    rng = np.random.default_rng(0)
+    close_calls = 0
+    for _ in range(400):
+        P = signs * 10.0 ** rng.uniform(-1.0, 0.0, signs.shape)
+        i, j = rng.choice(s.n_reps, size=2, replace=False)
+        flip = rng.choice([1.0, -1.0])  # near the other vertex, or near its antipode
+        same = signs[i] == flip * signs[j]
+        P[j, same] = flip * P[i, same]
+        tiny = 10.0 ** rng.uniform(-12.0, -8.0)
+        for k in (i, j):
+            differ = ~same & (signs[k] != 0)
+            P[k, differ] = signs[k, differ] * tiny * rng.uniform(1.0, 2.0, differ.sum())
+        margin = s.face_margins(P).min()
+        if margin >= 2.0 * rf.COLLISION_DIST:
+            assert min_pair_distance(P) >= rf.COLLISION_DIST
+            close_calls += min_pair_distance(P) < 1e-8
+    assert close_calls > 10
+
+
+def test_collision_check_runs_only_where_margins_cannot_rule_it_out(pentagon_sphere, monkeypatch):
+    calls = []
+    collided = flow._collided
+
+    def counted(P, u):
+        calls.append(1)
+        return collided(P, u)
+
+    monkeypatch.setattr(flow, "_collided", counted)
+    start = pentagon_sphere.perturbed(0.05, np.random.default_rng(5))
+    _, trace = rf.integrate(start, rf.FlowParams(max_steps=8))
+    assert len(trace.samples) - 1 == 8 and calls == []
+    # a start with off-support leakage (at most EPS_SIGN, so still valid)
+    # has no exact zeros to reason from: every step is checked
+    P = start.rep_positions()
+    k, e = np.argwhere(start.signs == 0)[0]
+    P[k, e] = 0.5 * rf.EPS_SIGN
+    leaky = rf.EmbeddedSphere(start.matroid, start.graph, P)
+    _, trace = rf.integrate(leaky, rf.FlowParams(max_steps=8))
+    assert len(trace.samples) - 1 == 8 and len(calls) == 8
+
+
+def test_same_chirotope_is_the_circuit_comparison(hexagon_config, spheres):
+    flipped = rf.PointConfiguration(hexagon_config.points * [-1.0, 1.0], 2)
+    swapped = rf.PointConfiguration(hexagon_config.points[[1, 0, 2, 3, 4, 5]], 2)
+    assert rf.circuits_of_points(flipped) == rf.circuits_of_points(hexagon_config)
+    assert rf.same_chirotope(flipped, hexagon_config)
+    assert rf.circuits_of_points(swapped) != rf.circuits_of_points(hexagon_config)
+    assert not rf.same_chirotope(swapped, hexagon_config)
+    assert not rf.same_chirotope(hexagon_config, rf.PointConfiguration(hexagon_config.points[:5], 2))
+    s = spheres["direct sum"]
+    config = rf.PointConfiguration(np.asarray(DIRECT_SUM, float), 2)
+    for seed in range(4):
+        final, trace = rf.integrate(s.perturbed(0.05, np.random.default_rng(seed)))
+        assert trace.outcome == rf.OUTCOME_CONVERGED
+        recovered = rf.recover_configuration(final)
+        assert rf.circuits_of_points(recovered) == s.matroid
+        assert rf.same_chirotope(recovered, config)
+        assert not rf.same_chirotope(recovered, swapped)
 
 
 def test_embedded_sphere_validation(pentagon_sphere):
