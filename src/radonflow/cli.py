@@ -6,12 +6,13 @@ Subcommands:
   macphersonian  the exact weak-map poset at small n, with homology
   homology       GF(2) Betti numbers of a complex or poset file
 
-Exit codes: 0 success (face exits included), 2 input error, 3 unsupported
-range, 4 numerical failure.  All runs with the same inputs and seed write
-byte-identical outputs apart from the generated_at stamps.  Every JSON
-output is laid out as json.dumps(payload, indent=2, sort_keys=True) lays it
-out, byte for byte: 2-space indent, sorted keys, ASCII only (non-ASCII
-characters as \\u escapes), NaN and Infinity as json spells them.
+Exit codes: 0 success (every flow outcome, per-rep errors included), 2
+input error, 3 unsupported range, 4 numerical failure.  All runs with the
+same inputs and seed write byte-identical outputs apart from the
+generated_at stamps.  Every JSON output is laid out as json.dumps(payload,
+indent=2, sort_keys=True) lays it out, byte for byte: 2-space indent,
+sorted keys, ASCII only (non-ASCII characters as \\u escapes), NaN and
+Infinity as json spells them.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _write_json(out / "sphere_report.json", sphere_payload)
     status = "ok" if report.ok and matches else "MISMATCH"
     print(
-        f"analyze: {config.n} points in R^{config.d}: {len(matroid.circuits)} circuits, "
+        f"analyze: {config.n} points in R^{config.d}: {len(matroid.signs)} circuits, "
         f"{len(rc.graph.vertices)} vertices, {len(rc.graph.edges)} edges, "
         f"chi={report.euler_characteristic} ({status})"
     )

@@ -191,9 +191,9 @@ def _ordered_vertices(circuits: tuple[Circuit, ...]) -> tuple[SignedCircuitVerte
     return tuple(reps + [v.antipode() for v in reps])
 
 
-def _vertex_rows(circuits: tuple[Circuit, ...], n: int) -> np.ndarray:
-    """The kernel rows of _ordered_vertices(circuits)."""
-    rows = _pack(_signs(circuits, n))
+def _vertex_rows(m: OrientedMatroid) -> np.ndarray:
+    """The kernel rows of _ordered_vertices(m.sorted_circuits)."""
+    rows = _pack(m.signs)
     return np.concatenate([rows, _negated(rows)])
 
 
@@ -411,15 +411,13 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     first, as tuples do), whose bytes compare as those tuples do.  No Cell
     object is built (see RadonComplex.facets).
     """
-    dependences = circuit_dependences(config)
+    signs, dependences = circuit_dependences(config)
     n, d = config.n, config.d
-    matroid = OrientedMatroid(GroundSet(n, d), frozenset(dependences))
-    circuits = matroid.sorted_circuits
-    vertices = _ordered_vertices(circuits)
-    placed = project_to_gamma(np.array([dependences[c] for c in circuits]))
+    matroid = OrientedMatroid(GroundSet(n, d), signs)
+    placed = project_to_gamma(dependences)
     positions = np.concatenate([placed, -placed])
 
-    rows = _vertex_rows(circuits, n)
+    rows = _vertex_rows(matroid)
     realized = _composition_closure(rows)
     supports, which = _supports(realized, n)
     cell_dims = _dependence_dims(config, supports)[which] - 1
@@ -440,6 +438,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     # distinct 1-cells close over distinct pairs, as each is its pair's composition
     at = offsets[:-1][edge]
     pairs = np.sort(vertex[at] * len(rows) + vertex[at + 1], kind="stable")
+    vertices = _ordered_vertices(matroid.sorted_circuits)
     graph = CircuitGraph(vertices, np.stack(np.divmod(pairs, len(rows)), axis=1), rows)
 
     keys = np.zeros((len(cells), 1 + sizes.max(initial=0)), ">u4")
@@ -481,11 +480,10 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     on first read; for a malformed circuit set they need not close, and the
     read raises ValueError.
     """
-    circuits = m.sorted_circuits
-    rows = _vertex_rows(circuits, m.n)
+    rows = _vertex_rows(m)
     first, second, _, _, edge = _compositions(rows)
     edges = np.stack([first[edge], second[edge]], axis=1)
-    return CircuitGraph(_ordered_vertices(circuits), edges, rows)
+    return CircuitGraph(_ordered_vertices(m.sorted_circuits), edges, rows)
 
 
 def _labels(*graphs: CircuitGraph) -> list[np.ndarray]:

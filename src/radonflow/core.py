@@ -7,7 +7,8 @@ with lam_i > 0 and B those with lam_i < 0.  Equivalently A|B is a minimal
 Radon partition: conv(A) and conv(B) intersect, and no proper subset has
 that property.  Circuits are stored unsigned-canonically, with the smallest
 element of A u B in the positive part; the two orientations of a circuit
-are handled by SignedCircuitVertex.
+are handled by SignedCircuitVertex.  An OrientedMatroid is its circuits'
+int8 sign rows; a Circuit is built from them only for a reader that asks.
 """
 
 from __future__ import annotations
@@ -112,10 +113,6 @@ class Circuit:
     def support(self) -> frozenset[int]:
         return self.pos | self.neg
 
-    @property
-    def is_canonical(self) -> bool:
-        return min(self.support) in self.pos
-
     def sort_key(self):
         return (len(self.support), tuple(sorted(self.support)), tuple(sorted(self.pos)))
 
@@ -156,28 +153,54 @@ class SignedCircuitVertex:
         return f"{sgn}{self.circuit!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientedMatroid:
-    """A ground set together with a finite set of circuits.
+    """A ground set together with a finite set of circuits, as sign rows.
 
-    The constructor checks only basic well-formedness (element ranges and
-    support sizes); structural axioms are verified separately by
-    check_circuit_axioms so that defective hand-entered inputs can be
-    represented and reported on.
+    signs is a read-only (m, n) int8 array, +1 on a circuit's positive part
+    and -1 on its negative part (column e-1 for element e), its distinct
+    rows in Circuit.sort_key order (_ordered_rows); == compares the ground
+    sets and the arrays.  from_circuits builds one from Circuits.  Only the
+    rows' shape, entries and supports are checked: check_circuit_axioms
+    reports a row stored with its smallest element negative, or with its
+    negation.
     """
 
     ground: GroundSet
-    circuits: frozenset[Circuit]
+    signs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "circuits", frozenset(self.circuits))
-        for c in self.circuits:
-            if any(e > self.ground.n for e in c.support):
-                raise ValueError(f"circuit {c!r} uses an element beyond n={self.ground.n}")
-            if len(c.support) > self.ground.d + 2:
-                raise ValueError(
-                    f"circuit {c!r} has support larger than d + 2 = {self.ground.d + 2}"
-                )
+        signs = np.asarray(self.signs, np.int8)
+        valid = signs.ndim == 2 and signs.shape[1] == self.n and (np.sign(signs) == signs).all()
+        if not valid or not signs.any(axis=1).all():
+            raise ValueError(f"circuit sign rows must be nonzero rows of {self.n} entries +1, -1 or 0")
+        signs = _ordered_rows(signs)[0]
+        signs.flags.writeable = False
+        object.__setattr__(self, "signs", signs)
+        wide = np.flatnonzero((signs != 0).sum(axis=1) > self.d + 2)
+        if len(wide):
+            c = self.sorted_circuits[wide[0]]
+            raise ValueError(f"circuit {c!r} has support larger than d + 2 = {self.d + 2}")
+
+    @classmethod
+    def from_circuits(cls, ground: GroundSet, circuits) -> "OrientedMatroid":
+        """The matroid of hand-built Circuits, in any order, repeats kept once."""
+        circuits = list(circuits)
+        for c in circuits:
+            if max(c.support) > ground.n:
+                raise ValueError(f"circuit {c!r} uses an element beyond n={ground.n}")
+        return cls(ground, _signs(circuits, ground.n))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OrientedMatroid):
+            return NotImplemented
+        return self.ground == other.ground and np.array_equal(self.signs, other.signs)
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.signs.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"OrientedMatroid(ground={self.ground!r}, circuits={self.sorted_circuits!r})"
 
     @property
     def n(self) -> int:
@@ -189,34 +212,28 @@ class OrientedMatroid:
 
     @property
     def acyclic(self) -> bool:
-        return all(c.pos and c.neg for c in self.circuits)
+        return bool(((self.signs > 0).any(axis=1) & (self.signs < 0).any(axis=1)).all())
 
     @property
     def is_uniform(self) -> bool:
-        return all(len(c.support) == self.d + 2 for c in self.circuits)
+        return bool(((self.signs != 0).sum(axis=1) == self.d + 2).all())
 
     @cached_property
     def sorted_circuits(self) -> tuple[Circuit, ...]:
-        """The circuits in Circuit.sort_key order, sorted once per matroid."""
-        return tuple(sorted(self.circuits, key=Circuit.sort_key))
+        """One Circuit per row of signs, in their order."""
+        return tuple(Circuit(**parts) for parts in _circuit_dicts(self.signs))
+
+    @cached_property
+    def circuits(self) -> frozenset[Circuit]:
+        return frozenset(self.sorted_circuits)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "circuits": [
-                {"pos": sorted(c.pos), "neg": sorted(c.neg)}
-                for c in self.sorted_circuits
-            ],
-        }
+        return {"n": self.n, "d": self.d, "circuits": _circuit_dicts(self.signs)}
 
     @staticmethod
     def from_dict(data: dict) -> "OrientedMatroid":
         ground = GroundSet(int(data["n"]), int(data["d"]))
-        cs = frozenset(
-            Circuit(frozenset(c["pos"]), frozenset(c["neg"])) for c in data["circuits"]
-        )
-        return OrientedMatroid(ground, cs)
+        return OrientedMatroid.from_circuits(ground, (Circuit(c["pos"], c["neg"]) for c in data["circuits"]))
 
 
 @dataclass(frozen=True)
@@ -286,16 +303,17 @@ class PointConfiguration:
         return PointConfiguration(np.asarray(points, dtype=float), d)
 
 
-def circuit_dependences(config: PointConfiguration) -> dict[Circuit, np.ndarray]:
+def circuit_dependences(config: PointConfiguration) -> tuple[np.ndarray, np.ndarray]:
     """Every signed circuit of a spanning configuration, with its dependence.
 
     The circuits are read off the lifted maximal minors (_gather_circuits,
     _distinct_circuits): by Cramer's rule the alternating minors of a
     (d+2)-subset are the coefficients of its dependence, so the rank rule
-    decides circuits on the bases alone.  Each dependence is returned as a
-    length-n vector, max-abs normalized, zero off the support and positive
-    on the smallest element (Bjorner, Las Vergnas, Sturmfels, White &
-    Ziegler, Oriented Matroids, ch. 3).
+    decides circuits on the bases alone.  Returns the circuits' sign rows,
+    in Circuit.sort_key order (_ordered_rows), and their dependences, one
+    length-n vector per row, max-abs normalized, zero off the support and
+    positive on the smallest element (Bjorner, Las Vergnas, Sturmfels,
+    White & Ziegler, Oriented Matroids, ch. 3).
     """
     if not config.affinely_spans():
         raise RankDeficientError("points do not affinely span R^d")
@@ -304,13 +322,8 @@ def circuit_dependences(config: PointConfiguration) -> dict[Circuit, np.ndarray]
     values = values / np.abs(values).max(axis=1, keepdims=True)
     x = np.zeros((len(spans), config.n))
     x[np.arange(len(spans))[:, None], spans] = np.where(values != 0, values, 0.0)
-    return {
-        Circuit.make(
-            (e + 1 for e, val in zip(span, vals) if val > 0),
-            (e + 1 for e, val in zip(span, vals) if val < 0),
-        ): vec
-        for span, vals, vec in zip(spans.tolist(), values.tolist(), x)
-    }
+    signs, at = _ordered_rows(np.sign(x).astype(np.int8))
+    return signs, x[np.argsort(at)]
 
 
 def circuits_of_points(config: PointConfiguration) -> OrientedMatroid:
@@ -320,9 +333,7 @@ def circuits_of_points(config: PointConfiguration) -> OrientedMatroid:
     (KERNEL_RTOL) decides which bases are singular, and no coefficient is
     rounded to zero.
     """
-    return OrientedMatroid(
-        GroundSet(config.n, config.d), frozenset(circuit_dependences(config))
-    )
+    return OrientedMatroid(GroundSet(config.n, config.d), circuit_dependences(config)[0])
 
 
 def same_chirotope(a: PointConfiguration, b: PointConfiguration) -> bool:
@@ -362,9 +373,10 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
 
 # Sign vectors.  This module alone knows their encodings: _signs turns
 # anything with .pos/.neg element sets into a +1/-1/0 int8 matrix (one row
-# per vector, column e-1 for element e), _pack turns that matrix into the
-# kernel's rows, _distinct_circuits builds the rows of the circuits that
-# _gather_circuits reads off basis values and _supports reads their
+# per vector, column e-1 for element e), _ordered_rows sorts such rows by
+# Circuit.sort_key, _circuit_dicts lists their parts, _pack turns them into
+# the kernel's rows, _distinct_circuits builds the rows of the circuits
+# that _gather_circuits reads off basis values and _supports reads their
 # distinct supports back.  In a kernel row, element e lives in word
 # (e-1) // 32 of ceil(n/32) uint64 words, its positive bit at
 # 32 + (e-1) % 32 and its negative bit at (e-1) % 32, so a row holds a sign
@@ -410,16 +422,35 @@ def _signs(vectors, n: int) -> np.ndarray:
     return out
 
 
-def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
-    """The +1/-1/0 matrix of kernel rows (the inverse of _pack), n columns;
-    elements past the rows' words read 0."""
-    k, words = rows.shape
-    pos = (rows >> _HALF)[:, :, None] & _BITS != 0
-    neg = rows[:, :, None] & _BITS != 0
-    signs = (pos.view(np.int8) - neg.view(np.int8)).reshape(k, 32 * words)
-    out = np.zeros((k, n), np.int8)
-    out[:, : min(n, 32 * words)] = signs[:, :n]
-    return out
+def _ordered_rows(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a +1/-1/0 matrix in Circuit.sort_key order, and
+    for each input row the index of its copy.  The key is the support size,
+    then the support and the positive part ascending, a prefix first: one
+    np.lexsort, the support padded past n and the positive part with -1."""
+    n = signs.shape[1]
+    column = np.arange(n)
+    support = np.sort(np.where(signs != 0, column, n), axis=1)
+    pos = np.sort(np.where(signs > 0, column, n), axis=1)
+    pos[pos == n] = -1
+    order = np.lexsort(np.vstack([pos.T[::-1], support.T[::-1], (signs != 0).sum(axis=1)]))
+    rows = signs[order]
+    fresh = np.ones(len(rows), bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    which = np.empty(len(rows), np.intp)
+    which[order] = np.cumsum(fresh) - 1
+    return rows[fresh], which
+
+
+def _circuit_dicts(signs: np.ndarray) -> list[dict]:
+    """{"pos": [...], "neg": [...]} of each row of a +1/-1/0 matrix, its
+    elements ascending."""
+    parts = []
+    for signed in (signs > 0, signs < 0):
+        row, col = np.nonzero(signed)
+        ends = np.cumsum(np.bincount(row, minlength=len(signs))).tolist()
+        elements = (col + 1).tolist()
+        parts.append([elements[a:b] for a, b in zip([0] + ends, ends)])
+    return [{"pos": pos, "neg": neg} for pos, neg in zip(*parts)]
 
 
 def _pack(signs: np.ndarray) -> np.ndarray:
@@ -637,48 +668,49 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     Violations are listed in (X, Y, e) order, X and Y running over the
     sorted circuits, each positive then negative.
     """
-    circuits = m.sorted_circuits
-    n = m.n
+    signs, n = m.signs, m.n
     minimality: list[str] = []
     canonical: list[str] = []
 
-    signs = _signs(circuits, n)
+    def c(i: int) -> Circuit:  # row i as a Circuit, for a message
+        return m.sorted_circuits[i]
+
     supports = _pack(np.abs(signs))
     inside = _conformity(supports, supports)  # [i, j]: support j <= support i
-    sizes = [len(c.support) for c in circuits]
+    sizes = (signs != 0).sum(axis=1)
     for i, j in zip(*np.nonzero(np.triu(inside | inside.T, 1))):
-        c1, c2 = circuits[i], circuits[j]
         if sizes[i] == sizes[j]:
-            minimality.append(f"{c1!r} and {c2!r} share their support")
+            minimality.append(f"{c(i)!r} and {c(j)!r} share their support")
         elif sizes[i] < sizes[j]:
-            minimality.append(f"support of {c1!r} is strictly inside {c2!r}")
+            minimality.append(f"support of {c(i)!r} is strictly inside {c(j)!r}")
         else:
-            minimality.append(f"support of {c2!r} is strictly inside {c1!r}")
+            minimality.append(f"support of {c(j)!r} is strictly inside {c(i)!r}")
 
-    seen = {(c.pos, c.neg) for c in circuits}
-    for c in circuits:
-        if not c.is_canonical:
-            canonical.append(f"{c!r} is stored with its smallest element negative")
-        if (c.neg, c.pos) in seen:
-            canonical.append(f"{c!r} is stored together with its reversal")
-
-    # weak elimination, one element e at a time: +c_k is sign row 2k and
-    # -c_k row 2k + 1; X runs over the rows with e in X+ and the Y with e in
-    # Y- are their negations -X', so each (X, Y, e) with X != X' has the
-    # target (X | -X') \ e.  That of (X', -X, e) is its negation, and the
-    # rows are closed under negation, so one is witnessed iff the other is:
-    # each pair i < j of rows through e is tested once and a failure
-    # reports both.  X goes in chunks of at most _BLOCK_WORDS words of
-    # pairs: a pair holds two intp indices and their offset copies, and its
-    # target, built one temporary row at a time; its bool comparison takes
-    # a byte per word.  The targets are not deduplicated: a sort costs more
-    # than the kernel saves on the fifth of them that repeat on the analyze
-    # ladder.  Once the chunks done hold all failures whose X lies in them,
-    # and more than ELIMINATION_CAP of those, the element's first
-    # ELIMINATION_CAP + 1 failures are among them, and they hold its share
-    # of the first ELIMINATION_CAP overall
-    both = np.hstack([signs, -signs]).reshape(-1, n)
+    both = np.hstack([signs, -signs]).reshape(-1, n)  # +c_k is row 2k, -c_k row 2k + 1
     signed = _pack(both)
+    which = _unique_rows(signed)[2]
+    negative = signs[np.arange(len(signs)), (signs != 0).argmax(axis=1)] < 0
+    reversed_ = np.isin(which[1::2], which[0::2])
+    for i in np.flatnonzero(negative | reversed_):
+        if negative[i]:
+            canonical.append(f"{c(i)!r} is stored with its smallest element negative")
+        if reversed_[i]:
+            canonical.append(f"{c(i)!r} is stored together with its reversal")
+
+    # weak elimination, one element e at a time: X runs over the rows of
+    # both with e in X+ and the Y with e in Y- are their negations -X', so
+    # each (X, Y, e) with X != X' has the target (X | -X') \ e.  That of
+    # (X', -X, e) is its negation, and the rows are closed under negation,
+    # so one is witnessed iff the other is: each pair i < j of rows through
+    # e is tested once and a failure reports both.  X goes in chunks of at
+    # most _BLOCK_WORDS words of pairs: a pair holds two intp indices and
+    # their offset copies, and its target, built one temporary row at a
+    # time; its bool comparison takes a byte per word.  The targets are not
+    # deduplicated: a sort costs more than the kernel saves on the fifth of
+    # them that repeat on the analyze ladder.  Once the chunks done hold all
+    # failures whose X lies in them, and more than ELIMINATION_CAP of those,
+    # the element's first ELIMINATION_CAP + 1 failures are among them, and
+    # they hold its share of the first ELIMINATION_CAP overall
     unit = _pack(np.eye(n, dtype=np.int8))
     clear = ~(unit | _negated(unit))
     failures: list[tuple[int, int, int]] = []
@@ -703,8 +735,8 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     failures.sort()
     elimination = [
         f"no circuit eliminates element {e + 1} between "
-        f"{'-' if i % 2 else '+'}{circuits[i // 2]!r} and "
-        f"{'-' if j % 2 else '+'}{circuits[j // 2]!r}"
+        f"{'-' if i % 2 else '+'}{c(i // 2)!r} and "
+        f"{'-' if j % 2 else '+'}{c(j // 2)!r}"
         for i, j, e in failures[:ELIMINATION_CAP]
     ]
     return AxiomReport(minimality, canonical, elimination, len(failures) > ELIMINATION_CAP)

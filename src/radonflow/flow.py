@@ -38,7 +38,6 @@ from .core import (
     TOL_CURV,
     OrientedMatroid,
     PointConfiguration,
-    _unpack,
 )
 
 # backtracking line search: sufficient-decrease fraction and largest step
@@ -99,7 +98,9 @@ class EmbeddedSphere:
 
     Positions are stored for the positive-orientation representatives only;
     the antipode of a vertex is always placed at the negated position.
-    signs holds each representative's face as a row of +1/-1/0.  Unless
+    signs holds each representative's face as a row of +1/-1/0: the
+    matroid's sign rows, whose circuits the graph's first half lists in
+    the same order (geometric_radon_complex, _circuit_graph).  Unless
     validate is False, construction checks that every position lies on the
     polytope and inside its own face.  face_margins is the package's one
     face check: validation, the flow's face tests and the perturbation's
@@ -120,7 +121,7 @@ class EmbeddedSphere:
         if pos.shape != (reps, matroid.n):
             raise ValueError(f"expected positions of shape ({reps}, {matroid.n})")
         self._pos = pos.copy()
-        self.signs = _unpack(graph.rows[:reps], matroid.n)
+        self.signs = matroid.signs
         self._on = self.signs != 0
         if validate:
             self._validate()
@@ -163,13 +164,11 @@ class EmbeddedSphere:
 
     @classmethod
     def at_barycenters(cls, matroid: OrientedMatroid) -> "EmbeddedSphere":
-        graph = combinatorial_circuit_graph(matroid)
-        signs = _unpack(graph.rows[: len(graph.vertices) // 2], matroid.n)
-        a, b = signs > 0, signs < 0
+        a, b = matroid.signs > 0, matroid.signs < 0
         pos = a / np.maximum(a.sum(axis=1, keepdims=True), 1) - b / np.maximum(
             b.sum(axis=1, keepdims=True), 1
         )
-        return cls(matroid, graph, pos)
+        return cls(matroid, combinatorial_circuit_graph(matroid), pos)
 
     def perturbed(self, delta: float, rng: np.random.Generator) -> "EmbeddedSphere":
         """Displace every representative inside its face, then renormalize.

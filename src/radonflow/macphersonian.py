@@ -6,12 +6,11 @@ exactly, as the chirotopes of rank d + 1 on n elements, and each element's
 circuits are read off its chirotope; no point is sampled.  From the
 chirotopes to poset.json the census stays one table of arrays
 (MatroidTable): its distinct circuits as sign rows and each element as a
-row of circuit ids, an OrientedMatroid being built only when one is
-indexed.  Basis exchange and the weak-map order come from the conformance
-kernel of core, with no per-pair calls.  The order is held as its strict
-pairs, sorted, never as a k x k matrix; its covers come from one join of
-the pairs with themselves, and the grades and maximal elements from the
-covers alone.
+row of circuit ids, the rows of its OrientedMatroid.  Basis exchange and
+the weak-map order come from the conformance kernel of core, with no
+per-pair calls.  The order is held as its strict pairs, sorted, never as
+a k x k matrix; its covers come from one join of the pairs with
+themselves, and the grades and maximal elements from the covers alone.
 
 The homology asked for is that of the order complex, the simplicial
 complex of chains, over GF(2).  The census reads it off the covers as
@@ -37,24 +36,23 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .core import (
-    Circuit,
     GroundSet,
     OrientedMatroid,
     _colex,
+    _circuit_dicts,
     _conforming,
     _conformity,
     _distinct_circuits,
     _fan,
     _gather_circuits,
     _negated,
+    _ordered_rows,
     _pack,
     _pairs,
-    _signs,
     _supports,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     weak_map_leq,  # the order from_elements computes; perfbench/tracing.py counts its calls here
@@ -135,10 +133,10 @@ class MatroidTable(Sequence):
 
     signs holds the distinct circuits as +1/-1/0 int8 rows (column e-1 for
     element e) in Circuit.sort_key order, and element i is the CSR row
-    ids[start[i]:start[i + 1]] of circuit ids, ascending, which is its
-    sorted_circuits order.  Indexing builds an OrientedMatroid on request,
-    the elements sharing one Circuit per id; a slice is a list of them.
-    ground is None only in a table of no elements.
+    ids[start[i]:start[i + 1]] of circuit ids, ascending, so that its
+    matroid is OrientedMatroid(ground, signs[those ids]).  Indexing builds
+    that matroid; a slice is a list of them.  ground is None only in a
+    table of no elements.
     """
 
     ground: GroundSet | None
@@ -149,34 +147,17 @@ class MatroidTable(Sequence):
     @classmethod
     def of(cls, elements) -> "MatroidTable":
         """elements itself if it is a table, else the table of a sequence of
-        OrientedMatroids sharing one ground set."""
+        OrientedMatroids sharing one ground set: their rows stacked, kept
+        once each and ordered by core._ordered_rows."""
         if isinstance(elements, MatroidTable):
             return elements
         ground = elements[0].ground if len(elements) else None
         if any(m.ground != ground for m in elements):
             raise ValueError("matroids must share the same ground set")
-        circuits = sorted({c for m in elements for c in m.circuits}, key=Circuit.sort_key)
-        column = {c: i for i, c in enumerate(circuits)}
-        held = [sorted(map(column.__getitem__, m.circuits)) for m in elements]
-        start = np.zeros(len(held) + 1, np.intp)
-        np.cumsum(list(map(len, held)), out=start[1:])
-        ids = np.fromiter(itertools.chain.from_iterable(held), np.intp, start[-1])
-        return cls(ground, _signs(circuits, ground.n if ground else 1), start, ids)
-
-    def _parts(self) -> list[tuple[list[int], list[int]]]:
-        """Each circuit's positive and negative elements, ascending."""
-        parts = []
-        for signed in (self.signs > 0, self.signs < 0):
-            row, col = np.nonzero(signed)
-            ends = np.cumsum(np.bincount(row, minlength=len(signed))).tolist()
-            elements = (col + 1).tolist()
-            parts.append([elements[a:b] for a, b in zip([0] + ends, ends)])
-        return list(zip(*parts))
-
-    @cached_property
-    def circuits(self) -> list[Circuit]:
-        """One Circuit per row of signs."""
-        return [Circuit(frozenset(pos), frozenset(neg)) for pos, neg in self._parts()]
+        rows = [m.signs for m in elements] or [np.zeros((0, 1), np.int8)]
+        signs, ids = _ordered_rows(np.concatenate(rows))
+        start = np.concatenate([[0], np.cumsum([len(m.signs) for m in elements], dtype=np.intp)])
+        return cls(ground, signs, start, ids)
 
     def __len__(self) -> int:
         return len(self.start) - 1
@@ -185,8 +166,7 @@ class MatroidTable(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]
-        held = self.ids[self.start[i] : self.start[i + 1]].tolist()
-        return OrientedMatroid(self.ground, frozenset(map(self.circuits.__getitem__, held)))
+        return OrientedMatroid(self.ground, self.signs[self.ids[self.start[i] : self.start[i + 1]]])
 
     @property
     def uniform(self) -> np.ndarray:
@@ -198,7 +178,7 @@ class MatroidTable(Sequence):
     def to_dicts(self) -> list[dict]:
         """[m.to_dict() for m in self], with one circuit dict shared by every
         element that holds it."""
-        circuits = [{"pos": pos, "neg": neg} for pos, neg in self._parts()]
+        circuits = _circuit_dicts(self.signs)
         ids, start, ground = self.ids.tolist(), self.start.tolist(), self.ground
         return [
             {"n": ground.n, "d": ground.d, "circuits": list(map(circuits.__getitem__, ids[a:b]))}
@@ -210,24 +190,17 @@ def _census_table(ground: GroundSet, spans: np.ndarray, vals: np.ndarray, held: 
     """The table of _distinct_circuits' output, in the census order: by
     circuit count, then by the circuits' sort keys, as lists.
 
-    A circuit's Circuit.sort_key is its size, its support ascending and its
-    positive part ascending, a prefix first: each span's elements off the
-    support or the positive part are padded past n or below 0, and one
-    np.lexsort ranks the circuits.  Each element's ids are its row of held
-    ranked and sorted, with a circuit held by several spans kept once (at
-    d = 1 a short circuit lies in several spans); ids of equal count
-    compare like their lists of keys, so a second np.lexsort orders the
-    elements.
+    core._ordered_rows ranks the circuits' sign rows by Circuit.sort_key.
+    Each element's ids are its row of held ranked and sorted, with a
+    circuit held by several spans kept once (at d = 1 a short circuit lies
+    in several spans); ids of equal count compare like their lists of
+    keys, so one np.lexsort orders the elements.
     """
-    n = ground.n
-    support = np.sort(np.where(vals != 0, spans, n), axis=1)
-    pos = np.sort(np.where(vals > 0, spans, n), axis=1)
-    pos[pos == n] = -1
-    by_key = np.lexsort(np.vstack([pos.T[::-1], support.T[::-1], (vals != 0).sum(axis=1)]))
-    k = len(by_key)
-    rank = np.full(k + 1, k, np.intp)  # held's -1 reads k, past every id
-    rank[by_key] = np.arange(k)
-    ids = np.sort(rank[held], axis=1)
+    k = len(spans)
+    signs = np.zeros((k, ground.n), np.int8)
+    signs[np.arange(k)[:, None], spans] = np.sign(vals)
+    signs, rank = _ordered_rows(signs)
+    ids = np.sort(np.append(rank, k)[held], axis=1)  # held's -1 reads k, past every id
     ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = k  # a circuit held by several spans counts once
     ids.sort(axis=1)
     count = (ids < k).sum(axis=1)
@@ -235,8 +208,6 @@ def _census_table(ground: GroundSet, spans: np.ndarray, vals: np.ndarray, held: 
     start = np.zeros(len(order) + 1, np.intp)
     np.cumsum(count[order], out=start[1:])
     ids = ids[order]
-    signs = np.zeros((k, n), np.int8)
-    signs[np.arange(k)[:, None], spans[by_key]] = np.sign(vals[by_key])
     return MatroidTable(ground, signs, start, ids[ids < k])
 
 
@@ -274,8 +245,7 @@ def enumerate_acyclic_oms(n: int, d: int) -> MatroidTable:
     (1980); rank 2, and corank <= 2 by duality: BLSWZ ch. 8) and, being
     acyclic, is the oriented matroid of n points spanning R^d.  They come
     as one MatroidTable, sorted by circuit count and then by the sort keys
-    of their sorted circuits, as lists; an OrientedMatroid is built only
-    when one is indexed.
+    of their sorted circuits, as lists.
     """
     if d < 1 or n < d + 2:
         raise UnsupportedRangeError(f"need d >= 1 and n >= d + 2, got n={n}, d={d}")
@@ -743,12 +713,9 @@ def cell_structure_m42(poset: MatroidPoset, grade: np.ndarray, hasse: np.ndarray
     face_vector = tuple(np.bincount(grade).tolist())
     top = np.flatnonzero(grade == grade.max())
     covers = np.bincount(hasse[:, 1], minlength=len(poset))[top]
-    held = [poset.elements[j].circuits for j in top]
-    patterns = {
-        Circuit.make(pos, {1, 2, 3, 4} - set(pos))
-        for k in (1, 2, 3)
-        for pos in itertools.combinations((1, 2, 3, 4), k)
-    }
+    table = MatroidTable.of(poset.elements)
+    held = [table.signs[table.ids[table.start[j] : table.start[j + 1]]].tolist() for j in top]
+    patterns = {(1, *p) for p in itertools.product((1, -1), repeat=3)} - {(1, 1, 1, 1)}
     return M42Report(
         face_vector=face_vector,
         euler_characteristic=sum((-1) ** g * f for g, f in enumerate(face_vector)),
@@ -756,5 +723,5 @@ def cell_structure_m42(poset: MatroidPoset, grade: np.ndarray, hasse: np.ndarray
         triangle_facets=int((covers == 3).sum()),
         matroid_facet_bijection=len(held) == len(patterns)
         and all(len(c) == 1 for c in held)
-        and set().union(*held) == patterns,
+        and {tuple(c[0]) for c in held} == patterns,
     )

@@ -99,7 +99,7 @@ def sample_degenerate_points(n, d, rng, kind):
 
 def widened(m, n, shift):
     """m with every element e relabeled e + shift, on a ground set of n elements."""
-    return rf.OrientedMatroid(
+    return rf.OrientedMatroid.from_circuits(
         rf.GroundSet(n, m.d),
         frozenset(
             rf.Circuit.make({e + shift for e in c.pos}, {e + shift for e in c.neg})

@@ -451,7 +451,7 @@ def check_circuit_axioms(m):
 
     seen = {(c.pos, c.neg) for c in circuits}
     for c in circuits:
-        if not c.is_canonical:
+        if min(c.support) not in c.pos:
             canonical.append(f"{c!r} is stored with its smallest element negative")
         if (c.neg, c.pos) in seen:
             canonical.append(f"{c!r} is stored together with its reversal")
@@ -510,11 +510,22 @@ def circuit_graph(m):
     return ReferenceGraph(vertices=vertices, edges=tuple(edges))
 
 
+def dependences_by_circuit(config):
+    """core.circuit_dependences as a dict, one Circuit per sign row, in the
+    rows' order; each row must be the signs of its dependence."""
+    signs, x = circuit_dependences(config)
+    assert signs.dtype == np.int8 and np.array_equal(signs, np.sign(x))
+    return {
+        rf.Circuit(frozenset(np.flatnonzero(row > 0) + 1), frozenset(np.flatnonzero(row < 0) + 1)): v
+        for row, v in zip(signs, x)
+    }
+
+
 def radon_complex(config):
     """Loop version of rf.geometric_radon_complex: depth-first closure of the
     signed circuits under conformal composition, then one conforming list
     per realized sign vector."""
-    dependences = circuit_dependences(config)
+    dependences = dependences_by_circuit(config)
     n, d = config.n, config.d
     lifted = config.lifted_matrix()
 
@@ -668,7 +679,7 @@ def sample_configuration(n, d, rng):
 
 def relabeled(m, perm):
     """m with element e renamed perm[e], each circuit re-canonicalized."""
-    return rf.OrientedMatroid(
+    return rf.OrientedMatroid.from_circuits(
         m.ground,
         frozenset(
             rf.Circuit.make({perm[e] for e in c.pos}, {perm[e] for e in c.neg})
@@ -728,8 +739,9 @@ def is_matroid(bases):
 
 
 def census_key(m):
-    """Circuit count, then the sort keys of the sorted circuits, as a list."""
-    return (len(m.circuits), [c.sort_key() for c in m.sorted_circuits])
+    """Circuit count, then the sort keys of the circuits, ascending, as a
+    list: sorted in Python, not read off the rows' order."""
+    return (len(m.circuits), sorted(c.sort_key() for c in m.circuits))
 
 
 def weak_map_matrix(elements):

@@ -228,7 +228,7 @@ def _damaged(m):
     big, e = cs[-1], max(cs[-1].support)
     shrunk = rf.Circuit.make(big.pos - {e}, big.neg - {e})
     reversal = rf.Circuit(cs[1].neg, cs[1].pos)
-    return rf.OrientedMatroid(m.ground, frozenset(cs[1:] + [reversal, shrunk]))
+    return rf.OrientedMatroid.from_circuits(m.ground, frozenset(cs[1:] + [reversal, shrunk]))
 
 
 LADDER = [(7, 2), (8, 2), (8, 3), (9, 3), (9, 4), (10, 5), (10, 4)]
@@ -244,7 +244,7 @@ def test_elimination_target_is_witnessed_iff_its_negation_is(n, d):
     for pts in draws:
         m = rf.circuits_of_points(rf.PointConfiguration(pts.astype(float), d))
         for matroid in (m, _damaged(m)):
-            signs = rf.core._signs(matroid.sorted_circuits, n)
+            signs = matroid.signs
             both = np.vstack([signs, -signs])
             rows = rf.core._pack(both)
             missed = 0
@@ -402,7 +402,7 @@ def test_adjacency_rule_counts_every_conformer():
     # matroid X o Y never has exactly three conformers, so this is hand-built.
     x, y = rf.Circuit.make({1}, {2}), rf.Circuit.make({3}, {4})
     z = rf.Circuit.make({1, 3}, {2, 4})
-    m = rf.OrientedMatroid(rf.GroundSet(4, 2), frozenset({x, y, z}))
+    m = rf.OrientedMatroid.from_circuits(rf.GroundSet(4, 2), frozenset({x, y, z}))
     got = _graph_or_error(lambda: rf.complexes._circuit_graph(m))
     assert got == _graph_or_error(lambda: oracles.circuit_graph(m))
 
@@ -447,12 +447,12 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
     wide = widened(rf.circuits_of_points(pentagon_config), 70, 65)  # three-word sign rows
     chain = frozenset(rf.Circuit.make({i, i + 2}, {i + 1}) for i in range(1, 69))
     broken = [_damaged(m) for m in matroids + [wide]]
-    broken.append(rf.OrientedMatroid(rf.GroundSet(70, 1), chain))  # past the cap
+    broken.append(rf.OrientedMatroid.from_circuits(rf.GroundSet(70, 1), chain))  # past the cap
     # the star {1}|{k}: every pair of its 20 circuits fails to eliminate 1,
     # 380 failures, all at one element; in blocks of one X row, the
     # mirrored failure (X', -X) turns up in X's block, before its own
     star = frozenset(rf.Circuit.make({1}, {k}) for k in range(2, 22))
-    broken.append(rf.OrientedMatroid(rf.GroundSet(21, 1), star))
+    broken.append(rf.OrientedMatroid.from_circuits(rf.GroundSet(21, 1), star))
     census = rf.enumerate_acyclic_oms(5, 1)
 
     def answers():
@@ -499,7 +499,7 @@ def test_geometric_complex_matches_the_oracle_at_the_top_rungs(n, d):
 def assert_dims_by_bases(cfg):
     """The cell dimensions read off the bases equal the per-support SVD
     rule on every support the closure realizes."""
-    rows = rf.complexes._vertex_rows(rf.circuits_of_points(cfg).sorted_circuits, cfg.n)
+    rows = rf.complexes._vertex_rows(rf.circuits_of_points(cfg))
     supports, _ = rf.core._supports(rf.complexes._composition_closure(rows), cfg.n)
     want = oracles.support_dims(cfg.lifted_matrix(), supports)
     assert np.array_equal(rf.complexes._dependence_dims(cfg, supports), want)
@@ -583,10 +583,10 @@ def test_graphs_equal_sees_one_flipped_vertex_or_one_moved_edge(hexagon_complex)
     assert rf.graphs_equal(g, rf.CircuitGraph(g.vertices, g.edges))
 
 
-def _closure_equals_oracle(circuits, n):
-    """The closure of the circuits' vertex rows equals the all-pairs one;
-    the closure's rows, for further checks."""
-    rows = rf.complexes._vertex_rows(circuits, n)
+def _closure_equals_oracle(m):
+    """The closure of m's vertex rows equals the all-pairs one; the
+    closure's rows, for further checks."""
+    rows = rf.complexes._vertex_rows(m)
     closure = rf.complexes._composition_closure(rows)
     assert np.array_equal(closure, oracles.composition_closure(rows))
     return closure
@@ -604,7 +604,7 @@ def test_closure_matches_the_all_pairs_oracle_on_the_ladder(n, d):
     ]
     for pts in draws:
         m = rf.circuits_of_points(rf.PointConfiguration(pts.astype(float), d))
-        assert len(_closure_equals_oracle(m.sorted_circuits, n)) > 2 * len(m.circuits)
+        assert len(_closure_equals_oracle(m)) > 2 * len(m.signs)
 
 
 @pytest.mark.parametrize(
@@ -621,7 +621,7 @@ def test_closure_matches_the_all_pairs_oracle_on_the_ladder(n, d):
 def test_closure_matches_the_oracle_on_small_degenerate_shapes(points, d, circuits, realized):
     m = rf.circuits_of_points(rf.PointConfiguration(np.asarray(points, float), d))
     assert len(m.circuits) == circuits
-    assert len(_closure_equals_oracle(m.sorted_circuits, m.n)) == realized
+    assert len(_closure_equals_oracle(m)) == realized
 
 
 @pytest.mark.parametrize("n, d, step", [(4, 2, 1), (5, 3, 1), (6, 4, 1), (5, 2, 7)])
@@ -629,5 +629,5 @@ def test_closure_matches_the_oracle_on_census_elements(n, d, step):
     # every element at (4,2), (5,3) and (6,4), and every 7th of the 842 at (5,2)
     elements = rf.enumerate_acyclic_oms(n, d)[::step]
     for m in elements:
-        _closure_equals_oracle(m.sorted_circuits, n)
+        _closure_equals_oracle(m)
     assert len(elements) == {(4, 2): 25, (5, 3): 90, (6, 4): 301, (5, 2): 121}[n, d]

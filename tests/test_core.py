@@ -1,4 +1,5 @@
 import functools
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -151,7 +152,7 @@ def test_axioms_pass_for_computed_matroids(pentagon_config, hexagon_config):
 
 
 def test_axioms_catch_support_nesting():
-    m = rf.OrientedMatroid(
+    m = rf.OrientedMatroid.from_circuits(
         rf.GroundSet(4, 2),
         frozenset({rf.Circuit.make({1, 2}, {3}), rf.Circuit.make({1, 2, 3}, {4})}),
     )
@@ -160,7 +161,7 @@ def test_axioms_catch_support_nesting():
 
 
 def test_axioms_catch_noncanonical_storage():
-    m = rf.OrientedMatroid(
+    m = rf.OrientedMatroid.from_circuits(
         rf.GroundSet(4, 2),
         frozenset({rf.Circuit(frozenset({2}), frozenset({1}))}),
     )
@@ -169,7 +170,7 @@ def test_axioms_catch_noncanonical_storage():
 
 
 def test_axioms_catch_missing_elimination():
-    m = rf.OrientedMatroid(
+    m = rf.OrientedMatroid.from_circuits(
         rf.GroundSet(4, 2),
         frozenset({rf.Circuit.make({1, 3}, {2}), rf.Circuit.make({2, 4}, {3})}),
     )
@@ -182,14 +183,14 @@ def test_weak_elimination_stops_at_the_cap(n):
     # the chain {i, i+2}|{i+1} has 6n - 20 elimination failures; at n = 70
     # its sign vectors span three 32-element words
     chain = frozenset(rf.Circuit.make({i, i + 2}, {i + 1}) for i in range(1, n - 1))
-    m = rf.OrientedMatroid(rf.GroundSet(n, 1), chain)
+    m = rf.OrientedMatroid.from_circuits(rf.GroundSet(n, 1), chain)
     report = rf.check_circuit_axioms(m)
     assert len(report.weak_elimination) == ELIMINATION_CAP
     assert report.elimination_truncated
     assert "truncated" in report.summary()
     assert report == oracles.check_circuit_axioms(m)
     first = sorted(chain, key=rf.Circuit.sort_key)[:30]  # 172 failures
-    below = rf.OrientedMatroid(rf.GroundSet(n, 1), frozenset(first))
+    below = rf.OrientedMatroid.from_circuits(rf.GroundSet(n, 1), frozenset(first))
     short = rf.check_circuit_axioms(below)
     assert not short.elimination_truncated and "truncated" not in short.summary()
     assert short == oracles.check_circuit_axioms(below)
@@ -199,7 +200,7 @@ def test_axioms_on_ground_sets_wider_than_64(pentagon_config):
     m = rf.circuits_of_points(pentagon_config)
     wide = widened(m, 70, 65)  # elements 66..70 of 70
     assert rf.check_circuit_axioms(wide).ok
-    broken = rf.OrientedMatroid(wide.ground, frozenset(wide.sorted_circuits[1:]))
+    broken = rf.OrientedMatroid.from_circuits(wide.ground, frozenset(wide.sorted_circuits[1:]))
     report = rf.check_circuit_axioms(broken)
     assert report.weak_elimination and not report.ok
     assert report == oracles.check_circuit_axioms(broken)
@@ -255,7 +256,6 @@ def test_signs_match_a_per_vector_loop():
         signs = rf.core._signs(vectors, 70)
         assert signs.dtype == np.int8 and signs.shape == (len(vectors), 70)
         assert np.array_equal(signs, _signs_loop(vectors, 70))
-        assert np.array_equal(rf.core._unpack(rf.core._pack(signs), 70), signs)
     assert {w for row in rf.core._signs(circuits, 70) for w in np.flatnonzero(row) // 32} == {0, 1, 2}
 
 
@@ -318,6 +318,64 @@ def test_matroid_serialization_roundtrip(square_matroid):
     assert again == square_matroid
 
 
+LADDER = [(7, 2), (8, 2), (8, 3), (9, 3), (9, 4), (10, 5), (10, 4)]
+
+
+def test_matroid_is_its_sorted_distinct_rows(hexagon_config):
+    # the same circuits in any order or with repeats give one matroid, one
+    # hash; a circuit's reversal added makes another, and the rows are
+    # read-only
+    m = rf.circuits_of_points(hexagon_config)
+    circuits = list(m.sorted_circuits)
+    rng = np.random.default_rng(28)
+    shuffled = [circuits[i] for i in rng.permutation(len(circuits))]
+    for order in (circuits[::-1], shuffled, circuits + circuits[:5]):
+        again = rf.OrientedMatroid.from_circuits(m.ground, order)
+        assert again == m and hash(again) == hash(m)
+        assert np.array_equal(again.signs, m.signs) and again.sorted_circuits == m.sorted_circuits
+    assert list(m.sorted_circuits) == sorted(m.circuits, key=rf.Circuit.sort_key)
+    x = circuits[3]
+    with_reversal = rf.OrientedMatroid.from_circuits(m.ground, circuits + [rf.Circuit(x.neg, x.pos)])
+    assert with_reversal != m and len(with_reversal.signs) == len(m.signs) + 1
+    assert rf.OrientedMatroid(m.ground, -m.signs) != m
+    assert m != rf.OrientedMatroid(rf.GroundSet(6, 3), m.signs)  # same rows, other ground set
+    assert not m.signs.flags.writeable
+    with pytest.raises(ValueError):
+        m.signs[0, 0] = -m.signs[0, 0]
+
+
+@pytest.mark.parametrize(
+    "signs, message",
+    [
+        (np.zeros((1, 5), np.int8), "nonzero"),
+        (np.array([[1, 2, 0, 0, 0]]), "entries"),
+        (np.ones((1, 4), np.int8), "rows of 5"),
+        (np.array([[1, -1, 1, -1, 1]]), "support larger than d \\+ 2 = 4"),
+    ],
+    ids=["zero-row", "entry-2", "narrow", "wide"],
+)
+def test_matroid_rejects_malformed_rows(signs, message):
+    with pytest.raises(ValueError, match=message):
+        rf.OrientedMatroid(rf.GroundSet(5, 2), signs)
+
+
+def test_from_circuits_rejects_an_element_beyond_n():
+    with pytest.raises(ValueError, match=re.escape("circuit {1,5}|{2} uses an element beyond n=4")):
+        rf.OrientedMatroid.from_circuits(rf.GroundSet(4, 2), [rf.Circuit.make({1, 5}, {2})])
+
+
+@pytest.mark.parametrize("n, d", LADDER)
+def test_matroid_dict_round_trip_on_the_ladder(n, d):
+    rng = np.random.default_rng([28, n, d])
+    draws = [sample_spanning_points(n, d, rng)]
+    draws += [sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")]
+    for pts in draws:
+        m = rf.circuits_of_points(rf.PointConfiguration(pts.astype(float), d))
+        data = m.to_dict()
+        again = rf.OrientedMatroid.from_dict(data)
+        assert again == m and hash(again) == hash(m) and again.to_dict() == data
+
+
 def test_relabeling_permutes_circuits(square_matroid):
     perm = {1: 2, 2: 3, 3: 4, 4: 1}
     moved = oracles.relabeled(square_matroid, perm)
@@ -325,10 +383,10 @@ def test_relabeling_permutes_circuits(square_matroid):
 
 
 def assert_same_scan(cfg, tol=1e-12):
-    """The circuits read off the minors are the loop scan's, and their
-    dependences agree to tol."""
-    got, want = rf.core.circuit_dependences(cfg), oracles.circuit_scan(cfg)
-    assert set(got) == set(want)
+    """The circuits read off the minors are the loop scan's, in the
+    Circuit.sort_key order, and their dependences agree to tol."""
+    got, want = oracles.dependences_by_circuit(cfg), oracles.circuit_scan(cfg)
+    assert list(got) == sorted(want, key=rf.Circuit.sort_key)
     for c, x in want.items():
         assert np.abs(got[c] - x).max() <= tol
         assert not np.signbit(got[c][got[c] == 0]).any()  # +0.0 off the support
