@@ -38,7 +38,6 @@ from .complexes import (
     validate_sphere,
 )
 from .core import (
-    OrientedMatroid,
     PointConfiguration,
     RankDeficientError,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
@@ -56,6 +55,7 @@ from .flow import (
 )
 from .macphersonian import (
     MatroidPoset,
+    MatroidTable,
     SimplicialComplex,
     UnsupportedRangeError,
     cell_structure_m42,
@@ -240,7 +240,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     status = "ok" if report.ok and matches else "MISMATCH"
     print(
         f"analyze: {config.n} points in R^{config.d}: {len(matroid.signs)} circuits, "
-        f"{len(rc.graph.vertices)} vertices, {len(rc.graph.edges)} edges, "
+        f"{len(rc.graph.signs)} vertices, {len(rc.graph.edges)} edges, "
         f"chi={report.euler_characteristic} ({status})"
     )
     return 0
@@ -416,7 +416,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
             if not all(type(x) is int and 0 <= x < k for x in (i, j)):
                 raise ValueError(f"hasse pair {json.dumps([i, j])} names no element of 0..{k - 1}")
             pairs.append([i, j])
-        poset = MatroidPoset.from_elements([OrientedMatroid.from_dict(m) for m in data["elements"]])
+        poset = MatroidPoset.from_elements(MatroidTable.from_dicts(data["elements"]))
         pairs = np.unique(np.array(pairs, np.intp).reshape(-1, 2), axis=0)
         if not np.array_equal(pairs, poset.hasse_pairs()):
             raise ValueError("'hasse' is not the cover relation of the weak-map order of 'elements'")

@@ -33,15 +33,16 @@ from .core import (
     SignedCircuitVertex,
     check_circuit_axioms,
     circuit_dependences,
+    _BITS,
     _HALF,
     _LOW,
+    _circuit_dicts,
     _conforming,
     _counts,
     _fan,
     _negated,
     _pack,
     _pairs,
-    _signs,
     _supports,
     _unique_rows,
 )
@@ -94,54 +95,57 @@ class Cell:
 
 @dataclass(eq=False)
 class CircuitGraph:
-    """Vertices (signed circuits) and edges; the cycles are derived.
+    """Vertices as sign rows, and edges; the rest is derived.
 
-    rows holds the vertices' kernel sign rows (core's encoding), built from
-    the vertices when not given.  A vertex is its sign vector: the checks
-    and comparisons below read rows, never vertex objects.  edges is the
-    (E, 2) intp array of the edges' endpoints, built from any list of
-    pairs; the program's graphs list each edge as i < j, rows ascending.
-    == is identity: graphs_equal compares graphs.  cycles partitions the
-    edges into closed cycles (_partition_edges_into_cycles), walked on
-    first read: the ValueError for edges that do not close is raised then,
-    not by the constructor, so a graph built by hand passes no cycles.
+    signs is the vertices' (V, n) int8 array of sign vectors, +1/-1/0
+    (column e-1 for element e): in the program's graphs the matroid's rows,
+    then their negations, so vertex i + V/2 is vertex i's antipode.  The
+    checks and comparisons read rows, the kernel's packing of signs;
+    vertices, one SignedCircuitVertex per row, is built only when read.
+    edges is the (E, 2) intp array of the edges' endpoints, from any list
+    of pairs; the program's graphs list each edge as i < j, rows ascending.
+    == is identity: graphs_equal compares graphs.  cycles, the edges'
+    partition into closed cycles (_partition_edges_into_cycles), is walked
+    on first read, which raises the ValueError for edges that do not close.
     """
 
-    vertices: tuple[SignedCircuitVertex, ...]
+    signs: np.ndarray
     edges: np.ndarray
-    rows: np.ndarray | None = field(default=None, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rows is None:
-            n = max((max(v.support) for v in self.vertices), default=1)
-            self.rows = _pack(_signs(self.vertices, n))
         self.edges = np.asarray(self.edges, np.intp).reshape(-1, 2)
+        self.rows = _pack(self.signs)
 
     @cached_property
     def cycles(self) -> tuple[Cycle, ...]:
         """The cycle partition of the edges, walked on first read."""
-        return _partition_edges_into_cycles(self.vertices, self.rows, *self.edges.T)
+        return _partition_edges_into_cycles(self.rows, *self.edges.T)
 
     @cached_property
     def cycle_pairs(self) -> list[list[tuple[int, int]]]:
         """Per vertex, its two neighbors on each cycle through it, in cycle order."""
-        pairs: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(len(self.signs))]
         for cyc in self.cycles:
             seq = cyc.vertex_seq
             for v, before, after in zip(seq, seq[-1:] + seq[:-1], seq[1:] + seq[:1]):
                 pairs[v].append((before, after))
         return pairs
 
+    def _circuits(self) -> tuple[list[dict], list[int]]:
+        """Each vertex's circuit as {"pos", "neg"}, its smallest element
+        positive (the rule of Circuit.make), and the vertex's sign there."""
+        lead = self.signs[np.arange(len(self.signs)), (self.signs != 0).argmax(axis=1)]
+        return _circuit_dicts(self.signs * lead[:, None]), lead.tolist()
+
+    @cached_property
+    def vertices(self) -> tuple[SignedCircuitVertex, ...]:
+        """The vertices as SignedCircuitVertex objects, built on first use."""
+        return tuple(SignedCircuitVertex(Circuit(**c), s) for c, s in zip(*self._circuits()))
+
     def to_dict(self) -> dict:
         return {
-            "vertices": [
-                {
-                    "pos": sorted(v.circuit.pos),
-                    "neg": sorted(v.circuit.neg),
-                    "sign": v.orientation,
-                }
-                for v in self.vertices
-            ],
+            "vertices": [{**c, "sign": s} for c, s in zip(*self._circuits())],
             "edges": self.edges.tolist(),
             "cycles": [
                 {"support": sorted(c.support), "edge_ids": list(c.edge_ids)}
@@ -182,23 +186,11 @@ class RadonComplex:
 
     def euler_characteristic(self) -> int:
         odd = int(np.count_nonzero(self.facet_dims & 1))
-        return len(self.graph.vertices) - len(self.graph.edges) + len(self.facet_dims) - 2 * odd
-
-
-def _ordered_vertices(circuits: tuple[Circuit, ...]) -> tuple[SignedCircuitVertex, ...]:
-    """Positive orientations first, antipodes mirrored after; index i <-> i + R."""
-    reps = [SignedCircuitVertex(c, 1) for c in circuits]
-    return tuple(reps + [v.antipode() for v in reps])
-
-
-def _vertex_rows(m: OrientedMatroid) -> np.ndarray:
-    """The kernel rows of _ordered_vertices(m.sorted_circuits)."""
-    rows = _pack(m.signs)
-    return np.concatenate([rows, _negated(rows)])
+        return len(self.graph.signs) - len(self.graph.edges) + len(self.facet_dims) - 2 * odd
 
 
 def _partition_edges_into_cycles(
-    vertices, rows: np.ndarray, first: np.ndarray, second: np.ndarray
+    rows: np.ndarray, first: np.ndarray, second: np.ndarray
 ) -> tuple[Cycle, ...]:
     """Group edges by the support of the composed sign vector and walk cycles.
 
@@ -208,9 +200,10 @@ def _partition_edges_into_cycles(
     elements sorted from the largest down, which is the order of their
     support bitmasks read as integers: one stable lexsort of the support
     words, most significant word first, groups the edges by tag in edge
-    order.  Within one tag every incident vertex must have exactly two
-    incident edges; each connected component is then a closed cycle, walked
-    from its smallest vertex towards its smaller (neighbor, edge) first.
+    order, and each cycle's support is read off its tag's words.  Within
+    one tag every incident vertex must have exactly two incident edges; each
+    connected component is then a closed cycle, walked from its smallest
+    vertex towards its smaller (neighbor, edge) first.
 
     Each edge end is a slot (tag, vertex, neighbor, edge), sorted so that
     the two slots of a (tag, vertex) are adjacent, the smaller neighbor
@@ -228,11 +221,9 @@ def _partition_edges_into_cycles(
     fresh = np.ones(len(order), bool)
     fresh[1:] = (tags[1:] != tags[:-1]).any(axis=1)
     tag_of = np.cumsum(fresh) - 1
-    head = order[fresh]  # each tag's first edge
-    supports = [
-        vertices[i].support | vertices[j].support
-        for i, j in zip(first[head].tolist(), second[head].tolist())
-    ]
+    heads = tags[fresh]  # each tag's support words: column e - 1 of bits is element e
+    bits = (heads[:, :, None] & _BITS != 0).reshape(len(heads), 32 * heads.shape[1])
+    supports = [frozenset(c["pos"]) for c in _circuit_dicts(bits.view(np.int8))]
 
     # slot i < E is the first end of the i-th edge in tag order, slot i + E
     # its second end; sorted by (tag, vertex), then each pair of slots
@@ -417,7 +408,8 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     placed = project_to_gamma(dependences)
     positions = np.concatenate([placed, -placed])
 
-    rows = _vertex_rows(matroid)
+    signs = np.concatenate([matroid.signs, -matroid.signs])
+    rows = _pack(signs)
     realized = _composition_closure(rows)
     supports, which = _supports(realized, n)
     cell_dims = _dependence_dims(config, supports)[which] - 1
@@ -438,8 +430,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     # distinct 1-cells close over distinct pairs, as each is its pair's composition
     at = offsets[:-1][edge]
     pairs = np.sort(vertex[at] * len(rows) + vertex[at + 1], kind="stable")
-    vertices = _ordered_vertices(matroid.sorted_circuits)
-    graph = CircuitGraph(vertices, np.stack(np.divmod(pairs, len(rows)), axis=1), rows)
+    graph = CircuitGraph(signs, np.stack(np.divmod(pairs, len(rows)), axis=1))
 
     keys = np.zeros((len(cells), 1 + sizes.max(initial=0)), ">u4")
     keys[:, 0] = cell_dims
@@ -480,10 +471,9 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     on first read; for a malformed circuit set they need not close, and the
     read raises ValueError.
     """
-    rows = _vertex_rows(m)
-    first, second, _, _, edge = _compositions(rows)
-    edges = np.stack([first[edge], second[edge]], axis=1)
-    return CircuitGraph(_ordered_vertices(m.sorted_circuits), edges, rows)
+    signs = np.concatenate([m.signs, -m.signs])
+    first, second, _, _, edge = _compositions(_pack(signs))
+    return CircuitGraph(signs, np.stack([first[edge], second[edge]], axis=1))
 
 
 def _labels(*graphs: CircuitGraph) -> list[np.ndarray]:
@@ -563,7 +553,7 @@ def validate_sphere(c: RadonComplex, n: int, d: int) -> SphereReport:
     """
     failures: list[str] = []
     g = c.graph
-    count = len(g.vertices)
+    count = len(g.signs)
     sphere_dim = n - d - 2
     expected = 1 + (-1) ** sphere_dim
     chi = c.euler_characteristic()

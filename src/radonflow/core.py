@@ -6,9 +6,9 @@ affine dependence: sum_i lam_i p_i = 0 with sum_i lam_i = 0, A the elements
 with lam_i > 0 and B those with lam_i < 0.  Equivalently A|B is a minimal
 Radon partition: conv(A) and conv(B) intersect, and no proper subset has
 that property.  Circuits are stored unsigned-canonically, with the smallest
-element of A u B in the positive part; the two orientations of a circuit
-are handled by SignedCircuitVertex.  An OrientedMatroid is its circuits'
-int8 sign rows; a Circuit is built from them only for a reader that asks.
+element of A u B in the positive part.  An OrientedMatroid is its circuits'
+int8 sign rows, a circuit graph's vertices those rows and their negations;
+a Circuit or SignedCircuitVertex is built only for a reader that asks.
 """
 
 from __future__ import annotations
@@ -177,19 +177,12 @@ class OrientedMatroid:
         signs = _ordered_rows(signs)[0]
         signs.flags.writeable = False
         object.__setattr__(self, "signs", signs)
-        wide = np.flatnonzero((signs != 0).sum(axis=1) > self.d + 2)
-        if len(wide):
-            c = self.sorted_circuits[wide[0]]
-            raise ValueError(f"circuit {c!r} has support larger than d + 2 = {self.d + 2}")
+        _check_width(signs, self.d)
 
     @classmethod
     def from_circuits(cls, ground: GroundSet, circuits) -> "OrientedMatroid":
         """The matroid of hand-built Circuits, in any order, repeats kept once."""
-        circuits = list(circuits)
-        for c in circuits:
-            if max(c.support) > ground.n:
-                raise ValueError(f"circuit {c!r} uses an element beyond n={ground.n}")
-        return cls(ground, _signs(circuits, ground.n))
+        return cls(ground, _signs(list(circuits), ground.n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrientedMatroid):
@@ -232,8 +225,35 @@ class OrientedMatroid:
 
     @staticmethod
     def from_dict(data: dict) -> "OrientedMatroid":
-        ground = GroundSet(int(data["n"]), int(data["d"]))
-        return OrientedMatroid.from_circuits(ground, (Circuit(c["pos"], c["neg"]) for c in data["circuits"]))
+        """The matroid to_dict writes: _circuit_table of one element."""
+        ground, signs, _, _ = _circuit_table([data])
+        return OrientedMatroid(ground, signs)
+
+
+def _check_width(signs: np.ndarray, d: int) -> None:
+    """ValueError naming the first row of signs whose support exceeds d + 2."""
+    wide = np.flatnonzero((signs != 0).sum(axis=1) > d + 2)
+    if len(wide):
+        c = Circuit(**_circuit_dicts(signs[wide[:1]])[0])
+        raise ValueError(f"circuit {c!r} has support larger than d + 2 = {d + 2}")
+
+
+def _circuit_table(elements) -> tuple[GroundSet, np.ndarray, np.ndarray, np.ndarray]:
+    """Matroid dicts, as to_dict writes them, as one table: the shared
+    ground set, the distinct circuits' rows (_ordered_rows), and start and
+    ids, element i's ascending circuit ids being ids[start[i]:start[i + 1]].
+    Each listed circuit passes through one Circuit, whose checks name a
+    malformed part; one _signs, one _ordered_rows and one np.unique of
+    (element, id) keys then serve every element."""
+    grounds = [GroundSet(int(data["n"]), int(data["d"])) for data in elements]
+    if any(g != grounds[0] for g in grounds):
+        raise ValueError("matroids must share the same ground set")
+    listed = [[Circuit(c["pos"], c["neg"]) for c in data["circuits"]] for data in elements]
+    signs, which = _ordered_rows(_signs(list(itertools.chain(*listed)), grounds[0].n))
+    _check_width(signs, grounds[0].d)
+    keys = np.unique(np.repeat(np.arange(len(listed)), list(map(len, listed))) * len(signs) + which)
+    owner, ids = np.divmod(keys, max(1, len(signs)))
+    return grounds[0], signs, np.searchsorted(owner, np.arange(len(listed) + 1)), ids
 
 
 @dataclass(frozen=True)
@@ -411,12 +431,16 @@ def _signs(vectors, n: int) -> np.ndarray:
     """+1 on each vector's pos, -1 on its neg, 0 elsewhere; one int8 row each.
 
     One scatter: the parts are listed pos, neg, pos, neg, ... and part p
-    fills row p // 2 with +1 or -1 as p is even or odd.
+    fills row p // 2 with +1 or -1 as p is even or odd.  A vector with an
+    element beyond n raises ValueError, naming the first.
     """
     parts = [part for v in vectors for part in (v.pos, v.neg)]
     sizes = list(map(len, parts))
     part = np.repeat(np.arange(len(parts)), sizes)
     elements = np.fromiter(itertools.chain.from_iterable(parts), np.intp, len(part))
+    if (elements > n).any():
+        v = vectors[part[np.argmax(elements > n)] >> 1]
+        raise ValueError(f"circuit {v!r} uses an element beyond n={n}")
     out = np.zeros((len(vectors), n), np.int8)
     out[part >> 1, elements - 1] = _SIGN_OF_PART[part & 1]
     return out

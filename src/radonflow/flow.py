@@ -96,15 +96,14 @@ class FlowTrace:
 class EmbeddedSphere:
     """A circuit graph with one position per vertex, antipodally paired.
 
-    Positions are stored for the positive-orientation representatives only;
-    the antipode of a vertex is always placed at the negated position.
-    signs holds each representative's face as a row of +1/-1/0: the
-    matroid's sign rows, whose circuits the graph's first half lists in
-    the same order (geometric_radon_complex, _circuit_graph).  Unless
-    validate is False, construction checks that every position lies on the
-    polytope and inside its own face.  face_margins is the package's one
-    face check: validation, the flow's face tests and the perturbation's
-    radius all read it.
+    Positions are stored for the representatives only, the first half of
+    the graph's vertices, whose faces are the rows of signs: the matroid's
+    sign rows, as the graph's first half (geometric_radon_complex,
+    _circuit_graph).  Vertex k + reps, the antipode of vertex k, sits at
+    the negated position.  Unless validate is False, construction checks
+    that every position lies on the polytope and inside its own face.
+    face_margins is the package's one face check: validation, the flow's
+    face tests and the perturbation's radius all read it.
     """
 
     def __init__(
@@ -116,7 +115,7 @@ class EmbeddedSphere:
     ) -> None:
         self.matroid = matroid
         self.graph = graph
-        reps = len(graph.vertices) // 2
+        reps = len(graph.signs) // 2
         pos = np.asarray(rep_positions, dtype=float)
         if pos.shape != (reps, matroid.n):
             raise ValueError(f"expected positions of shape ({reps}, {matroid.n})")
@@ -159,7 +158,7 @@ class EmbeddedSphere:
 
     @classmethod
     def from_geometric(cls, rc: RadonComplex) -> "EmbeddedSphere":
-        reps = len(rc.graph.vertices) // 2
+        reps = len(rc.graph.signs) // 2
         return cls(rc.matroid, rc.graph, rc.positions[:reps])
 
     @classmethod
@@ -379,6 +378,14 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     2 * COLLISION_DIST is therefore collision-free, with room for the
     rounding of _collided's norms, and _collided runs only after a start
     with off-support leakage or a step with a smaller margin.
+
+    Flat means realized.  A converged-flat run ends with every
+    representative strictly inside its face, so each circuit is the sign
+    vector of a vector of the flat span V: an affine dependence, so a Radon
+    partition, of the points recover_configuration reads off V.  Where
+    their circuits are exactly the matroid's (the round trip) they realize
+    it, so a non-realizable matroid (a non-Pappus one of the tests) never
+    ends converged-flat with a round trip.
     """
     if params is None:
         params = FlowParams()

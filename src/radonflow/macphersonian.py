@@ -44,6 +44,7 @@ from .core import (
     OrientedMatroid,
     _colex,
     _circuit_dicts,
+    _circuit_table,
     _conforming,
     _conformity,
     _distinct_circuits,
@@ -158,6 +159,11 @@ class MatroidTable(Sequence):
         signs, ids = _ordered_rows(np.concatenate(rows))
         start = np.concatenate([[0], np.cumsum([len(m.signs) for m in elements], dtype=np.intp)])
         return cls(ground, signs, start, ids)
+
+    @classmethod
+    def from_dicts(cls, elements) -> "MatroidTable":
+        """The table of a nonempty list of to_dicts' dicts (core._circuit_table)."""
+        return cls(*_circuit_table(elements))
 
     def __len__(self) -> int:
         return len(self.start) - 1

@@ -51,7 +51,11 @@ The loop references work on Python-int bitmask pairs of their own
 into cycles with partition_edges_into_cycles, a copy of the package's
 earlier int-mask version: tags in increasing mask order.  Their graphs are
 ReferenceGraphs, whose cycles come from that walk, read on first use as
-the package reads its own.
+the package reads its own.  A ReferenceGraph holds SignedCircuitVertex
+objects, the vertex list the package once built (_ordered_vertices), and
+writes them in to_dict as the package once did; the package's graphs hold
+sign rows and build vertex objects only when read.  _signs turns a
+hand-built vertex list into the rows rf.CircuitGraph takes.
 
 table_records is json.dumps's default= for cli.RecordTable: the list of
 dicts the table stands for, which the package's writer never builds.
@@ -81,7 +85,6 @@ import numpy as np
 
 import radonflow as rf
 from radonflow.cli import RecordTable
-from radonflow.complexes import _ordered_vertices
 from radonflow.core import (
     ELIMINATION_CAP,
     KERNEL_RTOL,
@@ -104,6 +107,23 @@ def mask_of(elements) -> int:
 
 def set_of(mask: int) -> frozenset:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _ordered_vertices(circuits) -> tuple:
+    """The package's earlier vertex list: one SignedCircuitVertex per
+    circuit, positive orientations first, antipodes mirrored after."""
+    reps = [rf.SignedCircuitVertex(c, 1) for c in circuits]
+    return tuple(reps + [v.antipode() for v in reps])
+
+
+def _signs(vertices, n) -> np.ndarray:
+    """The +1/-1/0 int8 sign rows of signed circuits, one per vertex, column
+    e-1 for element e: what rf.CircuitGraph takes for a graph's vertices."""
+    out = np.zeros((len(vertices), n), np.int8)
+    for row, v in zip(out, vertices):
+        row[[e - 1 for e in v.pos]] = 1
+        row[[e - 1 for e in v.neg]] = -1
+    return out
 
 
 def masks(v) -> tuple:
@@ -151,12 +171,27 @@ def partition_edges_into_cycles(edges, vertex_masks):
 
 
 class ReferenceGraph(rf.CircuitGraph):
-    """An rf.CircuitGraph whose cycles (and so its cycle_pairs and to_dict)
-    come from partition_edges_into_cycles, not the package's walk."""
+    """An rf.CircuitGraph of vertex objects, built as the package once built
+    its graphs: its signs are theirs (_signs), vertices is the objects as
+    given, to_dict writes each one's circuit and orientation, and its
+    cycles (and so its cycle_pairs) come from partition_edges_into_cycles,
+    not the package's walk."""
+
+    def __init__(self, vertices, edges, n):
+        super().__init__(_signs(vertices, n), edges)
+        self.vertices = tuple(vertices)
 
     @cached_property
     def cycles(self):
         return partition_edges_into_cycles(self.edges.tolist(), [masks(v) for v in self.vertices])
+
+    def to_dict(self):
+        out = super().to_dict()
+        out["vertices"] = [
+            {"pos": sorted(v.circuit.pos), "neg": sorted(v.circuit.neg), "sign": v.orientation}
+            for v in self.vertices
+        ]
+        return out
 
 
 def kernel_basis(rows, ncols):
@@ -507,7 +542,7 @@ def circuit_graph(m):
             for k, (zp, zn) in enumerate(vmasks)
         ):
             edges.append((i, j))
-    return ReferenceGraph(vertices=vertices, edges=tuple(edges))
+    return ReferenceGraph(vertices, edges, m.n)
 
 
 def dependences_by_circuit(config):
@@ -568,7 +603,7 @@ def radon_complex(config):
             facet_cells.append(rf.Cell(dim=cell_dim, vertices=frozenset(conforming)))
 
     edges = sorted(edge_set)
-    graph = ReferenceGraph(vertices=vertices, edges=tuple(edges))
+    graph = ReferenceGraph(vertices, edges, n)
     facets = tuple(sorted(facet_cells, key=lambda c: (c.dim, tuple(sorted(c.vertices)))))
     return RadonComplexRef(graph=graph, facets=facets, n=n, d=d, positions=positions)
 

@@ -367,6 +367,35 @@ def test_homology_rejects_malformed_hasse(tmp_path, capsys, hasse):
 
 
 @pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"pos": [1, 2], "neg": [2]}, "circuit parts must be disjoint"),
+        ({"pos": [1, 9], "neg": [2]}, "circuit {1,9}|{2} uses an element beyond n=4"),
+        ({"pos": [1, 2], "neg": [3, 4]}, "circuit {1,2}|{3,4} has support larger than d + 2 = 3"),
+        ({"d": 2}, "matroids must share the same ground set"),
+    ],
+    ids=["overlap", "beyond-n", "wide", "other-ground"],
+)
+def test_homology_rejects_malformed_elements(tmp_path, capsys, change, message):
+    # one element of the (4,1) poset gains a malformed circuit, or another
+    # ground set: exit 2 with the message that names it
+    mac_out = tmp_path / "mac"
+    assert main(["macphersonian", "4", "1", "--out", str(mac_out)]) == 0
+    poset = load(mac_out / "poset.json")
+    element = poset["elements"][1]
+    if "d" in change:
+        element.update(change)
+    else:
+        element["circuits"].append(change)
+    cfg = tmp_path / "bad.json"
+    write_json(cfg, poset)
+    out = tmp_path / "out"
+    assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"input error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "facets",
     [[[True, 2], [2, 3], [1, 3]], [[1, 2], [2, "3"], [1, 3]], [[1, 2], [2, 3.0]], [[1, 2], 3]],
     ids=["bool-label", "string-label", "float-label", "facet-not-a-list"],

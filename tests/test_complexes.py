@@ -14,6 +14,7 @@ from conftest import (
     sample_spanning_points,
     widened,
 )
+from oracles import _ordered_vertices, _signs
 from radonflow.cli import main
 
 
@@ -114,7 +115,7 @@ def test_opposite_neighbors_are_cycle_mates(hexagon_complex):
 
 def test_graphs_equal_detects_differences(pentagon_complex):
     g = pentagon_complex.graph
-    fewer = rf.CircuitGraph(vertices=g.vertices, edges=g.edges[:-1])
+    fewer = rf.CircuitGraph(_signs(g.vertices, 5), g.edges[:-1])
     assert not rf.graphs_equal(g, fewer)
 
 
@@ -133,7 +134,7 @@ RING = [(k, (k + 1) % 10) for k in range(10)]
 def _hand_built(rc, edges=RING, vertices=None):
     """rc's complex with its graph replaced, by default by the ring."""
     vertices = rc.graph.vertices if vertices is None else vertices
-    graph = rf.CircuitGraph(vertices=tuple(vertices), edges=tuple(edges))
+    graph = rf.CircuitGraph(_signs(vertices, rc.n), edges)
     return rf.RadonComplex(
         graph=graph, n=rc.n, d=rc.d, positions=rc.positions, matroid=rc.matroid
     )
@@ -161,7 +162,7 @@ def test_open_cycles_raise_when_the_cycles_are_read(pentagon_complex):
     g = rc.graph
     with pytest.raises(ValueError, match="do not form closed cycles") as raised:
         g.cycles
-    assert str(raised.value) == _graph_or_error(lambda: oracles.ReferenceGraph(g.vertices, g.edges))
+    assert str(raised.value) == _graph_or_error(lambda: oracles.ReferenceGraph(g.vertices, g.edges, 5))
 
 
 def test_validate_sphere_flags_non_antipodal_vertices(pentagon_complex):
@@ -316,9 +317,9 @@ def _spied_walks(monkeypatch):
     """The edge counts of the graphs whose cycles are walked from now on."""
     walks, walk = [], rf.complexes._partition_edges_into_cycles
 
-    def spy(vertices, rows, first, second):
+    def spy(rows, first, second):
         walks.append(len(first))
-        return walk(vertices, rows, first, second)
+        return walk(rows, first, second)
 
     monkeypatch.setattr(rf.complexes, "_partition_edges_into_cycles", spy)
     return walks
@@ -344,6 +345,78 @@ def test_analyze_walks_the_cycles_once_and_flow_once_per_rep(monkeypatch, tmp_pa
     del walks[:]
     assert main(["flow", "--config", str(path), "--seed", "11", "--out", str(tmp_path / "flow")]) == 0
     assert walks == [60, 60, 60]
+
+
+def _counted_constructions(monkeypatch):
+    """The number of Circuit and SignedCircuitVertex objects made from now
+    on, by class name."""
+    built = {}
+    for cls in (rf.Circuit, rf.SignedCircuitVertex):
+        built[cls.__name__] = 0
+
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+def test_analyze_and_flow_build_no_circuit_objects(monkeypatch, tmp_path):
+    # on the README hexagon every layer reads the matroid's and the graph's
+    # sign rows: no Circuit and no SignedCircuitVertex is made
+    built = _counted_constructions(monkeypatch)
+    path = tmp_path / "hexagon.json"
+    path.write_text(json.dumps({"d": 2, "points": [[0, 0], [4, 1], [6, 4], [5, 7], [1, 6], [-1, 3]]}))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "analyze")]) == 0
+    assert main(["flow", "--config", str(path), "--seed", "11", "--out", str(tmp_path / "flow")]) == 0
+    assert built == {"Circuit": 0, "SignedCircuitVertex": 0}
+    # the counts see the objects the graph's lazy vertex view makes
+    config = rf.PointConfiguration.from_dict(json.loads(path.read_text()))
+    assert len(rf.geometric_radon_complex(config).graph.vertices) == 30
+    assert built == {"Circuit": 30, "SignedCircuitVertex": 30}
+
+
+def test_vertex_sign_is_that_of_its_smallest_element():
+    # a vertex is written and viewed as its circuit, smallest element
+    # positive, with the vertex's sign there: a row stored with its smallest
+    # element negative reads as sign -1, whatever its place in the graph
+    g = rf.CircuitGraph(np.array([[-1, 1, 0, 1], [1, -1, 0, -1]], np.int8), [])
+    circuit = {"pos": [1], "neg": [2, 4]}
+    assert g.to_dict()["vertices"] == [{**circuit, "sign": -1}, {**circuit, "sign": 1}]
+    c = rf.Circuit.make({1}, {2, 4})
+    assert g.vertices == (rf.SignedCircuitVertex(c, -1), rf.SignedCircuitVertex(c, 1))
+    assert g.vertices[0].pos == {2, 4} and g.vertices[0].neg == {1}
+
+
+def _assert_row_built_graphs_equal_object_built(cfg):
+    """Both graphs of cfg, built from sign rows, equal ReferenceGraphs of the
+    same edges built from vertex objects (the package's earlier
+    _ordered_vertices of the sorted circuits): the same written dict, the
+    same lazy vertex view and the same sign rows."""
+    rc = rf.geometric_radon_complex(cfg)
+    vertices = _ordered_vertices(rc.matroid.sorted_circuits)
+    for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
+        ref = oracles.ReferenceGraph(vertices, g.edges, cfg.n)
+        assert g.to_dict() == ref.to_dict()
+        assert g.vertices == ref.vertices
+        assert np.array_equal(g.signs, ref.signs)
+
+
+@pytest.mark.parametrize("n, d", LADDER)
+def test_row_built_graphs_equal_object_built_on_the_ladder(n, d):
+    # each rung drawn uniform, with a coincident pair and with a collinear triple
+    rng = np.random.default_rng([47, n, d])
+    draws = [sample_spanning_points(n, d, rng)] + [
+        sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
+    ]
+    for pts in draws:
+        _assert_row_built_graphs_equal_object_built(rf.PointConfiguration(pts.astype(float), d))
+
+
+def test_row_built_graphs_equal_object_built_on_the_direct_sum_and_the_coloop():
+    for points in (DIRECT_SUM, COLOOP):
+        _assert_row_built_graphs_equal_object_built(rf.PointConfiguration(np.asarray(points, float), 2))
 
 
 def test_combinatorial_graph_walks_its_cycles_on_first_read(monkeypatch, hexagon_config):
@@ -496,10 +569,15 @@ def test_geometric_complex_matches_the_oracle_at_the_top_rungs(n, d):
         assert rc.euler_characteristic() == ref.euler_characteristic() == 1 + (-1) ** (n - d - 2)
 
 
+def _vertex_rows(m):
+    """The kernel rows of m's circuit graph: m's sign rows, then their negations."""
+    return rf.core._pack(np.concatenate([m.signs, -m.signs]))
+
+
 def assert_dims_by_bases(cfg):
     """The cell dimensions read off the bases equal the per-support SVD
     rule on every support the closure realizes."""
-    rows = rf.complexes._vertex_rows(rf.circuits_of_points(cfg))
+    rows = _vertex_rows(rf.circuits_of_points(cfg))
     supports, _ = rf.core._supports(rf.complexes._composition_closure(rows), cfg.n)
     want = oracles.support_dims(cfg.lifted_matrix(), supports)
     assert np.array_equal(rf.complexes._dependence_dims(cfg, supports), want)
@@ -549,8 +627,8 @@ def _relabeled(g, rng):
         for i, j in g.edges
     ]
     edges = [edges[k] for k in rng.permutation(len(edges))]
-    vertices = tuple(g.vertices[k] for k in perm)
-    return rf.CircuitGraph(vertices=vertices, edges=tuple(edges))
+    vertices = [g.vertices[k] for k in perm]
+    return rf.CircuitGraph(_signs(vertices, g.signs.shape[1]), edges)
 
 
 def test_graphs_equal_ignores_vertex_order_and_edge_labels(hexagon_complex):
@@ -567,26 +645,26 @@ def test_graphs_equal_sees_one_flipped_vertex_or_one_moved_edge(hexagon_complex)
     reps = len(g.vertices) // 2
     flipped = list(g.vertices)
     flipped[3] = flipped[3].antipode()  # vertex 3's orientation appears twice
-    assert not rf.graphs_equal(g, rf.CircuitGraph(tuple(flipped), g.edges))
+    assert not rf.graphs_equal(g, rf.CircuitGraph(_signs(flipped, 6), g.edges))
     # vertex 3 and its antipode trade places: the same vertex set, but the
     # edges at vertex 3 now meet its antipode
     swapped = list(g.vertices)
     swapped[3], swapped[3 + reps] = swapped[3 + reps], swapped[3]
-    assert not rf.graphs_equal(g, rf.CircuitGraph(tuple(swapped), g.edges))
+    assert not rf.graphs_equal(g, rf.CircuitGraph(_signs(swapped, 6), g.edges))
     # one edge moved to a pair of vertices that is not an edge
     edges = g.edges.tolist()
     i, j = edges[0]
     k = next(k for k in range(len(g.vertices)) if k not in (i, j)
              and [min(i, k), max(i, k)] not in edges)
     moved = [[min(i, k), max(i, k)]] + edges[1:]
-    assert not rf.graphs_equal(g, rf.CircuitGraph(g.vertices, moved))
-    assert rf.graphs_equal(g, rf.CircuitGraph(g.vertices, g.edges))
+    assert not rf.graphs_equal(g, rf.CircuitGraph(_signs(g.vertices, 6), moved))
+    assert rf.graphs_equal(g, rf.CircuitGraph(_signs(g.vertices, 6), g.edges))
 
 
 def _closure_equals_oracle(m):
     """The closure of m's vertex rows equals the all-pairs one; the
     closure's rows, for further checks."""
-    rows = rf.complexes._vertex_rows(m)
+    rows = _vertex_rows(m)
     closure = rf.complexes._composition_closure(rows)
     assert np.array_equal(closure, oracles.composition_closure(rows))
     return closure

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     velocity,
 )
 from radonflow import flow
+from radonflow.core import _distinct_circuits, _gather_circuits
 from radonflow.flow import _collided, _Field, _renormalized, _screen_direction
 
 # the sampled-shape gate: (n, d, rep) with a configuration drawn from
@@ -226,6 +228,72 @@ def test_census_elements_flow_to_their_own_realizations(n, d, sample):
         if trace.outcome != rf.OUTCOME_CONVERGED or rf.circuits_of_points(rf.recover_configuration(final)) != m:
             failed.append((int(i), trace.outcome))
     assert failed == []
+
+
+def _meet(p, q, r, s):
+    """The meet of line pq and line rs, in exact arithmetic."""
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p, q, r, s
+    den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    a, b = x1 * y2 - y1 * x2, x3 * y4 - y3 * x4
+    return (a * (x3 - x4) - (x1 - x2) * b) / den, (a * (y3 - y4) - (y1 - y2) * b) / den
+
+
+def _pappus():
+    """The nine points of Pappus's theorem: A1-A3 on y = 0.15x and B1-B3 on
+    y = 4 + 0.2x at x = 0, 2, 5, then C1, C2, C3, the meets of A2B3 with
+    A3B2, of A1B3 with A3B1 and of A1B2 with A2B1, which the theorem makes
+    collinear: elements 7, 8, 9."""
+    xs = [Fraction(0), Fraction(2), Fraction(5)]
+    a = [(x, Fraction(3, 20) * x) for x in xs]
+    b = [(x, 4 + Fraction(1, 5) * x) for x in xs]
+    c = [_meet(a[1], b[2], a[2], b[1]), _meet(a[0], b[2], a[2], b[0]), _meet(a[0], b[1], a[1], b[0])]
+    return rf.PointConfiguration(np.array(a + b + c, float), 2)
+
+
+def _non_pappus(sign):
+    """The oriented matroid of the Pappus chirotope with chi(C1C2C3) set to
+    sign, its circuits read off the bases as the census reads them: not
+    realizable, though it satisfies the circuit axioms (Ringel 1956;
+    Bjorner, Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 8.3)."""
+    cfg = _pappus()
+    bases, minors = cfg._minors
+    chi = np.sign(minors)
+    chi[(bases == [6, 7, 8]).all(axis=1)] = sign
+    spans, vals, _ = _distinct_circuits(*_gather_circuits(chi[None], 9, 3), 9)
+    signs = np.zeros((len(spans), 9), np.int8)
+    signs[np.arange(len(spans))[:, None], spans] = np.sign(vals)
+    return rf.OrientedMatroid(rf.GroundSet(9, 2), signs)
+
+
+def _realizes(final, m):
+    """Whether the points recovered from a flat final embedding have the
+    circuits of m."""
+    try:
+        return rf.circuits_of_points(rf.recover_configuration(final)) == m
+    except (rf.NotFlatError, rf.RankDeficientError):
+        return False
+
+
+def test_pappus_flows_to_a_realization():
+    cfg = _pappus()
+    m = rf.circuits_of_points(cfg)
+    assert len(m.signs) == 81 and np.count_nonzero(cfg._minors[1] == 0) == 9
+    final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m), rf.FlowParams(max_steps=3000))
+    assert trace.outcome == rf.OUTCOME_CONVERGED and _realizes(final, m)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_non_pappus_orientations_never_end_realized(sign):
+    # flat with a round trip would realize a non-realizable matroid; the
+    # flow ends some other way (today: IntegrationError, a degenerate
+    # neighbour pair, within about 0.1 s)
+    m = _non_pappus(sign)
+    assert len(m.signs) == 86 and rf.check_circuit_axioms(m).ok
+    try:
+        final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m), rf.FlowParams(max_steps=3000))
+    except rf.IntegrationError:
+        return
+    assert trace.outcome != rf.OUTCOME_CONVERGED or not _realizes(final, m)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

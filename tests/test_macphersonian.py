@@ -758,6 +758,76 @@ def test_census_elements_round_trip_through_their_dicts():
         assert again == m and hash(again) == hash(m) and again.to_dict() == data
 
 
+@pytest.mark.parametrize("n, d", ALL_CENSUS_SHAPES)
+def test_table_parser_reads_back_the_census(n, d):
+    # the census's dicts parse back into its own table, array for array,
+    # and each element is the matroid of its circuits built one by one
+    census = rf.enumerate_acyclic_oms(n, d)
+    data = census.to_dicts()
+    table = rf.MatroidTable.from_dicts(data)
+    assert table.ground == census.ground
+    for got, want in ((table.signs, census.signs), (table.start, census.start), (table.ids, census.ids)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for i in np.random.default_rng([29, n, d]).choice(len(data), min(len(data), 20), replace=False):
+        circuits = [rf.Circuit(c["pos"], c["neg"]) for c in data[i]["circuits"]]
+        assert table[int(i)] == rf.OrientedMatroid.from_circuits(census.ground, circuits)
+
+
+def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
+    # elements in another order, each with its circuits shuffled and one of
+    # them listed twice: the same matroids in the given order, ids ascending
+    rng = np.random.default_rng(29)
+    data = oms42.to_dicts()
+    order = rng.permutation(len(data))
+    messy = []
+    for i in order:
+        circuits = [data[i]["circuits"][k] for k in rng.permutation(len(data[i]["circuits"]))]
+        messy.append({**data[i], "circuits": circuits + circuits[:1]})
+    table = rf.MatroidTable.from_dicts(messy)
+    assert list(table) == [oms42[int(i)] for i in order]
+    assert all((np.diff(table.ids[a:b]) > 0).all() for a, b in zip(table.start, table.start[1:]))
+    assert rf.MatroidPoset.from_elements(table).to_dict(np.zeros((0, 2), np.intp))["elements"] == [
+        data[i] for i in order
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ({"circuits": [{"pos": [1, 2], "neg": [2]}]}, ValueError, "circuit parts must be disjoint"),
+        ({"circuits": [{"pos": [], "neg": []}]}, ValueError, "circuit support must be nonempty"),
+        ({"circuits": [{"pos": [0], "neg": [2]}]}, ValueError, "elements are 1-based positive integers"),
+        ({"circuits": [{"pos": [1, 6], "neg": [2]}]}, ValueError, "circuit {1,6}|{2} uses an element beyond n=5"),
+        (
+            {"circuits": [{"pos": [1, 2], "neg": [3]}, {"pos": [3, 1], "neg": [4, 2]}]},
+            ValueError,
+            "circuit {1,3}|{2,4} has support larger than d + 2 = 3",
+        ),
+        ({"d": None}, KeyError, "'d'"),
+        ({"circuits": [{"pos": [1], "neg": 2}]}, TypeError, "'int' object is not iterable"),
+    ],
+    ids=["overlap", "empty", "element-0", "beyond-n", "wide", "no-d", "part-not-a-list"],
+)
+def test_table_parser_names_the_first_malformed_circuit(bad, error, message):
+    # one element of a (5,1) census made malformed: the table parser and
+    # from_dict, its one-element case, raise the message the parser of
+    # one Circuit per listed circuit always raised, word for word
+    data = rf.enumerate_acyclic_oms(5, 1).to_dicts()[:4]
+    element = {k: v for k, v in {**data[2], **bad}.items() if v is not None}
+    for parse, elements in ((rf.MatroidTable.from_dicts, data[:2] + [element] + data[3:]),
+                            (rf.OrientedMatroid.from_dict, element)):
+        with pytest.raises(error) as raised:
+            parse(elements)
+        assert str(raised.value) == message
+
+
+def test_table_parser_needs_one_ground_set():
+    data = rf.enumerate_acyclic_oms(5, 1).to_dicts()[:3]
+    other = {"n": 5, "d": 2, "circuits": [{"pos": [1, 2], "neg": [3]}]}
+    with pytest.raises(ValueError, match="matroids must share the same ground set"):
+        rf.MatroidTable.from_dicts(data + [other])
+
+
 def _gaussian_binomial(m, k):
     """The coefficients of the Gaussian binomial [m choose k]_t, by
     [m choose k] = [m-1 choose k-1] + t^k [m-1 choose k]."""
