@@ -4,15 +4,17 @@ Subcommands:
   analyze        point configuration -> matroid, complex, sphere report
   flow           perturb-and-flow experiments with traces and summaries
   macphersonian  the exact weak-map poset at small n, with homology
-  homology       GF(2) Betti numbers of a complex or poset file
+  homology       GF(2) Betti numbers of a complex or poset file, a poset
+                 read off its covers as the census reads it
 
 Exit codes: 0 success (every flow outcome, per-rep errors included), 2
-input error, 3 unsupported range, 4 numerical failure.  All runs with the
-same inputs and seed write byte-identical outputs apart from the
-generated_at stamps.  Every JSON output is laid out as json.dumps(payload,
-indent=2, sort_keys=True) lays it out, byte for byte: 2-space indent,
-sorted keys, ASCII only (non-ASCII characters as \\u escapes), NaN and
-Infinity as json spells them.
+input error (a poset that fails a CW check included), 3 unsupported range
+(n > 6), 4 numerical failure.  All runs with the same inputs and seed
+write byte-identical outputs apart from the generated_at stamps.  Every
+JSON output is laid out as json.dumps(payload, indent=2, sort_keys=True)
+lays it out, byte for byte: 2-space indent, sorted keys, ASCII only
+(non-ASCII characters as \\u escapes), NaN and Infinity as json spells
+them.
 """
 
 from __future__ import annotations
@@ -63,13 +65,10 @@ from .macphersonian import (
     chain_counts,
     enumerate_acyclic_oms,  # perfbench/tracing.py rebinds this name here too
     gf2_betti,
-    order_complex,
+    order_complex,  # unused here; perfbench/tracing.py rebinds this name
 )
 
 SCHEMA_VERSION = 1
-# homology refuses a poset whose chains hold more vertex entries than this:
-# about 45 bytes an entry at the peak, so 1.4 GB (the (6,3) census has 8.1e8)
-MAX_ORDER_COMPLEX_ENTRIES = 3 * 10**7
 _NUMBERS = {int, float}
 _INTEGERS = {int}
 # json's own indented encoder, for the values _texts does not lay out itself
@@ -405,6 +404,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
         complex_ = SimplicialComplex.from_maximal_faces(
             [[index[v] for v in f] for f in faces]
         )
+        betti, counts = gf2_betti(complex_), complex_.counts()
     elif "elements" in data and "hasse" in data:
         k = len(data["elements"])
         if not k:
@@ -417,28 +417,24 @@ def cmd_homology(args: argparse.Namespace) -> int:
                 raise ValueError(f"hasse pair {json.dumps([i, j])} names no element of 0..{k - 1}")
             pairs.append([i, j])
         poset = MatroidPoset.from_elements(MatroidTable.from_dicts(data["elements"]))
+        hasse = poset.hasse_pairs()
         pairs = np.unique(np.array(pairs, np.intp).reshape(-1, 2), axis=0)
-        if not np.array_equal(pairs, poset.hasse_pairs()):
+        if not np.array_equal(pairs, hasse):
             raise ValueError("'hasse' is not the cover relation of the weak-map order of 'elements'")
-        entries = sum((k + 1) * c for k, c in enumerate(chain_counts(poset)))
-        if entries > MAX_ORDER_COMPLEX_ENTRIES:
-            raise UnsupportedRangeError(
-                f"the order complex holds {entries} vertex entries, more than the "
-                f"{MAX_ORDER_COMPLEX_ENTRIES} homology builds"
-            )
-        complex_ = order_complex(poset)
+        # the census's route: exact once its three checks pass, else NotACWPosetError
+        _, betti = cellular_homology(poset, hasse)
+        counts = chain_counts(poset)
     else:
         raise ValueError("homology input needs 'facets' or 'elements' + 'hasse'")
-    betti = gf2_betti(complex_)
     payload = {
-        "simplex_counts": complex_.counts(),
-        "euler_characteristic": complex_.euler_characteristic(),
+        "simplex_counts": counts,
+        "euler_characteristic": sum((-1) ** k * c for k, c in enumerate(counts)),
         "betti_gf2": betti,
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "betti.json", payload)
-    print(f"homology: counts {complex_.counts()}, betti {betti}")
+    print(f"homology: counts {counts}, betti {betti}")
     return 0
 
 

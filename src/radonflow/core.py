@@ -34,7 +34,9 @@ import numpy as np
 # EPS_FLAT        relative singular-value threshold of recover_configuration:
 #                 flat positions have exactly n - d - 1 singular values above
 #                 this times the largest.
-# COLLISION_DIST  two flow positions this close count as a collision.
+# COLLISION_DIST  the flow accepts a step only if every face margin is at
+#                 least twice this, which keeps every two of its positions
+#                 that far apart (integrate).
 # MIN_STEP        a flow step that must shrink below this to decrease the
 #                 energy ends the run as stalled.
 # TOL_CURV        a flow run converges once its largest vertex curvature is
@@ -242,16 +244,27 @@ def _circuit_table(elements) -> tuple[GroundSet, np.ndarray, np.ndarray, np.ndar
     """Matroid dicts, as to_dict writes them, as one table: the shared
     ground set, the distinct circuits' rows (_ordered_rows), and start and
     ids, element i's ascending circuit ids being ids[start[i]:start[i + 1]].
-    Each listed circuit passes through one Circuit, whose checks name a
-    malformed part; one _signs, one _ordered_rows and one np.unique of
-    (element, id) keys then serve every element."""
+    Each distinct listing, its parts keyed by their repr (which every JSON
+    value has), passes through one Circuit at its first listing, whose
+    checks name a malformed part; one _signs, one _ordered_rows and one
+    np.unique of (element, id) keys then serve every element."""
     grounds = [GroundSet(int(data["n"]), int(data["d"])) for data in elements]
     if any(g != grounds[0] for g in grounds):
         raise ValueError("matroids must share the same ground set")
-    listed = [[Circuit(c["pos"], c["neg"]) for c in data["circuits"]] for data in elements]
-    signs, which = _ordered_rows(_signs(list(itertools.chain(*listed)), grounds[0].n))
+    first: dict[tuple[str, str], int] = {}  # a listing's part reprs -> its index in parsed
+    parsed, listed = [], []
+    for data in elements:
+        listed.append([])
+        for c in data["circuits"]:
+            key = repr(c["pos"]), repr(c["neg"])
+            if key not in first:
+                first[key] = len(parsed)
+                parsed.append(Circuit(c["pos"], c["neg"]))
+            listed[-1].append(first[key])
+    signs, which = _ordered_rows(_signs(parsed, grounds[0].n))
     _check_width(signs, grounds[0].d)
-    keys = np.unique(np.repeat(np.arange(len(listed)), list(map(len, listed))) * len(signs) + which)
+    rows = which[np.fromiter(itertools.chain.from_iterable(listed), np.intp)]
+    keys = np.unique(np.repeat(np.arange(len(listed)), list(map(len, listed))) * len(signs) + rows)
     owner, ids = np.divmod(keys, max(1, len(signs)))
     return grounds[0], signs, np.searchsorted(owner, np.arange(len(listed) + 1)), ids
 

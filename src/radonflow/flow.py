@@ -309,28 +309,6 @@ class _Field:
         return energy, g, curv_max, curv_mean, vel_max
 
 
-def _screen_direction(n: int) -> np.ndarray:
-    """The unit direction _collided projects along, one weight per coordinate."""
-    u = np.sqrt(np.arange(2.0, n + 2.0))
-    return u / np.linalg.norm(u)
-
-
-def _collided(P: np.ndarray, u: np.ndarray) -> bool:
-    """Whether two of the positions P and -P lie within COLLISION_DIST.  Such
-    a pair is as close along the unit direction u, so only runs of positions
-    whose sorted projections lie that close are compared."""
-    full = np.vstack([P, -P])
-    proj = full @ u
-    order = np.argsort(proj)
-    close = np.flatnonzero(np.diff(proj[order]) < COLLISION_DIST)
-    if not close.size:
-        return False
-    cand = full[np.unique(order[np.concatenate([close, close + 1])])]
-    dist = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
-    return bool(dist.min() < COLLISION_DIST)
-
-
 def _min_margin(s: EmbeddedSphere, P: np.ndarray) -> float:
     """The smallest of s.face_margins(P); +inf for no representatives."""
     return float(np.minimum.reduce(s.face_margins(P), axis=None, initial=np.inf))
@@ -365,19 +343,18 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     its face boundary is a face exit (no accepted step leaves a face), a max
     vertex curvature below TOL_CURV converges, and params.max_steps accepted
     steps are a step limit.  No trial h >= MIN_STEP passing both tests (a
-    zero gradient passes none) is a stall.  A collision raises
-    IntegrationError.  Every face test reads s.face_margins.
+    zero gradient passes none) is a stall.  Every face test reads
+    s.face_margins.
 
-    The margins also rule collisions out, so _collided runs only where they
-    cannot.  If every off-support coordinate of the start is exactly 0, it
-    stays exactly 0: g is masked to the supports and renormalization only
-    scales.  Two distinct vertices x, y of P and -P then have distinct sign
-    vectors, so in some coordinate e one of them, say x, is nonzero and y_e
-    is zero or of opposite sign, and |x - y| >= |x_e - y_e| >= |x_e|, at
-    least the smallest margin.  A step whose smallest margin is at least
-    2 * COLLISION_DIST is therefore collision-free, with room for the
-    rounding of _collided's norms, and _collided runs only after a start
-    with off-support leakage or a step with a smaller margin.
+    The face test also rules collisions out.  The start's off-support
+    coordinates are zeroed, and they stay exactly 0: g is masked to the
+    supports and renormalization only scales.  Two distinct vertices x, y
+    of P and -P then have distinct sign vectors, so in some coordinate e
+    one of them, say x, is nonzero and y_e is zero or of opposite sign, and
+    |x - y| >= |x_e - y_e| >= |x_e|, at least the smallest margin.  A trial
+    is accepted only if its smallest margin is at least 2 * COLLISION_DIST,
+    so every accepted state keeps every two vertices at least that far
+    apart.
 
     Flat means realized.  A converged-flat run ends with every
     representative strictly inside its face, so each circuit is the sign
@@ -390,9 +367,7 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     if params is None:
         params = FlowParams()
     field = _Field(s)
-    P = s.rep_positions()
-    leaked = bool((~s._on & (P != 0.0)).any())
-    direction = _screen_direction(P.shape[1])
+    P = s.rep_positions() * s._on
     samples: list[TraceSample] = []
     t = 0.0
     h = params.h
@@ -411,8 +386,7 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         decrease = ARMIJO * float(_add(g * g, axis=None))
         while h >= MIN_STEP:
             P_new = _renormalized(P - h * g)
-            margin = _min_margin(s, P_new)
-            if margin > 0.0:
+            if _min_margin(s, P_new) >= 2.0 * COLLISION_DIST:
                 trial = field.evaluate(P_new)
                 if trial[1] < energy - h * decrease:
                     break
@@ -420,8 +394,6 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         else:
             outcome = OUTCOME_STALLED
             break
-        if (leaked or margin < 2.0 * COLLISION_DIST) and _collided(P_new, direction):
-            raise IntegrationError(f"two vertices collided within {COLLISION_DIST}")
         t += h
         energy, g_new, curv_max, curv_mean, vel_max = field.stats(trial)
         y = g_new - g

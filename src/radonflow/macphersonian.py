@@ -16,11 +16,12 @@ The homology asked for is that of the order complex, the simplicial
 complex of chains, over GF(2).  The census reads it off the covers as
 cellular homology instead (cellular_homology, which gives the three checks
 that make this exact and refuses a poset that fails one), and counts the
-chains of each length without building one (chain_counts).  The order
-complex itself (order_complex) serves the homology command, which accepts
-any poset or complex, and is the route the tests compare the census with.
-Its simplices are cells too, so one sparse column driver (cellular_betti)
-reduces both; no dense matrix is built.
+chains of each length without building one (chain_counts).  The homology
+command reads a poset.json by the same route, so it accepts only a poset
+that passes those checks.  The order complex itself (order_complex) is the
+route the tests compare the census with.  Simplices are cells too, so one
+sparse column driver (cellular_betti) also reduces the homology command's
+simplicial complexes (gf2_betti); no dense matrix is built.
 
 For n = 4, d = 2 the poset has 25 elements (7 uniform, 12 with a collinear
 triple, 6 with a coincident pair) matching the cells of the antipodal

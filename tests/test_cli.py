@@ -330,9 +330,10 @@ def test_macphersonian_ignores_seed(tmp_path):
         assert stripped(tmp_path / "0" / name) == stripped(tmp_path / "5" / name)
 
 
-def test_census_6_3_completes_and_homology_refuses_its_order_complex(tmp_path, capsys):
-    # the census runs its three checks (cellular_homology) or fails; the
-    # order complex of its 17 162 elements holds 812 682 602 vertex entries
+def test_census_6_3_completes_and_homology_refuses_its_order_complex(tmp_path):
+    # the census runs its three checks (cellular_homology) or fails, and
+    # homology reads the poset it writes by the same route, never building
+    # the order complex of its 17 162 elements (812 682 602 vertex entries)
     assert main(["macphersonian", "6", "3", "--out", str(tmp_path / "mac")]) == 0
     poset = load(tmp_path / "mac" / "poset.json")
     assert (poset["count"], poset["uniform_count"]) == (17162, 1560)
@@ -340,11 +341,11 @@ def test_census_6_3_completes_and_homology_refuses_its_order_complex(tmp_path, c
     assert oc["simplex_counts"] == [17162, 1082520, 10344720, 36086400, 57738240, 43303680, 12372480]
     assert oc["betti_gf2"] == [1, 1, 2, 2, 2, 1, 1]
     assert oc["euler_characteristic"] == 2
-    capsys.readouterr()
     out = tmp_path / "hom"
-    assert main(["homology", "--config", str(tmp_path / "mac" / "poset.json"), "--out", str(out)]) == 3
-    assert "holds 812682602 vertex entries" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["homology", "--config", str(tmp_path / "mac" / "poset.json"), "--out", str(out)]) == 0
+    betti = load(out / "betti.json")
+    for key in ("simplex_counts", "euler_characteristic", "betti_gf2"):
+        assert betti[key] == oc[key]
 
 
 @pytest.mark.parametrize(
@@ -438,6 +439,24 @@ def census_out(request, tmp_path_factory):
     return out
 
 
+def test_homology_refuses_a_poset_that_is_not_cw(tmp_path, capsys):
+    # three (4,1) elements a < b < c, given with their true covers (a, b)
+    # and (b, c): a valid poset, but the interval from a to c has one middle,
+    # so its cellular homology need not be that of its order complex
+    mac_out = tmp_path / "mac"
+    assert main(["macphersonian", "4", "1", "--out", str(mac_out)]) == 0
+    poset = load(mac_out / "poset.json")
+    a, b, c = next((a, b, c) for a, b in poset["hasse"] for b2, c in poset["hasse"] if b2 == b)
+    cfg = tmp_path / "chain.json"
+    write_json(cfg, {"elements": [poset["elements"][x] for x in (a, b, c)], "hasse": [[0, 1], [1, 2]]})
+    out = tmp_path / "out"
+    assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: diamond check: the interval from element 0 to element 2 has 1 middle(s), not 2\n"
+    )
+    assert not out.exists()
+
+
 def test_homology_reproduces_the_census_order_complex(census_out, tmp_path):
     assert main(["homology", "--config", str(census_out / "poset.json"),
                  "--out", str(tmp_path)]) == 0
@@ -528,10 +547,11 @@ def test_module_entrypoint(tmp_path):
 
 
 def test_census_homology_is_cellular_and_checked(tmp_path, monkeypatch):
-    # the census never builds an order complex, and every call runs the
-    # three checks of cellular_homology before using its answer
+    # neither the census nor homology on its poset builds an order complex,
+    # and every call runs the three checks of cellular_homology before
+    # using its answer
     def refuse(*_args):
-        raise AssertionError("the census must not build or reduce an order complex")
+        raise AssertionError("no poset route may build or reduce an order complex")
 
     monkeypatch.setattr(cli, "order_complex", refuse)
     monkeypatch.setattr(cli, "gf2_betti", refuse)
@@ -545,3 +565,7 @@ def test_census_homology_is_cellular_and_checked(tmp_path, monkeypatch):
     assert checks == ["grades", "_check_diamonds", "_check_spheres"]
     oc = load(tmp_path / "order_complex.json")
     assert oc["betti_gf2"] == [1, 1, 1, 1] and oc["simplex_counts"][0] == 270
+    # homology on the poset the census wrote takes the same route
+    assert main(["homology", "--config", str(tmp_path / "poset.json"), "--out", str(tmp_path / "hom")]) == 0
+    assert checks == ["grades", "_check_diamonds", "_check_spheres"] * 2
+    assert load(tmp_path / "hom" / "betti.json")["betti_gf2"] == oc["betti_gf2"]

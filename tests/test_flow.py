@@ -18,7 +18,7 @@ from oracles import (
 )
 from radonflow import flow
 from radonflow.core import _distinct_circuits, _gather_circuits
-from radonflow.flow import _collided, _Field, _renormalized, _screen_direction
+from radonflow.flow import _Field, _renormalized
 
 # the sampled-shape gate: (n, d, rep) with a configuration drawn from
 # default_rng([1, n, d, rep]) and a delta = 0.01 perturbation from default_rng([rep])
@@ -558,25 +558,71 @@ def test_margins_rule_out_collisions():
 
 
 def test_collision_check_runs_only_where_margins_cannot_rule_it_out(pentagon_sphere, monkeypatch):
-    calls = []
-    collided = flow._collided
-
-    def counted(P, u):
-        calls.append(1)
-        return collided(P, u)
-
-    monkeypatch.setattr(flow, "_collided", counted)
+    # no check runs apart from the face test: integrate zeroes a start's
+    # off-support leakage (at most EPS_SIGN, so still valid), so a leaky
+    # start flows step for step as its zeroed start does
     start = pentagon_sphere.perturbed(0.05, np.random.default_rng(5))
-    _, trace = rf.integrate(start, rf.FlowParams(max_steps=8))
-    assert len(trace.samples) - 1 == 8 and calls == []
-    # a start with off-support leakage (at most EPS_SIGN, so still valid)
-    # has no exact zeros to reason from: every step is checked
     P = start.rep_positions()
-    k, e = np.argwhere(start.signs == 0)[0]
-    P[k, e] = 0.5 * rf.EPS_SIGN
+    leaks = np.argwhere(start.signs == 0)[:2]
+    P[tuple(leaks.T)] = np.array([0.5, -0.5]) * rf.EPS_SIGN
     leaky = rf.EmbeddedSphere(start.matroid, start.graph, P)
-    _, trace = rf.integrate(leaky, rf.FlowParams(max_steps=8))
-    assert len(trace.samples) - 1 == 8 and len(calls) == 8
+    zeroed, trace = rf.integrate(start, rf.FlowParams(max_steps=8))
+    flowed, leaky_trace = rf.integrate(leaky, rf.FlowParams(max_steps=8))
+    assert len(trace.samples) - 1 == 8 and leaky_trace == trace
+    assert np.array_equal(flowed.rep_positions(), zeroed.rep_positions())
+    # the non-Pappus controls are the tier-1 runs that come nearest a face
+    # boundary; every step they accept keeps its margins at 2 COLLISION_DIST
+    margins, accepted = [], []
+    evaluate, stats = _Field.evaluate, _Field.stats
+
+    def watched_evaluate(self, P):
+        margins.append(s.face_margins(P).min())
+        return evaluate(self, P)
+
+    def watched_stats(self, evaluated):
+        accepted.append(margins[-1])  # stats reads the last evaluation
+        return stats(self, evaluated)
+
+    monkeypatch.setattr(_Field, "evaluate", watched_evaluate)
+    monkeypatch.setattr(_Field, "stats", watched_stats)
+    for sign in (1, -1):
+        s = rf.EmbeddedSphere.at_barycenters(_non_pappus(sign))
+        accepted.clear()
+        try:
+            rf.integrate(s, rf.FlowParams(max_steps=3000))
+        except rf.IntegrationError:
+            pass
+        steps = accepted[1:]  # the first is the start's
+        assert len(steps) > 10 and min(steps) < 1e-6
+        assert min(steps) >= 2.0 * rf.COLLISION_DIST
+
+
+@pytest.mark.parametrize("target, h", [(1e-10, 0.005), (3e-10, 0.01)], ids=["halved", "accepted"])
+def test_a_trial_within_2_collision_dists_of_a_face_is_halved(pentagon_sphere, monkeypatch, target, h):
+    # a constant face-tangent gradient whose first trial h = 0.01 takes one
+    # coordinate to target from its face boundary, and an energy that falls
+    # at every evaluation: the trial is accepted iff target >= 2 COLLISION_DIST
+    s = pentagon_sphere
+    k = int(np.flatnonzero((s.signs > 0).sum(axis=1) >= 2)[0])
+    e, e2 = np.flatnonzero(s.signs[k] > 0)[:2]
+    g0 = np.zeros(s.signs.shape)
+    g0[k, e] = (s.rep_positions()[k, e] - target) / 0.01
+    g0[k, e2] = -g0[k, e]
+
+    class ConstantGradient:
+        def __init__(self, s):
+            self.calls = 0
+
+        def evaluate(self, P):
+            self.calls += 1
+            return None, -float(self.calls), None
+
+        def stats(self, evaluated):
+            return evaluated[1], g0, 1.0, 1.0, 0.0
+
+    monkeypatch.setattr("radonflow.flow._Field", ConstantGradient)
+    _, trace = rf.integrate(s, rf.FlowParams(max_steps=1))
+    assert trace.samples[1].t == h
 
 
 def test_same_chirotope_is_the_circuit_comparison(hexagon_config, spheres):
@@ -641,20 +687,3 @@ def test_integrate_leaves_input_untouched(pentagon_sphere):
     rf.integrate(s, rf.FlowParams(max_steps=3))
     assert np.array_equal(pentagon_sphere.rep_positions(), before)
     assert np.array_equal(s.rep_positions(), start)
-
-
-def test_collision_check_matches_all_pairs(hexagon_sphere):
-    rng = np.random.default_rng(4)
-    P0 = hexagon_sphere.rep_positions()
-    states = [P0, hexagon_sphere.perturbed(0.05, rng).rep_positions()]
-    states += [rng.standard_normal((k, 6)) for k in (1, 2, 15, 40)]
-    for gap in (0.0, 0.5e-10, 0.99e-10, 1.01e-10, 1e-6):
-        for sign in (1.0, -1.0):  # near another vertex, or near its antipode
-            P = P0.copy()
-            i, j = rng.choice(len(P), size=2, replace=False)
-            step = rng.standard_normal(6)
-            P[j] = sign * P[i] + gap * step / np.linalg.norm(step)
-            states.append(P)
-    decisions = [_collided(P, _screen_direction(6)) for P in states]
-    assert decisions == [min_pair_distance(P) < rf.COLLISION_DIST for P in states]
-    assert decisions.count(True) == 6
