@@ -68,7 +68,7 @@ from .macphersonian import (
     order_complex,  # unused here; perfbench/tracing.py rebinds this name
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _NUMBERS = {int, float}
 _INTEGERS = {int}
 # json's own indented encoder, for the values _texts does not lay out itself
@@ -110,8 +110,9 @@ def _texts(values: list, pad: str) -> list[str]:
     texts of all their items, and dicts that share one set of str keys fill
     one record template with the texts of their value columns.  A
     RecordTable fills one record template per ragged length from its arrays
-    (_table_text).  A value of any other kind (bools, None, strings, empty
-    or non-str-keyed dicts, tuples) goes to json itself, re-indented by
+    (_table_text), and a 2-D numeric array one template of its rows (as its
+    tolist()).  A value of any other kind (bools, None, strings, empty or
+    non-str-keyed dicts, tuples) goes to json itself, re-indented by
     replacing each newline: json never writes a raw newline inside a string.
     """
     kinds = set(map(type, values))
@@ -119,6 +120,9 @@ def _texts(values: list, pad: str) -> list[str]:
         return _fill(["%r"] * len(values), values, float in kinds)
     if kinds == {RecordTable}:
         return [_table_text(t, pad) for t in values]
+    if kinds == {np.ndarray}:
+        rows = [_row([_row(["%r"] * a.shape[1], pad + "  ")] * len(a), pad) for a in values]
+        return [_fill([r], a.ravel().tolist(), a.dtype.kind == "f")[0] for r, a in zip(rows, values)]
     inner = pad + "  "
     if kinds == {list}:
         items = list(chain.from_iterable(values))
@@ -131,10 +135,6 @@ def _texts(values: list, pad: str) -> list[str]:
         rows = {k: _row([slot] * k, pad) for k in set(lengths)}
         return _fill(list(map(rows.__getitem__, lengths)), fields, floats)
     if kinds == {dict}:
-        distinct = list({id(v): v for v in values}.values())
-        if len(distinct) < len(values):  # a dict that recurs is laid out once
-            texts = dict(zip(map(id, distinct), _texts(distinct, pad)))
-            return [texts[id(v)] for v in values]
         keys = values[0].keys()
         if keys and all(type(k) is str for k in keys) and all(v.keys() == keys for v in values):
             keys = sorted(keys)
@@ -406,20 +406,18 @@ def cmd_homology(args: argparse.Namespace) -> int:
         )
         betti, counts = gf2_betti(complex_), complex_.counts()
     elif "elements" in data and "hasse" in data:
-        k = len(data["elements"])
-        if not k:
-            raise ValueError("'elements' must be a nonempty list of oriented matroids")
-        if not isinstance(data["hasse"], list):
+        table, listed = MatroidTable.from_dict(data), data["hasse"]
+        del data  # the parsed file is freed before the poset is built
+        k = len(table)
+        if not isinstance(listed, list):
             raise ValueError("'hasse' must be a list of [i, j] pairs")
-        pairs = []
-        for i, j in data["hasse"]:
+        for i, j in listed:
             if not all(type(x) is int and 0 <= x < k for x in (i, j)):
                 raise ValueError(f"hasse pair {json.dumps([i, j])} names no element of 0..{k - 1}")
-            pairs.append([i, j])
-        poset = MatroidPoset.from_elements(MatroidTable.from_dicts(data["elements"]))
+        listed = np.unique(np.array(listed, np.intp).reshape(-1, 2), axis=0)
+        poset = MatroidPoset.from_elements(table)
         hasse = poset.hasse_pairs()
-        pairs = np.unique(np.array(pairs, np.intp).reshape(-1, 2), axis=0)
-        if not np.array_equal(pairs, hasse):
+        if not np.array_equal(listed, hasse):
             raise ValueError("'hasse' is not the cover relation of the weak-map order of 'elements'")
         # the census's route: exact once its three checks pass, else NotACWPosetError
         _, betti = cellular_homology(poset, hasse)

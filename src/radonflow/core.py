@@ -227,9 +227,9 @@ class OrientedMatroid:
 
     @staticmethod
     def from_dict(data: dict) -> "OrientedMatroid":
-        """The matroid to_dict writes: _circuit_table of one element."""
-        ground, signs, _, _ = _circuit_table([data])
-        return OrientedMatroid(ground, signs)
+        """The matroid to_dict writes; a malformed circuit fails Circuit's checks."""
+        ground = GroundSet(int(data["n"]), int(data["d"]))
+        return OrientedMatroid.from_circuits(ground, [Circuit(c["pos"], c["neg"]) for c in data["circuits"]])
 
 
 def _check_width(signs: np.ndarray, d: int) -> None:
@@ -238,35 +238,6 @@ def _check_width(signs: np.ndarray, d: int) -> None:
     if len(wide):
         c = Circuit(**_circuit_dicts(signs[wide[:1]])[0])
         raise ValueError(f"circuit {c!r} has support larger than d + 2 = {d + 2}")
-
-
-def _circuit_table(elements) -> tuple[GroundSet, np.ndarray, np.ndarray, np.ndarray]:
-    """Matroid dicts, as to_dict writes them, as one table: the shared
-    ground set, the distinct circuits' rows (_ordered_rows), and start and
-    ids, element i's ascending circuit ids being ids[start[i]:start[i + 1]].
-    Each distinct listing, its parts keyed by their repr (which every JSON
-    value has), passes through one Circuit at its first listing, whose
-    checks name a malformed part; one _signs, one _ordered_rows and one
-    np.unique of (element, id) keys then serve every element."""
-    grounds = [GroundSet(int(data["n"]), int(data["d"])) for data in elements]
-    if any(g != grounds[0] for g in grounds):
-        raise ValueError("matroids must share the same ground set")
-    first: dict[tuple[str, str], int] = {}  # a listing's part reprs -> its index in parsed
-    parsed, listed = [], []
-    for data in elements:
-        listed.append([])
-        for c in data["circuits"]:
-            key = repr(c["pos"]), repr(c["neg"])
-            if key not in first:
-                first[key] = len(parsed)
-                parsed.append(Circuit(c["pos"], c["neg"]))
-            listed[-1].append(first[key])
-    signs, which = _ordered_rows(_signs(parsed, grounds[0].n))
-    _check_width(signs, grounds[0].d)
-    rows = which[np.fromiter(itertools.chain.from_iterable(listed), np.intp)]
-    keys = np.unique(np.repeat(np.arange(len(listed)), list(map(len, listed))) * len(signs) + rows)
-    owner, ids = np.divmod(keys, max(1, len(signs)))
-    return grounds[0], signs, np.searchsorted(owner, np.arange(len(listed) + 1)), ids
 
 
 @dataclass(frozen=True)

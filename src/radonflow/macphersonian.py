@@ -6,11 +6,12 @@ exactly, as the chirotopes of rank d + 1 on n elements, and each element's
 circuits are read off its chirotope; no point is sampled.  From the
 chirotopes to poset.json the census stays one table of arrays
 (MatroidTable): its distinct circuits as sign rows and each element as a
-row of circuit ids, the rows of its OrientedMatroid.  Basis exchange and
-the weak-map order come from the conformance kernel of core, with no
-per-pair calls.  The order is held as its strict pairs, sorted, never as
-a k x k matrix; its covers come from one join of the pairs with
-themselves, and the grades and maximal elements from the covers alone.
+row of circuit ids, the rows of its OrientedMatroid, which poset.json
+holds as it is.  Basis exchange and the weak-map order come from the
+conformance kernel of core, with no per-pair calls.  The order is held as
+its strict pairs, sorted, never as a k x k matrix; its covers come from
+one join of the pairs with themselves, and the grades and maximal
+elements from the covers alone.
 
 The homology asked for is that of the order complex, the simplicial
 complex of chains, over GF(2).  The census reads it off the covers as
@@ -35,17 +36,19 @@ m42_cells.json report checks the census's order.
 from __future__ import annotations
 
 import itertools
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    Circuit,
     GroundSet,
     OrientedMatroid,
+    _check_width,
     _colex,
     _circuit_dicts,
-    _circuit_table,
     _conforming,
     _conformity,
     _distinct_circuits,
@@ -55,6 +58,7 @@ from .core import (
     _ordered_rows,
     _pack,
     _pairs,
+    _signs,
     _supports,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     weak_map_leq,  # the order from_elements computes; perfbench/tracing.py counts its calls here
@@ -162,9 +166,40 @@ class MatroidTable(Sequence):
         return cls(ground, signs, start, ids)
 
     @classmethod
-    def from_dicts(cls, elements) -> "MatroidTable":
-        """The table of a nonempty list of to_dicts' dicts (core._circuit_table)."""
-        return cls(*_circuit_table(elements))
+    def from_dict(cls, data: dict) -> "MatroidTable":
+        """The table of a poset.json, each circuit once under 'circuits' and
+        each element as its ascending ids into them under 'elements'.  Each
+        circuit passes through one Circuit, whose checks name a malformed
+        part, and the ids are remapped to core._ordered_rows' row order."""
+        elements = data["elements"]
+        if not isinstance(elements, list) or not elements:
+            raise ValueError("'elements' must be a nonempty list of circuit id lists")
+        if "circuits" not in data:
+            raise ValueError("a poset lists each circuit once under 'circuits' and each element as its ascending "
+                             "circuit ids (schema_version 2), not each element's circuits in full")
+        ground = GroundSet(int(data["n"]), int(data["d"]))
+        parsed = [Circuit(c["pos"], c["neg"]) for c in data["circuits"]]
+        signs, which = _ordered_rows(_signs(parsed, ground.n))
+        if len(signs) < len(parsed):
+            twice = np.setdiff1d(np.arange(len(parsed)), np.unique(which, return_index=True)[1])[0]
+            raise ValueError(f"circuit {parsed[twice]!r} is listed twice in 'circuits'")
+        _check_width(signs, ground.d)
+        for i, e in enumerate(elements):
+            if type(e) is not list:
+                raise ValueError(f"element {i} is {json.dumps(e)}, not a list of circuit ids")
+        m, flat = len(signs), list(itertools.chain.from_iterable(elements))
+        owner = np.repeat(np.arange(len(elements)), list(map(len, elements)))
+        # bools are ints to Python, and True would name circuit 1
+        if flat and not (set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < m):
+            t = next(t for t, x in enumerate(flat) if type(x) is not int or not 0 <= x < m)
+            raise ValueError(f"element {owner[t]} lists {json.dumps(flat[t])}, which names no circuit of 0..{m - 1}")
+        given = np.array(flat, np.intp)
+        step = np.flatnonzero((np.diff(given) <= 0) & (np.diff(owner) == 0))
+        if len(step):
+            how = "twice" if given[step[0]] == given[step[0] + 1] else "out of ascending order"
+            raise ValueError(f"element {owner[step[0]]} lists circuit id {given[step[0] + 1]} {how}")
+        start = np.searchsorted(owner, np.arange(len(elements) + 1))
+        return cls(ground, signs, start, np.sort(owner * m + which[given]) - owner * m)
 
     def __len__(self) -> int:
         return len(self.start) - 1
@@ -181,16 +216,6 @@ class MatroidTable(Sequence):
         short = (self.signs != 0).sum(axis=1) != self.ground.d + 2
         owner = np.repeat(np.arange(len(self)), np.diff(self.start))
         return np.bincount(owner[short[self.ids]], minlength=len(self)) == 0
-
-    def to_dicts(self) -> list[dict]:
-        """[m.to_dict() for m in self], with one circuit dict shared by every
-        element that holds it."""
-        circuits = _circuit_dicts(self.signs)
-        ids, start, ground = self.ids.tolist(), self.start.tolist(), self.ground
-        return [
-            {"n": ground.n, "d": ground.d, "circuits": list(map(circuits.__getitem__, ids[a:b]))}
-            for a, b in zip(start, start[1:])
-        ]
 
 
 def _census_table(ground: GroundSet, spans: np.ndarray, vals: np.ndarray, held: np.ndarray) -> MatroidTable:
@@ -337,12 +362,17 @@ class MatroidPoset:
         return pairs[cover]
 
     def to_dict(self, hasse: np.ndarray) -> dict:
-        """The elements, their covers hasse (self.hasse_pairs()) and the
-        maximal elements, those that are the lower end of no cover."""
+        """The elements as their table (MatroidTable.of), each circuit once in
+        its row order and each element as its circuit ids, the cover array
+        hasse (self.hasse_pairs()) and the maximal elements, the lower end of
+        no cover."""
+        table = MatroidTable.of(self.elements)
+        ids, start = table.ids.tolist(), table.start.tolist()
         return {
-            "elements": MatroidTable.of(self.elements).to_dicts(),
-            "hasse": hasse.tolist(),
-            "maximal": np.setdiff1d(np.arange(len(self)), hasse[:, 0]).tolist(),
+            "circuits": _circuit_dicts(table.signs),
+            "elements": [ids[a:b] for a, b in zip(start, start[1:])],
+            "hasse": hasse,
+            "maximal": np.flatnonzero(np.bincount(hasse[:, 0], minlength=len(self)) == 0).tolist(),
         }
 
 

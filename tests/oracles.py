@@ -57,8 +57,9 @@ writes them in to_dict as the package once did; the package's graphs hold
 sign rows and build vertex objects only when read.  _signs turns a
 hand-built vertex list into the rows rf.CircuitGraph takes.
 
-table_records is json.dumps's default= for cli.RecordTable: the list of
-dicts the table stands for, which the package's writer never builds.
+table_records is json.dumps's default= for cli.RecordTable and 2-D
+arrays: the list of dicts the table stands for, or the array's rows, which
+the package's writer never builds.
 
 The rest are a plain per-vertex version of the flow's curvature, the flow
 field as the package once evaluated it (field_evaluate: np.linalg.norm for
@@ -933,7 +934,10 @@ def csr(lower, upper, k):
 
 
 def table_records(value):
-    """The list of dicts a cli.RecordTable holds, for json.dumps(default=...)."""
+    """The list of dicts a cli.RecordTable holds, or the rows of a 2-D
+    array, for json.dumps(default=...)."""
+    if isinstance(value, np.ndarray) and value.ndim == 2:
+        return value.tolist()
     if not isinstance(value, RecordTable):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     offsets = value.offsets.tolist()
@@ -941,3 +945,21 @@ def table_records(value):
         {value.key: c, value.ragged_key: value.values[a:b].tolist()}
         for c, a, b in zip(value.column.tolist(), offsets, offsets[1:])
     ]
+
+
+def element_circuits(poset: dict) -> list[list[dict]]:
+    """Each element's circuit dicts in a poset dict's table form: its ids
+    looked up in 'circuits', as each element listed them in schema version 1."""
+    return [[poset["circuits"][i] for i in ids] for ids in poset["elements"]]
+
+
+def shuffled_circuits(poset: dict, rng) -> dict:
+    """The poset dict with its 'circuits' listed in a random order and each
+    element's ids remapped to that order, still ascending."""
+    order = rng.permutation(len(poset["circuits"]))
+    new_id = np.argsort(order)
+    return {
+        **poset,
+        "circuits": [poset["circuits"][c] for c in order],
+        "elements": [sorted(new_id[ids].tolist()) for ids in poset["elements"]],
+    }

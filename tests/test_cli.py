@@ -4,8 +4,10 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import oracles
 import radonflow as rf
 import radonflow.cli as cli
 import radonflow.macphersonian as macphersonian
@@ -40,6 +42,13 @@ def stripped(path):
     return "\n".join(keep)
 
 
+def _sub_poset(poset, picks, hasse):
+    """A poset.json of the elements picks of poset, in that order, with
+    every circuit of poset still listed and the given hasse pairs."""
+    elements = [poset["elements"][x] for x in picks]
+    return {key: poset[key] for key in ("n", "d", "circuits")} | {"elements": elements, "hasse": hasse}
+
+
 def test_analyze_square(tmp_path):
     cfg = tmp_path / "square.json"
     write_json(cfg, {"points": SQUARE, "d": 2})
@@ -49,7 +58,7 @@ def test_analyze_square(tmp_path):
     matroid = load(out / "matroid.json")
     assert matroid["n"] == 4 and matroid["d"] == 2
     assert matroid["circuits"] == [{"neg": [2, 3], "pos": [1, 4]}]
-    assert matroid["schema_version"] == 1
+    assert matroid["schema_version"] == 2
     assert "generated_at" in matroid
 
     rc = load(out / "radon_complex.json")
@@ -116,7 +125,7 @@ def test_flow_pentagon_repetitions(tmp_path):
         assert row["curv_final"] < rf.TOL_CURV
         trace = (out / f"rep_{rep:03d}_trace.csv").read_text().splitlines()
         assert trace[0].startswith("# generated_at:")
-        assert trace[1] == "# schema_version: 1"
+        assert trace[1] == "# schema_version: 2"
         assert trace[2] == "t,curv_max,curv_mean,vel_max"
         assert len(trace) == row["steps"] + 4  # two headers, columns, final sample
         assert (out / f"rep_{rep:03d}_final_sphere.json").exists()
@@ -282,29 +291,29 @@ def test_macphersonian_4_2_enumerates_once(tmp_path, monkeypatch):
 
 
 # SHA-256 of each file the census writes, its generated_at line dropped
-# (stripped), as written before the census kept its elements as arrays
-# (commit d4a18d8): any change of order or layout fails
+# (stripped), at schema_version 2, poset.json as one table of circuits and
+# element ids: any change of order or layout fails
 CENSUS_DIGESTS = {
     (4, 1): {
-        "poset.json": "d72b71e977105414c3f1ca2f46708fdeeab495dec3894a5f618b48c876ae717a",
-        "order_complex.json": "d8a2f0f262f15f737466a64616280b37bcb8404d84d9165520c91baeaf4777da",
+        "poset.json": "d476f099ece6d82b37d3fa09efbdabe7515ddd6a315e6664128512af50927d9a",
+        "order_complex.json": "cbf993988943de170f2e5b24139cc071b4f9d5d9d49b9ad47929ec471eb23c99",
     },
     (4, 2): {
-        "poset.json": "d504a4273d1ce179e97b4cc5e4b230086c1f325429608d0b0fe4bd9bfe26322c",
-        "order_complex.json": "5efcd3eaaf2a28be7c1b136d0cabc31d50098d5abe9504565ff017c55e2bb944",
-        "m42_cells.json": "361452058104b0a58a82a049cfa14b1f4f2ca39129f1473ce51509b8982a9fdf",
+        "poset.json": "cc9c9f194848ee639475bc7a9c06e5ddf249764ff884708db06ab5fd2a4ce8a3",
+        "order_complex.json": "8f3300b52df36324e571062a435e7ef0536808ac2664aca1f9028ff4e53b4cfe",
+        "m42_cells.json": "9459a71f66aaae88b1c921fdcace01d611449138a6425239509724a3011fb995",
     },
     (5, 1): {
-        "poset.json": "e7d51ee86062f3a971c8e6a45186c02ee93d3a61086b9361fc4aa687f1df3454",
-        "order_complex.json": "c515ac6fe28c44d31f770ebc35066875aab9bdba2e14b2acbbca7eade5392286",
+        "poset.json": "158cc55110937a4769414d5cc8a0505b9dc01e380209106a55ed4eadc7ae3d84",
+        "order_complex.json": "2007d263e6ec1683c31b809b2539a8f2a79292364922eeff0e673720c37c2d5e",
     },
     (5, 3): {
-        "poset.json": "160f278fb8162e35d5ab7cb0b6c8391b2ce8f60658aab6a327f797a58c1a71db",
-        "order_complex.json": "5a4484aecbc8a7172040dbc8f9447bd54ba43fd326bd6510763f7f8707501138",
+        "poset.json": "de062033b89b1f6caedd1251b5ebd4581d4aba335bee18ba633345e26e7a3c4b",
+        "order_complex.json": "995815082d2d187aceebe0da936d1de4060256a45db23b87c814d22e46a9b4b0",
     },
     (6, 4): {
-        "poset.json": "d264a0b144bf71b54f29a6f3d23db993e23ca2266a448544667df7840a15eafa",
-        "order_complex.json": "fb61a9c5a82029e7ad646af5f7b0981cd8394420d0c9fd0b1edbe665b92af1da",
+        "poset.json": "0963755e267d15ac1dffc6b85cb472ccbb3c0ed13a0dd7bfc351740030f120f7",
+        "order_complex.json": "7751637cdc12f68ecb90edf60683630dc04982e1b4f53886fc42af01f3728ca1",
     },
 }
 
@@ -330,7 +339,7 @@ def test_macphersonian_ignores_seed(tmp_path):
         assert stripped(tmp_path / "0" / name) == stripped(tmp_path / "5" / name)
 
 
-def test_census_6_3_completes_and_homology_refuses_its_order_complex(tmp_path):
+def test_census_6_3_completes_and_homology_reads_it_off_the_covers(tmp_path):
     # the census runs its three checks (cellular_homology) or fails, and
     # homology reads the poset it writes by the same route, never building
     # the order complex of its 17 162 elements (812 682 602 vertex entries)
@@ -358,7 +367,7 @@ def test_homology_rejects_malformed_hasse(tmp_path, capsys, hasse):
     mac_out = tmp_path / "mac"
     assert main(["macphersonian", "4", "1", "--out", str(mac_out)]) == 0
     cfg = tmp_path / "bad.json"
-    write_json(cfg, {"elements": load(mac_out / "poset.json")["elements"][:3], "hasse": hasse})
+    write_json(cfg, _sub_poset(load(mac_out / "poset.json"), [0, 1, 2], hasse))
     assert main(["homology", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     if not isinstance(hasse, list):  # with no items, these once passed as no covers
@@ -373,26 +382,80 @@ def test_homology_rejects_malformed_hasse(tmp_path, capsys, hasse):
         ({"pos": [1, 2], "neg": [2]}, "circuit parts must be disjoint"),
         ({"pos": [1, 9], "neg": [2]}, "circuit {1,9}|{2} uses an element beyond n=4"),
         ({"pos": [1, 2], "neg": [3, 4]}, "circuit {1,2}|{3,4} has support larger than d + 2 = 3"),
-        ({"d": 2}, "matroids must share the same ground set"),
+        ({"n": 3}, "circuit {1}|{4} uses an element beyond n=3"),
     ],
     ids=["overlap", "beyond-n", "wide", "other-ground"],
 )
 def test_homology_rejects_malformed_elements(tmp_path, capsys, change, message):
-    # one element of the (4,1) poset gains a malformed circuit, or another
-    # ground set: exit 2 with the message that names it
+    # the (4,1) poset gains a malformed circuit, held by element 1, or a
+    # ground set its circuits do not fit: exit 2 with the message that
+    # names it
     mac_out = tmp_path / "mac"
     assert main(["macphersonian", "4", "1", "--out", str(mac_out)]) == 0
     poset = load(mac_out / "poset.json")
-    element = poset["elements"][1]
-    if "d" in change:
-        element.update(change)
+    if "n" in change:
+        poset.update(change)
     else:
-        element["circuits"].append(change)
+        poset["elements"][1].append(len(poset["circuits"]))
+        poset["circuits"].append(change)
     cfg = tmp_path / "bad.json"
     write_json(cfg, poset)
     out = tmp_path / "out"
     assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"input error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"elements": [[0, -1]]}, "element 1 lists -1, which names no circuit of 0..17"),
+        ({"elements": [[0, 18]]}, "element 1 lists 18, which names no circuit of 0..17"),
+        ({"elements": [[0, 1.5]]}, "element 1 lists 1.5, which names no circuit of 0..17"),
+        ({"elements": [[0, True]]}, "element 1 lists true, which names no circuit of 0..17"),
+        ({"elements": [[3, 2]]}, "element 1 lists circuit id 2 out of ascending order"),
+        ({"elements": [[2, 2]]}, "element 1 lists circuit id 2 twice"),
+        ({"circuits": [{"pos": [1], "neg": [2]}]}, "circuit {1}|{2} is listed twice in 'circuits'"),
+        ({"elements": [{"ids": [0]}]}, 'element 1 is {"ids": [0]}, not a list of circuit ids'),
+        ({"elements": [7]}, "element 1 is 7, not a list of circuit ids"),
+    ],
+    ids=["negative-id", "id-past-end", "fractional-id", "bool-id", "descending-ids", "repeated-id",
+         "circuit-listed-twice", "element-not-a-list", "element-an-int"],
+)
+def test_homology_rejects_malformed_circuit_ids(tmp_path, capsys, change, message):
+    # the (4,1) poset, 18 circuits listed once each, with element 1 made
+    # malformed or a circuit listed again: exit 2 with the message that
+    # names it
+    mac_out = tmp_path / "mac"
+    assert main(["macphersonian", "4", "1", "--out", str(mac_out)]) == 0
+    poset = load(mac_out / "poset.json")
+    assert len(poset["circuits"]) == 18 and poset["circuits"][0] == {"pos": [1], "neg": [2]}
+    if "elements" in change:
+        poset["elements"][1:2] = change["elements"]
+    else:
+        poset["circuits"] += change["circuits"]
+    cfg = tmp_path / "bad.json"
+    write_json(cfg, poset)
+    out = tmp_path / "out"
+    assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+def test_homology_rejects_the_schema_1_poset_form(tmp_path, capsys):
+    # each element listing its circuits in full, as schema_version 1 wrote
+    # it: neither written nor read, and the message names the table form
+    census = rf.enumerate_acyclic_oms(4, 1)
+    p = rf.MatroidPoset.from_elements(census)
+    hasse = p.hasse_pairs().tolist()
+    cfg = tmp_path / "old.json"
+    write_json(cfg, {"n": 4, "d": 1, "elements": [m.to_dict() for m in census], "hasse": hasse})
+    out = tmp_path / "out"
+    assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: a poset lists each circuit once under 'circuits' and each element as its "
+        "ascending circuit ids (schema_version 2), not each element's circuits in full\n"
+    )
     assert not out.exists()
 
 
@@ -448,7 +511,7 @@ def test_homology_refuses_a_poset_that_is_not_cw(tmp_path, capsys):
     poset = load(mac_out / "poset.json")
     a, b, c = next((a, b, c) for a, b in poset["hasse"] for b2, c in poset["hasse"] if b2 == b)
     cfg = tmp_path / "chain.json"
-    write_json(cfg, {"elements": [poset["elements"][x] for x in (a, b, c)], "hasse": [[0, 1], [1, 2]]})
+    write_json(cfg, _sub_poset(poset, [a, b, c], [[0, 1], [1, 2]]))
     out = tmp_path / "out"
     assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
@@ -464,6 +527,36 @@ def test_homology_reproduces_the_census_order_complex(census_out, tmp_path):
     oc = load(census_out / "order_complex.json")
     for key in ("simplex_counts", "euler_characteristic", "betti_gf2"):
         assert betti[key] == oc[key]
+
+
+def test_homology_reads_back_the_census_table(census_out, tmp_path, monkeypatch):
+    # the table homology reads is the census's own, each listed circuit is
+    # distinct and held by some element, and a file listing the circuits in
+    # another order, the ids remapped, gives the same table and answer
+    poset = load(census_out / "poset.json")
+    census = rf.enumerate_acyclic_oms(poset["n"], poset["d"])
+    assert len({json.dumps(c) for c in poset["circuits"]}) == len(poset["circuits"])
+    assert sorted({k for ids in poset["elements"] for k in ids}) == list(range(len(poset["circuits"])))
+    tables, real = [], rf.MatroidTable.from_dict.__func__
+
+    def read(cls, data):
+        tables.append(real(cls, data))
+        return tables[-1]
+
+    monkeypatch.setattr(rf.MatroidTable, "from_dict", classmethod(read))
+    shuffled = tmp_path / "shuffled.json"
+    write_json(shuffled, oracles.shuffled_circuits(poset, np.random.default_rng(31)))
+    oc = load(census_out / "order_complex.json")
+    for cfg, out in ((census_out / "poset.json", tmp_path / "hom"), (shuffled, tmp_path / "hom-shuffled")):
+        assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 0
+        betti = load(out / "betti.json")
+        for key in ("simplex_counts", "euler_characteristic", "betti_gf2"):
+            assert betti[key] == oc[key]
+    assert len(tables) == 2
+    for table in tables:
+        assert table.ground == census.ground
+        for got, want in ((table.signs, census.signs), (table.start, census.start), (table.ids, census.ids)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _tampered(poset, how):

@@ -3,8 +3,8 @@
 Every output goes through cli._json_text; a spy records each payload with
 the text written for it, and each written file is also checked on its own
 against the oracle's layout of what it holds. A cli.RecordTable in a
-payload is expanded for the oracle into the list of dicts it holds
-(oracles.table_records), and the facets analyze writes from one are read
+payload is expanded for the oracle into the list of dicts it holds, and a
+2-D array (the census's covers) into its rows (oracles.table_records), and the facets analyze writes from one are read
 back and compared with the complex's own. The outputs of the criterion-8
 commands get the per-file check in test_acceptance.py, where those
 commands already run.
@@ -149,6 +149,11 @@ EDGE_CASES = {
     "table_key_last": RecordTable("z", np.array([-1, 0]), "a%s", np.array([0, 2, 2]), np.array([5, 12])),
     "table_empty": RecordTable("dim", np.zeros(0, np.intp), "vertices", np.zeros(1, np.intp), np.zeros(0, np.intp)),
     "tables": [RecordTable("é", np.array([7]), "%r", np.array([0, 1]), np.array([1])), {"a": 1}],
+    "array": np.array([[0, 5], [2, -9], [10**15, 7]]),
+    "array_floats": np.array([[float("nan"), 1.5], [-float("inf"), 0.1], [-0.0, 1e-300]]),
+    "array_empty": np.zeros((0, 2), np.intp),
+    "array_no_columns": np.zeros((2, 0)),
+    "arrays": [np.array([[1, 2]]), np.array([[3], [4]], np.int8)],
 }
 
 

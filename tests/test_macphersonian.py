@@ -8,7 +8,7 @@ import pytest
 import oracles
 import radonflow as rf
 from conftest import ascending_pairs
-from radonflow.cli import main
+from radonflow.cli import _json_text, main
 
 
 @pytest.fixture(scope="module")
@@ -248,7 +248,7 @@ def _assert_poset_matches_pairwise_loop(elements):
     hasse = p.hasse_pairs()
     assert hasse.tolist() == oracles.hasse_pairs(leq)
     assert p.to_dict(hasse)["maximal"] == oracles.maximal_indices(leq)
-    assert p.to_dict(hasse)["elements"] == [m.to_dict() for m in elements]
+    assert oracles.element_circuits(p.to_dict(hasse)) == [m.to_dict()["circuits"] for m in elements]
     return p
 
 
@@ -276,7 +276,7 @@ def test_one_element_poset_and_antichain_have_no_covers(poset42):
         p = rf.MatroidPoset.from_elements(elements)
         hasse = p.hasse_pairs()
         assert hasse.shape == (0, 2) and hasse.dtype == np.intp
-        assert p.to_dict(hasse)["hasse"] == [] and p.to_dict(hasse)["maximal"] == list(range(len(p)))
+        assert p.to_dict(hasse)["hasse"].shape == (0, 2) and p.to_dict(hasse)["maximal"] == list(range(len(p)))
         assert rf.grades(p, hasse).tolist() == [0] * len(p)
         assert rf.cellular_homology(p, hasse)[1] == [len(p)]
 
@@ -746,49 +746,61 @@ def test_poset_of_the_table_equals_the_poset_of_its_objects(n, d):
     assert p.elements is census and q.elements is elements
     assert np.array_equal(p.pairs, q.pairs)
     hasse = p.hasse_pairs()
-    assert p.to_dict(hasse) == q.to_dict(hasse)
-    assert p.to_dict(hasse)["elements"] == [m.to_dict() for m in elements]
+    assert _json_text(p.to_dict(hasse)) == _json_text(q.to_dict(hasse))
+    assert oracles.element_circuits(p.to_dict(hasse)) == [m.to_dict()["circuits"] for m in elements]
     assert census.uniform.tolist() == [m.is_uniform for m in elements]
 
 
 def test_census_elements_round_trip_through_their_dicts():
     census = rf.enumerate_acyclic_oms(5, 2)
-    for m, data in zip(census, census.to_dicts()):
+    for m in census:
+        data = m.to_dict()
         again = rf.OrientedMatroid.from_dict(data)
         assert again == m and hash(again) == hash(m) and again.to_dict() == data
 
 
+def _poset_dict(elements):
+    """The poset dict the census writes for elements, n and d included."""
+    p = rf.MatroidPoset.from_elements(elements)
+    ground = rf.MatroidTable.of(elements).ground
+    return {**p.to_dict(p.hasse_pairs()), "n": ground.n, "d": ground.d}
+
+
 @pytest.mark.parametrize("n, d", ALL_CENSUS_SHAPES)
 def test_table_parser_reads_back_the_census(n, d):
-    # the census's dicts parse back into its own table, array for array,
-    # and each element is the matroid of its circuits built one by one
+    # the census's poset dict parses back into its own table, array for
+    # array, each element is the matroid of its circuits built one by one,
+    # and each listed circuit is distinct and held by some element
     census = rf.enumerate_acyclic_oms(n, d)
-    data = census.to_dicts()
-    table = rf.MatroidTable.from_dicts(data)
+    data = _poset_dict(census)
+    table = rf.MatroidTable.from_dict(data)
     assert table.ground == census.ground
     for got, want in ((table.signs, census.signs), (table.start, census.start), (table.ids, census.ids)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    for i in np.random.default_rng([29, n, d]).choice(len(data), min(len(data), 20), replace=False):
-        circuits = [rf.Circuit(c["pos"], c["neg"]) for c in data[i]["circuits"]]
+    listed = oracles.element_circuits(data)
+    for i in np.random.default_rng([29, n, d]).choice(len(listed), min(len(listed), 20), replace=False):
+        circuits = [rf.Circuit(c["pos"], c["neg"]) for c in listed[i]]
         assert table[int(i)] == rf.OrientedMatroid.from_circuits(census.ground, circuits)
+    assert len({json.dumps(c) for c in data["circuits"]}) == len(data["circuits"])
+    assert sorted({k for ids in data["elements"] for k in ids}) == list(range(len(data["circuits"])))
 
 
 def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
-    # elements in another order, each with its circuits shuffled and one of
-    # them listed twice: the same matroids in the given order, ids ascending
+    # elements in another order and circuits listed in another order, the
+    # ids remapped: the same matroids in the given order, the rows in the
+    # census's order, each circuit once and the ids ascending
     rng = np.random.default_rng(29)
-    data = oms42.to_dicts()
-    order = rng.permutation(len(data))
-    messy = []
-    for i in order:
-        circuits = [data[i]["circuits"][k] for k in rng.permutation(len(data[i]["circuits"]))]
-        messy.append({**data[i], "circuits": circuits + circuits[:1]})
-    table = rf.MatroidTable.from_dicts(messy)
+    data = _poset_dict(oms42)
+    order = rng.permutation(len(oms42))
+    messy = oracles.shuffled_circuits({**data, "elements": [data["elements"][i] for i in order]}, rng)
+    assert messy["circuits"] != data["circuits"]
+    table = rf.MatroidTable.from_dict(messy)
     assert list(table) == [oms42[int(i)] for i in order]
+    assert np.array_equal(table.signs, oms42.signs)
     assert all((np.diff(table.ids[a:b]) > 0).all() for a, b in zip(table.start, table.start[1:]))
-    assert rf.MatroidPoset.from_elements(table).to_dict(np.zeros((0, 2), np.intp))["elements"] == [
-        data[i] for i in order
-    ]
+    again = rf.MatroidPoset.from_elements(table).to_dict(np.zeros((0, 2), np.intp))
+    assert again["circuits"] == data["circuits"]
+    assert oracles.element_circuits(again) == [oracles.element_circuits(data)[i] for i in order]
 
 
 @pytest.mark.parametrize(
@@ -809,23 +821,25 @@ def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
     ids=["overlap", "empty", "element-0", "beyond-n", "wide", "no-d", "part-not-a-list"],
 )
 def test_table_parser_names_the_first_malformed_circuit(bad, error, message):
-    # one element of a (5,1) census made malformed: the table parser and
-    # from_dict, its one-element case, raise the message the parser of
-    # one Circuit per listed circuit always raised, word for word
-    data = rf.enumerate_acyclic_oms(5, 1).to_dicts()[:4]
-    element = {k: v for k, v in {**data[2], **bad}.items() if v is not None}
-    for parse, elements in ((rf.MatroidTable.from_dicts, data[:2] + [element] + data[3:]),
-                            (rf.OrientedMatroid.from_dict, element)):
+    # a (5,1) element's dict made malformed: the table parser, on a poset
+    # of that one element holding every listed circuit, and from_dict raise
+    # the message the parser of one Circuit per listed circuit always
+    # raised, word for word
+    element = rf.enumerate_acyclic_oms(5, 1)[2].to_dict()
+    element = {k: v for k, v in {**element, **bad}.items() if v is not None}
+    poset = {**element, "elements": [list(range(len(element["circuits"])))]}
+    for parse, data in ((rf.MatroidTable.from_dict, poset), (rf.OrientedMatroid.from_dict, element)):
         with pytest.raises(error) as raised:
-            parse(elements)
+            parse(data)
         assert str(raised.value) == message
 
 
 def test_table_parser_needs_one_ground_set():
-    data = rf.enumerate_acyclic_oms(5, 1).to_dicts()[:3]
-    other = {"n": 5, "d": 2, "circuits": [{"pos": [1, 2], "neg": [3]}]}
-    with pytest.raises(ValueError, match="matroids must share the same ground set"):
-        rf.MatroidTable.from_dicts(data + [other])
+    census = rf.enumerate_acyclic_oms(5, 1)
+    other = rf.OrientedMatroid.from_circuits(rf.GroundSet(5, 2), [rf.Circuit({1, 2}, {3})])
+    for make in (rf.MatroidTable.of, rf.MatroidPoset.from_elements):
+        with pytest.raises(ValueError, match="matroids must share the same ground set"):
+            make(census[:3] + [other])
 
 
 def _gaussian_binomial(m, k):
