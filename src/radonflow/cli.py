@@ -296,9 +296,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         config = fixed_points if fixed_points is not None else _sample_spanning_points(n, d, rng)
         row = {"rep": rep}
         try:
-            rc = geometric_radon_complex(config)
-            sphere = EmbeddedSphere.from_geometric(rc)
-            start = sphere.perturbed(delta, rng)
+            start = EmbeddedSphere.from_points(config).perturbed(delta, rng)
             final, trace = integrate(start, params)
             row["outcome"] = trace.outcome
             row["steps"] = len(trace.samples) - 1

@@ -122,16 +122,6 @@ class CircuitGraph:
         """The cycle partition of the edges, walked on first read."""
         return _partition_edges_into_cycles(self.rows, *self.edges.T)
 
-    @cached_property
-    def cycle_pairs(self) -> list[list[tuple[int, int]]]:
-        """Per vertex, its two neighbors on each cycle through it, in cycle order."""
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(len(self.signs))]
-        for cyc in self.cycles:
-            seq = cyc.vertex_seq
-            for v, before, after in zip(seq, seq[-1:] + seq[:-1], seq[1:] + seq[:1]):
-                pairs[v].append((before, after))
-        return pairs
-
     def _circuits(self) -> tuple[list[dict], list[int]]:
         """Each vertex's circuit as {"pos", "neg"}, its smallest element
         positive (the rule of Circuit.make), and the vertex's sign there."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import CircuitGraph, RadonComplex, combinatorial_circuit_graph
+from .complexes import CircuitGraph, _circuit_graph, combinatorial_circuit_graph, project_to_gamma
 from .core import (
     COLLISION_DIST,
     EPS_FLAT,
@@ -36,13 +36,14 @@ from .core import (
     EPS_SIGN,
     MIN_STEP,
     TOL_CURV,
+    GroundSet,
     OrientedMatroid,
     PointConfiguration,
+    circuit_dependences,
 )
 
-# backtracking line search: sufficient-decrease fraction and largest step
+# backtracking line search: the sufficient-decrease fraction
 ARMIJO = 1e-4
-MAX_STEP = 1.0
 
 OUTCOME_CONVERGED = "converged-flat"
 OUTCOME_STALLED = "stalled"
@@ -98,10 +99,10 @@ class EmbeddedSphere:
 
     Positions are stored for the representatives only, the first half of
     the graph's vertices, whose faces are the rows of signs: the matroid's
-    sign rows, as the graph's first half (geometric_radon_complex,
-    _circuit_graph).  Vertex k + reps, the antipode of vertex k, sits at
-    the negated position.  Unless validate is False, construction checks
-    that every position lies on the polytope and inside its own face.
+    sign rows, as the graph's first half (from_points, at_barycenters).
+    Vertex k + reps, the antipode of vertex k, sits at the negated
+    position.  Unless validate is False, construction checks that every
+    position lies on the polytope and inside its own face.
     face_margins is the package's one face check: validation, the flow's
     face tests and the perturbation's radius all read it.
     """
@@ -157,9 +158,15 @@ class EmbeddedSphere:
         return self._pos.copy()
 
     @classmethod
-    def from_geometric(cls, rc: RadonComplex) -> "EmbeddedSphere":
-        reps = len(rc.graph.signs) // 2
-        return cls(rc.matroid, rc.graph, rc.positions[:reps])
+    def from_points(cls, config: PointConfiguration) -> "EmbeddedSphere":
+        """The geometric embedding of a spanning configuration: each circuit
+        of circuit_dependences at its dependence vector, radially normalized
+        onto the polytope, on the circuit graph of the adjacency rule
+        (_circuit_graph).  These are the signs, edges and positions of
+        geometric_radon_complex, without its higher cells."""
+        signs, dependences = circuit_dependences(config)
+        matroid = OrientedMatroid(GroundSet(config.n, config.d), signs)
+        return cls(matroid, _circuit_graph(matroid), project_to_gamma(dependences))
 
     @classmethod
     def at_barycenters(cls, matroid: OrientedMatroid) -> "EmbeddedSphere":
@@ -234,11 +241,15 @@ class _Field:
     """
 
     def __init__(self, sphere: EmbeddedSphere) -> None:
-        # one (vertex, neighbor, neighbor) row per cycle through a
-        # representative, each vertex's cycles in order
+        # one (vertex, neighbor before, neighbor after) row per cycle through
+        # a representative, stably sorted by vertex: each vertex's cycles in
+        # the order of graph.cycles
         self.reps = reps = sphere.n_reps
-        pairs = [(v, a, b) for v in range(reps) for a, b in sphere.graph.cycle_pairs[v]]
-        self.v_idx, self.a_idx, self.b_idx = np.array(pairs, int).reshape(-1, 3).T.copy()
+        seqs = [cyc.vertex_seq for cyc in sphere.graph.cycles]
+        rows = [row for q in seqs for row in zip(q, q[-1:] + q[:-1], q[1:] + q[:1])]
+        rows = np.array(rows, int).reshape(-1, 3)
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        self.v_idx, self.a_idx, self.b_idx = rows[rows[:, 0] < reps].T.copy()
         # the rows of [P; -P] that evaluate gathers: a, b, then v
         self.abv_idx = np.stack([self.a_idx, self.b_idx, self.v_idx])
         self.mask = sphere._on.astype(float)
@@ -333,11 +344,12 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     a trial that leaves a face is halved before it is evaluated.  The first
     trial is params.h.  After an accepted step with s = P_new - P and
     y = g_new - g over the representatives' rows, the next first trial is
-    the short Barzilai-Borwein step s.y / y.y clipped to [MIN_STEP,
-    MAX_STEP] if s.y > 0, and otherwise the last step doubled while it stays
-    within MAX_STEP.  The accepted trial's evaluation gives the next
-    gradient.  The trace's t sums the accepted steps and vel_max is the
-    largest row norm of g.
+    the short Barzilai-Borwein step max(s.y / y.y, MIN_STEP) if s.y > 0,
+    and otherwise the last step doubled.  No trial is capped from above:
+    backtracking alone refuses a step that leaves a face or does not lower
+    E enough.  The accepted trial's evaluation gives the next gradient.
+    The trace's t sums the accepted steps and vel_max is the largest row
+    norm of g.
 
     One test per outcome, before each step: a start with a vertex on or past
     its face boundary is a face exit (no accepted step leaves a face), a max
@@ -398,10 +410,7 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         energy, g_new, curv_max, curv_mean, vel_max = field.stats(trial)
         y = g_new - g
         sy = float(_add((P_new - P) * y, axis=None))
-        if sy > 0.0:
-            h = min(max(sy / float(_add(y * y, axis=None)), MIN_STEP), MAX_STEP)
-        else:
-            h = 2.0 * h if 2.0 * h <= MAX_STEP else min(h, MAX_STEP)
+        h = max(sy / float(_add(y * y, axis=None)), MIN_STEP) if sy > 0.0 else 2.0 * h
         P, g = P_new, g_new
     final = EmbeddedSphere(s.matroid, s.graph, P, validate=False)
     return final, FlowTrace(samples=samples, outcome=outcome)

@@ -66,13 +66,13 @@ def hexagon_complex(hexagon_config):
 
 
 @pytest.fixture(scope="session")
-def pentagon_sphere(pentagon_complex):
-    return rf.EmbeddedSphere.from_geometric(pentagon_complex)
+def pentagon_sphere(pentagon_config):
+    return rf.EmbeddedSphere.from_points(pentagon_config)
 
 
 @pytest.fixture(scope="session")
-def hexagon_sphere(hexagon_complex):
-    return rf.EmbeddedSphere.from_geometric(hexagon_complex)
+def hexagon_sphere(hexagon_config):
+    return rf.EmbeddedSphere.from_points(hexagon_config)
 
 
 def sample_spanning_points(n, d, rng):

@@ -73,7 +73,9 @@ its margin screen must agree with, and a small model of the ambient polytope
 (vertices, face barycenters, a sign reader for its faces) used to test the
 package's polytope helpers.  The curvature and velocity references address
 a vertex by its index i in the circuit graph: its position is
-positions_all()[i] and its cycle neighbors are graph.cycle_pairs[i].
+positions_all()[i] and its cycle neighbors are cycle_pairs(graph)[i], the
+per-vertex lists the package once cached on its graphs; the flow's field
+reads the same rows straight off graph.cycles.
 """
 
 from dataclasses import dataclass
@@ -175,8 +177,7 @@ class ReferenceGraph(rf.CircuitGraph):
     """An rf.CircuitGraph of vertex objects, built as the package once built
     its graphs: its signs are theirs (_signs), vertices is the objects as
     given, to_dict writes each one's circuit and orientation, and its
-    cycles (and so its cycle_pairs) come from partition_edges_into_cycles,
-    not the package's walk."""
+    cycles come from partition_edges_into_cycles, not the package's walk."""
 
     def __init__(self, vertices, edges, n):
         super().__init__(_signs(vertices, n), edges)
@@ -330,13 +331,23 @@ class AmbientSpace:
         return rf.project_to_gamma(x)
 
 
+def cycle_pairs(graph):
+    """Per vertex, its two neighbors on each cycle through it, in cycle order."""
+    pairs = [[] for _ in range(len(graph.signs))]
+    for cyc in graph.cycles:
+        seq = cyc.vertex_seq
+        for v, before, after in zip(seq, seq[-1:] + seq[:-1], seq[1:] + seq[:1]):
+            pairs[v].append((before, after))
+    return pairs
+
+
 def _neighbor_directions(s, i):
     """Per cycle through vertex i: the two neighbor positions and the unit
     components of those positions orthogonal to the position of vertex i."""
     full = s.positions_all()
     p = full[i]
     pn = p / np.linalg.norm(p)
-    for a, b in s.graph.cycle_pairs[i]:
+    for a, b in cycle_pairs(s.graph)[i]:
         pa, pb = full[a], full[b]
         w = pa - (pa @ pn) * pn
         w2 = pb - (pb @ pn) * pn

@@ -68,8 +68,7 @@ def get_flow_runs():
         ]
         runs = []
         for name, cfg in cases:
-            rc = rf.geometric_radon_complex(cfg)
-            sphere = rf.EmbeddedSphere.from_geometric(rc)
+            sphere = rf.EmbeddedSphere.from_points(cfg)
             for rep in range(FLOW_REPS):
                 rng = np.random.default_rng([FLOW_SEED, rep])
                 start = sphere.perturbed(FLOW_DELTA, rng)
@@ -157,13 +156,12 @@ def test_criterion_4_m42_census(capsys):
 def test_criterion_5_flat_embeddings_are_stationary(corpus, capsys):
     try:
         worst = 0.0
-        complexes = get_complexes(corpus)
         extra = [
-            rf.geometric_radon_complex(rf.PointConfiguration(pentagon_points(), 2)),
-            rf.geometric_radon_complex(rf.PointConfiguration(np.asarray(HEXAGON), 2)),
+            rf.PointConfiguration(pentagon_points(), 2),
+            rf.PointConfiguration(np.asarray(HEXAGON), 2),
         ]
-        for rc in [rc for rcs in complexes.values() for rc in rcs] + extra:
-            sphere = rf.EmbeddedSphere.from_geometric(rc)
+        for cfg in [cfg for cfgs in corpus.values() for cfg in cfgs] + extra:
+            sphere = rf.EmbeddedSphere.from_points(cfg)
             _, trace = rf.integrate(sphere)
             first = trace.samples[0]
             assert first.t == 0.0

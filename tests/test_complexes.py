@@ -14,8 +14,9 @@ from conftest import (
     sample_spanning_points,
     widened,
 )
-from oracles import _ordered_vertices, _signs
+from oracles import _ordered_vertices, _signs, cycle_pairs
 from radonflow.cli import main
+from radonflow.flow import _Field
 
 
 def test_square_complex_is_a_zero_sphere(square_config):
@@ -63,7 +64,7 @@ def test_positions_sit_on_their_faces(hexagon_complex):
     for k, v in enumerate(g.vertices):
         assert amb.face_of(hexagon_complex.positions[k]) == (v.pos, v.neg)
     # the package's one face check accepts the same positions
-    rf.EmbeddedSphere.from_geometric(hexagon_complex)
+    rf.EmbeddedSphere(hexagon_complex.matroid, g, hexagon_complex.positions[: len(g.signs) // 2])
 
 
 def test_cycles_partition_edges_and_live_in_two_planes(hexagon_complex):
@@ -104,8 +105,7 @@ def test_matroid_of_complex_roundtrip(pentagon_config):
 
 def test_opposite_neighbors_are_cycle_mates(hexagon_complex):
     g = hexagon_complex.graph
-    for i in range(len(g.vertices)):
-        pairs = g.cycle_pairs[i]
+    for i, pairs in enumerate(cycle_pairs(g)):
         assert pairs  # every vertex lies on at least one cycle
         nbrs = {b for e in g.edges if i in e for b in e if b != i}
         for a, b in pairs:
@@ -328,7 +328,7 @@ def _spied_walks(monkeypatch):
 def test_analyze_walks_the_cycles_once_and_flow_once_per_rep(monkeypatch, tmp_path):
     # analyze writes the geometric graph's cycles and compares the
     # combinatorial graph by vertices and edges only; each flow rep walks
-    # the cycles of its own complex
+    # the cycles of its own sphere's graph
     walks = _spied_walks(monkeypatch)
     hexagon = [[0, 0], [4, 1], [6, 4], [5, 7], [1, 6], [-1, 3]]
     rng = np.random.default_rng([46, 10, 4])
@@ -419,17 +419,53 @@ def test_row_built_graphs_equal_object_built_on_the_direct_sum_and_the_coloop():
         _assert_row_built_graphs_equal_object_built(rf.PointConfiguration(np.asarray(points, float), 2))
 
 
+def _assert_sphere_from_points_is_the_complexs(cfg):
+    """EmbeddedSphere.from_points(cfg) holds the sign rows, the edge array
+    and the positions of geometric_radon_complex(cfg), and the flow's field
+    reads the rows the per-vertex cycle_pairs give, in their order."""
+    rc, s = rf.geometric_radon_complex(cfg), rf.EmbeddedSphere.from_points(cfg)
+    assert np.array_equal(s.graph.signs, rc.graph.signs) and s.matroid == rc.matroid
+    assert s.graph.edges.dtype == rc.graph.edges.dtype
+    assert np.array_equal(s.graph.edges, rc.graph.edges)
+    assert np.array_equal(s.positions_all(), rc.positions)
+    field = _Field(s)
+    rows = [(v, a, b) for v, pairs in enumerate(cycle_pairs(s.graph)[: s.n_reps]) for a, b in pairs]
+    assert [tuple(r) for r in zip(field.v_idx, field.a_idx, field.b_idx)] == rows
+
+
+@pytest.mark.parametrize("n, d", LADDER)
+def test_sphere_from_points_is_the_complexs_on_the_ladder(n, d):
+    # each rung drawn uniform, with a coincident pair and with a collinear triple
+    rng = np.random.default_rng([48, n, d])
+    draws = [sample_spanning_points(n, d, rng)] + [
+        sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
+    ]
+    for pts in draws:
+        _assert_sphere_from_points_is_the_complexs(rf.PointConfiguration(pts.astype(float), d))
+
+
+def test_sphere_from_points_is_the_complexs_on_the_fixtures(pentagon_config, hexagon_config):
+    for cfg in (pentagon_config, hexagon_config, rf.PointConfiguration(np.asarray(DIRECT_SUM, float), 2)):
+        _assert_sphere_from_points_is_the_complexs(cfg)
+
+
 def test_combinatorial_graph_walks_its_cycles_on_first_read(monkeypatch, hexagon_config):
     walks = _spied_walks(monkeypatch)
     m = rf.circuits_of_points(hexagon_config)
     rc = rf.geometric_radon_complex(hexagon_config)
-    for read in (lambda g: g.cycles, lambda g: g.cycle_pairs, lambda g: g.to_dict()):
+
+    def field(g):  # the flow's field reads the cycles too
+        return _Field(rf.EmbeddedSphere(m, g, rc.positions[: len(m.signs)]))
+
+    reads = (lambda g: g.cycles, field, lambda g: g.to_dict())
+    for read in reads:
         g = rf.combinatorial_circuit_graph(m)
         assert rf.graphs_equal(g, rc.graph) and rf.validate_sphere(rc, 6, 2).ok
         assert walks == []
         read(g)
         assert walks == [60]
-        g.cycles, g.cycle_pairs, g.to_dict()  # the walk is kept: no second one
+        for again in reads:  # the walk is kept: no second one
+            again(g)
         assert walks == [60]
         del walks[:]
 
