@@ -9,12 +9,12 @@ Subcommands:
 
 Exit codes: 0 success (every flow outcome, per-rep errors included), 2
 input error (a poset that fails a CW check included), 3 unsupported range
-(n > 6), 4 numerical failure.  All runs with the same inputs and seed
-write byte-identical outputs apart from the generated_at stamps.  Every
-JSON output is laid out as json.dumps(payload, indent=2, sort_keys=True)
-lays it out, byte for byte: 2-space indent, sorted keys, ASCII only
-(non-ASCII characters as \\u escapes), NaN and Infinity as json spells
-them.
+(macphersonian with n > 6, d < 1 or n < d + 2), 4 numerical failure.  All
+runs with the same inputs and seed write byte-identical outputs apart from
+the generated_at stamps.  Every JSON output is laid out as
+json.dumps(payload, indent=2, sort_keys=True) lays it out, byte for byte:
+2-space indent, sorted keys, ASCII only (non-ASCII characters as \\u
+escapes), NaN and Infinity as json spells them.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ import numpy as np
 from .core import (
     EPS_MEM,
     Circuit,
-    GroundSet,
     OrientedMatroid,
     PointConfiguration,
     SignedCircuitVertex,
@@ -392,9 +391,8 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     first, as tuples do), whose bytes compare as those tuples do.  No Cell
     object is built (see RadonComplex.facets).
     """
-    signs, dependences = circuit_dependences(config)
+    matroid, dependences = circuit_dependences(config)
     n, d = config.n, config.d
-    matroid = OrientedMatroid(GroundSet(n, d), signs)
     placed = project_to_gamma(dependences)
     positions = np.concatenate([placed, -placed])
 

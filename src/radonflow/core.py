@@ -307,17 +307,18 @@ class PointConfiguration:
         return PointConfiguration(np.asarray(points, dtype=float), d)
 
 
-def circuit_dependences(config: PointConfiguration) -> tuple[np.ndarray, np.ndarray]:
+def circuit_dependences(config: PointConfiguration) -> tuple[OrientedMatroid, np.ndarray]:
     """Every signed circuit of a spanning configuration, with its dependence.
 
     The circuits are read off the lifted maximal minors (_gather_circuits,
     _distinct_circuits): by Cramer's rule the alternating minors of a
     (d+2)-subset are the coefficients of its dependence, so the rank rule
-    decides circuits on the bases alone.  Returns the circuits' sign rows,
-    in Circuit.sort_key order (_ordered_rows), and their dependences, one
-    length-n vector per row, max-abs normalized, zero off the support and
-    positive on the smallest element (Bjorner, Las Vergnas, Sturmfels,
-    White & Ziegler, Oriented Matroids, ch. 3).
+    decides circuits on the bases alone.  Returns the oriented matroid of
+    the circuits, its sign rows in Circuit.sort_key order (_ordered_rows),
+    and their dependences, one length-n vector per row, max-abs
+    normalized, zero off the support and positive on the smallest element
+    (Bjorner, Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids,
+    ch. 3).
     """
     if not config.affinely_spans():
         raise RankDeficientError("points do not affinely span R^d")
@@ -327,7 +328,7 @@ def circuit_dependences(config: PointConfiguration) -> tuple[np.ndarray, np.ndar
     x = np.zeros((len(spans), config.n))
     x[np.arange(len(spans))[:, None], spans] = np.where(values != 0, values, 0.0)
     signs, at = _ordered_rows(np.sign(x).astype(np.int8))
-    return signs, x[np.argsort(at)]
+    return OrientedMatroid(GroundSet(config.n, config.d), signs), x[np.argsort(at)]
 
 
 def circuits_of_points(config: PointConfiguration) -> OrientedMatroid:
@@ -337,7 +338,7 @@ def circuits_of_points(config: PointConfiguration) -> OrientedMatroid:
     (KERNEL_RTOL) decides which bases are singular, and no coefficient is
     rounded to zero.
     """
-    return OrientedMatroid(GroundSet(config.n, config.d), circuit_dependences(config)[0])
+    return circuit_dependences(config)[0]
 
 
 def same_chirotope(a: PointConfiguration, b: PointConfiguration) -> bool:
@@ -622,7 +623,7 @@ def _conformity(z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return flags.view(bool)
 
 
-# check_circuit_axioms stops after this many weak-elimination violations
+# check_circuit_axioms lists at most this many weak-elimination violations
 ELIMINATION_CAP = 200
 
 
@@ -715,10 +716,9 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     # their offset copies, and its target, built one temporary row at a
     # time; its bool comparison takes a byte per word.  The targets are not
     # deduplicated: a sort costs more than the kernel saves on the fifth of
-    # them that repeat on the analyze ladder.  Once the chunks done hold all
-    # failures whose X lies in them, and more than ELIMINATION_CAP of those,
-    # the element's first ELIMINATION_CAP + 1 failures are among them, and
-    # they hold its share of the first ELIMINATION_CAP overall
+    # them that repeat on the analyze ladder.  Each element keeps its first
+    # ELIMINATION_CAP + 1 failures, which hold its share of the first
+    # ELIMINATION_CAP overall.
     unit = _pack(np.eye(n, dtype=np.int8))
     clear = ~(unit | _negated(unit))
     failures: list[tuple[int, int, int]] = []
@@ -735,9 +735,6 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
             a, b = through[i[bad]], through[j[bad]]
             found += zip(a.tolist(), (b ^ 1).tolist(), itertools.repeat(e))
             found += zip(b.tolist(), (a ^ 1).tolist(), itertools.repeat(e))
-            done = int(through[start + step]) if start + step < len(x) else len(both)
-            if sum(row < done for row, _, _ in found) > ELIMINATION_CAP:
-                break
         found.sort()
         failures += found[: ELIMINATION_CAP + 1]
     failures.sort()

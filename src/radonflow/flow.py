@@ -23,6 +23,7 @@ is (the row space of) a recovered point configuration.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +37,6 @@ from .core import (
     EPS_SIGN,
     MIN_STEP,
     TOL_CURV,
-    GroundSet,
     OrientedMatroid,
     PointConfiguration,
     circuit_dependences,
@@ -47,7 +47,6 @@ ARMIJO = 1e-4
 
 OUTCOME_CONVERGED = "converged-flat"
 OUTCOME_STALLED = "stalled"
-OUTCOME_FACE_EXIT = "face-exit"
 OUTCOME_STEP_LIMIT = "step-limit"
 
 
@@ -64,14 +63,17 @@ class FlowParams:
     """The line search's first trial step h and the step budget max_steps.
 
     h is the first trial of the first step only; integrate chooses every
-    later first trial by the Barzilai-Borwein rule."""
+    later first trial by the Barzilai-Borwein rule.  h must be finite, as
+    backtracking halves it and inf halves to inf."""
 
     h: float = 0.01
     max_steps: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.h <= 0 or self.max_steps <= 0:
-            raise ValueError("step size and step budget must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"step must be finite and positive, not {self.h!r}")
+        if self.max_steps <= 0:
+            raise ValueError("step budget must be positive")
 
 
 @dataclass
@@ -101,19 +103,14 @@ class EmbeddedSphere:
     the graph's vertices, whose faces are the rows of signs: the matroid's
     sign rows, as the graph's first half (from_points, at_barycenters).
     Vertex k + reps, the antipode of vertex k, sits at the negated
-    position.  Unless validate is False, construction checks that every
-    position lies on the polytope and inside its own face.
-    face_margins is the package's one face check: validation, the flow's
-    face tests and the perturbation's radius all read it.
+    position.  Construction checks that every position lies on the
+    polytope and inside its own face; perturbed and integrate move the
+    positions of a valid sphere only where those checks hold by proof
+    (_moved).  face_margins is the package's one face check: validation,
+    the flow's face tests and the perturbation's radius all read it.
     """
 
-    def __init__(
-        self,
-        matroid: OrientedMatroid,
-        graph: CircuitGraph,
-        rep_positions: np.ndarray,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, matroid: OrientedMatroid, graph: CircuitGraph, rep_positions: np.ndarray) -> None:
         self.matroid = matroid
         self.graph = graph
         reps = len(graph.signs) // 2
@@ -123,8 +120,14 @@ class EmbeddedSphere:
         self._pos = pos.copy()
         self.signs = matroid.signs
         self._on = self.signs != 0
-        if validate:
-            self._validate()
+        self._validate()
+
+    def _moved(self, P: np.ndarray) -> "EmbeddedSphere":
+        """This sphere with the representatives at P, unchecked: P must keep
+        every position on the polytope and inside its face."""
+        moved = copy.copy(self)
+        moved._pos = P
+        return moved
 
     def face_margins(self, P: np.ndarray) -> np.ndarray:
         """signs * P on each representative's support, +inf off it: a row of
@@ -164,8 +167,7 @@ class EmbeddedSphere:
         onto the polytope, on the circuit graph of the adjacency rule
         (_circuit_graph).  These are the signs, edges and positions of
         geometric_radon_complex, without its higher cells."""
-        signs, dependences = circuit_dependences(config)
-        matroid = OrientedMatroid(GroundSet(config.n, config.d), signs)
+        matroid, dependences = circuit_dependences(config)
         return cls(matroid, _circuit_graph(matroid), project_to_gamma(dependences))
 
     @classmethod
@@ -185,12 +187,15 @@ class EmbeddedSphere:
         [0, 1) and margin_k the smallest of its face_margins: uniformly in a
         ball of radius delta, clipped to half the distance to the face's
         boundary.  No coordinate moves by margin_k / 2 or more, so every
-        vertex stays strictly inside its face, whatever delta.  The draws
+        vertex stays strictly inside its face, whatever delta >= 0 (inf
+        included); a negative or NaN delta raises ValueError.  The draws
         are standard_normal(dim) then uniform(), representative by
         representative; the tangent bases come from one SVD per support
         size, of the stacked constraint matrices (the two sign-part
         indicator rows of each face).
         """
+        if not delta >= 0.0:
+            raise ValueError(f"delta must be >= 0, not {delta!r}")
         new = self._pos.copy()
         margins = self.face_margins(new).min(axis=1)
         sizes = self._on.sum(axis=1)
@@ -209,7 +214,7 @@ class EmbeddedSphere:
             row = new[k].copy()
             row[self._on[k]] += radius * (g @ basis)
             new[k] = 2.0 * row / np.abs(row).sum()
-        return EmbeddedSphere(self.matroid, self.graph, new, validate=False)
+        return self._moved(new)
 
     def to_dict(self) -> dict:
         out = self.graph.to_dict()
@@ -320,11 +325,6 @@ class _Field:
         return energy, g, curv_max, curv_mean, vel_max
 
 
-def _min_margin(s: EmbeddedSphere, P: np.ndarray) -> float:
-    """The smallest of s.face_margins(P); +inf for no representatives."""
-    return float(np.minimum.reduce(s.face_margins(P), axis=None, initial=np.inf))
-
-
 def _renormalized(P: np.ndarray) -> np.ndarray:
     """Every row radially rescaled onto the polytope (1-norm 2)."""
     norms = _add(np.abs(P), axis=1)
@@ -334,7 +334,7 @@ def _renormalized(P: np.ndarray) -> np.ndarray:
 
 
 def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[EmbeddedSphere, FlowTrace]:
-    """Run the flow until it exits a face, converges, stalls or runs out of steps.
+    """Run the flow until it converges, stalls or runs out of steps.
 
     Projected steepest descent on E = sum vol^2 (module docstring) moves one
     representative per antipodal pair, then renormalizes every position
@@ -351,22 +351,23 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     The trace's t sums the accepted steps and vel_max is the largest row
     norm of g.
 
-    One test per outcome, before each step: a start with a vertex on or past
-    its face boundary is a face exit (no accepted step leaves a face), a max
-    vertex curvature below TOL_CURV converges, and params.max_steps accepted
-    steps are a step limit.  No trial h >= MIN_STEP passing both tests (a
-    zero gradient passes none) is a stall.  Every face test reads
-    s.face_margins.
+    One test per outcome, before each step: a max vertex curvature below
+    TOL_CURV converges, and params.max_steps accepted steps are a step
+    limit.  No trial h >= MIN_STEP passing both tests (a zero gradient
+    passes none) is a stall.  Every face test reads s.face_margins.
 
-    The face test also rules collisions out.  The start's off-support
-    coordinates are zeroed, and they stay exactly 0: g is masked to the
-    supports and renormalization only scales.  Two distinct vertices x, y
-    of P and -P then have distinct sign vectors, so in some coordinate e
-    one of them, say x, is nonzero and y_e is zero or of opposite sign, and
-    |x - y| >= |x_e - y_e| >= |x_e|, at least the smallest margin.  A trial
-    is accepted only if its smallest margin is at least 2 * COLLISION_DIST,
-    so every accepted state keeps every two vertices at least that far
-    apart.
+    Every vertex stays strictly inside its face: the start's do, as every
+    EmbeddedSphere's do (construction checks it and perturbed keeps it),
+    and no accepted step leaves a face, so the final state needs no check
+    (EmbeddedSphere._moved).  The face test also rules collisions out.  The
+    start's off-support coordinates are zeroed, and they stay exactly 0: g
+    is masked to the supports and renormalization only scales.  Two
+    distinct vertices x, y of P and -P then have distinct sign vectors, so
+    in some coordinate e one of them, say x, is nonzero and y_e is zero or
+    of opposite sign, and |x - y| >= |x_e - y_e| >= |x_e|, at least the
+    smallest margin.  A trial is accepted only if its smallest margin is at
+    least 2 * COLLISION_DIST, so every accepted state keeps every two
+    vertices at least that far apart.
 
     Flat means realized.  A converged-flat run ends with every
     representative strictly inside its face, so each circuit is the sign
@@ -386,9 +387,6 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     energy, g, curv_max, curv_mean, vel_max = field.stats(field.evaluate(P))
     while True:
         samples.append(TraceSample(t, curv_max, curv_mean, vel_max))
-        if len(samples) == 1 and _min_margin(s, P) <= 0.0:
-            outcome = OUTCOME_FACE_EXIT
-            break
         if curv_max < TOL_CURV:
             outcome = OUTCOME_CONVERGED
             break
@@ -398,7 +396,8 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         decrease = ARMIJO * float(_add(g * g, axis=None))
         while h >= MIN_STEP:
             P_new = _renormalized(P - h * g)
-            if _min_margin(s, P_new) >= 2.0 * COLLISION_DIST:
+            margin = np.minimum.reduce(s.face_margins(P_new), axis=None, initial=np.inf)
+            if margin >= 2.0 * COLLISION_DIST:
                 trial = field.evaluate(P_new)
                 if trial[1] < energy - h * decrease:
                     break
@@ -412,8 +411,7 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
         sy = float(_add((P_new - P) * y, axis=None))
         h = max(sy / float(_add(y * y, axis=None)), MIN_STEP) if sy > 0.0 else 2.0 * h
         P, g = P_new, g_new
-    final = EmbeddedSphere(s.matroid, s.graph, P, validate=False)
-    return final, FlowTrace(samples=samples, outcome=outcome)
+    return s._moved(P), FlowTrace(samples=samples, outcome=outcome)
 
 
 def recover_configuration(s: EmbeddedSphere) -> PointConfiguration:

@@ -425,7 +425,7 @@ def field_flow(s, h, t_max):
     for _ in range(int(round(t_max / h))):
         P = s.rep_positions() + h * np.stack([velocity(s, i) for i in range(s.n_reps)])
         P = 2.0 * P / np.abs(P).sum(axis=1, keepdims=True)
-        s = rf.EmbeddedSphere(s.matroid, s.graph, P, validate=False)
+        s = s._moved(P)
     return s
 
 
@@ -560,7 +560,8 @@ def circuit_graph(m):
 def dependences_by_circuit(config):
     """core.circuit_dependences as a dict, one Circuit per sign row, in the
     rows' order; each row must be the signs of its dependence."""
-    signs, x = circuit_dependences(config)
+    m, x = circuit_dependences(config)
+    signs = m.signs
     assert signs.dtype == np.int8 and np.array_equal(signs, np.sign(x))
     return {
         rf.Circuit(frozenset(np.flatnonzero(row > 0) + 1), frozenset(np.flatnonzero(row < 0) + 1)): v

@@ -144,28 +144,44 @@ def test_flow_zero_delta_is_a_fixed_point(tmp_path):
     assert row["decay_rate"] is None and "decay_note" in row
 
 
-def test_flow_face_exit_is_reported_not_fatal(tmp_path, monkeypatch):
-    # no perturbation leaves a face, whatever delta (the radius is clipped
-    # to half each face's margin), so the start here has one vertex swapped
-    # onto its antipode's face, as only a hand-built start can be
-    def outside(sphere, delta, rng):
-        P = sphere.rep_positions()
-        P[0] *= -1.0
-        return rf.EmbeddedSphere(sphere.matroid, sphere.graph, P, validate=False)
+@pytest.mark.parametrize(
+    "flags, config_step, message",
+    [
+        (["--delta", "-1"], None, "delta must be >= 0, not -1.0"),
+        (["--delta", "nan"], None, "delta must be >= 0, not nan"),
+        (["--step", "inf"], None, "step must be finite and positive, not inf"),
+        (["--step", "nan"], None, "step must be finite and positive, not nan"),
+        ([], "1e999", "step must be finite and positive, not inf"),
+    ],
+    ids=["negative-delta", "nan-delta", "inf-step", "nan-step", "config-inf-step"],
+)
+def test_flow_refuses_a_delta_or_step_it_cannot_use(tmp_path, flags, config_step, message):
+    # a negative delta pushed vertices out of their faces and a NaN one
+    # stalled at step 0; backtracking halves an infinite step to itself, so
+    # that line search never ended, hence a subprocess with a timeout
+    cfg = pentagon_cfg(tmp_path, reps=2)
+    if config_step is not None:
+        text = cfg.read_text().rstrip().rstrip("}")
+        cfg.write_text(text + f', "step": {config_step}}}\n')
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "radonflow", "flow", "--config", str(cfg), *flags, "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: {message}\n"
+    assert not list(out.glob("rep_*")) and not (out / "summary.json").exists()
 
+
+def test_flow_infinite_delta_is_clipped_and_converges(tmp_path):
+    # the radius is clipped to half each face's margin, whatever delta
     cfg = pentagon_cfg(tmp_path)
     out = tmp_path / "out"
     assert main(["flow", "--config", str(cfg), "--seed", "3",
-                 "--delta", "1.0", "--out", str(tmp_path / "clipped")]) == 0
-    assert load(tmp_path / "clipped" / "summary.json")["outcomes"] == {"converged-flat": 1}
-    monkeypatch.setattr(rf.EmbeddedSphere, "perturbed", outside)
-    assert main(["flow", "--config", str(cfg), "--seed", "3",
-                 "--delta", "1.0", "--out", str(out)]) == 0
+                 "--delta", "inf", "--out", str(out)]) == 0
     summary = load(out / "summary.json")
-    assert summary["outcomes"] == {"face-exit": 1}
-    row = summary["rows"][0]
-    assert row["roundtrip_ok"] is None
-    assert not (out / "rep_000_recovered_points.json").exists()
+    assert summary["outcomes"] == {"converged-flat": 1}
+    assert summary["rows"][0]["roundtrip_ok"] is True
 
 
 def test_flow_sampled_configurations(tmp_path):

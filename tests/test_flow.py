@@ -33,7 +33,8 @@ SAMPLED_SHAPES = [
 # every step doubled the last at TOL_CURV = 1e-8, 52 of the 270 (5,1)
 # elements and 47 of the sampled (5,2) ones converged onto another matroid.
 REALIZED_SHAPES = [
-    (4, 1, None), (4, 2, None), (5, 1, None), (5, 3, None), (6, 4, None), (5, 2, 150), (6, 1, 200)
+    (4, 1, None), (4, 2, None), (5, 1, None), (5, 3, None), (6, 4, None), (5, 2, 150), (6, 1, 200),
+    (6, 2, 100),
 ]
 
 
@@ -326,17 +327,6 @@ def test_flow_flattens_sampled_shapes(n, d, rep):
     assert rf.same_chirotope(recovered, config)
 
 
-def test_face_exit_on_large_perturbation(pentagon_sphere):
-    P = pentagon_sphere.rep_positions()
-    # a perturbation this large once left a face; clipped to each face's
-    # margin none does, so the start is built outside one
-    P[0] *= -1.0  # keeps both defining equations, swaps the face
-    s = rf.EmbeddedSphere(pentagon_sphere.matroid, pentagon_sphere.graph, P, validate=False)
-    final, trace = rf.integrate(s)
-    assert trace.outcome == rf.OUTCOME_FACE_EXIT
-    assert len(trace.samples) == 1  # detected before any step
-
-
 def test_step_budget_cutoff(pentagon_sphere):
     s = pentagon_sphere.perturbed(0.05, np.random.default_rng(5))
     _, trace = rf.integrate(s, rf.FlowParams(max_steps=3))
@@ -481,11 +471,8 @@ def test_recover_rejects_nonflat_states(pentagon_sphere):
     bent = pentagon_sphere.perturbed(0.05, np.random.default_rng(1))
     with pytest.raises(rf.NotFlatError, match="dimension exceeds"):
         rf.recover_configuration(bent)
-    m = pentagon_sphere.matroid
     row = pentagon_sphere.rep_positions()[0]
-    collapsed = rf.EmbeddedSphere(
-        m, pentagon_sphere.graph, np.tile(row, (5, 1)), validate=False
-    )
+    collapsed = pentagon_sphere._moved(np.tile(row, (5, 1)))
     with pytest.raises(rf.NotFlatError, match="span less than"):
         rf.recover_configuration(collapsed)
 
@@ -518,7 +505,17 @@ def test_flow_params_validation():
         rf.FlowParams(h=0.0)
     with pytest.raises(ValueError):
         rf.FlowParams(max_steps=0)
+    # backtracking halves an infinite step to itself, so its line search
+    # never ended, and a NaN step stalled at step 0
+    for h in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            rf.FlowParams(h=h)
 
+
+@pytest.mark.parametrize("delta", [-1.0, -1e-12, math.nan, -math.inf])
+def test_perturbed_refuses_a_negative_or_nan_delta(pentagon_sphere, delta):
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        pentagon_sphere.perturbed(delta, np.random.default_rng(0))
 
 def test_perturbed_respects_faces(pentagon_sphere):
     s = pentagon_sphere.perturbed(0.05, np.random.default_rng(4))
@@ -547,15 +544,16 @@ def test_perturbation_is_clipped_to_half_each_face_margin(pentagon_sphere, hexag
     sphere = sphere or sampled_sphere(9, 4, 0)
     P0 = sphere.rep_positions()
     margins = sphere.face_margins(P0).min(axis=1)
-    for delta in (0.01, 1.0, 100.0):
+    for delta in (0.01, 1.0, 100.0, math.inf):
         s = sphere.perturbed(delta, np.random.default_rng(4))
         rf.EmbeddedSphere(s.matroid, s.graph, s.rep_positions())  # validates every face
         assert (s.face_margins(s.rep_positions()) > 0.0).all()
         moved = np.linalg.norm(s.rep_positions() - P0, axis=1)
         assert (moved <= np.minimum(delta, margins / 2.0) * (1.0 + 1e-9)).all()
-    # at delta = 1 the pentagon's unclipped start left a face before its first step
-    _, trace = rf.integrate(sphere.perturbed(1.0, np.random.default_rng(3)), rf.FlowParams(max_steps=1))
-    assert trace.outcome != rf.OUTCOME_FACE_EXIT
+    # at delta = 1 the pentagon's unclipped start left a face before its
+    # first step; its flowed state is still a valid sphere
+    final, _ = rf.integrate(sphere.perturbed(1.0, np.random.default_rng(3)), rf.FlowParams(max_steps=1))
+    rf.EmbeddedSphere(final.matroid, final.graph, final.rep_positions())
 
 
 def test_margins_rule_out_collisions():
