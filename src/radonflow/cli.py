@@ -47,10 +47,12 @@ from .core import (
 )
 from .flow import (
     EmbeddedSphere,
-    FlowParams,
+    FIRST_STEP,
     IntegrationError,
+    MAX_STEPS,
     NotFlatError,
     OUTCOME_CONVERGED,
+    _check_delta,
     curvature_decay_stats,
     integrate,
     recover_configuration,
@@ -231,7 +233,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     complex_payload["facets"] = RecordTable(
         "dim", rc.facet_dims, "vertices", rc.facet_offsets, rc.facet_vertices
     )
-    complex_payload["positions"] = rc.positions.tolist()
+    complex_payload["positions"] = rc.positions
     _write_json(out / "radon_complex.json", complex_payload)
     sphere_payload = report.to_dict()
     sphere_payload["combinatorial_graph_matches"] = matches
@@ -269,15 +271,12 @@ def _setting(data: dict, key: str, given, default, kinds: set):
 def cmd_flow(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
     seed = _setting(data, "seed", args.seed, 0, _INTEGERS)
-    delta = float(_setting(data, "delta", args.delta, 0.05, _NUMBERS))
+    delta = _check_delta(float(_setting(data, "delta", args.delta, 0.05, _NUMBERS)))
     reps = data.get("repetitions", 1)
-    if type(reps) is not int or reps < 1:
-        raise ValueError(f"'repetitions' must be an integer >= 1, not {json.dumps(reps)}")
-    default = FlowParams()
-    params = FlowParams(
-        h=float(_setting(data, "step", args.step, default.h, _NUMBERS)),
-        max_steps=_setting(data, "max_steps", args.max_steps, default.max_steps, _INTEGERS),
-    )
+    max_steps = _setting(data, "max_steps", args.max_steps, MAX_STEPS, _INTEGERS)
+    for key, value in (("repetitions", reps), ("max_steps", max_steps)):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"'{key}' must be an integer >= 1, not {json.dumps(value)}")
 
     fixed_points = None
     if "points" in data:
@@ -287,7 +286,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         if "n" not in data or "d" not in data:
             raise ValueError("flow config needs either 'points' or 'n' and 'd'")
         n, d = (_setting(data, key, None, None, _INTEGERS) for key in ("n", "d"))
-    out = Path(args.out if args.out is not None else data.get("out", "flow-out"))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
@@ -297,7 +296,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         row = {"rep": rep}
         try:
             start = EmbeddedSphere.from_points(config).perturbed(delta, rng)
-            final, trace = integrate(start, params)
+            final, trace = integrate(start, max_steps=max_steps)
             row["outcome"] = trace.outcome
             row["steps"] = len(trace.samples) - 1
             row["t_final"] = trace.samples[-1].t
@@ -332,8 +331,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
         "seed": seed,
         "delta": delta,
         "repetitions": reps,
-        "step": params.h,
-        "max_steps": params.max_steps,
+        "step": FIRST_STEP,
+        "max_steps": max_steps,
         "outcomes": outcomes,
         "rows": rows,
     }
@@ -453,9 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--config", required=True, help="experiment JSON")
     p_flow.add_argument("--seed", type=int, default=None)
     p_flow.add_argument("--delta", type=float, default=None)
-    p_flow.add_argument("--step", type=float, default=None, help="initial step size")
     p_flow.add_argument("--max-steps", type=int, default=None, help="step budget")
-    p_flow.add_argument("--out", default=None, help="output directory")
+    p_flow.add_argument("--out", default="flow-out", help="output directory")
     p_flow.set_defaults(func=cmd_flow)
 
     p_mac = sub.add_parser("macphersonian", help="exact weak-map poset of n points in R^d")

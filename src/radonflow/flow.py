@@ -14,8 +14,8 @@ The flow is projected steepest descent on the energy E = sum vol^2 over all
 (vertex, cycle) incidences, vol = |v| |w| |w'| eta being the 3-volume
 spanned by v, a and b.  The gradient is projected onto the span of each
 vertex's face directions, steps are Barzilai-Borwein trials cut back by
-backtracking (see integrate), and after each step positions are radially
-renormalized onto the polytope.
+backtracking (see integrate) from a fixed first trial FIRST_STEP, and
+after each step positions are radially renormalized onto the polytope.
 Zero-energy states are flat embeddings: the positions span a subspace of
 dimension n - d - 1 whose orthogonal complement in the zero-sum hyperplane
 is (the row space of) a recovered point configuration.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,10 @@ from .core import (
 
 # backtracking line search: the sufficient-decrease fraction
 ARMIJO = 1e-4
+# the first trial of a run's first step; Barzilai-Borwein trials follow
+FIRST_STEP = 0.01
+# integrate's default step budget
+MAX_STEPS = 10_000
 
 OUTCOME_CONVERGED = "converged-flat"
 OUTCOME_STALLED = "stalled"
@@ -56,24 +60,6 @@ class IntegrationError(RuntimeError):
 
 class NotFlatError(ValueError):
     """Positions do not span a subspace of the expected dimension."""
-
-
-@dataclass
-class FlowParams:
-    """The line search's first trial step h and the step budget max_steps.
-
-    h is the first trial of the first step only; integrate chooses every
-    later first trial by the Barzilai-Borwein rule.  h must be finite, as
-    backtracking halves it and inf halves to inf."""
-
-    h: float = 0.01
-    max_steps: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.h < math.inf:
-            raise ValueError(f"step must be finite and positive, not {self.h!r}")
-        if self.max_steps <= 0:
-            raise ValueError("step budget must be positive")
 
 
 @dataclass
@@ -94,6 +80,13 @@ class FlowTrace:
         for s in self.samples:
             lines.append(f"{s.t!r},{s.curv_max!r},{s.curv_mean!r},{s.vel_max!r}")
         return "\n".join(lines) + "\n"
+
+
+def _check_delta(delta: float) -> float:
+    """delta, if EmbeddedSphere.perturbed takes it: >= 0, inf included."""
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be >= 0, not {delta!r}")
+    return delta
 
 
 class EmbeddedSphere:
@@ -194,8 +187,7 @@ class EmbeddedSphere:
         size, of the stacked constraint matrices (the two sign-part
         indicator rows of each face).
         """
-        if not delta >= 0.0:
-            raise ValueError(f"delta must be >= 0, not {delta!r}")
+        _check_delta(delta)
         new = self._pos.copy()
         margins = self.face_margins(new).min(axis=1)
         sizes = self._on.sum(axis=1)
@@ -333,7 +325,7 @@ def _renormalized(P: np.ndarray) -> np.ndarray:
     return 2.0 * P / norms[:, None]
 
 
-def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[EmbeddedSphere, FlowTrace]:
+def integrate(s: EmbeddedSphere, *, max_steps: int = MAX_STEPS) -> tuple[EmbeddedSphere, FlowTrace]:
     """Run the flow until it converges, stalls or runs out of steps.
 
     Projected steepest descent on E = sum vol^2 (module docstring) moves one
@@ -342,7 +334,7 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     stays strictly inside its face and E falls strictly below
     E - ARMIJO * h * |g|^2, g the projected gradient, and halves h otherwise;
     a trial that leaves a face is halved before it is evaluated.  The first
-    trial is params.h.  After an accepted step with s = P_new - P and
+    trial is FIRST_STEP.  After an accepted step with s = P_new - P and
     y = g_new - g over the representatives' rows, the next first trial is
     the short Barzilai-Borwein step max(s.y / y.y, MIN_STEP) if s.y > 0,
     and otherwise the last step doubled.  No trial is capped from above:
@@ -352,9 +344,10 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     norm of g.
 
     One test per outcome, before each step: a max vertex curvature below
-    TOL_CURV converges, and params.max_steps accepted steps are a step
-    limit.  No trial h >= MIN_STEP passing both tests (a zero gradient
-    passes none) is a stall.  Every face test reads s.face_margins.
+    TOL_CURV converges, and max_steps accepted steps are a step limit (a
+    budget of 0 takes no step).  No trial h >= MIN_STEP passing both tests
+    (a zero gradient passes none) is a stall.  Every face test reads
+    s.face_margins.
 
     Every vertex stays strictly inside its face: the start's do, as every
     EmbeddedSphere's do (construction checks it and perturbed keeps it),
@@ -377,20 +370,18 @@ def integrate(s: EmbeddedSphere, params: FlowParams | None = None) -> tuple[Embe
     it, so a non-realizable matroid (a non-Pappus one of the tests) never
     ends converged-flat with a round trip.
     """
-    if params is None:
-        params = FlowParams()
     field = _Field(s)
     P = s.rep_positions() * s._on
     samples: list[TraceSample] = []
     t = 0.0
-    h = params.h
+    h = FIRST_STEP
     energy, g, curv_max, curv_mean, vel_max = field.stats(field.evaluate(P))
     while True:
         samples.append(TraceSample(t, curv_max, curv_mean, vel_max))
         if curv_max < TOL_CURV:
             outcome = OUTCOME_CONVERGED
             break
-        if len(samples) > params.max_steps:
+        if len(samples) > max_steps:
             outcome = OUTCOME_STEP_LIMIT
             break
         decrease = ARMIJO * float(_add(g * g, axis=None))

@@ -145,32 +145,30 @@ def test_flow_zero_delta_is_a_fixed_point(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, config_step, message",
+    "flags, message",
     [
-        (["--delta", "-1"], None, "delta must be >= 0, not -1.0"),
-        (["--delta", "nan"], None, "delta must be >= 0, not nan"),
-        (["--step", "inf"], None, "step must be finite and positive, not inf"),
-        (["--step", "nan"], None, "step must be finite and positive, not nan"),
-        ([], "1e999", "step must be finite and positive, not inf"),
+        (["--delta", "-1"], "input error: delta must be >= 0, not -1.0\n"),
+        (["--delta", "nan"], "input error: delta must be >= 0, not nan\n"),
+        (["--max-steps", "0"], "input error: 'max_steps' must be an integer >= 1, not 0\n"),
+        (["--step", "inf"], "error: unrecognized arguments: --step inf\n"),
+        (["--step", "nan"], "error: unrecognized arguments: --step nan\n"),
     ],
-    ids=["negative-delta", "nan-delta", "inf-step", "nan-step", "config-inf-step"],
+    ids=["negative-delta", "nan-delta", "zero-max-steps", "inf-step", "nan-step"],
 )
-def test_flow_refuses_a_delta_or_step_it_cannot_use(tmp_path, flags, config_step, message):
+def test_flow_refuses_a_delta_or_step_it_cannot_use(tmp_path, flags, message):
     # a negative delta pushed vertices out of their faces and a NaN one
-    # stalled at step 0; backtracking halves an infinite step to itself, so
-    # that line search never ended, hence a subprocess with a timeout
+    # stalled at step 0; the first trial step is fixed, so --step is an
+    # unknown flag (an infinite one once hung the line search, hence a
+    # subprocess with a timeout)
     cfg = pentagon_cfg(tmp_path, reps=2)
-    if config_step is not None:
-        text = cfg.read_text().rstrip().rstrip("}")
-        cfg.write_text(text + f', "step": {config_step}}}\n')
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "radonflow", "flow", "--config", str(cfg), *flags, "--out", str(out)],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2
-    assert proc.stderr == f"input error: {message}\n"
-    assert not list(out.glob("rep_*")) and not (out / "summary.json").exists()
+    assert proc.stderr.endswith(message)
+    assert not out.exists()
 
 
 def test_flow_infinite_delta_is_clipped_and_converges(tmp_path):
@@ -215,17 +213,20 @@ def test_flow_rejects_removed_flags(tmp_path, flag, value):
     assert exc.value.code == 2
 
 
-def test_flow_has_no_scheme(tmp_path):
+def test_flow_has_no_scheme(tmp_path, monkeypatch):
     cfg = pentagon_cfg(tmp_path)
     data = load(cfg)
     # removed config keys are ignored like any other unknown key; each of
-    # these values would have ended the run unconverged
-    data.update(scheme="rk4", t_max=0.05, tol_curv=0.0, tol_fixed=1e3)
+    # these values would have ended the run unconverged (an infinite step
+    # never ended it), and --out alone names the output directory
+    data.update(scheme="rk4", t_max=0.05, tol_curv=0.0, tol_fixed=1e3, step=float("inf"), out="elsewhere")
     write_json(cfg, data)
-    out = tmp_path / "out"
-    assert main(["flow", "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
-    summary = load(out / "summary.json")
-    assert not {"scheme", "t_max", "tol_curv", "tol_fixed"} & set(summary)
+    monkeypatch.chdir(tmp_path)
+    assert main(["flow", "--config", str(cfg), "--seed", "11"]) == 0
+    summary = load(tmp_path / "flow-out" / "summary.json")
+    assert not (tmp_path / "elsewhere").exists()
+    assert not {"scheme", "t_max", "tol_curv", "tol_fixed", "out"} & set(summary)
+    assert summary["step"] == 0.01
     assert summary["outcomes"] == {"converged-flat": 1}
 
 
@@ -253,9 +254,8 @@ def test_flow_rejects_repetitions_below_one_or_not_integers(tmp_path, capsys, re
         ({"n": 5, "d": 1, "max_steps": 2.7}, "'max_steps' must be an integer, not 2.7"),
         ({"n": 5, "d": 1, "delta": "0.05"}, "'delta' must be a number, not \"0.05\""),
         ({"n": 5, "d": 1, "seed": True}, "'seed' must be an integer, not true"),
-        ({"n": 5, "d": 1, "step": False}, "'step' must be a number, not false"),
     ],
-    ids=["float-d", "bool-d", "string-n-d", "float-max-steps", "string-delta", "bool-seed", "bool-step"],
+    ids=["float-d", "bool-d", "string-n-d", "float-max-steps", "string-delta", "bool-seed"],
 )
 def test_flow_settings_must_have_their_type(tmp_path, capsys, config, message):
     cfg = tmp_path / "flow.json"
@@ -272,7 +272,8 @@ def test_flow_settings_of_the_right_type_run(tmp_path):
     out = tmp_path / "out"
     assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 0
     summary = load(out / "summary.json")
-    assert (summary["seed"], summary["delta"], summary["step"], summary["max_steps"]) == (3, 0.0, 1.0, 4)
+    # the first trial step is fixed: a "step" key is ignored
+    assert (summary["seed"], summary["delta"], summary["step"], summary["max_steps"]) == (3, 0.0, 0.01, 4)
     assert summary["outcomes"] == {"converged-flat": 1}
 
 

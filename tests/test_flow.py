@@ -226,7 +226,7 @@ def test_census_elements_flow_to_their_own_realizations(n, d, sample):
     failed = []
     for i in ids:
         m = table[int(i)]
-        final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m), rf.FlowParams(max_steps=3000))
+        final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m), max_steps=3000)
         if trace.outcome != rf.OUTCOME_CONVERGED or rf.circuits_of_points(rf.recover_configuration(final)) != m:
             failed.append((int(i), trace.outcome))
     assert failed == []
@@ -280,7 +280,7 @@ def test_pappus_flows_to_a_realization():
     cfg = _pappus()
     m = rf.circuits_of_points(cfg)
     assert len(m.signs) == 81 and np.count_nonzero(cfg._minors[1] == 0) == 9
-    final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m), rf.FlowParams(max_steps=3000))
+    final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m), max_steps=3000)
     assert trace.outcome == rf.OUTCOME_CONVERGED and _realizes(final, m)
 
 
@@ -292,7 +292,7 @@ def test_non_pappus_orientations_never_end_realized(sign):
     m = _non_pappus(sign)
     assert len(m.signs) == 86 and rf.check_circuit_axioms(m).ok
     try:
-        final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m), rf.FlowParams(max_steps=3000))
+        final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m), max_steps=3000)
     except rf.IntegrationError:
         return
     assert trace.outcome != rf.OUTCOME_CONVERGED or not _realizes(final, m)
@@ -329,11 +329,11 @@ def test_flow_flattens_sampled_shapes(n, d, rep):
 
 def test_step_budget_cutoff(pentagon_sphere):
     s = pentagon_sphere.perturbed(0.05, np.random.default_rng(5))
-    _, trace = rf.integrate(s, rf.FlowParams(max_steps=3))
+    _, trace = rf.integrate(s, max_steps=3)
     assert trace.outcome == rf.OUTCOME_STEP_LIMIT
     assert len(trace.samples) - 1 == 3
-    # the first trial step, params.h, is accepted as it stands
-    assert trace.samples[1].t == rf.FlowParams().h
+    # the first trial step, FIRST_STEP, is accepted as it stands
+    assert trace.samples[1].t == flow.FIRST_STEP
 
 
 def test_trials_that_leave_a_face_are_never_evaluated(monkeypatch):
@@ -352,7 +352,8 @@ def test_trials_that_leave_a_face_are_never_evaluated(monkeypatch):
         return evaluate(self, P)
 
     monkeypatch.setattr(_Field, "evaluate", watched)
-    final, trace = rf.integrate(start, rf.FlowParams(h=0.1))
+    monkeypatch.setattr("radonflow.flow.FIRST_STEP", 0.1)
+    final, trace = rf.integrate(start)
     assert trace.outcome == rf.OUTCOME_CONVERGED and trace.samples[1].t < 0.1
     assert len(left) > len(trace.samples) and not any(left)
     assert rf.circuits_of_points(rf.recover_configuration(final)) == s.matroid
@@ -377,7 +378,7 @@ def test_step_doubles_without_positive_curvature_along_it(pentagon_sphere, monke
             return evaluated[1], (1.0 + growth * evaluated[2]) * g0, 1.0, 1.0, 0.0
 
     monkeypatch.setattr("radonflow.flow._Field", LinearField)
-    _, trace = rf.integrate(pentagon_sphere, rf.FlowParams(max_steps=4))
+    _, trace = rf.integrate(pentagon_sphere, max_steps=4)
     assert [smp.t for smp in trace.samples] == list(itertools.accumulate([0.0, 0.01, 0.02, 0.04, 0.08]))
 
 
@@ -406,7 +407,7 @@ def test_zero_gradient_is_never_accepted(pentagon_sphere, monkeypatch):
             return 1.0, np.zeros(self.shape), 1.0, 1.0, 0.0
 
     monkeypatch.setattr("radonflow.flow._Field", ConstantField)
-    _, trace = rf.integrate(pentagon_sphere, rf.FlowParams(max_steps=50))
+    _, trace = rf.integrate(pentagon_sphere, max_steps=50)
     assert trace.outcome == rf.OUTCOME_STALLED and len(trace.samples) == 1
 
 
@@ -428,7 +429,7 @@ def test_barzilai_borwein_trial_above_one_is_taken_whole(pentagon_sphere, monkey
             return evaluated[1], 0.25 * (evaluated[2] - target), 1.0, 1.0, 0.0
 
     monkeypatch.setattr("radonflow.flow._Field", QuadraticField)
-    final, trace = rf.integrate(pentagon_sphere, rf.FlowParams(max_steps=2))
+    final, trace = rf.integrate(pentagon_sphere, max_steps=2)
     assert trace.outcome == rf.OUTCOME_STEP_LIMIT
     t = [smp.t for smp in trace.samples]
     assert t[1] == 0.01 and abs(t[2] - t[1] - 4.0) < 1e-9
@@ -437,7 +438,7 @@ def test_barzilai_borwein_trial_above_one_is_taken_whole(pentagon_sphere, monkey
 
 def test_trace_grid_and_csv(pentagon_sphere):
     s = pentagon_sphere.perturbed(0.05, np.random.default_rng(5))
-    _, trace = rf.integrate(s, rf.FlowParams(max_steps=5))
+    _, trace = rf.integrate(s, max_steps=5)
     ts = [smp.t for smp in trace.samples]
     assert len(ts) == 6
     assert all(b > a for a, b in zip(ts, ts[1:]))
@@ -500,16 +501,11 @@ def test_decay_stats_input_validation():
         rf.curvature_decay_stats(rf.FlowTrace(dead, rf.OUTCOME_CONVERGED))
 
 
-def test_flow_params_validation():
-    with pytest.raises(ValueError):
-        rf.FlowParams(h=0.0)
-    with pytest.raises(ValueError):
-        rf.FlowParams(max_steps=0)
-    # backtracking halves an infinite step to itself, so its line search
-    # never ended, and a NaN step stalled at step 0
-    for h in (math.inf, math.nan, -math.inf):
-        with pytest.raises(ValueError, match="step must be finite and positive"):
-            rf.FlowParams(h=h)
+def test_zero_step_budget_takes_no_step(pentagon_sphere):
+    s = pentagon_sphere.perturbed(0.05, np.random.default_rng(5))
+    final, trace = rf.integrate(s, max_steps=0)
+    assert trace.outcome == rf.OUTCOME_STEP_LIMIT and len(trace.samples) == 1
+    assert np.array_equal(final.rep_positions(), s.rep_positions())
 
 
 @pytest.mark.parametrize("delta", [-1.0, -1e-12, math.nan, -math.inf])
@@ -552,7 +548,7 @@ def test_perturbation_is_clipped_to_half_each_face_margin(pentagon_sphere, hexag
         assert (moved <= np.minimum(delta, margins / 2.0) * (1.0 + 1e-9)).all()
     # at delta = 1 the pentagon's unclipped start left a face before its
     # first step; its flowed state is still a valid sphere
-    final, _ = rf.integrate(sphere.perturbed(1.0, np.random.default_rng(3)), rf.FlowParams(max_steps=1))
+    final, _ = rf.integrate(sphere.perturbed(1.0, np.random.default_rng(3)), max_steps=1)
     rf.EmbeddedSphere(final.matroid, final.graph, final.rep_positions())
 
 
@@ -591,8 +587,8 @@ def test_collision_check_runs_only_where_margins_cannot_rule_it_out(pentagon_sph
     leaks = np.argwhere(start.signs == 0)[:2]
     P[tuple(leaks.T)] = np.array([0.5, -0.5]) * rf.EPS_SIGN
     leaky = rf.EmbeddedSphere(start.matroid, start.graph, P)
-    zeroed, trace = rf.integrate(start, rf.FlowParams(max_steps=8))
-    flowed, leaky_trace = rf.integrate(leaky, rf.FlowParams(max_steps=8))
+    zeroed, trace = rf.integrate(start, max_steps=8)
+    flowed, leaky_trace = rf.integrate(leaky, max_steps=8)
     assert len(trace.samples) - 1 == 8 and leaky_trace == trace
     assert np.array_equal(flowed.rep_positions(), zeroed.rep_positions())
     # the non-Pappus controls are the tier-1 runs that come nearest a face
@@ -614,7 +610,7 @@ def test_collision_check_runs_only_where_margins_cannot_rule_it_out(pentagon_sph
         s = rf.EmbeddedSphere.at_barycenters(_non_pappus(sign))
         accepted.clear()
         try:
-            rf.integrate(s, rf.FlowParams(max_steps=3000))
+            rf.integrate(s, max_steps=3000)
         except rf.IntegrationError:
             pass
         steps = accepted[1:]  # the first is the start's
@@ -646,7 +642,7 @@ def test_a_trial_within_2_collision_dists_of_a_face_is_halved(pentagon_sphere, m
             return evaluated[1], g0, 1.0, 1.0, 0.0
 
     monkeypatch.setattr("radonflow.flow._Field", ConstantGradient)
-    _, trace = rf.integrate(s, rf.FlowParams(max_steps=1))
+    _, trace = rf.integrate(s, max_steps=1)
     assert trace.samples[1].t == h
 
 
@@ -709,6 +705,6 @@ def test_integrate_leaves_input_untouched(pentagon_sphere):
     before = pentagon_sphere.rep_positions().copy()
     s = pentagon_sphere.perturbed(0.05, np.random.default_rng(8))
     start = s.rep_positions().copy()
-    rf.integrate(s, rf.FlowParams(max_steps=3))
+    rf.integrate(s, max_steps=3)
     assert np.array_equal(pentagon_sphere.rep_positions(), before)
     assert np.array_equal(s.rep_positions(), start)
