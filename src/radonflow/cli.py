@@ -24,6 +24,7 @@ import datetime
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -211,14 +212,8 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _load_points(data: dict) -> PointConfiguration:
-    if "points" not in data or "d" not in data:
-        raise ValueError("point configuration JSON needs 'd' and 'points'")
-    return PointConfiguration.from_dict(data)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _load_points(_load_json(args.config))
+    config = PointConfiguration.from_dict(_load_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rc = geometric_radon_complex(config)
@@ -227,17 +222,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     combinatorial = combinatorial_circuit_graph(matroid)
     matches = graphs_equal(rc.graph, combinatorial)
     _write_json(out / "matroid.json", matroid.to_dict())
-    complex_payload = rc.graph.to_dict()
-    complex_payload["n"] = rc.n
-    complex_payload["d"] = rc.d
-    complex_payload["facets"] = RecordTable(
-        "dim", rc.facet_dims, "vertices", rc.facet_offsets, rc.facet_vertices
-    )
-    complex_payload["positions"] = rc.positions
+    facets = RecordTable("dim", rc.facet_dims, "vertices", rc.facet_offsets, rc.facet_vertices)
+    complex_payload = {**rc.graph.to_dict(), "n": rc.n, "d": rc.d, "facets": facets, "positions": rc.positions}
     _write_json(out / "radon_complex.json", complex_payload)
-    sphere_payload = report.to_dict()
-    sphere_payload["combinatorial_graph_matches"] = matches
-    _write_json(out / "sphere_report.json", sphere_payload)
+    _write_json(out / "sphere_report.json", {**report.to_dict(), "combinatorial_graph_matches": matches})
     status = "ok" if report.ok and matches else "MISMATCH"
     print(
         f"analyze: {config.n} points in R^{config.d}: {len(matroid.signs)} circuits, "
@@ -271,16 +259,19 @@ def _setting(data: dict, key: str, given, default, kinds: set):
 def cmd_flow(args: argparse.Namespace) -> int:
     data = _load_json(args.config)
     seed = _setting(data, "seed", args.seed, 0, _INTEGERS)
-    delta = _check_delta(float(_setting(data, "delta", args.delta, 0.05, _NUMBERS)))
+    try:
+        delta = _check_delta(float(_setting(data, "delta", args.delta, 0.05, _NUMBERS)))
+    except OverflowError:
+        raise ValueError("'delta' is an integer too large for a float") from None
     reps = data.get("repetitions", 1)
     max_steps = _setting(data, "max_steps", args.max_steps, MAX_STEPS, _INTEGERS)
-    for key, value in (("repetitions", reps), ("max_steps", max_steps)):
-        if type(value) is not int or value < 1:
-            raise ValueError(f"'{key}' must be an integer >= 1, not {json.dumps(value)}")
+    for key, value, least in (("seed", seed, 0), ("repetitions", reps, 1), ("max_steps", max_steps, 1)):
+        if type(value) is not int or value < least:
+            raise ValueError(f"'{key}' must be an integer >= {least}, not {json.dumps(value)}")
 
     fixed_points = None
     if "points" in data:
-        fixed_points = _load_points(data)
+        fixed_points = PointConfiguration.from_dict(data)
         n, d = fixed_points.n, fixed_points.d
     else:
         if "n" not in data or "d" not in data:
@@ -324,9 +315,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
             row["roundtrip_ok"] = None
         rows.append(row)
         print(f"flow rep {rep}: {row['outcome']}")
-    outcomes = {}
-    for row in rows:
-        outcomes[row["outcome"]] = outcomes.get(row["outcome"], 0) + 1
+    outcomes = dict(Counter(row["outcome"] for row in rows))
     summary = {
         "seed": seed,
         "delta": delta,
@@ -352,11 +341,7 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
     counts = chain_counts(poset)
     chi = sum((-1) ** k * c for k, c in enumerate(counts))
     uniform = int(elements.uniform.sum())
-    poset_payload = poset.to_dict(hasse)
-    poset_payload["n"] = n
-    poset_payload["d"] = d
-    poset_payload["count"] = len(elements)
-    poset_payload["uniform_count"] = uniform
+    poset_payload = {**poset.to_dict(hasse), "n": n, "d": d, "count": len(elements), "uniform_count": uniform}
     _write_json(out / "poset.json", poset_payload)
     _write_json(
         out / "order_complex.json",

@@ -19,7 +19,7 @@ the vertices and edges, so a CircuitGraph walks them on first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +38,7 @@ from .core import (
     _circuit_dicts,
     _conforming,
     _counts,
+    _csr,
     _fan,
     _negated,
     _pack,
@@ -333,9 +334,8 @@ def _composition_closure(rows: np.ndarray) -> np.ndarray:
     """
     first, second, composed, head, edge = _compositions(rows)
     ends = np.concatenate([first[edge], second[edge]])
-    neighbours = np.concatenate([second[edge], first[edge]])[np.argsort(ends, kind="stable")]
-    degree = np.bincount(ends, minlength=len(rows))
-    start = np.concatenate([[0], np.cumsum(degree)])
+    start, neighbours = _csr(np.concatenate([second[edge], first[edge]]), ends, len(rows))
+    degree = np.diff(start)
 
     def merged(seen, composed, tracks):
         # seen and composed as distinct rows, the new ones among them and
@@ -515,15 +515,7 @@ class SphereReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "sphere_dim": self.sphere_dim,
-            "euler_characteristic": self.euler_characteristic,
-            "expected_euler": self.expected_euler,
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def validate_sphere(c: RadonComplex, n: int, d: int) -> SphereReport:

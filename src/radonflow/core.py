@@ -228,8 +228,26 @@ class OrientedMatroid:
     @staticmethod
     def from_dict(data: dict) -> "OrientedMatroid":
         """The matroid to_dict writes; a malformed circuit fails Circuit's checks."""
-        ground = GroundSet(int(data["n"]), int(data["d"]))
-        return OrientedMatroid.from_circuits(ground, [Circuit(c["pos"], c["neg"]) for c in data["circuits"]])
+        return OrientedMatroid.from_circuits(*_read_circuits(data))
+
+
+def _json_int(value, what: str) -> int:
+    """value if it is an int (bools are ints to Python, and int() reads 2.9 as
+    one), else ValueError naming what."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _read_circuits(data: dict) -> tuple[GroundSet, list[Circuit]]:
+    """The ground set and circuits of a matroid or poset JSON object, every
+    integer in them checked by _json_int."""
+    ground = GroundSet(_json_int(data["n"], "'n'"), _json_int(data["d"], "'d'"))
+    for i, c in enumerate(data["circuits"]):
+        for key in ("pos", "neg"):
+            for e in c[key]:
+                _json_int(e, f"an element of '{key}' of circuit {i}")
+    return ground, [Circuit(c["pos"], c["neg"]) for c in data["circuits"]]
 
 
 def _check_width(signs: np.ndarray, d: int) -> None:
@@ -293,18 +311,21 @@ class PointConfiguration:
 
     @staticmethod
     def from_dict(data: dict) -> "PointConfiguration":
-        """The configuration of a JSON object; d must be an int and every
-        coordinate an int or a float (bools are ints to Python, and numpy
-        would read "1" as a number)."""
-        d, points = data["d"], data["points"]
-        if type(d) is not int:
-            raise ValueError(f"'d' must be an integer, not {d!r}")
+        """The configuration of a JSON object; d must be an int (_json_int)
+        and every coordinate an int or a float, an int within a float's range
+        (bools are ints to Python, and numpy would read "1" as a number)."""
+        if "points" not in data or "d" not in data:
+            raise ValueError("point configuration JSON needs 'd' and 'points'")
+        d, points = _json_int(data["d"], "'d'"), data["points"]
         if not isinstance(points, list) or not all(
             isinstance(row, list) and all(type(x) in (int, float) for x in row)
             for row in points
         ):
             raise ValueError("'points' must be a list of lists of numbers")
-        return PointConfiguration(np.asarray(points, dtype=float), d)
+        try:
+            return PointConfiguration(np.asarray(points, dtype=float), d)
+        except OverflowError:
+            raise ValueError("'points' holds an integer too large for a float") from None
 
 
 def circuit_dependences(config: PointConfiguration) -> tuple[OrientedMatroid, np.ndarray]:
@@ -356,24 +377,15 @@ def same_chirotope(a: PointConfiguration, b: PointConfiguration) -> bool:
     return bool(np.array_equal(sa, sb) or np.array_equal(sa, -sb))
 
 
-def is_radon_partition(m: OrientedMatroid, a, b) -> bool:
-    """True when some circuit of m nests in (a, b): A <= a, B <= b or swapped."""
-    a, b = frozenset(int(e) for e in a), frozenset(int(e) for e in b)
-    if a & b:
-        raise ValueError("the two blocks must be disjoint")
-    if any(e < 1 or e > m.n for e in a | b):
-        raise ValueError("block element out of range")
-    for c in m.circuits:
-        if (c.pos <= a and c.neg <= b) or (c.pos <= b and c.neg <= a):
-            return True
-    return False
-
-
 def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
-    """Weak-map order: m <= m2 iff every circuit of m2 is a Radon partition of m."""
+    """Weak-map order: m <= m2 iff every circuit A|B of m2 is a Radon
+    partition of m, that is, some circuit C of m has C+ <= A, C- <= B or swapped."""
     if m.ground != m2.ground:
         raise ValueError("matroids must share the same ground set")
-    return all(is_radon_partition(m, c.pos, c.neg) for c in m2.circuits)
+    return all(
+        any((c.pos <= a.pos and c.neg <= a.neg) or (c.pos <= a.neg and c.neg <= a.pos) for c in m.circuits)
+        for a in m2.circuits
+    )
 
 
 # Sign vectors.  This module alone knows their encodings: _signs turns
@@ -609,6 +621,19 @@ def _fan(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first, fan = start[rows], start[rows + 1] - start[rows]
     owner = np.repeat(np.arange(len(rows)), fan)
     return owner, np.arange(len(owner)) + (first - (np.cumsum(fan) - fan))[owner]
+
+
+def _csr(lower: np.ndarray, upper: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (lower, upper) over range(k) in CSR form: the lower ends of
+    the pairs of x, ascending, are lower[start[x]:start[x + 1]].
+
+    Every lower end is below k, so the keys upper * k + lower order the
+    pairs by upper, then lower, and one stable sort of them gives the CSR.
+    Timsort takes keys that already ascend, as the ends (j, i) of row-major
+    pairs (i, j) do, in one run."""
+    start = np.zeros(k + 1, np.intp)
+    np.cumsum(np.bincount(upper, minlength=k), out=start[1:])
+    return start, lower[np.argsort(upper * k + lower, kind="stable")]
 
 
 def _counts(bits: np.ndarray) -> np.ndarray:

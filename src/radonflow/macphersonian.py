@@ -38,12 +38,11 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import (
-    Circuit,
     GroundSet,
     OrientedMatroid,
     _check_width,
@@ -51,6 +50,7 @@ from .core import (
     _circuit_dicts,
     _conforming,
     _conformity,
+    _csr,
     _distinct_circuits,
     _fan,
     _gather_circuits,
@@ -58,6 +58,7 @@ from .core import (
     _ordered_rows,
     _pack,
     _pairs,
+    _read_circuits,
     _signs,
     _supports,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
@@ -168,8 +169,8 @@ class MatroidTable(Sequence):
     @classmethod
     def from_dict(cls, data: dict) -> "MatroidTable":
         """The table of a poset.json, each circuit once under 'circuits' and
-        each element as its ascending ids into them under 'elements'.  Each
-        circuit passes through one Circuit, whose checks name a malformed
+        each element as its ascending ids into them under 'elements'.  The
+        circuits are read by core._read_circuits, whose checks name a bad
         part, and the ids are remapped to core._ordered_rows' row order."""
         elements = data["elements"]
         if not isinstance(elements, list) or not elements:
@@ -177,8 +178,7 @@ class MatroidTable(Sequence):
         if "circuits" not in data:
             raise ValueError("a poset lists each circuit once under 'circuits' and each element as its ascending "
                              "circuit ids (schema_version 2), not each element's circuits in full")
-        ground = GroundSet(int(data["n"]), int(data["d"]))
-        parsed = [Circuit(c["pos"], c["neg"]) for c in data["circuits"]]
+        ground, parsed = _read_circuits(data)
         signs, which = _ordered_rows(_signs(parsed, ground.n))
         if len(signs) < len(parsed):
             twice = np.setdiff1d(np.arange(len(parsed)), np.unique(which, return_index=True)[1])[0]
@@ -541,19 +541,6 @@ def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return at, keys[np.minimum(at, len(keys) - 1)] == queries
 
 
-def _csr(lower: np.ndarray, upper: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (lower, upper) over k cells in CSR form: the lower ends of
-    the pairs of cell x, ascending, are lower[start[x]:start[x + 1]].
-
-    Every lower end is below k, so the keys upper * k + lower order the
-    pairs by upper, then lower, and one stable sort of them gives the CSR.
-    Timsort takes keys that already ascend, as the ends (j, i) of row-major
-    pairs (i, j) do, in one run."""
-    start = np.zeros(k + 1, np.intp)
-    np.cumsum(np.bincount(upper, minlength=k), out=start[1:])
-    return start, lower[np.argsort(upper * k + lower, kind="stable")]
-
-
 def cellular_betti(grade: np.ndarray, start: np.ndarray, lower: np.ndarray) -> list[int]:
     """GF(2) cellular Betti numbers of a graded cell poset.
 
@@ -726,14 +713,7 @@ class M42Report:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "face_vector": list(self.face_vector),
-            "euler_characteristic": self.euler_characteristic,
-            "square_facets": self.square_facets,
-            "triangle_facets": self.triangle_facets,
-            "matroid_facet_bijection": self.matroid_facet_bijection,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok, "face_vector": list(self.face_vector)}
 
 
 def cell_structure_m42(poset: MatroidPoset, grade: np.ndarray, hasse: np.ndarray) -> M42Report:

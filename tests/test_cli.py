@@ -150,10 +150,11 @@ def test_flow_zero_delta_is_a_fixed_point(tmp_path):
         (["--delta", "-1"], "input error: delta must be >= 0, not -1.0\n"),
         (["--delta", "nan"], "input error: delta must be >= 0, not nan\n"),
         (["--max-steps", "0"], "input error: 'max_steps' must be an integer >= 1, not 0\n"),
+        (["--seed", "-1"], "input error: 'seed' must be an integer >= 0, not -1\n"),
         (["--step", "inf"], "error: unrecognized arguments: --step inf\n"),
         (["--step", "nan"], "error: unrecognized arguments: --step nan\n"),
     ],
-    ids=["negative-delta", "nan-delta", "zero-max-steps", "inf-step", "nan-step"],
+    ids=["negative-delta", "nan-delta", "zero-max-steps", "negative-seed", "inf-step", "nan-step"],
 )
 def test_flow_refuses_a_delta_or_step_it_cannot_use(tmp_path, flags, message):
     # a negative delta pushed vertices out of their faces and a NaN one
@@ -254,8 +255,9 @@ def test_flow_rejects_repetitions_below_one_or_not_integers(tmp_path, capsys, re
         ({"n": 5, "d": 1, "max_steps": 2.7}, "'max_steps' must be an integer, not 2.7"),
         ({"n": 5, "d": 1, "delta": "0.05"}, "'delta' must be a number, not \"0.05\""),
         ({"n": 5, "d": 1, "seed": True}, "'seed' must be an integer, not true"),
+        ({"n": 5, "d": 1, "seed": -1}, "'seed' must be an integer >= 0, not -1"),
     ],
-    ids=["float-d", "bool-d", "string-n-d", "float-max-steps", "string-delta", "bool-seed"],
+    ids=["float-d", "bool-d", "string-n-d", "float-max-steps", "string-delta", "bool-seed", "negative-seed"],
 )
 def test_flow_settings_must_have_their_type(tmp_path, capsys, config, message):
     cfg = tmp_path / "flow.json"
@@ -263,6 +265,26 @@ def test_flow_settings_must_have_their_type(tmp_path, capsys, config, message):
     out = tmp_path / "out"
     assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("analyze", {"d": 1, "points": [[0], [10**400], [2]]}, "'points' holds an integer too large for a float"),
+        ("flow", {"d": 1, "points": [[0], [10**400], [2]]}, "'points' holds an integer too large for a float"),
+        ("flow", {"n": 5, "d": 1, "delta": 10**400}, "'delta' is an integer too large for a float"),
+    ],
+    ids=["analyze-points", "flow-points", "flow-delta"],
+)
+def test_integers_too_large_for_a_float_are_refused(tmp_path, capsys, command, config, message):
+    # JSON integers have no bound, and float() of one this large raised
+    # OverflowError: a traceback and exit 1
+    cfg = tmp_path / "big.json"
+    write_json(cfg, config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"input error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -400,17 +422,21 @@ def test_homology_rejects_malformed_hasse(tmp_path, capsys, hasse):
         ({"pos": [1, 9], "neg": [2]}, "circuit {1,9}|{2} uses an element beyond n=4"),
         ({"pos": [1, 2], "neg": [3, 4]}, "circuit {1,2}|{3,4} has support larger than d + 2 = 3"),
         ({"n": 3}, "circuit {1}|{4} uses an element beyond n=3"),
+        ({"n": "4"}, "'n' must be an integer, not '4'"),
+        ({"d": 1.9}, "'d' must be an integer, not 1.9"),
+        ({"pos": [1], "neg": [2.0, 3]}, "an element of 'neg' of circuit 18 must be an integer, not 2.0"),
     ],
-    ids=["overlap", "beyond-n", "wide", "other-ground"],
+    ids=["overlap", "beyond-n", "wide", "other-ground", "string-n", "float-d", "float-element"],
 )
 def test_homology_rejects_malformed_elements(tmp_path, capsys, change, message):
     # the (4,1) poset gains a malformed circuit, held by element 1, or a
-    # ground set its circuits do not fit: exit 2 with the message that
-    # names it
+    # ground set its circuits do not fit or that is not given as integers
+    # (int() once read "4", 1.9 and 2.0 as 4, 1 and 2): exit 2 with the
+    # message that names it
     mac_out = tmp_path / "mac"
     assert main(["macphersonian", "4", "1", "--out", str(mac_out)]) == 0
     poset = load(mac_out / "poset.json")
-    if "n" in change:
+    if "pos" not in change:
         poset.update(change)
     else:
         poset["elements"][1].append(len(poset["circuits"]))

@@ -115,14 +115,16 @@ def test_circuit_canonicalization():
     assert c == rf.Circuit.make({1, 2}, {3, 4})
 
 
-def test_is_radon_partition_square(square_matroid):
-    m = square_matroid
-    assert rf.is_radon_partition(m, {1, 4}, {2, 3})
-    assert rf.is_radon_partition(m, {2, 3}, {1, 4})  # orientation symmetric
-    assert rf.is_radon_partition(m, {1, 4, 2}, {3})  is False
-    assert rf.is_radon_partition(m, {1, 4}, {2}) is False
-    with pytest.raises(ValueError):
-        rf.is_radon_partition(m, {1, 2}, {2, 3})
+def test_weak_map_leq_of_one_circuit_matroids_over_the_square(square_matroid):
+    # the square's one circuit {1,4}|{2,3} nests in either orientation of
+    # that partition, and not in {1,2,4}|{3} or {1,4}|{2}
+    def one(pos, neg):
+        return rf.OrientedMatroid.from_circuits(square_matroid.ground, [rf.Circuit(pos, neg)])
+
+    assert rf.weak_map_leq(square_matroid, one({1, 4}, {2, 3}))
+    assert rf.weak_map_leq(square_matroid, one({2, 3}, {1, 4}))
+    assert not rf.weak_map_leq(square_matroid, one({1, 4, 2}, {3}))
+    assert not rf.weak_map_leq(square_matroid, one({1, 4}, {2}))
 
 
 def test_weak_map_order(square_matroid, tri_interior_config):

@@ -671,7 +671,7 @@ def test_csr_equals_the_lexsorted_csr_on_sorted_and_unsorted_pairs():
         (p[:, 0], p[:, 1]) for p in (pairs, covers)
     ]
     for lower, upper in cases:
-        got = rf.macphersonian._csr(lower, upper, 842)
+        got = rf.core._csr(lower, upper, 842)
         assert all(np.array_equal(a, b) for a, b in zip(got, oracles.csr(lower, upper, 842)))
 
 
@@ -817,8 +817,15 @@ def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
         ),
         ({"d": None}, KeyError, "'d'"),
         ({"circuits": [{"pos": [1], "neg": 2}]}, TypeError, "'int' object is not iterable"),
+        ({"n": "5"}, ValueError, "'n' must be an integer, not '5'"),
+        ({"d": 1.9}, ValueError, "'d' must be an integer, not 1.9"),
+        ({"circuits": [{"pos": [1.9], "neg": [2]}]}, ValueError,
+         "an element of 'pos' of circuit 0 must be an integer, not 1.9"),
+        ({"circuits": [{"pos": [1], "neg": [True]}]}, ValueError,
+         "an element of 'neg' of circuit 0 must be an integer, not True"),
     ],
-    ids=["overlap", "empty", "element-0", "beyond-n", "wide", "no-d", "part-not-a-list"],
+    ids=["overlap", "empty", "element-0", "beyond-n", "wide", "no-d", "part-not-a-list",
+         "string-n", "float-d", "float-element", "bool-element"],
 )
 def test_table_parser_names_the_first_malformed_circuit(bad, error, message):
     # a (5,1) element's dict made malformed: the table parser, on a poset
