@@ -8,13 +8,17 @@ Subcommands:
                  read off its covers as the census reads it
 
 Exit codes: 0 success (every flow outcome, per-rep errors included), 2
-input error (a poset that fails a CW check included), 3 unsupported range
-(macphersonian with n > 6, d < 1 or n < d + 2), 4 numerical failure.  All
-runs with the same inputs and seed write byte-identical outputs apart from
-the generated_at stamps.  Every JSON output is laid out as
-json.dumps(payload, indent=2, sort_keys=True) lays it out, byte for byte:
-2-space indent, sorted keys, ASCII only (non-ASCII characters as \\u
-escapes), NaN and Infinity as json spells them.
+input error (a poset that fails a CW check or lies outside the census
+range, and sampled flow points outside d >= 1, d + 2 <= n <= 16,
+included), 3 unsupported range (macphersonian with n > 6, d < 1 or n < d +
+2), 4 numerical failure.  All runs with the same inputs and seed write
+byte-identical outputs apart from the generated_at stamps.  Every JSON
+output is laid out as json.dumps(payload, indent=2, sort_keys=True) lays
+it out, byte for byte: 2-space indent, sorted keys, ASCII only (non-ASCII
+characters as \\u escapes), NaN and Infinity as json spells them.  The
+writer (_texts) fills string templates for plain values and joins the int
+tables of the payloads (RecordTable, Ragged and 2-D int arrays, which the
+commands write in place of to_dict's lists) from tokens.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from .complexes import (
 )
 from .core import (
     PointConfiguration,
+    Ragged,
     RankDeficientError,
+    RecordTable,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     same_chirotope,
 )
@@ -72,8 +78,17 @@ from .macphersonian import (
 )
 
 SCHEMA_VERSION = 2
+# flow samples at most this many points: n generic points in R^d have
+# C(n, d + 2) circuits, up to C(16, 8) = 12 870 here, each a vertex pair of
+# the sphere the flow moves, while the tests and CI flow at most 12 points
+MAX_SAMPLED_N = 16
 _NUMBERS = {int, float}
 _INTEGERS = {int}
+_TABLES = {RecordTable, Ragged, np.ndarray}
+# an int table of fewer ints than this is laid out as the lists it holds:
+# below it the tokens' numpy calls cost more than they save (the flow's
+# graphs, the smaller rungs' circuits and the census's circuits)
+_TOKENS_FROM = 500
 # json's own indented encoder, for the values _texts does not lay out itself
 _indented_json = json.JSONEncoder(indent=2, sort_keys=True).encode
 
@@ -84,48 +99,32 @@ def _stamp() -> str:
 
 def _json_text(value) -> str:
     """The text json.dumps(value, indent=2, sort_keys=True) writes for value,
-    a RecordTable read as the list of dicts it holds."""
+    each RecordTable, Ragged or 2-D array in it read as the lists it holds."""
     return _texts([value], "")[0]
-
-
-@dataclass(frozen=True)
-class RecordTable:
-    """A list of records {key: int, ragged_key: [int, ...]} held as int
-    arrays: record r is {key: column[r], ragged_key: values[offsets[r] :
-    offsets[r + 1]]}.  _json_text lays it out as that list, with no dict
-    or list built per record."""
-
-    key: str
-    column: np.ndarray
-    ragged_key: str
-    offsets: np.ndarray
-    values: np.ndarray
 
 
 def _texts(values: list, pad: str) -> list[str]:
     """The indented JSON text of each of values, nested at indentation pad.
 
     The pure-Python encoder that json runs once indent is set makes a
-    generator call per value.  Here a column of values is laid out at once:
-    a string template per shape, filled by one % over the whole column.
-    Plain ints and floats fill %r slots (json writes their repr, apart from
-    the non-finite floats), lists fill a row template per length with the
-    texts of all their items, and dicts that share one set of str keys fill
-    one record template with the texts of their value columns.  A
-    RecordTable fills one record template per ragged length from its arrays
-    (_table_text), and a 2-D numeric array one template of its rows (as its
-    tolist()).  A value of any other kind (bools, None, strings, empty or
-    non-str-keyed dicts, tuples) goes to json itself, re-indented by
-    replacing each newline: json never writes a raw newline inside a string.
+    generator call per value.  Here a column of values is laid out at once.
+    Plain ints and floats fill the %r slots of one string template per
+    shape by one % over the whole column (json writes their repr, apart
+    from the non-finite floats), lists fill a row template per length with
+    the texts of all their items, and dicts that share one set of str keys
+    fill one record template with the texts of their value columns.  An
+    int table (a RecordTable, a Ragged or a 2-D int array) is joined from
+    tokens, or laid out as its lists when small, and a 2-D float array
+    fills one template of its rows (_table_text).  A value of any other kind (bools, None,
+    strings, empty or non-str-keyed dicts, tuples) goes to json itself,
+    re-indented by replacing each newline: json never writes a raw newline
+    inside a string.
     """
     kinds = set(map(type, values))
     if kinds <= _NUMBERS:
         return _fill(["%r"] * len(values), values, float in kinds)
-    if kinds == {RecordTable}:
-        return [_table_text(t, pad) for t in values]
-    if kinds == {np.ndarray}:
-        rows = [_row([_row(["%r"] * a.shape[1], pad + "  ")] * len(a), pad) for a in values]
-        return [_fill([r], a.ravel().tolist(), a.dtype.kind == "f")[0] for r, a in zip(rows, values)]
+    if kinds <= _TABLES:
+        return [_table_text(v, pad) for v in values]
     inner = pad + "  "
     if kinds == {list}:
         items = list(chain.from_iterable(values))
@@ -141,7 +140,8 @@ def _texts(values: list, pad: str) -> list[str]:
         keys = values[0].keys()
         if keys and all(type(k) is str for k in keys) and all(v.keys() == keys for v in values):
             keys = sorted(keys)
-            record = _record(keys, ["%s"] * len(keys), pad)
+            entries = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+            record = "{\n" + inner + (",\n" + inner).join(entries) + "\n" + pad + "}"
             columns = [_texts([v[k] for v in values], inner) for k in keys]
             return _fill([record] * len(values), list(chain.from_iterable(zip(*columns))), False)
     if len(values) == 1:
@@ -155,28 +155,115 @@ def _row(slots: list[str], pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(slots) + "\n" + pad + "]" if slots else "[]"
 
 
-def _record(keys: list[str], slots: list[str], pad: str) -> str:
-    """The template of a dict of sorted str keys, each with its slot, nested
-    at indentation pad."""
-    inner = pad + "  "
-    entries = (encode_basestring_ascii(k).replace("%", "%%") + ": " + s for k, s in zip(keys, slots))
-    return "{\n" + inner + (",\n" + inner).join(entries) + "\n" + pad + "}"
+def _table_text(table, pad: str) -> str:
+    """The text of a RecordTable, a Ragged or a 2-D array nested at
+    indentation pad.
+
+    A float array fills one template of its rows, and an int table of
+    fewer than _TOKENS_FROM ints is laid out as the lists it holds.  A
+    larger one is joined from tokens, with no record or list built: one
+    token per column entry, per ragged value and per empty ragged list.  A
+    token is the text from the end of the previous one through its own
+    value: its newline and indent, the record's opening brace when its
+    field comes first, its key and opening bracket when it starts a list,
+    and its comma, or the closing brackets that follow it.  The tokens of
+    each field (_column_tokens, _ragged_tokens) are indices into the words
+    of that field, one per distinct value in each such place, and are set
+    among the other fields' by the number of tokens each record has before
+    them; one "".join writes the whole table.  Every record ends with a
+    comma: the last token's is cut, and the table's brackets join the
+    first and the last token.
+    """
+    if isinstance(table, np.ndarray) and table.dtype.kind == "f":
+        row = _row([_row(["%r"] * table.shape[1], pad + "  ")] * len(table), pad)
+        return _fill([row], table.ravel().tolist(), True)[0]
+    if _ints(table) < _TOKENS_FROM:
+        return _texts([table.tolist()], pad)[0]
+    if isinstance(table, np.ndarray):
+        k, c = table.shape
+        table = Ragged(np.arange(k + 1) * c, table.ravel())
+    inner = "\n" + pad + "  "
+    if isinstance(table, Ragged):
+        parts = [_ragged_tokens(table, inner + "[", inner + "  ", inner + "],", inner + "[],")]
+    else:
+        parts, keys = [], sorted(table.fields)
+        for key in keys:
+            name = (inner + "{" if key == keys[0] else "") + inner + "  " + encode_basestring_ascii(key) + ": "
+            tail, value = inner + "}," if key == keys[-1] else ",", table.fields[key]
+            if isinstance(value, Ragged):
+                close = inner + "  ]" + tail
+                parts.append(_ragged_tokens(value, name + "[", inner + "    ", close, name + "[]" + tail))
+            else:
+                parts.append(_column_tokens(value, name, tail))
+    counts = sum(count for count, _, _ in parts)
+    if not len(counts):
+        return "[]"
+    ids = np.empty(counts.sum(), np.intp)
+    at = np.cumsum(counts) - counts  # each record's next token
+    vocabulary = []
+    for count, part, words in parts:
+        ids[np.arange(len(part)) + np.repeat(at - (np.cumsum(count) - count), count)] = part + len(vocabulary)
+        vocabulary += words
+        at += count
+    tokens = np.array(vocabulary, object)[ids].tolist()
+    tokens[-1] = tokens[-1][:-1] + "\n" + pad + "]"
+    tokens[0] = "[" + tokens[0]
+    return "".join(tokens)
 
 
-def _table_text(t: RecordTable, pad: str) -> str:
-    """The text of a RecordTable nested at indentation pad: one record
-    template per ragged length, filled by one % over the fields of all
-    records in turn, each record's column value before or after its ragged
-    values as the keys sort (one np.insert of the column into the values)."""
-    inner = pad + "  "
-    keys = sorted([t.key, t.ragged_key])
-    lengths = np.diff(t.offsets).tolist()
-    records = {}
-    for k in set(lengths):
-        slots = {t.key: "%r", t.ragged_key: _row(["%r"] * k, inner + "  ")}
-        records[k] = _record(keys, [slots[key] for key in keys], inner)
-    fields = np.insert(t.values, t.offsets[:-1] if keys[0] == t.key else t.offsets[1:], t.column)
-    return _fill([_row(list(map(records.__getitem__, lengths)), pad)], fields.tolist(), False)[0]
+def _ints(table) -> int:
+    """The number of ints an int table holds, offsets included."""
+    if isinstance(table, RecordTable):
+        return sum(map(_ints, table.fields.values()))
+    return table.size if isinstance(table, np.ndarray) else table.offsets.size + table.values.size
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each of values in distinct, ascending ints that hold
+    them all: each int from the least to the largest when the values are
+    no sparser than that (a sort costs more than the words of the ints
+    missing between), else each distinct value."""
+    if not len(values):
+        return np.zeros(0, np.intp), values
+    least, most = values.min().tolist(), values.max().tolist()
+    if most - least <= 2 * len(values):
+        return values.astype(np.intp) - least, np.arange(least, most + 1)
+    distinct, index = np.unique(values, return_inverse=True)
+    return index.reshape(-1), distinct
+
+
+def _words(heads: list[str], tails: list[str], kinds: np.ndarray, values: np.ndarray) -> list[str]:
+    """heads[k] + value + tails[k] for each kind k and int value, by one
+    % over them all (_fill)."""
+    forms = [h.replace("%", "%%") + "%d" + t.replace("%", "%%") for h, t in zip(heads, tails)]
+    return _fill(list(map(forms.__getitem__, kinds.tolist())), values.tolist(), False)
+
+
+def _column_tokens(column: np.ndarray, name: str, tail: str):
+    """(count, ids, words): one token a record, name, its entry and tail."""
+    ids, distinct = _distinct(column)
+    return np.ones(len(column), np.intp), ids, _words([name], [tail], np.zeros(len(distinct), np.intp), distinct)
+
+
+def _ragged_tokens(field: Ragged, open_: str, indent: str, close: str, empty: str):
+    """(count, ids, words) of a Ragged's lists: each value a token on its
+    own line at indent, the first of a list after open_, each but the last
+    followed by a comma and the last by close; an empty list one token,
+    empty.  count holds each list's number of tokens, ids the tokens of
+    all the lists in turn, indices into words, and words only the tokens
+    that occur."""
+    lengths = np.diff(field.offsets)
+    value, distinct = _distinct(field.values)
+    full = np.flatnonzero(lengths)
+    place = np.zeros(len(value), np.intp)  # 0 to 3: middle, first, last or only value of its list
+    place[field.offsets[full]] = 1
+    place[field.offsets[full + 1] - 1] += 2
+    ids = np.insert(place * len(distinct) + value, field.offsets[:-1][lengths == 0], 4 * len(distinct))
+    used = np.zeros(4 * len(distinct) + 1, bool)
+    used[ids] = True
+    places, values = np.divmod(np.flatnonzero(used[:-1]), max(1, len(distinct)))
+    words = _words([indent, open_ + indent] * 2, [",", ",", close, close], places, distinct[values])
+    return np.maximum(lengths, 1), (np.cumsum(used) - 1)[ids], words + [empty] * int(used[-1])
 
 
 def _fill(templates: list[str], fields: list, floats: bool) -> list[str]:
@@ -189,7 +276,7 @@ def _fill(templates: list[str], fields: list, floats: bool) -> list[str]:
     text = "\x00".join(templates) % tuple(fields)  # no JSON text holds a raw NUL
     if floats:
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text.split("\x00")
+    return text.split("\x00") if len(templates) > 1 else [text] * len(templates)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -221,9 +308,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = validate_sphere(rc, config.n, config.d)
     combinatorial = combinatorial_circuit_graph(matroid)
     matches = graphs_equal(rc.graph, combinatorial)
-    _write_json(out / "matroid.json", matroid.to_dict())
-    facets = RecordTable("dim", rc.facet_dims, "vertices", rc.facet_offsets, rc.facet_vertices)
-    complex_payload = {**rc.graph.to_dict(), "n": rc.n, "d": rc.d, "facets": facets, "positions": rc.positions}
+    _write_json(out / "matroid.json", matroid.payload())
+    facets = RecordTable({"dim": rc.facet_dims, "vertices": Ragged(rc.facet_offsets, rc.facet_vertices)})
+    complex_payload = {**rc.graph.payload(), "n": rc.n, "d": rc.d, "facets": facets, "positions": rc.positions}
     _write_json(out / "radon_complex.json", complex_payload)
     _write_json(out / "sphere_report.json", {**report.to_dict(), "combinatorial_graph_matches": matches})
     status = "ok" if report.ok and matches else "MISMATCH"
@@ -277,6 +364,10 @@ def cmd_flow(args: argparse.Namespace) -> int:
         if "n" not in data or "d" not in data:
             raise ValueError("flow config needs either 'points' or 'n' and 'd'")
         n, d = (_setting(data, key, None, None, _INTEGERS) for key in ("n", "d"))
+        if d < 1:
+            raise ValueError(f"'d' must be an integer >= 1, not {d}")
+        if not d + 2 <= n <= MAX_SAMPLED_N:
+            raise ValueError(f"'n' must be an integer with d + 2 <= n <= {MAX_SAMPLED_N} to sample points")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -293,7 +384,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
             row["t_final"] = trace.samples[-1].t
             row["curv_final"] = trace.samples[-1].curv_max
             _write_trace_csv(out / f"rep_{rep:03d}_trace.csv", trace)
-            _write_json(out / f"rep_{rep:03d}_final_sphere.json", final.to_dict())
+            _write_json(out / f"rep_{rep:03d}_final_sphere.json", final.payload())
             try:
                 rate, r2 = curvature_decay_stats(trace)
                 row["decay_rate"] = rate
@@ -341,7 +432,7 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
     counts = chain_counts(poset)
     chi = sum((-1) ** k * c for k, c in enumerate(counts))
     uniform = int(elements.uniform.sum())
-    poset_payload = {**poset.to_dict(hasse), "n": n, "d": d, "count": len(elements), "uniform_count": uniform}
+    poset_payload = {**poset.payload(hasse), "n": n, "d": d, "count": len(elements), "uniform_count": uniform}
     _write_json(out / "poset.json", poset_payload)
     _write_json(
         out / "order_complex.json",

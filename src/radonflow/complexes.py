@@ -29,13 +29,15 @@ from .core import (
     Circuit,
     OrientedMatroid,
     PointConfiguration,
+    Ragged,
+    RecordTable,
     SignedCircuitVertex,
     check_circuit_axioms,
     circuit_dependences,
     _BITS,
     _HALF,
     _LOW,
-    _circuit_dicts,
+    _circuit_table,
     _conforming,
     _counts,
     _csr,
@@ -43,6 +45,7 @@ from .core import (
     _negated,
     _pack,
     _pairs,
+    _plain,
     _supports,
     _unique_rows,
 )
@@ -122,26 +125,30 @@ class CircuitGraph:
         """The cycle partition of the edges, walked on first read."""
         return _partition_edges_into_cycles(self.rows, *self.edges.T)
 
-    def _circuits(self) -> tuple[list[dict], list[int]]:
-        """Each vertex's circuit as {"pos", "neg"}, its smallest element
-        positive (the rule of Circuit.make), and the vertex's sign there."""
+    def _vertex_table(self) -> RecordTable:
+        """Each vertex's circuit as "pos" and "neg", its smallest element
+        positive (the rule of Circuit.make), and the vertex's "sign" there."""
         lead = self.signs[np.arange(len(self.signs)), (self.signs != 0).argmax(axis=1)]
-        return _circuit_dicts(self.signs * lead[:, None]), lead.tolist()
+        return RecordTable({**_circuit_table(self.signs * lead[:, None]).fields, "sign": lead})
 
     @cached_property
     def vertices(self) -> tuple[SignedCircuitVertex, ...]:
         """The vertices as SignedCircuitVertex objects, built on first use."""
-        return tuple(SignedCircuitVertex(Circuit(**c), s) for c, s in zip(*self._circuits()))
+        return tuple(
+            SignedCircuitVertex(Circuit(v["pos"], v["neg"]), v["sign"]) for v in self._vertex_table().tolist()
+        )
+
+    def payload(self) -> dict:
+        """to_dict's fields as the CLI writes them: the vertices and the
+        cycles as RecordTables, the edges as their array."""
+        cycles = RecordTable({
+            "support": Ragged.of([sorted(c.support) for c in self.cycles]),
+            "edge_ids": Ragged.of([c.edge_ids for c in self.cycles]),
+        })
+        return {"vertices": self._vertex_table(), "edges": self.edges, "cycles": cycles}
 
     def to_dict(self) -> dict:
-        return {
-            "vertices": [{**c, "sign": s} for c, s in zip(*self._circuits())],
-            "edges": self.edges.tolist(),
-            "cycles": [
-                {"support": sorted(c.support), "edge_ids": list(c.edge_ids)}
-                for c in self.cycles
-            ],
-        }
+        return _plain(self.payload())
 
 
 @dataclass
@@ -213,7 +220,7 @@ def _partition_edges_into_cycles(
     tag_of = np.cumsum(fresh) - 1
     heads = tags[fresh]  # each tag's support words: column e - 1 of bits is element e
     bits = (heads[:, :, None] & _BITS != 0).reshape(len(heads), 32 * heads.shape[1])
-    supports = [frozenset(c["pos"]) for c in _circuit_dicts(bits.view(np.int8))]
+    supports = list(map(frozenset, _circuit_table(bits.view(np.int8)).fields["pos"].tolist()))
 
     # slot i < E is the first end of the i-th edge in tag order, slot i + E
     # its second end; sorted by (tag, vertex), then each pair of slots

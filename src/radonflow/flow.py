@@ -40,6 +40,7 @@ from .core import (
     OrientedMatroid,
     PointConfiguration,
     circuit_dependences,
+    _plain,
 )
 
 # backtracking line search: the sufficient-decrease fraction
@@ -208,12 +209,13 @@ class EmbeddedSphere:
             new[k] = 2.0 * row / np.abs(row).sum()
         return self._moved(new)
 
+    def payload(self) -> dict:
+        """to_dict's fields as the CLI writes them (CircuitGraph.payload),
+        the positions as their array."""
+        return {**self.graph.payload(), "n": self.matroid.n, "d": self.matroid.d, "positions": self.positions_all()}
+
     def to_dict(self) -> dict:
-        out = self.graph.to_dict()
-        out["n"] = self.matroid.n
-        out["d"] = self.matroid.d
-        out["positions"] = self.positions_all().tolist()
-        return out
+        return _plain(self.payload())
 
 
 _add = np.add.reduce

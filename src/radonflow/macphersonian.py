@@ -45,19 +45,22 @@ import numpy as np
 from .core import (
     GroundSet,
     OrientedMatroid,
+    Ragged,
     _check_width,
     _colex,
-    _circuit_dicts,
+    _circuit_table,
     _conforming,
     _conformity,
     _csr,
     _distinct_circuits,
     _fan,
     _gather_circuits,
+    _json_int,
     _negated,
     _ordered_rows,
     _pack,
     _pairs,
+    _plain,
     _read_circuits,
     _signs,
     _supports,
@@ -171,13 +174,17 @@ class MatroidTable(Sequence):
         """The table of a poset.json, each circuit once under 'circuits' and
         each element as its ascending ids into them under 'elements'.  The
         circuits are read by core._read_circuits, whose checks name a bad
-        part, and the ids are remapped to core._ordered_rows' row order."""
+        part, n and d must lie in the census range (census_range_fault), and
+        the ids are remapped to core._ordered_rows' row order."""
         elements = data["elements"]
         if not isinstance(elements, list) or not elements:
             raise ValueError("'elements' must be a nonempty list of circuit id lists")
         if "circuits" not in data:
             raise ValueError("a poset lists each circuit once under 'circuits' and each element as its ascending "
                              "circuit ids (schema_version 2), not each element's circuits in full")
+        fault = census_range_fault(*(_json_int(data[key], f"'{key}'") for key in ("n", "d")))
+        if fault:
+            raise ValueError(f"a poset file needs {fault}, as the census does")
         ground, parsed = _read_circuits(data)
         signs, which = _ordered_rows(_signs(parsed, ground.n))
         if len(signs) < len(parsed):
@@ -266,6 +273,17 @@ def _acyclic_matroids(subsets: np.ndarray, chi: np.ndarray, ground: GroundSet) -
     return _census_table(ground, *_distinct_circuits(spans, vals[~cyclic], ground.n))
 
 
+def census_range_fault(n: int, d: int) -> str | None:
+    """The rule of the census range that n and d break, naming the field,
+    or None: d >= 1 and d + 2 <= n <= MAX_ENUMERATION_N.  The census and
+    the homology of a poset file both keep to it."""
+    if d < 1:
+        return "'d' >= 1"
+    if not d + 2 <= n <= MAX_ENUMERATION_N:
+        return f"'n' with d + 2 <= n <= {MAX_ENUMERATION_N}"
+    return None
+
+
 def enumerate_acyclic_oms(n: int, d: int) -> MatroidTable:
     """Every acyclic oriented matroid of rank d + 1 on n labeled elements.
 
@@ -279,10 +297,9 @@ def enumerate_acyclic_oms(n: int, d: int) -> MatroidTable:
     as one MatroidTable, sorted by circuit count and then by the sort keys
     of their sorted circuits, as lists.
     """
-    if d < 1 or n < d + 2:
-        raise UnsupportedRangeError(f"need d >= 1 and n >= d + 2, got n={n}, d={d}")
-    if n > MAX_ENUMERATION_N:
-        raise UnsupportedRangeError(f"enumeration supports n <= {MAX_ENUMERATION_N}, got n={n}, d={d}")
+    fault = census_range_fault(n, d)
+    if fault:
+        raise UnsupportedRangeError(f"the census needs {fault}, got n={n}, d={d}")
     return _acyclic_matroids(*_chirotopes(n, d + 1), GroundSet(n, d))
 
 
@@ -361,19 +378,22 @@ class MatroidPoset:
             cover[at] = False
         return pairs[cover]
 
-    def to_dict(self, hasse: np.ndarray) -> dict:
+    def payload(self, hasse: np.ndarray) -> dict:
         """The elements as their table (MatroidTable.of), each circuit once in
-        its row order and each element as its circuit ids, the cover array
-        hasse (self.hasse_pairs()) and the maximal elements, the lower end of
-        no cover."""
+        its row order (a RecordTable) and each element as its circuit ids (a
+        Ragged), the cover array hasse (self.hasse_pairs()) and the maximal
+        elements, the lower end of no cover."""
         table = MatroidTable.of(self.elements)
-        ids, start = table.ids.tolist(), table.start.tolist()
         return {
-            "circuits": _circuit_dicts(table.signs),
-            "elements": [ids[a:b] for a, b in zip(start, start[1:])],
+            "circuits": _circuit_table(table.signs),
+            "elements": Ragged(table.start, table.ids),
             "hasse": hasse,
             "maximal": np.flatnonzero(np.bincount(hasse[:, 0], minlength=len(self)) == 0).tolist(),
         }
+
+    def to_dict(self, hasse: np.ndarray) -> dict:
+        """payload's fields as lists, but for hasse, the array it was given."""
+        return {**_plain(self.payload(hasse)), "hasse": hasse}
 
 
 @dataclass

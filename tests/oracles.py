@@ -57,9 +57,10 @@ writes them in to_dict as the package once did; the package's graphs hold
 sign rows and build vertex objects only when read.  _signs turns a
 hand-built vertex list into the rows rf.CircuitGraph takes.
 
-table_records is json.dumps's default= for cli.RecordTable and 2-D
-arrays: the list of dicts the table stands for, or the array's rows, which
-the package's writer never builds.
+table_records is json.dumps's default= for the int tables the CLI writes
+(cli.RecordTable, cli.Ragged) and 2-D arrays: the list of dicts or of
+lists the table stands for, or the array's rows, which the package's
+writer never builds.
 
 The rest are a plain per-vertex version of the flow's curvature, the flow
 field as the package once evaluated it (field_evaluate: np.linalg.norm for
@@ -87,7 +88,7 @@ from typing import Iterable
 import numpy as np
 
 import radonflow as rf
-from radonflow.cli import RecordTable
+from radonflow.cli import Ragged, RecordTable
 from radonflow.core import (
     ELIMINATION_CAP,
     KERNEL_RTOL,
@@ -535,6 +536,27 @@ def check_circuit_axioms(m):
     return rf.AxiomReport(minimality, canonical, elimination, truncated)
 
 
+def modular_pairs(m):
+    """The pairs i < j of m's circuits, with distinct supports, whose union
+    X u Y has height 2 in the lattice of unions of circuit supports: the
+    lattice built whole by closing the supports under union, and each
+    member's height the longest chain of members below it, from 0 at the
+    empty set."""
+    supports = [mask_of(c.support) for c in m.sorted_circuits]
+    lattice, frontier = {0}, set(supports)
+    while frontier:
+        lattice |= frontier
+        frontier = {u | s for u in frontier for s in supports} - lattice
+    height = {}
+    for u in sorted(lattice, key=lambda u: bin(u).count("1")):
+        height[u] = max((height[v] + 1 for v in height if v != u and v & ~u == 0), default=0)
+    return {
+        (i, j)
+        for (i, x), (j, y) in combinations(enumerate(supports), 2)
+        if x != y and height[x | y] == 2
+    }
+
+
 def circuit_graph(m):
     """Loop version of the circuit graph (axioms unchecked), as
     rf.complexes._circuit_graph builds it."""
@@ -946,17 +968,20 @@ def csr(lower, upper, k):
 
 
 def table_records(value):
-    """The list of dicts a cli.RecordTable holds, or the rows of a 2-D
-    array, for json.dumps(default=...)."""
+    """The list of dicts a cli.RecordTable holds, the lists of a cli.Ragged,
+    or the rows of a 2-D array, for json.dumps(default=...), each read one
+    record or list at a time."""
     if isinstance(value, np.ndarray) and value.ndim == 2:
-        return value.tolist()
+        return [[x.item() for x in row] for row in value]
+    if isinstance(value, Ragged):
+        bounds = value.offsets.tolist()
+        return [[x.item() for x in value.values[a:b]] for a, b in zip(bounds, bounds[1:])]
     if not isinstance(value, RecordTable):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    offsets = value.offsets.tolist()
-    return [
-        {value.key: c, value.ragged_key: value.values[a:b].tolist()}
-        for c, a, b in zip(value.column.tolist(), offsets, offsets[1:])
-    ]
+    lists = {
+        key: table_records(v) if isinstance(v, Ragged) else [x.item() for x in v] for key, v in value.fields.items()
+    }
+    return [{key: lists[key][r] for key in lists} for r in range(len(next(iter(lists.values()))))]
 
 
 def element_circuits(poset: dict) -> list[list[dict]]:

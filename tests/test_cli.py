@@ -288,6 +288,33 @@ def test_integers_too_large_for_a_float_are_refused(tmp_path, capsys, command, c
     assert not out.exists()
 
 
+SAMPLED_N = "'n' must be an integer with d + 2 <= n <= 16 to sample points"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"n": 10**12, "d": 2}, SAMPLED_N),
+        ({"n": 10**400, "d": 2}, SAMPLED_N),
+        ({"n": 17, "d": 2}, SAMPLED_N),
+        ({"n": 3, "d": 2}, SAMPLED_N),
+        ({"n": 5, "d": 0}, "'d' must be an integer >= 1, not 0"),
+    ],
+    ids=["n-too-large-to-allocate", "n-past-numpy-dimensions", "n-past-the-bound", "n-below-d-plus-2", "d-zero"],
+)
+def test_flow_refuses_a_sampled_shape_it_cannot_use(tmp_path, capsys, config, message):
+    # the draw once raised MemoryError (a traceback, exit 1) or numpy's
+    # "Maximum allowed dimension exceeded" (exit 2, naming no setting), and
+    # every case below the bound once failed after making the output
+    # directory
+    cfg = tmp_path / "flow.json"
+    write_json(cfg, config)
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"input error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_settings_of_the_right_type_run(tmp_path):
     cfg = tmp_path / "flow.json"
     write_json(cfg, {"n": 5, "d": 1, "seed": 3, "delta": 0, "step": 1, "max_steps": 4})
@@ -446,6 +473,30 @@ def test_homology_rejects_malformed_elements(tmp_path, capsys, change, message):
     out = tmp_path / "out"
     assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"input error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"n": 10**12}, "'n' with d + 2 <= n <= 6"),
+        ({"n": 10**400}, "'n' with d + 2 <= n <= 6"),
+        ({"d": 0}, "'d' >= 1"),
+    ],
+    ids=["n-too-large-to-allocate", "n-past-numpy-dimensions", "d-zero"],
+)
+def test_homology_refuses_a_poset_outside_the_census_range(tmp_path, capsys, change, message):
+    # the (4,2) poset with a ground set past the census range: its sign
+    # rows once took np.zeros((25, n)), a MemoryError (exit 1) or numpy's
+    # "Maximum allowed dimension exceeded" (exit 2, naming no field), and d
+    # = 0 once failed on the circuits' width
+    mac_out = tmp_path / "mac"
+    assert main(["macphersonian", "4", "2", "--out", str(mac_out)]) == 0
+    cfg = tmp_path / "bad.json"
+    write_json(cfg, {**load(mac_out / "poset.json"), **change})
+    out = tmp_path / "out"
+    assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"input error: a poset file needs {message}, as the census does\n" in capsys.readouterr().err
     assert not out.exists()
 
 

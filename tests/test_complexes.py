@@ -263,6 +263,50 @@ def test_elimination_target_is_witnessed_iff_its_negation_is(n, d):
             assert (missed > 0) == (matroid is not m)
 
 
+def _kernel_modular_pairs(m):
+    """The pairs i < j of m's rows with distinct supports whose union
+    core._height_two finds of height 2."""
+    supports = rf.core._pack(np.abs(m.signs))
+    i, j = np.triu_indices(len(supports), 1)
+    keep = (supports[i] != supports[j]).any(axis=1)
+    i, j = i[keep], j[keep]
+    modular = rf.core._height_two(np.unique(supports, axis=0), supports[i] | supports[j], m.n)
+    return set(zip(i[modular].tolist(), j[modular].tolist()))
+
+
+@pytest.mark.parametrize("n, d", LADDER)
+def test_height_two_rule_matches_the_lattice_of_unions_on_the_ladder(n, d):
+    # no f in U leaves two supports inside U \ f iff U has height 2, on the
+    # rungs drawn uniform, with a coincident pair and with a collinear
+    # triple, and on their damaged copies, whose supports nest and repeat
+    rng = np.random.default_rng([47, n, d])
+    draws = [sample_spanning_points(n, d, rng)] + [
+        sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
+    ]
+    for pts in draws:
+        m = rf.circuits_of_points(rf.PointConfiguration(pts.astype(float), d))
+        for matroid in (m, _damaged(m)):
+            want = oracles.modular_pairs(matroid)
+            assert _kernel_modular_pairs(matroid) == want and want
+
+
+def test_modular_elimination_on_census_elements_with_a_circuit_dropped():
+    # every (5,2) element with one circuit dropped: the height-2 rule
+    # against the lattice, and the axiom report, found by modular
+    # elimination or by the full listing after a modular failure, against
+    # the loop oracle; dropping a circuit breaks elimination in some
+    census = rf.enumerate_acyclic_oms(5, 2)
+    broken = 0
+    for m in census:
+        for k in range(len(m.signs)):
+            dropped = rf.OrientedMatroid(m.ground, np.delete(m.signs, k, axis=0))
+            assert _kernel_modular_pairs(dropped) == oracles.modular_pairs(dropped)
+            report = rf.check_circuit_axioms(dropped)
+            assert report == oracles.check_circuit_axioms(dropped)
+            broken += bool(report.weak_elimination)
+    assert broken
+
+
 def _assert_cycles_partition_edges(g):
     """Each edge id lies on exactly one cycle, joins two cycle neighbours
     there, and composes to the cycle's support."""

@@ -2,10 +2,11 @@
 
 Every output goes through cli._json_text; a spy records each payload with
 the text written for it, and each written file is also checked on its own
-against the oracle's layout of what it holds. A cli.RecordTable in a
-payload is expanded for the oracle into the list of dicts it holds, and a
-2-D array (the census's covers) into its rows (oracles.table_records), and the facets analyze writes from one are read
-back and compared with the complex's own. The outputs of the criterion-8
+against the oracle's layout of what it holds. An int table in a payload
+(a cli.RecordTable, a cli.Ragged or a 2-D array) is expanded for the
+oracle into the records, lists or rows it holds (oracles.table_records),
+and the facets analyze writes from one are read back and compared with
+the complex's own. The outputs of the criterion-8
 commands get the per-file check in test_acceptance.py, where those
 commands already run.
 """
@@ -19,7 +20,7 @@ import oracles
 import radonflow as rf
 import radonflow.cli as cli
 from conftest import sample_degenerate_points, sample_spanning_points
-from radonflow.cli import RecordTable, main
+from radonflow.cli import Ragged, RecordTable, main
 
 
 def oracle(value):
@@ -145,10 +146,31 @@ EDGE_CASES = {
     "none_key": {None: [{"a": 1}]},
     "%s key %r": {"%(x)s": [1], "": 0},
     "é key": "☃",
-    "table": RecordTable("dim", np.array([2, 3, 2, 4]), "vertices", np.array([0, 3, 3, 7, 9]), np.arange(0, 900, 100)),
-    "table_key_last": RecordTable("z", np.array([-1, 0]), "a%s", np.array([0, 2, 2]), np.array([5, 12])),
-    "table_empty": RecordTable("dim", np.zeros(0, np.intp), "vertices", np.zeros(1, np.intp), np.zeros(0, np.intp)),
-    "tables": [RecordTable("é", np.array([7]), "%r", np.array([0, 1]), np.array([1])), {"a": 1}],
+    "table": RecordTable(
+        {"dim": np.array([2, 3, 2, 4]), "vertices": Ragged(np.array([0, 3, 3, 7, 9]), np.arange(0, 900, 100))}
+    ),
+    "table_key_last": RecordTable({"z": np.array([-1, 0]), "a%s": Ragged(np.array([0, 2, 2]), np.array([5, 12]))}),
+    "table_empty": RecordTable(
+        {"dim": np.zeros(0, np.intp), "vertices": Ragged(np.zeros(1, np.intp), np.zeros(0, np.intp))}
+    ),
+    "tables": [RecordTable({"é": np.array([7]), "%r": Ragged(np.array([0, 1]), np.array([1]))}), {"a": 1}],
+    # columns and ragged fields in any number, by key: empty lists first,
+    # in the middle and last, values of one to four digits, negative ones,
+    # int8 columns, and keys that hold % or are not ASCII
+    "table_mixed": RecordTable({
+        "pos": Ragged(np.array([0, 0, 3, 3, 4]), np.array([10, 2, 1234])[[0, 1, 2, 0]]),
+        "neg": Ragged(np.array([0, 2, 2, 2, 2]), np.array([99, 100])),
+        "sign": np.array([1, -1, 1, -1], np.int8),
+        "%d% %%": np.array([-12, 0, 7, 10**6]),
+        "ünï": Ragged(np.array([0, 1, 2, 3, 4]), np.array([-3, -3, 3, 30])),
+    }),
+    "table_only_empty_lists": RecordTable({"a": Ragged(np.zeros(3, np.intp), np.zeros(0, np.intp))}),
+    "table_columns": RecordTable({"b": np.array([5, 50, 500]), "a": np.array([-1, -1, 1], np.int8)}),
+    "ragged": Ragged(np.array([0, 2, 2, 5, 6]), np.array([13, 7, 10, 11, 10, 0])),
+    "ragged_empty": Ragged(np.zeros(1, np.intp), np.zeros(0, np.intp)),
+    "ragged_all_empty": Ragged(np.zeros(3, np.intp), np.zeros(0, np.intp)),
+    "raggeds": [Ragged(np.array([0, 1]), np.array([42])), Ragged(np.array([0, 0]), np.zeros(0, np.intp))],
+    "array_int8": np.array([[-1, 0, 1], [1, 1, -1]], np.int8),
     "array": np.array([[0, 5], [2, -9], [10**15, 7]]),
     "array_floats": np.array([[float("nan"), 1.5], [-float("inf"), 0.1], [-0.0, 1e-300]]),
     "array_empty": np.zeros((0, 2), np.intp),
@@ -159,6 +181,23 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("key", sorted(EDGE_CASES))
 def test_edge_case_values(key):
+    value = EDGE_CASES[key]
+    assert cli._json_text(value) == oracle(value)
+    assert cli._json_text({key: value, "z": [value, value]}) == oracle({key: value, "z": [value, value]})
+
+
+TABLE_CASES = sorted(
+    key
+    for key, value in EDGE_CASES.items()
+    if any(isinstance(v, (RecordTable, Ragged, np.ndarray)) for v in (value if isinstance(value, list) else [value]))
+)
+
+
+@pytest.mark.parametrize("key", TABLE_CASES)
+def test_edge_case_tables_as_tokens(monkeypatch, key):
+    # the edge cases are smaller than cli._TOKENS_FROM, so test_edge_case_values
+    # sees them laid out as lists: here every int table is joined from tokens
+    monkeypatch.setattr(cli, "_TOKENS_FROM", 0)
     value = EDGE_CASES[key]
     assert cli._json_text(value) == oracle(value)
     assert cli._json_text({key: value, "z": [value, value]}) == oracle({key: value, "z": [value, value]})

@@ -728,7 +728,7 @@ def test_census_comes_in_the_sort_key_order(n, d):
     assert len({m.circuits for m in elements}) == len(elements)
     expected = sorted(elements, key=oracles.census_key)
     assert [m.circuits for m in elements] == [m.circuits for m in expected]
-    rows = [rf.Circuit(**c) for c in rf.core._circuit_dicts(census.signs)]
+    rows = [rf.Circuit(**c) for c in rf.core._circuit_table(census.signs).tolist()]
     assert rows == sorted(set(rows), key=rf.Circuit.sort_key)
     for i, m in enumerate(elements):
         held = census.ids[census.start[i] : census.start[i + 1]]
