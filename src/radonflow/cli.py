@@ -18,7 +18,8 @@ it out, byte for byte: 2-space indent, sorted keys, ASCII only (non-ASCII
 characters as \\u escapes), NaN and Infinity as json spells them.  The
 writer (_texts) fills string templates for plain values and joins the int
 tables of the payloads (RecordTable, Ragged and 2-D int arrays, which the
-commands write in place of to_dict's lists) from tokens.
+commands write in place of to_dict's lists; a Ragged is the package's one
+form of a list of int lists) from tokens.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def _ragged_tokens(field: Ragged, open_: str, indent: str, close: str, empty: st
     empty.  count holds each list's number of tokens, ids the tokens of
     all the lists in turn, indices into words, and words only the tokens
     that occur."""
-    lengths = np.diff(field.offsets)
+    lengths = field.lengths
     value, distinct = _distinct(field.values)
     full = np.flatnonzero(lengths)
     place = np.zeros(len(value), np.intp)  # 0 to 3: middle, first, last or only value of its list
@@ -309,7 +310,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     combinatorial = combinatorial_circuit_graph(matroid)
     matches = graphs_equal(rc.graph, combinatorial)
     _write_json(out / "matroid.json", matroid.payload())
-    facets = RecordTable({"dim": rc.facet_dims, "vertices": Ragged(rc.facet_offsets, rc.facet_vertices)})
+    facets = RecordTable({"dim": rc.facet_dims, "vertices": rc.facet_vertices})
     complex_payload = {**rc.graph.payload(), "n": rc.n, "d": rc.d, "facets": facets, "positions": rc.positions}
     _write_json(out / "radon_complex.json", complex_payload)
     _write_json(out / "sphere_report.json", {**report.to_dict(), "combinatorial_graph_matches": matches})
@@ -484,9 +485,11 @@ def cmd_homology(args: argparse.Namespace) -> int:
         k = len(table)
         if not isinstance(listed, list):
             raise ValueError("'hasse' must be a list of [i, j] pairs")
-        for i, j in listed:
-            if not all(type(x) is int and 0 <= x < k for x in (i, j)):
-                raise ValueError(f"hasse pair {json.dumps([i, j])} names no element of 0..{k - 1}")
+        for pair in listed:
+            if type(pair) is not list or len(pair) != 2:
+                raise ValueError(f"'hasse' entry {json.dumps(pair)} is not an [i, j] pair")
+            if not all(type(x) is int and 0 <= x < k for x in pair):
+                raise ValueError(f"hasse pair {json.dumps(pair)} names no element of 0..{k - 1}")
         listed = np.unique(np.array(listed, np.intp).reshape(-1, 2), axis=0)
         poset = MatroidPoset.from_elements(table)
         hasse = poset.hasse_pairs()

@@ -14,7 +14,8 @@ circuits X, Y are adjacent iff they conform (no element receives opposite
 signs), X != +-Y, and no third circuit conforms to the composition X o Y.
 Edges group into closed cycles by the support of that composition, one
 cycle per two-dimensional coordinate subspace of V.  The cycles derive from
-the vertices and edges, so a CircuitGraph walks them on first read.
+the vertices and edges, so a CircuitGraph walks them on first read.  Every
+list of int lists here, the cycles and the facets, is a core.Ragged.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from .core import (
     _circuit_table,
     _conforming,
     _counts,
-    _csr,
-    _fan,
     _negated,
     _pack,
     _pairs,
@@ -76,19 +75,6 @@ def project_to_gamma(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Cycle:
-    """A closed cycle of the circuit graph, tagged with its support set.
-
-    vertex_seq lists the vertex indices in cyclic order (first not repeated);
-    edge_ids[i] joins vertex_seq[i] to vertex_seq[(i+1) % len].
-    """
-
-    support: frozenset[int]
-    vertex_seq: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Cell:
     """A filled cell of dimension >= 2, given by the vertices on its closure."""
 
@@ -108,8 +94,12 @@ class CircuitGraph:
     edges is the (E, 2) intp array of the edges' endpoints, from any list
     of pairs; the program's graphs list each edge as i < j, rows ascending.
     == is identity: graphs_equal compares graphs.  cycles, the edges'
-    partition into closed cycles (_partition_edges_into_cycles), is walked
-    on first read, which raises the ValueError for edges that do not close.
+    partition into closed cycles (_partition_edges_into_cycles), is a
+    RecordTable of three Ragged fields, one list of each per cycle: its
+    support, ascending, its vertex_seq, the vertices in cyclic order (the
+    first not repeated), and its edge_ids, edge i joining vertex i of the
+    sequence to vertex i + 1, cyclically.  It is walked on first read, which
+    raises the ValueError for edges that do not close.
     """
 
     signs: np.ndarray
@@ -121,7 +111,7 @@ class CircuitGraph:
         self.rows = _pack(self.signs)
 
     @cached_property
-    def cycles(self) -> tuple[Cycle, ...]:
+    def cycles(self) -> RecordTable:
         """The cycle partition of the edges, walked on first read."""
         return _partition_edges_into_cycles(self.rows, *self.edges.T)
 
@@ -141,11 +131,8 @@ class CircuitGraph:
     def payload(self) -> dict:
         """to_dict's fields as the CLI writes them: the vertices and the
         cycles as RecordTables, the edges as their array."""
-        cycles = RecordTable({
-            "support": Ragged.of([sorted(c.support) for c in self.cycles]),
-            "edge_ids": Ragged.of([c.edge_ids for c in self.cycles]),
-        })
-        return {"vertices": self._vertex_table(), "edges": self.edges, "cycles": cycles}
+        cycles = {key: self.cycles.fields[key] for key in ("support", "edge_ids")}
+        return {"vertices": self._vertex_table(), "edges": self.edges, "cycles": RecordTable(cycles)}
 
     def to_dict(self) -> dict:
         return _plain(self.payload())
@@ -157,10 +144,9 @@ class RadonComplex:
 
     matroid holds the circuits, the graph's vertices.  positions holds one
     row per graph vertex, antipodal rows negated.  The cells of dimension
-    >= 2 (the facets) are one CSR listing, ordered by dimension, then by
-    their ascending vertex tuples: facet k has dimension facet_dims[k] and
-    the vertices facet_vertices[facet_offsets[k] : facet_offsets[k + 1]],
-    ascending.
+    >= 2 (the facets) are ordered by dimension, then by their ascending
+    vertex tuples: facet k has dimension facet_dims[k] and the vertices
+    facet_vertices[k], ascending, a Ragged.
     """
 
     graph: CircuitGraph
@@ -169,16 +155,14 @@ class RadonComplex:
     positions: np.ndarray
     matroid: OrientedMatroid
     facet_dims: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
-    facet_offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, np.intp))
-    facet_vertices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
+    facet_vertices: Ragged = field(default_factory=lambda: Ragged.sized([], np.zeros(0, np.intp)))
 
     @cached_property
     def facets(self) -> tuple[Cell, ...]:
         """The facets as Cell objects, built on first use."""
-        vertices, offsets = self.facet_vertices.tolist(), self.facet_offsets.tolist()
         return tuple(
-            Cell(dim=k, vertices=frozenset(vertices[a:b]))
-            for k, a, b in zip(self.facet_dims.tolist(), offsets, offsets[1:])
+            Cell(dim=k, vertices=frozenset(v))
+            for k, v in zip(self.facet_dims.tolist(), self.facet_vertices.tolist())
         )
 
     def euler_characteristic(self) -> int:
@@ -186,9 +170,7 @@ class RadonComplex:
         return len(self.graph.signs) - len(self.graph.edges) + len(self.facet_dims) - 2 * odd
 
 
-def _partition_edges_into_cycles(
-    rows: np.ndarray, first: np.ndarray, second: np.ndarray
-) -> tuple[Cycle, ...]:
+def _partition_edges_into_cycles(rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> RecordTable:
     """Group edges by the support of the composed sign vector and walk cycles.
 
     Edge k joins first[k] and second[k], the columns of an (E, 2) edge
@@ -197,8 +179,9 @@ def _partition_edges_into_cycles(
     elements sorted from the largest down, which is the order of their
     support bitmasks read as integers: one stable lexsort of the support
     words, most significant word first, groups the edges by tag in edge
-    order, and each cycle's support is read off its tag's words.  Within
-    one tag every incident vertex must have exactly two incident edges; each
+    order, and each cycle's support is its tag's row of the tags' support
+    words read as a circuit part (core._circuit_table).  Within one tag
+    every incident vertex must have exactly two incident edges; each
     connected component is then a closed cycle, walked from its smallest
     vertex towards its smaller (neighbor, edge) first.
 
@@ -206,7 +189,8 @@ def _partition_edges_into_cycles(
     the two slots of a (tag, vertex) are adjacent, the smaller neighbor
     first (a neighbor names the edge).  Arriving at a vertex by one edge, a
     walk leaves by the other slot of that vertex, so a walk costs one list
-    lookup per edge.
+    lookup per edge; the slots it leaves by, in walk order, give every
+    cycle's vertices and edges by one gather each (CircuitGraph.cycles).
 
     Raises ValueError when some vertex has other than two edges of one tag;
     CircuitGraph.cycles calls this on first read.
@@ -220,7 +204,7 @@ def _partition_edges_into_cycles(
     tag_of = np.cumsum(fresh) - 1
     heads = tags[fresh]  # each tag's support words: column e - 1 of bits is element e
     bits = (heads[:, :, None] & _BITS != 0).reshape(len(heads), 32 * heads.shape[1])
-    supports = list(map(frozenset, _circuit_table(bits.view(np.int8)).fields["pos"].tolist()))
+    supports = _circuit_table(bits.view(np.int8)).fields["pos"]
 
     # slot i < E is the first end of the i-th edge in tag order, slot i + E
     # its second end; sorted by (tag, vertex), then each pair of slots
@@ -242,33 +226,31 @@ def _partition_edges_into_cycles(
     place = np.empty_like(slots)
     place[slots] = np.arange(len(slots))
     after = (place[(slots + ends) % len(slots)] ^ 1).tolist()
-    vertex, edge = vertex[slots].tolist(), order[slots % ends].tolist()
-    group = tag_of[slots[0::2] % ends].tolist()
-    walked = bytearray(len(group))
-    cycles = []
-    for start in range(len(group)):
+    walked = bytearray(len(slots) // 2)
+    exits, lengths = [], []  # the slot each step leaves by, in walk order, and each cycle's length
+    for start in range(len(walked)):
         if walked[start]:
             continue
-        seq, eids = [], []
-        slot = 2 * start
+        slot, size = 2 * start, len(exits)
         while True:
             walked[slot >> 1] = 1
-            seq.append(vertex[slot])
-            eids.append(edge[slot])
+            exits.append(slot)
             slot = after[slot]
             if slot >> 1 == start:
                 break
-        cycles.append(
-            Cycle(support=supports[group[start]], vertex_seq=tuple(seq), edge_ids=tuple(eids))
-        )
-    return tuple(cycles)
+        lengths.append(len(exits) - size)
+    exits = slots[np.array(exits, np.intp)]
+    vertex_seq = Ragged.sized(lengths, vertex[exits])
+    lead = exits[vertex_seq.offsets[:-1]] % ends  # each cycle's first edge, in tag order
+    edge_ids = Ragged(vertex_seq.offsets, order[exits % ends])
+    return RecordTable({"support": supports.take(tag_of[lead]), "vertex_seq": vertex_seq, "edge_ids": edge_ids})
 
 
-def _open_cycle(supports, order, tag_of, first, second) -> ValueError:
+def _open_cycle(supports: Ragged, order, tag_of, first, second) -> ValueError:
     """The error for the first tag whose edges leave a vertex of degree
     other than 2 (there is one): the first such vertex as the tag's edges,
     in edge order, name it."""
-    for g, support in enumerate(supports):
+    for g, support in enumerate(supports.tolist()):
         degree: dict[int, int] = {}
         for eid in order[tag_of == g].tolist():
             for v in (int(first[eid]), int(second[eid])):
@@ -276,7 +258,7 @@ def _open_cycle(supports, order, tag_of, first, second) -> ValueError:
         bad = [v for v, k in degree.items() if k != 2]
         if bad:
             return ValueError(
-                f"edges tagged {sorted(support)} do not form closed cycles "
+                f"edges tagged {support} do not form closed cycles "
                 f"(vertex {bad[0]} has degree {degree[bad[0]]} there)"
             )
 
@@ -341,8 +323,8 @@ def _composition_closure(rows: np.ndarray) -> np.ndarray:
     """
     first, second, composed, head, edge = _compositions(rows)
     ends = np.concatenate([first[edge], second[edge]])
-    start, neighbours = _csr(np.concatenate([second[edge], first[edge]]), ends, len(rows))
-    degree = np.diff(start)
+    neighbours = Ragged.grouped(np.concatenate([second[edge], first[edge]]), ends, len(rows))
+    degree = neighbours.lengths
 
     def merged(seen, composed, tracks):
         # seen and composed as distinct rows, the new ones among them and
@@ -355,8 +337,8 @@ def _composition_closure(rows: np.ndarray) -> np.ndarray:
     seen, frontier, track = merged(_unique_rows(rows)[0], composed, lower[head])
     while len(frontier):
         # every (frontier row, neighbour of its tracked vertex) pair
-        row, listed = _fan(start, track)
-        x, y = frontier[row], rows[neighbours[listed]]
+        row, listed = neighbours.fan(track)
+        x, y = frontier[row], rows[neighbours.values[listed]]
         useful = ~(x & _negated(y)).any(axis=1) & (y & ~x).any(axis=1)
         seen, frontier, track = merged(seen, x[useful] | y[useful], track[row[useful]])
     return seen
@@ -390,12 +372,13 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     <= 2}: the closure of the signed circuits under conformal composition,
     grown along the polytope's edges (_composition_closure).  One
     conformance-kernel pass then lists the (cell, circuit) pairs of every
-    realized vector of dimension >= 1, a CSR listing of each cell's
-    closure, ascending.  The 1-cells are the edges: each must list exactly
+    realized vector of dimension >= 1, each cell's closure as a Ragged
+    list, ascending.  The 1-cells are the edges: each must list exactly
     two circuits.  The rest are the facets, put in (dimension, vertex
     tuple) order by one argsort of key rows: big-endian words dim, v1 + 1,
     v2 + 1, ..., padded with 0 (the vertex -1, so that a prefix sorts
-    first, as tuples do), whose bytes compare as those tuples do.  No Cell
+    first, as tuples do), whose bytes compare as those tuples do; their
+    closures, taken in that order, are the facets' vertex lists.  No Cell
     object is built (see RadonComplex.facets).
     """
     matroid, dependences = circuit_dependences(config)
@@ -416,8 +399,8 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
         for cell, v in [_pairs(block)]
     ]
     cell_of, vertex = (np.concatenate(part) for part in zip(*listing))
-    sizes = np.bincount(cell_of, minlength=len(cells))
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    closure = Ragged.sized(np.bincount(cell_of, minlength=len(cells)), vertex)
+    sizes, offsets = closure.lengths, closure.offsets
 
     edge = cell_dims == 1
     if (sizes[edge] != 2).any():
@@ -430,18 +413,17 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     keys = np.zeros((len(cells), 1 + sizes.max(initial=0)), ">u4")
     keys[:, 0] = cell_dims
     keys[cell_of, 1 + np.arange(len(vertex)) - offsets[cell_of]] = vertex + 1
-    keys = keys[~edge]
-    order = np.argsort(keys.view(np.dtype((np.void, keys.strides[0])))[:, 0], kind="stable")
-    listed = keys[order, 1:]
+    facet = np.flatnonzero(~edge)
+    keys = keys[facet]
+    facet = facet[np.argsort(keys.view(np.dtype((np.void, keys.strides[0])))[:, 0], kind="stable")]
     return RadonComplex(
         graph=graph,
         n=n,
         d=d,
         positions=positions,
         matroid=matroid,
-        facet_dims=cell_dims[~edge][order],
-        facet_offsets=np.concatenate([[0], np.cumsum(sizes[~edge][order])]),
-        facet_vertices=listed[listed > 0].astype(np.intp) - 1,
+        facet_dims=cell_dims[facet],
+        facet_vertices=closure.take(facet),
     )
 
 

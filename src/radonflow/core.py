@@ -247,7 +247,11 @@ def _read_circuits(data: dict) -> tuple[GroundSet, list[Circuit]]:
     """The ground set and circuits of a matroid or poset JSON object, every
     integer in them checked by _json_int."""
     ground = GroundSet(_json_int(data["n"], "'n'"), _json_int(data["d"], "'d'"))
+    if not isinstance(data["circuits"], list):
+        raise ValueError("'circuits' must be a list of circuits, each {\"pos\": [...], \"neg\": [...]}")
     for i, c in enumerate(data["circuits"]):
+        if not (isinstance(c, dict) and all(isinstance(c.get(key), list) for key in ("pos", "neg"))):
+            raise ValueError(f"circuit {i} of 'circuits' needs 'pos' and 'neg', each a list of elements")
         for key in ("pos", "neg"):
             for e in c[key]:
                 _json_int(e, f"an element of '{key}' of circuit {i}")
@@ -326,6 +330,8 @@ class PointConfiguration:
             for row in points
         ):
             raise ValueError("'points' must be a list of lists of numbers")
+        if len(set(map(len, points))) > 1:
+            raise ValueError(f"'points' must have rows of one length, not of lengths {sorted(set(map(len, points)))}")
         try:
             return PointConfiguration(np.asarray(points, dtype=float), d)
         except OverflowError:
@@ -469,17 +475,53 @@ def _ordered_rows(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class Ragged:
     """Lists of ints held as int arrays: list r is values[offsets[r] :
-    offsets[r + 1]], offsets[0] is 0 and offsets[-1] is len(values)."""
+    offsets[r + 1]], offsets[0] is 0 and offsets[-1] is len(values).  The
+    package's one form of a list of int lists: circuit parts, facets,
+    cycles, census elements and lower covers."""
 
     offsets: np.ndarray
     values: np.ndarray
 
     @staticmethod
-    def of(lists) -> "Ragged":
-        """The Ragged of a sequence of int sequences."""
-        sizes = list(map(len, lists))
-        values = np.fromiter(itertools.chain.from_iterable(lists), np.intp, sum(sizes))
-        return Ragged(np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)]), values)
+    def sized(lengths, values) -> "Ragged":
+        """The lists of the given lengths that values holds in turn."""
+        offsets = np.zeros(len(lengths) + 1, np.intp)
+        np.cumsum(lengths, dtype=np.intp, out=offsets[1:])
+        return Ragged(offsets, values)
+
+    @staticmethod
+    def grouped(lower: np.ndarray, upper: np.ndarray, k: int) -> "Ragged":
+        """The pairs (lower, upper) over range(k) grouped by upper: list x
+        holds the lower ends of the pairs of x, ascending.
+
+        Every lower end is below k, so the keys upper * k + lower order the
+        pairs by upper, then lower, and one stable sort of them groups them.
+        Timsort takes keys that already ascend, as the ends (j, i) of
+        row-major pairs (i, j) do, in one run."""
+        order = np.argsort(upper * k + lower, kind="stable")
+        return Ragged.sized(np.bincount(upper, minlength=k), lower[order])
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.values[self.offsets[i] : self.offsets[i + 1]]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def fan(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(owner, position): position runs over the values of list x for
+        each x in rows in turn, and owner holds the index in rows of its x."""
+        first, fan = self.offsets[rows], self.offsets[rows + 1] - self.offsets[rows]
+        owner = np.repeat(np.arange(len(rows)), fan)
+        return owner, np.arange(len(owner)) + (first - (np.cumsum(fan) - fan))[owner]
+
+    def take(self, rows: np.ndarray) -> "Ragged":
+        """The lists named by rows, in their order."""
+        return Ragged.sized(self.lengths[rows], self.values[self.fan(rows)[1]])
 
     def tolist(self) -> list[list[int]]:
         values, offsets = self.values.tolist(), self.offsets.tolist()
@@ -512,9 +554,7 @@ def _circuit_table(signs: np.ndarray) -> RecordTable:
     parts = {}
     for key, signed in (("pos", signs > 0), ("neg", signs < 0)):
         row, col = np.nonzero(signed)
-        offsets = np.zeros(len(signs) + 1, np.intp)
-        np.cumsum(np.bincount(row, minlength=len(signs)), out=offsets[1:])
-        parts[key] = Ragged(offsets, col + 1)
+        parts[key] = Ragged.sized(np.bincount(row, minlength=len(signs)), col + 1)
     return RecordTable(parts)
 
 
@@ -657,27 +697,6 @@ def _pairs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     octets = bits[row, word].astype(_LE, copy=False).view(np.uint8)
     at, bit = np.divmod(np.flatnonzero(np.unpackbits(octets, bitorder="little")), 64)
     return row[at], word[at] * 64 + bit
-
-
-def _fan(start: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, position): position runs over start[x]:start[x + 1] for each
-    x in rows in turn, and owner holds the index in rows of its x."""
-    first, fan = start[rows], start[rows + 1] - start[rows]
-    owner = np.repeat(np.arange(len(rows)), fan)
-    return owner, np.arange(len(owner)) + (first - (np.cumsum(fan) - fan))[owner]
-
-
-def _csr(lower: np.ndarray, upper: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (lower, upper) over range(k) in CSR form: the lower ends of
-    the pairs of x, ascending, are lower[start[x]:start[x + 1]].
-
-    Every lower end is below k, so the keys upper * k + lower order the
-    pairs by upper, then lower, and one stable sort of them gives the CSR.
-    Timsort takes keys that already ascend, as the ends (j, i) of row-major
-    pairs (i, j) do, in one run."""
-    start = np.zeros(k + 1, np.intp)
-    np.cumsum(np.bincount(upper, minlength=k), out=start[1:])
-    return start, lower[np.argsort(upper * k + lower, kind="stable")]
 
 
 def _counts(bits: np.ndarray) -> np.ndarray:

@@ -242,11 +242,14 @@ class _Field:
     def __init__(self, sphere: EmbeddedSphere) -> None:
         # one (vertex, neighbor before, neighbor after) row per cycle through
         # a representative, stably sorted by vertex: each vertex's cycles in
-        # the order of graph.cycles
+        # the order of graph.cycles.  A cycle's neighbors are its sequence
+        # shifted by one place either way, wrapping at its ends.
         self.reps = reps = sphere.n_reps
-        seqs = [cyc.vertex_seq for cyc in sphere.graph.cycles]
-        rows = [row for q in seqs for row in zip(q, q[-1:] + q[:-1], q[1:] + q[:1])]
-        rows = np.array(rows, int).reshape(-1, 3)
+        seq = sphere.graph.cycles.fields["vertex_seq"]
+        at = np.arange(len(seq.values))
+        before, after = at - 1, at + 1
+        before[seq.offsets[:-1]], after[seq.offsets[1:] - 1] = seq.offsets[1:] - 1, seq.offsets[:-1]
+        rows = seq.values[np.stack([at, before, after], axis=1)]
         rows = rows[np.argsort(rows[:, 0], kind="stable")]
         self.v_idx, self.a_idx, self.b_idx = rows[rows[:, 0] < reps].T.copy()
         # the rows of [P; -P] that evaluate gathers: a, b, then v

@@ -6,8 +6,9 @@ exactly, as the chirotopes of rank d + 1 on n elements, and each element's
 circuits are read off its chirotope; no point is sampled.  From the
 chirotopes to poset.json the census stays one table of arrays
 (MatroidTable): its distinct circuits as sign rows and each element as a
-row of circuit ids, the rows of its OrientedMatroid, which poset.json
-holds as it is.  Basis exchange and the weak-map order come from the
+list of circuit ids (a core.Ragged, the package's one form of a list of
+int lists), the rows of its OrientedMatroid, which poset.json holds as it
+is.  Basis exchange and the weak-map order come from the
 conformance kernel of core, with no per-pair calls.  The order is held as
 its strict pairs, sorted, never as a k x k matrix; its covers come from
 one join of the pairs with themselves, and the grades and maximal
@@ -51,9 +52,7 @@ from .core import (
     _circuit_table,
     _conforming,
     _conformity,
-    _csr,
     _distinct_circuits,
-    _fan,
     _gather_circuits,
     _json_int,
     _negated,
@@ -142,17 +141,16 @@ class MatroidTable(Sequence):
     """Oriented matroids on one ground set, held as arrays.
 
     signs holds the distinct circuits as +1/-1/0 int8 rows (column e-1 for
-    element e) in Circuit.sort_key order, and element i is the CSR row
-    ids[start[i]:start[i + 1]] of circuit ids, ascending, so that its
-    matroid is OrientedMatroid(ground, signs[those ids]).  Indexing builds
-    that matroid; a slice is a list of them.  ground is None only in a
-    table of no elements.
+    element e) in Circuit.sort_key order, and element i is the list
+    elements[i] of circuit ids, ascending (a Ragged), so that its matroid is
+    OrientedMatroid(ground, signs[elements[i]]).  Indexing builds that
+    matroid; a slice is a list of them.  ground is None only in a table of
+    no elements.
     """
 
     ground: GroundSet | None
     signs: np.ndarray
-    start: np.ndarray
-    ids: np.ndarray
+    elements: Ragged
 
     @classmethod
     def of(cls, elements) -> "MatroidTable":
@@ -166,8 +164,7 @@ class MatroidTable(Sequence):
             raise ValueError("matroids must share the same ground set")
         rows = [m.signs for m in elements] or [np.zeros((0, 1), np.int8)]
         signs, ids = _ordered_rows(np.concatenate(rows))
-        start = np.concatenate([[0], np.cumsum([len(m.signs) for m in elements], dtype=np.intp)])
-        return cls(ground, signs, start, ids)
+        return cls(ground, signs, Ragged.sized([len(m.signs) for m in elements], ids))
 
     @classmethod
     def from_dict(cls, data: dict) -> "MatroidTable":
@@ -205,24 +202,23 @@ class MatroidTable(Sequence):
         if len(step):
             how = "twice" if given[step[0]] == given[step[0] + 1] else "out of ascending order"
             raise ValueError(f"element {owner[step[0]]} lists circuit id {given[step[0] + 1]} {how}")
-        start = np.searchsorted(owner, np.arange(len(elements) + 1))
-        return cls(ground, signs, start, np.sort(owner * m + which[given]) - owner * m)
+        ids = np.sort(owner * m + which[given]) - owner * m
+        return cls(ground, signs, Ragged.sized(list(map(len, elements)), ids))
 
     def __len__(self) -> int:
-        return len(self.start) - 1
+        return len(self.elements)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self))[i]
-        return OrientedMatroid(self.ground, self.signs[self.ids[self.start[i] : self.start[i + 1]]])
+        return OrientedMatroid(self.ground, self.signs[self.elements[i]])
 
     @property
     def uniform(self) -> np.ndarray:
         """Which elements are uniform: every circuit has d + 2 elements."""
         short = (self.signs != 0).sum(axis=1) != self.ground.d + 2
-        owner = np.repeat(np.arange(len(self)), np.diff(self.start))
-        return np.bincount(owner[short[self.ids]], minlength=len(self)) == 0
+        owner = np.repeat(np.arange(len(self)), self.elements.lengths)
+        return np.bincount(owner[short[self.elements.values]], minlength=len(self)) == 0
 
 
 def _census_table(ground: GroundSet, spans: np.ndarray, vals: np.ndarray, held: np.ndarray) -> MatroidTable:
@@ -244,10 +240,8 @@ def _census_table(ground: GroundSet, spans: np.ndarray, vals: np.ndarray, held: 
     ids.sort(axis=1)
     count = (ids < k).sum(axis=1)
     order = np.lexsort(np.vstack([ids.T[::-1], count]))
-    start = np.zeros(len(order) + 1, np.intp)
-    np.cumsum(count[order], out=start[1:])
     ids = ids[order]
-    return MatroidTable(ground, signs, start, ids[ids < k])
+    return MatroidTable(ground, signs, Ragged.sized(count[order], ids[ids < k]))
 
 
 def _acyclic_matroids(subsets: np.ndarray, chi: np.ndarray, ground: GroundSet) -> MatroidTable:
@@ -330,11 +324,11 @@ class MatroidPoset:
         # either[v, u]: signed row u of [rows; -rows] conforms to circuit v
         either = _conformity(np.concatenate([rows, _negated(rows)]), rows)
         radon = np.packbits((either[:, :k] | either[:, k:]).T, axis=1)
-        sizes = np.diff(table.start)
+        ids, sizes = table.elements.values, table.elements.lengths
         incidence = np.zeros((len(table), k), bool)
-        incidence[np.repeat(np.arange(len(table)), sizes), table.ids] = True
+        incidence[np.repeat(np.arange(len(table)), sizes), ids] = True
         covered = np.zeros((len(table), radon.shape[1]), np.uint8)
-        covered[sizes > 0] = np.bitwise_or.reduceat(radon[table.ids], table.start[:-1][sizes > 0], axis=0)
+        covered[sizes > 0] = np.bitwise_or.reduceat(radon[ids], table.elements.offsets[:-1][sizes > 0], axis=0)
         blocks = _conforming(np.packbits(incidence, axis=1), covered)
         pairs = np.concatenate([np.stack(_pairs(bits)) + [[a], [0]] for a, bits in blocks], axis=1).T
         return cls(elements=elements, pairs=pairs[pairs[:, 0] != pairs[:, 1]])
@@ -357,23 +351,23 @@ class MatroidPoset:
         intp array, a subset of self.pairs in their ascending row-major order.
 
         (i, j) is a cover iff no chain i < c < j ends on it.  Each pair
-        (i, c) meets the pairs above c (_csr), about _JOIN_BLOCK chains at a
-        time, and each chain's end key i * k + j is found among the pairs'
-        ascending keys, or else the relation is not transitive (ValueError).
+        (i, c) meets the pairs above c (Ragged.grouped), about _JOIN_BLOCK
+        chains at a time, and each chain's end key i * k + j is found among
+        the pairs' ascending keys, or else the relation is not transitive.
         """
         k, pairs = len(self), self.pairs
         keys = pairs[:, 0] * k + pairs[:, 1]
-        start, above = _csr(pairs[:, 1], pairs[:, 0], k)
-        total = np.concatenate([[0], np.cumsum(np.diff(start)[pairs[:, 1]])])
+        above = Ragged.grouped(pairs[:, 1], pairs[:, 0], k)
+        total = np.concatenate([[0], np.cumsum(above.lengths[pairs[:, 1]])])
         cuts = np.searchsorted(total, np.arange(0, total[-1], _JOIN_BLOCK), "right") - 1
         cuts = np.unique(np.append(cuts, len(pairs)))
         cover = np.ones(len(pairs), bool)
         for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
-            owner, position = _fan(start, pairs[a:b, 1])
-            at, found = _find(keys, pairs[a + owner, 0] * k + above[position])
+            owner, position = above.fan(pairs[a:b, 1])
+            at, found = _find(keys, pairs[a + owner, 0] * k + above.values[position])
             if not found.all():
                 t = np.flatnonzero(~found)[0]
-                (x, y), z = pairs[a + owner[t]].tolist(), above[position[t]]
+                (x, y), z = pairs[a + owner[t]].tolist(), above.values[position[t]]
                 raise ValueError(f"the order is not transitive: {x} < {y} < {z}, but not {x} < {z}")
             cover[at] = False
         return pairs[cover]
@@ -386,7 +380,7 @@ class MatroidPoset:
         table = MatroidTable.of(self.elements)
         return {
             "circuits": _circuit_table(table.signs),
-            "elements": Ragged(table.start, table.ids),
+            "elements": table.elements,
             "hasse": hasse,
             "maximal": np.flatnonzero(np.bincount(hasse[:, 0], minlength=len(self)) == 0).tolist(),
         }
@@ -439,19 +433,19 @@ class SimplicialComplex:
 def order_complex(p: MatroidPoset) -> SimplicialComplex:
     """Chains of the poset as simplices (vertex i = element index i).
 
-    The chains grow one grade at a time from the poset's strict pairs in
-    CSR form by lower end (_csr): each chain is repeated once per element
-    above its last one, and one gather appends those elements (core._fan).
-    The parents come in lexicographic order and each one's extensions
-    ascend, so every grade comes out sorted.
+    The chains grow one grade at a time from the elements above each
+    element (Ragged.grouped by lower end): each chain is repeated once per
+    element above its last one, and one gather appends those elements
+    (Ragged.fan).  The parents come in lexicographic order and each one's
+    extensions ascend, so every grade comes out sorted.
     """
-    start, above = _csr(p.pairs[:, 1], p.pairs[:, 0], len(p))
+    above = Ragged.grouped(p.pairs[:, 1], p.pairs[:, 0], len(p))
     chains = np.arange(len(p), dtype=np.int64)[:, None]
     grades: list[np.ndarray] = []
     while len(chains):
         grades.append(chains)
-        owner, position = _fan(start, chains[:, -1])
-        chains = np.column_stack([chains[owner], above[position]])
+        owner, position = above.fan(chains[:, -1])
+        chains = np.column_stack([chains[owner], above.values[position]])
     return SimplicialComplex(simplices=grades)
 
 
@@ -524,12 +518,9 @@ def gf2_betti(c: SimplicialComplex) -> list[int]:
     counts = c.counts()
     offset = np.cumsum([0] + counts)
     grade = np.repeat(np.arange(len(counts)), counts)
-    start = np.concatenate([[0], np.cumsum(np.where(grade > 0, grade + 1, 0))])
-    lower = np.zeros(start[-1], np.int64)
-    for k, faces in enumerate(_boundary_faces(c), start=1):
-        faces.sort(axis=1)
-        lower[start[offset[k]] : start[offset[k + 1]]] = faces.ravel() + offset[k - 1]
-    return cellular_betti(grade, start, lower)
+    faces = [np.sort(f, axis=1).ravel() + offset[k - 1] for k, f in enumerate(_boundary_faces(c), start=1)]
+    lower = Ragged.sized(np.where(grade > 0, grade + 1, 0), np.concatenate([np.zeros(0, np.int64), *faces]))
+    return cellular_betti(grade, lower)
 
 
 def chain_counts(p: MatroidPoset) -> list[int]:
@@ -561,13 +552,13 @@ def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return at, keys[np.minimum(at, len(keys) - 1)] == queries
 
 
-def cellular_betti(grade: np.ndarray, start: np.ndarray, lower: np.ndarray) -> list[int]:
+def cellular_betti(grade: np.ndarray, lower: Ragged) -> list[int]:
     """GF(2) cellular Betti numbers of a graded cell poset.
 
-    Cell x has dimension grade[x] and lower covers lower[start[x]:start[x +
-    1]] (_csr), each of grade one less; its boundary is their sum, every
-    incidence being 1 mod 2.  Cells are numbered within their grade in the
-    order of their indices, so each column's rows ascend.  Grades are
+    Cell x has dimension grade[x] and the lower covers lower[x] (a Ragged,
+    Ragged.grouped), each of grade one less; its boundary is their sum,
+    every incidence being 1 mod 2.  Cells are numbered within their grade
+    in the order of their indices, so each column's rows ascend.  Grades are
     reduced from the top down by _gf2_pivots, a grade's columns taken by
     their number of rows, and a cell that is a pivot one grade up is
     cleared: its column is a combination of the others (Chen & Kerber,
@@ -587,10 +578,10 @@ def cellular_betti(grade: np.ndarray, start: np.ndarray, lower: np.ndarray) -> l
         keep = np.ones(f[g], bool)
         keep[pivots] = False
         cells = by_grade[offset[g] : offset[g] + f[g]][keep]
-        size = start[cells + 1] - start[cells]
+        start, size = lower.offsets[cells], lower.lengths[cells]
         columns: list[list[int]] = []
         for s in np.unique(size).tolist():  # the columns of s rows, as one array
-            columns += local[lower[start[cells[size == s], None] + np.arange(s)]].tolist()
+            columns += local[lower.values[start[size == s, None] + np.arange(s)]].tolist()
         pivots = _gf2_pivots(columns)
         ranks[g] = len(pivots)
     return [int(f[g]) - ranks[g] - ranks[g + 1] for g in range(len(f))]
@@ -621,11 +612,11 @@ def grades(p: MatroidPoset, hasse: np.ndarray) -> np.ndarray:
 
 def _check_diamonds(pairs: np.ndarray, k: int) -> None:
     """Every interval of length 2 has exactly two middles: the covers
-    (row-major, as hasse_pairs lists them) joined with themselves, as CSR
-    arrays, count the middles of each."""
-    start, upper = _csr(pairs[:, 1], pairs[:, 0], k)
-    owner, position = _fan(start, pairs[:, 1])
-    ends, middles = np.unique(pairs[owner, 0] * k + upper[position], return_counts=True)
+    (row-major, as hasse_pairs lists them) joined with themselves, the
+    upper covers of each element a Ragged list, count the middles of each."""
+    upper = Ragged.grouped(pairs[:, 1], pairs[:, 0], k)
+    owner, position = upper.fan(pairs[:, 1])
+    ends, middles = np.unique(pairs[owner, 0] * k + upper.values[position], return_counts=True)
     if (middles != 2).any():
         (a, c), m = divmod(ends[middles != 2][0], k), middles[middles != 2][0]
         raise NotACWPosetError(
@@ -635,21 +626,21 @@ def _check_diamonds(pairs: np.ndarray, k: int) -> None:
 
 def _lower_sets(p: MatroidPoset, covers: np.ndarray, grade: np.ndarray, xs: np.ndarray):
     """The cells strictly below each element of xs (ascending), one
-    disjoint copy per element: their grades and their lower covers in CSR
-    form (_csr).
+    disjoint copy per element: their grades and their lower covers, a
+    Ragged (Ragged.grouped).
 
     Cell (y, t) is the pair (y, xs[t]) of p.pairs, so the cells come in
-    row-major order.  A cover (a, b) yields the covers of (a, t) by (b, t)
-    for every t above b.
+    row-major order and the cells of each y are a Ragged list.  A cover
+    (a, b) yields the covers of (a, t) by (b, t) for every t above b.
     """
     at = np.full(len(p), -1)
     at[xs] = np.arange(len(xs))
     y, x = p.pairs[at[p.pairs[:, 1]] >= 0].T
     t = at[x]
-    start = np.concatenate([[0], np.cumsum(np.bincount(y, minlength=len(p)))])
-    owner, upper = _fan(start, covers[:, 1])
+    # the cells of each y, fanned out: a position is a cell
+    owner, upper = Ragged.sized(np.bincount(y, minlength=len(p)), y).fan(covers[:, 1])
     lower = np.searchsorted(y * len(xs) + t, covers[owner, 0] * len(xs) + t[upper])
-    return (grade[y], *_csr(lower, upper, len(y)))
+    return grade[y], Ragged.grouped(lower, upper, len(y))
 
 
 def _check_spheres(p: MatroidPoset, covers: np.ndarray, grade: np.ndarray) -> None:
@@ -709,7 +700,7 @@ def cellular_homology(p: MatroidPoset, hasse: np.ndarray) -> tuple[np.ndarray, l
     grade = grades(p, hasse)
     _check_diamonds(hasse, len(p))
     _check_spheres(p, hasse, grade)
-    return grade, cellular_betti(grade, *_csr(hasse[:, 0], hasse[:, 1], len(p)))
+    return grade, cellular_betti(grade, Ragged.grouped(hasse[:, 0], hasse[:, 1], len(p)))
 
 
 @dataclass
@@ -751,7 +742,7 @@ def cell_structure_m42(poset: MatroidPoset, grade: np.ndarray, hasse: np.ndarray
     top = np.flatnonzero(grade == grade.max())
     covers = np.bincount(hasse[:, 1], minlength=len(poset))[top]
     table = MatroidTable.of(poset.elements)
-    held = [table.signs[table.ids[table.start[j] : table.start[j + 1]]].tolist() for j in top]
+    held = [table.signs[table.elements[j]].tolist() for j in top]
     patterns = {(1, *p) for p in itertools.product((1, -1), repeat=3)} - {(1, 1, 1, 1)}
     return M42Report(
         face_vector=face_vector,

@@ -135,14 +135,24 @@ def masks(v) -> tuple:
     return mask_of(v.pos), mask_of(v.neg)
 
 
+def ragged_of(lists):
+    """The Ragged of int lists, its offsets counted one list at a time."""
+    offsets, values = [0], []
+    for lst in lists:
+        values += lst
+        offsets.append(len(values))
+    return Ragged(np.array(offsets, np.intp), np.array(values, np.intp))
+
+
 def partition_edges_into_cycles(edges, vertex_masks):
     """Group edges by the support mask of the composition, in increasing
-    mask order, and walk each group's closed cycles."""
+    mask order, and walk each group's closed cycles: the package's form,
+    a RecordTable of the Ragged fields support, vertex_seq and edge_ids."""
     groups = {}
     for eid, (i, j) in enumerate(edges):
         tag = vertex_masks[i][0] | vertex_masks[i][1] | vertex_masks[j][0] | vertex_masks[j][1]
         groups.setdefault(tag, []).append(eid)
-    cycles = []
+    cycles = {"support": [], "vertex_seq": [], "edge_ids": []}
     for tag in sorted(groups):
         adj = {}
         for eid in groups[tag]:
@@ -168,10 +178,9 @@ def partition_edges_into_cycles(edges, vertex_masks):
                 seq.append(w)
                 w, eid = next(t for t in adj[w] if t[1] != eid)
             walked.update(seq)
-            cycles.append(
-                rf.Cycle(support=set_of(tag), vertex_seq=tuple(seq), edge_ids=tuple(eids))
-            )
-    return tuple(cycles)
+            for key, lst in (("support", sorted(set_of(tag))), ("vertex_seq", seq), ("edge_ids", eids)):
+                cycles[key].append(lst)
+    return RecordTable({key: ragged_of(lists) for key, lists in cycles.items()})
 
 
 class ReferenceGraph(rf.CircuitGraph):
@@ -335,8 +344,7 @@ class AmbientSpace:
 def cycle_pairs(graph):
     """Per vertex, its two neighbors on each cycle through it, in cycle order."""
     pairs = [[] for _ in range(len(graph.signs))]
-    for cyc in graph.cycles:
-        seq = cyc.vertex_seq
+    for seq in graph.cycles.fields["vertex_seq"].tolist():
         for v, before, after in zip(seq, seq[-1:] + seq[:-1], seq[1:] + seq[:1]):
             pairs[v].append((before, after))
     return pairs
@@ -965,6 +973,41 @@ def csr(lower, upper, k):
     """(start, lower sorted by (upper, lower)), start from the counts of upper."""
     start = np.concatenate([[0], np.cumsum(np.bincount(upper, minlength=k))])
     return start, lower[np.lexsort((lower, upper))]
+
+
+def sized_lists(lengths, values):
+    """The lists of Ragged.sized(lengths, values), cut one length at a time."""
+    lists, at = [], 0
+    for length in lengths:
+        lists.append(values[at : at + length])
+        at += length
+    return lists
+
+
+def grouped_lists(lower, upper, k):
+    """The lists of Ragged.grouped(lower, upper, k): list x gets the lower
+    end of each pair (lower, upper) with upper end x, one pair at a time,
+    then is sorted."""
+    lists = [[] for _ in range(k)]
+    for a, b in zip(lower, upper):
+        lists[b].append(a)
+    return [sorted(lst) for lst in lists]
+
+
+def fan_pairs(lists, rows):
+    """Ragged.fan(rows) of the Ragged of lists, as two lists: for each x in
+    rows in turn, one (index in rows, place among all the values) per value
+    of lists[x]."""
+    starts, at = [], 0
+    for lst in lists:
+        starts.append(at)
+        at += len(lst)
+    owner, position = [], []
+    for t, x in enumerate(rows):
+        for p in range(starts[x], starts[x] + len(lists[x])):
+            owner.append(t)
+            position.append(p)
+    return owner, position
 
 
 def table_records(value):

@@ -445,6 +445,49 @@ def test_homology_rejects_malformed_hasse(tmp_path, capsys, hasse):
 @pytest.mark.parametrize(
     "change, message",
     [
+        ({"circuits": 5}, "'circuits' must be a list of circuits, each {\"pos\": [...], \"neg\": [...]}"),
+        ({"circuit": {"pos": [1]}}, "circuit 0 of 'circuits' needs 'pos' and 'neg', each a list of elements"),
+        ({"hasse": [[0, 1, 2]]}, "'hasse' entry [0, 1, 2] is not an [i, j] pair"),
+        ({"hasse": [5]}, "'hasse' entry 5 is not an [i, j] pair"),
+        ({"hasse": ["ab"]}, "'hasse' entry \"ab\" is not an [i, j] pair"),
+    ],
+    ids=["circuits-an-int", "circuit-without-neg", "hasse-triple", "hasse-int", "hasse-string"],
+)
+def test_homology_names_a_malformed_circuits_or_hasse_field(tmp_path, capsys, change, message):
+    # these once exited 2 with Python's own words, naming no field ("'int'
+    # object is not iterable", "'neg'", "too many values to unpack",
+    # "cannot unpack non-iterable int object"), and "ab" read as the pair
+    # ["a", "b"]
+    mac_out = tmp_path / "mac"
+    assert main(["macphersonian", "4", "1", "--out", str(mac_out)]) == 0
+    poset = _sub_poset(load(mac_out / "poset.json"), [0, 1, 2], [])
+    if "circuit" in change:
+        poset["circuits"][0] = change["circuit"]
+    else:
+        poset.update(change)
+    cfg = tmp_path / "bad.json"
+    write_json(cfg, poset)
+    out = tmp_path / "out"
+    assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "flow"])
+def test_points_of_unequal_length_are_named(tmp_path, capsys, command):
+    # numpy's "setting an array element with a sequence ... inhomogeneous
+    # shape" was once the whole message
+    cfg = tmp_path / "ragged.json"
+    write_json(cfg, {"d": 2, "points": [[0, 0], [4, 0], [0, 4, 1], [4, 4], [1, 2]]})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "input error: 'points' must have rows of one length, not of lengths [2, 3]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
         ({"pos": [1, 2], "neg": [2]}, "circuit parts must be disjoint"),
         ({"pos": [1, 9], "neg": [2]}, "circuit {1,9}|{2} uses an element beyond n=4"),
         ({"pos": [1, 2], "neg": [3, 4]}, "circuit {1,2}|{3,4} has support larger than d + 2 = 3"),
@@ -649,7 +692,11 @@ def test_homology_reads_back_the_census_table(census_out, tmp_path, monkeypatch)
     assert len(tables) == 2
     for table in tables:
         assert table.ground == census.ground
-        for got, want in ((table.signs, census.signs), (table.start, census.start), (table.ids, census.ids)):
+        for got, want in (
+            (table.signs, census.signs),
+            (table.elements.offsets, census.elements.offsets),
+            (table.elements.values, census.elements.values),
+        ):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

@@ -36,10 +36,9 @@ def test_pentagon_complex_is_a_circle(pentagon_complex):
     assert rc.euler_characteristic() == 0
     assert rf.validate_sphere(rc, 5, 2).ok
     # all ten edges close into a single polygon on the full support
-    assert len(g.cycles) == 1
-    cyc = g.cycles[0]
-    assert cyc.support == frozenset({1, 2, 3, 4, 5})
-    assert len(cyc.vertex_seq) == 10 and len(cyc.edge_ids) == 10
+    (cyc,) = g.cycles.tolist()
+    assert cyc["support"] == [1, 2, 3, 4, 5]
+    assert len(cyc["vertex_seq"]) == 10 and len(cyc["edge_ids"]) == 10
 
 
 def test_hexagon_complex_is_a_two_sphere(hexagon_complex):
@@ -70,10 +69,10 @@ def test_positions_sit_on_their_faces(hexagon_complex):
 def test_cycles_partition_edges_and_live_in_two_planes(hexagon_complex):
     rc = hexagon_complex
     g = rc.graph
-    seen = sorted(eid for cyc in g.cycles for eid in cyc.edge_ids)
+    seen = sorted(g.cycles.fields["edge_ids"].values.tolist())
     assert seen == list(range(len(g.edges)))
-    for cyc in g.cycles:
-        pts = rc.positions[list(cyc.vertex_seq)]
+    for seq in g.cycles.fields["vertex_seq"].tolist():
+        pts = rc.positions[seq]
         sv = np.linalg.svd(pts, compute_uv=False)
         assert sv[2] < 1e-10 * sv[0]  # flat cycle in the geometric embedding
 
@@ -310,13 +309,14 @@ def test_modular_elimination_on_census_elements_with_a_circuit_dropped():
 def _assert_cycles_partition_edges(g):
     """Each edge id lies on exactly one cycle, joins two cycle neighbours
     there, and composes to the cycle's support."""
-    assert sorted(eid for cyc in g.cycles for eid in cyc.edge_ids) == list(range(len(g.edges)))
-    for cyc in g.cycles:
-        seq = cyc.vertex_seq
-        for k, eid in enumerate(cyc.edge_ids):
+    cycles = g.cycles.tolist()
+    assert sorted(eid for cyc in cycles for eid in cyc["edge_ids"]) == list(range(len(g.edges)))
+    for cyc in cycles:
+        seq = cyc["vertex_seq"]
+        for k, eid in enumerate(cyc["edge_ids"]):
             a, b = g.edges[eid]
             assert {a, b} == {seq[k], seq[(k + 1) % len(seq)]}
-            assert g.vertices[a].support | g.vertices[b].support == cyc.support
+            assert sorted(g.vertices[a].support | g.vertices[b].support) == cyc["support"]
 
 
 @pytest.mark.parametrize("n, d", LADDER)
@@ -342,7 +342,7 @@ def test_cycle_walk_partitions_the_coloop_edges():
     rc = rf.geometric_radon_complex(rf.PointConfiguration(np.asarray(COLOOP, float), 2))
     for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
         _assert_cycles_partition_edges(g)
-        assert [len(cyc.edge_ids) for cyc in g.cycles] == [8]
+        assert g.cycles.fields["edge_ids"].lengths.tolist() == [8]
 
 
 # five points in R^3: one circuit, its two orientations, no edge (a 0-sphere)
@@ -354,7 +354,7 @@ def test_one_circuit_graph_has_an_empty_edge_array():
     assert len(rc.matroid.circuits) == 1 and rf.validate_sphere(rc, 5, 3).ok
     for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
         assert g.edges.shape == (0, 2) and g.edges.dtype == np.intp
-        assert g.to_dict()["edges"] == [] and g.cycles == ()
+        assert g.to_dict()["edges"] == [] and g.cycles.tolist() == []
 
 
 def _spied_walks(monkeypatch):
@@ -437,12 +437,14 @@ def _assert_row_built_graphs_equal_object_built(cfg):
     """Both graphs of cfg, built from sign rows, equal ReferenceGraphs of the
     same edges built from vertex objects (the package's earlier
     _ordered_vertices of the sorted circuits): the same written dict, the
-    same lazy vertex view and the same sign rows."""
+    same cycles, vertex sequences included, the same lazy vertex view and
+    the same sign rows."""
     rc = rf.geometric_radon_complex(cfg)
     vertices = _ordered_vertices(rc.matroid.sorted_circuits)
     for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
         ref = oracles.ReferenceGraph(vertices, g.edges, cfg.n)
         assert g.to_dict() == ref.to_dict()
+        assert g.cycles.tolist() == ref.cycles.tolist()
         assert g.vertices == ref.vertices
         assert np.array_equal(g.signs, ref.signs)
 
@@ -491,6 +493,18 @@ def test_sphere_from_points_is_the_complexs_on_the_ladder(n, d):
 def test_sphere_from_points_is_the_complexs_on_the_fixtures(pentagon_config, hexagon_config):
     for cfg in (pentagon_config, hexagon_config, rf.PointConfiguration(np.asarray(DIRECT_SUM, float), 2)):
         _assert_sphere_from_points_is_the_complexs(cfg)
+
+
+def test_field_rows_on_the_one_circuit_graph_and_a_graph_of_many_cycles(hexagon_config):
+    # the one-circuit graph has no cycle, so the field has no row; the
+    # hexagon's 2-sphere has six cycles, several through each vertex
+    for points, d, cycles in ((FIVE3, 3, 0), (hexagon_config.points, 2, 6)):
+        s = rf.EmbeddedSphere.from_points(rf.PointConfiguration(np.asarray(points, float), d))
+        assert len(s.graph.cycles.fields["vertex_seq"]) == cycles
+        field = _Field(s)
+        rows = [(v, a, b) for v, pairs in enumerate(cycle_pairs(s.graph)[: s.n_reps]) for a, b in pairs]
+        assert list(zip(field.v_idx.tolist(), field.a_idx.tolist(), field.b_idx.tolist())) == rows
+        assert len(rows) == len(s.graph.edges) // 2  # each edge on one cycle, half at representatives
 
 
 def test_combinatorial_graph_walks_its_cycles_on_first_read(monkeypatch, hexagon_config):
@@ -569,10 +583,9 @@ def test_circuit_graph_on_ground_sets_wider_than_64(pentagon_config):
         ({e + shift for e in v.pos}, {e + shift for e in v.neg}) for v in g.vertices
     ]
     assert np.array_equal(g_wide.edges, g.edges) and len(g.edges) == 10
-    assert [c.support for c in g_wide.cycles] == [
-        frozenset(e + shift for e in c.support) for c in g.cycles
-    ]
-    assert [c.edge_ids for c in g_wide.cycles] == [c.edge_ids for c in g.cycles]
+    wide_cycles, cycles = g_wide.cycles.fields, g.cycles.fields
+    assert wide_cycles["support"].tolist() == [[e + shift for e in c] for c in cycles["support"].tolist()]
+    assert wide_cycles["edge_ids"].tolist() == cycles["edge_ids"].tolist()
     assert g_wide.to_dict() == oracles.circuit_graph(wide).to_dict()
 
 
@@ -582,7 +595,7 @@ def test_cycle_order_matches_int_mask_reference_across_words(hexagon_config, shi
     # spread their supports over two 32-element words of a sign row
     wide = widened(rf.circuits_of_points(hexagon_config), 72, shift)
     g = rf.combinatorial_circuit_graph(wide)
-    assert len(g.cycles) == 6
+    assert len(g.cycles.fields["support"]) == 6
     assert g.to_dict() == oracles.circuit_graph(wide).to_dict()
 
 
@@ -689,12 +702,9 @@ def test_facet_listing_matches_the_oracle(hexagon_config):
         rc, ref = rf.geometric_radon_complex(cfg), oracles.radon_complex(cfg)
         assert rc.facets == ref.facets
         assert rc.euler_characteristic() == ref.euler_characteristic() == 2
-        # the CSR listing behind rc.facets: dims, then ascending vertex lists
-        offsets = rc.facet_offsets.tolist()
+        # the arrays behind rc.facets: dims, then ascending vertex lists
         assert rc.facet_dims.tolist() == [cell.dim for cell in ref.facets]
-        assert [rc.facet_vertices[a:b].tolist() for a, b in zip(offsets, offsets[1:])] == [
-            sorted(cell.vertices) for cell in ref.facets
-        ]
+        assert rc.facet_vertices.tolist() == [sorted(cell.vertices) for cell in ref.facets]
 
 
 def _relabeled(g, rng):

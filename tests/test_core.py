@@ -437,3 +437,39 @@ def test_batched_scan_on_ground_sets_wider_than_64():
         frozenset({4, 41}), frozenset({1, 66}), frozenset({32, 33}),
         frozenset({11, 12}), frozenset({51, 64}),
     }
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [[], [0], [0, 0, 0], [3], [2, 0, 1, 0, 4], [0, 5, 0]],
+    ids=["no-lists", "one-empty", "all-empty", "one-list", "empty-in-the-middle", "empty-at-the-ends"],
+)
+def test_ragged_sized_indexing_fan_and_take_match_loops(lengths):
+    rng = np.random.default_rng([61, len(lengths), sum(lengths)])
+    values = rng.integers(-50, 50, sum(lengths))
+    r = rf.core.Ragged.sized(lengths, values)
+    lists = oracles.sized_lists(lengths, values.tolist())
+    assert r.tolist() == lists and len(r) == len(lists) and r.lengths.tolist() == lengths
+    assert r.offsets.dtype == np.intp and r.offsets[0] == 0 and r.offsets[-1] == len(values)
+    for i in range(-len(lists), len(lists)):
+        assert r[i].tolist() == lists[i]
+    for i in (len(lists), -len(lists) - 1):
+        with pytest.raises(IndexError):
+            r[i]
+    row_sets = [np.zeros(0, np.intp)]  # no rows
+    if lists:  # every list, some in repeats and any order, and every list backwards
+        row_sets += [np.arange(len(lists)), rng.integers(0, len(lists), 7), np.arange(len(lists))[::-1]]
+    for rows in row_sets:
+        owner, position = r.fan(rows)
+        assert (owner.tolist(), position.tolist()) == oracles.fan_pairs(lists, rows.tolist())
+        assert r.take(rows).tolist() == [lists[x] for x in rows.tolist()]
+
+
+@pytest.mark.parametrize("k, pairs", [(1, 0), (5, 0), (6, 40), (30, 200)])
+def test_ragged_grouped_matches_the_loop_on_unsorted_pairs(k, pairs):
+    # random pairs in no order, repeats included; with no pairs every list is empty
+    rng = np.random.default_rng([62, k, pairs])
+    lower, upper = rng.integers(0, k, pairs), rng.integers(0, k, pairs)
+    r = rf.core.Ragged.grouped(lower, upper, k)
+    assert r.tolist() == oracles.grouped_lists(lower.tolist(), upper.tolist(), k)
+    assert len(r) == k and r.offsets.dtype == np.intp

@@ -671,8 +671,8 @@ def test_csr_equals_the_lexsorted_csr_on_sorted_and_unsorted_pairs():
         (p[:, 0], p[:, 1]) for p in (pairs, covers)
     ]
     for lower, upper in cases:
-        got = rf.core._csr(lower, upper, 842)
-        assert all(np.array_equal(a, b) for a, b in zip(got, oracles.csr(lower, upper, 842)))
+        got = rf.core.Ragged.grouped(lower, upper, 842)
+        assert all(np.array_equal(a, b) for a, b in zip((got.offsets, got.values), oracles.csr(lower, upper, 842)))
 
 
 # labels near 10**9: packing a 10-vertex row into one int64 by label would
@@ -731,7 +731,7 @@ def test_census_comes_in_the_sort_key_order(n, d):
     rows = [rf.Circuit(**c) for c in rf.core._circuit_table(census.signs).tolist()]
     assert rows == sorted(set(rows), key=rf.Circuit.sort_key)
     for i, m in enumerate(elements):
-        held = census.ids[census.start[i] : census.start[i + 1]]
+        held = census.elements[i]
         assert (np.diff(held) > 0).all() and np.array_equal(census.signs[held], m.signs)
         assert list(m.sorted_circuits) == sorted(m.circuits, key=rf.Circuit.sort_key)
 
@@ -775,7 +775,11 @@ def test_table_parser_reads_back_the_census(n, d):
     data = _poset_dict(census)
     table = rf.MatroidTable.from_dict(data)
     assert table.ground == census.ground
-    for got, want in ((table.signs, census.signs), (table.start, census.start), (table.ids, census.ids)):
+    for got, want in (
+        (table.signs, census.signs),
+        (table.elements.offsets, census.elements.offsets),
+        (table.elements.values, census.elements.values),
+    ):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     listed = oracles.element_circuits(data)
     for i in np.random.default_rng([29, n, d]).choice(len(listed), min(len(listed), 20), replace=False):
@@ -797,7 +801,7 @@ def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
     table = rf.MatroidTable.from_dict(messy)
     assert list(table) == [oms42[int(i)] for i in order]
     assert np.array_equal(table.signs, oms42.signs)
-    assert all((np.diff(table.ids[a:b]) > 0).all() for a, b in zip(table.start, table.start[1:]))
+    assert all((np.diff(ids) > 0).all() for ids in table.elements)
     again = rf.MatroidPoset.from_elements(table).to_dict(np.zeros((0, 2), np.intp))
     assert again["circuits"] == data["circuits"]
     assert oracles.element_circuits(again) == [oracles.element_circuits(data)[i] for i in order]
@@ -816,7 +820,8 @@ def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
             "circuit {1,3}|{2,4} has support larger than d + 2 = 3",
         ),
         ({"d": None}, KeyError, "'d'"),
-        ({"circuits": [{"pos": [1], "neg": 2}]}, TypeError, "'int' object is not iterable"),
+        ({"circuits": [{"pos": [1], "neg": 2}]}, ValueError,
+         "circuit 0 of 'circuits' needs 'pos' and 'neg', each a list of elements"),
         ({"n": "5"}, ValueError, "'n' must be an integer, not '5'"),
         ({"d": 1.9}, ValueError, "'d' must be an integer, not 1.9"),
         ({"circuits": [{"pos": [1.9], "neg": [2]}]}, ValueError,
@@ -893,7 +898,7 @@ def test_table_indexing_builds_matroids_on_request(oms42):
     # element i is the matroid of its rows of the table, and every row is
     # some element's circuit
     for i, m in enumerate(oms42):
-        assert np.array_equal(m.signs, oms42.signs[oms42.ids[oms42.start[i] : oms42.start[i + 1]]])
+        assert np.array_equal(m.signs, oms42.signs[oms42.elements[i]])
     assert len({c for m in oms42 for c in m.circuits}) == len(oms42.signs)
 
 
