@@ -11,7 +11,8 @@ Exit codes: 0 success (every flow outcome, per-rep errors included), 2
 input error (a poset that fails a CW check or lies outside the census
 range, and sampled flow points outside d >= 1, d + 2 <= n <= 16,
 included), 3 unsupported range (macphersonian with n > 6, d < 1 or n < d +
-2), 4 numerical failure.  All runs with the same inputs and seed write
+2, and a run that numpy or Python cannot give the memory it asks for), 4
+numerical failure.  All runs with the same inputs and seed write
 byte-identical outputs apart from the generated_at stamps.  Every JSON
 output is laid out as json.dumps(payload, indent=2, sort_keys=True) lays
 it out, byte for byte: 2-space indent, sorted keys, ASCII only (non-ASCII
@@ -557,6 +558,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UnsupportedRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's names the allocation it was refused
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
     except (IntegrationError, NotFlatError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

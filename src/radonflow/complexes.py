@@ -35,9 +35,6 @@ from .core import (
     SignedCircuitVertex,
     check_circuit_axioms,
     circuit_dependences,
-    _BITS,
-    _HALF,
-    _LOW,
     _circuit_table,
     _conforming,
     _counts,
@@ -138,7 +135,7 @@ class CircuitGraph:
         return _plain(self.payload())
 
 
-@dataclass
+@dataclass(eq=False)
 class RadonComplex:
     """A circuit graph plus its filled higher cells and natural coordinates.
 
@@ -177,10 +174,10 @@ def _partition_edges_into_cycles(rows: np.ndarray, first: np.ndarray, second: np
     array (CircuitGraph.edges); its tag is the support of
     rows[first[k]] | rows[second[k]].  Tags are taken in order of their
     elements sorted from the largest down, which is the order of their
-    support bitmasks read as integers: one stable lexsort of the support
-    words, most significant word first, groups the edges by tag in edge
-    order, and each cycle's support is its tag's row of the tags' support
-    words read as a circuit part (core._circuit_table).  Within one tag
+    support bitmasks read as integers (core._supports): one stable argsort
+    of the edges' tags groups the edges by tag in edge order, and each
+    cycle's support is its tag's support read as a circuit part
+    (core._circuit_table).  Within one tag
     every incident vertex must have exactly two incident edges; each
     connected component is then a closed cycle, walked from its smallest
     vertex towards its smaller (neighbor, edge) first.
@@ -195,16 +192,10 @@ def _partition_edges_into_cycles(rows: np.ndarray, first: np.ndarray, second: np
     Raises ValueError when some vertex has other than two edges of one tag;
     CircuitGraph.cycles calls this on first read.
     """
-    tags = rows[first] | rows[second]
-    tags = (tags >> _HALF | tags) & _LOW
-    order = np.lexsort(tags.T)
-    tags = tags[order]
-    fresh = np.ones(len(order), bool)
-    fresh[1:] = (tags[1:] != tags[:-1]).any(axis=1)
-    tag_of = np.cumsum(fresh) - 1
-    heads = tags[fresh]  # each tag's support words: column e - 1 of bits is element e
-    bits = (heads[:, :, None] & _BITS != 0).reshape(len(heads), 32 * heads.shape[1])
-    supports = _circuit_table(bits.view(np.int8)).fields["pos"]
+    supports, tag_of = _supports(rows[first] | rows[second], 32 * rows.shape[1])
+    order = np.argsort(tag_of, kind="stable")
+    tag_of = tag_of[order]
+    supports = _circuit_table(supports.view(np.int8)).fields["pos"]
 
     # slot i < E is the first end of the i-th edge in tag order, slot i + E
     # its second end; sorted by (tag, vertex), then each pair of slots

@@ -243,9 +243,17 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _require(data: dict, *keys: str) -> None:
+    """ValueError naming the first of keys that the JSON object data lacks."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+
+
 def _read_circuits(data: dict) -> tuple[GroundSet, list[Circuit]]:
     """The ground set and circuits of a matroid or poset JSON object, every
-    integer in them checked by _json_int."""
+    key named if missing (_require) and every integer checked by _json_int."""
+    _require(data, "n", "d", "circuits")
     ground = GroundSet(_json_int(data["n"], "'n'"), _json_int(data["d"], "'d'"))
     if not isinstance(data["circuits"], list):
         raise ValueError("'circuits' must be a list of circuits, each {\"pos\": [...], \"neg\": [...]}")
@@ -266,7 +274,7 @@ def _check_width(signs: np.ndarray, d: int) -> None:
         raise ValueError(f"circuit {c!r} has support larger than d + 2 = {d + 2}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointConfiguration:
     """n labeled points in R^d, stored as an (n, d) array.
 
@@ -403,13 +411,14 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
 # per vector, column e-1 for element e), _ordered_rows sorts such rows by
 # Circuit.sort_key, _circuit_table lists their parts, _pack turns them into
 # the kernel's rows, _distinct_circuits builds the rows of the circuits
-# that _gather_circuits reads off basis values and _supports reads their
-# distinct supports back.  In a kernel row, element e lives in word
-# (e-1) // 32 of ceil(n/32) uint64 words, its positive bit at
-# 32 + (e-1) % 32 and its negative bit at (e-1) % 32, so a row holds a sign
-# vector of any length.  Z conforms to S (Z+ <= S+ and Z- <= S-) iff
-# Z & ~S is zero in every word, X o Y is X | Y for conformal X, Y, and -X
-# swaps the halves of each word.
+# that _gather_circuits reads off basis values, _supports is the one
+# reader of kernel rows' supports (other modules import no word layout)
+# and _eliminations builds every weak-elimination target.  In a kernel
+# row, element e lives in word (e-1) // 32 of ceil(n/32) uint64 words, its
+# positive bit at 32 + (e-1) % 32 and its negative bit at (e-1) % 32, so a
+# row holds a sign vector of any length.  Z conforms to S (Z+ <= S+ and
+# Z- <= S-) iff Z & ~S is zero in every word, X o Y is X | Y for conformal
+# X, Y, and -X swaps the halves of each word.
 #
 # _conforming answers "does z[j] conform to s[i]" for every pair by byte
 # tables (the "Four Russians" trick of Arlazarov, Dinic, Kronrod &
@@ -472,7 +481,7 @@ def _ordered_rows(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[fresh], which
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ragged:
     """Lists of ints held as int arrays: list r is values[offsets[r] :
     offsets[r + 1]], offsets[0] is 0 and offsets[-1] is len(values).  The
@@ -528,7 +537,7 @@ class Ragged:
         return [values[a:b] for a, b in zip(offsets, offsets[1:])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecordTable:
     """A list of records held as int arrays, one per key: record r maps a
     key with a 1-D array to its entry r, and a key with a Ragged to its
@@ -569,11 +578,14 @@ def _pack(signs: np.ndarray) -> np.ndarray:
 
 
 def _supports(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct supports of kernel rows as an (m, n) bool matrix, and for
-    each row the index of its support."""
-    either, _, which = _unique_rows((rows >> _HALF | rows) & _LOW)
-    bits = either[:, :, None] & _BITS != 0
-    return bits.reshape(len(either), 32 * either.shape[1])[:, :n], which
+    """The distinct supports of kernel rows as an (m, n) bool matrix, in the
+    order of their bitmasks read as integers, and for each row the index of
+    its support.  The support words, most significant first and each
+    big-endian, compare as bytes (_unique_rows) as those integers do."""
+    words = (rows >> _HALF | rows) & _LOW
+    _, first, which = _unique_rows(words[:, ::-1].astype(">u8"))
+    bits = words[first, :, None] & _BITS != 0
+    return bits.reshape(len(first), 32 * words.shape[1])[:, :n], which
 
 
 def _colex(n: int, r: int) -> np.ndarray:
@@ -734,6 +746,25 @@ def _height_two(supports: np.ndarray, unions: np.ndarray, n: int) -> np.ndarray:
     return height_two
 
 
+def _eliminations(signs: np.ndarray, signed: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The weak-elimination tests of the circuit pairs (a[k], b[k]), rows of
+    signs, as (x, y, e, failed): one test for each e in both supports, on X
+    and Y' the pair's rows of signed (+c_k row 2k, -c_k row 2k + 1) with e
+    positive.  failed says that no row of signed conforms to the target
+    (X | -Y') \\ e.  The test stands for (X, -Y', e) and for (Y', -X, e),
+    whose target is its negation, as the rows come in both signs.  A test
+    with X = Y', a circuit stored with its reversal, is skipped."""
+    unit = _pack(np.eye(signs.shape[1], dtype=np.int8))
+    clear = ~(unit | _negated(unit))  # clear[e] drops element e from a row
+    p, e = np.nonzero(signs[a] * signs[b])
+    a, b = a[p], b[p]
+    x, y = 2 * a + (signs[a, e] < 0), 2 * b + (signs[b, e] < 0)
+    tested = (signed[x] != signed[y]).any(axis=1)
+    x, y, e = x[tested], y[tested], e[tested]
+    targets = (signed[x] | _negated(signed[y])) & clear[e]
+    return x, y, e, ~np.concatenate([bits.any(axis=1) for _, bits in _conforming(signed, targets)])
+
+
 def _modular_elimination_holds(signs: np.ndarray, signed: np.ndarray) -> bool:
     """Weak elimination on the modular pairs of circuits whose supports
     are distinct and pairwise incomparable: signs holds their rows, and
@@ -749,13 +780,11 @@ def _modular_elimination_holds(signs: np.ndarray, signed: np.ndarray) -> bool:
     those of height 2 kept.  Any two supports inside such a union U have
     the union U, or they would make a chain 0 < Z1 < Z1 u Z2 < U, so the
     modular pairs are the pairs of supports inside one of them (the
-    kernel lists those).  Each pair is tested as check_circuit_axioms
-    tests it: one target (X | -Y) \\ e for each e in both supports, X and
-    -Y the pair's rows with e positive.
+    kernel lists those), tested by _eliminations as the listing tests
+    every pair.
     """
     k, n = signs.shape
-    unsigned = np.abs(signs)
-    supports = _pack(unsigned)
+    supports = _pack(np.abs(signs))
     words = supports.shape[1]
     step = max(1, _BLOCK_WORDS // max(1, k * (words + 1)))
     unions = np.zeros(0, _keys(supports[:0]).dtype)
@@ -765,19 +794,12 @@ def _modular_elimination_holds(signs: np.ndarray, signed: np.ndarray) -> bool:
         unions = np.unique(np.concatenate([unions, _keys((block | supports)[meet])]))
     unions = np.ascontiguousarray(unions).view(np.uint64).reshape(len(unions), words)
     unions = unions[_height_two(supports, unions, n)]
-    unit = _pack(np.eye(n, dtype=np.int8))
-    clear = ~(unit | _negated(unit))
     for _, bits in _conforming(supports, unions):
         union, inside = _pairs(bits)  # the supports inside each union, ascending
         later = np.searchsorted(union, union, "right") - np.arange(len(union)) - 1
         first = np.repeat(np.arange(len(union)), later)
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-        a, b = inside[first], inside[second]
-        p, e = np.nonzero(unsigned[a] & unsigned[b])
-        a, b = a[p], b[p]
-        x, y = 2 * a + (signs[a, e] < 0), 2 * b + (signs[b, e] < 0)  # the rows with e positive
-        targets = (signed[x] | _negated(signed[y])) & clear[e]
-        if not all(found.any(axis=1).all() for _, found in _conforming(signed, targets)):
+        if _eliminations(signs, signed, inside[first], inside[second])[3].any():
             return False
     return True
 
@@ -833,12 +855,9 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     When the supports are minimal, elimination is first tested on the
     modular pairs alone, which proves it on every pair when they pass
     (_modular_elimination_holds); the list is then empty.  A modular
-    failure, or a minimality violation, runs the listing of every failure:
-    its targets are built one element e at a time and tested with the
-    conformance kernel.  The
-    target of (-Y, -X, e) is the negation of that of (X, Y, e) and the
-    circuits come in both signs, so the two are tested once, as one pair
-    of circuits through e, and fail together.  Violations are listed in
+    failure, or a minimality violation, runs the listing of every failure,
+    which tests every pair of circuits whose supports meet by
+    _eliminations, in blocks of circuit pairs.  Violations are listed in
     (X, Y, e) order, X and Y running over the sorted circuits, each
     positive then negative.
     """
@@ -874,42 +893,21 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     if not minimality and _modular_elimination_holds(signs, signed):
         return AxiomReport(minimality, canonical, [])
 
-    # weak elimination, one element e at a time: X runs over the rows of
-    # both with e in X+ and the Y with e in Y- are their negations -X', so
-    # each (X, Y, e) with X != X' has the target (X | -X') \ e.  That of
-    # (X', -X, e) is its negation, and the rows are closed under negation,
-    # so one is witnessed iff the other is: each pair i < j of rows through
-    # e is tested once and a failure reports both.  X goes in chunks of at
-    # most _BLOCK_WORDS words of pairs: a pair holds two intp indices and
-    # their offset copies, and its target, built one temporary row at a
-    # time; its bool comparison takes a byte per word.  The targets are not
-    # deduplicated: a sort costs more than the kernel saves on the fifth of
-    # them that repeat on the analyze ladder.  Each element keeps its first
-    # ELIMINATION_CAP + 1 failures, which hold its share of the first
-    # ELIMINATION_CAP overall.
-    unit = _pack(np.eye(n, dtype=np.int8))
-    clear = ~(unit | _negated(unit))
-    failures: list[tuple[int, int, int]] = []
-    for e in range(n):
-        through = np.flatnonzero(both[:, e] > 0)
-        x = signed[through]
-        step = max(1, _BLOCK_WORDS // max(1, len(x) * (4 + 2 * x.shape[1])))
-        found: list[tuple[int, int, int]] = []
-        for start in range(0, len(x), step):
-            i, j = np.nonzero(np.triu((x[start : start + step, None] != x[start + 1 :]).any(axis=2)))
-            i, j = i + start, j + start + 1
-            targets = (x[i] | _negated(x[j])) & clear[e]
-            bad = ~np.concatenate([bits.any(axis=1) for _, bits in _conforming(signed, targets)])
-            a, b = through[i[bad]], through[j[bad]]
-            found += zip(a.tolist(), (b ^ 1).tolist(), itertools.repeat(e))
-            found += zip(b.tolist(), (a ^ 1).tolist(), itertools.repeat(e))
-        found.sort()
-        failures += found[: ELIMINATION_CAP + 1]
-    failures.sort()
+    # the pairs a < b of circuits whose supports meet, a block of a at a
+    # time, its targets (up to d + 2 a pair) within _BLOCK_WORDS words; the
+    # first ELIMINATION_CAP + 1 failures are kept
+    step = max(1, _BLOCK_WORDS // max(1, len(signs) * (m.d + 2) * (supports.shape[1] + 4)))
+    failures = np.zeros((3, 0), np.intp)
+    for start in range(0, len(signs), step):
+        a, b = np.nonzero(np.triu((supports[start : start + step, None] & supports).any(axis=2), start + 1))
+        x, y, e, failed = _eliminations(signs, signed, start + a, b)
+        x, y, e = x[failed], y[failed], e[failed]
+        failures = np.hstack([failures, [x, y ^ 1, e], [y, x ^ 1, e]])
+        failures = failures[:, np.lexsort(failures[::-1])[: ELIMINATION_CAP + 1]]
     elimination = [
         f"no circuit eliminates element {e + 1} between "
         f"{'-' if i % 2 else '+'}{c(i // 2)!r} and "
         f"{'-' if j % 2 else '+'}{c(j // 2)!r}"
-        for i, j, e in failures[:ELIMINATION_CAP]
+        for i, j, e in failures.T.tolist()[:ELIMINATION_CAP]
     ]
-    return AxiomReport(minimality, canonical, elimination, len(failures) > ELIMINATION_CAP)
+    return AxiomReport(minimality, canonical, elimination, failures.shape[1] > ELIMINATION_CAP)

@@ -61,6 +61,7 @@ from .core import (
     _pairs,
     _plain,
     _read_circuits,
+    _require,
     _signs,
     _supports,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
@@ -171,14 +172,16 @@ class MatroidTable(Sequence):
         """The table of a poset.json, each circuit once under 'circuits' and
         each element as its ascending ids into them under 'elements'.  The
         circuits are read by core._read_circuits, whose checks name a bad
-        part, n and d must lie in the census range (census_range_fault), and
-        the ids are remapped to core._ordered_rows' row order."""
+        part, n and d must be given (core._require) and lie in the census
+        range (census_range_fault), and the ids are remapped to
+        core._ordered_rows' row order."""
         elements = data["elements"]
         if not isinstance(elements, list) or not elements:
             raise ValueError("'elements' must be a nonempty list of circuit id lists")
         if "circuits" not in data:
             raise ValueError("a poset lists each circuit once under 'circuits' and each element as its ascending "
                              "circuit ids (schema_version 2), not each element's circuits in full")
+        _require(data, "n", "d")
         fault = census_range_fault(*(_json_int(data[key], f"'{key}'") for key in ("n", "d")))
         if fault:
             raise ValueError(f"a poset file needs {fault}, as the census does")
@@ -297,7 +300,7 @@ def enumerate_acyclic_oms(n: int, d: int) -> MatroidTable:
     return _acyclic_matroids(*_chirotopes(n, d + 1), GroundSet(n, d))
 
 
-@dataclass
+@dataclass(eq=False)
 class MatroidPoset:
     """Matroids with the weak-map order as its strict pairs: pairs is an
     (m, 2) intp array of the pairs (i, j) with element i strictly below
@@ -390,7 +393,7 @@ class MatroidPoset:
         return {**_plain(self.payload(hasse)), "hasse": hasse}
 
 
-@dataclass
+@dataclass(eq=False)
 class SimplicialComplex:
     """Simplices grouped by dimension: simplices[k] is an int array with one
     row per k-simplex, rows in lexicographic order.  Dropping an entry of a

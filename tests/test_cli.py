@@ -579,6 +579,44 @@ def test_homology_rejects_malformed_circuit_ids(tmp_path, capsys, change, messag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["n", "d"])
+def test_homology_names_a_missing_key(tmp_path, capsys, key):
+    # the (4,1) poset without n or d once failed with the bare key as its
+    # message
+    mac_out = tmp_path / "mac"
+    assert main(["macphersonian", "4", "1", "--out", str(mac_out)]) == 0
+    poset = load(mac_out / "poset.json")
+    del poset[key]
+    cfg = tmp_path / "bad.json"
+    write_json(cfg, poset)
+    out = tmp_path / "out"
+    assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: missing key '{key}'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 11.7 GiB for an array with shape (1, 2) and data type uint64"),
+         "error: out of memory: Unable to allocate 11.7 GiB for an array with shape (1, 2) and data type uint64\n"),
+        (MemoryError(), "error: out of memory: an allocation failed\n"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_a_refused_allocation_exits_3_with_a_message(tmp_path, capsys, monkeypatch, exc, message):
+    # a stage that cannot get its memory (numpy raises a MemoryError
+    # subclass naming the array) ends the run with exit 3, not a traceback
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "geometric_radon_complex", refuse)
+    cfg = tmp_path / "square.json"
+    write_json(cfg, {"points": SQUARE, "d": 2})
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == message
+
+
 def test_homology_rejects_the_schema_1_poset_form(tmp_path, capsys):
     # each element listing its circuits in full, as schema_version 1 wrote
     # it: neither written nor read, and the message names the table form

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import importlib
 import re
 from types import SimpleNamespace
 
@@ -226,11 +228,49 @@ def test_sign_rows_match_int_masks(n):
     supports, which = rf.core._supports(rows, n)
     assert np.array_equal(supports[which], signs != 0)
     assert len(np.unique(supports, axis=0)) == len(supports)
+    masks = [oracles.mask_of(np.flatnonzero(s) + 1) for s in supports]
+    assert masks == sorted(masks)  # ascending as integers, across words
     vectors = [
         SimpleNamespace(pos=np.flatnonzero(r > 0) + 1, neg=np.flatnonzero(r < 0) + 1)
         for r in signs
     ]
     assert np.array_equal(rf.core._signs(vectors, n), signs)
+
+
+def test_only_core_reads_the_kernel_word_layout():
+    # the other modules read kernel rows' supports through core._supports
+    for name in ("cli", "complexes", "flow", "macphersonian"):
+        module = importlib.import_module(f"radonflow.{name}")
+        assert not {"_BITS", "_HALF", "_LOW"} & set(vars(module)), name
+
+
+def test_equality_of_array_holders_is_identity(pentagon_config):
+    # a generated == would compare the arrays by truth value and raise
+    ragged = rf.core.Ragged.sized([1, 2], np.array([4, 5, 6]))
+    table = rf.core.RecordTable({"a": np.array([1, 2]), "b": ragged})
+    cfg = rf.PointConfiguration(pentagon_config.points.copy(), 2)
+    rc = rf.geometric_radon_complex(pentagon_config)
+    poset = rf.MatroidPoset.from_elements(rf.enumerate_acyclic_oms(4, 1))
+    sc = rf.SimplicialComplex.from_maximal_faces([[0, 1, 2], [1, 2, 3]])
+    for x, copy in [
+        (ragged, rf.core.Ragged(ragged.offsets.copy(), ragged.values.copy())),
+        (table, rf.core.RecordTable(dict(table.fields))),
+        (cfg, rf.PointConfiguration(cfg.points.copy(), 2)),
+        (rc, dataclasses.replace(rc, positions=rc.positions.copy())),
+        (poset, rf.MatroidPoset(poset.elements, poset.pairs.copy())),
+        (sc, rf.SimplicialComplex([s.copy() for s in sc.simplices])),
+    ]:
+        assert (x == x) is True and (x == copy) is False and (x != copy) is True
+    assert isinstance(hash(cfg), int) and {cfg: 1}[cfg] == 1
+
+
+def test_matroid_dict_names_missing_circuits(square_matroid):
+    # a missing n or d is a case of the table parser's test, which reads
+    # a poset without 'circuits' as the schema_version 1 form
+    data = square_matroid.to_dict()
+    del data["circuits"]
+    with pytest.raises(ValueError, match="^missing key 'circuits'$"):
+        rf.OrientedMatroid.from_dict(data)
 
 
 def _signs_loop(vectors, n):

@@ -819,7 +819,8 @@ def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
             ValueError,
             "circuit {1,3}|{2,4} has support larger than d + 2 = 3",
         ),
-        ({"d": None}, KeyError, "'d'"),
+        ({"d": None}, ValueError, "missing key 'd'"),
+        ({"n": None}, ValueError, "missing key 'n'"),
         ({"circuits": [{"pos": [1], "neg": 2}]}, ValueError,
          "circuit 0 of 'circuits' needs 'pos' and 'neg', each a list of elements"),
         ({"n": "5"}, ValueError, "'n' must be an integer, not '5'"),
@@ -829,7 +830,7 @@ def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
         ({"circuits": [{"pos": [1], "neg": [True]}]}, ValueError,
          "an element of 'neg' of circuit 0 must be an integer, not True"),
     ],
-    ids=["overlap", "empty", "element-0", "beyond-n", "wide", "no-d", "part-not-a-list",
+    ids=["overlap", "empty", "element-0", "beyond-n", "wide", "no-d", "no-n", "part-not-a-list",
          "string-n", "float-d", "float-element", "bool-element"],
 )
 def test_table_parser_names_the_first_malformed_circuit(bad, error, message):
