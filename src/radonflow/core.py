@@ -327,11 +327,10 @@ class PointConfiguration:
 
     @staticmethod
     def from_dict(data: dict) -> "PointConfiguration":
-        """The configuration of a JSON object; d must be an int (_json_int)
-        and every coordinate an int or a float, an int within a float's range
-        (bools are ints to Python, and numpy would read "1" as a number)."""
-        if "points" not in data or "d" not in data:
-            raise ValueError("point configuration JSON needs 'd' and 'points'")
+        """The configuration of a JSON object: d and points must be given
+        (_require), d an int (_json_int) and every coordinate a float or an int
+        within a float's range (bools are ints to Python; numpy reads "1" as 1)."""
+        _require(data, "d", "points")
         d, points = _json_int(data["d"], "'d'"), data["points"]
         if not isinstance(points, list) or not all(
             isinstance(row, list) and all(type(x) in (int, float) for x in row)

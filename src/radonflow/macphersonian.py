@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -95,21 +95,31 @@ def _matroid_supports(subsets: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return ~_conformity(_pack(rows), _pack(supports * np.int8(2) - np.int8(1))).any(axis=1)
 
 
-def _chirotopes(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every rank-r chirotope on range(n), one of each +/- pair.
+def _mixed(t: np.ndarray) -> np.ndarray:
+    """Which rows of t, (rows, checks, terms), have each check's terms,
+    signed +, -, +, ... in turn, all zero or of both signs.  Overwrites t."""
+    t[:, :, 1::2] *= -1
+    return ((t > 0).any(axis=2) == (t < 0).any(axis=2)).all(axis=1)
+
+
+def _chirotopes(n: int, r: int, spans: Iterable[tuple[int, ...]] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank-r chirotope on range(n), one of each +/- pair, with no
+    positive circuit in any of the (r+1)-subsets spans.
 
     Returns the r-subsets in colex order (core._colex) and an int8 matrix
     with one row per chirotope, column i holding its sign on subset i.  The
-    frontier of partial sign maps grows by {+, 0, -} one subset at a time.
-    Each 3-term Grassmann-Pluecker relation filters it as soon as its six
-    subsets are assigned, which colex order makes early: every subset of the
-    first k elements comes before any subset holding another element.  For
-    an (r-2)-set s and a < b < c < d outside it, the terms
-    chi(sab)chi(scd), -chi(sac)chi(sbd) and chi(sad)chi(sbc) are all zero or
-    take both signs (the sorting signs are common to the three terms).  The
-    rows left whose first nonzero entry is + and whose support obeys basis
-    exchange (_matroid_supports) are the chirotopes (Bjorner, Las Vergnas,
-    Sturmfels, White & Ziegler, Oriented Matroids, Thm 3.6.2).
+    frontier of partial sign maps grows by {+, 0, -} one subset at a time,
+    and each check (_mixed) drops rows as soon as its last subset is
+    assigned, which colex order makes early: every subset of the first k
+    elements comes before any subset holding another element.  For an
+    (r-2)-set s and a < b < c < d outside it, the 3-term Grassmann-Pluecker
+    relation's terms chi(sab)chi(scd), -chi(sac)chi(sbd) and chi(sad)chi(sbc)
+    (the sorting signs are common to the three) are checked, and so is the
+    circuit (-1)^i chi(S - x_i) of each span S = (x_0 < ... < x_r), at its
+    colex-last face S - x_0.  The rows left whose first nonzero entry is +
+    and whose support obeys basis exchange (_matroid_supports) are the
+    chirotopes (Bjorner, Las Vergnas, Sturmfels, White & Ziegler, Oriented
+    Matroids, Thm 3.6.2).
     """
     subsets = _colex(n, r)
     index = {s: i for i, s in enumerate(map(tuple, subsets.tolist()))}
@@ -117,20 +127,21 @@ def _chirotopes(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     for union in itertools.combinations(range(n), r + 2):
         for s in itertools.combinations(union, r - 2):
             a, b, c, d = sorted(set(union) - set(s))
-            terms = [
-                index[tuple(sorted(s + pair))]
-                for pair in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c))
-            ]
+            pairs = ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c))
+            terms = [index[tuple(sorted(s + pair))] for pair in pairs]
             due[max(terms)].append(terms)
+    closing: list[list[list[int]]] = [[] for _ in subsets]
+    for span in spans:
+        closing[index[span[1:]]].append([index[span[:i] + span[i + 1:]] for i in range(r + 1)])
     frontier = np.zeros((1, 0), np.int8)
-    for relations in due:
+    for relations, circuits in zip(due, closing):
         signs = np.tile(np.array([1, 0, -1], np.int8), len(frontier))
         frontier = np.column_stack([np.repeat(frontier, 3, axis=0), signs])
         if relations:
             rel = np.array(relations)
-            t = frontier[:, rel[:, 0::2]] * frontier[:, rel[:, 1::2]]
-            t[:, :, 1] *= -1
-            frontier = frontier[((t > 0).any(axis=2) == (t < 0).any(axis=2)).all(axis=1)]
+            frontier = frontier[_mixed(frontier[:, rel[:, 0::2]] * frontier[:, rel[:, 1::2]])]
+        if circuits:
+            frontier = frontier[_mixed(frontier[:, circuits])]
     lead = frontier[np.arange(len(frontier)), np.argmax(frontier != 0, axis=1)]
     frontier = frontier[lead > 0]  # this drops the zero map too
     support, which = _supports(_pack(frontier), len(subsets))
@@ -172,9 +183,10 @@ class MatroidTable(Sequence):
         """The table of a poset.json, each circuit once under 'circuits' and
         each element as its ascending ids into them under 'elements'.  The
         circuits are read by core._read_circuits, whose checks name a bad
-        part, n and d must be given (core._require) and lie in the census
-        range (census_range_fault), and the ids are remapped to
+        part, elements, n and d must be given (core._require), n and d lie in
+        the census range (census_range_fault), and the ids are remapped to
         core._ordered_rows' row order."""
+        _require(data, "elements")
         elements = data["elements"]
         if not isinstance(elements, list) or not elements:
             raise ValueError("'elements' must be a nonempty list of circuit id lists")
@@ -249,25 +261,12 @@ def _census_table(ground: GroundSet, spans: np.ndarray, vals: np.ndarray, held: 
 
 def _acyclic_matroids(subsets: np.ndarray, chi: np.ndarray, ground: GroundSet) -> MatroidTable:
     """The oriented matroids of the chirotope rows chi (columns over the
-    colex-ordered subsets) that have no positive circuit, as a table in the
-    census order (_census_table).
-
-    core._gather_circuits reads each row's circuits off its (r+1)-subsets,
-    and the rows with a positive circuit are dropped before
-    core._distinct_circuits tells the circuits of the others apart.  A loop
-    would be a one-element circuit, so an acyclic row has none.
-    """
+    colex-ordered subsets), which must have no positive circuit, as a table
+    in the census order (_census_table): core._gather_circuits reads each
+    row's circuits off its (r+1)-subsets and core._distinct_circuits tells
+    them apart."""
     spans, vals = _gather_circuits(chi, ground.n, subsets.shape[1])
-    # a positive circuit has a positive value and no negative one; the r+1
-    # values are read one at a time, numpy's reductions being slow on so
-    # short an axis
-    positive = np.zeros(vals.shape[:2], bool)
-    negative = np.zeros_like(positive)
-    for column in np.moveaxis(vals, 2, 0):
-        positive |= column > 0
-        negative |= column < 0
-    cyclic = (positive & ~negative).any(axis=1)
-    return _census_table(ground, *_distinct_circuits(spans, vals[~cyclic], ground.n))
+    return _census_table(ground, *_distinct_circuits(spans, vals, ground.n))
 
 
 def census_range_fault(n: int, d: int) -> str | None:
@@ -286,18 +285,19 @@ def enumerate_acyclic_oms(n: int, d: int) -> MatroidTable:
 
     Supported: d >= 1 and d + 2 <= n <= 6; a larger n raises
     UnsupportedRangeError before any enumeration.  Each is read off one
-    chirotope of _chirotopes.  At every supported shape the rank is at most
-    3 or the corank n - d - 1 is at most 2, so each is realizable (rank 3
-    on at most 8 elements: Goodman & Pollack, J. Combin. Theory Ser. A 29
-    (1980); rank 2, and corank <= 2 by duality: BLSWZ ch. 8) and, being
-    acyclic, is the oriented matroid of n points spanning R^d.  They come
-    as one MatroidTable, sorted by circuit count and then by the sort keys
-    of their sorted circuits, as lists.
+    chirotope of _chirotopes, handed every (d+2)-subset as a span so that
+    a sign map leaves its frontier once it holds a positive circuit.  At
+    every supported shape the rank is at most 3 or the corank n - d - 1 is
+    at most 2, so each is realizable (rank 3 on at most 8 elements: Goodman
+    & Pollack, J. Combin. Theory Ser. A 29 (1980); rank 2, and corank <= 2
+    by duality: BLSWZ ch. 8) and, being acyclic, is the oriented matroid of
+    n points spanning R^d.  They come as one MatroidTable, sorted by
+    circuit count, then by the sort keys of their sorted circuits, as lists.
     """
     fault = census_range_fault(n, d)
     if fault:
         raise UnsupportedRangeError(f"the census needs {fault}, got n={n}, d={d}")
-    return _acyclic_matroids(*_chirotopes(n, d + 1), GroundSet(n, d))
+    return _acyclic_matroids(*_chirotopes(n, d + 1, itertools.combinations(range(n), d + 2)), GroundSet(n, d))
 
 
 @dataclass(eq=False)

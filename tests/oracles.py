@@ -28,6 +28,10 @@ It is a subset of the exact census, and chirotope gives the signs that the
 package reads circuits from, straight from the points.  is_matroid is basis
 exchange as a loop over frozensets, one support at a time; the package
 tests every swap on every distinct support in one conformance-kernel call.
+acyclic_census is the census as enumerate_acyclic_oms once built it:
+every chirotope, its circuits gathered, and the rows with a positive
+circuit dropped at the end; the package drops such a row from its frontier
+as soon as the circuit's last basis is signed.
 census_key is the sort key enumerate_acyclic_oms once sorted its objects
 by; the package now orders its table of circuit ids by two np.lexsorts.
 weak_map_matrix calls weak_map_leq once per pair of poset elements.
@@ -93,13 +97,14 @@ from radonflow.core import (
     ELIMINATION_CAP,
     KERNEL_RTOL,
     _conforming,
+    _gather_circuits,
     _negated,
     _pairs,
     _rank,
     _unique_rows,
     circuit_dependences,
 )
-from radonflow.macphersonian import _gf2_pivots
+from radonflow.macphersonian import _acyclic_matroids, _chirotopes, _gf2_pivots
 
 
 def mask_of(elements) -> int:
@@ -814,6 +819,16 @@ def is_matroid(bases):
         for b2 in bases
         for x in b1 - b2
     )
+
+
+def acyclic_census(n, d):
+    """The table of the acyclic oriented matroids of rank d + 1 on range(n):
+    every chirotope of _chirotopes(n, d + 1), its circuits gathered and the
+    rows where one has a value of one sign only dropped."""
+    subsets, chi = _chirotopes(n, d + 1)
+    _, vals = _gather_circuits(chi, n, d + 1)
+    positive = ((vals > 0).any(axis=2) & ~(vals < 0).any(axis=2)).any(axis=1)
+    return _acyclic_matroids(subsets, chi[~positive], rf.GroundSet(n, d))
 
 
 def census_key(m):

@@ -89,6 +89,18 @@ def test_analyze_input_errors(tmp_path):
     assert main(["analyze", "--config", str(keyless), "--out", out]) == 2
 
 
+@pytest.mark.parametrize("command, key", [("analyze", "d"), ("analyze", "points"), ("flow", "d")])
+def test_point_files_name_a_missing_key(tmp_path, capsys, command, key):
+    # one message once stood for either key; a flow config without points
+    # samples its points instead
+    path = tmp_path / "bad.json"
+    write_json(path, {k: v for k, v in {"d": 2, "points": SQUARE}.items() if k != key})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: missing key '{key}'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "flow"])
 @pytest.mark.parametrize(
     "bad",

@@ -529,6 +529,25 @@ def test_kernel_exchange_matches_the_loop_on_every_relation_passing_support(n, r
         assert len(broken) == 10
 
 
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(3, 7) for d in range(1, n - 1)])
+def test_frontier_prune_keeps_the_acyclic_chirotopes(n, d):
+    # the frontier drops a sign map as soon as one of its circuits is signed
+    # and positive; at every supported shape that leaves the table of every
+    # chirotope with the cyclic rows dropped at the end
+    census, reference = rf.enumerate_acyclic_oms(n, d), oracles.acyclic_census(n, d)
+    assert np.array_equal(census.signs, reference.signs)
+    assert np.array_equal(census.elements.offsets, reference.elements.offsets)
+    assert np.array_equal(census.elements.values, reference.elements.values)
+
+
+@pytest.mark.parametrize("d, count", [(1, 23646), (5, 966)])
+def test_frontier_prune_counts_seven_points(d, count, monkeypatch):
+    # (Fubini(7) - 1)/2 and (3^7 - 2^8 + 1)/2, past the range the census
+    # accepts, which stays n <= 6
+    monkeypatch.setattr(rf.macphersonian, "MAX_ENUMERATION_N", 7)
+    assert len(rf.enumerate_acyclic_oms(7, d)) == count
+
+
 def test_census_5_2_completes(tmp_path):
     assert main(["macphersonian", "5", "2", "--out", str(tmp_path)]) == 0
     oc = json.loads((tmp_path / "order_complex.json").read_text())
@@ -821,6 +840,7 @@ def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
         ),
         ({"d": None}, ValueError, "missing key 'd'"),
         ({"n": None}, ValueError, "missing key 'n'"),
+        ({"elements": None}, ValueError, "missing key 'elements'"),
         ({"circuits": [{"pos": [1], "neg": 2}]}, ValueError,
          "circuit 0 of 'circuits' needs 'pos' and 'neg', each a list of elements"),
         ({"n": "5"}, ValueError, "'n' must be an integer, not '5'"),
@@ -830,7 +850,7 @@ def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
         ({"circuits": [{"pos": [1], "neg": [True]}]}, ValueError,
          "an element of 'neg' of circuit 0 must be an integer, not True"),
     ],
-    ids=["overlap", "empty", "element-0", "beyond-n", "wide", "no-d", "no-n", "part-not-a-list",
+    ids=["overlap", "empty", "element-0", "beyond-n", "wide", "no-d", "no-n", "no-elements", "part-not-a-list",
          "string-n", "float-d", "float-element", "bool-element"],
 )
 def test_table_parser_names_the_first_malformed_circuit(bad, error, message):
@@ -841,7 +861,10 @@ def test_table_parser_names_the_first_malformed_circuit(bad, error, message):
     element = rf.enumerate_acyclic_oms(5, 1)[2].to_dict()
     element = {k: v for k, v in {**element, **bad}.items() if v is not None}
     poset = {**element, "elements": [list(range(len(element["circuits"])))]}
-    for parse, data in ((rf.MatroidTable.from_dict, poset), (rf.OrientedMatroid.from_dict, element)):
+    poset = {k: v for k, v in {**poset, **bad}.items() if v is not None}
+    parsers = [(rf.MatroidTable.from_dict, poset), (rf.OrientedMatroid.from_dict, element)]
+    # an element's dict holds no 'elements' to lose
+    for parse, data in parsers[: 1 if "elements" in bad else 2]:
         with pytest.raises(error) as raised:
             parse(data)
         assert str(raised.value) == message
