@@ -31,7 +31,6 @@ import functools
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -39,8 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import (
-    DegeneratePointError,
-    GammaMembershipError,
     combinatorial_circuit_graph,
     geometric_radon_complex,
     graphs_equal,
@@ -49,7 +46,6 @@ from .complexes import (
 from .core import (
     PointConfiguration,
     Ragged,
-    RankDeficientError,
     RecordTable,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     same_chirotope,
@@ -565,16 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     except (IntegrationError, NotFlatError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (
-        FileNotFoundError,
-        json.JSONDecodeError,
-        KeyError,
-        TypeError,
-        RankDeficientError,
-        GammaMembershipError,
-        DegeneratePointError,
-        ValueError,
-    ) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,16 +27,14 @@ import numpy as np
 #                 only, and the bases it keeps alone decide the circuits, the
 #                 dimension of every cell of a Radon complex and spanning.
 # EPS_SIGN        a position coordinate of magnitude <= EPS_SIGN reads as zero
-#                 (EmbeddedSphere's face check), and a neighbor direction this
-#                 short makes the curvature undefined.
+#                 (EmbeddedSphere's face check, which the flow's accepted
+#                 steps and the perturbation's radius keep), and a neighbor
+#                 direction this short makes the curvature undefined.
 # EPS_MEM         tolerance of the polytope's two defining equations, and the
 #                 smallest 1-norm that can be rescaled onto the polytope.
 # EPS_FLAT        relative singular-value threshold of recover_configuration:
 #                 flat positions have exactly n - d - 1 singular values above
 #                 this times the largest.
-# COLLISION_DIST  the flow accepts a step only if every face margin is at
-#                 least twice this, which keeps every two of its positions
-#                 that far apart (integrate).
 # MIN_STEP        a flow step that must shrink below this to decrease the
 #                 energy ends the run as stalled.
 # TOL_CURV        a flow run converges once its largest vertex curvature is
@@ -51,7 +49,6 @@ KERNEL_RTOL = 1e-10
 EPS_SIGN = 1e-9
 EPS_MEM = 1e-8
 EPS_FLAT = 1e-6
-COLLISION_DIST = 1e-10
 MIN_STEP = 1e-10
 TOL_CURV = 1e-10
 

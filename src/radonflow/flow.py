@@ -23,7 +23,6 @@ is (the row space of) a recovered point configuration.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ import numpy as np
 
 from .complexes import CircuitGraph, _circuit_graph, combinatorial_circuit_graph, project_to_gamma
 from .core import (
-    COLLISION_DIST,
     EPS_FLAT,
     EPS_MEM,
     EPS_SIGN,
@@ -40,7 +38,6 @@ from .core import (
     OrientedMatroid,
     PointConfiguration,
     circuit_dependences,
-    _plain,
 )
 
 # backtracking line search: the sufficient-decrease fraction
@@ -98,10 +95,11 @@ class EmbeddedSphere:
     sign rows, as the graph's first half (from_points, at_barycenters).
     Vertex k + reps, the antipode of vertex k, sits at the negated
     position.  Construction checks that every position lies on the
-    polytope and inside its own face; perturbed and integrate move the
-    positions of a valid sphere only where those checks hold by proof
-    (_moved).  face_margins is the package's one face check: validation,
-    the flow's face tests and the perturbation's radius all read it.
+    polytope and inside its own face, every face margin above EPS_SIGN,
+    and perturbed and integrate build their results through it.
+    face_margins is the package's one face check: validation, the flow's
+    face tests and the perturbation's radius all read it, with the one
+    threshold EPS_SIGN.
     """
 
     def __init__(self, matroid: OrientedMatroid, graph: CircuitGraph, rep_positions: np.ndarray) -> None:
@@ -115,13 +113,6 @@ class EmbeddedSphere:
         self.signs = matroid.signs
         self._on = self.signs != 0
         self._validate()
-
-    def _moved(self, P: np.ndarray) -> "EmbeddedSphere":
-        """This sphere with the representatives at P, unchecked: P must keep
-        every position on the polytope and inside its face."""
-        moved = copy.copy(self)
-        moved._pos = P
-        return moved
 
     def face_margins(self, P: np.ndarray) -> np.ndarray:
         """signs * P on each representative's support, +inf off it: a row of
@@ -177,16 +168,19 @@ class EmbeddedSphere:
 
         Representative k moves along a uniform random unit direction of its
         face's tangent space (support coordinates, zero sum on each sign
-        part) by radius min(delta, margin_k / 2) * u^(1/dim), u uniform in
-        [0, 1) and margin_k the smallest of its face_margins: uniformly in a
-        ball of radius delta, clipped to half the distance to the face's
-        boundary.  No coordinate moves by margin_k / 2 or more, so every
-        vertex stays strictly inside its face, whatever delta >= 0 (inf
-        included); a negative or NaN delta raises ValueError.  The draws
-        are standard_normal(dim) then uniform(), representative by
-        representative; the tangent bases come from one SVD per support
-        size, of the stacked constraint matrices (the two sign-part
-        indicator rows of each face).
+        part) by radius r * u^(1/dim), r = min(delta, margin_k / 2,
+        margin_k - EPS_SIGN), u uniform in [0, 1) and margin_k the smallest
+        of its face_margins: uniformly in a ball of radius delta, clipped to
+        half the distance to the face's boundary and to what keeps the
+        margin above EPS_SIGN (the same r whenever margin_k >= 2 EPS_SIGN).
+        The tangent basis rows are orthonormal and u^(1/dim) < 1, so no
+        coordinate moves by r or more, and every new margin exceeds
+        margin_k - r >= EPS_SIGN: the result passes construction's face
+        check, whatever delta >= 0 (inf included); a negative or NaN delta
+        raises ValueError.  The draws are standard_normal(dim) then
+        uniform(), representative by representative; the tangent bases come
+        from one SVD per support size, of the stacked constraint matrices
+        (the two sign-part indicator rows of each face).
         """
         _check_delta(delta)
         new = self._pos.copy()
@@ -203,19 +197,16 @@ class EmbeddedSphere:
             dim = basis.shape[0]
             g = rng.standard_normal(dim)
             g /= max(np.linalg.norm(g), 1e-30)
-            radius = min(delta, margins[k] / 2.0) * rng.uniform() ** (1.0 / dim)
+            radius = min(delta, margins[k] / 2.0, margins[k] - EPS_SIGN) * rng.uniform() ** (1.0 / dim)
             row = new[k].copy()
             row[self._on[k]] += radius * (g @ basis)
             new[k] = 2.0 * row / np.abs(row).sum()
-        return self._moved(new)
+        return EmbeddedSphere(self.matroid, self.graph, new)
 
     def payload(self) -> dict:
-        """to_dict's fields as the CLI writes them (CircuitGraph.payload),
-        the positions as their array."""
+        """The fields the CLI writes (CircuitGraph.payload), the positions
+        as their array."""
         return {**self.graph.payload(), "n": self.matroid.n, "d": self.matroid.d, "positions": self.positions_all()}
-
-    def to_dict(self) -> dict:
-        return _plain(self.payload())
 
 
 _add = np.add.reduce
@@ -354,18 +345,16 @@ def integrate(s: EmbeddedSphere, *, max_steps: int = MAX_STEPS) -> tuple[Embedde
     (a zero gradient passes none) is a stall.  Every face test reads
     s.face_margins.
 
-    Every vertex stays strictly inside its face: the start's do, as every
-    EmbeddedSphere's do (construction checks it and perturbed keeps it),
-    and no accepted step leaves a face, so the final state needs no check
-    (EmbeddedSphere._moved).  The face test also rules collisions out.  The
-    start's off-support coordinates are zeroed, and they stay exactly 0: g
-    is masked to the supports and renormalization only scales.  Two
-    distinct vertices x, y of P and -P then have distinct sign vectors, so
-    in some coordinate e one of them, say x, is nonzero and y_e is zero or
-    of opposite sign, and |x - y| >= |x_e - y_e| >= |x_e|, at least the
-    smallest margin.  A trial is accepted only if its smallest margin is at
-    least 2 * COLLISION_DIST, so every accepted state keeps every two
-    vertices at least that far apart.
+    A trial is accepted only if its smallest margin exceeds EPS_SIGN, the
+    complement of construction's face check, so the final state, built as
+    an EmbeddedSphere, passes it.  The face test also rules collisions
+    out.  The start's off-support coordinates are zeroed, and they stay
+    exactly 0: g is masked to the supports and renormalization only
+    scales.  Two distinct vertices x, y of P and -P then have distinct
+    sign vectors, so in some coordinate e one of them, say x, is nonzero
+    and y_e is zero or of opposite sign, and |x - y| >= |x_e - y_e| >=
+    |x_e|, at least the smallest margin: every accepted state keeps every
+    two vertices more than EPS_SIGN apart.
 
     Flat means realized.  A converged-flat run ends with every
     representative strictly inside its face, so each circuit is the sign
@@ -393,7 +382,7 @@ def integrate(s: EmbeddedSphere, *, max_steps: int = MAX_STEPS) -> tuple[Embedde
         while h >= MIN_STEP:
             P_new = _renormalized(P - h * g)
             margin = np.minimum.reduce(s.face_margins(P_new), axis=None, initial=np.inf)
-            if margin >= 2.0 * COLLISION_DIST:
+            if margin > EPS_SIGN:
                 trial = field.evaluate(P_new)
                 if trial[1] < energy - h * decrease:
                     break
@@ -407,7 +396,7 @@ def integrate(s: EmbeddedSphere, *, max_steps: int = MAX_STEPS) -> tuple[Embedde
         sy = float(_add((P_new - P) * y, axis=None))
         h = max(sy / float(_add(y * y, axis=None)), MIN_STEP) if sy > 0.0 else 2.0 * h
         P, g = P_new, g_new
-    return s._moved(P), FlowTrace(samples=samples, outcome=outcome)
+    return EmbeddedSphere(s.matroid, s.graph, P), FlowTrace(samples=samples, outcome=outcome)
 
 
 def recover_configuration(s: EmbeddedSphere) -> PointConfiguration:

@@ -69,8 +69,9 @@ writer never builds.
 The rest are a plain per-vertex version of the flow's curvature, the flow
 field as the package once evaluated it (field_evaluate: np.linalg.norm for
 row norms, three np.add.at scatters for the gradient), the
-earlier eta * Delta velocity field with its fixed-step flow (field_flow),
-which the package replaced by descent on sum vol^2, the support projection
+earlier eta * Delta velocity field with its fixed-step flow (field_flow,
+whose states leave faces and so are held unchecked), which the package
+replaced by descent on sum vol^2, the support projection
 that the velocity applies, the perturbation one face at a time
 (perturbed_positions: one SVD per face, where the package takes one per
 support size), the all-pairs distance that the flow's collision check and
@@ -83,6 +84,7 @@ per-vertex lists the package once cached on its graphs; the flow's field
 reads the same rows straight off graph.cycles.
 """
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -433,19 +435,30 @@ def velocity(s, i) -> np.ndarray:
     return out
 
 
+def unchecked(s, P):
+    """s with its representatives at P, without EmbeddedSphere's checks:
+    the positions of field_flow, and states built to fail recovery, may
+    leave a face, which no package sphere does."""
+    moved = copy.copy(s)
+    moved._pos = P
+    return moved
+
+
 def field_flow(s, h, t_max):
     """Fixed Euler steps of velocity up to t_max, every position radially
-    renormalized onto the polytope after each step; returns the final sphere."""
+    renormalized onto the polytope after each step; returns the final state
+    (unchecked)."""
     for _ in range(int(round(t_max / h))):
         P = s.rep_positions() + h * np.stack([velocity(s, i) for i in range(s.n_reps)])
         P = 2.0 * P / np.abs(P).sum(axis=1, keepdims=True)
-        s = s._moved(P)
+        s = unchecked(s, P)
     return s
 
 
 def perturbed_positions(s, delta, rng):
     """EmbeddedSphere.perturbed one representative at a time: one SVD per
-    face for its tangent basis, the radius clipped to half the face margin."""
+    face for its tangent basis, the radius clipped to half the face margin
+    and to the margin less EPS_SIGN."""
     new = s.rep_positions()
     for k in range(s.n_reps):
         on = s.signs[k] != 0
@@ -459,7 +472,7 @@ def perturbed_positions(s, delta, rng):
         g = rng.standard_normal(dim)
         g /= max(np.linalg.norm(g), 1e-30)
         margin = float((face * new[k, on]).min())
-        radius = min(delta, margin / 2.0) * rng.uniform() ** (1.0 / dim)
+        radius = min(delta, margin / 2.0, margin - rf.EPS_SIGN) * rng.uniform() ** (1.0 / dim)
         row = new[k].copy()
         row[on] += radius * (g @ basis)
         new[k] = 2.0 * row / np.abs(row).sum()

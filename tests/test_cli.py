@@ -89,6 +89,29 @@ def test_analyze_input_errors(tmp_path):
     assert main(["analyze", "--config", str(keyless), "--out", out]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--config", "{dir}", "--out", "{out}"],
+        ["homology", "--config", "{dir}", "--out", "{out}"],
+        ["analyze", "--config", "{cfg}", "--out", "{cfg}"],
+        ["flow", "--config", "{cfg}", "--out", "{cfg}"],
+        ["macphersonian", "4", "1", "--out", "{cfg}"],
+        ["analyze", "--config", "{cfg}", "--out", "{cfg}/sub"],
+    ],
+    ids=["analyze-config-a-directory", "homology-config-a-directory", "analyze-out-a-file", "flow-out-a-file",
+         "macphersonian-out-a-file", "analyze-out-under-a-file"],
+)
+def test_a_path_that_cannot_be_read_or_made_exits_2(tmp_path, capsys, argv):
+    # each once raised an uncaught OSError (IsADirectoryError,
+    # FileExistsError, NotADirectoryError): a traceback and exit 1
+    cfg = tmp_path / "points.json"
+    write_json(cfg, {"d": 1, "points": [[0], [1.5], [2]]})
+    assert main([arg.format(dir=tmp_path, out=tmp_path / "out", cfg=cfg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, key", [("analyze", "d"), ("analyze", "points"), ("flow", "d")])
 def test_point_files_name_a_missing_key(tmp_path, capsys, command, key):
     # one message once stood for either key; a flow config without points
@@ -142,6 +165,30 @@ def test_flow_pentagon_repetitions(tmp_path):
         assert len(trace) == row["steps"] + 4  # two headers, columns, final sample
         assert (out / f"rep_{rep:03d}_final_sphere.json").exists()
         assert (out / f"rep_{rep:03d}_recovered_points.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, exc",
+    [("integrate", rf.IntegrationError("no step")), ("recover_configuration", rf.NotFlatError("not flat"))],
+)
+def test_a_per_rep_error_is_a_row_and_the_run_exits_0(tmp_path, monkeypatch, name, exc):
+    # rep 1 of 3 fails in the flow or in recovery; reps 0 and 2 still run
+    real, calls = getattr(cli, name), []
+
+    def fails_on_rep_1(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == 2:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, fails_on_rep_1)
+    out = tmp_path / "out"
+    assert main(["flow", "--config", str(pentagon_cfg(tmp_path, reps=3)), "--seed", "7", "--out", str(out)]) == 0
+    summary = load(out / "summary.json")
+    rows = summary["rows"]
+    assert rows[1]["outcome"] == f"error: {exc}" and rows[1]["roundtrip_ok"] is None
+    assert [rows[0]["outcome"], rows[2]["outcome"]] == ["converged-flat"] * 2
+    assert summary["outcomes"] == {"converged-flat": 2, f"error: {exc}": 1}
 
 
 def test_flow_zero_delta_is_a_fixed_point(tmp_path):
@@ -268,8 +315,10 @@ def test_flow_rejects_repetitions_below_one_or_not_integers(tmp_path, capsys, re
         ({"n": 5, "d": 1, "delta": "0.05"}, "'delta' must be a number, not \"0.05\""),
         ({"n": 5, "d": 1, "seed": True}, "'seed' must be an integer, not true"),
         ({"n": 5, "d": 1, "seed": -1}, "'seed' must be an integer >= 0, not -1"),
+        ([1, 2], "top-level JSON value must be an object"),
     ],
-    ids=["float-d", "bool-d", "string-n-d", "float-max-steps", "string-delta", "bool-seed", "negative-seed"],
+    ids=["float-d", "bool-d", "string-n-d", "float-max-steps", "string-delta", "bool-seed", "negative-seed",
+         "not-an-object"],
 )
 def test_flow_settings_must_have_their_type(tmp_path, capsys, config, message):
     cfg = tmp_path / "flow.json"
@@ -667,8 +716,9 @@ def test_homology_rejects_malformed_facets(tmp_path, capsys, facets):
         ({"facets": [[]]}, "a facet needs at least one vertex"),
         ({"facets": [[1, 2], []]}, "a facet needs at least one vertex"),
         ({"elements": [], "hasse": []}, "'elements' must be a nonempty list"),
+        ({"facets": []}, "'facets' must be a nonempty list of vertex lists"),
     ],
-    ids=["empty-facet", "empty-facet-among-others", "no-elements"],
+    ids=["empty-facet", "empty-facet-among-others", "no-elements", "no-facets"],
 )
 def test_homology_rejects_empty_input(tmp_path, capsys, config, message):
     cfg = tmp_path / "empty.json"

@@ -15,6 +15,7 @@ from oracles import (
     local_curvature,
     min_pair_distance,
     perturbed_positions,
+    unchecked,
     velocity,
 )
 from radonflow import flow
@@ -473,7 +474,7 @@ def test_recover_rejects_nonflat_states(pentagon_sphere):
     with pytest.raises(rf.NotFlatError, match="dimension exceeds"):
         rf.recover_configuration(bent)
     row = pentagon_sphere.rep_positions()[0]
-    collapsed = pentagon_sphere._moved(np.tile(row, (5, 1)))
+    collapsed = unchecked(pentagon_sphere, np.tile(row, (5, 1)))
     with pytest.raises(rf.NotFlatError, match="span less than"):
         rf.recover_configuration(collapsed)
 
@@ -552,11 +553,52 @@ def test_perturbation_is_clipped_to_half_each_face_margin(pentagon_sphere, hexag
     rf.EmbeddedSphere(final.matroid, final.graph, final.rep_positions())
 
 
+def _near_face(sphere, x):
+    """sphere's positions with coordinate e of representative k at x, its
+    positive-part partner e2 taking up the difference so the row stays on
+    the polytope and in its face; and k, e, e2."""
+    k = int(np.flatnonzero((sphere.signs > 0).sum(axis=1) >= 2)[0])
+    e, e2 = np.flatnonzero(sphere.signs[k] > 0)[:2]
+    P = sphere.rep_positions()
+    P[k, e2] += P[k, e] - x
+    P[k, e] = x
+    return P, k, e, e2
+
+
+def test_perturbation_keeps_every_margin_above_eps_sign(pentagon_sphere):
+    # one coordinate 1.2 EPS_SIGN from its face boundary: a radius of half
+    # the margin moved it to EPS_SIGN or below at seeds 3, 14 and 17, which
+    # construction refuses; the radius is also clipped to the margin less
+    # EPS_SIGN
+    P = _near_face(pentagon_sphere, 1.2 * rf.EPS_SIGN)[0]
+    s = rf.EmbeddedSphere(pentagon_sphere.matroid, pentagon_sphere.graph, P)
+    for seed in range(20):
+        moved = s.perturbed(math.inf, np.random.default_rng(seed))
+        assert (moved.face_margins(moved.rep_positions()) > rf.EPS_SIGN).all()
+        assert np.array_equal(moved.rep_positions(), perturbed_positions(s, math.inf, np.random.default_rng(seed)))
+
+
+def test_a_boundary_stall_ends_on_a_valid_sphere():
+    # the (6,3) census element 15602, flowed from its barycenters, stalls
+    # at a face boundary; an accept rule of 2e-10 left it at margin 2e-10,
+    # a state that EmbeddedSphere refuses ("has left its face")
+    circuits = [([1], [2, 3, 4, 5]), ([1], [2, 3, 4, 6]), ([1, 2, 3, 5], [6]), ([1, 2, 5], [4, 6]),
+                ([1, 5], [3, 4, 6]), ([2, 3, 4, 5], [6])]
+    m = rf.OrientedMatroid.from_dict(
+        {"n": 6, "d": 3, "circuits": [{"pos": pos, "neg": neg} for pos, neg in circuits]}
+    )
+    assert m == rf.enumerate_acyclic_oms(6, 3)[15602]
+    final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m))
+    assert trace.outcome == rf.OUTCOME_STALLED
+    assert final.face_margins(final.rep_positions()).min() < 2.0 * rf.EPS_SIGN
+    rf.EmbeddedSphere(final.matroid, final.graph, final.rep_positions())
+
+
 def test_margins_rule_out_collisions():
     # states with exact zeros off every support, where two vertices agree
     # on every coordinate their faces share and differ only where their
-    # sign vectors do, by amounts down to 1e-12: a smallest face margin of
-    # at least 2 COLLISION_DIST leaves every pair at least COLLISION_DIST apart
+    # sign vectors do, by amounts down to 1e-12: a smallest face margin
+    # above EPS_SIGN leaves every pair more than EPS_SIGN apart
     s = sampled_sphere(8, 4, 1)
     signs = s.signs.astype(float)
     rng = np.random.default_rng(0)
@@ -572,8 +614,8 @@ def test_margins_rule_out_collisions():
             differ = ~same & (signs[k] != 0)
             P[k, differ] = signs[k, differ] * tiny * rng.uniform(1.0, 2.0, differ.sum())
         margin = s.face_margins(P).min()
-        if margin >= 2.0 * rf.COLLISION_DIST:
-            assert min_pair_distance(P) >= rf.COLLISION_DIST
+        if margin > rf.EPS_SIGN:
+            assert min_pair_distance(P) > rf.EPS_SIGN
             close_calls += min_pair_distance(P) < 1e-8
     assert close_calls > 10
 
@@ -592,7 +634,7 @@ def test_collision_check_runs_only_where_margins_cannot_rule_it_out(pentagon_sph
     assert len(trace.samples) - 1 == 8 and leaky_trace == trace
     assert np.array_equal(flowed.rep_positions(), zeroed.rep_positions())
     # the non-Pappus controls are the tier-1 runs that come nearest a face
-    # boundary; every step they accept keeps its margins at 2 COLLISION_DIST
+    # boundary; every step they accept keeps its margins above EPS_SIGN
     margins, accepted = [], []
     evaluate, stats = _Field.evaluate, _Field.stats
 
@@ -615,20 +657,31 @@ def test_collision_check_runs_only_where_margins_cannot_rule_it_out(pentagon_sph
             pass
         steps = accepted[1:]  # the first is the start's
         assert len(steps) > 10 and min(steps) < 1e-6
-        assert min(steps) >= 2.0 * rf.COLLISION_DIST
+        assert min(steps) > rf.EPS_SIGN
 
 
-@pytest.mark.parametrize("target, h", [(1e-10, 0.005), (3e-10, 0.01)], ids=["halved", "accepted"])
-def test_a_trial_within_2_collision_dists_of_a_face_is_halved(pentagon_sphere, monkeypatch, target, h):
+@pytest.mark.parametrize(
+    "target, h",
+    [(rf.EPS_SIGN / 2, 0.005), (rf.EPS_SIGN, 0.005), (2 * rf.EPS_SIGN, 0.01)],
+    ids=["halved", "at-eps-sign", "accepted"],
+)
+def test_a_trial_within_eps_sign_of_a_face_is_halved(pentagon_sphere, monkeypatch, target, h):
     # a constant face-tangent gradient whose first trial h = 0.01 takes one
-    # coordinate to target from its face boundary, and an energy that falls
-    # at every evaluation: the trial is accepted iff target >= 2 COLLISION_DIST
-    s = pentagon_sphere
-    k = int(np.flatnonzero((s.signs > 0).sum(axis=1) >= 2)[0])
-    e, e2 = np.flatnonzero(s.signs[k] > 0)[:2]
-    g0 = np.zeros(s.signs.shape)
-    g0[k, e] = (s.rep_positions()[k, e] - target) / 0.01
+    # coordinate from 4 EPS_SIGN to target, and an energy that falls at every
+    # evaluation: the trial is accepted iff target > EPS_SIGN, the complement
+    # of construction's face check.  The coordinate's partner moves by ulps
+    # until the renormalized trial lands on target exactly
+    P, k, e, e2 = _near_face(pentagon_sphere, 4.0 * rf.EPS_SIGN)
+    g0 = np.zeros(P.shape)
+    g0[k, e] = (P[k, e] - target) / 0.01
     g0[k, e2] = -g0[k, e]
+    for _ in range(8):
+        if _renormalized(P - 0.01 * g0)[k, e] == target:
+            break
+        P[k, e2] = np.nextafter(P[k, e2], 1.0)
+    else:
+        pytest.fail("no trial lands on target exactly")
+    s = rf.EmbeddedSphere(pentagon_sphere.matroid, pentagon_sphere.graph, P)
 
     class ConstantGradient:
         def __init__(self, s):
