@@ -9,13 +9,20 @@ complex: its cells correspond to the sign vectors realized by vectors of V,
 its vertices to the minimal-support (elementary) ones, which are exactly
 the signed circuits of the configuration.
 
-The same 1-skeleton can be built from the circuit list alone: two signed
-circuits X, Y are adjacent iff they conform (no element receives opposite
-signs), X != +-Y, and no third circuit conforms to the composition X o Y.
-Edges group into closed cycles by the support of that composition, one
-cycle per two-dimensional coordinate subspace of V.  The cycles derive from
-the vertices and edges, so a CircuitGraph walks them on first read.  Every
-list of int lists here, the cycles and the facets, is a core.Ragged.
+The same 1-skeleton can be built from the circuit list alone: signed
+circuits X != +-Y are adjacent iff they conform (no element receives
+opposite signs) and form a modular pair, their union of supports U having
+height 2 in the lattice of unions of supports (core._modular_pairs).  A
+circuit W conforming to X o Y is a dependence supported on U.  If those
+form a plane (height 2), W = aX + bY with a, b >= 0, so W is X or Y, as
+minimality forbids the support U: X o Y labels an edge.  Otherwise it
+labels a face of dimension >= 2, with three vertices or more (Bjorner, Las
+Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 3.2, treat modular
+pairs beyond realizable sets).  Edges group into closed cycles by the
+support of X o Y, one cycle per two-dimensional coordinate subspace of V.
+The cycles derive from the vertices and edges, so a CircuitGraph walks
+them on first read.  Every list of int lists here, the cycles and the
+facets, is a core.Ragged.
 """
 
 from __future__ import annotations
@@ -37,11 +44,10 @@ from .core import (
     circuit_dependences,
     _circuit_table,
     _conforming,
-    _counts,
+    _modular_pairs,
     _negated,
     _pack,
     _pairs,
-    _plain,
     _supports,
     _unique_rows,
 )
@@ -126,13 +132,10 @@ class CircuitGraph:
         )
 
     def payload(self) -> dict:
-        """to_dict's fields as the CLI writes them: the vertices and the
-        cycles as RecordTables, the edges as their array."""
+        """The graph as the CLI writes it: the vertices and the cycles as
+        RecordTables, the edges as their array."""
         cycles = {key: self.cycles.fields[key] for key in ("support", "edge_ids")}
         return {"vertices": self._vertex_table(), "edges": self.edges, "cycles": RecordTable(cycles)}
-
-    def to_dict(self) -> dict:
-        return _plain(self.payload())
 
 
 @dataclass(eq=False)
@@ -254,31 +257,21 @@ def _open_cycle(supports: Ragged, order, tag_of, first, second) -> ValueError:
             )
 
 
-def _compositions(rows: np.ndarray):
-    """Every conformal pair of distinct rows, composed, and the edges among them.
-
-    Returns first and second, the pairs i < j of rows in the kernel's
-    np.nonzero order; composed and head, the distinct compositions and the
-    first pair composing to each; and edge: pair k is an edge of the circuit
-    graph iff exactly two rows, rows[first[k]] and rows[second[k]], conform
-    to its composition.  The closure and _circuit_graph share this code, not
-    its results, so graphs_equal still compares two independent graphs.
-    """
-    first, second = np.concatenate(
-        [
-            np.stack(_pairs(block)) + [[start], [0]]
-            for start, block in _conforming(rows, ~_negated(rows))
-        ],
-        axis=1,
-    )
-    upper = first < second
-    first, second = first[upper], second[upper]
-    composed, head, which = _unique_rows(rows[first] | rows[second])
-    count = np.concatenate([_counts(b) for _, b in _conforming(rows, composed)])
-    return first, second, composed, head, count[which] == 2
+def _circuit_edges(signs: np.ndarray) -> np.ndarray:
+    """The circuit graph's edges on the vertex rows [signs; -signs], pairs
+    i < j, rows ascending: the signed pairs that conform of each modular
+    pair of circuits (core._modular_pairs; see the module docstring).  The
+    sign product of a pair's int8 rows says which of them conform."""
+    k, (a, b) = len(signs), _modular_pairs(signs)
+    product = signs[a] * signs[b]
+    same, opposite = (product >= 0).all(axis=1), (product <= 0).all(axis=1)
+    first = np.concatenate([a[same], a[opposite], b[opposite], a[same] + k])
+    second = np.concatenate([b[same], b[opposite] + k, a[opposite] + k, b[same] + k])
+    order = np.lexsort((second, first))
+    return np.stack([first[order], second[order]], axis=1)
 
 
-def _composition_closure(rows: np.ndarray) -> np.ndarray:
+def _composition_closure(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """The distinct sign-vector rows closed under conformal composition.
 
     The rows are the signed circuits of a configuration, and the closure is
@@ -287,15 +280,16 @@ def _composition_closure(rows: np.ndarray) -> np.ndarray:
     is realized, and a realized sign vector labels the face of P whose
     vertices are the circuits conforming to it; it is their composition.
 
-    Step 1 composes every conformal pair of circuits (_compositions).  The
-    pairs whose composition has exactly two conforming circuits are the
-    edges of P, as a face with two vertices is a segment.  Every new row
-    then tracks one of its vertices: a row of step 1 the endpoint of lower
-    degree of the first pair composing to it, any later row the vertex its
-    first parent tracks (X conforms to X o Y, so a vertex of a row is one of
-    its children's).  A row is composed only with the neighbours v of
-    its tracked vertex that are conformal to it and hold an element outside
-    its support; the pairs left out would compose to the row itself.
+    Step 1 composes every conformal pair of circuits, so the 1-cells that
+    geometric_radon_complex reads off point minors do not depend on edges,
+    the (E, 2) row pairs of the circuit graph (_circuit_edges) that
+    graphs_equal checks them against.  Every new row then tracks one of its
+    vertices: a row of step 1 the endpoint of lower degree of the first
+    pair composing to it, any later row the vertex its first parent tracks
+    (X conforms to X o Y, so a vertex of a row is one of its children's).
+    A row is composed only with the neighbours v of its tracked vertex that
+    are conformal to it and hold an element outside its support; the pairs
+    left out would compose to the row itself.
 
     This reaches every face.  Take a face G, any vertex u of G and a face F
     that covers G.  The vertex figure F/u is a polytope whose vertices are
@@ -312,9 +306,12 @@ def _composition_closure(rows: np.ndarray) -> np.ndarray:
     np.unique over packed keys, whose first occurrences name the parents;
     the rows new in that frontier form the next.
     """
-    first, second, composed, head, edge = _compositions(rows)
-    ends = np.concatenate([first[edge], second[edge]])
-    neighbours = Ragged.grouped(np.concatenate([second[edge], first[edge]]), ends, len(rows))
+    pairs = [np.stack(_pairs(b)) + [[start], [0]] for start, b in _conforming(rows, ~_negated(rows))]
+    first, second = np.concatenate(pairs, axis=1)
+    first, second = first[first < second], second[first < second]
+    composed, head, _ = _unique_rows(rows[first] | rows[second])
+    ends, others = np.concatenate([edges, edges[:, ::-1]]).T
+    neighbours = Ragged.grouped(others, ends, len(rows))
     degree = neighbours.lengths
 
     def merged(seen, composed, tracks):
@@ -361,7 +358,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
 
     The realized sign vectors label the faces of the polytope V n {sum |x_i|
     <= 2}: the closure of the signed circuits under conformal composition,
-    grown along the polytope's edges (_composition_closure).  One
+    grown along the circuit graph's edges (_composition_closure).  One
     conformance-kernel pass then lists the (cell, circuit) pairs of every
     realized vector of dimension >= 1, each cell's closure as a Ragged
     list, ascending.  The 1-cells are the edges: each must list exactly
@@ -379,7 +376,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
 
     signs = np.concatenate([matroid.signs, -matroid.signs])
     rows = _pack(signs)
-    realized = _composition_closure(rows)
+    realized = _composition_closure(rows, _circuit_edges(matroid.signs))
     supports, which = _supports(realized, n)
     cell_dims = _dependence_dims(config, supports)[which] - 1
     cells, cell_dims = realized[cell_dims > 0], cell_dims[cell_dims > 0]
@@ -429,19 +426,17 @@ def combinatorial_circuit_graph(m: OrientedMatroid) -> CircuitGraph:
 
 
 def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
-    """The circuit graph of any circuit set, axioms unchecked.
+    """The circuit graph of a circuit set whose supports are pairwise
+    incomparable, axioms unchecked.
 
-    Adjacency rule: X and Y are joined iff they conform, X != +-Y, and
-    exactly two signed circuits (X and Y themselves) conform to the
-    composition X o Y.  All pairs are tested at once with the conformance
-    kernel; the edges are the pairs i < j, rows ascending.  The graph's
-    cycles, the edges grouped by the support of the composition, are walked
-    on first read; for a malformed circuit set they need not close, and the
-    read raises ValueError.
+    Adjacency rule: X and Y are joined iff they conform and form a modular
+    pair (_circuit_edges, core._modular_pairs, which read any circuit set).
+    The graph's cycles, the edges grouped by the support of the
+    composition, are walked on first read; for a malformed circuit set they
+    need not close, and the read raises ValueError.
     """
     signs = np.concatenate([m.signs, -m.signs])
-    first, second, _, _, edge = _compositions(_pack(signs))
-    return CircuitGraph(signs, np.stack([first[edge], second[edge]], axis=1))
+    return CircuitGraph(signs, _circuit_edges(m.signs))
 
 
 def _labels(*graphs: CircuitGraph) -> list[np.ndarray]:

@@ -761,43 +761,43 @@ def _eliminations(signs: np.ndarray, signed: np.ndarray, a: np.ndarray, b: np.nd
     return x, y, e, ~np.concatenate([bits.any(axis=1) for _, bits in _conforming(signed, targets)])
 
 
-def _modular_elimination_holds(signs: np.ndarray, signed: np.ndarray) -> bool:
-    """Weak elimination on the modular pairs of circuits whose supports
-    are distinct and pairwise incomparable: signs holds their rows, and
-    signed the kernel rows of each circuit and its negation in turn.
+def _modular_pairs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs a < b of rows of signs with distinct supports whose union
+    has height 2 in the lattice of unions of supports (_height_two).
 
-    X and Y are a modular pair when X u Y has height 2 in the lattice of
-    unions of supports (_height_two).  For a set of signed circuits with
-    (C0)-(C2), elimination on its modular pairs implies it on every pair
-    (Bjorner, Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids,
-    3.2.5), so True proves that check_circuit_axioms lists no elimination
-    failure.  The distinct unions of supports that meet are collected a
-    block of rows at a time, at most _BLOCK_WORDS words of pairs, and
-    those of height 2 kept.  Any two supports inside such a union U have
+    The unions of all such pairs, disjoint ones included, are formed at
+    most _BLOCK_WORDS words of pairs at a time and merged into the distinct
+    ones once those waiting outnumber the merged by 8 * _BLOCK_WORDS.  Two
+    distinct supports inside a union U of height 2, Z2 not inside Z1, have
     the union U, or they would make a chain 0 < Z1 < Z1 u Z2 < U, so the
-    modular pairs are the pairs of supports inside one of them (the
-    kernel lists those), tested by _eliminations as the listing tests
-    every pair.
+    modular pairs are the pairs of distinct supports inside each U, which
+    the kernel lists.
     """
     k, n = signs.shape
     supports = _pack(np.abs(signs))
     words = supports.shape[1]
     step = max(1, _BLOCK_WORDS // max(1, k * (words + 1)))
-    unions = np.zeros(0, _keys(supports[:0]).dtype)
+    unions, waiting = [np.zeros(0, _keys(supports[:0]).dtype)], 0
     for start in range(0, k, step):
         block = supports[start : start + step, None]
-        meet = np.triu((block & supports).any(axis=2), start + 1)
-        unions = np.unique(np.concatenate([unions, _keys((block | supports)[meet])]))
+        distinct = np.triu((block != supports).any(axis=2), start + 1)
+        unions.append(_keys((block | supports)[distinct]))
+        waiting += len(unions[-1])
+        if waiting > len(unions[0]) + 8 * _BLOCK_WORDS:
+            unions, waiting = [np.unique(np.concatenate(unions))], 0
+    unions = np.unique(np.concatenate(unions))
     unions = np.ascontiguousarray(unions).view(np.uint64).reshape(len(unions), words)
-    unions = unions[_height_two(supports, unions, n)]
+    unions = unions[_height_two(_unique_rows(supports)[0], unions, n)]
+    found = []
     for _, bits in _conforming(supports, unions):
         union, inside = _pairs(bits)  # the supports inside each union, ascending
         later = np.searchsorted(union, union, "right") - np.arange(len(union)) - 1
         first = np.repeat(np.arange(len(union)), later)
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-        if _eliminations(signs, signed, inside[first], inside[second])[3].any():
-            return False
-    return True
+        a, b = inside[first], inside[second]
+        distinct = (supports[a] != supports[b]).any(axis=1)
+        found.append((a[distinct], b[distinct]))
+    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 # check_circuit_axioms lists at most this many weak-elimination violations
@@ -849,8 +849,9 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, ch. 3).
 
     When the supports are minimal, elimination is first tested on the
-    modular pairs alone, which proves it on every pair when they pass
-    (_modular_elimination_holds); the list is then empty.  A modular
+    modular pairs alone (_modular_pairs, which the circuit graph's edges
+    come from too), which proves it on every pair when they pass (Bjorner
+    et al., 3.2.5); the list is then empty.  A modular
     failure, or a minimality violation, runs the listing of every failure,
     which tests every pair of circuits whose supports meet by
     _eliminations, in blocks of circuit pairs.  Violations are listed in
@@ -886,7 +887,7 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
         if reversed_[i]:
             canonical.append(f"{c(i)!r} is stored together with its reversal")
 
-    if not minimality and _modular_elimination_holds(signs, signed):
+    if not minimality and not _eliminations(signs, signed, *_modular_pairs(signs))[3].any():
         return AxiomReport(minimality, canonical, [])
 
     # the pairs a < b of circuits whose supports meet, a block of a at a

@@ -59,7 +59,6 @@ from .core import (
     _ordered_rows,
     _pack,
     _pairs,
-    _plain,
     _read_circuits,
     _require,
     _signs,
@@ -387,10 +386,6 @@ class MatroidPoset:
             "hasse": hasse,
             "maximal": np.flatnonzero(np.bincount(hasse[:, 0], minlength=len(self)) == 0).tolist(),
         }
-
-    def to_dict(self, hasse: np.ndarray) -> dict:
-        """payload's fields as lists, but for hasse, the array it was given."""
-        return {**_plain(self.payload(hasse)), "hasse": hasse}
 
 
 @dataclass(eq=False)

@@ -57,7 +57,7 @@ earlier int-mask version: tags in increasing mask order.  Their graphs are
 ReferenceGraphs, whose cycles come from that walk, read on first use as
 the package reads its own.  A ReferenceGraph holds SignedCircuitVertex
 objects, the vertex list the package once built (_ordered_vertices), and
-writes them in to_dict as the package once did; the package's graphs hold
+writes them in payload as the package once did; the package's graphs hold
 sign rows and build vertex objects only when read.  _signs turns a
 hand-built vertex list into the rows rf.CircuitGraph takes.
 
@@ -193,7 +193,7 @@ def partition_edges_into_cycles(edges, vertex_masks):
 class ReferenceGraph(rf.CircuitGraph):
     """An rf.CircuitGraph of vertex objects, built as the package once built
     its graphs: its signs are theirs (_signs), vertices is the objects as
-    given, to_dict writes each one's circuit and orientation, and its
+    given, payload writes each one's circuit and orientation, and its
     cycles come from partition_edges_into_cycles, not the package's walk."""
 
     def __init__(self, vertices, edges, n):
@@ -204,13 +204,12 @@ class ReferenceGraph(rf.CircuitGraph):
     def cycles(self):
         return partition_edges_into_cycles(self.edges.tolist(), [masks(v) for v in self.vertices])
 
-    def to_dict(self):
-        out = super().to_dict()
-        out["vertices"] = [
+    def payload(self):
+        vertices = [
             {"pos": sorted(v.circuit.pos), "neg": sorted(v.circuit.neg), "sign": v.orientation}
             for v in self.vertices
         ]
-        return out
+        return {**super().payload(), "vertices": vertices}
 
 
 def kernel_basis(rows, ncols):
@@ -583,9 +582,27 @@ def modular_pairs(m):
     }
 
 
+def modular_graph(m):
+    """Loop version of the circuit graph by the modular rule, as
+    rf.complexes._circuit_graph builds it (axioms unchecked): X and Y are
+    joined iff they conform and their circuits are one of modular_pairs."""
+    vertices = _ordered_vertices(m.sorted_circuits)
+    vmasks = [masks(v) for v in vertices]
+    k, modular = len(m.signs), modular_pairs(m)
+    edges = [
+        (i, j)
+        for i, j in combinations(range(2 * k), 2)
+        if (min(i % k, j % k), max(i % k, j % k)) in modular and _conformal(*vmasks[i], *vmasks[j])
+    ]
+    return ReferenceGraph(vertices, edges, m.n)
+
+
 def circuit_graph(m):
-    """Loop version of the circuit graph (axioms unchecked), as
-    rf.complexes._circuit_graph builds it."""
+    """Loop version of the circuit graph by the count rule (axioms
+    unchecked): X and Y are joined iff they conform, X != +-Y, and no third
+    circuit conforms to X o Y.  rf.complexes._circuit_graph reads its edges
+    off the modular pairs instead; on circuit sets with the axioms the two
+    rules agree."""
     vertices = _ordered_vertices(m.sorted_circuits)
     vmasks = [masks(v) for v in vertices]
     edges = []

@@ -16,6 +16,7 @@ from conftest import (
 )
 from oracles import _ordered_vertices, _signs, cycle_pairs
 from radonflow.cli import main
+from radonflow.core import _plain
 from radonflow.flow import _Field
 
 
@@ -262,22 +263,17 @@ def test_elimination_target_is_witnessed_iff_its_negation_is(n, d):
             assert (missed > 0) == (matroid is not m)
 
 
-def _kernel_modular_pairs(m):
-    """The pairs i < j of m's rows with distinct supports whose union
-    core._height_two finds of height 2."""
-    supports = rf.core._pack(np.abs(m.signs))
-    i, j = np.triu_indices(len(supports), 1)
-    keep = (supports[i] != supports[j]).any(axis=1)
-    i, j = i[keep], j[keep]
-    modular = rf.core._height_two(np.unique(supports, axis=0), supports[i] | supports[j], m.n)
-    return set(zip(i[modular].tolist(), j[modular].tolist()))
+def _modular_pairs(m):
+    """core._modular_pairs of m's rows, as a set of pairs (a, b)."""
+    return set(zip(*(part.tolist() for part in rf.core._modular_pairs(m.signs))))
 
 
 @pytest.mark.parametrize("n, d", LADDER)
 def test_height_two_rule_matches_the_lattice_of_unions_on_the_ladder(n, d):
-    # no f in U leaves two supports inside U \ f iff U has height 2, on the
-    # rungs drawn uniform, with a coincident pair and with a collinear
-    # triple, and on their damaged copies, whose supports nest and repeat
+    # the modular pairs against the lattice of unions, on the rungs drawn
+    # uniform, with a coincident pair and with a collinear triple, and on
+    # their damaged copies, whose supports nest and repeat: a nested pair
+    # is listed when the larger support has height 2, an equal pair never
     rng = np.random.default_rng([47, n, d])
     draws = [sample_spanning_points(n, d, rng)] + [
         sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
@@ -286,7 +282,8 @@ def test_height_two_rule_matches_the_lattice_of_unions_on_the_ladder(n, d):
         m = rf.circuits_of_points(rf.PointConfiguration(pts.astype(float), d))
         for matroid in (m, _damaged(m)):
             want = oracles.modular_pairs(matroid)
-            assert _kernel_modular_pairs(matroid) == want and want
+            assert _modular_pairs(matroid) == want and want
+            assert len(rf.core._modular_pairs(matroid.signs)[0]) == len(want)  # each pair once
 
 
 def test_modular_elimination_on_census_elements_with_a_circuit_dropped():
@@ -299,7 +296,7 @@ def test_modular_elimination_on_census_elements_with_a_circuit_dropped():
     for m in census:
         for k in range(len(m.signs)):
             dropped = rf.OrientedMatroid(m.ground, np.delete(m.signs, k, axis=0))
-            assert _kernel_modular_pairs(dropped) == oracles.modular_pairs(dropped)
+            assert _modular_pairs(dropped) == oracles.modular_pairs(dropped)
             report = rf.check_circuit_axioms(dropped)
             assert report == oracles.check_circuit_axioms(dropped)
             broken += bool(report.weak_elimination)
@@ -354,7 +351,7 @@ def test_one_circuit_graph_has_an_empty_edge_array():
     assert len(rc.matroid.circuits) == 1 and rf.validate_sphere(rc, 5, 3).ok
     for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
         assert g.edges.shape == (0, 2) and g.edges.dtype == np.intp
-        assert g.to_dict()["edges"] == [] and g.cycles.tolist() == []
+        assert _plain(g.payload())["edges"] == [] and g.cycles.tolist() == []
 
 
 def _spied_walks(monkeypatch):
@@ -427,7 +424,7 @@ def test_vertex_sign_is_that_of_its_smallest_element():
     # element negative reads as sign -1, whatever its place in the graph
     g = rf.CircuitGraph(np.array([[-1, 1, 0, 1], [1, -1, 0, -1]], np.int8), [])
     circuit = {"pos": [1], "neg": [2, 4]}
-    assert g.to_dict()["vertices"] == [{**circuit, "sign": -1}, {**circuit, "sign": 1}]
+    assert _plain(g.payload())["vertices"] == [{**circuit, "sign": -1}, {**circuit, "sign": 1}]
     c = rf.Circuit.make({1}, {2, 4})
     assert g.vertices == (rf.SignedCircuitVertex(c, -1), rf.SignedCircuitVertex(c, 1))
     assert g.vertices[0].pos == {2, 4} and g.vertices[0].neg == {1}
@@ -443,7 +440,7 @@ def _assert_row_built_graphs_equal_object_built(cfg):
     vertices = _ordered_vertices(rc.matroid.sorted_circuits)
     for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
         ref = oracles.ReferenceGraph(vertices, g.edges, cfg.n)
-        assert g.to_dict() == ref.to_dict()
+        assert _plain(g.payload()) == _plain(ref.payload())
         assert g.cycles.tolist() == ref.cycles.tolist()
         assert g.vertices == ref.vertices
         assert np.array_equal(g.signs, ref.signs)
@@ -515,7 +512,7 @@ def test_combinatorial_graph_walks_its_cycles_on_first_read(monkeypatch, hexagon
     def field(g):  # the flow's field reads the cycles too
         return _Field(rf.EmbeddedSphere(m, g, rc.positions[: len(m.signs)]))
 
-    reads = (lambda g: g.cycles, field, lambda g: g.to_dict())
+    reads = (lambda g: g.cycles, field, lambda g: _plain(g.payload()))
     for read in reads:
         g = rf.combinatorial_circuit_graph(m)
         assert rf.graphs_equal(g, rc.graph) and rf.validate_sphere(rc, 6, 2).ok
@@ -530,7 +527,7 @@ def test_combinatorial_graph_walks_its_cycles_on_first_read(monkeypatch, hexagon
 
 def _graph_or_error(build):
     try:
-        return build().to_dict()
+        return _plain(build().payload())
     except ValueError as exc:  # the edges of a malformed matroid need not close
         return str(exc)
 
@@ -546,32 +543,66 @@ def test_conformance_kernel_matches_loop_references(n, d):
     for pts in draws:
         cfg = rf.PointConfiguration(pts.astype(float), d)
         rc, ref = rf.geometric_radon_complex(cfg), oracles.radon_complex(cfg)
-        assert rc.graph.to_dict() == ref.graph.to_dict()
+        assert _plain(rc.graph.payload()) == _plain(ref.graph.payload())
         assert rc.facets == ref.facets
         assert np.array_equal(rc.positions, ref.positions)
         m = rc.matroid
-        assert rf.combinatorial_circuit_graph(m).to_dict() == oracles.circuit_graph(m).to_dict()
+        got, want = rf.combinatorial_circuit_graph(m), oracles.circuit_graph(m)
+        assert _plain(got.payload()) == _plain(want.payload())
         assert rf.check_circuit_axioms(m) == oracles.check_circuit_axioms(m)
         bad = _damaged(m)
         report = rf.check_circuit_axioms(bad)
         assert report.support_minimality and report.canonicalization
         assert report.weak_elimination
         assert report == oracles.check_circuit_axioms(bad)
+        # off the domain the two rules part: the modular one is the package's
         assert _graph_or_error(
             lambda: rf.complexes._circuit_graph(bad)
-        ) == _graph_or_error(lambda: oracles.circuit_graph(bad))
+        ) == _graph_or_error(lambda: oracles.modular_graph(bad))
         with pytest.raises(ValueError, match="circuit axioms fail"):
             rf.combinatorial_circuit_graph(bad)
 
 
-def test_adjacency_rule_counts_every_conformer():
-    # Z conforms to X o Y, so X and Y are not joined.  In a realizable
-    # matroid X o Y never has exactly three conformers, so this is hand-built.
+def test_adjacency_rule_off_its_domain_reads_the_lattice_of_unions():
+    # X = {1}|{2} and Y = {3}|{4} nest inside Z = {1,3}|{2,4}: the set fails
+    # minimality, so it lies outside _circuit_graph's domain and
+    # combinatorial_circuit_graph refuses it.  The rule still reads the
+    # lattice: {1,2,3,4} has height 2, so the three are pairwise modular and
+    # every conformal signed pair is an edge, Z conforming to X o Y or not
     x, y = rf.Circuit.make({1}, {2}), rf.Circuit.make({3}, {4})
     z = rf.Circuit.make({1, 3}, {2, 4})
     m = rf.OrientedMatroid.from_circuits(rf.GroundSet(4, 2), frozenset({x, y, z}))
-    got = _graph_or_error(lambda: rf.complexes._circuit_graph(m))
-    assert got == _graph_or_error(lambda: oracles.circuit_graph(m))
+    assert _modular_pairs(m) == oracles.modular_pairs(m) == {(0, 1), (0, 2), (1, 2)}
+    edges = rf.complexes._circuit_graph(m).edges.tolist()
+    assert edges == oracles.modular_graph(m).edges.tolist() and len(edges) == 8
+    with pytest.raises(ValueError, match="circuit axioms fail"):
+        rf.combinatorial_circuit_graph(m)
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 4)])
+def test_modular_rule_matches_the_count_rule_on_census_elements(n, d):
+    # every element of the shape: the edges of the modular pairs are those
+    # of the count rule, and the modular rule's own loop version
+    for m in rf.enumerate_acyclic_oms(n, d):
+        g = rf.complexes._circuit_graph(m)
+        assert rf.graphs_equal(g, oracles.circuit_graph(m))
+        assert g.edges.tolist() == oracles.modular_graph(m).edges.tolist()
+
+
+def test_graph_comparison_sees_an_edge_the_rule_drops(monkeypatch, hexagon_config):
+    # analyze's graphs_equal compares two independent graphs: the closure's
+    # first step composes every conformal pair, so the 1-cells read off
+    # point minors keep an edge the rule drops, and the graphs differ
+    m = rf.circuits_of_points(hexagon_config)
+
+    def compared():
+        geometric = rf.geometric_radon_complex(hexagon_config).graph
+        return rf.graphs_equal(geometric, rf.complexes._circuit_graph(m))
+
+    assert compared()
+    rule = rf.complexes._circuit_edges
+    monkeypatch.setattr(rf.complexes, "_circuit_edges", lambda signs: rule(signs)[1:])
+    assert not compared()
 
 
 def test_circuit_graph_on_ground_sets_wider_than_64(pentagon_config):
@@ -586,7 +617,7 @@ def test_circuit_graph_on_ground_sets_wider_than_64(pentagon_config):
     wide_cycles, cycles = g_wide.cycles.fields, g.cycles.fields
     assert wide_cycles["support"].tolist() == [[e + shift for e in c] for c in cycles["support"].tolist()]
     assert wide_cycles["edge_ids"].tolist() == cycles["edge_ids"].tolist()
-    assert g_wide.to_dict() == oracles.circuit_graph(wide).to_dict()
+    assert _plain(g_wide.payload()) == _plain(oracles.circuit_graph(wide).payload())
 
 
 @pytest.mark.parametrize("shift", [0, 29, 61, 65])
@@ -596,7 +627,7 @@ def test_cycle_order_matches_int_mask_reference_across_words(hexagon_config, shi
     wide = widened(rf.circuits_of_points(hexagon_config), 72, shift)
     g = rf.combinatorial_circuit_graph(wide)
     assert len(g.cycles.fields["support"]) == 6
-    assert g.to_dict() == oracles.circuit_graph(wide).to_dict()
+    assert _plain(g.payload()) == _plain(oracles.circuit_graph(wide).payload())
 
 
 @pytest.mark.parametrize("block_words", [1, 40, 200])
@@ -630,7 +661,7 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
                 _graph_or_error(lambda: rf.complexes._circuit_graph(m))
                 for m in matroids + [wide] + broken
             ],
-            [(rc.graph.to_dict(), rc.facets, rc.positions.tolist()) for rc in rcs],
+            [(_plain(rc.graph.payload()), rc.facets, rc.positions.tolist()) for rc in rcs],
             poset.pairs.tolist(),
             poset.hasse_pairs().tolist(),
         )
@@ -656,7 +687,7 @@ def test_geometric_complex_matches_the_oracle_at_the_top_rungs(n, d):
     for pts in draws:
         cfg = rf.PointConfiguration(pts.astype(float), d)
         rc, ref = rf.geometric_radon_complex(cfg), oracles.radon_complex(cfg)
-        assert rc.graph.to_dict() == ref.graph.to_dict()
+        assert _plain(rc.graph.payload()) == _plain(ref.graph.payload())
         assert rc.facets == ref.facets
         assert np.array_equal(rc.positions, ref.positions)
         assert rc.euler_characteristic() == ref.euler_characteristic() == 1 + (-1) ** (n - d - 2)
@@ -670,8 +701,9 @@ def _vertex_rows(m):
 def assert_dims_by_bases(cfg):
     """The cell dimensions read off the bases equal the per-support SVD
     rule on every support the closure realizes."""
-    rows = _vertex_rows(rf.circuits_of_points(cfg))
-    supports, _ = rf.core._supports(rf.complexes._composition_closure(rows), cfg.n)
+    m = rf.circuits_of_points(cfg)
+    closure = rf.complexes._composition_closure(_vertex_rows(m), rf.complexes._circuit_edges(m.signs))
+    supports, _ = rf.core._supports(closure, cfg.n)
     want = oracles.support_dims(cfg.lifted_matrix(), supports)
     assert np.array_equal(rf.complexes._dependence_dims(cfg, supports), want)
 
@@ -755,7 +787,7 @@ def _closure_equals_oracle(m):
     """The closure of m's vertex rows equals the all-pairs one; the
     closure's rows, for further checks."""
     rows = _vertex_rows(m)
-    closure = rf.complexes._composition_closure(rows)
+    closure = rf.complexes._composition_closure(rows, rf.complexes._circuit_edges(m.signs))
     assert np.array_equal(closure, oracles.composition_closure(rows))
     return closure
 

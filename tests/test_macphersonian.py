@@ -9,6 +9,7 @@ import oracles
 import radonflow as rf
 from conftest import ascending_pairs
 from radonflow.cli import _json_text, main
+from radonflow.core import _plain
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,7 @@ def test_poset_4_2_structure(poset42):
     assert (poset42.pairs[:, 0] != poset42.pairs[:, 1]).all()
     uniform = [i for i, m in enumerate(poset42.elements) if m.is_uniform]
     hasse = poset42.hasse_pairs()
-    assert poset42.to_dict(hasse)["maximal"] == uniform
+    assert poset42.payload(hasse)["maximal"] == uniform
     strict = oracles.leq_of(poset42) & ~np.eye(k, dtype=bool)
     for i, j in hasse:
         assert strict[i, j]
@@ -121,7 +122,7 @@ def test_three_chain_poset():
     p = rf.MatroidPoset.from_elements([bottom, middle, top])
     assert p.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert p.hasse_pairs().tolist() == [[0, 1], [1, 2]]
-    assert p.to_dict(p.hasse_pairs())["maximal"] == [2]
+    assert p.payload(p.hasse_pairs())["maximal"] == [2]
     oc = rf.order_complex(p)
     assert oc.counts() == [3, 3, 1]
     assert oc.euler_characteristic() == 1
@@ -247,8 +248,8 @@ def _assert_poset_matches_pairwise_loop(elements):
     assert np.array_equal(oracles.leq_of(p), leq)
     hasse = p.hasse_pairs()
     assert hasse.tolist() == oracles.hasse_pairs(leq)
-    assert p.to_dict(hasse)["maximal"] == oracles.maximal_indices(leq)
-    assert oracles.element_circuits(p.to_dict(hasse)) == [m.to_dict()["circuits"] for m in elements]
+    assert p.payload(hasse)["maximal"] == oracles.maximal_indices(leq)
+    assert oracles.element_circuits(_plain(p.payload(hasse))) == [m.to_dict()["circuits"] for m in elements]
     return p
 
 
@@ -263,7 +264,7 @@ def test_weak_map_matrix_with_a_circuit_free_element_and_a_single_element():
     oms = rf.enumerate_acyclic_oms(4, 2)
     free = rf.OrientedMatroid.from_circuits(oms[0].ground, frozenset())
     p = _assert_poset_matches_pairwise_loop(oms[:6] + [free] + oms[6:12])
-    assert p.to_dict(p.hasse_pairs())["maximal"] == [6]
+    assert p.payload(p.hasse_pairs())["maximal"] == [6]
     for elements in ([free], [oms[3]]):
         assert _assert_poset_matches_pairwise_loop(elements).pairs.shape == (0, 2)
 
@@ -276,7 +277,7 @@ def test_one_element_poset_and_antichain_have_no_covers(poset42):
         p = rf.MatroidPoset.from_elements(elements)
         hasse = p.hasse_pairs()
         assert hasse.shape == (0, 2) and hasse.dtype == np.intp
-        assert p.to_dict(hasse)["hasse"].shape == (0, 2) and p.to_dict(hasse)["maximal"] == list(range(len(p)))
+        assert p.payload(hasse)["hasse"].shape == (0, 2) and p.payload(hasse)["maximal"] == list(range(len(p)))
         assert rf.grades(p, hasse).tolist() == [0] * len(p)
         assert rf.cellular_homology(p, hasse)[1] == [len(p)]
 
@@ -405,7 +406,7 @@ def test_cell_structure_m42_reads_the_order(poset42):
     # drop one cover below a top cell from the order; it stays transitive,
     # since nothing lies strictly between a cover's ends
     hasse = poset42.hasse_pairs()
-    top = set(poset42.to_dict(hasse)["maximal"])
+    top = set(poset42.payload(hasse)["maximal"])
     i, j = next((i, j) for i, j in hasse if j in top)
     leq = oracles.leq_of(poset42)
     leq[i, j] = False
@@ -733,7 +734,7 @@ def test_cellular_homology_matches_the_order_complex_at_every_census_shape(n, d)
     assert betti == rf.gf2_betti(oc)
     assert rf.chain_counts(p) == oc.counts()
     assert grade.tolist() == _grades(p).tolist()
-    assert p.to_dict(hasse)["maximal"] == oracles.maximal_indices(oracles.leq_of(p))
+    assert p.payload(hasse)["maximal"] == oracles.maximal_indices(oracles.leq_of(p))
 
 
 @pytest.mark.parametrize("n, d", ALL_CENSUS_SHAPES)
@@ -757,7 +758,7 @@ def test_census_comes_in_the_sort_key_order(n, d):
 
 @pytest.mark.parametrize("n, d", ALL_CENSUS_SHAPES)
 def test_poset_of_the_table_equals_the_poset_of_its_objects(n, d):
-    # from_elements and to_dict read the table as it is, and a list of the
+    # from_elements and payload read the table as it is, and a list of the
     # same matroids through the adapter (MatroidTable.of)
     census = rf.enumerate_acyclic_oms(n, d)
     elements = list(census)
@@ -765,8 +766,8 @@ def test_poset_of_the_table_equals_the_poset_of_its_objects(n, d):
     assert p.elements is census and q.elements is elements
     assert np.array_equal(p.pairs, q.pairs)
     hasse = p.hasse_pairs()
-    assert _json_text(p.to_dict(hasse)) == _json_text(q.to_dict(hasse))
-    assert oracles.element_circuits(p.to_dict(hasse)) == [m.to_dict()["circuits"] for m in elements]
+    assert _json_text(p.payload(hasse)) == _json_text(q.payload(hasse))
+    assert oracles.element_circuits(_plain(p.payload(hasse))) == [m.to_dict()["circuits"] for m in elements]
     assert census.uniform.tolist() == [m.is_uniform for m in elements]
 
 
@@ -782,7 +783,7 @@ def _poset_dict(elements):
     """The poset dict the census writes for elements, n and d included."""
     p = rf.MatroidPoset.from_elements(elements)
     ground = rf.MatroidTable.of(elements).ground
-    return {**p.to_dict(p.hasse_pairs()), "n": ground.n, "d": ground.d}
+    return {**_plain(p.payload(p.hasse_pairs())), "n": ground.n, "d": ground.d}
 
 
 @pytest.mark.parametrize("n, d", ALL_CENSUS_SHAPES)
@@ -821,7 +822,7 @@ def test_table_parser_keeps_the_element_order_and_each_circuit_once(oms42):
     assert list(table) == [oms42[int(i)] for i in order]
     assert np.array_equal(table.signs, oms42.signs)
     assert all((np.diff(ids) > 0).all() for ids in table.elements)
-    again = rf.MatroidPoset.from_elements(table).to_dict(np.zeros((0, 2), np.intp))
+    again = _plain(rf.MatroidPoset.from_elements(table).payload(np.zeros((0, 2), np.intp)))
     assert again["circuits"] == data["circuits"]
     assert oracles.element_circuits(again) == [oracles.element_circuits(data)[i] for i in order]
 
