@@ -12,10 +12,11 @@ the signed circuits of the configuration.
 The same 1-skeleton can be built from the circuit list alone: signed
 circuits X != +-Y are adjacent iff they conform (no element receives
 opposite signs) and form a modular pair, their union of supports U having
-height 2 in the lattice of unions of supports (core._modular_pairs).  A
-circuit W conforming to X o Y is a dependence supported on U.  If those
-form a plane (height 2), W = aX + bY with a, b >= 0, so W is X or Y, as
-minimality forbids the support U: X o Y labels an edge.  Otherwise it
+height 2 in the lattice of unions of supports (OrientedMatroid.modular_pairs,
+one list per matroid, which the axiom check reads too).  A circuit W
+conforming to X o Y is a dependence supported on U.  If those form a plane
+(height 2), W = aX + bY with a, b >= 0, so W is X or Y, as minimality
+forbids the support U: X o Y labels an edge.  Otherwise it
 labels a face of dimension >= 2, with three vertices or more (Bjorner, Las
 Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 3.2, treat modular
 pairs beyond realizable sets).  Edges group into closed cycles by the
@@ -44,7 +45,6 @@ from .core import (
     circuit_dependences,
     _circuit_table,
     _conforming,
-    _modular_pairs,
     _negated,
     _pack,
     _pairs,
@@ -142,16 +142,14 @@ class CircuitGraph:
 class RadonComplex:
     """A circuit graph plus its filled higher cells and natural coordinates.
 
-    matroid holds the circuits, the graph's vertices.  positions holds one
-    row per graph vertex, antipodal rows negated.  The cells of dimension
-    >= 2 (the facets) are ordered by dimension, then by their ascending
-    vertex tuples: facet k has dimension facet_dims[k] and the vertices
-    facet_vertices[k], ascending, a Ragged.
+    matroid holds the circuits, the graph's vertices, and n and d.
+    positions holds one row per graph vertex, antipodal rows negated.  The
+    cells of dimension >= 2 (the facets) are ordered by dimension, then by
+    their ascending vertex tuples: facet k has dimension facet_dims[k] and
+    the vertices facet_vertices[k], ascending, a Ragged.
     """
 
     graph: CircuitGraph
-    n: int
-    d: int
     positions: np.ndarray
     matroid: OrientedMatroid
     facet_dims: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
@@ -257,12 +255,12 @@ def _open_cycle(supports: Ragged, order, tag_of, first, second) -> ValueError:
             )
 
 
-def _circuit_edges(signs: np.ndarray) -> np.ndarray:
-    """The circuit graph's edges on the vertex rows [signs; -signs], pairs
-    i < j, rows ascending: the signed pairs that conform of each modular
-    pair of circuits (core._modular_pairs; see the module docstring).  The
-    sign product of a pair's int8 rows says which of them conform."""
-    k, (a, b) = len(signs), _modular_pairs(signs)
+def _circuit_edges(m: OrientedMatroid) -> np.ndarray:
+    """The circuit graph's edges on the vertex rows [m.signs; -m.signs],
+    pairs i < j, rows ascending: the signed pairs that conform of each
+    modular pair of circuits (m.modular_pairs; see the module docstring).
+    The sign product of a pair's int8 rows says which of them conform."""
+    signs, k, (a, b) = m.signs, len(m.signs), m.modular_pairs
     product = signs[a] * signs[b]
     same, opposite = (product >= 0).all(axis=1), (product <= 0).all(axis=1)
     first = np.concatenate([a[same], a[opposite], b[opposite], a[same] + k])
@@ -370,14 +368,13 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     object is built (see RadonComplex.facets).
     """
     matroid, dependences = circuit_dependences(config)
-    n, d = config.n, config.d
     placed = project_to_gamma(dependences)
     positions = np.concatenate([placed, -placed])
 
     signs = np.concatenate([matroid.signs, -matroid.signs])
     rows = _pack(signs)
-    realized = _composition_closure(rows, _circuit_edges(matroid.signs))
-    supports, which = _supports(realized, n)
+    realized = _composition_closure(rows, _circuit_edges(matroid))
+    supports, which = _supports(realized, config.n)
     cell_dims = _dependence_dims(config, supports)[which] - 1
     cells, cell_dims = realized[cell_dims > 0], cell_dims[cell_dims > 0]
 
@@ -404,15 +401,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     facet = np.flatnonzero(~edge)
     keys = keys[facet]
     facet = facet[np.argsort(keys.view(np.dtype((np.void, keys.strides[0])))[:, 0], kind="stable")]
-    return RadonComplex(
-        graph=graph,
-        n=n,
-        d=d,
-        positions=positions,
-        matroid=matroid,
-        facet_dims=cell_dims[facet],
-        facet_vertices=closure.take(facet),
-    )
+    return RadonComplex(graph, positions, matroid, cell_dims[facet], closure.take(facet))
 
 
 def combinatorial_circuit_graph(m: OrientedMatroid) -> CircuitGraph:
@@ -430,13 +419,13 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     incomparable, axioms unchecked.
 
     Adjacency rule: X and Y are joined iff they conform and form a modular
-    pair (_circuit_edges, core._modular_pairs, which read any circuit set).
+    pair (_circuit_edges, m.modular_pairs, which read any circuit set).
     The graph's cycles, the edges grouped by the support of the
     composition, are walked on first read; for a malformed circuit set they
     need not close, and the read raises ValueError.
     """
     signs = np.concatenate([m.signs, -m.signs])
-    return CircuitGraph(signs, _circuit_edges(m.signs))
+    return CircuitGraph(signs, _circuit_edges(m))
 
 
 def _labels(*graphs: CircuitGraph) -> list[np.ndarray]:
@@ -493,13 +482,15 @@ class SphereReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def validate_sphere(c: RadonComplex, n: int, d: int) -> SphereReport:
+def validate_sphere(c: RadonComplex) -> SphereReport:
     """Check Euler characteristic, parity, antipodality, and connectivity.
 
-    The complex of an n-point configuration in R^d is an (n-d-2)-sphere, so
-    its Euler characteristic must be 1 + (-1)^(n-d-2), every vertex degree
-    must be even, the vertex and edge sets must be antipodally symmetric,
-    and the 1-skeleton must be connected once the sphere dimension is >= 1.
+    The complex of n points in R^d, n and d read off c.matroid, is an
+    (n-d-2)-sphere, so its Euler characteristic must be 1 + (-1)^(n-d-2),
+    every vertex degree must be even, the vertex and edge sets must be
+    antipodally symmetric, and the 1-skeleton must be connected once the
+    sphere dimension is >= 1.  These are necessary conditions, not a proof
+    that c is a sphere.
 
     Every check reads the graph's arrays: degrees are a bincount of the
     edge ends, vertices are labeled by their sign rows (_labels), so the
@@ -507,7 +498,7 @@ def validate_sphere(c: RadonComplex, n: int, d: int) -> SphereReport:
     frontier mask along the edges.  No check reads the cycles.
     """
     failures: list[str] = []
-    g = c.graph
+    g, n, d = c.graph, c.matroid.n, c.matroid.d
     count = len(g.signs)
     sphere_dim = n - d - 2
     expected = 1 + (-1) ** sphere_dim
@@ -543,11 +534,4 @@ def validate_sphere(c: RadonComplex, n: int, d: int) -> SphereReport:
         if not seen.all():
             failures.append("1-skeleton is not connected")
 
-    return SphereReport(
-        n=n,
-        d=d,
-        sphere_dim=sphere_dim,
-        euler_characteristic=chi,
-        expected_euler=expected,
-        failures=failures,
-    )
+    return SphereReport(n, d, sphere_dim, chi, expected, failures)

@@ -219,6 +219,13 @@ class OrientedMatroid:
     def circuits(self) -> frozenset[Circuit]:
         return frozenset(self.sorted_circuits)
 
+    @cached_property
+    def modular_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """_modular_pairs(signs), computed on first read, both arrays read-only."""
+        a, b = _modular_pairs(self.signs)
+        a.flags.writeable = b.flags.writeable = False
+        return a, b
+
     def to_dict(self) -> dict:
         return _plain(self.payload())
 
@@ -849,11 +856,11 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, ch. 3).
 
     When the supports are minimal, elimination is first tested on the
-    modular pairs alone (_modular_pairs, which the circuit graph's edges
-    come from too), which proves it on every pair when they pass (Bjorner
-    et al., 3.2.5); the list is then empty.  A modular
-    failure, or a minimality violation, runs the listing of every failure,
-    which tests every pair of circuits whose supports meet by
+    modular pairs alone (m.modular_pairs, the matroid's one list, which the
+    circuit graph's edges come from too), which proves it on every pair
+    when they pass (Bjorner et al., 3.2.5); the list is then empty.  A
+    modular failure, or a minimality violation, runs the listing of every
+    failure, which tests every pair of circuits whose supports meet by
     _eliminations, in blocks of circuit pairs.  Violations are listed in
     (X, Y, e) order, X and Y running over the sorted circuits, each
     positive then negative.
@@ -887,7 +894,7 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
         if reversed_[i]:
             canonical.append(f"{c(i)!r} is stored together with its reversal")
 
-    if not minimality and not _eliminations(signs, signed, *_modular_pairs(signs))[3].any():
+    if not minimality and not _eliminations(signs, signed, *m.modular_pairs)[3].any():
         return AxiomReport(minimality, canonical, [])
 
     # the pairs a < b of circuits whose supports meet, a block of a at a

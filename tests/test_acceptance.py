@@ -107,8 +107,8 @@ def test_criterion_2_complexes_validate_as_spheres(corpus, capsys):
         complexes = get_complexes(corpus)
         for (n, d), rcs in complexes.items():
             for rc in rcs:
-                report = rf.validate_sphere(rc, n, d)
-                assert report.ok, f"({n},{d}): {report.failures}"
+                report = rf.validate_sphere(rc)
+                assert report.ok and (report.n, report.d) == (n, d), f"({n},{d}): {report.failures}"
         elapsed = time.monotonic() - t0
         assert elapsed < 30.0, f"criterion 2 took {elapsed:.1f}s"
     except BaseException:

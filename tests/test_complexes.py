@@ -25,7 +25,7 @@ def test_square_complex_is_a_zero_sphere(square_config):
     assert len(rc.graph.vertices) == 2
     assert len(rc.graph.edges) == 0
     assert rc.euler_characteristic() == 2
-    report = rf.validate_sphere(rc, 4, 2)
+    report = rf.validate_sphere(rc)
     assert report.ok and report.sphere_dim == 0
 
 
@@ -35,7 +35,7 @@ def test_pentagon_complex_is_a_circle(pentagon_complex):
     assert len(g.vertices) == 10
     assert len(g.edges) == 10
     assert rc.euler_characteristic() == 0
-    assert rf.validate_sphere(rc, 5, 2).ok
+    assert rf.validate_sphere(rc).ok
     # all ten edges close into a single polygon on the full support
     (cyc,) = g.cycles.tolist()
     assert cyc["support"] == [1, 2, 3, 4, 5]
@@ -49,18 +49,18 @@ def test_hexagon_complex_is_a_two_sphere(hexagon_complex):
     assert all(cell.dim == 2 for cell in rc.facets)
     assert len(rc.facets) == 32
     assert rc.euler_characteristic() == 2
-    assert rf.validate_sphere(rc, 6, 2).ok
+    assert rf.validate_sphere(rc).ok
 
 
 def test_line_complex_is_a_circle(line_config):
     rc = rf.geometric_radon_complex(line_config)
     assert rc.euler_characteristic() == 0
-    assert rf.validate_sphere(rc, 4, 1).ok
+    assert rf.validate_sphere(rc).ok
 
 
 def test_positions_sit_on_their_faces(hexagon_complex):
     g = hexagon_complex.graph
-    amb = oracles.AmbientSpace(hexagon_complex.n)
+    amb = oracles.AmbientSpace(hexagon_complex.matroid.n)
     for k, v in enumerate(g.vertices):
         assert amb.face_of(hexagon_complex.positions[k]) == (v.pos, v.neg)
     # the package's one face check accepts the same positions
@@ -120,9 +120,13 @@ def test_graphs_equal_detects_differences(pentagon_complex):
 
 
 def test_validate_sphere_reports_failures(square_config):
+    # the square's complex over its matroid widened to five elements, a zero
+    # column added: the sphere it should be is a circle, not a pair of points
     rc = rf.geometric_radon_complex(square_config)
-    report = rf.validate_sphere(rc, 5, 2)  # wrong expected dimension
-    assert not report.ok and report.failures
+    wide = rf.OrientedMatroid(rf.GroundSet(5, 2), np.pad(rc.matroid.signs, ((0, 0), (0, 1))))
+    report = rf.validate_sphere(rf.RadonComplex(rc.graph, rc.positions, wide))
+    assert (report.n, report.d, report.sphere_dim) == (5, 2, 1)
+    assert "euler characteristic 2 != expected 0" in report.failures
 
 
 # The pentagon's ten vertices joined in index order: vertex k + 5 is the
@@ -134,14 +138,12 @@ RING = [(k, (k + 1) % 10) for k in range(10)]
 def _hand_built(rc, edges=RING, vertices=None):
     """rc's complex with its graph replaced, by default by the ring."""
     vertices = rc.graph.vertices if vertices is None else vertices
-    graph = rf.CircuitGraph(_signs(vertices, rc.n), edges)
-    return rf.RadonComplex(
-        graph=graph, n=rc.n, d=rc.d, positions=rc.positions, matroid=rc.matroid
-    )
+    graph = rf.CircuitGraph(_signs(vertices, rc.matroid.n), edges)
+    return rf.RadonComplex(graph=graph, positions=rc.positions, matroid=rc.matroid)
 
 
 def test_hand_built_ring_is_a_sphere(pentagon_complex):
-    assert rf.validate_sphere(_hand_built(pentagon_complex), 5, 2).ok
+    assert rf.validate_sphere(_hand_built(pentagon_complex)).ok
 
 
 # (0, 1) -> (0, 2) and its antipode (5, 6) -> (5, 7): still ten antipodal
@@ -150,7 +152,7 @@ ODD = [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 7), (6, 7), (7, 8), (8, 9), (
 
 
 def test_validate_sphere_flags_odd_degree(pentagon_complex):
-    report = rf.validate_sphere(_hand_built(pentagon_complex, ODD), 5, 2)
+    report = rf.validate_sphere(_hand_built(pentagon_complex, ODD))
     assert report.failures == [f"vertex {pentagon_complex.graph.vertices[1]!r} has odd degree 1"]
 
 
@@ -158,7 +160,7 @@ def test_open_cycles_raise_when_the_cycles_are_read(pentagon_complex):
     # building the graph and checking it do not walk its cycles; the first
     # read does, and raises the reference walk's error
     rc = _hand_built(pentagon_complex, ODD)
-    assert len(rf.validate_sphere(rc, 5, 2).failures) == 1
+    assert len(rf.validate_sphere(rc).failures) == 1
     g = rc.graph
     with pytest.raises(ValueError, match="do not form closed cycles") as raised:
         g.cycles
@@ -168,7 +170,7 @@ def test_open_cycles_raise_when_the_cycles_are_read(pentagon_complex):
 def test_validate_sphere_flags_non_antipodal_vertices(pentagon_complex):
     vertices = list(pentagon_complex.graph.vertices)
     vertices[9] = rf.SignedCircuitVertex(rf.Circuit.make({1}, {2}), 1)
-    report = rf.validate_sphere(_hand_built(pentagon_complex, vertices=vertices), 5, 2)
+    report = rf.validate_sphere(_hand_built(pentagon_complex, vertices=vertices))
     assert report.failures == ["vertex set is not closed under the antipodal map"]
 
 
@@ -176,14 +178,14 @@ def test_validate_sphere_flags_non_antipodal_edges(pentagon_complex):
     # the ring with vertices 1 and 2 swapped: (0, 2) is an edge, (5, 7) is not
     order = [0, 2, 1, 3, 4, 5, 6, 7, 8, 9]
     edges = [(order[k], order[(k + 1) % 10]) for k in range(10)]
-    report = rf.validate_sphere(_hand_built(pentagon_complex, edges), 5, 2)
+    report = rf.validate_sphere(_hand_built(pentagon_complex, edges))
     assert report.failures == ["edge set is not closed under the antipodal map"]
 
 
 def test_validate_sphere_flags_disconnected_skeleton(pentagon_complex):
     # the representatives and their antipodes as two separate 5-cycles
     edges = [(k, (k + 1) % 5) for k in range(5)] + [(5 + k, 5 + (k + 1) % 5) for k in range(5)]
-    report = rf.validate_sphere(_hand_built(pentagon_complex, edges), 5, 2)
+    report = rf.validate_sphere(_hand_built(pentagon_complex, edges))
     assert report.failures == ["1-skeleton is not connected"]
 
 
@@ -211,7 +213,7 @@ def test_near_collinear_triple_gets_one_answer(tmp_path, eps, count):
     rc = rf.geometric_radon_complex(cfg)
     assert len(m.circuits) == count
     assert rc.matroid == m
-    assert rf.validate_sphere(rc, 5, 2).ok
+    assert rf.validate_sphere(rc).ok
     assert rf.graphs_equal(rc.graph, rf.combinatorial_circuit_graph(m))
 
     path = tmp_path / "points.json"
@@ -286,6 +288,31 @@ def test_height_two_rule_matches_the_lattice_of_unions_on_the_ladder(n, d):
             assert len(rf.core._modular_pairs(matroid.signs)[0]) == len(want)  # each pair once
 
 
+def test_modular_pairs_are_computed_once_per_matroid(hexagon_config, tmp_path, monkeypatch):
+    # analyze reads the list in the closure, the axiom check and the circuit
+    # graph, at_barycenters in the last two: each computes it once.  The
+    # counter replaces the function in every module that could bind it.
+    calls, compute = [], rf.core._modular_pairs
+
+    def counted(signs):
+        calls.append(len(signs))
+        return compute(signs)
+
+    for module in (rf.core, rf.complexes):
+        monkeypatch.setattr(module, "_modular_pairs", counted, raising=False)
+    cfg = tmp_path / "hexagon.json"
+    cfg.write_text(json.dumps(hexagon_config.to_dict()))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    m = rf.circuits_of_points(hexagon_config)
+    rf.EmbeddedSphere.at_barycenters(m)
+    assert len(calls) == 2
+    assert rf.check_circuit_axioms(m).ok and len(calls) == 2
+    (a, b), (want_a, want_b) = m.modular_pairs, compute(m.signs)
+    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+    assert not a.flags.writeable and not b.flags.writeable
+
+
 def test_modular_elimination_on_census_elements_with_a_circuit_dropped():
     # every (5,2) element with one circuit dropped: the height-2 rule
     # against the lattice, and the axiom report, found by modular
@@ -348,7 +375,7 @@ FIVE3 = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
 
 def test_one_circuit_graph_has_an_empty_edge_array():
     rc = rf.geometric_radon_complex(rf.PointConfiguration(np.asarray(FIVE3, float), 3))
-    assert len(rc.matroid.circuits) == 1 and rf.validate_sphere(rc, 5, 3).ok
+    assert len(rc.matroid.circuits) == 1 and rf.validate_sphere(rc).ok
     for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
         assert g.edges.shape == (0, 2) and g.edges.dtype == np.intp
         assert _plain(g.payload())["edges"] == [] and g.cycles.tolist() == []
@@ -515,7 +542,7 @@ def test_combinatorial_graph_walks_its_cycles_on_first_read(monkeypatch, hexagon
     reads = (lambda g: g.cycles, field, lambda g: _plain(g.payload()))
     for read in reads:
         g = rf.combinatorial_circuit_graph(m)
-        assert rf.graphs_equal(g, rc.graph) and rf.validate_sphere(rc, 6, 2).ok
+        assert rf.graphs_equal(g, rc.graph) and rf.validate_sphere(rc).ok
         assert walks == []
         read(g)
         assert walks == [60]
@@ -601,7 +628,7 @@ def test_graph_comparison_sees_an_edge_the_rule_drops(monkeypatch, hexagon_confi
 
     assert compared()
     rule = rf.complexes._circuit_edges
-    monkeypatch.setattr(rf.complexes, "_circuit_edges", lambda signs: rule(signs)[1:])
+    monkeypatch.setattr(rf.complexes, "_circuit_edges", lambda m: rule(m)[1:])
     assert not compared()
 
 
@@ -702,7 +729,7 @@ def assert_dims_by_bases(cfg):
     """The cell dimensions read off the bases equal the per-support SVD
     rule on every support the closure realizes."""
     m = rf.circuits_of_points(cfg)
-    closure = rf.complexes._composition_closure(_vertex_rows(m), rf.complexes._circuit_edges(m.signs))
+    closure = rf.complexes._composition_closure(_vertex_rows(m), rf.complexes._circuit_edges(m))
     supports, _ = rf.core._supports(closure, cfg.n)
     want = oracles.support_dims(cfg.lifted_matrix(), supports)
     assert np.array_equal(rf.complexes._dependence_dims(cfg, supports), want)
@@ -787,7 +814,7 @@ def _closure_equals_oracle(m):
     """The closure of m's vertex rows equals the all-pairs one; the
     closure's rows, for further checks."""
     rows = _vertex_rows(m)
-    closure = rf.complexes._composition_closure(rows, rf.complexes._circuit_edges(m.signs))
+    closure = rf.complexes._composition_closure(rows, rf.complexes._circuit_edges(m))
     assert np.array_equal(closure, oracles.composition_closure(rows))
     return closure
 
