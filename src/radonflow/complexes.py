@@ -21,9 +21,10 @@ labels a face of dimension >= 2, with three vertices or more (Bjorner, Las
 Vergnas, Sturmfels, White & Ziegler, Oriented Matroids, 3.2, treat modular
 pairs beyond realizable sets).  Edges group into closed cycles by the
 support of X o Y, one cycle per two-dimensional coordinate subspace of V.
-The cycles derive from the vertices and edges, so a CircuitGraph walks
-them on first read.  Every list of int lists here, the cycles and the
-facets, is a core.Ragged.
+A CircuitGraph's vertices are its matroid's rows, then their negations,
+so the antipodal map is index arithmetic.  The cycles derive from the
+vertices and edges, so a CircuitGraph walks them on first read.  Every
+list of int lists here, the cycles and the facets, is a core.Ragged.
 """
 
 from __future__ import annotations
@@ -87,31 +88,38 @@ class Cell:
 
 @dataclass(eq=False)
 class CircuitGraph:
-    """Vertices as sign rows, and edges; the rest is derived.
+    """A matroid's signed circuits as vertices, and edges; the rest is derived.
 
     signs is the vertices' (V, n) int8 array of sign vectors, +1/-1/0
-    (column e-1 for element e): in the program's graphs the matroid's rows,
-    then their negations, so vertex i + V/2 is vertex i's antipode.  The
-    checks and comparisons read rows, the kernel's packing of signs;
-    vertices, one SignedCircuitVertex per row, is built only when read.
-    edges is the (E, 2) intp array of the edges' endpoints, from any list
-    of pairs; the program's graphs list each edge as i < j, rows ascending.
-    == is identity: graphs_equal compares graphs.  cycles, the edges'
-    partition into closed cycles (_partition_edges_into_cycles), is a
-    RecordTable of three Ragged fields, one list of each per cycle: its
-    support, ascending, its vertex_seq, the vertices in cyclic order (the
-    first not repeated), and its edge_ids, edge i joining vertex i of the
-    sequence to vertex i + 1, cyclically.  It is walked on first read, which
-    raises the ValueError for edges that do not close.
+    (column e-1 for element e): the matroid's rows, then their negations,
+    so vertex i + V/2 is vertex i's antipode by construction.  The checks
+    and comparisons read rows, the kernel's packing of signs; vertices, one
+    SignedCircuitVertex per row, is built only when read.  edges is the
+    (E, 2) intp array of the edges' endpoints, from any list of pairs of
+    vertices in range(V) (else ValueError, naming the first edge outside);
+    the program's graphs list each edge as i < j, rows ascending.  == is
+    identity: graphs_equal compares graphs.  cycles, the edges' partition
+    into closed cycles (_partition_edges_into_cycles), is a RecordTable of
+    three Ragged fields, one list of each per cycle: its support,
+    ascending, its vertex_seq, the vertices in cyclic order (the first not
+    repeated), and its edge_ids, edge i joining vertex i of the sequence to
+    vertex i + 1, cyclically.  It is walked on first read, which raises the
+    ValueError for edges that do not close.
     """
 
-    signs: np.ndarray
+    matroid: OrientedMatroid
     edges: np.ndarray
+    signs: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.edges = np.asarray(self.edges, np.intp).reshape(-1, 2)
+        self.signs = np.concatenate([self.matroid.signs, -self.matroid.signs])
         self.rows = _pack(self.signs)
+        self.edges = np.asarray(self.edges, np.intp).reshape(-1, 2)
+        outside = np.flatnonzero(((self.edges < 0) | (self.edges >= len(self.signs))).any(axis=1))
+        if len(outside):
+            k = outside[0]
+            raise ValueError(f"edge {k} {self.edges[k].tolist()} has an end outside range({len(self.signs)})")
 
     @cached_property
     def cycles(self) -> RecordTable:
@@ -142,18 +150,21 @@ class CircuitGraph:
 class RadonComplex:
     """A circuit graph plus its filled higher cells and natural coordinates.
 
-    matroid holds the circuits, the graph's vertices, and n and d.
-    positions holds one row per graph vertex, antipodal rows negated.  The
-    cells of dimension >= 2 (the facets) are ordered by dimension, then by
-    their ascending vertex tuples: facet k has dimension facet_dims[k] and
-    the vertices facet_vertices[k], ascending, a Ragged.
+    matroid, the graph's, holds the circuits, and n and d.  positions holds
+    one row per graph vertex, antipodal rows negated.  The cells of
+    dimension >= 2 (the facets) are ordered by dimension, then by their
+    ascending vertex tuples: facet k has dimension facet_dims[k] and the
+    vertices facet_vertices[k], ascending, a Ragged.
     """
 
     graph: CircuitGraph
     positions: np.ndarray
-    matroid: OrientedMatroid
     facet_dims: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
     facet_vertices: Ragged = field(default_factory=lambda: Ragged.sized([], np.zeros(0, np.intp)))
+
+    @property
+    def matroid(self) -> OrientedMatroid:
+        return self.graph.matroid
 
     @cached_property
     def facets(self) -> tuple[Cell, ...]:
@@ -371,9 +382,9 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     placed = project_to_gamma(dependences)
     positions = np.concatenate([placed, -placed])
 
-    signs = np.concatenate([matroid.signs, -matroid.signs])
-    rows = _pack(signs)
-    realized = _composition_closure(rows, _circuit_edges(matroid))
+    circuit_graph = _circuit_graph(matroid)
+    rows = circuit_graph.rows
+    realized = _composition_closure(rows, circuit_graph.edges)
     supports, which = _supports(realized, config.n)
     cell_dims = _dependence_dims(config, supports)[which] - 1
     cells, cell_dims = realized[cell_dims > 0], cell_dims[cell_dims > 0]
@@ -393,7 +404,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     # distinct 1-cells close over distinct pairs, as each is its pair's composition
     at = offsets[:-1][edge]
     pairs = np.sort(vertex[at] * len(rows) + vertex[at + 1], kind="stable")
-    graph = CircuitGraph(signs, np.stack(np.divmod(pairs, len(rows)), axis=1))
+    graph = CircuitGraph(matroid, np.stack(np.divmod(pairs, len(rows)), axis=1))
 
     keys = np.zeros((len(cells), 1 + sizes.max(initial=0)), ">u4")
     keys[:, 0] = cell_dims
@@ -401,7 +412,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     facet = np.flatnonzero(~edge)
     keys = keys[facet]
     facet = facet[np.argsort(keys.view(np.dtype((np.void, keys.strides[0])))[:, 0], kind="stable")]
-    return RadonComplex(graph, positions, matroid, cell_dims[facet], closure.take(facet))
+    return RadonComplex(graph, positions, cell_dims[facet], closure.take(facet))
 
 
 def combinatorial_circuit_graph(m: OrientedMatroid) -> CircuitGraph:
@@ -424,24 +435,12 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     composition, are walked on first read; for a malformed circuit set they
     need not close, and the read raises ValueError.
     """
-    signs = np.concatenate([m.signs, -m.signs])
-    return CircuitGraph(signs, _circuit_edges(m))
+    return CircuitGraph(m, _circuit_edges(m))
 
 
-def _labels(*graphs: CircuitGraph) -> list[np.ndarray]:
-    """Each graph's vertex labels: for every vertex, the index of its sign
-    vector among the distinct sign vectors of all the graphs' vertices and
-    their antipodes.  Of a graph with V vertices, labels[:V] label its
-    vertices and labels[V:] their antipodes."""
-    words = max(g.rows.shape[1] for g in graphs)
-    rows = [np.pad(g.rows, ((0, 0), (0, words - g.rows.shape[1]))) for g in graphs]
-    _, _, which = _unique_rows(np.concatenate([x for r in rows for x in (r, _negated(r))]))
-    return np.split(which, np.cumsum([2 * len(r) for r in rows])[:-1])
-
-
-def _edge_keys(edges: np.ndarray, labels: np.ndarray, count: int) -> np.ndarray:
-    """Each edge {u, v} as one int, min * count + max of its ends' labels."""
-    u, v = labels[edges.T]
+def _edge_keys(edges: np.ndarray, count: int) -> np.ndarray:
+    """Each edge {u, v} of a graph of count vertices as one int, min * count + max."""
+    u, v = edges.T
     return np.minimum(u, v) * count + np.maximum(u, v)
 
 
@@ -450,17 +449,15 @@ def _same_set(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def graphs_equal(g1: CircuitGraph, g2: CircuitGraph) -> bool:
-    """Labeled comparison: same signed-circuit vertices and same edges.
+    """Same matroid and same edges.
 
-    Both graphs' sign rows are labeled at once (one np.unique over them),
-    so vertex order does not matter; then the sets of vertex labels and of
-    edge keys must agree.
+    Equal matroids hold equal sign rows in one order (OrientedMatroid
+    sorts them), so their graphs have the same vertices at the same
+    indices, and no vertex is relabeled: the sets of edge keys, by index
+    pair, must agree, whatever the order of the edges and of their ends.
     """
-    (l1, l2), count = _labels(g1, g2), 2 * (len(g1.rows) + len(g2.rows))
-    l1, l2 = l1[: len(g1.rows)], l2[: len(g2.rows)]
-    return _same_set(l1, l2) and _same_set(
-        _edge_keys(g1.edges, l1, count), _edge_keys(g2.edges, l2, count)
-    )
+    count = len(g1.signs)
+    return g1.matroid == g2.matroid and _same_set(_edge_keys(g1.edges, count), _edge_keys(g2.edges, count))
 
 
 @dataclass
@@ -487,15 +484,16 @@ def validate_sphere(c: RadonComplex) -> SphereReport:
 
     The complex of n points in R^d, n and d read off c.matroid, is an
     (n-d-2)-sphere, so its Euler characteristic must be 1 + (-1)^(n-d-2),
-    every vertex degree must be even, the vertex and edge sets must be
-    antipodally symmetric, and the 1-skeleton must be connected once the
-    sphere dimension is >= 1.  These are necessary conditions, not a proof
-    that c is a sphere.
+    every vertex degree must be even, the edge set must be antipodally
+    symmetric, and the 1-skeleton must be connected once the sphere
+    dimension is >= 1.  The vertex set is symmetric by construction
+    (CircuitGraph).  These are necessary conditions, not a proof that c is
+    a sphere.
 
     Every check reads the graph's arrays: degrees are a bincount of the
-    edge ends, vertices are labeled by their sign rows (_labels), so the
-    antipodal checks compare label arrays, and connectivity grows a
-    frontier mask along the edges.  No check reads the cycles.
+    edge ends, the antipodal map sends vertex i to (i + V/2) mod V, so the
+    edge check compares edge keys, and connectivity grows a frontier mask
+    along the edges.  No check reads the cycles.
     """
     failures: list[str] = []
     g, n, d = c.graph, c.matroid.n, c.matroid.d
@@ -512,13 +510,8 @@ def validate_sphere(c: RadonComplex) -> SphereReport:
         i = int(odd[0])
         failures.append(f"vertex {g.vertices[i]!r} has odd degree {degree[i]}")
 
-    (labels,) = _labels(g)
-    own, mirrored = labels[:count], labels[count:]
-    if not np.isin(mirrored, own).all():
-        failures.append("vertex set is not closed under the antipodal map")
-    elif not np.isin(
-        _edge_keys(g.edges, mirrored, 2 * count), _edge_keys(g.edges, own, 2 * count)
-    ).all():
+    mirrored = (g.edges + count // 2) % count
+    if not np.isin(_edge_keys(mirrored, count), _edge_keys(g.edges, count)).all():
         failures.append("edge set is not closed under the antipodal map")
 
     if sphere_dim >= 1 and count:

@@ -91,28 +91,30 @@ class EmbeddedSphere:
     """A circuit graph with one position per vertex, antipodally paired.
 
     Positions are stored for the representatives only, the first half of
-    the graph's vertices, whose faces are the rows of signs: the matroid's
-    sign rows, as the graph's first half (from_points, at_barycenters).
-    Vertex k + reps, the antipode of vertex k, sits at the negated
-    position.  Construction checks that every position lies on the
-    polytope and inside its own face, every face margin above EPS_SIGN,
-    and perturbed and integrate build their results through it.
+    the graph's vertices, whose faces are the rows of signs: its matroid's
+    sign rows (CircuitGraph).  Vertex k + reps, the antipode of vertex k,
+    sits at the negated position.  matroid is the graph's.  Construction
+    checks that every position lies on the polytope and inside its own
+    face, every face margin above EPS_SIGN, and perturbed and integrate
+    build their results through it.
     face_margins is the package's one face check: validation, the flow's
     face tests and the perturbation's radius all read it, with the one
     threshold EPS_SIGN.
     """
 
-    def __init__(self, matroid: OrientedMatroid, graph: CircuitGraph, rep_positions: np.ndarray) -> None:
-        self.matroid = matroid
+    def __init__(self, graph: CircuitGraph, rep_positions: np.ndarray) -> None:
         self.graph = graph
-        reps = len(graph.signs) // 2
+        self.signs = graph.matroid.signs
         pos = np.asarray(rep_positions, dtype=float)
-        if pos.shape != (reps, matroid.n):
-            raise ValueError(f"expected positions of shape ({reps}, {matroid.n})")
+        if pos.shape != self.signs.shape:
+            raise ValueError(f"expected positions of shape {self.signs.shape}")
         self._pos = pos.copy()
-        self.signs = matroid.signs
         self._on = self.signs != 0
         self._validate()
+
+    @property
+    def matroid(self) -> OrientedMatroid:
+        return self.graph.matroid
 
     def face_margins(self, P: np.ndarray) -> np.ndarray:
         """signs * P on each representative's support, +inf off it: a row of
@@ -153,7 +155,7 @@ class EmbeddedSphere:
         (_circuit_graph).  These are the signs, edges and positions of
         geometric_radon_complex, without its higher cells."""
         matroid, dependences = circuit_dependences(config)
-        return cls(matroid, _circuit_graph(matroid), project_to_gamma(dependences))
+        return cls(_circuit_graph(matroid), project_to_gamma(dependences))
 
     @classmethod
     def at_barycenters(cls, matroid: OrientedMatroid) -> "EmbeddedSphere":
@@ -161,7 +163,7 @@ class EmbeddedSphere:
         pos = a / np.maximum(a.sum(axis=1, keepdims=True), 1) - b / np.maximum(
             b.sum(axis=1, keepdims=True), 1
         )
-        return cls(matroid, combinatorial_circuit_graph(matroid), pos)
+        return cls(combinatorial_circuit_graph(matroid), pos)
 
     def perturbed(self, delta: float, rng: np.random.Generator) -> "EmbeddedSphere":
         """Displace every representative inside its face, then renormalize.
@@ -201,7 +203,7 @@ class EmbeddedSphere:
             row = new[k].copy()
             row[self._on[k]] += radius * (g @ basis)
             new[k] = 2.0 * row / np.abs(row).sum()
-        return EmbeddedSphere(self.matroid, self.graph, new)
+        return EmbeddedSphere(self.graph, new)
 
     def payload(self) -> dict:
         """The fields the CLI writes (CircuitGraph.payload), the positions
@@ -396,7 +398,7 @@ def integrate(s: EmbeddedSphere, *, max_steps: int = MAX_STEPS) -> tuple[Embedde
         sy = float(_add((P_new - P) * y, axis=None))
         h = max(sy / float(_add(y * y, axis=None)), MIN_STEP) if sy > 0.0 else 2.0 * h
         P, g = P_new, g_new
-    return EmbeddedSphere(s.matroid, s.graph, P), FlowTrace(samples=samples, outcome=outcome)
+    return EmbeddedSphere(s.graph, P), FlowTrace(samples=samples, outcome=outcome)
 
 
 def recover_configuration(s: EmbeddedSphere) -> PointConfiguration:
@@ -408,10 +410,11 @@ def recover_configuration(s: EmbeddedSphere) -> PointConfiguration:
     hyperplane, one coordinate column per ground-set element, mapped so
     that the first colex basis b_0 < ... < b_d whose minor passes the rank
     rule sits on the standard simplex: p_{b_0} = 0 and p_{b_k} = e_k.
+    The SVD is thin: no (2 reps, 2 reps) U is built, as only sv and vt are read.
     """
     n, d = s.matroid.n, s.matroid.d
     m = n - d - 1
-    _, sv, vt = np.linalg.svd(s.positions_all())
+    _, sv, vt = np.linalg.svd(s.positions_all(), full_matrices=False)
     if sv.size < m or sv[0] <= 0.0:
         raise NotFlatError("positions span too small a subspace")
     rel = sv / sv[0]

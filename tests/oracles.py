@@ -15,6 +15,9 @@ conformity asks that kernel's question of one pair of sign rows at a time.
 composition_closure is the package's earlier closure on kernel rows, which
 composed every frontier row with every conformal circuit; the package now
 composes it only with the graph neighbours of one of its vertices.
+cells_per_support counts the complex's cells of each support from the
+matroid's rank function alone (a Tutte polynomial evaluation), which
+reads no signs: the package's closure builds the cells from the signs.
 
 circuit_scan is the per-support loop version of core.circuit_dependences:
 one SVD per candidate support, by size, skipping supersets of circuits
@@ -58,8 +61,7 @@ ReferenceGraphs, whose cycles come from that walk, read on first use as
 the package reads its own.  A ReferenceGraph holds SignedCircuitVertex
 objects, the vertex list the package once built (_ordered_vertices), and
 writes them in payload as the package once did; the package's graphs hold
-sign rows and build vertex objects only when read.  _signs turns a
-hand-built vertex list into the rows rf.CircuitGraph takes.
+sign rows and build vertex objects only when read.
 
 table_records is json.dumps's default= for the int tables the CLI writes
 (cli.RecordTable, cli.Ragged) and 2-D arrays: the list of dicts or of
@@ -127,16 +129,6 @@ def _ordered_vertices(circuits) -> tuple:
     return tuple(reps + [v.antipode() for v in reps])
 
 
-def _signs(vertices, n) -> np.ndarray:
-    """The +1/-1/0 int8 sign rows of signed circuits, one per vertex, column
-    e-1 for element e: what rf.CircuitGraph takes for a graph's vertices."""
-    out = np.zeros((len(vertices), n), np.int8)
-    for row, v in zip(out, vertices):
-        row[[e - 1 for e in v.pos]] = 1
-        row[[e - 1 for e in v.neg]] = -1
-    return out
-
-
 def masks(v) -> tuple:
     """(pos, neg) bitmasks of a circuit or a signed circuit vertex."""
     return mask_of(v.pos), mask_of(v.neg)
@@ -192,13 +184,14 @@ def partition_edges_into_cycles(edges, vertex_masks):
 
 class ReferenceGraph(rf.CircuitGraph):
     """An rf.CircuitGraph of vertex objects, built as the package once built
-    its graphs: its signs are theirs (_signs), vertices is the objects as
-    given, payload writes each one's circuit and orientation, and its
-    cycles come from partition_edges_into_cycles, not the package's walk."""
+    its graphs: vertices is the objects of _ordered_vertices, from the
+    matroid's sorted circuits, payload writes each one's circuit and
+    orientation, and its cycles come from partition_edges_into_cycles, not
+    the package's walk."""
 
-    def __init__(self, vertices, edges, n):
-        super().__init__(_signs(vertices, n), edges)
-        self.vertices = tuple(vertices)
+    def __init__(self, matroid, edges):
+        super().__init__(matroid, edges)
+        self.vertices = _ordered_vertices(matroid.sorted_circuits)
 
     @cached_property
     def cycles(self):
@@ -586,15 +579,14 @@ def modular_graph(m):
     """Loop version of the circuit graph by the modular rule, as
     rf.complexes._circuit_graph builds it (axioms unchecked): X and Y are
     joined iff they conform and their circuits are one of modular_pairs."""
-    vertices = _ordered_vertices(m.sorted_circuits)
-    vmasks = [masks(v) for v in vertices]
+    vmasks = [masks(v) for v in _ordered_vertices(m.sorted_circuits)]
     k, modular = len(m.signs), modular_pairs(m)
     edges = [
         (i, j)
         for i, j in combinations(range(2 * k), 2)
         if (min(i % k, j % k), max(i % k, j % k)) in modular and _conformal(*vmasks[i], *vmasks[j])
     ]
-    return ReferenceGraph(vertices, edges, m.n)
+    return ReferenceGraph(m, edges)
 
 
 def circuit_graph(m):
@@ -603,10 +595,9 @@ def circuit_graph(m):
     circuit conforms to X o Y.  rf.complexes._circuit_graph reads its edges
     off the modular pairs instead; on circuit sets with the axioms the two
     rules agree."""
-    vertices = _ordered_vertices(m.sorted_circuits)
-    vmasks = [masks(v) for v in vertices]
+    vmasks = [masks(v) for v in _ordered_vertices(m.sorted_circuits)]
     edges = []
-    for i, j in combinations(range(len(vertices)), 2):
+    for i, j in combinations(range(len(vmasks)), 2):
         xp, xn = vmasks[i]
         yp, yn = vmasks[j]
         if xp == yn and xn == yp:
@@ -619,7 +610,7 @@ def circuit_graph(m):
             for k, (zp, zn) in enumerate(vmasks)
         ):
             edges.append((i, j))
-    return ReferenceGraph(vertices, edges, m.n)
+    return ReferenceGraph(m, edges)
 
 
 def dependences_by_circuit(config):
@@ -681,9 +672,40 @@ def radon_complex(config):
             facet_cells.append(rf.Cell(dim=cell_dim, vertices=frozenset(conforming)))
 
     edges = sorted(edge_set)
-    graph = ReferenceGraph(vertices, edges, n)
+    matroid = rf.OrientedMatroid.from_circuits(rf.GroundSet(n, d), circuits)
+    graph = ReferenceGraph(matroid, edges)
+    assert graph.vertices == vertices  # the matroid keeps the circuits in sort_key order
     facets = tuple(sorted(facet_cells, key=lambda c: (c.dim, tuple(sorted(c.vertices)))))
     return RadonComplexRef(graph=graph, facets=facets, n=n, d=d, positions=positions)
+
+
+def cells_per_support(config):
+    """The Radon complex's cells counted per support from ranks alone.
+
+    The cells with support S are the sign vectors of the dependences with
+    support S, the totally cyclic reorientations of M|S: there are
+    T_{M|S}(0, 2) = sum over A in S of (-1)^(r(S) - r(A)) of them (Las
+    Vergnas 1980; Zaslavsky 1975), each of dimension |S| - r(S) - 1, where
+    r is the rank rule's rank (core._rank) of the lifted columns.  Ranks
+    of all 2^n subsets, then 3^n terms; no sign is read.  A dict
+    {(support mask, dimension): count}, over the supports with a cell.
+    """
+    n, lifted = config.n, config.lifted_matrix()
+    rank = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        cols = [i for i in range(n) if mask >> i & 1]
+        rank[mask] = int(_rank(np.linalg.svd(lifted[:, cols], compute_uv=False)))
+    cells = {}
+    for support in range(1, 1 << n):
+        count, subset = 0, support
+        while True:  # every subset of support, from support down to 0
+            count += (-1) ** (rank[support] - rank[subset])
+            if not subset:
+                break
+            subset = (subset - 1) & support
+        if count:
+            cells[support, bin(support).count("1") - rank[support] - 1] = count
+    return cells
 
 
 def composition_closure(rows):

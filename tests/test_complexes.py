@@ -1,4 +1,7 @@
+import functools
 import json
+import operator
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import oracles
 import radonflow as rf
 from conftest import (
     DIRECT_SUM,
+    HEXAGON,
     NEAR_COLLINEAR_EPS,
     ascending_pairs,
     near_collinear,
@@ -14,8 +18,8 @@ from conftest import (
     sample_spanning_points,
     widened,
 )
-from oracles import _ordered_vertices, _signs, cycle_pairs
-from radonflow.cli import main
+from oracles import cycle_pairs
+from radonflow.cli import _sample_spanning_points, main
 from radonflow.core import _plain
 from radonflow.flow import _Field
 
@@ -64,7 +68,7 @@ def test_positions_sit_on_their_faces(hexagon_complex):
     for k, v in enumerate(g.vertices):
         assert amb.face_of(hexagon_complex.positions[k]) == (v.pos, v.neg)
     # the package's one face check accepts the same positions
-    rf.EmbeddedSphere(hexagon_complex.matroid, g, hexagon_complex.positions[: len(g.signs) // 2])
+    rf.EmbeddedSphere(g, hexagon_complex.positions[: len(g.signs) // 2])
 
 
 def test_cycles_partition_edges_and_live_in_two_planes(hexagon_complex):
@@ -115,7 +119,7 @@ def test_opposite_neighbors_are_cycle_mates(hexagon_complex):
 
 def test_graphs_equal_detects_differences(pentagon_complex):
     g = pentagon_complex.graph
-    fewer = rf.CircuitGraph(_signs(g.vertices, 5), g.edges[:-1])
+    fewer = rf.CircuitGraph(g.matroid, g.edges[:-1])
     assert not rf.graphs_equal(g, fewer)
 
 
@@ -124,7 +128,7 @@ def test_validate_sphere_reports_failures(square_config):
     # column added: the sphere it should be is a circle, not a pair of points
     rc = rf.geometric_radon_complex(square_config)
     wide = rf.OrientedMatroid(rf.GroundSet(5, 2), np.pad(rc.matroid.signs, ((0, 0), (0, 1))))
-    report = rf.validate_sphere(rf.RadonComplex(rc.graph, rc.positions, wide))
+    report = rf.validate_sphere(rf.RadonComplex(rf.CircuitGraph(wide, rc.graph.edges), rc.positions))
     assert (report.n, report.d, report.sphere_dim) == (5, 2, 1)
     assert "euler characteristic 2 != expected 0" in report.failures
 
@@ -135,11 +139,9 @@ def test_validate_sphere_reports_failures(square_config):
 RING = [(k, (k + 1) % 10) for k in range(10)]
 
 
-def _hand_built(rc, edges=RING, vertices=None):
-    """rc's complex with its graph replaced, by default by the ring."""
-    vertices = rc.graph.vertices if vertices is None else vertices
-    graph = rf.CircuitGraph(_signs(vertices, rc.matroid.n), edges)
-    return rf.RadonComplex(graph=graph, positions=rc.positions, matroid=rc.matroid)
+def _hand_built(rc, edges=RING):
+    """rc's complex with its graph's edges replaced, by default by the ring."""
+    return rf.RadonComplex(graph=rf.CircuitGraph(rc.matroid, edges), positions=rc.positions)
 
 
 def test_hand_built_ring_is_a_sphere(pentagon_complex):
@@ -164,14 +166,7 @@ def test_open_cycles_raise_when_the_cycles_are_read(pentagon_complex):
     g = rc.graph
     with pytest.raises(ValueError, match="do not form closed cycles") as raised:
         g.cycles
-    assert str(raised.value) == _graph_or_error(lambda: oracles.ReferenceGraph(g.vertices, g.edges, 5))
-
-
-def test_validate_sphere_flags_non_antipodal_vertices(pentagon_complex):
-    vertices = list(pentagon_complex.graph.vertices)
-    vertices[9] = rf.SignedCircuitVertex(rf.Circuit.make({1}, {2}), 1)
-    report = rf.validate_sphere(_hand_built(pentagon_complex, vertices=vertices))
-    assert report.failures == ["vertex set is not closed under the antipodal map"]
+    assert str(raised.value) == _graph_or_error(lambda: oracles.ReferenceGraph(g.matroid, g.edges))
 
 
 def test_validate_sphere_flags_non_antipodal_edges(pentagon_complex):
@@ -187,6 +182,16 @@ def test_validate_sphere_flags_disconnected_skeleton(pentagon_complex):
     edges = [(k, (k + 1) % 5) for k in range(5)] + [(5 + k, 5 + (k + 1) % 5) for k in range(5)]
     report = rf.validate_sphere(_hand_built(pentagon_complex, edges))
     assert report.failures == ["1-skeleton is not connected"]
+
+
+@pytest.mark.parametrize("end", [-1, 10])
+def test_circuit_graph_refuses_an_edge_end_outside_its_vertices(pentagon_complex, end):
+    # the pentagon's graph has ten vertices; the antipodal map (i + 5) mod 10
+    # would wrap the end silently, and validate_sphere, graphs_equal and
+    # the cycles would index past the rows
+    edges = RING[:3] + [(0, end)] + RING[3:]
+    with pytest.raises(ValueError, match=rf"^edge 3 \[0, {end}\] has an end outside range\(10\)$"):
+        rf.CircuitGraph(pentagon_complex.matroid, edges)
 
 
 def test_antipodal_symmetry(hexagon_complex):
@@ -449,7 +454,8 @@ def test_vertex_sign_is_that_of_its_smallest_element():
     # a vertex is written and viewed as its circuit, smallest element
     # positive, with the vertex's sign there: a row stored with its smallest
     # element negative reads as sign -1, whatever its place in the graph
-    g = rf.CircuitGraph(np.array([[-1, 1, 0, 1], [1, -1, 0, -1]], np.int8), [])
+    m = rf.OrientedMatroid(rf.GroundSet(4, 1), np.array([[-1, 1, 0, 1]], np.int8))
+    g = rf.CircuitGraph(m, [])
     circuit = {"pos": [1], "neg": [2, 4]}
     assert _plain(g.payload())["vertices"] == [{**circuit, "sign": -1}, {**circuit, "sign": 1}]
     c = rf.Circuit.make({1}, {2, 4})
@@ -464,9 +470,8 @@ def _assert_row_built_graphs_equal_object_built(cfg):
     same cycles, vertex sequences included, the same lazy vertex view and
     the same sign rows."""
     rc = rf.geometric_radon_complex(cfg)
-    vertices = _ordered_vertices(rc.matroid.sorted_circuits)
     for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
-        ref = oracles.ReferenceGraph(vertices, g.edges, cfg.n)
+        ref = oracles.ReferenceGraph(rc.matroid, g.edges)
         assert _plain(g.payload()) == _plain(ref.payload())
         assert g.cycles.tolist() == ref.cycles.tolist()
         assert g.vertices == ref.vertices
@@ -537,7 +542,7 @@ def test_combinatorial_graph_walks_its_cycles_on_first_read(monkeypatch, hexagon
     rc = rf.geometric_radon_complex(hexagon_config)
 
     def field(g):  # the flow's field reads the cycles too
-        return _Field(rf.EmbeddedSphere(m, g, rc.positions[: len(m.signs)]))
+        return _Field(rf.EmbeddedSphere(g, rc.positions[: len(m.signs)]))
 
     reads = (lambda g: g.cycles, field, lambda g: _plain(g.payload()))
     for read in reads:
@@ -767,20 +772,14 @@ def test_facet_listing_matches_the_oracle(hexagon_config):
 
 
 def _relabeled(g, rng):
-    """g with its vertex list permuted, its edges listed in another order and
-    each edge's ends swapped at random."""
-    perm = rng.permutation(len(g.vertices))
-    where = np.argsort(perm)  # old index -> new index
-    edges = [
-        (int(where[j]), int(where[i])) if rng.random() < 0.5 else (int(where[i]), int(where[j]))
-        for i, j in g.edges
-    ]
+    """g with its edges listed in another order and each edge's ends
+    swapped at random."""
+    edges = [(int(j), int(i)) if rng.random() < 0.5 else (int(i), int(j)) for i, j in g.edges]
     edges = [edges[k] for k in rng.permutation(len(edges))]
-    vertices = [g.vertices[k] for k in perm]
-    return rf.CircuitGraph(_signs(vertices, g.signs.shape[1]), edges)
+    return rf.CircuitGraph(g.matroid, edges)
 
 
-def test_graphs_equal_ignores_vertex_order_and_edge_labels(hexagon_complex):
+def test_graphs_equal_ignores_edge_labels(hexagon_complex):
     rng = np.random.default_rng(43)
     rc8 = rf.geometric_radon_complex(_eight_two())
     for g in (hexagon_complex.graph, rc8.graph):
@@ -792,22 +791,24 @@ def test_graphs_equal_ignores_vertex_order_and_edge_labels(hexagon_complex):
 def test_graphs_equal_sees_one_flipped_vertex_or_one_moved_edge(hexagon_complex):
     g = hexagon_complex.graph
     reps = len(g.vertices) // 2
-    flipped = list(g.vertices)
-    flipped[3] = flipped[3].antipode()  # vertex 3's orientation appears twice
-    assert not rf.graphs_equal(g, rf.CircuitGraph(_signs(flipped, 6), g.edges))
-    # vertex 3 and its antipode trade places: the same vertex set, but the
-    # edges at vertex 3 now meet its antipode
-    swapped = list(g.vertices)
-    swapped[3], swapped[3 + reps] = swapped[3 + reps], swapped[3]
-    assert not rf.graphs_equal(g, rf.CircuitGraph(_signs(swapped, 6), g.edges))
+    # vertex 3 flipped, its circuit reoriented: another matroid
+    signs = g.matroid.signs.copy()
+    signs[3] *= -1
+    flipped = rf.OrientedMatroid(g.matroid.ground, signs)
+    assert not rf.graphs_equal(g, rf.CircuitGraph(flipped, g.edges))
+    # vertex 3 and its antipode trade places in the edges: the edges at
+    # vertex 3 now meet its antipode
+    swap = np.arange(2 * reps)
+    swap[[3, 3 + reps]] = swap[[3 + reps, 3]]
+    assert not rf.graphs_equal(g, rf.CircuitGraph(g.matroid, swap[g.edges]))
     # one edge moved to a pair of vertices that is not an edge
     edges = g.edges.tolist()
     i, j = edges[0]
     k = next(k for k in range(len(g.vertices)) if k not in (i, j)
              and [min(i, k), max(i, k)] not in edges)
     moved = [[min(i, k), max(i, k)]] + edges[1:]
-    assert not rf.graphs_equal(g, rf.CircuitGraph(_signs(g.vertices, 6), moved))
-    assert rf.graphs_equal(g, rf.CircuitGraph(_signs(g.vertices, 6), g.edges))
+    assert not rf.graphs_equal(g, rf.CircuitGraph(g.matroid, moved))
+    assert rf.graphs_equal(g, rf.CircuitGraph(g.matroid, g.edges))
 
 
 def _closure_equals_oracle(m):
@@ -858,3 +859,53 @@ def test_closure_matches_the_oracle_on_census_elements(n, d, step):
     for m in elements:
         _closure_equals_oracle(m)
     assert len(elements) == {(4, 2): 25, (5, 3): 90, (6, 4): 301, (5, 2): 121}[n, d]
+
+
+# the ladder's draws on default_rng([1, 0]), as the CLI samples points
+CELL_COUNT_DRAWS = [(7, 2), (8, 3), (9, 4), (10, 4)]
+PAIR83 = [[0, 0, 0], [4, 0, 0], [0, 5, 0], [0, 0, 6], [3, 3, 3], [-2, 1, 4], [1, -3, 2], [4, 0, 0]]
+
+
+def _drawn(n, d):
+    return _sample_spanning_points(n, d, np.random.default_rng([1, 0]))
+
+
+def _cells_by_support(rc):
+    """rc's cells as {(support mask, dimension): count}: vertices, edges and
+    facets, each cell's support the union of its vertices'."""
+    support = [oracles.mask_of(v.support) for v in rc.graph.vertices]
+    cells = Counter((mask, 0) for mask in support)
+    cells.update((support[i] | support[j], 1) for i, j in rc.graph.edges.tolist())
+    for dim, vertices in zip(rc.facet_dims.tolist(), rc.facet_vertices.tolist()):
+        cells[functools.reduce(operator.or_, (support[v] for v in vertices)), dim] += 1
+    return dict(cells)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        rf.PointConfiguration(np.asarray(HEXAGON), 2),
+        rf.PointConfiguration(np.asarray(DIRECT_SUM, float), 2),
+        rf.PointConfiguration(np.asarray(COLOOP, float), 2),
+        rf.PointConfiguration(np.asarray(PAIR83, float), 3),
+    ]
+    + [_drawn(n, d) for n, d in CELL_COUNT_DRAWS],
+    ids=["hexagon", "direct sum", "coloop", "pair83"] + [f"({n},{d})" for n, d in CELL_COUNT_DRAWS],
+)
+def test_cells_per_support_are_the_rank_functions_count(config):
+    assert _cells_by_support(rf.geometric_radon_complex(config)) == oracles.cells_per_support(config)
+
+
+def test_cells_per_support_see_cells_that_keep_the_euler_characteristic():
+    # two 2-cells and two 3-cells of the (8,3) draw dropped: chi, the
+    # degrees, the antipodal edges and the 1-skeleton are unchanged, so
+    # validate_sphere passes the complex; the count per support does not
+    config = _drawn(8, 3)
+    rc = rf.geometric_radon_complex(config)
+    dims = rc.facet_dims
+    dropped = np.concatenate([np.flatnonzero(dims == 2)[:2], np.flatnonzero(dims == 3)[:2]])
+    keep = np.setdiff1d(np.arange(len(dims)), dropped)
+    mutant = rf.RadonComplex(rc.graph, rc.positions, dims[keep], rc.facet_vertices.take(keep))
+    assert (len(dims), len(keep)) == (480, 476)
+    assert mutant.euler_characteristic() == rc.euler_characteristic() and rf.validate_sphere(mutant).ok
+    assert _cells_by_support(mutant) != oracles.cells_per_support(config)

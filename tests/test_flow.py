@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from oracles import (
     velocity,
 )
 from radonflow import flow
+from radonflow.cli import _sample_spanning_points
 from radonflow.core import _distinct_circuits, _gather_circuits
 from radonflow.flow import _Field, _renormalized
 
@@ -475,6 +477,21 @@ def test_recover_configuration_from_exact_embeddings(
         assert np.abs(rec.points - framed).max() < 1e-12
 
 
+def test_recovery_memory_is_linear_in_the_vertices():
+    # (16,3), 4 357 representatives: a full SVD of [P; -P] built its
+    # (8 714, 8 714) U, a 580 MB peak; the thin one reads off 16 columns
+    config = _sample_spanning_points(16, 3, np.random.default_rng([1, 0]))
+    s = rf.EmbeddedSphere.from_points(config)
+    tracemalloc.start()
+    try:
+        recovered = rf.recover_configuration(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.n_reps == 4357 and peak < 32 * 2**20
+    assert rf.same_chirotope(recovered, config)
+
+
 def test_recover_rejects_nonflat_states(pentagon_sphere):
     bent = pentagon_sphere.perturbed(0.05, np.random.default_rng(1))
     with pytest.raises(rf.NotFlatError, match="dimension exceeds"):
@@ -522,7 +539,7 @@ def test_perturbed_refuses_a_negative_or_nan_delta(pentagon_sphere, delta):
 
 def test_perturbed_respects_faces(pentagon_sphere):
     s = pentagon_sphere.perturbed(0.05, np.random.default_rng(4))
-    rf.EmbeddedSphere(s.matroid, s.graph, s.rep_positions())  # validates every face
+    rf.EmbeddedSphere(s.graph, s.rep_positions())  # validates every face
     same = pentagon_sphere.perturbed(0.0, np.random.default_rng(4))
     drift = np.abs(same.rep_positions() - pentagon_sphere.rep_positions()).max()
     assert drift < 1e-12
@@ -549,14 +566,14 @@ def test_perturbation_is_clipped_to_half_each_face_margin(pentagon_sphere, hexag
     margins = sphere.face_margins(P0).min(axis=1)
     for delta in (0.01, 1.0, 100.0, math.inf):
         s = sphere.perturbed(delta, np.random.default_rng(4))
-        rf.EmbeddedSphere(s.matroid, s.graph, s.rep_positions())  # validates every face
+        rf.EmbeddedSphere(s.graph, s.rep_positions())  # validates every face
         assert (s.face_margins(s.rep_positions()) > 0.0).all()
         moved = np.linalg.norm(s.rep_positions() - P0, axis=1)
         assert (moved <= np.minimum(delta, margins / 2.0) * (1.0 + 1e-9)).all()
     # at delta = 1 the pentagon's unclipped start left a face before its
     # first step; its flowed state is still a valid sphere
     final, _ = rf.integrate(sphere.perturbed(1.0, np.random.default_rng(3)), max_steps=1)
-    rf.EmbeddedSphere(final.matroid, final.graph, final.rep_positions())
+    rf.EmbeddedSphere(final.graph, final.rep_positions())
 
 
 def _near_face(sphere, x):
@@ -577,7 +594,7 @@ def test_perturbation_keeps_every_margin_above_eps_sign(pentagon_sphere):
     # construction refuses; the radius is also clipped to the margin less
     # EPS_SIGN
     P = _near_face(pentagon_sphere, 1.2 * rf.EPS_SIGN)[0]
-    s = rf.EmbeddedSphere(pentagon_sphere.matroid, pentagon_sphere.graph, P)
+    s = rf.EmbeddedSphere(pentagon_sphere.graph, P)
     for seed in range(20):
         moved = s.perturbed(math.inf, np.random.default_rng(seed))
         assert (moved.face_margins(moved.rep_positions()) > rf.EPS_SIGN).all()
@@ -597,7 +614,7 @@ def test_a_boundary_stall_ends_on_a_valid_sphere():
     final, trace = rf.integrate(rf.EmbeddedSphere.at_barycenters(m))
     assert trace.outcome == rf.OUTCOME_STALLED
     assert final.face_margins(final.rep_positions()).min() < 2.0 * rf.EPS_SIGN
-    rf.EmbeddedSphere(final.matroid, final.graph, final.rep_positions())
+    rf.EmbeddedSphere(final.graph, final.rep_positions())
 
 
 def test_margins_rule_out_collisions():
@@ -634,7 +651,7 @@ def test_collision_check_runs_only_where_margins_cannot_rule_it_out(pentagon_sph
     P = start.rep_positions()
     leaks = np.argwhere(start.signs == 0)[:2]
     P[tuple(leaks.T)] = np.array([0.5, -0.5]) * rf.EPS_SIGN
-    leaky = rf.EmbeddedSphere(start.matroid, start.graph, P)
+    leaky = rf.EmbeddedSphere(start.graph, P)
     zeroed, trace = rf.integrate(start, max_steps=8)
     flowed, leaky_trace = rf.integrate(leaky, max_steps=8)
     assert len(trace.samples) - 1 == 8 and leaky_trace == trace
@@ -687,7 +704,7 @@ def test_a_trial_within_eps_sign_of_a_face_is_halved(pentagon_sphere, monkeypatc
         P[k, e2] = np.nextafter(P[k, e2], 1.0)
     else:
         pytest.fail("no trial lands on target exactly")
-    s = rf.EmbeddedSphere(pentagon_sphere.matroid, pentagon_sphere.graph, P)
+    s = rf.EmbeddedSphere(pentagon_sphere.graph, P)
 
     class ConstantGradient:
         def __init__(self, s):
@@ -725,18 +742,18 @@ def test_same_chirotope_is_the_circuit_comparison(hexagon_config, spheres):
 
 
 def test_embedded_sphere_validation(pentagon_sphere):
-    m, g = pentagon_sphere.matroid, pentagon_sphere.graph
+    g = pentagon_sphere.graph
     good = pentagon_sphere.rep_positions()
 
     off = good.copy()
     off[0] *= 1.1  # breaks the 1-norm equation
     with pytest.raises(ValueError, match="off the polytope"):
-        rf.EmbeddedSphere(m, g, off)
+        rf.EmbeddedSphere(g, off)
 
     flipped = good.copy()
     flipped[0] *= -1.0  # keeps both defining equations, swaps the face
     with pytest.raises(ValueError, match="left its face"):
-        rf.EmbeddedSphere(m, g, flipped)
+        rf.EmbeddedSphere(g, flipped)
 
     leak = good.copy()
     v0 = g.vertices[0]
@@ -745,10 +762,10 @@ def test_embedded_sphere_validation(pentagon_sphere):
     leak[0, outside - 1] += 0.1
     leak[0, donor - 1] -= 0.1  # keeps both defining equations intact
     with pytest.raises(ValueError, match="support leakage"):
-        rf.EmbeddedSphere(m, g, leak)
+        rf.EmbeddedSphere(g, leak)
 
     with pytest.raises(ValueError, match="shape"):
-        rf.EmbeddedSphere(m, g, good[:, :4])
+        rf.EmbeddedSphere(g, good[:, :4])
 
 
 def test_position_lookup_and_antipodes(pentagon_sphere):
