@@ -46,6 +46,7 @@ from .core import (
     circuit_dependences,
     _circuit_table,
     _conforming,
+    _keys,
     _negated,
     _pack,
     _pairs,
@@ -95,10 +96,10 @@ class CircuitGraph:
     so vertex i + V/2 is vertex i's antipode by construction.  The checks
     and comparisons read rows, the kernel's packing of signs; vertices, one
     SignedCircuitVertex per row, is built only when read.  edges is the
-    (E, 2) intp array of the edges' endpoints, from any list of pairs of
-    vertices in range(V) (else ValueError, naming the first edge outside);
-    the program's graphs list each edge as i < j, rows ascending.  == is
-    identity: graphs_equal compares graphs.  cycles, the edges' partition
+    (E, 2) intp array of the edges, each [i, j] with i < j, rows ascending,
+    from pairs of vertices in range(V) in any order (an end outside, a loop
+    or a repeat raises ValueError, naming the first such edge as given).  ==
+    is identity: graphs_equal compares graphs.  cycles, the edges' partition
     into closed cycles (_partition_edges_into_cycles), is a RecordTable of
     three Ragged fields, one list of each per cycle: its support,
     ascending, its vertex_seq, the vertices in cyclic order (the first not
@@ -115,11 +116,19 @@ class CircuitGraph:
     def __post_init__(self) -> None:
         self.signs = np.concatenate([self.matroid.signs, -self.matroid.signs])
         self.rows = _pack(self.signs)
-        self.edges = np.asarray(self.edges, np.intp).reshape(-1, 2)
-        outside = np.flatnonzero(((self.edges < 0) | (self.edges >= len(self.signs))).any(axis=1))
+        edges = np.asarray(self.edges, np.intp).reshape(-1, 2)
+        outside = np.flatnonzero(((edges < 0) | (edges >= len(self.signs))).any(axis=1))
         if len(outside):
             k = outside[0]
-            raise ValueError(f"edge {k} {self.edges[k].tolist()} has an end outside range({len(self.signs)})")
+            raise ValueError(f"edge {k} {edges[k].tolist()} has an end outside range({len(self.signs)})")
+        self.edges, order = _canonical(edges, len(self.signs))
+        # a stable sort puts each repeat right after an earlier copy
+        repeats = order[1:][(self.edges[1:] == self.edges[:-1]).all(axis=1)]
+        bad = np.union1d(np.flatnonzero(edges[:, 0] == edges[:, 1]), repeats)
+        if len(bad):
+            k = bad[0]
+            what = "is a loop" if edges[k, 0] == edges[k, 1] else "repeats an earlier edge"
+            raise ValueError(f"edge {k} {edges[k].tolist()} {what}")
 
     @cached_property
     def cycles(self) -> RecordTable:
@@ -177,6 +186,15 @@ class RadonComplex:
     def euler_characteristic(self) -> int:
         odd = int(np.count_nonzero(self.facet_dims & 1))
         return len(self.graph.signs) - len(self.graph.edges) + len(self.facet_dims) - 2 * odd
+
+
+def _canonical(edges: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges over range(count) as rows [min, max], ascending, sorted by one
+    stable argsort of min * count + max, and that order: row k is edges[order[k]]."""
+    u, v = edges.T
+    low, high = np.minimum(u, v), np.maximum(u, v)
+    order = np.argsort(low * count + high, kind="stable")
+    return np.stack([low[order], high[order]], axis=1), order
 
 
 def _partition_edges_into_cycles(rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> RecordTable:
@@ -267,8 +285,8 @@ def _open_cycle(supports: Ragged, order, tag_of, first, second) -> ValueError:
 
 
 def _circuit_edges(m: OrientedMatroid) -> np.ndarray:
-    """The circuit graph's edges on the vertex rows [m.signs; -m.signs],
-    pairs i < j, rows ascending: the signed pairs that conform of each
+    """The circuit graph's edges, unsorted (CircuitGraph sorts them), on the
+    vertex rows [m.signs; -m.signs]: the signed pairs that conform of each
     modular pair of circuits (m.modular_pairs; see the module docstring).
     The sign product of a pair's int8 rows says which of them conform."""
     signs, k, (a, b) = m.signs, len(m.signs), m.modular_pairs
@@ -276,8 +294,7 @@ def _circuit_edges(m: OrientedMatroid) -> np.ndarray:
     same, opposite = (product >= 0).all(axis=1), (product <= 0).all(axis=1)
     first = np.concatenate([a[same], a[opposite], b[opposite], a[same] + k])
     second = np.concatenate([b[same], b[opposite] + k, a[opposite] + k, b[same] + k])
-    order = np.lexsort((second, first))
-    return np.stack([first[order], second[order]], axis=1)
+    return np.stack([first, second], axis=1)
 
 
 def _composition_closure(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -311,9 +328,9 @@ def _composition_closure(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     face of dimension >= 2 is G o v for a face G the closure reached and a
     neighbour v of the vertex G tracks.
 
-    Each frontier's compositions are merged with everything seen by one
-    np.unique over packed keys, whose first occurrences name the parents;
-    the rows new in that frontier form the next.
+    Each frontier's compositions are made distinct by one np.unique over
+    packed keys, whose first occurrences name the parents; those a binary
+    search misses in the ascending keys seen are inserted and form the next.
     """
     pairs = [np.stack(_pairs(b)) + [[start], [0]] for start, b in _conforming(rows, ~_negated(rows))]
     first, second = np.concatenate(pairs, axis=1)
@@ -324,11 +341,12 @@ def _composition_closure(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     degree = neighbours.lengths
 
     def merged(seen, composed, tracks):
-        # seen and composed as distinct rows, the new ones among them and
-        # the vertex each new row tracks: that of its first composed copy
-        grown, head, _ = _unique_rows(np.concatenate([seen, composed]))
-        fresh = head >= len(seen)
-        return grown, grown[fresh], tracks[head[fresh] - len(seen)]
+        # seen (rows ascending by key) with the composed rows it lacks put
+        # in place; those rows, and the vertex each tracks: its first copy's
+        keys, head = np.unique(_keys(composed), return_index=True)
+        at, new = np.searchsorted(_keys(seen), keys), composed[head]
+        fresh = ~(seen[np.minimum(at, len(seen) - 1)] == new).all(axis=1)
+        return np.insert(seen, at[fresh], new[fresh], axis=0), new[fresh], tracks[head[fresh]]
 
     lower = np.where(degree[second] < degree[first], second, first)
     seen, frontier, track = merged(_unique_rows(rows)[0], composed, lower[head])
@@ -403,8 +421,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
         raise ValueError("a one-dimensional cell must close over exactly two circuits")
     # distinct 1-cells close over distinct pairs, as each is its pair's composition
     at = offsets[:-1][edge]
-    pairs = np.sort(vertex[at] * len(rows) + vertex[at + 1], kind="stable")
-    graph = CircuitGraph(matroid, np.stack(np.divmod(pairs, len(rows)), axis=1))
+    graph = CircuitGraph(matroid, np.stack([vertex[at], vertex[at + 1]], axis=1))
 
     keys = np.zeros((len(cells), 1 + sizes.max(initial=0)), ">u4")
     keys[:, 0] = cell_dims
@@ -438,26 +455,15 @@ def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     return CircuitGraph(m, _circuit_edges(m))
 
 
-def _edge_keys(edges: np.ndarray, count: int) -> np.ndarray:
-    """Each edge {u, v} of a graph of count vertices as one int, min * count + max."""
-    u, v = edges.T
-    return np.minimum(u, v) * count + np.maximum(u, v)
-
-
-def _same_set(a: np.ndarray, b: np.ndarray) -> bool:
-    return bool(np.isin(a, b).all() and np.isin(b, a).all())
-
-
 def graphs_equal(g1: CircuitGraph, g2: CircuitGraph) -> bool:
     """Same matroid and same edges.
 
     Equal matroids hold equal sign rows in one order (OrientedMatroid
     sorts them), so their graphs have the same vertices at the same
-    indices, and no vertex is relabeled: the sets of edge keys, by index
-    pair, must agree, whatever the order of the edges and of their ends.
+    indices, and every CircuitGraph stores its edges in one order: the
+    edge arrays must be equal.
     """
-    count = len(g1.signs)
-    return g1.matroid == g2.matroid and _same_set(_edge_keys(g1.edges, count), _edge_keys(g2.edges, count))
+    return g1.matroid == g2.matroid and np.array_equal(g1.edges, g2.edges)
 
 
 @dataclass
@@ -492,8 +498,9 @@ def validate_sphere(c: RadonComplex) -> SphereReport:
 
     Every check reads the graph's arrays: degrees are a bincount of the
     edge ends, the antipodal map sends vertex i to (i + V/2) mod V, so the
-    edge check compares edge keys, and connectivity grows a frontier mask
-    along the edges.  No check reads the cycles.
+    edge check sorts the mapped edges as the graph's and compares arrays,
+    and connectivity grows a frontier mask along the edges.  No check reads
+    the cycles.
     """
     failures: list[str] = []
     g, n, d = c.graph, c.matroid.n, c.matroid.d
@@ -510,8 +517,8 @@ def validate_sphere(c: RadonComplex) -> SphereReport:
         i = int(odd[0])
         failures.append(f"vertex {g.vertices[i]!r} has odd degree {degree[i]}")
 
-    mirrored = (g.edges + count // 2) % count
-    if not np.isin(_edge_keys(mirrored, count), _edge_keys(g.edges, count)).all():
+    mirrored, _ = _canonical((g.edges + count // 2) % count, count)
+    if not np.array_equal(mirrored, g.edges):
         failures.append("edge set is not closed under the antipodal map")
 
     if sphere_dim >= 1 and count:

@@ -710,7 +710,7 @@ def _pairs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) for every set bit j of bits[i], in np.nonzero's row-major order."""
     row, word = np.nonzero(bits)
     octets = bits[row, word].astype(_LE, copy=False).view(np.uint8)
-    at, bit = np.divmod(np.flatnonzero(np.unpackbits(octets, bitorder="little")), 64)
+    at, bit = np.divmod(np.flatnonzero(np.unpackbits(octets, bitorder="little").view(bool)), 64)
     return row[at], word[at] * 64 + bit
 
 

@@ -194,6 +194,14 @@ def test_circuit_graph_refuses_an_edge_end_outside_its_vertices(pentagon_complex
         rf.CircuitGraph(pentagon_complex.matroid, edges)
 
 
+@pytest.mark.parametrize("edge, fault", [((4, 4), "is a loop"), ((2, 1), "repeats an earlier edge")])
+def test_circuit_graph_refuses_a_loop_or_a_repeated_edge(pentagon_complex, edge, fault):
+    # RING's edge 1 is (1, 2), so (2, 1) as edge 3 repeats it
+    edges = RING[:3] + [edge] + RING[3:]
+    with pytest.raises(ValueError, match=rf"^edge 3 \[{edge[0]}, {edge[1]}\] {fault}$"):
+        rf.CircuitGraph(pentagon_complex.matroid, edges)
+
+
 def test_antipodal_symmetry(hexagon_complex):
     g = hexagon_complex.graph
     vset = set(g.vertices)
@@ -783,9 +791,11 @@ def test_graphs_equal_ignores_edge_labels(hexagon_complex):
     rng = np.random.default_rng(43)
     rc8 = rf.geometric_radon_complex(_eight_two())
     for g in (hexagon_complex.graph, rc8.graph):
-        other = _relabeled(g, rng)
+        other, again = _relabeled(g, rng), _relabeled(g, rng)
+        # a graph stores its edges as [i, j], i < j, rows ascending
+        assert np.array_equal(other.edges, g.edges) and np.array_equal(again.edges, g.edges)
         assert rf.graphs_equal(g, other) and rf.graphs_equal(other, g)
-        assert rf.graphs_equal(other, _relabeled(g, rng))
+        assert rf.graphs_equal(other, again)
 
 
 def test_graphs_equal_sees_one_flipped_vertex_or_one_moved_edge(hexagon_complex):

@@ -355,6 +355,49 @@ def test_conformance_kernel_matches_pairwise_oracle(
     assert np.array_equal(rf.core._conformity(zp, sp), want)
 
 
+def _set_bits(bits):
+    """(i, j) for every set bit j of bits[i], one bit at a time."""
+    return [
+        (i, 64 * w + b)
+        for i, row in enumerate(bits.tolist())
+        for w, word in enumerate(row)
+        for b in range(64)
+        if word >> b & 1
+    ]
+
+
+def _listed(pairs):
+    return list(zip(*(part.tolist() for part in pairs)))
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_pairs_lists_the_set_bits_a_per_bit_loop_finds(words):
+    rng = np.random.default_rng([47, words])
+    top = np.iinfo(np.uint64).max
+    bits = rng.integers(0, top, size=(9, words), dtype=np.uint64, endpoint=True)
+    bits &= rng.integers(0, top, size=(9, words), dtype=np.uint64, endpoint=True)
+    bits[2] = 0  # an empty row
+    bits[4, 0] = top  # an all-ones word
+    bits[6] = 0
+    bits[6, -1] = np.uint64(1) << np.uint64(63)  # bit 63 alone
+    assert _listed(rf.core._pairs(bits)) == _set_bits(bits)
+    assert _listed(rf.core._pairs(bits[:0])) == []
+
+
+def test_pairs_of_a_block_split_at_one_word_list_its_set_bits(monkeypatch):
+    # 130 z rows make three-word bitsets; at _BLOCK_WORDS = 1 the kernel
+    # yields the one default block row by row
+    rng = np.random.default_rng(47)
+    z = rf.core._pack(rng.integers(-1, 2, size=(130, 7)).astype(np.int8))
+    s = rf.core._pack(rng.choice(np.array([-1, 1], np.int8), size=(6, 7)))
+    ((_, whole),) = rf.core._conforming(z, s)
+    monkeypatch.setattr(rf.core, "_BLOCK_WORDS", 1)
+    blocks = list(rf.core._conforming(z, s))
+    assert len(blocks) == len(s)
+    split = [(start + i, j) for start, bits in blocks for i, j in _listed(rf.core._pairs(bits))]
+    assert split == _set_bits(whole) and split
+
+
 def test_matroid_serialization_roundtrip(square_matroid):
     again = rf.OrientedMatroid.from_dict(square_matroid.to_dict())
     assert again == square_matroid
