@@ -9,7 +9,6 @@ the poset of all such matroids at small size.
 """
 
 from .complexes import (
-    Cell,
     CircuitGraph,
     DegeneratePointError,
     GammaMembershipError,
@@ -31,7 +30,6 @@ from .core import (
     OrientedMatroid,
     PointConfiguration,
     RankDeficientError,
-    SignedCircuitVertex,
     check_circuit_axioms,
     circuits_of_points,
     same_chirotope,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomReport",
-    "Cell",
     "Circuit",
     "CircuitGraph",
     "DegeneratePointError",
@@ -93,7 +90,6 @@ __all__ = [
     "PointConfiguration",
     "RadonComplex",
     "RankDeficientError",
-    "SignedCircuitVertex",
     "SimplicialComplex",
     "SphereReport",
     "TOL_CURV",

@@ -307,8 +307,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     combinatorial = combinatorial_circuit_graph(matroid)
     matches = graphs_equal(rc.graph, combinatorial)
     _write_json(out / "matroid.json", matroid.payload())
-    facets = RecordTable({"dim": rc.facet_dims, "vertices": rc.facet_vertices})
-    complex_payload = {**rc.graph.payload(), "n": matroid.n, "d": matroid.d, "facets": facets, "positions": rc.positions}
+    complex_payload = {**rc.graph.payload(), "n": matroid.n, "d": matroid.d, "facets": rc.facets, "positions": rc.positions}
     _write_json(out / "radon_complex.json", complex_payload)
     _write_json(out / "sphere_report.json", {**report.to_dict(), "combinatorial_graph_matches": matches})
     status = "ok" if report.ok and matches else "MISMATCH"

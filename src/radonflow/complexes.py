@@ -23,8 +23,9 @@ pairs beyond realizable sets).  Edges group into closed cycles by the
 support of X o Y, one cycle per two-dimensional coordinate subspace of V.
 A CircuitGraph's vertices are its matroid's rows, then their negations,
 so the antipodal map is index arithmetic.  The cycles derive from the
-vertices and edges, so a CircuitGraph walks them on first read.  Every
-list of int lists here, the cycles and the facets, is a core.Ragged.
+vertices and edges, so a CircuitGraph walks them on first read.  The
+vertices, the cycles and the facets are core.RecordTables, the tables the
+CLI writes, and each list of int lists in them is a core.Ragged.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ import numpy as np
 
 from .core import (
     EPS_MEM,
-    Circuit,
     OrientedMatroid,
     PointConfiguration,
     Ragged,
     RecordTable,
-    SignedCircuitVertex,
     check_circuit_axioms,
     circuit_dependences,
     _circuit_table,
@@ -79,14 +78,6 @@ def project_to_gamma(x: np.ndarray) -> np.ndarray:
     return 2.0 * x / total
 
 
-@dataclass(frozen=True)
-class Cell:
-    """A filled cell of dimension >= 2, given by the vertices on its closure."""
-
-    dim: int
-    vertices: frozenset[int]
-
-
 @dataclass(eq=False)
 class CircuitGraph:
     """A matroid's signed circuits as vertices, and edges; the rest is derived.
@@ -94,12 +85,13 @@ class CircuitGraph:
     signs is the vertices' (V, n) int8 array of sign vectors, +1/-1/0
     (column e-1 for element e): the matroid's rows, then their negations,
     so vertex i + V/2 is vertex i's antipode by construction.  The checks
-    and comparisons read rows, the kernel's packing of signs; vertices, one
-    SignedCircuitVertex per row, is built only when read.  edges is the
-    (E, 2) intp array of the edges, each [i, j] with i < j, rows ascending,
-    from pairs of vertices in range(V) in any order (an end outside, a loop
-    or a repeat raises ValueError, naming the first such edge as given).  ==
-    is identity: graphs_equal compares graphs.  cycles, the edges' partition
+    and comparisons read rows, the kernel's packing of signs; vertices,
+    the RecordTable that payload writes (each vertex's circuit and its
+    sign), is built on first read, and vertex_text(i) prints vertex i in
+    messages.  edges is the (E, 2) intp array of the edges, each [i, j]
+    with i < j, rows ascending, from pairs of vertices in range(V) in any
+    order (an end outside, a loop or a repeat raises ValueError, naming the
+    first such edge as given).  == is identity: graphs_equal compares graphs.  cycles, the edges' partition
     into closed cycles (_partition_edges_into_cycles), is a RecordTable of
     three Ragged fields, one list of each per cycle: its support,
     ascending, its vertex_seq, the vertices in cyclic order (the first not
@@ -135,24 +127,25 @@ class CircuitGraph:
         """The cycle partition of the edges, walked on first read."""
         return _partition_edges_into_cycles(self.rows, *self.edges.T)
 
-    def _vertex_table(self) -> RecordTable:
+    @cached_property
+    def vertices(self) -> RecordTable:
         """Each vertex's circuit as "pos" and "neg", its smallest element
         positive (the rule of Circuit.make), and the vertex's "sign" there."""
         lead = self.signs[np.arange(len(self.signs)), (self.signs != 0).argmax(axis=1)]
         return RecordTable({**_circuit_table(self.signs * lead[:, None]).fields, "sign": lead})
 
-    @cached_property
-    def vertices(self) -> tuple[SignedCircuitVertex, ...]:
-        """The vertices as SignedCircuitVertex objects, built on first use."""
-        return tuple(
-            SignedCircuitVertex(Circuit(v["pos"], v["neg"]), v["sign"]) for v in self._vertex_table().tolist()
-        )
+    def vertex_text(self, i: int) -> str:
+        """Vertex i as messages print it: its sign, then its circuit, as
+        in -{1}|{2,4}."""
+        fields = self.vertices.fields
+        pos, neg = (",".join(map(str, fields[key][i].tolist())) for key in ("pos", "neg"))
+        return f"{'+' if fields['sign'][i] > 0 else '-'}{{{pos}}}|{{{neg}}}"
 
     def payload(self) -> dict:
         """The graph as the CLI writes it: the vertices and the cycles as
         RecordTables, the edges as their array."""
         cycles = {key: self.cycles.fields[key] for key in ("support", "edge_ids")}
-        return {"vertices": self._vertex_table(), "edges": self.edges, "cycles": RecordTable(cycles)}
+        return {"vertices": self.vertices, "edges": self.edges, "cycles": RecordTable(cycles)}
 
 
 @dataclass(eq=False)
@@ -163,7 +156,9 @@ class RadonComplex:
     one row per graph vertex, antipodal rows negated.  The cells of
     dimension >= 2 (the facets) are ordered by dimension, then by their
     ascending vertex tuples: facet k has dimension facet_dims[k] and the
-    vertices facet_vertices[k], ascending, a Ragged.
+    vertices facet_vertices[k], ascending, a Ragged.  facets is the two
+    as the RecordTable the CLI writes, one record {"dim", "vertices"} per
+    facet.
     """
 
     graph: CircuitGraph
@@ -176,12 +171,9 @@ class RadonComplex:
         return self.graph.matroid
 
     @cached_property
-    def facets(self) -> tuple[Cell, ...]:
-        """The facets as Cell objects, built on first use."""
-        return tuple(
-            Cell(dim=k, vertices=frozenset(v))
-            for k, v in zip(self.facet_dims.tolist(), self.facet_vertices.tolist())
-        )
+    def facets(self) -> RecordTable:
+        """The facets as the CLI writes them: each one's "dim" and "vertices"."""
+        return RecordTable({"dim": self.facet_dims, "vertices": self.facet_vertices})
 
     def euler_characteristic(self) -> int:
         odd = int(np.count_nonzero(self.facet_dims & 1))
@@ -285,8 +277,9 @@ def _open_cycle(supports: Ragged, order, tag_of, first, second) -> ValueError:
 
 
 def _circuit_edges(m: OrientedMatroid) -> np.ndarray:
-    """The circuit graph's edges, unsorted (CircuitGraph sorts them), on the
-    vertex rows [m.signs; -m.signs]: the signed pairs that conform of each
+    """The circuit graph's edges, unsorted (CircuitGraph sorts them, and the
+    closure's neighbour lists do not need it), on the vertex rows
+    [m.signs; -m.signs]: the signed pairs that conform of each
     modular pair of circuits (m.modular_pairs; see the module docstring).
     The sign product of a pair's int8 rows says which of them conform."""
     signs, k, (a, b) = m.signs, len(m.signs), m.modular_pairs
@@ -393,16 +386,15 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     tuple) order by one argsort of key rows: big-endian words dim, v1 + 1,
     v2 + 1, ..., padded with 0 (the vertex -1, so that a prefix sorts
     first, as tuples do), whose bytes compare as those tuples do; their
-    closures, taken in that order, are the facets' vertex lists.  No Cell
-    object is built (see RadonComplex.facets).
+    closures, taken in that order, are the facets' vertex lists
+    (RadonComplex.facets).
     """
     matroid, dependences = circuit_dependences(config)
     placed = project_to_gamma(dependences)
     positions = np.concatenate([placed, -placed])
 
-    circuit_graph = _circuit_graph(matroid)
-    rows = circuit_graph.rows
-    realized = _composition_closure(rows, circuit_graph.edges)
+    rows = _pack(np.concatenate([matroid.signs, -matroid.signs]))
+    realized = _composition_closure(rows, _circuit_edges(matroid))
     supports, which = _supports(realized, config.n)
     cell_dims = _dependence_dims(config, supports)[which] - 1
     cells, cell_dims = realized[cell_dims > 0], cell_dims[cell_dims > 0]
@@ -515,7 +507,7 @@ def validate_sphere(c: RadonComplex) -> SphereReport:
     odd = np.flatnonzero(degree % 2)
     if len(odd):
         i = int(odd[0])
-        failures.append(f"vertex {g.vertices[i]!r} has odd degree {degree[i]}")
+        failures.append(f"vertex {g.vertex_text(i)} has odd degree {degree[i]}")
 
     mirrored, _ = _canonical((g.edges + count // 2) % count, count)
     if not np.array_equal(mirrored, g.edges):

@@ -8,7 +8,7 @@ Radon partition: conv(A) and conv(B) intersect, and no proper subset has
 that property.  Circuits are stored unsigned-canonically, with the smallest
 element of A u B in the positive part.  An OrientedMatroid is its circuits'
 int8 sign rows, a circuit graph's vertices those rows and their negations;
-a Circuit or SignedCircuitVertex is built only for a reader that asks.
+a Circuit is built only for a reader that asks.
 """
 
 from __future__ import annotations
@@ -119,37 +119,6 @@ class Circuit:
         p = ",".join(map(str, sorted(self.pos)))
         n = ",".join(map(str, sorted(self.neg)))
         return f"{{{p}}}|{{{n}}}"
-
-
-@dataclass(frozen=True)
-class SignedCircuitVertex:
-    """One orientation of a circuit; the vertices of the circuit graph."""
-
-    circuit: Circuit
-    orientation: int
-
-    def __post_init__(self) -> None:
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-
-    @property
-    def pos(self) -> frozenset[int]:
-        return self.circuit.pos if self.orientation == 1 else self.circuit.neg
-
-    @property
-    def neg(self) -> frozenset[int]:
-        return self.circuit.neg if self.orientation == 1 else self.circuit.pos
-
-    @property
-    def support(self) -> frozenset[int]:
-        return self.circuit.support
-
-    def antipode(self) -> "SignedCircuitVertex":
-        return SignedCircuitVertex(self.circuit, -self.orientation)
-
-    def __repr__(self) -> str:
-        sgn = "+" if self.orientation == 1 else "-"
-        return f"{sgn}{self.circuit!r}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -548,6 +517,10 @@ class RecordTable:
     tolist() builds the list of dicts it stands for."""
 
     fields: dict
+
+    def __len__(self) -> int:
+        """The number of records: the length of any field, 0 with none."""
+        return len(next(iter(self.fields.values()), ()))
 
     def tolist(self) -> list[dict]:
         columns = [value.tolist() for value in self.fields.values()]

@@ -127,15 +127,14 @@ class EmbeddedSphere:
         off = (np.abs(x.sum(axis=1)) > EPS_MEM) | (np.abs(np.abs(x).sum(axis=1) - 2.0) > EPS_MEM)
         if off.any():
             k = int(np.flatnonzero(off)[0])
-            raise ValueError(f"position of {self.graph.vertices[k]!r} is off the polytope")
+            raise ValueError(f"position of {self.graph.vertex_text(k)} is off the polytope")
         for mask, what in (
             (self.face_margins(x) <= EPS_SIGN, "has left its face"),
             (~self._on & (np.abs(x) > EPS_SIGN), "has support leakage on"),
         ):
             rows, cols = np.nonzero(mask)
             if rows.size:
-                v = self.graph.vertices[int(rows[0])]
-                raise ValueError(f"{v!r} {what} element {int(cols[0]) + 1}")
+                raise ValueError(f"{self.graph.vertex_text(rows[0])} {what} element {int(cols[0]) + 1}")
 
     @property
     def n_reps(self) -> int:

@@ -553,7 +553,7 @@ def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def cellular_betti(grade: np.ndarray, lower: Ragged) -> list[int]:
     """GF(2) cellular Betti numbers of a graded cell poset.
 
-    Cell x has dimension grade[x] and the lower covers lower[x] (a Ragged,
+    The cell x has dimension grade[x] and the lower covers lower[x] (a Ragged,
     Ragged.grouped), each of grade one less; its boundary is their sum,
     every incidence being 1 mod 2.  Cells are numbered within their grade
     in the order of their indices, so each column's rows ascend.  Grades are
@@ -627,7 +627,7 @@ def _lower_sets(p: MatroidPoset, covers: np.ndarray, grade: np.ndarray, xs: np.n
     disjoint copy per element: their grades and their lower covers, a
     Ragged (Ragged.grouped).
 
-    Cell (y, t) is the pair (y, xs[t]) of p.pairs, so the cells come in
+    The cell (y, t) is the pair (y, xs[t]) of p.pairs, so the cells come in
     row-major order and the cells of each y are a Ragged list.  A cover
     (a, b) yields the covers of (a, t) by (b, t) for every t above b.
     """
@@ -703,7 +703,7 @@ def cellular_homology(p: MatroidPoset, hasse: np.ndarray) -> tuple[np.ndarray, l
 
 @dataclass
 class M42Report:
-    """Cell structure of the 25-element poset for n=4, d=2."""
+    """The cell structure of the 25-element poset for n=4, d=2."""
 
     face_vector: tuple[int, int, int]
     euler_characteristic: int

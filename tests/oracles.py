@@ -61,7 +61,10 @@ ReferenceGraphs, whose cycles come from that walk, read on first use as
 the package reads its own.  A ReferenceGraph holds SignedCircuitVertex
 objects, the vertex list the package once built (_ordered_vertices), and
 writes them in payload as the package once did; the package's graphs hold
-sign rows and build vertex objects only when read.
+sign rows and their vertices as a RecordTable.  SignedCircuitVertex and
+Cell are the object forms of a vertex and a facet that the package once
+kept; vertex_objects and facet_cells read them off a package graph's
+vertex table and a complex's facet table.
 
 table_records is json.dumps's default= for the int tables the CLI writes
 (cli.RecordTable, cli.Ragged) and 2-D arrays: the list of dicts or of
@@ -122,10 +125,61 @@ def set_of(mask: int) -> frozenset:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@dataclass(frozen=True)
+class SignedCircuitVertex:
+    """One orientation of a circuit; a vertex of the circuit graph."""
+
+    circuit: rf.Circuit
+    orientation: int
+
+    def __post_init__(self) -> None:
+        if self.orientation not in (1, -1):
+            raise ValueError("orientation must be +1 or -1")
+
+    @property
+    def pos(self) -> frozenset[int]:
+        return self.circuit.pos if self.orientation == 1 else self.circuit.neg
+
+    @property
+    def neg(self) -> frozenset[int]:
+        return self.circuit.neg if self.orientation == 1 else self.circuit.pos
+
+    @property
+    def support(self) -> frozenset[int]:
+        return self.circuit.support
+
+    def antipode(self) -> "SignedCircuitVertex":
+        return SignedCircuitVertex(self.circuit, -self.orientation)
+
+    def __repr__(self) -> str:
+        sgn = "+" if self.orientation == 1 else "-"
+        return f"{sgn}{self.circuit!r}"
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A filled cell of dimension >= 2, given by the vertices on its closure."""
+
+    dim: int
+    vertices: frozenset[int]
+
+
+def vertex_objects(graph) -> tuple:
+    """A package graph's vertices as SignedCircuitVertex objects, one per
+    record of its vertex table."""
+    return tuple(SignedCircuitVertex(rf.Circuit(v["pos"], v["neg"]), v["sign"]) for v in graph.vertices.tolist())
+
+
+def facet_cells(rc) -> tuple:
+    """A package complex's facets as Cell objects, one per record of its
+    facet table, in its order."""
+    return tuple(Cell(f["dim"], frozenset(f["vertices"])) for f in rc.facets.tolist())
+
+
 def _ordered_vertices(circuits) -> tuple:
     """The package's earlier vertex list: one SignedCircuitVertex per
     circuit, positive orientations first, antipodes mirrored after."""
-    reps = [rf.SignedCircuitVertex(c, 1) for c in circuits]
+    reps = [SignedCircuitVertex(c, 1) for c in circuits]
     return tuple(reps + [v.antipode() for v in reps])
 
 
@@ -419,7 +473,7 @@ def local_curvature(s, i) -> tuple[float, list[float]]:
 def velocity(s, i) -> np.ndarray:
     """The eta * Delta field at vertex i: sum_k eta_k P_supp(v_k + v_k' - 2 v)."""
     p = s.positions_all()[i]
-    support = s.graph.vertices[i].support
+    support = np.flatnonzero(s.graph.signs[i]) + 1
     out = np.zeros_like(p)
     for pa, pb, wh, wh2 in _neighbor_directions(s, i):
         eta = float(np.linalg.norm(wh2 - float(wh @ wh2) * wh))
@@ -658,7 +712,7 @@ def radon_complex(config):
                 queue.append(t)
 
     edge_set = {}
-    facet_cells = []
+    cells = []
     for sp, sn in realized:
         cell_dim = dim_of(sp | sn) - 1
         if cell_dim == 0:
@@ -669,13 +723,13 @@ def radon_complex(config):
                 raise ValueError("a one-dimensional cell must close over exactly two circuits")
             edge_set[tuple(sorted(conforming))] = None
         else:
-            facet_cells.append(rf.Cell(dim=cell_dim, vertices=frozenset(conforming)))
+            cells.append(Cell(dim=cell_dim, vertices=frozenset(conforming)))
 
     edges = sorted(edge_set)
     matroid = rf.OrientedMatroid.from_circuits(rf.GroundSet(n, d), circuits)
     graph = ReferenceGraph(matroid, edges)
     assert graph.vertices == vertices  # the matroid keeps the circuits in sort_key order
-    facets = tuple(sorted(facet_cells, key=lambda c: (c.dim, tuple(sorted(c.vertices)))))
+    facets = tuple(sorted(cells, key=lambda c: (c.dim, tuple(sorted(c.vertices)))))
     return RadonComplexRef(graph=graph, facets=facets, n=n, d=d, positions=positions)
 
 
@@ -730,7 +784,7 @@ def composition_closure(rows):
 
 @dataclass
 class RadonComplexRef:
-    """radon_complex's answer: the facets as a sorted tuple of rf.Cell."""
+    """radon_complex's answer: the facets as a sorted tuple of Cell."""
 
     graph: object
     facets: tuple

@@ -50,7 +50,7 @@ def test_hexagon_complex_is_a_two_sphere(hexagon_complex):
     rc = hexagon_complex
     assert len(rc.graph.vertices) == 30
     assert len(rc.graph.edges) == 60
-    assert all(cell.dim == 2 for cell in rc.facets)
+    assert rc.facet_dims.tolist() == [2] * 32
     assert len(rc.facets) == 32
     assert rc.euler_characteristic() == 2
     assert rf.validate_sphere(rc).ok
@@ -65,7 +65,7 @@ def test_line_complex_is_a_circle(line_config):
 def test_positions_sit_on_their_faces(hexagon_complex):
     g = hexagon_complex.graph
     amb = oracles.AmbientSpace(hexagon_complex.matroid.n)
-    for k, v in enumerate(g.vertices):
+    for k, v in enumerate(oracles.vertex_objects(g)):
         assert amb.face_of(hexagon_complex.positions[k]) == (v.pos, v.neg)
     # the package's one face check accepts the same positions
     rf.EmbeddedSphere(g, hexagon_complex.positions[: len(g.signs) // 2])
@@ -154,8 +154,9 @@ ODD = [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 7), (6, 7), (7, 8), (8, 9), (
 
 
 def test_validate_sphere_flags_odd_degree(pentagon_complex):
+    # vertex 1 is the circuit {1,3}|{2,5}, signed +
     report = rf.validate_sphere(_hand_built(pentagon_complex, ODD))
-    assert report.failures == [f"vertex {pentagon_complex.graph.vertices[1]!r} has odd degree 1"]
+    assert report.failures == ["vertex +{1,3}|{2,5} has odd degree 1"]
 
 
 def test_open_cycles_raise_when_the_cycles_are_read(pentagon_complex):
@@ -204,10 +205,10 @@ def test_circuit_graph_refuses_a_loop_or_a_repeated_edge(pentagon_complex, edge,
 
 def test_antipodal_symmetry(hexagon_complex):
     g = hexagon_complex.graph
-    vset = set(g.vertices)
-    for v in g.vertices:
-        assert v.antipode() in vset
+    vertices = oracles.vertex_objects(g)
     reps = len(g.vertices) // 2
+    for i, v in enumerate(vertices):
+        assert vertices[(i + reps) % len(vertices)] == v.antipode()
     assert np.allclose(
         hexagon_complex.positions[reps:], -hexagon_complex.positions[:reps]
     )
@@ -346,14 +347,14 @@ def test_modular_elimination_on_census_elements_with_a_circuit_dropped():
 def _assert_cycles_partition_edges(g):
     """Each edge id lies on exactly one cycle, joins two cycle neighbours
     there, and composes to the cycle's support."""
-    cycles = g.cycles.tolist()
+    cycles, vertices = g.cycles.tolist(), oracles.vertex_objects(g)
     assert sorted(eid for cyc in cycles for eid in cyc["edge_ids"]) == list(range(len(g.edges)))
     for cyc in cycles:
         seq = cyc["vertex_seq"]
         for k, eid in enumerate(cyc["edge_ids"]):
             a, b = g.edges[eid]
             assert {a, b} == {seq[k], seq[(k + 1) % len(seq)]}
-            assert sorted(g.vertices[a].support | g.vertices[b].support) == cyc["support"]
+            assert sorted(vertices[a].support | vertices[b].support) == cyc["support"]
 
 
 @pytest.mark.parametrize("n, d", LADDER)
@@ -428,34 +429,72 @@ def test_analyze_walks_the_cycles_once_and_flow_once_per_rep(monkeypatch, tmp_pa
     assert walks == [60, 60, 60]
 
 
-def _counted_constructions(monkeypatch):
-    """The number of Circuit and SignedCircuitVertex objects made from now
-    on, by class name."""
-    built = {}
-    for cls in (rf.Circuit, rf.SignedCircuitVertex):
-        built[cls.__name__] = 0
+def _counted_constructions(monkeypatch, cls):
+    """A list whose length is the number of cls objects made from now on."""
+    built, init = [], cls.__post_init__
 
-        def counted(self, check=cls.__post_init__, name=cls.__name__):
-            built[name] += 1
-            check(self)
+    def counted(self):
+        built.append(None)
+        init(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    monkeypatch.setattr(cls, "__post_init__", counted)
     return built
 
 
 def test_analyze_and_flow_build_no_circuit_objects(monkeypatch, tmp_path):
     # on the README hexagon every layer reads the matroid's and the graph's
-    # sign rows: no Circuit and no SignedCircuitVertex is made
-    built = _counted_constructions(monkeypatch)
+    # sign rows, and the vertex and facet tables hold arrays: no Circuit is made
+    built = _counted_constructions(monkeypatch, rf.Circuit)
     path = tmp_path / "hexagon.json"
     path.write_text(json.dumps({"d": 2, "points": [[0, 0], [4, 1], [6, 4], [5, 7], [1, 6], [-1, 3]]}))
     assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "analyze")]) == 0
     assert main(["flow", "--config", str(path), "--seed", "11", "--out", str(tmp_path / "flow")]) == 0
-    assert built == {"Circuit": 0, "SignedCircuitVertex": 0}
-    # the counts see the objects the graph's lazy vertex view makes
-    config = rf.PointConfiguration.from_dict(json.loads(path.read_text()))
-    assert len(rf.geometric_radon_complex(config).graph.vertices) == 30
-    assert built == {"Circuit": 30, "SignedCircuitVertex": 30}
+    rc = rf.geometric_radon_complex(rf.PointConfiguration.from_dict(json.loads(path.read_text())))
+    assert (len(rc.graph.vertices), len(rc.facets)) == (30, 32)
+    assert len(built) == 0
+    # the count sees the objects the matroid's lazy circuit view makes
+    assert len(rc.matroid.circuits) == 15
+    assert len(built) == 15
+
+
+# perfbench/tracing.py counts a traced op's vertices, edges, cells and
+# circuits as len(rc.graph.vertices), len(rc.graph.edges), len(rc.facets)
+# and len(m.circuits): each must stay the number of rows it stands for
+@pytest.mark.parametrize(
+    "config",
+    [rf.PointConfiguration(np.asarray(HEXAGON), 2), _sample_spanning_points(9, 4, np.random.default_rng([1, 0]))],
+    ids=["hexagon", "ladder-draw-9-4"],
+)
+def test_the_lengths_the_benchmark_tracer_reads(config):
+    rc = rf.geometric_radon_complex(config)
+    g, m = rc.graph, rc.matroid
+    assert len(g.vertices) == len(g.signs) == 2 * len(m.signs)
+    assert len(g.edges) == g.edges.shape[0] and g.edges.shape[1:] == (2,)
+    assert len(rc.facets) == len(rc.facet_dims) == len(rc.facet_vertices) > 0
+    assert len(m.circuits) == len(m.signs)
+
+
+def test_analyze_writes_the_vertex_and_facet_tables_it_holds(monkeypatch, tmp_path, hexagon_config):
+    # radon_complex.json's vertices and facets are written from the very
+    # tables rc.graph.vertices and rc.facets, not from copies
+    made, written = [], {}
+    build = rf.cli.geometric_radon_complex
+    monkeypatch.setattr(rf.cli, "geometric_radon_complex", lambda config: made.append(build(config)) or made[-1])
+    monkeypatch.setattr(rf.cli, "_write_json", lambda path, payload: written.update({path.name: payload}))
+    path = tmp_path / "hexagon.json"
+    path.write_text(json.dumps(hexagon_config.to_dict()))
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    (rc,) = made
+    assert written["radon_complex.json"]["vertices"] is rc.graph.vertices
+    assert written["radon_complex.json"]["facets"] is rc.facets
+
+
+def test_geometric_radon_complex_builds_one_circuit_graph(monkeypatch, hexagon_config):
+    # the closure reads the circuit graph's edges off the matroid, not off a
+    # graph of its own: the complex's graph is the only one built
+    built = _counted_constructions(monkeypatch, rf.CircuitGraph)
+    rf.geometric_radon_complex(hexagon_config)
+    assert len(built) == 1
 
 
 def test_vertex_sign_is_that_of_its_smallest_element():
@@ -466,23 +505,26 @@ def test_vertex_sign_is_that_of_its_smallest_element():
     g = rf.CircuitGraph(m, [])
     circuit = {"pos": [1], "neg": [2, 4]}
     assert _plain(g.payload())["vertices"] == [{**circuit, "sign": -1}, {**circuit, "sign": 1}]
+    assert g.payload()["vertices"] is g.vertices
+    assert [g.vertex_text(i) for i in range(2)] == ["-{1}|{2,4}", "+{1}|{2,4}"]
     c = rf.Circuit.make({1}, {2, 4})
-    assert g.vertices == (rf.SignedCircuitVertex(c, -1), rf.SignedCircuitVertex(c, 1))
-    assert g.vertices[0].pos == {2, 4} and g.vertices[0].neg == {1}
+    vertices = oracles.vertex_objects(g)
+    assert vertices == (oracles.SignedCircuitVertex(c, -1), oracles.SignedCircuitVertex(c, 1))
+    assert vertices[0].pos == {2, 4} and vertices[0].neg == {1}
 
 
 def _assert_row_built_graphs_equal_object_built(cfg):
     """Both graphs of cfg, built from sign rows, equal ReferenceGraphs of the
     same edges built from vertex objects (the package's earlier
     _ordered_vertices of the sorted circuits): the same written dict, the
-    same cycles, vertex sequences included, the same lazy vertex view and
+    same cycles, vertex sequences included, the same vertex objects and
     the same sign rows."""
     rc = rf.geometric_radon_complex(cfg)
     for g in (rc.graph, rf.combinatorial_circuit_graph(rc.matroid)):
         ref = oracles.ReferenceGraph(rc.matroid, g.edges)
         assert _plain(g.payload()) == _plain(ref.payload())
         assert g.cycles.tolist() == ref.cycles.tolist()
-        assert g.vertices == ref.vertices
+        assert oracles.vertex_objects(g) == ref.vertices
         assert np.array_equal(g.signs, ref.signs)
 
 
@@ -584,7 +626,7 @@ def test_conformance_kernel_matches_loop_references(n, d):
         cfg = rf.PointConfiguration(pts.astype(float), d)
         rc, ref = rf.geometric_radon_complex(cfg), oracles.radon_complex(cfg)
         assert _plain(rc.graph.payload()) == _plain(ref.graph.payload())
-        assert rc.facets == ref.facets
+        assert oracles.facet_cells(rc) == ref.facets
         assert np.array_equal(rc.positions, ref.positions)
         m = rc.matroid
         got, want = rf.combinatorial_circuit_graph(m), oracles.circuit_graph(m)
@@ -650,8 +692,8 @@ def test_circuit_graph_on_ground_sets_wider_than_64(pentagon_config):
     shift = 65  # elements 66..70 of 70, past two 32-element words
     wide = widened(m, 70, shift)
     g, g_wide = rf.combinatorial_circuit_graph(m), rf.combinatorial_circuit_graph(wide)
-    assert [(v.pos, v.neg) for v in g_wide.vertices] == [
-        ({e + shift for e in v.pos}, {e + shift for e in v.neg}) for v in g.vertices
+    assert [(v.pos, v.neg) for v in oracles.vertex_objects(g_wide)] == [
+        ({e + shift for e in v.pos}, {e + shift for e in v.neg}) for v in oracles.vertex_objects(g)
     ]
     assert np.array_equal(g_wide.edges, g.edges) and len(g.edges) == 10
     wide_cycles, cycles = g_wide.cycles.fields, g.cycles.fields
@@ -701,7 +743,7 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
                 _graph_or_error(lambda: rf.complexes._circuit_graph(m))
                 for m in matroids + [wide] + broken
             ],
-            [(_plain(rc.graph.payload()), rc.facets, rc.positions.tolist()) for rc in rcs],
+            [(_plain(rc.graph.payload()), rc.facets.tolist(), rc.positions.tolist()) for rc in rcs],
             poset.pairs.tolist(),
             poset.hasse_pairs().tolist(),
         )
@@ -728,7 +770,7 @@ def test_geometric_complex_matches_the_oracle_at_the_top_rungs(n, d):
         cfg = rf.PointConfiguration(pts.astype(float), d)
         rc, ref = rf.geometric_radon_complex(cfg), oracles.radon_complex(cfg)
         assert _plain(rc.graph.payload()) == _plain(ref.graph.payload())
-        assert rc.facets == ref.facets
+        assert oracles.facet_cells(rc) == ref.facets
         assert np.array_equal(rc.positions, ref.positions)
         assert rc.euler_characteristic() == ref.euler_characteristic() == 1 + (-1) ** (n - d - 2)
 
@@ -772,7 +814,7 @@ def _eight_two():
 def test_facet_listing_matches_the_oracle(hexagon_config):
     for cfg in (hexagon_config, _eight_two()):
         rc, ref = rf.geometric_radon_complex(cfg), oracles.radon_complex(cfg)
-        assert rc.facets == ref.facets
+        assert oracles.facet_cells(rc) == ref.facets
         assert rc.euler_characteristic() == ref.euler_characteristic() == 2
         # the arrays behind rc.facets: dims, then ascending vertex lists
         assert rc.facet_dims.tolist() == [cell.dim for cell in ref.facets]
@@ -883,7 +925,7 @@ def _drawn(n, d):
 def _cells_by_support(rc):
     """rc's cells as {(support mask, dimension): count}: vertices, edges and
     facets, each cell's support the union of its vertices'."""
-    support = [oracles.mask_of(v.support) for v in rc.graph.vertices]
+    support = [oracles.mask_of(v.support) for v in oracles.vertex_objects(rc.graph)]
     cells = Counter((mask, 0) for mask in support)
     cells.update((support[i] | support[j], 1) for i, j in rc.graph.edges.tolist())
     for dim, vertices in zip(rc.facet_dims.tolist(), rc.facet_vertices.tolist()):

@@ -293,7 +293,7 @@ def test_signs_match_a_per_vector_loop():
             cut = int(rng.integers(1, size))
             circuits.append(rf.Circuit.make(support[:cut], support[cut:]))
     circuits.append(rf.Circuit.make({1, 33, 70}, {32, 64, 65}))
-    vertices = [rf.SignedCircuitVertex(c, s) for c in circuits for s in (1, -1)]
+    vertices = [oracles.SignedCircuitVertex(c, s) for c in circuits for s in (1, -1)]
     for vectors in (circuits, vertices, []):
         signs = rf.core._signs(vectors, 70)
         assert signs.dtype == np.int8 and signs.shape == (len(vectors), 70)
@@ -546,6 +546,23 @@ def test_ragged_sized_indexing_fan_and_take_match_loops(lengths):
         owner, position = r.fan(rows)
         assert (owner.tolist(), position.tolist()) == oracles.fan_pairs(lists, rows.tolist())
         assert r.take(rows).tolist() == [lists[x] for x in rows.tolist()]
+
+
+@pytest.mark.parametrize(
+    "fields, records",
+    [
+        ({}, 0),
+        ({"dim": np.zeros(0, np.intp)}, 0),
+        ({"pos": rf.core.Ragged.sized([], np.zeros(0, np.intp)), "sign": np.zeros(0, np.int8)}, 0),
+        ({"dim": np.array([2, 3, 2]), "vertices": rf.core.Ragged.sized([3, 0, 4], np.arange(7))}, 3),
+        ({"pos": rf.core.Ragged.sized([1, 2], np.arange(3)), "neg": rf.core.Ragged.sized([2, 0], np.arange(2))}, 2),
+        ({"a": rf.core.Ragged.sized([0, 0, 0], np.zeros(0, np.intp))}, 3),
+    ],
+    ids=["no-fields", "empty-column", "empty-fields", "column-and-ragged", "two-raggeds", "empty-lists"],
+)
+def test_record_table_length_is_its_number_of_records(fields, records):
+    table = rf.core.RecordTable(fields)
+    assert len(table) == records == len(table.tolist())
 
 
 @pytest.mark.parametrize("k, pairs", [(1, 0), (5, 0), (6, 40), (30, 200)])

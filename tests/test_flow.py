@@ -18,6 +18,7 @@ from oracles import (
     perturbed_positions,
     unchecked,
     velocity,
+    vertex_objects,
 )
 from radonflow import flow
 from radonflow.cli import _sample_spanning_points
@@ -154,7 +155,7 @@ def test_curvature_equals_gram_determinant(hexagon_sphere):
 def test_velocity_stays_in_face_tangents(pentagon_sphere, hexagon_sphere):
     for s in (pentagon_sphere, hexagon_sphere):
         sp = s.perturbed(0.05, np.random.default_rng(9))
-        for i, v in enumerate(sp.graph.vertices):
+        for i, v in enumerate(vertex_objects(sp.graph)):
             dv = velocity(sp, i)
             off = [e for e in range(1, sp.matroid.n + 1) if e not in v.support]
             assert all(abs(dv[e - 1]) < 1e-12 for e in off)
@@ -163,9 +164,9 @@ def test_velocity_stays_in_face_tangents(pentagon_sphere, hexagon_sphere):
 
 def test_velocity_is_antipodally_equivariant(hexagon_sphere):
     s = hexagon_sphere.perturbed(0.05, np.random.default_rng(2))
-    for i, v in enumerate(s.graph.vertices[: s.n_reps]):
-        dv = velocity(s, i)
-        assert np.abs(velocity(s, s.graph.vertices.index(v.antipode())) + dv).max() < 1e-12
+    for i in range(s.n_reps):
+        # vertex i + n_reps is vertex i's antipode
+        assert np.abs(velocity(s, i + s.n_reps) + velocity(s, i)).max() < 1e-12
 
 
 def test_flat_input_converges_immediately(pentagon_sphere):
@@ -745,23 +746,24 @@ def test_embedded_sphere_validation(pentagon_sphere):
     g = pentagon_sphere.graph
     good = pentagon_sphere.rep_positions()
 
+    # each message names vertex 0, the circuit {1,3}|{2,4} signed +
     off = good.copy()
     off[0] *= 1.1  # breaks the 1-norm equation
-    with pytest.raises(ValueError, match="off the polytope"):
+    with pytest.raises(ValueError, match=r"^position of \+\{1,3\}\|\{2,4\} is off the polytope$"):
         rf.EmbeddedSphere(g, off)
 
     flipped = good.copy()
     flipped[0] *= -1.0  # keeps both defining equations, swaps the face
-    with pytest.raises(ValueError, match="left its face"):
+    with pytest.raises(ValueError, match=r"^\+\{1,3\}\|\{2,4\} has left its face element 1$"):
         rf.EmbeddedSphere(g, flipped)
 
     leak = good.copy()
-    v0 = g.vertices[0]
+    v0 = vertex_objects(g)[0]
     outside = next(e for e in range(1, 6) if e not in v0.support)
     donor = max(v0.pos, key=lambda e: leak[0, e - 1])
     leak[0, outside - 1] += 0.1
     leak[0, donor - 1] -= 0.1  # keeps both defining equations intact
-    with pytest.raises(ValueError, match="support leakage"):
+    with pytest.raises(ValueError, match=r"^\+\{1,3\}\|\{2,4\} has support leakage on element 5$"):
         rf.EmbeddedSphere(g, leak)
 
     with pytest.raises(ValueError, match="shape"):
@@ -772,9 +774,11 @@ def test_position_lookup_and_antipodes(pentagon_sphere):
     s = pentagon_sphere
     allpos = s.positions_all()
     assert allpos.shape == (2 * s.n_reps, s.matroid.n)
-    for k, v in enumerate(s.graph.vertices[: s.n_reps]):
+    vertices = vertex_objects(s.graph)
+    for k in range(s.n_reps):
         assert np.array_equal(allpos[k], s.rep_positions()[k])
-        assert np.array_equal(allpos[s.graph.vertices.index(v.antipode())], -allpos[k])
+        assert vertices[k + s.n_reps] == vertices[k].antipode()
+        assert np.array_equal(allpos[k + s.n_reps], -allpos[k])
 
 
 def test_integrate_leaves_input_untouched(pentagon_sphere):
