@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import (
     EPS_MEM,
+    Circuit,
     OrientedMatroid,
     PointConfiguration,
     Ragged,
@@ -78,6 +79,12 @@ def project_to_gamma(x: np.ndarray) -> np.ndarray:
     return 2.0 * x / total
 
 
+def _vertex_signs(matroid: OrientedMatroid) -> np.ndarray:
+    """The sign vectors of a matroid's circuit graph vertices: its rows,
+    then their negations, so vertex i + V/2 is vertex i's antipode."""
+    return np.concatenate([matroid.signs, -matroid.signs])
+
+
 @dataclass(eq=False)
 class CircuitGraph:
     """A matroid's signed circuits as vertices, and edges; the rest is derived.
@@ -106,7 +113,7 @@ class CircuitGraph:
     rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.signs = np.concatenate([self.matroid.signs, -self.matroid.signs])
+        self.signs = _vertex_signs(self.matroid)
         self.rows = _pack(self.signs)
         edges = np.asarray(self.edges, np.intp).reshape(-1, 2)
         outside = np.flatnonzero(((edges < 0) | (edges >= len(self.signs))).any(axis=1))
@@ -138,8 +145,8 @@ class CircuitGraph:
         """Vertex i as messages print it: its sign, then its circuit, as
         in -{1}|{2,4}."""
         fields = self.vertices.fields
-        pos, neg = (",".join(map(str, fields[key][i].tolist())) for key in ("pos", "neg"))
-        return f"{'+' if fields['sign'][i] > 0 else '-'}{{{pos}}}|{{{neg}}}"
+        circuit = Circuit(fields["pos"][i].tolist(), fields["neg"][i].tolist())
+        return f"{'+' if fields['sign'][i] > 0 else '-'}{circuit!r}"
 
     def payload(self) -> dict:
         """The graph as the CLI writes it: the vertices and the cycles as
@@ -393,7 +400,7 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     placed = project_to_gamma(dependences)
     positions = np.concatenate([placed, -placed])
 
-    rows = _pack(np.concatenate([matroid.signs, -matroid.signs]))
+    rows = _pack(_vertex_signs(matroid))
     realized = _composition_closure(rows, _circuit_edges(matroid))
     supports, which = _supports(realized, config.n)
     cell_dims = _dependence_dims(config, supports)[which] - 1

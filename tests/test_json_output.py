@@ -63,7 +63,7 @@ def written_facets(out, points, d):
     the complex of the points, in order."""
     facets = json.loads((out / "radon_complex.json").read_text())["facets"]
     rc = rf.geometric_radon_complex(rf.PointConfiguration(np.asarray(points, float), d))
-    assert facets == rc.facets.tolist()
+    assert [(f["dim"], f["vertices"]) for f in facets] == [(c.dim, sorted(c.vertices)) for c in oracles.facet_cells(rc)]
     return facets
 
 
