@@ -47,6 +47,7 @@ from .core import (
     PointConfiguration,
     Ragged,
     RecordTable,
+    _distinct as _sorted_distinct,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     same_chirotope,
 )
@@ -226,8 +227,8 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     least, most = values.min().tolist(), values.max().tolist()
     if most - least <= 2 * len(values):
         return values.astype(np.intp) - least, np.arange(least, most + 1)
-    distinct, index = np.unique(values, return_inverse=True)
-    return index.reshape(-1), distinct
+    distinct, _, index = _sorted_distinct(values)
+    return index, distinct
 
 
 def _words(heads: list[str], tails: list[str], kinds: np.ndarray, values: np.ndarray) -> list[str]:
@@ -486,10 +487,11 @@ def cmd_homology(args: argparse.Namespace) -> int:
                 raise ValueError(f"'hasse' entry {json.dumps(pair)} is not an [i, j] pair")
             if not all(type(x) is int and 0 <= x < k for x in pair):
                 raise ValueError(f"hasse pair {json.dumps(pair)} names no element of 0..{k - 1}")
-        listed = np.unique(np.array(listed, np.intp).reshape(-1, 2), axis=0)
+        listed = np.array(listed, np.intp).reshape(-1, 2)
+        listed = _sorted_distinct(listed[:, 0] * k + listed[:, 1])[0]  # row-major keys i * k + j, each once
         poset = MatroidPoset.from_elements(table)
         hasse = poset.hasse_pairs()
-        if not np.array_equal(listed, hasse):
+        if not np.array_equal(listed, hasse[:, 0] * k + hasse[:, 1]):
             raise ValueError("'hasse' is not the cover relation of the weak-map order of 'elements'")
         # the census's route: exact once its three checks pass, else NotACWPosetError
         _, betti = cellular_homology(poset, hasse)

@@ -46,6 +46,7 @@ from .core import (
     circuit_dependences,
     _circuit_table,
     _conforming,
+    _distinct,
     _keys,
     _negated,
     _pack,
@@ -123,9 +124,9 @@ class CircuitGraph:
         self.edges, order = _canonical(edges, len(self.signs))
         # a stable sort puts each repeat right after an earlier copy
         repeats = order[1:][(self.edges[1:] == self.edges[:-1]).all(axis=1)]
-        bad = np.union1d(np.flatnonzero(edges[:, 0] == edges[:, 1]), repeats)
+        bad = np.concatenate([np.flatnonzero(edges[:, 0] == edges[:, 1]), repeats])
         if len(bad):
-            k = bad[0]
+            k = bad.min()
             what = "is a loop" if edges[k, 0] == edges[k, 1] else "repeats an earlier edge"
             raise ValueError(f"edge {k} {edges[k].tolist()} {what}")
 
@@ -328,9 +329,10 @@ def _composition_closure(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     face of dimension >= 2 is G o v for a face G the closure reached and a
     neighbour v of the vertex G tracks.
 
-    Each frontier's compositions are made distinct by one np.unique over
-    packed keys, whose first occurrences name the parents; those a binary
-    search misses in the ascending keys seen are inserted and form the next.
+    Each frontier's compositions are made distinct by one sort of their
+    packed keys (core._distinct), whose first occurrences name the parents;
+    those a binary search misses in the ascending keys seen are inserted
+    and form the next.
     """
     pairs = [np.stack(_pairs(b)) + [[start], [0]] for start, b in _conforming(rows, ~_negated(rows))]
     first, second = np.concatenate(pairs, axis=1)
@@ -343,7 +345,7 @@ def _composition_closure(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
     def merged(seen, composed, tracks):
         # seen (rows ascending by key) with the composed rows it lacks put
         # in place; those rows, and the vertex each tracks: its first copy's
-        keys, head = np.unique(_keys(composed), return_index=True)
+        keys, head, _ = _distinct(_keys(composed))
         at, new = np.searchsorted(_keys(seen), keys), composed[head]
         fresh = ~(seen[np.minimum(at, len(seen) - 1)] == new).all(axis=1)
         return np.insert(seen, at[fresh], new[fresh], axis=0), new[fresh], tracks[head[fresh]]

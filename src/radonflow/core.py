@@ -622,16 +622,35 @@ def _negated(rows: np.ndarray) -> np.ndarray:
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
-    """One key per row for a 1-D np.unique: the word itself when a row has
-    one, else the row's bytes."""
+    """One key per row for _distinct: the word itself when a row has one,
+    else the row's bytes, which compare as bytes."""
     rows = np.ascontiguousarray(rows)
     return (rows.view(np.dtype((np.void, 8 * rows.shape[1]))) if rows.shape[1] > 1 else rows)[:, 0]
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of 1-D int or void keys, ascending, the index of
+    each one's first occurrence, and for each key the index of its value:
+    numpy's unique with return_index and return_inverse, and the package's
+    one distinct-values routine.  One default argsort puts equal keys in
+    runs, in no set order within a run, so a run's first occurrence is its
+    least index (np.minimum.reduceat).  unique's stable sort costs about
+    twice as much, and numpy 2's unique imports numpy.ma when asked for the
+    values alone."""
+    order = keys.argsort()
+    ordered = keys[order]
+    start = np.ones(len(keys), bool)
+    start[1:] = ordered[1:] != ordered[:-1]
+    runs = np.flatnonzero(start)
+    which = np.empty(len(keys), np.intp)
+    which[order] = np.cumsum(start) - 1
+    return ordered[runs], np.minimum.reduceat(order, runs) if len(runs) else runs, which
+
+
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows, the index of each one's first occurrence, and for
-    each input row the index of its copy."""
-    _, first, which = np.unique(_keys(rows), return_index=True, return_inverse=True)
+    """The distinct rows in the order of their keys (_distinct), the index
+    of each one's first occurrence, and for each row the index of its copy."""
+    _, first, which = _distinct(_keys(rows))
     return rows[first], first, which
 
 
@@ -764,8 +783,8 @@ def _modular_pairs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         unions.append(_keys((block | supports)[distinct]))
         waiting += len(unions[-1])
         if waiting > len(unions[0]) + 8 * _BLOCK_WORDS:
-            unions, waiting = [np.unique(np.concatenate(unions))], 0
-    unions = np.unique(np.concatenate(unions))
+            unions, waiting = [_distinct(np.concatenate(unions))[0]], 0
+    unions = _distinct(np.concatenate(unions))[0]
     unions = np.ascontiguousarray(unions).view(np.uint64).reshape(len(unions), words)
     unions = unions[_height_two(_unique_rows(supports)[0], unions, n)]
     found = []
@@ -860,7 +879,9 @@ def check_circuit_axioms(m: OrientedMatroid) -> AxiomReport:
     signed = _pack(both)
     which = _unique_rows(signed)[2]
     negative = signs[np.arange(len(signs)), (signs != 0).argmax(axis=1)] < 0
-    reversed_ = np.isin(which[1::2], which[0::2])
+    stored = np.zeros(len(signed), bool)  # stored[r]: distinct row r is some +c_k
+    stored[which[0::2]] = True
+    reversed_ = stored[which[1::2]]
     for i in np.flatnonzero(negative | reversed_):
         if negative[i]:
             canonical.append(f"{c(i)!r} is stored with its smallest element negative")

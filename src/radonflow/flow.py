@@ -37,6 +37,7 @@ from .core import (
     TOL_CURV,
     OrientedMatroid,
     PointConfiguration,
+    _distinct,
     circuit_dependences,
 )
 
@@ -188,7 +189,7 @@ class EmbeddedSphere:
         margins = self.face_margins(new).min(axis=1)
         sizes = self._on.sum(axis=1)
         bases = {}  # representative -> its (dim, size) tangent basis
-        for size in np.unique(sizes[sizes > 2]).tolist():
+        for size in _distinct(sizes[sizes > 2])[0].tolist():
             ks = np.flatnonzero(sizes == size)
             faces = self.signs[ks][self._on[ks]].reshape(len(ks), 1, size)
             cons = np.concatenate([faces > 0, faces < 0], axis=1).astype(float)

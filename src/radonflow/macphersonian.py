@@ -52,6 +52,7 @@ from .core import (
     _circuit_table,
     _conforming,
     _conformity,
+    _distinct,
     _distinct_circuits,
     _gather_circuits,
     _json_int,
@@ -199,7 +200,8 @@ class MatroidTable(Sequence):
         ground, parsed = _read_circuits(data)
         signs, which = _ordered_rows(_signs(parsed, ground.n))
         if len(signs) < len(parsed):
-            twice = np.setdiff1d(np.arange(len(parsed)), np.unique(which, return_index=True)[1])[0]
+            _, first, copy = _distinct(which)
+            twice = np.flatnonzero(first[copy] != np.arange(len(which)))[0]
             raise ValueError(f"circuit {parsed[twice]!r} is listed twice in 'circuits'")
         _check_width(signs, ground.d)
         for i, e in enumerate(elements):
@@ -362,7 +364,7 @@ class MatroidPoset:
         above = Ragged.grouped(pairs[:, 1], pairs[:, 0], k)
         total = np.concatenate([[0], np.cumsum(above.lengths[pairs[:, 1]])])
         cuts = np.searchsorted(total, np.arange(0, total[-1], _JOIN_BLOCK), "right") - 1
-        cuts = np.unique(np.append(cuts, len(pairs)))
+        cuts = _distinct(np.append(cuts, len(pairs)))[0]
         cover = np.ones(len(pairs), bool)
         for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
             owner, position = above.fan(pairs[a:b, 1])
@@ -578,7 +580,7 @@ def cellular_betti(grade: np.ndarray, lower: Ragged) -> list[int]:
         cells = by_grade[offset[g] : offset[g] + f[g]][keep]
         start, size = lower.offsets[cells], lower.lengths[cells]
         columns: list[list[int]] = []
-        for s in np.unique(size).tolist():  # the columns of s rows, as one array
+        for s in _distinct(size)[0].tolist():  # the columns of s rows, as one array
             columns += local[lower.values[start[size == s, None] + np.arange(s)]].tolist()
         pivots = _gf2_pivots(columns)
         ranks[g] = len(pivots)
@@ -614,7 +616,8 @@ def _check_diamonds(pairs: np.ndarray, k: int) -> None:
     upper covers of each element a Ragged list, count the middles of each."""
     upper = Ragged.grouped(pairs[:, 1], pairs[:, 0], k)
     owner, position = upper.fan(pairs[:, 1])
-    ends, middles = np.unique(pairs[owner, 0] * k + upper.values[position], return_counts=True)
+    ends, _, which = _distinct(pairs[owner, 0] * k + upper.values[position])
+    middles = np.bincount(which, minlength=len(ends))
     if (middles != 2).any():
         (a, c), m = divmod(ends[middles != 2][0], k), middles[middles != 2][0]
         raise NotACWPosetError(

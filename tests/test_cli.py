@@ -11,7 +11,7 @@ import oracles
 import radonflow as rf
 import radonflow.cli as cli
 import radonflow.macphersonian as macphersonian
-from conftest import SQUARE, pentagon_points
+from conftest import HEXAGON, SQUARE, pentagon_points
 from radonflow.cli import main
 
 
@@ -866,6 +866,40 @@ def test_analyze_reruns_identically(tmp_path):
     assert main(["analyze", "--config", str(cfg), "--out", str(out2)]) == 0
     for name in ("matroid.json", "radon_complex.json", "sphere_report.json"):
         assert stripped(out1 / name) == stripped(out2 / name)
+
+
+FRESH_RUN = """
+import sys
+import numpy
+by_numpy = "numpy.ma" in sys.modules  # numpy 1 imports it with itself
+from radonflow.cli import main
+assert main(sys.argv[1:]) == 0
+assert by_numpy or "numpy.ma" not in sys.modules
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "flow", "macphersonian", "homology-facets", "homology-poset"])
+def test_no_command_imports_numpy_ma(tmp_path, command):
+    # numpy 2's unique loads numpy.ma (about 1 MB) the first time it is
+    # asked for the values alone; the package's one distinct-values routine
+    # (core._distinct) sorts instead, so a command never loads it
+    hexagon, facets = tmp_path / "hexagon.json", tmp_path / "circle.json"
+    write_json(hexagon, {"points": HEXAGON, "d": 2})
+    write_json(facets, {"facets": [[1, 2], [2, 3], [1, 3]]})
+    if command == "homology-poset":
+        assert main(["macphersonian", "4", "2", "--out", str(tmp_path / "mac")]) == 0
+    argv = {
+        "analyze": ["analyze", "--config", str(hexagon)],
+        "flow": ["flow", "--config", str(hexagon), "--max-steps", "3"],
+        "macphersonian": ["macphersonian", "4", "2"],
+        "homology-facets": ["homology", "--config", str(facets)],
+        "homology-poset": ["homology", "--config", str(tmp_path / "mac" / "poset.json")],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entrypoint(tmp_path):

@@ -237,6 +237,30 @@ def test_sign_rows_match_int_masks(n):
     assert np.array_equal(rf.core._signs(vectors, n), signs)
 
 
+def distinct_keys():
+    rng = np.random.default_rng(17)
+    signs = rng.integers(-1, 2, size=(300, 40)).astype(np.int8)[rng.integers(0, 300, 900)]
+    words = rf.core._pack(signs)  # two words a row: elements 33..40 in the second
+    yield "random-repeats", rng.integers(0, 50, 400)
+    yield "none", np.zeros(0, np.int64)
+    yield "one", np.array([7])
+    yield "all-equal", np.full(300, 5)
+    yield "extremes", np.array([2**64 - 1, 0, 5, 2**64 - 1, 0], np.uint64)
+    # the big-endian support words of _supports, one and two to a row
+    supports = (words >> np.uint64(32) | words) & np.uint64(0xFFFFFFFF)
+    yield "big-endian-one-word", rf.core._keys(supports[:, :1].astype(">u8"))
+    yield "big-endian-two-words", rf.core._keys(supports[:, ::-1].astype(">u8"))
+    yield "two-word-void", rf.core._keys(words)
+
+
+@pytest.mark.parametrize("name, keys", list(distinct_keys()), ids=[name for name, _ in distinct_keys()])
+def test_distinct_is_numpys_unique_with_index_and_inverse(name, keys):
+    got = rf.core._distinct(keys)
+    want = np.unique(keys, return_index=True, return_inverse=True)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def test_only_core_reads_the_kernel_word_layout():
     # the other modules read kernel rows' supports through core._supports
     for name in ("cli", "complexes", "flow", "macphersonian"):
