@@ -47,7 +47,7 @@ from .core import (
     PointConfiguration,
     Ragged,
     RecordTable,
-    _distinct as _sorted_distinct,
+    _distinct,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     same_chirotope,
 )
@@ -217,17 +217,17 @@ def _ints(table) -> int:
     return table.size if isinstance(table, np.ndarray) else table.offsets.size + table.values.size
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of each of values in distinct, ascending ints that hold
-    them all: each int from the least to the largest when the values are
-    no sparser than that (a sort costs more than the words of the ints
-    missing between), else each distinct value."""
+def _value_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The id of each of values, its index in distinct, ascending ints that
+    hold them all, and those ints: each int from the least to the largest
+    when the values are no sparser than that (a sort costs more than the
+    words of the ints missing between), else each distinct value."""
     if not len(values):
         return np.zeros(0, np.intp), values
     least, most = values.min().tolist(), values.max().tolist()
     if most - least <= 2 * len(values):
         return values.astype(np.intp) - least, np.arange(least, most + 1)
-    distinct, _, index = _sorted_distinct(values)
+    distinct, _, index = _distinct(values)
     return index, distinct
 
 
@@ -240,7 +240,7 @@ def _words(heads: list[str], tails: list[str], kinds: np.ndarray, values: np.nda
 
 def _column_tokens(column: np.ndarray, name: str, tail: str):
     """(count, ids, words): one token a record, name, its entry and tail."""
-    ids, distinct = _distinct(column)
+    ids, distinct = _value_ids(column)
     return np.ones(len(column), np.intp), ids, _words([name], [tail], np.zeros(len(distinct), np.intp), distinct)
 
 
@@ -252,7 +252,7 @@ def _ragged_tokens(field: Ragged, open_: str, indent: str, close: str, empty: st
     all the lists in turn, indices into words, and words only the tokens
     that occur."""
     lengths = field.lengths
-    value, distinct = _distinct(field.values)
+    value, distinct = _value_ids(field.values)
     full = np.flatnonzero(lengths)
     place = np.zeros(len(value), np.intp)  # 0 to 3: middle, first, last or only value of its list
     place[field.offsets[full]] = 1
@@ -308,8 +308,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     combinatorial = combinatorial_circuit_graph(matroid)
     matches = graphs_equal(rc.graph, combinatorial)
     _write_json(out / "matroid.json", matroid.payload())
-    complex_payload = {**rc.graph.payload(), "n": matroid.n, "d": matroid.d, "facets": rc.facets, "positions": rc.positions}
-    _write_json(out / "radon_complex.json", complex_payload)
+    _write_json(out / "radon_complex.json", rc.payload())
     _write_json(out / "sphere_report.json", {**report.to_dict(), "combinatorial_graph_matches": matches})
     status = "ok" if report.ok and matches else "MISMATCH"
     print(
@@ -419,6 +418,13 @@ def cmd_flow(args: argparse.Namespace) -> int:
     return 0
 
 
+def _homology(counts: list[int], betti: list[int]) -> dict:
+    """The homology fields the CLI writes: the simplex counts, their
+    alternating sum and the GF(2) Betti numbers."""
+    chi = sum((-1) ** k * c for k, c in enumerate(counts))
+    return {"simplex_counts": counts, "euler_characteristic": chi, "betti_gf2": betti}
+
+
 def cmd_macphersonian(args: argparse.Namespace) -> int:
     n, d = int(args.n), int(args.d)
     out = Path(args.out)
@@ -427,21 +433,12 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
     poset = MatroidPoset.from_elements(elements)
     hasse = poset.hasse_pairs()
     grade, betti = cellular_homology(poset, hasse)
-    counts = chain_counts(poset)
-    chi = sum((-1) ** k * c for k, c in enumerate(counts))
+    homology = _homology(chain_counts(poset), betti)
+    chi = homology["euler_characteristic"]
     uniform = int(elements.uniform.sum())
     poset_payload = {**poset.payload(hasse), "n": n, "d": d, "count": len(elements), "uniform_count": uniform}
     _write_json(out / "poset.json", poset_payload)
-    _write_json(
-        out / "order_complex.json",
-        {
-            "n": n,
-            "d": d,
-            "simplex_counts": counts,
-            "euler_characteristic": chi,
-            "betti_gf2": betti,
-        },
-    )
+    _write_json(out / "order_complex.json", {"n": n, "d": d, **homology})
     if (n, d) == (4, 2):
         report = cell_structure_m42(poset, grade, hasse)
         _write_json(out / "m42_cells.json", report.to_dict())
@@ -488,7 +485,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
             if not all(type(x) is int and 0 <= x < k for x in pair):
                 raise ValueError(f"hasse pair {json.dumps(pair)} names no element of 0..{k - 1}")
         listed = np.array(listed, np.intp).reshape(-1, 2)
-        listed = _sorted_distinct(listed[:, 0] * k + listed[:, 1])[0]  # row-major keys i * k + j, each once
+        listed = _distinct(listed[:, 0] * k + listed[:, 1])[0]  # row-major keys i * k + j, each once
         poset = MatroidPoset.from_elements(table)
         hasse = poset.hasse_pairs()
         if not np.array_equal(listed, hasse[:, 0] * k + hasse[:, 1]):
@@ -498,14 +495,9 @@ def cmd_homology(args: argparse.Namespace) -> int:
         counts = chain_counts(poset)
     else:
         raise ValueError("homology input needs 'facets' or 'elements' + 'hasse'")
-    payload = {
-        "simplex_counts": counts,
-        "euler_characteristic": sum((-1) ** k * c for k, c in enumerate(counts)),
-        "betti_gf2": betti,
-    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "betti.json", payload)
+    _write_json(out / "betti.json", _homology(counts, betti))
     print(f"homology: counts {counts}, betti {betti}")
     return 0
 

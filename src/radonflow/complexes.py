@@ -150,10 +150,11 @@ class CircuitGraph:
         return f"{'+' if fields['sign'][i] > 0 else '-'}{circuit!r}"
 
     def payload(self) -> dict:
-        """The graph as the CLI writes it: the vertices and the cycles as
-        RecordTables, the edges as their array."""
+        """The graph as the CLI writes it: its matroid's n and d, the
+        vertices and the cycles as RecordTables, the edges as their array."""
         cycles = {key: self.cycles.fields[key] for key in ("support", "edge_ids")}
-        return {"vertices": self.vertices, "edges": self.edges, "cycles": RecordTable(cycles)}
+        n, d = self.matroid.n, self.matroid.d
+        return {"n": n, "d": d, "vertices": self.vertices, "edges": self.edges, "cycles": RecordTable(cycles)}
 
 
 @dataclass(eq=False)
@@ -161,31 +162,31 @@ class RadonComplex:
     """A circuit graph plus its filled higher cells and natural coordinates.
 
     matroid, the graph's, holds the circuits, and n and d.  positions holds
-    one row per graph vertex, antipodal rows negated.  The cells of
-    dimension >= 2 (the facets) are ordered by dimension, then by their
-    ascending vertex tuples: facet k has dimension facet_dims[k] and the
-    vertices facet_vertices[k], ascending, a Ragged.  facets is the two
-    as the RecordTable the CLI writes, one record {"dim", "vertices"} per
-    facet.
+    one row per graph vertex, antipodal rows negated.  facets, the cells of
+    dimension >= 2, is the RecordTable the CLI writes, one record {"dim",
+    "vertices"} per facet, its vertices ascending, ordered by dimension,
+    then by vertex tuple; it is empty by default.
     """
 
     graph: CircuitGraph
     positions: np.ndarray
-    facet_dims: np.ndarray = field(default_factory=lambda: np.zeros(0, np.intp))
-    facet_vertices: Ragged = field(default_factory=lambda: Ragged.sized([], np.zeros(0, np.intp)))
+    facets: RecordTable = field(
+        default_factory=lambda: RecordTable({"dim": np.zeros(0, np.intp), "vertices": Ragged.sized([], np.zeros(0, np.intp))})
+    )
 
     @property
     def matroid(self) -> OrientedMatroid:
         return self.graph.matroid
 
-    @cached_property
-    def facets(self) -> RecordTable:
-        """The facets as the CLI writes them: each one's "dim" and "vertices"."""
-        return RecordTable({"dim": self.facet_dims, "vertices": self.facet_vertices})
-
     def euler_characteristic(self) -> int:
-        odd = int(np.count_nonzero(self.facet_dims & 1))
-        return len(self.graph.signs) - len(self.graph.edges) + len(self.facet_dims) - 2 * odd
+        dims = self.facets.fields["dim"]
+        odd = int(np.count_nonzero(dims & 1))
+        return len(self.graph.signs) - len(self.graph.edges) + len(dims) - 2 * odd
+
+    def payload(self) -> dict:
+        """The complex as the CLI writes it: the graph's payload, the
+        facets and the positions."""
+        return {**self.graph.payload(), "facets": self.facets, "positions": self.positions}
 
 
 def _canonical(edges: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,8 +220,10 @@ def _partition_edges_into_cycles(rows: np.ndarray, first: np.ndarray, second: np
     lookup per edge; the slots it leaves by, in walk order, give every
     cycle's vertices and edges by one gather each (CircuitGraph.cycles).
 
-    Raises ValueError when some vertex has other than two edges of one tag;
-    CircuitGraph.cycles calls this on first read.
+    Raises ValueError when some vertex has other than two edges of one tag,
+    naming the least such vertex of the first such tag and its degree there,
+    read off the sorted slot keys (tag, vertex) whose pairing the check
+    tests; CircuitGraph.cycles calls this on first read.
     """
     supports, tag_of = _supports(rows[first] | rows[second], 32 * rows.shape[1])
     order = np.argsort(tag_of, kind="stable")
@@ -237,7 +240,15 @@ def _partition_edges_into_cycles(rows: np.ndarray, first: np.ndarray, second: np
     slots = np.argsort(key, kind="stable")
     key = key[slots]
     if not ((key[0::2] == key[1::2]).all() and (key[2::2] != key[1:-1:2]).all()):
-        raise _open_cycle(supports, order, tag_of, first, second)
+        # some key is not held by exactly two slots: the least such names
+        # the first failing tag and its least vertex of another degree
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        degree = np.diff(start, append=len(key))
+        k = np.flatnonzero(degree != 2)[0]
+        tag, v = divmod(key[start[k]].tolist(), len(rows))
+        raise ValueError(
+            f"edges tagged {supports[tag].tolist()} do not form closed cycles (vertex {v} has degree {degree[k]} there)"
+        )
     pairs = slots.reshape(-1, 2)
     turn = other[pairs[:, 0]] > other[pairs[:, 1]]
     pairs[turn] = pairs[turn, ::-1]
@@ -265,23 +276,6 @@ def _partition_edges_into_cycles(rows: np.ndarray, first: np.ndarray, second: np
     lead = exits[vertex_seq.offsets[:-1]] % ends  # each cycle's first edge, in tag order
     edge_ids = Ragged(vertex_seq.offsets, order[exits % ends])
     return RecordTable({"support": supports.take(tag_of[lead]), "vertex_seq": vertex_seq, "edge_ids": edge_ids})
-
-
-def _open_cycle(supports: Ragged, order, tag_of, first, second) -> ValueError:
-    """The error for the first tag whose edges leave a vertex of degree
-    other than 2 (there is one): the first such vertex as the tag's edges,
-    in edge order, name it."""
-    for g, support in enumerate(supports.tolist()):
-        degree: dict[int, int] = {}
-        for eid in order[tag_of == g].tolist():
-            for v in (int(first[eid]), int(second[eid])):
-                degree[v] = degree.get(v, 0) + 1
-        bad = [v for v, k in degree.items() if k != 2]
-        if bad:
-            return ValueError(
-                f"edges tagged {support} do not form closed cycles "
-                f"(vertex {bad[0]} has degree {degree[bad[0]]} there)"
-            )
 
 
 def _circuit_edges(m: OrientedMatroid) -> np.ndarray:
@@ -430,29 +424,18 @@ def geometric_radon_complex(config: PointConfiguration) -> RadonComplex:
     facet = np.flatnonzero(~edge)
     keys = keys[facet]
     facet = facet[np.argsort(keys.view(np.dtype((np.void, keys.strides[0])))[:, 0], kind="stable")]
-    return RadonComplex(graph, positions, cell_dims[facet], closure.take(facet))
+    return RadonComplex(graph, positions, RecordTable({"dim": cell_dims[facet], "vertices": closure.take(facet)}))
 
 
 def combinatorial_circuit_graph(m: OrientedMatroid) -> CircuitGraph:
     """Build the circuit graph from the circuit list alone, once
-    check_circuit_axioms finds no violation (else ValueError).  Its cycles
-    are walked on first read, which raises ValueError if they do not close."""
+    check_circuit_axioms finds no violation (else ValueError): a
+    CircuitGraph on the edges of the adjacency rule (_circuit_edges).  Its
+    cycles are walked on first read, which raises ValueError if they do
+    not close."""
     report = check_circuit_axioms(m)
     if not report.ok:
         raise ValueError(f"circuit axioms fail: {report.summary()}")
-    return _circuit_graph(m)
-
-
-def _circuit_graph(m: OrientedMatroid) -> CircuitGraph:
-    """The circuit graph of a circuit set whose supports are pairwise
-    incomparable, axioms unchecked.
-
-    Adjacency rule: X and Y are joined iff they conform and form a modular
-    pair (_circuit_edges, m.modular_pairs, which read any circuit set).
-    The graph's cycles, the edges grouped by the support of the
-    composition, are walked on first read; for a malformed circuit set they
-    need not close, and the read raises ValueError.
-    """
     return CircuitGraph(m, _circuit_edges(m))
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CircuitGraph, _circuit_graph, combinatorial_circuit_graph, project_to_gamma
+from .complexes import CircuitGraph, _circuit_edges, combinatorial_circuit_graph, project_to_gamma
 from .core import (
     EPS_FLAT,
     EPS_MEM,
@@ -152,10 +152,10 @@ class EmbeddedSphere:
         """The geometric embedding of a spanning configuration: each circuit
         of circuit_dependences at its dependence vector, radially normalized
         onto the polytope, on the circuit graph of the adjacency rule
-        (_circuit_graph).  These are the signs, edges and positions of
-        geometric_radon_complex, without its higher cells."""
+        (_circuit_edges), axioms unchecked.  These are the signs, edges and
+        positions of geometric_radon_complex, without its higher cells."""
         matroid, dependences = circuit_dependences(config)
-        return cls(_circuit_graph(matroid), project_to_gamma(dependences))
+        return cls(CircuitGraph(matroid, _circuit_edges(matroid)), project_to_gamma(dependences))
 
     @classmethod
     def at_barycenters(cls, matroid: OrientedMatroid) -> "EmbeddedSphere":
@@ -206,9 +206,9 @@ class EmbeddedSphere:
         return EmbeddedSphere(self.graph, new)
 
     def payload(self) -> dict:
-        """The fields the CLI writes (CircuitGraph.payload), the positions
-        as their array."""
-        return {**self.graph.payload(), "n": self.matroid.n, "d": self.matroid.d, "positions": self.positions_all()}
+        """The sphere as the CLI writes it: the graph's payload, n and d
+        among it, and the positions as their array."""
+        return {**self.graph.payload(), "positions": self.positions_all()}
 
 
 _add = np.add.reduce

@@ -214,9 +214,10 @@ def partition_edges_into_cycles(edges, vertex_masks):
             adj.setdefault(j, []).append((i, eid))
         bad = [v for v, nb in adj.items() if len(nb) != 2]
         if bad:
+            v = min(bad)
             raise ValueError(
                 f"edges tagged {sorted(set_of(tag))} do not form closed cycles "
-                f"(vertex {bad[0]} has degree {len(adj[bad[0]])} there)"
+                f"(vertex {v} has degree {len(adj[v])} there)"
             )
         walked = set()
         for start in sorted(adj):
@@ -630,8 +631,8 @@ def modular_pairs(m):
 
 
 def modular_graph(m):
-    """Loop version of the circuit graph by the modular rule, as
-    rf.complexes._circuit_graph builds it (axioms unchecked): X and Y are
+    """Loop version of the circuit graph by the modular rule, whose edges
+    rf.complexes._circuit_edges lists (axioms unchecked): X and Y are
     joined iff they conform and their circuits are one of modular_pairs."""
     vmasks = [masks(v) for v in _ordered_vertices(m.sorted_circuits)]
     k, modular = len(m.signs), modular_pairs(m)
@@ -646,7 +647,7 @@ def modular_graph(m):
 def circuit_graph(m):
     """Loop version of the circuit graph by the count rule (axioms
     unchecked): X and Y are joined iff they conform, X != +-Y, and no third
-    circuit conforms to X o Y.  rf.complexes._circuit_graph reads its edges
+    circuit conforms to X o Y.  rf.complexes._circuit_edges reads its edges
     off the modular pairs instead; on circuit sets with the axioms the two
     rules agree."""
     vmasks = [masks(v) for v in _ordered_vertices(m.sorted_circuits)]

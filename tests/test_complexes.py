@@ -20,7 +20,7 @@ from conftest import (
 )
 from oracles import cycle_pairs
 from radonflow.cli import _sample_spanning_points, main
-from radonflow.core import _plain
+from radonflow.core import RecordTable, _plain
 from radonflow.flow import _Field
 
 
@@ -50,7 +50,7 @@ def test_hexagon_complex_is_a_two_sphere(hexagon_complex):
     rc = hexagon_complex
     assert len(rc.graph.vertices) == 30
     assert len(rc.graph.edges) == 60
-    assert rc.facet_dims.tolist() == [2] * 32
+    assert rc.facets.fields["dim"].tolist() == [2] * 32
     assert len(rc.facets) == 32
     assert rc.euler_characteristic() == 2
     assert rf.validate_sphere(rc).ok
@@ -168,6 +168,28 @@ def test_open_cycles_raise_when_the_cycles_are_read(pentagon_complex):
     with pytest.raises(ValueError, match="do not form closed cycles") as raised:
         g.cycles
     assert str(raised.value) == _graph_or_error(lambda: oracles.ReferenceGraph(g.matroid, g.edges))
+
+
+def test_open_cycle_error_names_the_least_bad_vertex_of_the_first_bad_tag(pentagon_complex, hexagon_complex):
+    # tags are taken in support-mask order, the hexagon's six cycles in the
+    # order of its intact graph's; the message is the reference walk's
+    g = hexagon_complex.graph
+    edges, cycles = g.edges.tolist(), g.cycles.tolist()
+    dropped = {cycles[1]["edge_ids"][4], cycles[3]["edge_ids"][0]}
+    chords = [[seq[3], seq[6]] for seq in (cycles[2]["vertex_seq"], cycles[4]["vertex_seq"])]
+    opened = "edges tagged {} do not form closed cycles (vertex {} has degree {} there)".format
+    cases = [
+        # one tag, vertex 2 (degree 3) first in edge order, vertex 1 (degree 1) least
+        (pentagon_complex.matroid, ODD, opened([1, 2, 3, 4, 5], 1, 1)),
+        # an edge dropped from the second and the fourth cycles: two tags fail
+        (g.matroid, [e for k, e in enumerate(edges) if k not in dropped], opened([1, 2, 3, 4, 6], 11, 1)),
+        # a chord across the third and the fifth cycles: degree 3 at its ends
+        (g.matroid, edges + chords, opened([1, 2, 3, 5, 6], 8, 3)),
+    ]
+    for m, case, message in cases:
+        with pytest.raises(ValueError) as raised:
+            rf.CircuitGraph(m, case).cycles
+        assert str(raised.value) == message == _graph_or_error(lambda: oracles.ReferenceGraph(m, case))
 
 
 def test_validate_sphere_flags_non_antipodal_edges(pentagon_complex):
@@ -470,7 +492,7 @@ def test_the_lengths_the_benchmark_tracer_reads(config):
     g, m = rc.graph, rc.matroid
     assert len(g.vertices) == len(g.signs) == 2 * len(m.signs)
     assert len(g.edges) == g.edges.shape[0] and g.edges.shape[1:] == (2,)
-    assert len(rc.facets) == len(rc.facet_dims) == len(rc.facet_vertices) > 0
+    assert len(rc.facets) == len(rc.facets.fields["dim"]) == len(rc.facets.fields["vertices"]) > 0
     assert len(m.circuits) == len(m.signs)
 
 
@@ -639,7 +661,7 @@ def test_conformance_kernel_matches_loop_references(n, d):
         assert report == oracles.check_circuit_axioms(bad)
         # off the domain the two rules part: the modular one is the package's
         assert _graph_or_error(
-            lambda: rf.complexes._circuit_graph(bad)
+            lambda: rf.CircuitGraph(bad, rf.complexes._circuit_edges(bad))
         ) == _graph_or_error(lambda: oracles.modular_graph(bad))
         with pytest.raises(ValueError, match="circuit axioms fail"):
             rf.combinatorial_circuit_graph(bad)
@@ -647,7 +669,7 @@ def test_conformance_kernel_matches_loop_references(n, d):
 
 def test_adjacency_rule_off_its_domain_reads_the_lattice_of_unions():
     # X = {1}|{2} and Y = {3}|{4} nest inside Z = {1,3}|{2,4}: the set fails
-    # minimality, so it lies outside _circuit_graph's domain and
+    # minimality, so it lies outside the adjacency rule's domain and
     # combinatorial_circuit_graph refuses it.  The rule still reads the
     # lattice: {1,2,3,4} has height 2, so the three are pairwise modular and
     # every conformal signed pair is an edge, Z conforming to X o Y or not
@@ -655,7 +677,7 @@ def test_adjacency_rule_off_its_domain_reads_the_lattice_of_unions():
     z = rf.Circuit.make({1, 3}, {2, 4})
     m = rf.OrientedMatroid.from_circuits(rf.GroundSet(4, 2), frozenset({x, y, z}))
     assert _modular_pairs(m) == oracles.modular_pairs(m) == {(0, 1), (0, 2), (1, 2)}
-    edges = rf.complexes._circuit_graph(m).edges.tolist()
+    edges = rf.CircuitGraph(m, rf.complexes._circuit_edges(m)).edges.tolist()
     assert edges == oracles.modular_graph(m).edges.tolist() and len(edges) == 8
     with pytest.raises(ValueError, match="circuit axioms fail"):
         rf.combinatorial_circuit_graph(m)
@@ -666,7 +688,7 @@ def test_modular_rule_matches_the_count_rule_on_census_elements(n, d):
     # every element of the shape: the edges of the modular pairs are those
     # of the count rule, and the modular rule's own loop version
     for m in rf.enumerate_acyclic_oms(n, d):
-        g = rf.complexes._circuit_graph(m)
+        g = rf.CircuitGraph(m, rf.complexes._circuit_edges(m))
         assert rf.graphs_equal(g, oracles.circuit_graph(m))
         assert g.edges.tolist() == oracles.modular_graph(m).edges.tolist()
 
@@ -679,7 +701,7 @@ def test_graph_comparison_sees_an_edge_the_rule_drops(monkeypatch, hexagon_confi
 
     def compared():
         geometric = rf.geometric_radon_complex(hexagon_config).graph
-        return rf.graphs_equal(geometric, rf.complexes._circuit_graph(m))
+        return rf.graphs_equal(geometric, rf.CircuitGraph(m, rf.complexes._circuit_edges(m)))
 
     assert compared()
     rule = rf.complexes._circuit_edges
@@ -740,7 +762,7 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
         return (
             [rf.check_circuit_axioms(m) for m in broken],
             [
-                _graph_or_error(lambda: rf.complexes._circuit_graph(m))
+                _graph_or_error(lambda: rf.CircuitGraph(m, rf.complexes._circuit_edges(m)))
                 for m in matroids + [wide] + broken
             ],
             [(_plain(rc.graph.payload()), rc.facets.tolist(), rc.positions.tolist()) for rc in rcs],
@@ -817,8 +839,8 @@ def test_facet_listing_matches_the_oracle(hexagon_config):
         assert oracles.facet_cells(rc) == ref.facets
         assert rc.euler_characteristic() == ref.euler_characteristic() == 2
         # the arrays behind rc.facets: dims, then ascending vertex lists
-        assert rc.facet_dims.tolist() == [cell.dim for cell in ref.facets]
-        assert rc.facet_vertices.tolist() == [sorted(cell.vertices) for cell in ref.facets]
+        assert rc.facets.fields["dim"].tolist() == [cell.dim for cell in ref.facets]
+        assert rc.facets.fields["vertices"].tolist() == [sorted(cell.vertices) for cell in ref.facets]
 
 
 def _relabeled(g, rng):
@@ -928,8 +950,8 @@ def _cells_by_support(rc):
     support = [oracles.mask_of(v.support) for v in oracles.vertex_objects(rc.graph)]
     cells = Counter((mask, 0) for mask in support)
     cells.update((support[i] | support[j], 1) for i, j in rc.graph.edges.tolist())
-    for dim, vertices in zip(rc.facet_dims.tolist(), rc.facet_vertices.tolist()):
-        cells[functools.reduce(operator.or_, (support[v] for v in vertices)), dim] += 1
+    for facet in rc.facets.tolist():
+        cells[functools.reduce(operator.or_, (support[v] for v in facet["vertices"])), facet["dim"]] += 1
     return dict(cells)
 
 
@@ -954,10 +976,10 @@ def test_cells_per_support_see_cells_that_keep_the_euler_characteristic():
     # validate_sphere passes the complex; the count per support does not
     config = _drawn(8, 3)
     rc = rf.geometric_radon_complex(config)
-    dims = rc.facet_dims
+    dims, vertices = rc.facets.fields["dim"], rc.facets.fields["vertices"]
     dropped = np.concatenate([np.flatnonzero(dims == 2)[:2], np.flatnonzero(dims == 3)[:2]])
     keep = np.setdiff1d(np.arange(len(dims)), dropped)
-    mutant = rf.RadonComplex(rc.graph, rc.positions, dims[keep], rc.facet_vertices.take(keep))
+    mutant = rf.RadonComplex(rc.graph, rc.positions, RecordTable({"dim": dims[keep], "vertices": vertices.take(keep)}))
     assert (len(dims), len(keep)) == (480, 476)
     assert mutant.euler_characteristic() == rc.euler_characteristic() and rf.validate_sphere(mutant).ok
     assert _cells_by_support(mutant) != oracles.cells_per_support(config)
