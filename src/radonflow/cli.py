@@ -79,7 +79,8 @@ from .macphersonian import (
 SCHEMA_VERSION = 2
 # flow samples at most this many points: n generic points in R^d have
 # C(n, d + 2) circuits, up to C(16, 8) = 12 870 here, each a vertex pair of
-# the sphere the flow moves, while the tests and CI flow at most 12 points
+# the sphere the flow moves; CI flows a sampled (16, 2) to convergence and
+# the tests flow up to (10, 4)
 MAX_SAMPLED_N = 16
 _NUMBERS = {int, float}
 _INTEGERS = {int}

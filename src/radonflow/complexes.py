@@ -47,6 +47,7 @@ from .core import (
     _circuit_table,
     _conforming,
     _distinct,
+    _find,
     _keys,
     _negated,
     _pack,
@@ -97,15 +98,16 @@ class CircuitGraph:
     the RecordTable that payload writes (each vertex's circuit and its
     sign), is built on first read, and vertex_text(i) prints vertex i in
     messages.  edges is the (E, 2) intp array of the edges, each [i, j]
-    with i < j, rows ascending, from pairs of vertices in range(V) in any
-    order (an end outside, a loop or a repeat raises ValueError, naming the
-    first such edge as given).  == is identity: graphs_equal compares graphs.  cycles, the edges' partition
-    into closed cycles (_partition_edges_into_cycles), is a RecordTable of
-    three Ragged fields, one list of each per cycle: its support,
-    ascending, its vertex_seq, the vertices in cyclic order (the first not
-    repeated), and its edge_ids, edge i joining vertex i of the sequence to
-    vertex i + 1, cyclically.  It is walked on first read, which raises the
-    ValueError for edges that do not close.
+    with i < j, rows ascending (_canonical), from pairs of vertices in
+    range(V) in any order; an end outside, a loop or a repeat (no first
+    copy of its row) raises ValueError, naming the first such edge as
+    given.  == is identity: graphs_equal compares graphs.  cycles, the
+    edges' partition into closed cycles (_partition_edges_into_cycles), is
+    a RecordTable of three Ragged fields, one list of each per cycle: its
+    support, ascending, its vertex_seq, the vertices in cyclic order (the
+    first not repeated), and its edge_ids, edge i joining vertex i of the
+    sequence to vertex i + 1, cyclically.  It is walked on first read,
+    which raises the ValueError for edges that do not close.
     """
 
     matroid: OrientedMatroid
@@ -121,12 +123,11 @@ class CircuitGraph:
         if len(outside):
             k = outside[0]
             raise ValueError(f"edge {k} {edges[k].tolist()} has an end outside range({len(self.signs)})")
-        self.edges, order = _canonical(edges, len(self.signs))
-        # a stable sort puts each repeat right after an earlier copy
-        repeats = order[1:][(self.edges[1:] == self.edges[:-1]).all(axis=1)]
-        bad = np.concatenate([np.flatnonzero(edges[:, 0] == edges[:, 1]), repeats])
+        self.edges, first = _canonical(edges, len(self.signs))
+        repeat = np.bincount(first, minlength=len(edges)) == 0  # no first copy of its row
+        bad = np.flatnonzero((edges[:, 0] == edges[:, 1]) | repeat)
         if len(bad):
-            k = bad.min()
+            k = bad[0]
             what = "is a loop" if edges[k, 0] == edges[k, 1] else "repeats an earlier edge"
             raise ValueError(f"edge {k} {edges[k].tolist()} {what}")
 
@@ -190,12 +191,12 @@ class RadonComplex:
 
 
 def _canonical(edges: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edges over range(count) as rows [min, max], ascending, sorted by one
-    stable argsort of min * count + max, and that order: row k is edges[order[k]]."""
-    u, v = edges.T
-    low, high = np.minimum(u, v), np.maximum(u, v)
-    order = np.argsort(low * count + high, kind="stable")
-    return np.stack([low[order], high[order]], axis=1), order
+    """The distinct edges over range(count) as rows [min, max], ascending,
+    and the index in edges of each one's first copy: one _distinct call on
+    the keys min * count + max."""
+    low, high = np.sort(edges, axis=1).T
+    keys, first, _ = _distinct(low * count + high)
+    return np.stack(np.divmod(keys, count), axis=1), first
 
 
 def _partition_edges_into_cycles(rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> RecordTable:
@@ -340,9 +341,9 @@ def _composition_closure(rows: np.ndarray, edges: np.ndarray) -> np.ndarray:
         # seen (rows ascending by key) with the composed rows it lacks put
         # in place; those rows, and the vertex each tracks: its first copy's
         keys, head, _ = _distinct(_keys(composed))
-        at, new = np.searchsorted(_keys(seen), keys), composed[head]
-        fresh = ~(seen[np.minimum(at, len(seen) - 1)] == new).all(axis=1)
-        return np.insert(seen, at[fresh], new[fresh], axis=0), new[fresh], tracks[head[fresh]]
+        at, found = _find(_keys(seen), keys)
+        new = head[~found]
+        return np.insert(seen, at[~found], composed[new], axis=0), composed[new], tracks[new]
 
     lower = np.where(degree[second] < degree[first], second, first)
     seen, frontier, track = merged(_unique_rows(rows)[0], composed, lower[head])

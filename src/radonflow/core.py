@@ -436,21 +436,16 @@ def _signs(vectors, n: int) -> np.ndarray:
 
 def _ordered_rows(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a +1/-1/0 matrix in Circuit.sort_key order, and
-    for each input row the index of its copy.  The key is the support size,
-    then the support and the positive part ascending, a prefix first: one
-    np.lexsort, the support padded past n and the positive part with -1."""
+    for each input row the index of its copy: one _distinct call over a
+    big-endian key per row, its support size, then its support's elements
+    and its positive part's elements ascending, each padded with 0 so that
+    a prefix sorts first."""
     n = signs.shape[1]
     column = np.arange(n)
-    support = np.sort(np.where(signs != 0, column, n), axis=1)
-    pos = np.sort(np.where(signs > 0, column, n), axis=1)
-    pos[pos == n] = -1
-    order = np.lexsort(np.vstack([pos.T[::-1], support.T[::-1], (signs != 0).sum(axis=1)]))
-    rows = signs[order]
-    fresh = np.ones(len(rows), bool)
-    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    which = np.empty(len(rows), np.intp)
-    which[order] = np.cumsum(fresh) - 1
-    return rows[fresh], which
+    parts = [np.sort(np.where(signed, column, n), axis=1) for signed in (signs != 0, signs > 0)]
+    key = np.column_stack([(signs != 0).sum(axis=1), *((part + 1) % (n + 1) for part in parts)])
+    _, first, which = _distinct(_keys(key.astype(np.min_scalar_type(n).newbyteorder(">"))))
+    return signs[first], which
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,8 +585,7 @@ def _gather_circuits(values: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np
     binom[:, 0] = 1
     for k in range(1, r + 1):
         binom[1:, k] = np.cumsum(binom[:-1, k - 1])
-    facets = spans[:, np.nonzero(~np.eye(r + 1, dtype=bool))[1].reshape(r + 1, r)]
-    vals = values[:, binom[facets, np.arange(1, r + 1)].sum(axis=2)]
+    vals = values[:, binom[_faces(spans), np.arange(1, r + 1)].sum(axis=2)]
     vals[:, :, 1::2] *= -1
     lead = np.take_along_axis(vals, (vals != 0).argmax(axis=2)[:, :, None], axis=2)
     return spans, np.where(lead < 0, -vals, vals)
@@ -621,11 +615,18 @@ def _negated(rows: np.ndarray) -> np.ndarray:
     return rows << _HALF | rows >> _HALF
 
 
+def _faces(rows: np.ndarray) -> np.ndarray:
+    """Each row with each of its entries dropped in turn: out[i, j] is
+    rows[i] without entry j."""
+    k = rows.shape[1]
+    return rows[:, np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)]
+
+
 def _keys(rows: np.ndarray) -> np.ndarray:
-    """One key per row for _distinct: the word itself when a row has one,
-    else the row's bytes, which compare as bytes."""
+    """One key per row for _distinct or _find: the entry itself when a row
+    has one, else its bytes, which sort rows of big-endian uints as tuples."""
     rows = np.ascontiguousarray(rows)
-    return (rows.view(np.dtype((np.void, 8 * rows.shape[1]))) if rows.shape[1] > 1 else rows)[:, 0]
+    return (rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))) if rows.shape[1] > 1 else rows)[:, 0]
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -645,6 +646,12 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     which = np.empty(len(keys), np.intp)
     which[order] = np.cumsum(start) - 1
     return ordered[runs], np.minimum.reduceat(order, runs) if len(runs) else runs, which
+
+
+def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each query sits in the ascending keys, and whether it is there."""
+    at = np.searchsorted(keys, queries)
+    return at, keys[np.minimum(at, len(keys) - 1)] == queries
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -43,6 +43,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     GroundSet,
     OrientedMatroid,
@@ -54,8 +55,11 @@ from .core import (
     _conformity,
     _distinct,
     _distinct_circuits,
+    _faces,
+    _find,
     _gather_circuits,
     _json_int,
+    _keys,
     _negated,
     _ordered_rows,
     _pack,
@@ -64,13 +68,12 @@ from .core import (
     _require,
     _signs,
     _supports,
+    _unique_rows,
     circuits_of_points,  # unused here; perfbench/tracing.py rebinds this name
     weak_map_leq,  # the order from_elements computes; perfbench/tracing.py counts its calls here
 )
 
 MAX_ENUMERATION_N = 6
-# chains i < c < j per block of the join that finds the covers (hasse_pairs)
-_JOIN_BLOCK = 1 << 20
 
 
 class UnsupportedRangeError(ValueError):
@@ -355,15 +358,16 @@ class MatroidPoset:
         intp array, a subset of self.pairs in their ascending row-major order.
 
         (i, j) is a cover iff no chain i < c < j ends on it.  Each pair
-        (i, c) meets the pairs above c (Ragged.grouped), about _JOIN_BLOCK
-        chains at a time, and each chain's end key i * k + j is found among
-        the pairs' ascending keys, or else the relation is not transitive.
+        (i, c) meets the pairs above c (Ragged.grouped), about 8 *
+        core._BLOCK_WORDS chains at a time (_conforming's pair bound), and
+        each chain's end key i * k + j is found among the pairs' ascending
+        keys (_find), or else the relation is not transitive.
         """
         k, pairs = len(self), self.pairs
         keys = pairs[:, 0] * k + pairs[:, 1]
         above = Ragged.grouped(pairs[:, 1], pairs[:, 0], k)
         total = np.concatenate([[0], np.cumsum(above.lengths[pairs[:, 1]])])
-        cuts = np.searchsorted(total, np.arange(0, total[-1], _JOIN_BLOCK), "right") - 1
+        cuts = np.searchsorted(total, np.arange(0, total[-1], 8 * core._BLOCK_WORDS), "right") - 1
         cuts = _distinct(np.append(cuts, len(pairs)))[0]
         cover = np.ones(len(pairs), bool)
         for a, b in zip(cuts.tolist(), cuts[1:].tolist()):
@@ -394,30 +398,31 @@ class MatroidPoset:
 class SimplicialComplex:
     """Simplices grouped by dimension: simplices[k] is an int array with one
     row per k-simplex, rows in lexicographic order.  Dropping an entry of a
-    row leaves a row one dimension down.  from_maximal_faces lists each
-    simplex's vertices ascending; order_complex lists each chain from its
-    least element up, whatever the element indices."""
+    row (core._faces) leaves a row one dimension down.  from_maximal_faces
+    lists each simplex's vertices ascending; order_complex lists each chain
+    from its least element up, whatever the element indices."""
 
     simplices: list[np.ndarray]
 
     @classmethod
     def from_maximal_faces(cls, faces) -> "SimplicialComplex":
-        """The closure of faces (vertex lists of int labels, kept as given)."""
-        closed: set[tuple[int, ...]] = set()
-        for f in faces:
-            f = tuple(sorted(set(f)))
-            for size in range(1, len(f) + 1):
-                closed.update(itertools.combinations(f, size))
-        top = max(map(len, closed), default=0)
-        by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(top)]
-        for s in closed:
-            by_dim[len(s) - 1].append(s)
-        return cls(
-            simplices=[
-                np.array(sorted(lst), dtype=np.int64).reshape(len(lst), k + 1)
-                for k, lst in enumerate(by_dim)
-            ]
-        )
+        """The closure of faces (lists of int64 labels, kept as given), each
+        dimension from the top down: the distinct rows (_unique_rows) of the
+        faces of its size and the faces (_faces) of the dimension above.  A
+        row holds its face's distinct label ranks ascending, big-endian, so
+        that its key (_keys) sorts as its labels do."""
+        owner = np.repeat(np.arange(len(faces)), [len(f) for f in faces])
+        labels, _, rank = _distinct(np.array([v for f in faces for v in f], np.int64))
+        owner, rank = np.divmod(_distinct(owner * len(labels) + rank)[0], len(labels))
+        size = np.bincount(owner, minlength=len(faces))[owner]
+        rank = rank.astype(np.min_scalar_type(len(labels)).newbyteorder(">"))
+        top = size.max(initial=0)
+        simplices, above = [], rank[:0].reshape(0, top + 1)
+        for k in range(top, 0, -1):
+            rows = [rank[size == k].reshape(-1, k), _faces(above).reshape(-1, k)]
+            above = _unique_rows(np.concatenate(rows, dtype=rank.dtype))[0]  # not native-endian
+            simplices.insert(0, labels[above])
+        return cls(simplices=simplices)
 
     @property
     def dim(self) -> int:
@@ -451,32 +456,21 @@ def order_complex(p: MatroidPoset) -> SimplicialComplex:
 
 def _boundary_faces(c: SimplicialComplex) -> list[np.ndarray]:
     """For each k >= 1, the boundary of the k-simplices as an int array:
-    column j holds the index among the (k-1)-simplices of the face that
-    misses entry k - j of the row, so column 0 holds the row's prefix.
+    column j holds the index among the (k-1)-simplices of the face without
+    entry j of the row (core._faces).
 
-    Faces are found by searchsorted on codes that stay below (number of
-    simplices) x (number of vertices), whatever the labels: a simplex's code
-    is the index of its prefix one dimension down times V plus the rank of
-    its last vertex, the empty simplex being the one prefix of a vertex.
-    Rows in lexicographic order have ascending codes.
+    Each face is found by searchsorted over the row keys (core._keys) of
+    the (k-1)-simplices, the big-endian bytes of their vertices' ranks among
+    the labels: rows in lexicographic order have ascending keys, whatever
+    the labels.
     """
     labels = c.simplices[0][:, 0]
-    v = len(labels)
-    codes = [np.arange(v)]
-    faces = [np.zeros((v, 1), np.int64)]  # a vertex's one face: the empty simplex
-    for k in range(1, len(c.simplices)):
-        rank = np.searchsorted(labels, c.simplices[k])
-        prefix = np.zeros(len(rank), np.int64)
-        for j in range(k):
-            prefix = np.searchsorted(codes[j], prefix * v + rank[:, j])
-        out = np.empty((len(rank), k + 1), np.int64)
-        out[:, 0] = prefix
-        # the face without entry k - j, j >= 1: the prefix's face without
-        # that entry, then the last vertex
-        out[:, 1:] = np.searchsorted(codes[k - 1], faces[k - 1][prefix] * v + rank[:, k:])
-        faces.append(out)
-        codes.append(prefix * v + rank[:, k])
-    return faces[1:]
+    big_endian = np.min_scalar_type(len(labels)).newbyteorder(">")
+    ranks = [np.searchsorted(labels, rows).astype(big_endian) for rows in c.simplices]
+    return [
+        np.searchsorted(_keys(lower), _keys(_faces(upper).reshape(-1, k))).reshape(-1, k + 1)
+        for k, lower, upper in zip(range(1, len(ranks)), ranks, ranks[1:])
+    ]
 
 
 def _gf2_pivots(columns) -> list[int]:
@@ -511,7 +505,7 @@ def _gf2_pivots(columns) -> list[int]:
 def gf2_betti(c: SimplicialComplex) -> list[int]:
     """Betti numbers over GF(2) by cellular_betti: a k-simplex is a cell of
     dimension k whose lower covers are its boundary faces (_boundary_faces),
-    sorted, so its pivot is its prefix; the simplices are numbered one
+    sorted, so its pivot is its least face; the simplices are numbered one
     dimension after another."""
     if not c.simplices:
         return []
@@ -544,12 +538,6 @@ def chain_counts(p: MatroidPoset) -> list[int]:
 
 class NotACWPosetError(ValueError):
     """A poset fails a check that makes its cellular homology exact."""
-
-
-def _find(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each query sits in the ascending keys, and whether it is there."""
-    at = np.searchsorted(keys, queries)
-    return at, keys[np.minimum(at, len(keys) - 1)] == queries
 
 
 def cellular_betti(grade: np.ndarray, lower: Ragged) -> list[int]:

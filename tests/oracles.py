@@ -51,7 +51,15 @@ gf2_rank_dense / gf2_betti_dense eliminate dense uint8 boundary matrices
 by row XORs, and gf2_betti_sparse is the package's earlier reduction:
 faces looked up in {tuple: index} dicts, frozenset columns pivoting on
 their largest row (gf2_pivots), with clearing.  The package reduces int
-lists that pivot on their smallest row.
+lists that pivot on their smallest row.  maximal_faces_closure is the
+closure the package once built from maximal faces, every subset of every
+face in a Python set, and boundary_faces its earlier face lookup by prefix
+codes (a simplex's code is its prefix's index times the number of
+vertices plus the rank of its last vertex); the package builds each
+dimension from the one above as distinct rows and finds faces by their row
+keys.  ordered_rows is the package's earlier sort of sign rows by
+Circuit.sort_key, one np.lexsort and a run mask; the package now sorts
+big-endian row keys by its one distinct-values routine.
 
 The loop references work on Python-int bitmask pairs of their own
 (mask_of, set_of, masks), which the package does not use, and group edges
@@ -1069,6 +1077,63 @@ def gf2_pivots(columns):
                 break
             col ^= other
     return set(reduced)
+
+
+def maximal_faces_closure(faces):
+    """SimplicialComplex.from_maximal_faces as a Python set closure: every
+    nonempty subset of every face, by dimension, rows sorted."""
+    closed = set()
+    for f in faces:
+        f = tuple(sorted(set(f)))
+        for size in range(1, len(f) + 1):
+            closed.update(combinations(f, size))
+    top = max(map(len, closed), default=0)
+    by_dim = [[] for _ in range(top)]
+    for s in closed:
+        by_dim[len(s) - 1].append(s)
+    return rf.SimplicialComplex(
+        [np.array(sorted(lst), dtype=np.int64).reshape(len(lst), k + 1) for k, lst in enumerate(by_dim)]
+    )
+
+
+def boundary_faces(c):
+    """For each k >= 1, the boundary of the k-simplices by prefix codes:
+    column j holds the index among the (k-1)-simplices of the face that
+    misses entry k - j of the row, so column 0 holds the row's prefix."""
+    labels = c.simplices[0][:, 0]
+    v = len(labels)
+    codes = [np.arange(v)]
+    faces = [np.zeros((v, 1), np.int64)]  # a vertex's one face: the empty simplex
+    for k in range(1, len(c.simplices)):
+        rank = np.searchsorted(labels, c.simplices[k])
+        prefix = np.zeros(len(rank), np.int64)
+        for j in range(k):
+            prefix = np.searchsorted(codes[j], prefix * v + rank[:, j])
+        out = np.empty((len(rank), k + 1), np.int64)
+        out[:, 0] = prefix
+        # the face without entry k - j, j >= 1: the prefix's face without
+        # that entry, then the last vertex
+        out[:, 1:] = np.searchsorted(codes[k - 1], faces[k - 1][prefix] * v + rank[:, k:])
+        faces.append(out)
+        codes.append(prefix * v + rank[:, k])
+    return faces[1:]
+
+
+def ordered_rows(signs):
+    """core._ordered_rows by one np.lexsort, the support padded past n and
+    the positive part with -1, and a mask of the runs of equal rows."""
+    n = signs.shape[1]
+    column = np.arange(n)
+    support = np.sort(np.where(signs != 0, column, n), axis=1)
+    pos = np.sort(np.where(signs > 0, column, n), axis=1)
+    pos[pos == n] = -1
+    order = np.lexsort(np.vstack([pos.T[::-1], support.T[::-1], (signs != 0).sum(axis=1)]))
+    rows = signs[order]
+    fresh = np.ones(len(rows), bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    which = np.empty(len(rows), np.intp)
+    which[order] = np.cumsum(fresh) - 1
+    return rows[fresh], which
 
 
 def gf2_betti_sparse(c):

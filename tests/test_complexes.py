@@ -217,10 +217,18 @@ def test_circuit_graph_refuses_an_edge_end_outside_its_vertices(pentagon_complex
         rf.CircuitGraph(pentagon_complex.matroid, edges)
 
 
-@pytest.mark.parametrize("edge, fault", [((4, 4), "is a loop"), ((2, 1), "repeats an earlier edge")])
-def test_circuit_graph_refuses_a_loop_or_a_repeated_edge(pentagon_complex, edge, fault):
-    # RING's edge 1 is (1, 2), so (2, 1) as edge 3 repeats it
-    edges = RING[:3] + [edge] + RING[3:]
+@pytest.mark.parametrize(
+    "edge, fault, listed",
+    [
+        pytest.param((4, 4), "is a loop", 1, id="edge0-is a loop"),
+        pytest.param((2, 1), "repeats an earlier edge", 1, id="edge1-repeats an earlier edge"),
+        pytest.param((2, 1), "repeats an earlier edge", 2, id="thrice-repeats an earlier edge"),
+    ],
+)
+def test_circuit_graph_refuses_a_loop_or_a_repeated_edge(pentagon_complex, edge, fault, listed):
+    # RING's edge 1 is (1, 2), so (2, 1) as edge 3 repeats it; listed
+    # twice more, (1, 2) is there three times, and edge 3 is named first
+    edges = RING[:3] + [edge] * listed + RING[3:]
     with pytest.raises(ValueError, match=rf"^edge 3 \[{edge[0]}, {edge[1]}\] {fault}$"):
         rf.CircuitGraph(pentagon_complex.matroid, edges)
 
@@ -776,8 +784,12 @@ def test_kernel_callers_split_across_blocks(monkeypatch, pentagon_config, block_
     assert want[0] == [oracles.check_circuit_axioms(m) for m in broken]
     assert max(len(g["vertices"]) for g, _, _ in want[2]) > 128  # bitsets of three words
     monkeypatch.setattr(rf.core, "_BLOCK_WORDS", block_words)
-    monkeypatch.setattr(rf.macphersonian, "_JOIN_BLOCK", block_words)
     assert answers() == want
+    # the join cuts its chains at 8 * _BLOCK_WORDS: count the blocks it takes
+    poset, blocks = rf.MatroidPoset.from_elements(census), []
+    find = rf.macphersonian._find
+    monkeypatch.setattr(rf.macphersonian, "_find", lambda keys, queries: blocks.append(len(queries)) or find(keys, queries))
+    assert poset.hasse_pairs().tolist() == want[4] and len(blocks) > 1
 
 
 @pytest.mark.parametrize("n, d", [(9, 4), (10, 4), (10, 5)])

@@ -251,6 +251,8 @@ def distinct_keys():
     yield "big-endian-one-word", rf.core._keys(supports[:, :1].astype(">u8"))
     yield "big-endian-two-words", rf.core._keys(supports[:, ::-1].astype(">u8"))
     yield "two-word-void", rf.core._keys(words)
+    # rows of three big-endian 4-byte entries, as _ordered_rows' keys at n >= 65536
+    yield "big-endian-four-byte-rows", rf.core._keys(rng.integers(0, 3, size=(500, 3)).astype(">u4"))
 
 
 @pytest.mark.parametrize("name, keys", list(distinct_keys()), ids=[name for name, _ in distinct_keys()])
@@ -259,6 +261,17 @@ def test_distinct_is_numpys_unique_with_index_and_inverse(name, keys):
     want = np.unique(keys, return_index=True, return_inverse=True)
     for a, b in zip(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 6, 40, 300])
+def test_ordered_rows_match_the_lexsort_reference(n):
+    # at n = 300 each entry of a row's key takes two bytes
+    rng = np.random.default_rng([5, n])
+    rows = rng.integers(-1, 2, size=(120, n)).astype(np.int8)
+    signs = rows[rng.integers(0, len(rows), 400)]
+    got, want = rf.core._ordered_rows(signs), oracles.ordered_rows(signs)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(got[0]) < len(signs)
 
 
 def test_only_core_reads_the_kernel_word_layout():

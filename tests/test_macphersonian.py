@@ -373,6 +373,33 @@ def test_gf2_betti_with_rows_in_any_vertex_order():
             ]
         )
         assert rf.gf2_betti(scrambled) == oracles.gf2_betti_dense(c)
+        _assert_boundary_faces_match_the_prefix_codes(scrambled)
+
+
+def _assert_boundary_faces_match_the_prefix_codes(c):
+    # the reference lists the face without entry k - j in column j
+    got, want = rf.macphersonian._boundary_faces(c), oracles.boundary_faces(c)
+    assert len(got) == len(want) == len(c.simplices) - 1
+    assert all(np.array_equal(a, b[:, ::-1]) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [[-3, 5, -7], [5, 2**40], [-7, -3]],  # negative labels, one beyond 32 bits, a face inside another
+        [[2**33, 1, 2**33, -1], [0], [1, 0, -1]],  # a label twice in one face
+        [[10**9 - 7919 * i for i in range(6) if i != skip] for skip in range(6)] + [[-(2**62), 2**62]],
+        [[(i * 7) % 11 - 5 for i in range(k, k + 4)] for k in range(11)],
+        [[i, i + 1, i + 2] for i in range(0, 600, 2)] + [[0, 299, 3 * 2**31]],  # ranks of two bytes
+        [],
+    ],
+)
+def test_closure_and_boundary_faces_match_the_references(faces):
+    c, want = rf.SimplicialComplex.from_maximal_faces(faces), oracles.maximal_faces_closure(faces)
+    assert [(rows.dtype, rows.tolist()) for rows in c.simplices] == [(rows.dtype, rows.tolist()) for rows in want.simplices]
+    if faces:
+        _assert_boundary_faces_match_the_prefix_codes(c)
+        assert rf.gf2_betti(c) == oracles.gf2_betti_dense(c)
 
 
 def test_gf2_betti_of_the_torus():
