@@ -468,11 +468,9 @@ def cmd_homology(args: argparse.Namespace) -> int:
                 raise ValueError(f"facet {json.dumps(f)} is not a list of integer labels")
             if not f:
                 raise ValueError("a facet needs at least one vertex")
-        labels = sorted({v for f in faces for v in f})
-        index = {v: i for i, v in enumerate(labels)}
-        complex_ = SimplicialComplex.from_maximal_faces(
-            [[index[v] for v in f] for f in faces]
-        )
+            if not all(-(2**63) <= v < 2**63 for v in f):
+                raise ValueError(f"facet {json.dumps(f)} has a label outside -2**63..2**63-1")
+        complex_ = SimplicialComplex.from_maximal_faces(faces)
         betti, counts = gf2_betti(complex_), complex_.counts()
     elif "elements" in data and "hasse" in data:
         table, listed = MatroidTable.from_dict(data), data["hasse"]

@@ -400,10 +400,10 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
 # built as the OR of two 16-entry nibble tables.  A row of s then costs one
 # lookup per such byte (four at n <= 16), OR-ed and negated.  A bitset is
 # ceil(len(z)/64) uint64 words, z row j at bit j % 64 of word j // 64;
-# _pairs lists the set bits of a block of them as index pairs, _counts
-# counts them per row by a byte table, and _conformity unpacks them into a
-# bool matrix.  The tables hold either byte order, as z and s are read
-# alike; bitsets cross a byte view only as little-endian ('<u8') words.
+# _pairs lists the set bits of a block of them as index pairs and
+# _conformity unpacks them into a bool matrix.  The tables hold either
+# byte order, as z and s are read alike; bitsets cross a byte view only as
+# little-endian ('<u8') words.
 _HALF = np.uint64(32)
 _LOW = np.uint64(0xFFFFFFFF)
 _BITS = np.uint64(1) << np.arange(32, dtype=np.uint64)
@@ -411,7 +411,6 @@ _HALVES = np.array([0, 4], np.uint8)[:, None, None]  # the two nibbles of a byte
 _OUTSIDE = np.arange(15, -1, -1, dtype=np.uint8)[:, None]  # 15 - u: the bits outside u
 _LE = np.dtype("<u8")
 _SIGN_OF_PART = np.array([1, -1], np.int8)
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1, np.uint8)
 _BLOCK_WORDS = 1 << 16  # 8-byte words of intermediate per kernel or target block
 
 
@@ -713,39 +712,11 @@ def _pairs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row[at], word[at] * 64 + bit
 
 
-def _counts(bits: np.ndarray) -> np.ndarray:
-    """The number of set bits in each row of a block of bitsets."""
-    return _POPCOUNT.take(bits.view(np.uint8)).sum(axis=1, dtype=np.intp)
-
-
 def _conformity(z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The bool matrix of _conforming: out[i, j] says z[j] conforms to s[i]."""
     octets = [bits.astype(_LE, copy=False).view(np.uint8) for _, bits in _conforming(z, s)]
     flags = np.unpackbits(np.concatenate(octets), axis=1, count=len(z), bitorder="little")
     return flags.view(bool)
-
-
-def _height_two(supports: np.ndarray, unions: np.ndarray, n: int) -> np.ndarray:
-    """Whether each of unions, kernel rows of unions of two distinct
-    supports, has height 2 in the lattice of unions of supports, the
-    distinct supports' kernel rows.
-
-    U has height 2 iff no f in U leaves two supports inside U \\ f: two
-    such, Z1 not inside Z2, make a chain 0 < Z2 < Z1 u Z2 < U, and a chain
-    0 < A < B < U leaves a support inside A and one inside B but not A
-    within U \\ f, for f in U outside B.  The kernel counts the supports
-    inside each U \\ f (_counts), _BLOCK_WORDS words of them at a time.
-    """
-    unit = _pack(np.eye(n, dtype=np.int8))
-    word, bit = unit.nonzero()[1], unit.max(axis=1)  # element f is bit[f] of word[f]
-    height_two = np.ones(len(unions), bool)
-    step = max(1, _BLOCK_WORDS // (n * (unions.shape[1] + 2)))
-    for start in range(0, len(unions), step):
-        u, f = np.nonzero(unions[start : start + step, word] & bit)
-        targets = unions[start + u] & ~unit[f]
-        crowded = np.concatenate([_counts(bits) > 1 for _, bits in _conforming(supports, targets)])
-        height_two[start + u[crowded]] = False
-    return height_two
 
 
 def _eliminations(signs: np.ndarray, signed: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -769,17 +740,23 @@ def _eliminations(signs: np.ndarray, signed: np.ndarray, a: np.ndarray, b: np.nd
 
 def _modular_pairs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs a < b of rows of signs with distinct supports whose union
-    has height 2 in the lattice of unions of supports (_height_two).
+    has height 2 in the lattice of unions of supports.
 
     The unions of all such pairs, disjoint ones included, are formed at
     most _BLOCK_WORDS words of pairs at a time and merged into the distinct
-    ones once those waiting outnumber the merged by 8 * _BLOCK_WORDS.  Two
-    distinct supports inside a union U of height 2, Z2 not inside Z1, have
-    the union U, or they would make a chain 0 < Z1 < Z1 u Z2 < U, so the
-    modular pairs are the pairs of distinct supports inside each U, which
-    the kernel lists.
+    ones once those waiting outnumber the merged by 8 * _BLOCK_WORDS.  One
+    kernel pass lists the supports inside each union U.  U has height 2 iff
+    no f in U leaves two distinct supports inside U \\ f, that is iff every
+    f in U lies in all but at most one of the distinct supports inside U,
+    each counted at its first row: two inside U \\ f, Z1 not inside Z2,
+    make a chain 0 < Z2 < Z1 u Z2 < U, and a chain 0 < A < B < U leaves a
+    support inside A and one inside B but not A within U \\ f, for f in U
+    outside B.  Two distinct supports inside a U of height 2, Z2 not inside
+    Z1, have the union U, or they would make a chain 0 < Z1 < Z1 u Z2 < U,
+    so the modular pairs are the pairs of distinct supports inside each U
+    of height 2.
     """
-    k, n = signs.shape
+    k = len(signs)
     supports = _pack(np.abs(signs))
     words = supports.shape[1]
     step = max(1, _BLOCK_WORDS // max(1, k * (words + 1)))
@@ -793,10 +770,19 @@ def _modular_pairs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             unions, waiting = [_distinct(np.concatenate(unions))[0]], 0
     unions = _distinct(np.concatenate(unions))[0]
     unions = np.ascontiguousarray(unions).view(np.uint64).reshape(len(unions), words)
-    unions = unions[_height_two(_unique_rows(supports)[0], unions, n)]
+    lead = np.zeros(k, bool)
+    lead[_unique_rows(supports)[1]] = True
+    held = (signs != 0) & lead[:, None]  # each distinct support, at its first row
     found = []
     for _, bits in _conforming(supports, unions):
         union, inside = _pairs(bits)  # the supports inside each union, ascending
+        # each union's run of listed supports, never empty: a union holds
+        # the two supports it was formed from
+        runs = np.searchsorted(union, np.arange(len(bits)))
+        holding = np.add.reduceat(held[inside], runs, dtype=np.intp)  # [u, f]: distinct ones holding f
+        count = np.add.reduceat(lead[inside], runs, dtype=np.intp)[:, None]
+        tall = ((holding > 0) & (holding < count - 1)).any(axis=1)[union]
+        union, inside = union[~tall], inside[~tall]
         later = np.searchsorted(union, union, "right") - np.arange(len(union)) - 1
         first = np.repeat(np.arange(len(union)), later)
         second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)

@@ -696,17 +696,24 @@ def test_homology_rejects_the_schema_1_poset_form(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "facets",
-    [[[True, 2], [2, 3], [1, 3]], [[1, 2], [2, "3"], [1, 3]], [[1, 2], [2, 3.0]], [[1, 2], 3]],
-    ids=["bool-label", "string-label", "float-label", "facet-not-a-list"],
+    "facets, message",
+    [
+        ([[True, 2], [2, 3], [1, 3]], "facet [true, 2] is not a list of integer labels"),
+        ([[1, 2], [2, "3"], [1, 3]], 'facet [2, "3"] is not a list of integer labels'),
+        ([[1, 2], [2, 3.0]], "facet [2, 3.0] is not a list of integer labels"),
+        ([[1, 2], 3], "facet 3 is not a list of integer labels"),
+        # past int64 the labels cannot be ranked: exit 2, not an OverflowError
+        ([[2**63, 1]], f"facet [{2**63}, 1] has a label outside -2**63..2**63-1"),
+        ([[-(2**63) - 1, 1]], f"facet [{-(2**63) - 1}, 1] has a label outside -2**63..2**63-1"),
+    ],
+    ids=["bool-label", "string-label", "float-label", "facet-not-a-list", "label-2**63", "label-below-int64"],
 )
-def test_homology_rejects_malformed_facets(tmp_path, capsys, facets):
+def test_homology_rejects_malformed_facets(tmp_path, capsys, facets, message):
     cfg = tmp_path / "bad.json"
     write_json(cfg, {"facets": facets})
     out = tmp_path / "out"
     assert main(["homology", "--config", str(cfg), "--out", str(out)]) == 2
-    bad = next(f for f in facets if not isinstance(f, list) or any(type(v) is not int for v in f))
-    assert f"facet {json.dumps(bad)} is not a list of integer labels" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -839,6 +846,23 @@ def test_homology_facets(tmp_path):
     betti = load(out / "betti.json")
     assert betti["simplex_counts"] == [3, 3]
     assert betti["betti_gf2"] == [1, 1]
+
+
+def test_homology_facets_take_the_int64_extremes(tmp_path):
+    # a tetrahedron's boundary on the labels -2**63, 5, 7 and 2**63 - 1, a
+    # repeated label and an inner face included, reads as its copy on their
+    # ranks 0..3
+    low, high = -(2**63), 2**63 - 1
+    facets = [[low, 5, high], [low, 5, 7], [low, high, 7], [5, high, 7, 7], [low, 5]]
+    rank = {low: 0, 5: 1, 7: 2, high: 3}
+    homology = []
+    for name, given in (("extremes", facets), ("ranks", [[rank[v] for v in f] for f in facets])):
+        cfg = tmp_path / f"{name}.json"
+        write_json(cfg, {"facets": given})
+        assert main(["homology", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        betti = load(tmp_path / name / "betti.json")
+        homology.append([betti[key] for key in ("simplex_counts", "euler_characteristic", "betti_gf2")])
+    assert homology[0] == homology[1] == [[4, 6, 4], 2, [1, 0, 1]]
 
 
 def test_homology_reads_poset_output(tmp_path):

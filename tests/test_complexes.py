@@ -314,22 +314,46 @@ def _modular_pairs(m):
     return set(zip(*(part.tolist() for part in rf.core._modular_pairs(m.signs))))
 
 
-@pytest.mark.parametrize("n, d", LADDER)
-def test_height_two_rule_matches_the_lattice_of_unions_on_the_ladder(n, d):
+# hand-built sign rows on 4 elements, with their number of modular pairs:
+# one support on three rows with different signs, which counts once
+# towards the height of a union; a support nested in two others, whose
+# union has height 3; a direct sum, whose disjoint pair is modular; one
+# circuit, for which the kernel yields one empty block; and rows all on
+# one support, which give no pair
+HAND_BUILT = {
+    "one-support-three-signs": ([[1, 1, 0, 0], [1, -1, 0, 0], [-1, 1, 0, 0], [0, 1, 1, 0], [1, 0, -1, 0]], 7),
+    "nested-in-two": ([[1, -1, 0, 0], [1, 1, -1, 0], [1, -1, 0, 1]], 2),
+    "direct-sum": ([[1, -1, 0, 0], [0, 0, 1, -1]], 1),
+    "one-circuit": ([[1, -1, 1, 0]], 0),
+    "one-support": ([[1, 1, -1, 0], [1, -1, 1, 0], [1, -1, -1, 0]], 0),
+}
+
+
+@pytest.mark.parametrize(
+    "n, d, rows, pairs",
+    [pytest.param(n, d, None, None, id=f"{n}-{d}") for n, d in LADDER]
+    + [pytest.param(4, 2, rows, pairs, id=name) for name, (rows, pairs) in HAND_BUILT.items()],
+)
+def test_height_two_rule_matches_the_lattice_of_unions_on_the_ladder(n, d, rows, pairs):
     # the modular pairs against the lattice of unions, on the rungs drawn
     # uniform, with a coincident pair and with a collinear triple, and on
     # their damaged copies, whose supports nest and repeat: a nested pair
-    # is listed when the larger support has height 2, an equal pair never
-    rng = np.random.default_rng([47, n, d])
-    draws = [sample_spanning_points(n, d, rng)] + [
-        sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
-    ]
-    for pts in draws:
-        m = rf.circuits_of_points(rf.PointConfiguration(pts.astype(float), d))
-        for matroid in (m, _damaged(m)):
-            want = oracles.modular_pairs(matroid)
-            assert _modular_pairs(matroid) == want and want
-            assert len(rf.core._modular_pairs(matroid.signs)[0]) == len(want)  # each pair once
+    # is listed when the larger support has height 2, an equal pair never;
+    # then on the hand-built rows
+    if rows is None:
+        rng = np.random.default_rng([47, n, d])
+        draws = [sample_spanning_points(n, d, rng)] + [
+            sample_degenerate_points(n, d, rng, kind) for kind in ("pair", "triple")
+        ]
+        ms = [rf.circuits_of_points(rf.PointConfiguration(pts.astype(float), d)) for pts in draws]
+        matroids = [matroid for m in ms for matroid in (m, _damaged(m))]
+    else:
+        matroids = [rf.OrientedMatroid(rf.GroundSet(n, d), np.array(rows, np.int8))]
+    for matroid in matroids:
+        want = oracles.modular_pairs(matroid)
+        assert _modular_pairs(matroid) == want
+        assert (len(want) == pairs) if rows is not None else want
+        assert len(rf.core._modular_pairs(matroid.signs)[0]) == len(want)  # each pair once
 
 
 def test_modular_pairs_are_computed_once_per_matroid(hexagon_config, tmp_path, monkeypatch):
