@@ -301,13 +301,13 @@ def _load_json(path: str) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = PointConfiguration.from_dict(_load_json(args.config))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rc = geometric_radon_complex(config)
     matroid = rc.matroid
     report = validate_sphere(rc)
     combinatorial = combinatorial_circuit_graph(matroid)
     matches = graphs_equal(rc.graph, combinatorial)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "matroid.json", matroid.payload())
     _write_json(out / "radon_complex.json", rc.payload())
     _write_json(out / "sphere_report.json", {**report.to_dict(), "combinatorial_graph_matches": matches})
@@ -428,8 +428,6 @@ def _homology(counts: list[int], betti: list[int]) -> dict:
 
 def cmd_macphersonian(args: argparse.Namespace) -> int:
     n, d = int(args.n), int(args.d)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     elements = enumerate_acyclic_oms(n, d)
     poset = MatroidPoset.from_elements(elements)
     hasse = poset.hasse_pairs()
@@ -438,6 +436,8 @@ def cmd_macphersonian(args: argparse.Namespace) -> int:
     chi = homology["euler_characteristic"]
     uniform = int(elements.uniform.sum())
     poset_payload = {**poset.payload(hasse), "n": n, "d": d, "count": len(elements), "uniform_count": uniform}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "poset.json", poset_payload)
     _write_json(out / "order_complex.json", {"n": n, "d": d, **homology})
     if (n, d) == (4, 2):

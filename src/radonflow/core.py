@@ -321,25 +321,23 @@ class PointConfiguration:
 def circuit_dependences(config: PointConfiguration) -> tuple[OrientedMatroid, np.ndarray]:
     """Every signed circuit of a spanning configuration, with its dependence.
 
-    The circuits are read off the lifted maximal minors (_gather_circuits,
-    _distinct_circuits): by Cramer's rule the alternating minors of a
+    The circuits are read off the lifted maximal minors by the one circuit
+    reader, _circuit_rows: by Cramer's rule the alternating minors of a
     (d+2)-subset are the coefficients of its dependence, so the rank rule
     decides circuits on the bases alone.  Returns the oriented matroid of
-    the circuits, its sign rows in Circuit.sort_key order (_ordered_rows),
-    and their dependences, one length-n vector per row, max-abs
-    normalized, zero off the support and positive on the smallest element
-    (Bjorner, Las Vergnas, Sturmfels, White & Ziegler, Oriented Matroids,
-    ch. 3).
+    the circuits, its sign rows in Circuit.sort_key order as the reader
+    gives them, and their dependences, one length-n vector per row: the
+    values at the row's first span, max-abs normalized, zero off the
+    support and positive on the smallest element (Bjorner, Las Vergnas,
+    Sturmfels, White & Ziegler, Oriented Matroids, ch. 3).
     """
     if not config.affinely_spans():
         raise RankDeficientError("points do not affinely span R^d")
-    gathered = _gather_circuits(config._minors[1][None], config.n, config.d + 1)
-    spans, values, _ = _distinct_circuits(*gathered, config.n)
+    signs, spans, values, _ = _circuit_rows(config._minors[1][None], config.n, config.d + 1)
     values = values / np.abs(values).max(axis=1, keepdims=True)
     x = np.zeros((len(spans), config.n))
     x[np.arange(len(spans))[:, None], spans] = np.where(values != 0, values, 0.0)
-    signs, at = _ordered_rows(np.sign(x).astype(np.int8))
-    return OrientedMatroid(GroundSet(config.n, config.d), signs), x[np.argsort(at)]
+    return OrientedMatroid(GroundSet(config.n, config.d), signs), x
 
 
 def circuits_of_points(config: PointConfiguration) -> OrientedMatroid:
@@ -382,15 +380,16 @@ def weak_map_leq(m: OrientedMatroid, m2: OrientedMatroid) -> bool:
 # anything with .pos/.neg element sets into a +1/-1/0 int8 matrix (one row
 # per vector, column e-1 for element e), _ordered_rows sorts such rows by
 # Circuit.sort_key, _circuit_table lists their parts, _pack turns them into
-# the kernel's rows, _distinct_circuits builds the rows of the circuits
-# that _gather_circuits reads off basis values, _supports is the one
-# reader of kernel rows' supports (other modules import no word layout)
-# and _eliminations builds every weak-elimination target.  In a kernel
-# row, element e lives in word (e-1) // 32 of ceil(n/32) uint64 words, its
-# positive bit at 32 + (e-1) % 32 and its negative bit at (e-1) % 32, so a
-# row holds a sign vector of any length.  Z conforms to S (Z+ <= S+ and
-# Z- <= S-) iff Z & ~S is zero in every word, X o Y is X | Y for conformal
-# X, Y, and -X swaps the halves of each word.
+# the kernel's rows, _circuit_rows is the one circuit reader (basis values
+# to the distinct circuits' sorted rows and the row each span holds),
+# _supports is the one reader of kernel rows' supports (other modules
+# import no word layout) and _eliminations builds every weak-elimination
+# target.  In a kernel row, element e lives in word (e-1) // 32 of
+# ceil(n/32) uint64 words, its positive bit at 32 + (e-1) % 32 and its
+# negative bit at (e-1) % 32, so a row holds a sign vector of any length.
+# Z conforms to S (Z+ <= S+ and Z- <= S-) iff Z & ~S is zero in every
+# word, X o Y is X | Y for conformal X, Y, and -X swaps the halves of each
+# word.
 #
 # _conforming answers "does z[j] conform to s[i]" for every pair by byte
 # tables (the "Four Russians" trick of Arlazarov, Dinic, Kronrod &
@@ -433,9 +432,10 @@ def _signs(vectors, n: int) -> np.ndarray:
     return out
 
 
-def _ordered_rows(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a +1/-1/0 matrix in Circuit.sort_key order, and
-    for each input row the index of its copy: one _distinct call over a
+def _ordered_rows(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a +1/-1/0 matrix in Circuit.sort_key order, the
+    index of each one's first occurrence, and for each input row the index
+    of its copy, as _unique_rows gives them: one _distinct call over a
     big-endian key per row, its support size, then its support's elements
     and its positive part's elements ascending, each padded with 0 so that
     a prefix sorts first."""
@@ -444,7 +444,7 @@ def _ordered_rows(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     parts = [np.sort(np.where(signed, column, n), axis=1) for signed in (signs != 0, signs > 0)]
     key = np.column_stack([(signs != 0).sum(axis=1), *((part + 1) % (n + 1) for part in parts)])
     _, first, which = _distinct(_keys(key.astype(np.min_scalar_type(n).newbyteorder(">"))))
-    return signs[first], which
+    return signs[first], first, which
 
 
 @dataclass(frozen=True, eq=False)
@@ -565,8 +565,8 @@ def _colex(n: int, r: int) -> np.ndarray:
     return subsets[np.lexsort(subsets.T)]
 
 
-def _gather_circuits(values: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The circuit each span of each row of basis values holds.
+def _circuit_rows(values: np.ndarray, n: int, r: int):
+    """The distinct circuits the spans of each row of basis values hold.
 
     values has one row per oriented matroid of rank r on range(n) and one
     column per r-subset in colex order (_colex): a chirotope's signs, or a
@@ -574,10 +574,15 @@ def _gather_circuits(values: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np
     holds one circuit, with values (-1)^i values(S - x_i), unless all of
     them are zero, and every circuit lies in some span (Bjorner et al.,
     ch. 3).  The column of S - x_i is its colex rank, sum_j C(s_j, j + 1).
+    Each span's values are signed positive on their first nonzero, and
+    circuits are told apart by their kernel rows, built word by word from
+    the spans; only the distinct ones are then ordered (_ordered_rows).
 
-    Returns spans, the (r+1)-subsets in colex order, and vals, the (rows,
-    spans, r+1) array of those values, each span's signed positive on its
-    first nonzero; a span of all zeros holds no circuit.
+    Returns signs, the distinct circuits' +1/-1/0 int8 rows in
+    Circuit.sort_key order; spans and vals, two (circuits, r+1) arrays in
+    that order, each circuit's first span (rows in order, spans in colex
+    order) and its values there; and held, the (rows, spans) array of the
+    row of signs that each span holds, -1 for none.
     """
     spans = _colex(n, r + 1)
     binom = np.zeros((n, r + 1), np.int64)  # binom[e, k] = C(e, k)
@@ -587,27 +592,20 @@ def _gather_circuits(values: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np
     vals = values[:, binom[_faces(spans), np.arange(1, r + 1)].sum(axis=2)]
     vals[:, :, 1::2] *= -1
     lead = np.take_along_axis(vals, (vals != 0).argmax(axis=2)[:, :, None], axis=2)
-    return spans, np.where(lead < 0, -vals, vals)
-
-
-def _distinct_circuits(spans: np.ndarray, vals: np.ndarray, n: int):
-    """The distinct circuits of _gather_circuits' spans and vals.
-
-    Circuits are told apart by their kernel sign rows, built word by word
-    from the spans.  Returns two (circuits, r+1) arrays, each distinct
-    circuit's first span (rows in order, spans in colex order) and its
-    values there; and held, the (rows, spans) array of the circuit each
-    span holds, -1 for none.
-    """
+    vals = np.where(lead < 0, -vals, vals)
     word, bit = np.divmod(spans, 32)
     bits = (vals != 0) * (np.uint64(1) << (bit + 32 * (vals > 0)).astype(np.uint64))
     in_word = word[:, :, None] == np.arange(-(-n // 32))
-    rows = (bits[..., None] * in_word).sum(axis=2, dtype=np.uint64)
+    kernel = (bits[..., None] * in_word).sum(axis=2, dtype=np.uint64)
     nonzero = (vals != 0).any(axis=2)
-    _, first, which = _unique_rows(rows[nonzero])
+    _, first, which = _unique_rows(kernel[nonzero])
+    spans, vals = spans[np.nonzero(nonzero)[1][first]], vals[nonzero][first]
+    signs = np.zeros((len(spans), n), np.int8)
+    signs[np.arange(len(spans))[:, None], spans] = np.sign(vals)
+    signs, order, rank = _ordered_rows(signs)
     held = np.full(nonzero.shape, -1, np.intp)
-    held[nonzero] = which
-    return spans[np.nonzero(nonzero)[1][first]], vals[nonzero][first], held
+    held[nonzero] = rank[which]
+    return signs, spans[order], vals[order], held
 
 
 def _negated(rows: np.ndarray) -> np.ndarray:

@@ -49,15 +49,14 @@ from .core import (
     OrientedMatroid,
     Ragged,
     _check_width,
-    _colex,
+    _circuit_rows,
     _circuit_table,
+    _colex,
     _conforming,
     _conformity,
     _distinct,
-    _distinct_circuits,
     _faces,
     _find,
-    _gather_circuits,
     _json_int,
     _keys,
     _negated,
@@ -178,7 +177,7 @@ class MatroidTable(Sequence):
         if any(m.ground != ground for m in elements):
             raise ValueError("matroids must share the same ground set")
         rows = [m.signs for m in elements] or [np.zeros((0, 1), np.int8)]
-        signs, ids = _ordered_rows(np.concatenate(rows))
+        signs, _, ids = _ordered_rows(np.concatenate(rows))
         return cls(ground, signs, Ragged.sized([len(m.signs) for m in elements], ids))
 
     @classmethod
@@ -201,10 +200,9 @@ class MatroidTable(Sequence):
         if fault:
             raise ValueError(f"a poset file needs {fault}, as the census does")
         ground, parsed = _read_circuits(data)
-        signs, which = _ordered_rows(_signs(parsed, ground.n))
+        signs, first, which = _ordered_rows(_signs(parsed, ground.n))
         if len(signs) < len(parsed):
-            _, first, copy = _distinct(which)
-            twice = np.flatnonzero(first[copy] != np.arange(len(which)))[0]
+            twice = np.flatnonzero(first[which] != np.arange(len(which)))[0]
             raise ValueError(f"circuit {parsed[twice]!r} is listed twice in 'circuits'")
         _check_width(signs, ground.d)
         for i, e in enumerate(elements):
@@ -240,37 +238,28 @@ class MatroidTable(Sequence):
         return np.bincount(owner[short[self.elements.values]], minlength=len(self)) == 0
 
 
-def _census_table(ground: GroundSet, spans: np.ndarray, vals: np.ndarray, held: np.ndarray) -> MatroidTable:
-    """The table of _distinct_circuits' output, in the census order: by
-    circuit count, then by the circuits' sort keys, as lists.
+def _acyclic_matroids(subsets: np.ndarray, chi: np.ndarray, ground: GroundSet) -> MatroidTable:
+    """The oriented matroids of the chirotope rows chi (columns over the
+    colex-ordered subsets), which must have no positive circuit, as a table
+    in the census order: by circuit count, then by the circuits' sort keys,
+    as lists.
 
-    core._ordered_rows ranks the circuits' sign rows by Circuit.sort_key.
-    Each element's ids are its row of held ranked and sorted, with a
-    circuit held by several spans kept once (at d = 1 a short circuit lies
-    in several spans); ids of equal count compare like their lists of
-    keys, so one np.lexsort orders the elements.
+    core._circuit_rows, the one circuit reader, gives the distinct
+    circuits' rows in Circuit.sort_key order and the row each span holds.
+    Each element's ids are its row of held sorted, with a circuit held by
+    several spans kept once (at d = 1 a short circuit lies in several
+    spans); ids of equal count compare like their lists of keys, so one
+    np.lexsort orders the elements.
     """
-    k = len(spans)
-    signs = np.zeros((k, ground.n), np.int8)
-    signs[np.arange(k)[:, None], spans] = np.sign(vals)
-    signs, rank = _ordered_rows(signs)
-    ids = np.sort(np.append(rank, k)[held], axis=1)  # held's -1 reads k, past every id
+    signs, _, _, held = _circuit_rows(chi, ground.n, subsets.shape[1])
+    k = len(signs)
+    ids = np.sort(np.where(held < 0, k, held), axis=1)  # held's -1 reads k, past every id
     ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = k  # a circuit held by several spans counts once
     ids.sort(axis=1)
     count = (ids < k).sum(axis=1)
     order = np.lexsort(np.vstack([ids.T[::-1], count]))
     ids = ids[order]
     return MatroidTable(ground, signs, Ragged.sized(count[order], ids[ids < k]))
-
-
-def _acyclic_matroids(subsets: np.ndarray, chi: np.ndarray, ground: GroundSet) -> MatroidTable:
-    """The oriented matroids of the chirotope rows chi (columns over the
-    colex-ordered subsets), which must have no positive circuit, as a table
-    in the census order (_census_table): core._gather_circuits reads each
-    row's circuits off its (r+1)-subsets and core._distinct_circuits tells
-    them apart."""
-    spans, vals = _gather_circuits(chi, ground.n, subsets.shape[1])
-    return _census_table(ground, *_distinct_circuits(spans, vals, ground.n))
 
 
 def census_range_fault(n: int, d: int) -> str | None:

@@ -22,7 +22,7 @@ reads no signs: the package's closure builds the cells from the signs.
 circuit_scan is the per-support loop version of core.circuit_dependences:
 one SVD per candidate support, by size, skipping supersets of circuits
 found; the package reads the circuits off the lifted maximal minors
-(core._read_circuits).  support_dims is the package's earlier cell
+(core._circuit_rows).  support_dims is the package's earlier cell
 dimension rule, one SVD per support; the package reads ranks off its bases.
 sampled_census is the census as the package once sampled it: random
 degenerate configurations (sample_configuration), each new matroid closed
@@ -34,7 +34,11 @@ tests every swap on every distinct support in one conformance-kernel call.
 acyclic_census is the census as enumerate_acyclic_oms once built it:
 every chirotope, its circuits gathered, and the rows with a positive
 circuit dropped at the end; the package drops such a row from its frontier
-as soon as the circuit's last basis is signed.
+as soon as the circuit's last basis is signed.  gather_circuits and
+distinct_circuits are the package's earlier circuit reader in two steps,
+after which each caller sorted the circuits' rows itself: circuit_rows
+sorts them as core._circuit_rows does in its one pass, and census_table
+builds the census table from them as macphersonian._census_table did.
 census_key is the sort key enumerate_acyclic_oms once sorted its objects
 by; the package now orders its table of circuit ids by two np.lexsorts.
 weak_map_matrix calls weak_map_leq once per pair of poset elements.
@@ -111,8 +115,10 @@ from radonflow.cli import Ragged, RecordTable
 from radonflow.core import (
     ELIMINATION_CAP,
     KERNEL_RTOL,
+    _circuit_rows,
+    _colex,
     _conforming,
-    _gather_circuits,
+    _faces,
     _negated,
     _pairs,
     _rank,
@@ -938,12 +944,79 @@ def is_matroid(bases):
 
 def acyclic_census(n, d):
     """The table of the acyclic oriented matroids of rank d + 1 on range(n):
-    every chirotope of _chirotopes(n, d + 1), its circuits gathered and the
-    rows where one has a value of one sign only dropped."""
+    every chirotope of _chirotopes(n, d + 1), its circuits read by
+    core._circuit_rows and the rows that hold a circuit of one sign only
+    dropped."""
     subsets, chi = _chirotopes(n, d + 1)
-    _, vals = _gather_circuits(chi, n, d + 1)
-    positive = ((vals > 0).any(axis=2) & ~(vals < 0).any(axis=2)).any(axis=1)
-    return _acyclic_matroids(subsets, chi[~positive], rf.GroundSet(n, d))
+    signs, _, _, held = _circuit_rows(chi, n, d + 1)
+    one_signed = np.append(~(signs < 0).any(axis=1), False)  # held's -1 reads False
+    return _acyclic_matroids(subsets, chi[~one_signed[held].any(axis=1)], rf.GroundSet(n, d))
+
+
+def gather_circuits(values, n, r):
+    """The circuit each span of each row of basis values holds, as the
+    package once read it (core._gather_circuits): spans, the (r+1)-subsets
+    in colex order, and vals, the (rows, spans, r+1) array of the values
+    (-1)^i values(S - x_i), each span's signed positive on its first
+    nonzero; a span of all zeros holds no circuit."""
+    spans = _colex(n, r + 1)
+    binom = np.zeros((n, r + 1), np.int64)  # binom[e, k] = C(e, k)
+    binom[:, 0] = 1
+    for k in range(1, r + 1):
+        binom[1:, k] = np.cumsum(binom[:-1, k - 1])
+    vals = values[:, binom[_faces(spans), np.arange(1, r + 1)].sum(axis=2)]
+    vals[:, :, 1::2] *= -1
+    lead = np.take_along_axis(vals, (vals != 0).argmax(axis=2)[:, :, None], axis=2)
+    return spans, np.where(lead < 0, -vals, vals)
+
+
+def distinct_circuits(spans, vals, n):
+    """The distinct circuits of gather_circuits' spans and vals, told apart
+    by kernel rows built word by word, as the package once did
+    (core._distinct_circuits): each one's first span and its values there,
+    in the order of their kernel rows, and held, the (rows, spans) array of
+    the circuit each span holds, -1 for none."""
+    word, bit = np.divmod(spans, 32)
+    bits = (vals != 0) * (np.uint64(1) << (bit + 32 * (vals > 0)).astype(np.uint64))
+    in_word = word[:, :, None] == np.arange(-(-n // 32))
+    rows = (bits[..., None] * in_word).sum(axis=2, dtype=np.uint64)
+    nonzero = (vals != 0).any(axis=2)
+    _, first, which = _unique_rows(rows[nonzero])
+    held = np.full(nonzero.shape, -1, np.intp)
+    held[nonzero] = which
+    return spans[np.nonzero(nonzero)[1][first]], vals[nonzero][first], held
+
+
+def _span_signs(spans, vals, n):
+    """The +1/-1/0 rows of circuits given by their spans and values."""
+    signs = np.zeros((len(spans), n), np.int8)
+    signs[np.arange(len(spans))[:, None], spans] = np.sign(vals)
+    return signs
+
+
+def circuit_rows(values, n, r):
+    """core._circuit_rows by the earlier two-step read: gather_circuits,
+    distinct_circuits, then the distinct circuits' rows sorted by
+    ordered_rows and held's ids ranked to match."""
+    spans, vals, held = distinct_circuits(*gather_circuits(values, n, r), n)
+    signs, first, rank = ordered_rows(_span_signs(spans, vals, n))
+    return signs, spans[first], vals[first], np.append(rank, -1)[held]
+
+
+def census_table(ground, spans, vals, held):
+    """The census table of distinct_circuits' output as the package once
+    built it (macphersonian._census_table): the circuits' rows sorted, each
+    element's ids its row of held ranked and sorted, a circuit held by
+    several spans once, and the elements by count, then by their ids."""
+    k = len(spans)
+    signs, _, rank = ordered_rows(_span_signs(spans, vals, ground.n))
+    ids = np.sort(np.append(rank, k)[held], axis=1)
+    ids[:, 1:][ids[:, 1:] == ids[:, :-1]] = k
+    ids.sort(axis=1)
+    count = (ids < k).sum(axis=1)
+    order = np.lexsort(np.vstack([ids.T[::-1], count]))
+    ids = ids[order]
+    return rf.MatroidTable(ground, signs, Ragged.sized(count[order], ids[ids < k]))
 
 
 def census_key(m):
@@ -1120,8 +1193,9 @@ def boundary_faces(c):
 
 
 def ordered_rows(signs):
-    """core._ordered_rows by one np.lexsort, the support padded past n and
-    the positive part with -1, and a mask of the runs of equal rows."""
+    """core._ordered_rows by one stable np.lexsort, the support padded past
+    n and the positive part with -1, and a mask of the runs of equal rows,
+    whose first entries are the first occurrences."""
     n = signs.shape[1]
     column = np.arange(n)
     support = np.sort(np.where(signs != 0, column, n), axis=1)
@@ -1133,7 +1207,7 @@ def ordered_rows(signs):
     fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     which = np.empty(len(rows), np.intp)
     which[order] = np.cumsum(fresh) - 1
-    return rows[fresh], which
+    return rows[fresh], order[fresh], which
 
 
 def gf2_betti_sparse(c):

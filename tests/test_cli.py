@@ -72,7 +72,9 @@ def test_analyze_square(tmp_path):
     assert report["euler_characteristic"] == 2
 
 
-def test_analyze_input_errors(tmp_path):
+def test_analyze_input_errors(tmp_path, capsys):
+    # none leaves its output directory: it was once made before the
+    # circuits were read
     out = str(tmp_path / "out")
     assert main(["analyze", "--config", str(tmp_path / "missing.json"), "--out", out]) == 2
 
@@ -82,11 +84,14 @@ def test_analyze_input_errors(tmp_path):
 
     flat = tmp_path / "flat.json"
     write_json(flat, {"points": [[0, 0], [1, 1], [2, 2], [3, 3]], "d": 2})
+    capsys.readouterr()
     assert main(["analyze", "--config", str(flat), "--out", out]) == 2
+    assert capsys.readouterr().err == "input error: points do not affinely span R^d\n"
 
     keyless = tmp_path / "keyless.json"
     write_json(keyless, {"points": SQUARE})
     assert main(["analyze", "--config", str(keyless), "--out", out]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -455,8 +460,13 @@ def test_census_outputs_match_their_pinned_digests(tmp_path, shape):
     assert digests == CENSUS_DIGESTS[shape]
 
 
-def test_macphersonian_out_of_range(tmp_path):
-    assert main(["macphersonian", "9", "2", "--out", str(tmp_path / "out")]) == 3
+def test_macphersonian_out_of_range(tmp_path, capsys):
+    # the output directory was once made before the range was checked
+    for n, d in ((9, 2), (7, 1)):
+        out = tmp_path / f"out{n}{d}"
+        assert main(["macphersonian", str(n), str(d), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: the census needs 'n' with d + 2 <= n <= 6, got n={n}, d={d}\n"
+        assert not out.exists()
 
 
 def test_macphersonian_ignores_seed(tmp_path):
@@ -674,8 +684,10 @@ def test_a_refused_allocation_exits_3_with_a_message(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli, "geometric_radon_complex", refuse)
     cfg = tmp_path / "square.json"
     write_json(cfg, {"points": SQUARE, "d": 2})
-    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_homology_rejects_the_schema_1_poset_form(tmp_path, capsys):

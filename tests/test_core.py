@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import importlib
+import itertools
 import re
 from types import SimpleNamespace
 
@@ -441,6 +442,46 @@ def test_matroid_serialization_roundtrip(square_matroid):
 
 
 LADDER = [(7, 2), (8, 2), (8, 3), (9, 3), (9, 4), (10, 5), (10, 4)]
+
+
+# the census shapes up to n = 5, and (6,1) and (6,4)
+READER_CENSUS = [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 1), (6, 4)]
+
+
+def reader_input(case):
+    """(values, n, r) for core._circuit_rows: a census shape's chirotopes,
+    a ladder draw's lifted minors, or the minors of four points on a line,
+    two coincident, whose 2-element circuit lies in two spans."""
+    if case[0] == "census":
+        _, n, d = case
+        return rf.macphersonian._chirotopes(n, d + 1, itertools.combinations(range(n), d + 2))[1], n, d + 1
+    if case[0] == "ladder":
+        _, n, d, kind = case
+        rng = np.random.default_rng([53, n, d])
+        if kind == "uniform":
+            pts = sample_spanning_points(n, d, rng)
+        else:
+            pts = sample_degenerate_points(n, d, rng, kind)
+        return rf.PointConfiguration(pts.astype(float), d)._minors[1][None], n, d + 1
+    return rf.PointConfiguration(np.array([[0.0], [0.0], [1.0], [2.0]]), 1)._minors[1][None], 4, 2
+
+
+READER_CASES = [("census", n, d) for n, d in READER_CENSUS] + [
+    ("ladder", n, d, kind) for n, d in LADDER for kind in ("uniform", "pair", "triple")
+] + [("line",)]
+
+
+@pytest.mark.parametrize("case", READER_CASES, ids=["-".join(map(str, c)) for c in READER_CASES])
+def test_circuit_reader_matches_the_two_step_reference(case):
+    # the reader once ran as two routines, gather then distinct, and each
+    # caller sorted their output itself
+    values, n, r = reader_input(case)
+    got = rf.core._circuit_rows(values, n, r)
+    want = oracles.circuit_rows(values, n, r)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    if case == ("line",):  # the pair {1, 2} is held by the spans {1, 2, 3} and {1, 2, 4}
+        assert got[3].tolist() == [[0, 0, 1, 2]] and got[0][0].tolist() == [1, -1, 0, 0]
 
 
 def test_matroid_is_its_sorted_distinct_rows(hexagon_config):

@@ -22,7 +22,7 @@ from oracles import (
 )
 from radonflow import flow
 from radonflow.cli import _sample_spanning_points
-from radonflow.core import _distinct_circuits, _gather_circuits
+from radonflow.core import _circuit_rows
 from radonflow.flow import _Field, _renormalized
 
 # the sampled-shape gate: (n, d, rep) with a configuration drawn from
@@ -270,10 +270,7 @@ def _non_pappus(sign):
     bases, minors = cfg._minors
     chi = np.sign(minors)
     chi[(bases == [6, 7, 8]).all(axis=1)] = sign
-    spans, vals, _ = _distinct_circuits(*_gather_circuits(chi[None], 9, 3), 9)
-    signs = np.zeros((len(spans), 9), np.int8)
-    signs[np.arange(len(spans))[:, None], spans] = np.sign(vals)
-    return rf.OrientedMatroid(rf.GroundSet(9, 2), signs)
+    return rf.OrientedMatroid(rf.GroundSet(9, 2), _circuit_rows(chi[None], 9, 3)[0])
 
 
 def _realizes(final, m):

@@ -29,6 +29,18 @@ def test_enumeration_4_2_matches_known_census(oms42):
     assert all(rf.check_circuit_axioms(m).ok for m in oms42)
 
 
+@pytest.mark.parametrize("n, d", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 1), (6, 4)])
+def test_census_table_matches_the_two_step_reference(n, d):
+    # the census once sorted the reader's output itself (_census_table)
+    subsets, chi = rf.macphersonian._chirotopes(n, d + 1, itertools.combinations(range(n), d + 2))
+    ground = rf.GroundSet(n, d)
+    got = rf.macphersonian._acyclic_matroids(subsets, chi, ground)
+    want = oracles.census_table(ground, *oracles.distinct_circuits(*oracles.gather_circuits(chi, n, d + 1), n))
+    for a, b in ((got.signs, want.signs), (got.elements.offsets, want.elements.offsets),
+                 (got.elements.values, want.elements.values)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def test_enumeration_is_closed_under_relabeling(oms42):
     keys = {m.circuits for m in oms42}
     swap = {1: 2, 2: 1, 3: 4, 4: 3}
